@@ -11,7 +11,6 @@ from .expectation import (ConditionalExpectation, IndexReport, QuasiBasis,
                           canonical_expectation, compute_index_report,
                           equivariantize, find_quasi_basis,
                           probabilistic_index_bounds, quasi_basis_report,
-                          qsystem_comultiplication_check,
                           restrict_to_intermediate, scalar_index,
                           validate_expectation, watatani_index)
 from .fusion import (BigradedDims, DimensionVector, FusionModule, FusionRing,
@@ -20,7 +19,7 @@ from .fusion import (BigradedDims, DimensionVector, FusionModule, FusionRing,
                      functor_trace, jones_membership, jones_value,
                      module_trace_solve, pf_dimensions, plancherel_weight,
                      qsystem_degree, standard_solution_components,
-                     uniformly_finite_check, validate_fusion, validate_module)
+                     validate_fusion, validate_module)
 from .generators import (gen_pointed, gen_quotient_module, gen_regular_module,
                          gen_tlj)
 from .lattice import (CartanData, FiniteAbelianGroup, IrrepLabel,

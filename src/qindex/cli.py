@@ -25,7 +25,7 @@ from .expectation import (ConditionalExpectation, canonical_expectation,
                           compute_index_report, validate_expectation)
 from .fusion import (action_functor, check_locally_constant, d_function,
                      equivalence_classes, jones_membership, module_trace_solve,
-                     pf_dimensions, validate_fusion, validate_module)
+                     pf_dimensions, validate_module)
 from .generators import gen_pointed, gen_regular_module, gen_tlj
 from .lattice import (IrrepLabel, cartan_data, classify_subgroups,
                       irrep_membership)
@@ -146,8 +146,12 @@ def cmd_index_compute(args) -> int:
     _write_artifact(args.output, _jsonable(results))
     _emit(args, results, _digest_files([args.spec]),
           {"tol": args.tol, "budget": args.budget}, args.seed, t0)
-    if math.isinf(index.scalar_index) or index.index_element is None:
+    if math.isinf(index.scalar_index):
         log.warning("infinite scalar index")
+        return EXIT_INFINITE
+    if index.index_element is None:
+        log.warning("quasi-basis rejected, index_norm is inf; "
+                    "the scalar index is finite: %r", index.scalar_index)
         return EXIT_INFINITE
     return EXIT_OK
 
@@ -249,9 +253,6 @@ def _ring_from_arg(path: str):
         ring = qio.ring_from_json(data)
     except qio.SchemaError as err:
         raise CliFailure(EXIT_VALIDATION, str(err))
-    problems = validate_fusion(ring)
-    if problems:
-        raise CliFailure(EXIT_VALIDATION, "; ".join(problems))
     return ring
 
 

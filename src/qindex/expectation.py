@@ -36,8 +36,7 @@ __all__ = [
     "ValidationReport", "validate_expectation", "canonical_expectation",
     "find_quasi_basis", "quasi_basis_report", "watatani_index", "scalar_index",
     "probabilistic_index_bounds", "equivariantize", "restrict_to_intermediate",
-    "qsystem_comultiplication_check", "compute_index_report",
-    "index_in_subalgebra",
+    "compute_index_report", "index_in_subalgebra",
 ]
 
 
@@ -561,28 +560,6 @@ def restrict_to_intermediate(expectation: ConditionalExpectation,
     return restricted
 
 
-def qsystem_comultiplication_check(expectation: ConditionalExpectation,
-                                   quasi_basis: QuasiBasis,
-                                   tol: float = DEFAULT_TOL) -> bool:
-    """Frobenius-algebra bookkeeping for the quasi-basis.
-
-    Verifies m m*(1) = sum_i v_i v_i* equals the index element, and that
-    E fixes the index element whenever the index is scalar.
-    """
-    big = expectation.algebra
-    mmstar = big.zero()
-    for v in quasi_basis.elements:
-        mmstar = mmstar + v * v.adjoint()
-    index = watatani_index(expectation, quasi_basis)
-    if (mmstar - index).norm() > tol:
-        return False
-    scale = index.norm()
-    if (index - scale * big.identity()).norm() <= tol * max(1.0, scale):
-        if (expectation(index) - index).norm() > tol * max(1.0, scale):
-            return False
-    return True
-
-
 def index_in_subalgebra(expectation: ConditionalExpectation,
                         element: AlgebraElement,
                         tol: float = DEFAULT_TOL) -> bool:
@@ -602,12 +579,11 @@ def compute_index_report(expectation: ConditionalExpectation,
     """Full index pipeline: quasi-basis, index element, scalar and
     probabilistic indices."""
     result = quasi_basis_report(expectation, tau, tol=tol)
+    # the certified upper bound of the probabilistic index is the scalar index
+    lower, scalar = probabilistic_index_bounds(expectation, budget, seed)
     if result.basis is None:
-        lower, upper = probabilistic_index_bounds(expectation, budget, seed)
-        return IndexReport(None, math.inf, scalar_index(expectation),
-                           lower, upper, 0, seed)
+        return IndexReport(None, math.inf, scalar, lower, scalar, 0, seed)
     index = watatani_index(expectation, result.basis)
-    lower, upper = probabilistic_index_bounds(expectation, budget, seed)
-    return IndexReport(index, index.norm(), scalar_index(expectation),
-                       lower, upper, len(result.basis), seed,
+    return IndexReport(index, index.norm(), scalar, lower, scalar,
+                       len(result.basis), seed,
                        index_in_subalgebra(expectation, index, max(tol, 1e-8)))

@@ -18,7 +18,7 @@ __all__ = [
     "validate_fusion", "validate_module", "pf_dimensions", "module_trace_solve",
     "plancherel_weight", "equivalence_classes", "functor_dims", "d_function",
     "check_locally_constant", "standard_solution_components", "functor_trace",
-    "functor_trace_components", "uniformly_finite_check", "jones_membership",
+    "functor_trace_components", "jones_membership",
     "qsystem_degree", "action_functor", "jones_value",
 ]
 
@@ -387,13 +387,6 @@ class BigradedDims:
         d = np.ascontiguousarray(d)
         d.flags.writeable = False
         object.__setattr__(self, "dims", d)
-
-
-def uniformly_finite_check(h: BigradedDims) -> tuple[bool, int, int]:
-    """Always true on a finite grading; returns (True, max row, max col sum)."""
-    row = int(np.max(np.sum(h.dims, axis=1))) if h.dims.size else 0
-    col = int(np.max(np.sum(h.dims, axis=0))) if h.dims.size else 0
-    return True, row, col
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 Everything is exact integer arithmetic in the fundamental-weight basis:
 P = Z^r and Q is the column lattice of the Cartan matrix.  The quotient
-P/Q is computed by Smith normal form, its subgroups are enumerated and
-pulled back to sublattices Q <= Lambda <= P in Hermite normal form, and
-the resulting lattice indices are cross-checked against the Watatani index
-of the matching cyclic group-algebra inclusion.
+P/Q is computed by Smith normal form, its subgroups are listed directly
+as Hermite normal forms and pulled back to sublattices Q <= Lambda <= P,
+and the resulting lattice indices are cross-checked against the Watatani
+index of the matching cyclic group-algebra inclusion.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import prod
 from typing import Sequence
 
 
@@ -147,9 +147,6 @@ class FiniteAbelianGroup:
         for d in self.invariant_factors:
             out *= d
         return out
-
-    def elements(self) -> list[tuple[int, ...]]:
-        return [tuple(e) for e in product(*(range(d) for d in self.invariant_factors))]
 
 
 @dataclass(frozen=True)
@@ -367,22 +364,6 @@ def _det(mat: Sequence[Sequence[int]]) -> int:
     return int(det)
 
 
-def _mat_inverse_exact(mat: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    n = len(mat)
-    a = [[Fraction(int(x)) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for c in range(n):
-        pivot = next(r for r in range(c, n) if a[r][c] != 0)
-        a[c], a[pivot] = a[pivot], a[c]
-        inv = a[c][c]
-        a[c] = [x / inv for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [row[n:] for row in a]
-
-
 # ---------------------------------------------------------------------------
 # Center, subgroups, classification
 # ---------------------------------------------------------------------------
@@ -404,158 +385,107 @@ def enumerate_subgroups(group: FiniteAbelianGroup,
     """All subgroups, each as a tuple of generators in invariant-factor
     coordinates.
 
-    Generated by closing element sets and deduplicated through the Hermite
-    normal form of the lifted lattice; refuses groups above ``limit``.
+    A subgroup of Z^k / diag(d) Z^k is a lattice diag(d) Z^k <= L <= Z^k;
+    the lattices are listed directly by their column Hermite normal form
+    H, ordered by (det H, H), and the generators are the nonzero columns
+    of H mod d.  Refuses groups above ``limit``.
+    """
+    d = group.invariant_factors
+    return [_hnf_generators(h, d) for h in _subgroup_hnfs(group, limit)]
+
+
+def _subgroup_hnfs(group: FiniteAbelianGroup, limit: int
+                   ) -> list[tuple[tuple[int, ...], ...]]:
+    """Column HNFs H of the lattices diag(d) Z^k <= L <= Z^k, by (det H, H).
+
+    Every such H has h_ii | d_i and 0 <= h_ij < h_ii for j < i; a candidate
+    is kept when each d_j e_j lies in its column lattice (Cohen, GTM 138,
+    section 2.4).
     """
     if group.order > limit:
         raise ValueError(f"group order {group.order} exceeds the limit {limit}")
-    factors = group.invariant_factors
-    if not factors:
-        return [()]
-    elements = group.elements()
-
-    def close(gens: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-        seen = {tuple(0 for _ in factors)}
-        frontier = list(gens)
-        while frontier:
-            g = frontier.pop()
-            for h in list(seen):
-                s = tuple((a + b) % f for a, b, f in zip(g, h, factors))
-                if s not in seen:
-                    seen.add(s)
-                    frontier.append(s)
-            if g not in seen:
-                seen.add(g)
-                frontier.append(g)
-        return frozenset(seen)
-
-    trivial = close(frozenset())
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        sub = frontier.pop()
-        for g in elements:
-            if g in sub:
-                continue
-            bigger = close(frozenset(sub | {g}))
-            if bigger not in found:
-                found.add(bigger)
-                frontier.append(bigger)
-
-    canon = {}
-    for sub in found:
-        key = _subgroup_hnf_key(sub, factors)
-        canon[key] = sub
-    out = []
-    for key in sorted(canon, key=lambda k: (group.order // _subgroup_order(canon[k]), k)):
-        sub = canon[key]
-        gens = _minimal_generators(sub, factors)
-        out.append(tuple(gens))
-    return out
+    d = group.invariant_factors
+    k = len(d)
+    d_cols = [tuple(d[j] if i == j else 0 for i in range(k)) for j in range(k)]
+    found = []
+    for diag in product(*([x for x in range(1, f + 1) if f % x == 0] for f in d)):
+        for rows in product(*(product(range(diag[i]), repeat=i) for i in range(k))):
+            h = tuple(rows[i] + (diag[i],) + (0,) * (k - 1 - i) for i in range(k))
+            if all(_in_lattice(h, col) for col in d_cols):
+                found.append(h)
+    return sorted(found, key=lambda h: (prod(h[i][i] for i in range(k)), h))
 
 
-def _subgroup_order(sub: frozenset) -> int:
-    return len(sub)
+def _hnf_generators(h, d: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The nonzero columns of h mod d."""
+    cols = (tuple(h[i][j] % d[i] for i in range(len(d))) for j in range(len(d)))
+    return tuple(c for c in cols if any(c))
 
 
-def _subgroup_hnf_key(sub: frozenset, factors: tuple[int, ...]) -> tuple:
-    cols = [list(g) for g in sorted(sub)]
-    for i, f in enumerate(factors):
-        e = [0] * len(factors)
-        e[i] = f
-        cols.append(e)
-    mat = [[cols[c][r] for c in range(len(cols))] for r in range(len(factors))]
-    h = hermite_normal_form(mat)
-    return tuple(tuple(row) for row in h)
+def _hnf_elements(h, d: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The sorted elements of L / diag(d) Z^k for the column HNF h of L.
+
+    h is triangular, so y -> h y mod d with 0 <= y_j < d_j / h_jj is a
+    bijection onto the subgroup.
+    """
+    k = len(d)
+    return tuple(sorted(
+        tuple(sum(h[i][j] * y[j] for j in range(i + 1)) % d[i] for i in range(k))
+        for y in product(*(range(d[j] // h[j][j]) for j in range(k)))))
 
 
-def _minimal_generators(sub: frozenset, factors: tuple[int, ...]
-                        ) -> list[tuple[int, ...]]:
-    """Greedy small generating set of a subgroup given by its elements."""
-    target = set(sub)
-    gens: list[tuple[int, ...]] = []
-    have = {tuple(0 for _ in factors)}
-    for g in sorted(sub, key=lambda e: (-_order_of(e, factors), e)):
-        if g in have:
-            continue
-        gens.append(g)
-        new = set(have)
-        frontier = [g]
-        while frontier:
-            x = frontier.pop()
-            for h in list(new):
-                s = tuple((a + b) % f for a, b, f in zip(x, h, factors))
-                if s not in new:
-                    new.add(s)
-                    frontier.append(s)
-            new.add(x)
-        have = new
-        if have == target:
-            break
-    return gens
+def _in_lattice(h: Sequence[Sequence[int]], w: Sequence[int]) -> bool:
+    """Whether w lies in the column lattice of the lower-triangular h.
 
-
-def _order_of(e: tuple[int, ...], factors: tuple[int, ...]) -> int:
-    out = 1
-    for x, f in zip(e, factors):
-        if x:
-            out = lcm(out, f // gcd(x, f))
-    return out
+    Exact forward substitution over the integers; a zero diagonal entry
+    admits only a zero remainder in its row.
+    """
+    y: list[int] = []
+    for i, row in enumerate(h):
+        acc = int(w[i]) - sum(row[j] * y[j] for j in range(i))
+        if row[i] == 0:
+            if acc != 0:
+                return False
+            y.append(0)
+        elif acc % row[i]:
+            return False
+        else:
+            y.append(acc // row[i])
+    return True
 
 
 def classify_subgroups(cartan: CartanData,
                        limit: int = 10_000) -> list[SublatticeSpec]:
     """Sublattices Q <= Lambda <= P for every subgroup of P/Q.
 
-    Lambda = P corresponds to the full dual (index 1) and Lambda = Q to
-    the minimal finite-index subgroup.  Output is sorted by index, then by
-    the Hermite normal form of the generators.
+    Each subgroup comes from the Hermite normal form listing of
+    ``enumerate_subgroups``; its generators are lifted to weight
+    coordinates through u^-1 = C v D^-1 and joined with the Cartan
+    columns.  Lambda = P corresponds to the full dual (index 1) and
+    Lambda = Q to the minimal finite-index subgroup.  Output is sorted by
+    index, then by the Hermite normal form of the generators.
     """
     center = center_group(cartan)
+    c = cartan.matrix()
     r = cartan.rank
-    u_inv = _mat_inverse_exact([list(row) for row in center.u])
-    subs = enumerate_subgroups(center.group, limit)
+    d = center.group.invariant_factors
+    # column p of u^-1 = C v D^-1, for each nontrivial Smith coordinate p
+    lifts = []
+    for p in center.nontrivial:
+        col = [sum(c[i][m] * center.v[m][p] for m in range(r)) for i in range(r)]
+        assert all(x % center.divisors[p] == 0 for x in col)
+        lifts.append([x // center.divisors[p] for x in col])
+    roots = [list(col) for col in zip(*c)]
     specs = []
-    for gens in subs:
-        cols: list[list[int]] = [list(col) for col in
-                                 zip(*cartan.matrix())] if r else []
-        # lift each subgroup generator through the Smith coordinates
-        for g in gens:
-            full = [0] * r
-            for pos, val in zip(center.nontrivial, g):
-                full[pos] = val
-            lift = [sum(u_inv[i][j] * full[j] for j in range(r)) for i in range(r)]
-            assert all(x.denominator == 1 for x in lift)
-            cols.append([int(x) for x in lift])
-        mat = [[cols[c][i] for c in range(len(cols))] for i in range(r)]
-        h = hermite_normal_form(mat)
-        index = 1
-        for i in range(r):
-            index *= h[i][i]
-        subgroup_elements = _subgroup_elements_from_gens(gens, center.group)
-        specs.append(SublatticeSpec(tuple(tuple(row) for row in h), index,
-                                    subgroup_elements))
+    for h in _subgroup_hnfs(center.group, limit):
+        cols = roots + [[sum(g[q] * lifts[q][i] for q in range(len(g)))
+                         for i in range(r)] for g in _hnf_generators(h, d)]
+        basis = hermite_normal_form([[col[i] for col in cols] for i in range(r)])
+        specs.append(SublatticeSpec(tuple(tuple(row) for row in basis),
+                                    prod(basis[i][i] for i in range(r)),
+                                    _hnf_elements(h, d)))
     specs.sort(key=lambda s: (s.index_in_p, s.generators))
     return specs
-
-
-def _subgroup_elements_from_gens(gens, group: FiniteAbelianGroup):
-    factors = group.invariant_factors
-    if not factors:
-        return ((),)
-    seen = {tuple(0 for _ in factors)}
-    frontier = [tuple(g) for g in gens]
-    while frontier:
-        g = frontier.pop()
-        for h in list(seen):
-            s = tuple((a + b) % f for a, b, f in zip(g, h, factors))
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
-        if g not in seen:
-            seen.add(g)
-            frontier.append(g)
-    return tuple(sorted(seen))
 
 
 def irrep_membership(label: IrrepLabel, spec: SublatticeSpec) -> bool:
@@ -566,24 +496,9 @@ def irrep_membership(label: IrrepLabel, spec: SublatticeSpec) -> bool:
     the question; computed by exact triangular solve against the Hermite
     basis of Lambda.
     """
-    h = [list(row) for row in spec.generators]
-    n = len(h)
-    w = [int(x) for x in label.weight]
-    if len(w) != n:
+    if len(label.weight) != len(spec.generators):
         raise ValueError("weight has wrong rank")
-    # lower-triangular solve h y = w over the rationals, then check integrality
-    y = [Fraction(0)] * n
-    for i in range(n):
-        acc = Fraction(w[i])
-        for j in range(i):
-            acc -= h[i][j] * y[j]
-        if h[i][i] == 0:
-            if acc != 0:
-                return False
-            y[i] = Fraction(0)
-            continue
-        y[i] = acc / h[i][i]
-    return all(x.denominator == 1 for x in y)
+    return _in_lattice(spec.generators, label.weight)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 import json
+import logging
+import math
 
 from qindex import io as qio
 from qindex.cli import main
+from qindex.expectation import IndexReport
 from qindex.fusion import validate_fusion
 from qindex.generators import gen_regular_module
 
@@ -87,6 +90,26 @@ def test_index_compute_rank_deficient_exits_3(tmp_path, capsys):
     assert results["scalar_index"] == "inf"
 
 
+def test_index_compute_rejected_quasi_basis_exits_3(tmp_path, capsys, caplog,
+                                                    monkeypatch):
+    # a finite scalar index without an index element: the warning must not
+    # call the index infinite
+    def rejected(expectation, tau, **kwargs):
+        return IndexReport(None, math.inf, 3.0e6, 3.0e6, 3.0e6, 0, 0)
+
+    monkeypatch.setattr("qindex.cli.compute_index_report", rejected)
+    with caplog.at_level(logging.WARNING, logger="qindex"):
+        code, out, _ = run(capsys, "index", "compute", "--spec",
+                           pinching_spec(tmp_path))
+    assert code == 3
+    results = report_of(out)["results"]
+    assert results["index_norm"] == "inf"
+    assert results["scalar_index"] == 3.0e6
+    assert "quasi-basis rejected" in caplog.text
+    assert "3000000.0" in caplog.text
+    assert "infinite scalar index" not in caplog.text
+
+
 def test_malformed_json_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"oops":')
@@ -155,6 +178,21 @@ def test_fusion_trace_module_file(tmp_path, capsys):
     assert report_of(out)["results"]["status"] == "ok"
 
 
+def test_fusion_trace_rejects_ring_axiom_violation(tmp_path, capsys):
+    ring_path = tmp_path / "z2.json"
+    run(capsys, "fusion", "generate", "pointed", "--factors", "2",
+        "-o", str(ring_path))
+    payload = json.loads(ring_path.read_text())
+    payload["N"]["1,1"] = {"0": 2}  # breaks duality: N[1,1]^0 must be 1
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(payload))
+    assert validate_fusion(qio.ring_from_json(json.loads(broken.read_text())))
+    code, _, err = run(capsys, "fusion", "trace", "--ring", str(broken),
+                       "--module", "regular")
+    assert code == 2
+    assert "ring:" in err
+
+
 def test_fusion_jones(capsys):
     code, out, _ = run(capsys, "fusion", "jones", "--value", "2.618033988")
     assert code == 0
@@ -196,6 +234,21 @@ def test_classify_table(capsys):
     assert code == 0
     entries = report_of(out)["results"]["entries"]
     assert [e["index"] for e in entries] == [1, 2, 2, 2, 4]
+    assert [e["subgroup"] for e in entries] == [
+        [[0, 0], [0, 1], [1, 0], [1, 1]],
+        [[0, 0], [1, 0]],
+        [[0, 0], [1, 1]],
+        [[0, 0], [0, 1]],
+        [[0, 0]],
+    ]
+    assert [e["subgroup_order"] for e in entries] == [4, 2, 2, 2, 1]
+    assert [e["lattice_generators"] for e in entries] == [
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 2]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 2]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 2, 0], [0, 0, 0, 1]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 2, 0], [1, 0, 0, 2]],
+    ]
 
     code, out, _ = run(capsys, "classify", "--lie-type", "E8")
     entries = report_of(out)["results"]["entries"]

@@ -10,7 +10,6 @@ from qindex.expectation import (ConditionalExpectation, QuasiBasis,
                                 canonical_expectation, compute_index_report,
                                 equivariantize, find_quasi_basis,
                                 probabilistic_index_bounds, quasi_basis_report,
-                                qsystem_comultiplication_check,
                                 restrict_to_intermediate, scalar_index,
                                 validate_expectation, watatani_index)
 
@@ -441,12 +440,3 @@ def test_restrict_preserves_quasi_basis_existence(rng):
     tau_c = TraceWeights(restricted.algebra,
                          (1.0,) * len(restricted.algebra.blocks))
     assert find_quasi_basis(restricted, tau_c) is not None
-
-
-# -- q-system bookkeeping ----------------------------------------------------
-
-def test_qsystem_comultiplication_check():
-    for make in (identity_expectation, pinching_expectation, trace_expectation):
-        expectation, tau = make(2)
-        basis = find_quasi_basis(expectation, tau)
-        assert qsystem_comultiplication_check(expectation, basis)

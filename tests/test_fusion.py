@@ -8,8 +8,7 @@ from qindex.fusion import (BigradedDims, FusionModule, FusionRing,
                            functor_trace_components, jones_membership,
                            jones_value, module_trace_solve, pf_dimensions,
                            plancherel_weight, qsystem_degree,
-                           standard_solution_components,
-                           uniformly_finite_check, validate_fusion,
+                           standard_solution_components, validate_fusion,
                            validate_module)
 from qindex.generators import gen_pointed, gen_quotient_module, gen_regular_module, gen_tlj
 
@@ -335,20 +334,6 @@ def test_functor_trace_flags_nonstandard_vectors():
     bad = MultiplicityFunctor(module, functor.dims, replace(sol, r_vectors=doctored))
     with pytest.raises(ValueError):
         functor_trace(bad, trace, identity_eta(functor))
-
-
-# -- bigraded finiteness -----------------------------------------------------
-
-def test_uniformly_finite_examples():
-    assert uniformly_finite_check(BigradedDims(np.eye(3, dtype=np.int64))) == (True, 1, 1)
-    ring, module, _, _ = regular_with_trace(4)
-    h = functor_dims(module, "1")
-    n_u = module.action_matrix("1")
-    ok, row, col = uniformly_finite_check(h)
-    assert ok
-    assert row == int(np.max(np.sum(n_u, axis=0)))
-    assert col == int(np.max(np.sum(n_u, axis=1)))
-    assert uniformly_finite_check(BigradedDims(np.zeros((2, 2), dtype=np.int64))) == (True, 0, 0)
 
 
 # -- Jones spectrum ----------------------------------------------------------

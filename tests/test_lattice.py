@@ -10,7 +10,7 @@ from qindex.lattice import (CartanData, FiniteAbelianGroup, IrrepLabel,
                             crosscheck_torus_index, enumerate_subgroups,
                             hermite_normal_form, irrep_membership,
                             smith_normal_form, standard_cartan_matrix)
-from qindex.lattice import _det, _mat_inverse_exact
+from qindex.lattice import _det
 
 
 EXPECTED_CENTERS = {
@@ -21,30 +21,31 @@ EXPECTED_CENTERS = {
 }
 
 
+def close(gens, factors):
+    """The subgroup of Z/factors generated by gens, as a set of elements."""
+    seen = {tuple(0 for _ in factors)}
+    frontier = list(gens)
+    while frontier:
+        g = frontier.pop()
+        for h in list(seen):
+            s = tuple((a + b) % f for a, b, f in zip(g, h, factors))
+            if s not in seen:
+                seen.add(s)
+                frontier.append(s)
+        seen.add(g)
+    return frozenset(seen)
+
+
 def brute_force_subgroups(factors):
     """Independent oracle: close every generator set of size <= rank."""
     if not factors:
         return {frozenset({()})}
     elements = [tuple(e) for e in product(*(range(f) for f in factors))]
-
-    def close(gens):
-        seen = {tuple(0 for _ in factors)}
-        frontier = list(gens)
-        while frontier:
-            g = frontier.pop()
-            for h in list(seen):
-                s = tuple((a + b) % f for a, b, f in zip(g, h, factors))
-                if s not in seen:
-                    seen.add(s)
-                    frontier.append(s)
-            seen.add(g)
-        return frozenset(seen)
-
-    subgroups = {close([])}
+    subgroups = {close([], factors)}
     rank = len(factors)
     for size in range(1, rank + 1):
         for gens in combinations(elements, size):
-            subgroups.add(close(list(gens)))
+            subgroups.add(close(list(gens), factors))
     return subgroups
 
 
@@ -145,6 +146,11 @@ def test_enumerate_small_groups():
     assert len(enumerate_subgroups(FiniteAbelianGroup((4,)))) == 3
     assert len(enumerate_subgroups(FiniteAbelianGroup((2, 2)))) == 5
     assert enumerate_subgroups(FiniteAbelianGroup(())) == [()]
+    # three factors, and a non-elementary pair; counts from the oracle above
+    for factors, count in (((2, 2, 2), 16), ((2, 2, 4), 27), ((6, 12), 48)):
+        subs = enumerate_subgroups(FiniteAbelianGroup(factors))
+        assert len(subs) == count, factors
+        assert len({close(gens, factors) for gens in subs}) == count, factors
 
 
 @settings(max_examples=25, deadline=None)
@@ -200,6 +206,18 @@ def test_classification_contains_q_and_p():
             # Q <= Lambda: every Cartan column solves integrally
             for col in zip(*cartan.matrix()):
                 assert _lattice_contains(spec.generators, col)
+
+
+def test_subgroup_is_closure_of_lattice_generator_classes():
+    types = [f"A{r}" for r in range(1, 8)] + ["D4", "D5", "D6", "E6", "E7"]
+    for lie_type in types:
+        center = center_group(cartan_data(lie_type))
+        factors = center.group.invariant_factors
+        for spec in classify_subgroups(cartan_data(lie_type)):
+            classes = [center.weight_class(col) for col in zip(*spec.generators)]
+            want = close(classes, factors)
+            assert set(spec.subgroup) == want, (lie_type, spec)
+            assert list(spec.subgroup) == sorted(want)
 
 
 def _lattice_contains(generators, vector):
@@ -272,9 +290,3 @@ def test_crosscheck_examples():
     assert crosscheck_torus_index(1, 1).passed
     report = crosscheck_torus_index(6, 2)
     assert report.passed and report.expected_index == 3
-
-
-def test_exact_inverse_helper():
-    m = [[2, 1], [1, 1]]
-    inv = _mat_inverse_exact(m)
-    assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
