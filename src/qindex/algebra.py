@@ -10,6 +10,7 @@ linear map (homomorphisms, expectations) in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -49,6 +50,19 @@ class MultiMatrixAlgebra:
     def rep_dim(self) -> int:
         """Dimension of the block-diagonal faithful representation."""
         return int(sum(self.blocks))
+
+    @cached_property
+    def block_rows(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """Coefficient rows of the blocks, grouped by size: pairs (m, rows)
+        with rows[b, i, j] the row of entry (i, j) of the b-th block of size m."""
+        offsets = np.cumsum((0,) + tuple(m * m for m in self.blocks))[:-1]
+        groups = []
+        for m in sorted(set(self.blocks)):
+            starts = np.array([o for o, size in zip(offsets, self.blocks) if size == m])
+            rows = starts[:, None, None] + np.arange(m * m).reshape(m, m)
+            rows.flags.writeable = False
+            groups.append((m, rows))
+        return tuple(groups)
 
     def element(self, mats: Sequence[np.ndarray]) -> AlgebraElement:
         mats = [np.asarray(m, dtype=complex) for m in mats]
@@ -206,12 +220,15 @@ class StarHomomorphism:
         """
         if (self(self.source.identity()) - self.target.identity()).norm() > tol:
             return False
+        adj = self.matrix.conj().T
         for e in self.source.basis():
             fe = self(e)
-            if (self(e.adjoint()) - fe.adjoint()).norm() > tol:
+            e_adj = e.adjoint()
+            if (self(e_adj) - fe.adjoint()).norm() > tol:
                 return False
-            lhs = self.matrix @ left_mult_matrix(e)
-            rhs = left_mult_matrix(fe) @ self.matrix
+            # phi L_e = (L_{e*} phi*)*
+            lhs = multiply_columns(e_adj, adj).conj().T
+            rhs = multiply_columns(fe, self.matrix)
             if float(np.max(np.abs(lhs - rhs))) > tol:
                 return False
         return True
@@ -233,6 +250,45 @@ def right_mult_matrix(x: AlgebraElement) -> np.ndarray:
     blocks = [mat if m == 1 else np.kron(np.eye(m), mat.T)
               for mat, m in zip(x.data, x.parent.blocks)]
     return _block_diag(blocks)
+
+
+def multiply_columns(x: AlgebraElement, cols: np.ndarray,
+                     right: bool = False) -> np.ndarray:
+    """x y, or y x with ``right``, for every coefficient column y of ``cols``.
+
+    Equals ``left_mult_matrix(x) @ cols`` (``right_mult_matrix(x) @ cols``)
+    without forming the D x D Kronecker matrix: a block of size m costs one
+    m x m by m x (m k) product, and blocks of equal size share one batched
+    matmul.
+    """
+    cols = np.asarray(cols)
+    k = cols.shape[1]
+    xv = x.to_vector()
+    out = np.empty(cols.shape, dtype=np.result_type(cols, xv))
+    for m, rows in x.parent.block_rows:
+        xs = xv[rows]
+        ys = cols[rows]
+        n = rows.shape[0]
+        if right:
+            # (y x)_ij = sum_l y_il x_lj, with the column index moved inside
+            prod = np.matmul(ys.transpose(0, 1, 3, 2).reshape(n, m * k, m), xs)
+            out[rows] = prod.reshape(n, m, k, m).transpose(0, 1, 3, 2)
+        else:
+            out[rows] = np.matmul(xs, ys.reshape(n, m, m * k)).reshape(n, m, m, k)
+    return out
+
+
+def column_norms(algebra: MultiMatrixAlgebra, cols: np.ndarray) -> np.ndarray:
+    """Operator norm of the element held in each coefficient column."""
+    worst = np.zeros(cols.shape[1])
+    for m, rows in algebra.block_rows:
+        ys = cols[rows]
+        if m == 1:
+            norms = np.abs(ys[:, 0, 0, :])
+        else:
+            norms = np.linalg.norm(ys.transpose(0, 3, 1, 2), ord=2, axis=(-2, -1))
+        worst = np.maximum(worst, norms.max(axis=0))
+    return worst
 
 
 def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
@@ -297,12 +353,12 @@ def commutes_with_algebra(x: AlgebraElement, span: Iterable[AlgebraElement],
 
 
 def max_commutator(x: AlgebraElement, span: Iterable[AlgebraElement]) -> float:
-    lx = left_mult_matrix(x)
-    rx = right_mult_matrix(x)
-    worst = 0.0
-    for a in span:
-        worst = max(worst, x.parent.from_vector((lx - rx) @ a.to_vector()).norm())
-    return worst
+    vecs = [a.to_vector() for a in span]
+    if not vecs:
+        return 0.0
+    cols = np.stack(vecs, axis=1)
+    comm = multiply_columns(x, cols) - multiply_columns(x, cols, right=True)
+    return float(column_norms(x.parent, comm).max())
 
 
 def choi_blocks(phi: Callable[[AlgebraElement], np.ndarray],

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from qindex.algebra import (MultiMatrixAlgebra, TraceWeights,
-                            choi_blocks, choi_is_psd, commutes_with_algebra,
-                            group_algebra_inclusion, is_positive,
-                            left_mult_matrix, right_mult_matrix,
+                            choi_blocks, choi_is_psd, column_norms,
+                            commutes_with_algebra, group_algebra_inclusion,
+                            is_positive, left_mult_matrix, max_commutator,
+                            multiply_columns, right_mult_matrix,
                             subalgebra_structure)
 
 from conftest import pinching_expectation, random_multimatrix_inclusion
@@ -48,6 +49,27 @@ def test_left_right_mult_matrices(rng):
         y = alg.random_element(rng)
         assert np.allclose(left_mult_matrix(x) @ y.to_vector(), (x * y).to_vector())
         assert np.allclose(right_mult_matrix(x) @ y.to_vector(), (y * x).to_vector())
+
+
+def test_blockwise_helpers_match_kronecker_reference(rng):
+    # the dense Kronecker matrices are the reference for the blockwise path
+    for blocks in [(1,), (3,), (2, 3), (1, 2, 2, 1, 3), (1, 1, 1, 1)]:
+        alg = MultiMatrixAlgebra(blocks)
+        cols = np.stack([alg.random_element(rng).to_vector() for _ in range(4)],
+                        axis=1)
+        for _ in range(5):
+            x = alg.random_element(rng)
+            assert np.allclose(multiply_columns(x, cols),
+                               left_mult_matrix(x) @ cols, rtol=0, atol=1e-13)
+            assert np.allclose(multiply_columns(x, cols, right=True),
+                               right_mult_matrix(x) @ cols, rtol=0, atol=1e-13)
+            dense = (left_mult_matrix(x) - right_mult_matrix(x)) @ cols
+            want = max(alg.from_vector(c).norm() for c in dense.T)
+            span = [alg.from_vector(c) for c in cols.T]
+            assert abs(max_commutator(x, span) - want) <= 1e-13 * want
+        assert np.allclose(column_norms(alg, cols),
+                           [alg.from_vector(c).norm() for c in cols.T],
+                           rtol=1e-14, atol=0)
 
 
 def test_is_positive_identity_and_signature():

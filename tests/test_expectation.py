@@ -1,12 +1,17 @@
+import logging
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qindex.algebra import (MultiMatrixAlgebra, StarHomomorphism, TraceWeights,
                             choi_blocks, group_algebra_inclusion,
-                            identity_homomorphism)
-from qindex.expectation import (ConditionalExpectation, QuasiBasis,
+                            identity_homomorphism, left_mult_matrix)
+from qindex.expectation import (ConditionalExpectation, QuasiBasis, _frame_map,
                                 canonical_expectation, compute_index_report,
                                 equivariantize, find_quasi_basis,
                                 probabilistic_index_bounds, quasi_basis_report,
@@ -14,9 +19,9 @@ from qindex.expectation import (ConditionalExpectation, QuasiBasis,
                                 validate_expectation, watatani_index)
 
 from conftest import (ad_homomorphism, diagonal_inclusion, identity_expectation,
-                      pinching_expectation, random_connected_inclusion,
-                      random_multimatrix_inclusion, random_unitary,
-                      scalars_inclusion, trace_expectation)
+                      inclusion_from_multiplicities, pinching_expectation,
+                      random_connected_inclusion, random_multimatrix_inclusion,
+                      random_unitary, scalars_inclusion, trace_expectation)
 
 
 def state_expectation(n, rho):
@@ -150,6 +155,50 @@ def test_quasi_basis_none_for_non_faithful():
     assert result.min_eigenvalue < 1e-10
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_quasi_basis_sizes_pinned(n):
+    # greedy pruning over (1, e_11, e_12, ...): for the pinching the unit
+    # covers the diagonal units and each off-diagonal unit adds a direction;
+    # for the trace every unit is kept but e_nn, which 1 and the other
+    # diagonal units already span
+    expectation, tau = pinching_expectation(n)
+    assert len(find_quasi_basis(expectation, tau)) == n * n - n + 1
+    expectation, tau = trace_expectation(n)
+    assert len(find_quasi_basis(expectation, tau)) == n * n
+
+
+def test_frame_map_and_defect_match_dense_reference(rng):
+    # reference: the dense Kronecker assembly sum_k L_u E L_u* and the
+    # column norms of its difference from the identity
+    for _ in range(40):
+        inclusion, tau = random_multimatrix_inclusion(rng)
+        expectation = canonical_expectation(inclusion, tau)
+        big = expectation.algebra
+        family = QuasiBasis(tuple(big.random_element(rng)
+                                  for _ in range(int(rng.integers(1, 5)))))
+        dense = sum(left_mult_matrix(u) @ expectation.matrix
+                    @ left_mult_matrix(u.adjoint()) for u in family.elements)
+        cols = np.stack([u.to_vector() for u in family.elements], axis=1)
+        frame = _frame_map(big, expectation.matrix, cols)
+        assert np.abs(frame - dense).max() <= 1e-12 * np.abs(dense).max()
+        want = max(big.from_vector(col).norm()
+                   for col in (dense - np.eye(big.total_dim)).T)
+        assert abs(family.defect(expectation) - want) <= 1e-12 * want
+
+
+def test_quasi_basis_report_logs_its_evidence(caplog):
+    expectation, tau = pinching_expectation(3)
+    with caplog.at_level(logging.INFO, logger="qindex.expectation"):
+        result = quasi_basis_report(expectation, tau)
+    assert result.basis is not None
+    text = caplog.text
+    assert "D=9" in text
+    assert "9 candidates tried, 7 kept" in text
+    assert "smin=" in text and "smax=" in text
+    assert "before refinement" in text and "after" in text
+    assert text.rstrip().endswith(" s")
+
+
 def test_quasi_basis_custom_spanning_sets_agree(rng):
     expectation, tau = pinching_expectation(2)
     big = expectation.algebra
@@ -184,6 +233,90 @@ def test_watatani_warns_on_invalid_family():
     bogus = QuasiBasis((big.identity(), big.matrix_unit(0, 0, 1)))
     with pytest.warns(UserWarning):
         watatani_index(expectation, bogus)
+    # sum u u* = diag(1, 4) is positive invertible but not central
+    skew = QuasiBasis((big.matrix_unit(0, 0, 0), 2.0 * big.matrix_unit(0, 1, 1)))
+    with pytest.warns(UserWarning):
+        watatani_index(expectation, skew)
+
+
+def _wide_weight_case(ratio):
+    """A = C + M_2 in B = M_3 + M_4 with multiplicities [[1, 1], [2, 1]] and
+    trace weights (1, ratio); the index grows like 3 ratio."""
+    inclusion = inclusion_from_multiplicities((1, 2), np.array([[1, 1], [2, 1]]),
+                                              np.random.default_rng(7))
+    tau = TraceWeights(inclusion.target, (1.0, ratio))
+    return canonical_expectation(inclusion, tau), tau
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1e2, 1e4, 1e6, 1e8])
+def test_index_report_finite_across_weight_ratios(ratio):
+    # the scalar index is finite at every ratio, so the index element must
+    # be found too; index_norm = inf here would be a wrong answer
+    expectation, tau = _wide_weight_case(ratio)
+    report = compute_index_report(expectation, tau, budget=100)
+    assert report.quasi_basis_size == 11
+    assert abs(report.index_norm - report.scalar_index) <= 1e-8 * report.scalar_index
+
+
+def test_refinement_step_kept_only_when_it_lowers_the_defect(caplog):
+    # E is an expectation only up to rounding, so the refinement step can
+    # raise a defect already at that floor; here it does (about 4e-10
+    # before, 4e-9 after), and the family with the smaller defect is kept
+    k = np.array([[2, 1], [0, 1]])
+    inclusion = inclusion_from_multiplicities((2, 1), k, np.random.default_rng(0))
+    w = np.array([1.0, 1e6])
+    tau = TraceWeights(inclusion.target, tuple(w))
+    expectation = canonical_expectation(inclusion, tau)
+    with caplog.at_level(logging.INFO, logger="qindex.expectation"):
+        result = quasi_basis_report(expectation, tau)
+    before, after = map(float, re.search(
+        r"defect (\S+) before refinement, (\S+) after", caplog.text).groups())
+    assert result.defect == pytest.approx(min(before, after), rel=1e-3)
+    assert (result.basis is not None) == (result.defect <= 1e-9)
+    if result.basis is not None:
+        want = float(np.max(k @ (k.T @ w) / w))
+        norm = watatani_index(expectation, result.basis).norm()
+        assert abs(norm - want) <= 1e-8 * want
+
+
+@pytest.mark.parametrize("ratio", [1e4, 1e8])
+def test_centrality_warning_is_relative_to_the_index(ratio):
+    # at ratio 1e8 the commutator drift is about 1e-6 on an index of 3e8,
+    # a relative drift of about 1e-15
+    expectation, tau = _wide_weight_case(ratio)
+    basis = find_quasi_basis(expectation, tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        index = watatani_index(expectation, basis)
+    assert index.norm() >= ratio
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.data())
+def test_index_norm_is_reference_or_basis_rejected(data):
+    # two B blocks with trace weights 10^U(-4, 4): either the quasi-basis is
+    # rejected, or its index norm is max_t (K K^T w)_t / w_t and its defect
+    # is within 1e-9
+    a_blocks = data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    nb = 2
+    k = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=len(a_blocks), max_size=len(a_blocks)),
+        min_size=nb, max_size=nb)))
+    assume(k.sum(axis=1).all() and k.sum(axis=0).all())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    w = 10.0 ** rng.uniform(-4.0, 4.0, size=nb)
+    inclusion = inclusion_from_multiplicities(a_blocks, k, rng)
+    tau = TraceWeights(inclusion.target, tuple(map(float, w)))
+    expectation = canonical_expectation(inclusion, tau)
+    basis = find_quasi_basis(expectation, tau)
+    if basis is None:
+        return
+    want = float(np.max(k @ (k.T @ w) / w))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        norm = watatani_index(expectation, basis).norm()
+    assert abs(norm - want) <= 1e-8 * want
+    assert basis.defect(expectation) <= 1e-9
 
 
 # -- scalar index ------------------------------------------------------------
