@@ -374,18 +374,15 @@ def choi_blocks(phi: Callable[[AlgebraElement], np.ndarray],
     for t, m in enumerate(domain.blocks):
         n = np.asarray(phi(domain.matrix_unit(t, 0, 0)), dtype=complex).shape[0]
         c = np.zeros((n * m, n * m), dtype=complex)
+        # phi(e_ij) (x) e_ij fills exactly the entries (p, i, q, j) of c
+        # viewed as n x m x n x m
+        blocks = c.reshape(n, m, n, m)
         for i in range(m):
             for j in range(m):
-                img = np.asarray(phi(domain.matrix_unit(t, i, j)), dtype=complex)
-                c += np.kron(img, _unit_matrix(m, i, j))
+                blocks[:, i, :, j] += np.asarray(phi(domain.matrix_unit(t, i, j)),
+                                                 dtype=complex)
         out.append((c + c.conj().T) / 2)
     return out
-
-
-def _unit_matrix(m: int, i: int, j: int) -> np.ndarray:
-    e = np.zeros((m, m))
-    e[i, j] = 1.0
-    return e
 
 
 def choi_is_psd(c: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

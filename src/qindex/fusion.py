@@ -7,6 +7,8 @@ double-precision with verification against the defining equations.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -21,6 +23,8 @@ __all__ = [
     "functor_trace_components", "jones_membership",
     "qsystem_degree", "action_functor", "jones_value",
 ]
+
+log = logging.getLogger("qindex.fusion")
 
 
 @dataclass(frozen=True)
@@ -67,12 +71,39 @@ class FusionRing:
         return np.array(self.tensor[self.index(u)])
 
 
+def _exactness_violation(what: str, terms: int, left: int, right: int) -> list[str]:
+    """The named violation when a sum of ``terms`` products of integers up
+    to ``left`` and ``right`` can reach 2^53.  Below that, every partial
+    sum of nonnegative integers is an integer that float64 holds exactly,
+    in any summation order."""
+    bound = terms * left * right
+    if bound < 2 ** 53:
+        return []
+    return [f"exactness bound: {what} sums {terms} products of "
+            f"multiplicities up to {left} x {right} = {bound} >= 2^53; "
+            "too large to check exactly"]
+
+
 def validate_fusion(ring: FusionRing) -> list[str]:
     """Exact check of the unit, associativity, and duality axioms.
+
+    Associativity is checked one label u at a time: the two r x r^2
+    products ``N_u @ N`` and ``N @ N_u`` of float64 copies of the
+    multiplicities.  Every sum is exact because it is checked first that
+    r * max(N)^2 < 2^53; a ring above that bound is rejected with an
+    ``exactness bound`` violation.  Memory is O(r^3).
 
     Returns an empty list for a valid ring; otherwise the violations in the
     order they were found, each naming the identity and the indices.
     """
+    start = time.perf_counter()
+    violations = _fusion_violations(ring)
+    log.info("validate_fusion: rank %d, %d violations, %.3f s",
+             ring.rank, len(violations), time.perf_counter() - start)
+    return violations
+
+
+def _fusion_violations(ring: FusionRing) -> list[str]:
     violations = []
     r = ring.rank
     t = ring.tensor
@@ -97,35 +128,38 @@ def validate_fusion(ring: FusionRing) -> list[str]:
             if violations:
                 return violations
 
-    # associativity: sum_x N_{uv}^x N_{xw}^y = sum_x N_{vw}^x N_{ux}^y
-    lhs = np.einsum("uvx,xwy->uvwy", t, t)
-    rhs = np.einsum("vwx,uxy->uvwy", t, t)
-    if not np.array_equal(lhs, rhs):
-        u, v, w, y = np.argwhere(lhs != rhs)[0]
-        violations.append(
-            "associativity: "
-            f"({labels[u]},{labels[v]},{labels[w]})->{labels[y]}: "
-            f"{lhs[u, v, w, y]} != {rhs[u, v, w, y]}")
-        return violations
-
+    big = int(t.max())
+    too_large = _exactness_violation("associativity", r, big, big)
+    if too_large:
+        return too_large
+    # associativity: sum_x N_{uv}^x N_{xw}^y = sum_x N_{vw}^x N_{ux}^y,
+    # as (v, (w, y)) and ((v, w), y) matrices for each u
+    tf = t.astype(np.float64)
     for u in range(r):
-        ubar = ring.index(dual_map[labels[u]])
+        lhs = (tf[u] @ tf.reshape(r, r * r)).reshape(r, r, r)
+        rhs = (tf.reshape(r * r, r) @ tf[u]).reshape(r, r, r)
+        if not np.array_equal(lhs, rhs):
+            v, w, y = np.argwhere(lhs != rhs)[0]
+            return [
+                "associativity: "
+                f"({labels[u]},{labels[v]},{labels[w]})->{labels[y]}: "
+                f"{int(lhs[v, w, y])} != {int(rhs[v, w, y])}"]
+
+    dual_idx = np.array([ring.index(dual_map[lab]) for lab in labels])
+    for u in range(r):
+        ubar = dual_idx[u]
         for v in range(r):
             want = 1 if v == ubar else 0
             if t[u, v, e] != want:
-                violations.append(f"duality: N[{labels[u]},{labels[v]}]^1 = {t[u, v, e]}")
-                return violations
+                return [f"duality: N[{labels[u]},{labels[v]}]^1 = {t[u, v, e]}"]
     # Frobenius reciprocity at multiplicity level: N_{ubar w}^v = N_{u v}^w
-    for u in range(r):
-        ubar = ring.index(dual_map[labels[u]])
-        for v in range(r):
-            for w in range(r):
-                if t[ubar, w, v] != t[u, v, w]:
-                    violations.append(
-                        f"reciprocity: N[{labels[ubar]},{labels[w]}]^{labels[v]}"
-                        f" != N[{labels[u]},{labels[v]}]^{labels[w]}")
-                    return violations
-    return violations
+    mismatch = t[dual_idx].transpose(0, 2, 1) != t
+    if mismatch.any():
+        u, v, w = np.argwhere(mismatch)[0]
+        ubar = dual_idx[u]
+        return [f"reciprocity: N[{labels[ubar]},{labels[w]}]^{labels[v]}"
+                f" != N[{labels[u]},{labels[v]}]^{labels[w]}"]
+    return []
 
 
 @dataclass(frozen=True)
@@ -162,35 +196,59 @@ class FusionModule:
 
 
 def validate_module(module: FusionModule) -> list[str]:
-    """Exact check of unit action, mixed associativity, and conjugation."""
-    violations = []
+    """Exact check of the ring, unit action, mixed associativity, and
+    conjugation.
+
+    Mixed associativity is checked one ring label u at a time, as the
+    products ``N_u @ n`` and ``n @ n_u`` of float64 copies.  They are exact
+    because it is checked first that r * max(N) * max(n) and m * max(n)^2
+    are below 2^53 (m the module size); a module above either bound is
+    rejected with an ``exactness bound`` violation.  Memory is O(r^3 +
+    r m^2).  Ring violations are returned prefixed with ``ring:``.
+    """
+    start = time.perf_counter()
+    violations = _module_violations(module)
+    log.info("validate_module: rank %d, module size %d, %d violations, %.3f s",
+             module.ring.rank, module.size, len(violations),
+             time.perf_counter() - start)
+    return violations
+
+
+def _module_violations(module: FusionModule) -> list[str]:
     ring = module.ring
     ring_violations = validate_fusion(ring)
     if ring_violations:
         return [f"ring: {v}" for v in ring_violations]
     a = module.action
     t = ring.tensor
+    r, m = ring.rank, module.size
     e = ring.index(ring.unit)
-    if not np.array_equal(a[e], np.eye(module.size, dtype=np.int64)):
-        violations.append("unit does not act trivially")
-        return violations
-    # sum_x N_{uv}^x n_{x,i}^j = sum_k n_{v,i}^k n_{u,k}^j
-    lhs = np.einsum("uvx,xij->uvij", t, a)
-    rhs = np.einsum("vik,ukj->uvij", a, a)
-    if not np.array_equal(lhs, rhs):
-        u, v, i, j = np.argwhere(lhs != rhs)[0]
-        violations.append(
-            "mixed associativity: "
-            f"({ring.labels[u]},{ring.labels[v]}) at ({module.labels[i]},"
-            f"{module.labels[j]}): {lhs[u, v, i, j]} != {rhs[u, v, i, j]}")
-        return violations
+    if not np.array_equal(a[e], np.eye(m, dtype=np.int64)):
+        return ["unit does not act trivially"]
+    big_t, big_a = int(t.max()), int(a.max(initial=0))
+    too_large = (_exactness_violation("mixed associativity", r, big_t, big_a)
+                 or _exactness_violation("mixed associativity", m, big_a, big_a))
+    if too_large:
+        return too_large
+    # sum_x N_{uv}^x n_{x,i}^j = sum_k n_{v,i}^k n_{u,k}^j,
+    # as (v, (i, j)) and ((v, i), j) matrices for each u
+    tf = t.astype(np.float64)
+    af = a.astype(np.float64)
+    for u in range(r):
+        lhs = (tf[u] @ af.reshape(r, m * m)).reshape(r, m, m)
+        rhs = (af.reshape(r * m, m) @ af[u]).reshape(r, m, m)
+        if not np.array_equal(lhs, rhs):
+            v, i, j = np.argwhere(lhs != rhs)[0]
+            return [
+                "mixed associativity: "
+                f"({ring.labels[u]},{ring.labels[v]}) at ({module.labels[i]},"
+                f"{module.labels[j]}): {int(lhs[v, i, j])} != {int(rhs[v, i, j])}"]
     # n_{ubar, j}^i = n_{u, i}^j
     for u, lab in enumerate(ring.labels):
         ubar = ring.index(ring.dual_label(lab))
         if not np.array_equal(a[ubar], a[u].T):
-            violations.append(f"conjugate transpose law fails at {lab}")
-            return violations
-    return violations
+            return [f"conjugate transpose law fails at {lab}"]
+    return []
 
 
 @dataclass(frozen=True)
@@ -220,6 +278,7 @@ def pf_dimensions(ring: FusionRing, tol: float = 1e-10) -> DimensionVector:
     violation since it means the ring has no positive character at the
     requested accuracy.
     """
+    start = time.perf_counter()
     r = ring.rank
     total = np.sum(ring.tensor, axis=0).astype(float)
     evals, evecs = np.linalg.eig(total)
@@ -243,6 +302,8 @@ def pf_dimensions(ring: FusionRing, tol: float = 1e-10) -> DimensionVector:
                      for i, lab in enumerate(ring.labels))
     if dual_drift > tol:
         raise ValueError(f"dimension function not dual-invariant ({dual_drift:.3e})")
+    log.info("pf_dimensions: rank %d, character residual %.3e, %.3f s",
+             r, worst, time.perf_counter() - start)
     return DimensionVector(tuple(zip(ring.labels, map(float, v))))
 
 
@@ -292,6 +353,16 @@ def module_trace_solve(module: FusionModule, ring_dims: DimensionVector,
     are reported as distinct failures.  A solution space of dimension
     greater than one means the module is decomposable.
     """
+    start = time.perf_counter()
+    result = _trace_solve(module, ring_dims, rtol)
+    log.info("module_trace_solve: rank %d, module size %d, %s, %.3f s",
+             module.ring.rank, module.size, result.status,
+             time.perf_counter() - start)
+    return result
+
+
+def _trace_solve(module: FusionModule, ring_dims: DimensionVector,
+                 rtol: float) -> TraceSolveResult:
     m = module.size
     rows = []
     for u, lab in enumerate(module.ring.labels):
@@ -338,12 +409,15 @@ def equivalence_classes(module: FusionModule,
             raise ValueError(f"unknown ring label {u!r}")
         if ring.dual_label(u) not in sub:
             raise ValueError(f"subring not closed under duals at {u!r}")
-    for u in sub:
-        for v in sub:
-            for w in ring.labels:
-                if ring.n(u, v, w) != 0 and w not in sub:
-                    raise ValueError(
-                        f"subring not closed under fusion: {u} x {v} contains {w}")
+    idx = [ring.index(u) for u in sub]
+    outside = np.ones(ring.rank, dtype=bool)
+    outside[idx] = False
+    # first (u, v, w) in subring order for u, v and label order for w
+    escapes = np.argwhere((ring.tensor[np.ix_(idx, idx)] != 0) & outside)
+    if escapes.size:
+        a, b, w = escapes[0]
+        raise ValueError(f"subring not closed under fusion: "
+                         f"{sub[a]} x {sub[b]} contains {ring.labels[w]}")
 
     m = module.size
     parent = list(range(m))

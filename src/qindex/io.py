@@ -160,11 +160,10 @@ def expectation_spec_from_json(data: Any, path: str = "expectation"
 
 def ring_to_json(ring: FusionRing) -> dict:
     n_entries: dict[str, dict[str, int]] = {}
-    for u in ring.labels:
-        for v in ring.labels:
-            row = {w: ring.n(u, v, w) for w in ring.labels if ring.n(u, v, w)}
-            if row:
-                n_entries[f"{u},{v}"] = row
+    labels, t = ring.labels, ring.tensor
+    # np.nonzero walks in C order, so keys and rows keep the (u, v, w) order
+    for u, v, w in zip(*np.nonzero(t)):
+        n_entries.setdefault(f"{labels[u]},{labels[v]}", {})[labels[w]] = int(t[u, v, w])
     return {"irr": list(ring.labels), "unit": ring.unit,
             "dual": dict(ring.dual), "N": n_entries}
 

@@ -154,6 +154,42 @@ def test_choi_conjugation_maps_are_cp(rng):
             assert np.linalg.eigvalsh(c)[0] >= -1e-10
 
 
+def _choi_kron_reference(phi, domain):
+    """The definition sum_ij phi(e_ij) (x) e_ij, with one np.kron per unit."""
+    out = []
+    for t, m in enumerate(domain.blocks):
+        n = np.asarray(phi(domain.matrix_unit(t, 0, 0))).shape[0]
+        c = np.zeros((n * m, n * m), dtype=complex)
+        for i in range(m):
+            for j in range(m):
+                unit = np.zeros((m, m))
+                unit[i, j] = 1.0
+                img = np.asarray(phi(domain.matrix_unit(t, i, j)), dtype=complex)
+                c += np.kron(img, unit)
+        out.append((c + c.conj().T) / 2)
+    return out
+
+
+@pytest.mark.parametrize("blocks", [(1,), (3,), (1, 2), (2, 2), (3, 1, 2), (4, 1)])
+def test_choi_blocks_match_kronecker_reference(blocks, rng):
+    alg = MultiMatrixAlgebra(blocks)
+    n = 3
+    kernel = (rng.standard_normal((n, n, alg.total_dim))
+              + 1j * rng.standard_normal((n, n, alg.total_dim)))
+    # images with exact and negative zeros: the bytes must match too
+    kernel[0, 1] = 0.0
+    kernel[1, 0] *= -0.0
+
+    def phi(x):
+        return kernel @ x.to_vector()
+
+    got = choi_blocks(phi, alg)
+    want = _choi_kron_reference(phi, alg)
+    assert len(got) == len(want)
+    for c, ref in zip(got, want):
+        assert np.array_equal(c, ref) and c.tobytes() == ref.tobytes()
+
+
 def test_group_algebra_inclusion_shapes():
     incl, tau = group_algebra_inclusion(4, 2)
     assert incl.source.blocks == (1, 1)

@@ -193,6 +193,19 @@ def test_fusion_trace_rejects_ring_axiom_violation(tmp_path, capsys):
     assert "ring:" in err
 
 
+def test_fusion_trace_rejects_multiplicities_past_exactness_bound(tmp_path, capsys):
+    ring_path = tmp_path / "tlj4.json"
+    run(capsys, "fusion", "generate", "tlj", "--n", "4", "-o", str(ring_path))
+    payload = json.loads(ring_path.read_text())
+    payload["N"]["1,1"]["2"] = 2 ** 27
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "fusion", "trace", "--ring", str(huge),
+                       "--module", "regular")
+    assert code == 2
+    assert "ring: exactness bound: associativity" in err
+
+
 def test_fusion_jones(capsys):
     code, out, _ = run(capsys, "fusion", "jones", "--value", "2.618033988")
     assert code == 0

@@ -1,3 +1,7 @@
+import logging
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +55,217 @@ def test_validate_detects_broken_associativity():
     broken = FusionRing(ring.labels, ring.unit, ring.dual, tensor)
     problems = validate_fusion(broken)
     assert problems
+
+
+# -- validation against the int64 einsum oracle -----------------------------
+
+def oracle_validate_fusion(ring):
+    """Independent oracle: r^4 int64 einsums for associativity and a loop
+    over all (u, v, w) for reciprocity, with the library's messages."""
+    violations = []
+    r = ring.rank
+    t = ring.tensor
+    labels = ring.labels
+    if ring.unit not in labels:
+        return [f"unit label {ring.unit!r} is not in the label set"]
+    dual_map = dict(ring.dual)
+    if set(dual_map) != set(labels) or set(dual_map.values()) != set(labels):
+        return ["dual involution is not a bijection on the labels"]
+    for a in labels:
+        if dual_map[dual_map[a]] != a:
+            return [f"dual is not an involution at {a!r}"]
+    e = ring.index(ring.unit)
+    for v in range(r):
+        for w in range(r):
+            want = 1 if v == w else 0
+            if t[e, v, w] != want:
+                violations.append(f"unit: N[1,{labels[v]}]^{labels[w]} = {t[e, v, w]}")
+            if t[v, e, w] != want:
+                violations.append(f"unit: N[{labels[v]},1]^{labels[w]} = {t[v, e, w]}")
+            if violations:
+                return violations
+    lhs = np.einsum("uvx,xwy->uvwy", t, t)
+    rhs = np.einsum("vwx,uxy->uvwy", t, t)
+    if not np.array_equal(lhs, rhs):
+        u, v, w, y = np.argwhere(lhs != rhs)[0]
+        return ["associativity: "
+                f"({labels[u]},{labels[v]},{labels[w]})->{labels[y]}: "
+                f"{lhs[u, v, w, y]} != {rhs[u, v, w, y]}"]
+    for u in range(r):
+        ubar = ring.index(dual_map[labels[u]])
+        for v in range(r):
+            want = 1 if v == ubar else 0
+            if t[u, v, e] != want:
+                return [f"duality: N[{labels[u]},{labels[v]}]^1 = {t[u, v, e]}"]
+    for u in range(r):
+        ubar = ring.index(dual_map[labels[u]])
+        for v in range(r):
+            for w in range(r):
+                if t[ubar, w, v] != t[u, v, w]:
+                    return [f"reciprocity: N[{labels[ubar]},{labels[w]}]^{labels[v]}"
+                            f" != N[{labels[u]},{labels[v]}]^{labels[w]}"]
+    return violations
+
+
+def oracle_validate_module(module):
+    ring = module.ring
+    ring_violations = oracle_validate_fusion(ring)
+    if ring_violations:
+        return [f"ring: {v}" for v in ring_violations]
+    a = module.action
+    t = ring.tensor
+    if not np.array_equal(a[ring.index(ring.unit)],
+                          np.eye(module.size, dtype=np.int64)):
+        return ["unit does not act trivially"]
+    lhs = np.einsum("uvx,xij->uvij", t, a)
+    rhs = np.einsum("vik,ukj->uvij", a, a)
+    if not np.array_equal(lhs, rhs):
+        u, v, i, j = np.argwhere(lhs != rhs)[0]
+        return ["mixed associativity: "
+                f"({ring.labels[u]},{ring.labels[v]}) at ({module.labels[i]},"
+                f"{module.labels[j]}): {lhs[u, v, i, j]} != {rhs[u, v, i, j]}"]
+    for u, lab in enumerate(ring.labels):
+        ubar = ring.index(ring.dual_label(lab))
+        if not np.array_equal(a[ubar], a[u].T):
+            return [f"conjugate transpose law fails at {lab}"]
+    return []
+
+
+def single_entry_corruptions(tensor):
+    """Every tensor that differs from ``tensor`` by +-1 in one entry."""
+    for idx in np.ndindex(tensor.shape):
+        for delta in (1, -1):
+            if tensor[idx] + delta >= 0:
+                bad = np.array(tensor)
+                bad[idx] += delta
+                yield bad
+
+
+def random_corruptions(tensor, rng, count):
+    """Tensors with 1 to 3 entries [u, v, w] reset to a value in 0..2,
+    where neither u nor v is the unit (index 0), so that most of them get
+    past the unit check."""
+    r = tensor.shape[0]
+    for _ in range(count):
+        bad = np.array(tensor)
+        for _ in range(rng.integers(1, 4)):
+            bad[rng.integers(1, r), rng.integers(1, r),
+                rng.integers(0, tensor.shape[2])] = rng.integers(0, 3)
+        yield bad
+
+
+def with_tensor(ring, tensor):
+    return FusionRing(ring.labels, ring.unit, ring.dual, tensor)
+
+
+def with_action(module, action):
+    return FusionModule(module.ring, module.labels, action)
+
+
+def test_validate_fusion_matches_oracle_on_corruptions():
+    rings = [gen_tlj(n)[0] for n in range(3, 9)] + [gen_pointed([2, 2])]
+    cases = [with_tensor(ring, bad) for ring in rings
+             for bad in single_entry_corruptions(ring.tensor)]
+    rng = np.random.default_rng(5)
+    for ring in (gen_tlj(12)[0], gen_tlj(20)[0], gen_pointed([4, 6])):
+        cases += [with_tensor(ring, bad)
+                  for bad in random_corruptions(ring.tensor, rng, 40)]
+    kinds = set()
+    for ring in cases:
+        want = oracle_validate_fusion(ring)
+        assert validate_fusion(ring) == want
+        kinds.update(v.split(":")[0] for v in want)
+    assert {"unit", "associativity"} <= kinds
+
+
+def test_reciprocity_alone_rejects():
+    # x (x) x = y, x (x) y = y (x) x = 1 + x, y (x) y = x + y, with y = dual x:
+    # unital, associative and dual, but N[y,x]^x = 1 != N[x,x]^x = 0
+    tensor = np.zeros((3, 3, 3), dtype=np.int64)
+    for v in range(3):
+        tensor[0, v, v] = tensor[v, 0, v] = 1
+    tensor[1, 1, 2] = 1
+    tensor[1, 2, 0] = tensor[1, 2, 1] = 1
+    tensor[2, 1, 0] = tensor[2, 1, 1] = 1
+    tensor[2, 2, 1] = tensor[2, 2, 2] = 1
+    ring = FusionRing(("1", "x", "y"), "1",
+                      (("1", "1"), ("x", "y"), ("y", "x")), tensor)
+    want = ["reciprocity: N[y,x]^x != N[x,x]^x"]
+    assert oracle_validate_fusion(ring) == want
+    assert validate_fusion(ring) == want
+
+
+def test_validate_module_matches_oracle_on_corruptions():
+    modules = [gen_regular_module(gen_tlj(n)[0]) for n in range(3, 7)]
+    modules.append(gen_quotient_module(gen_pointed([2, 2]), [2, 2],
+                                       [(0, 0), (1, 0)]))
+    cases = [with_action(mod, bad) for mod in modules
+             for bad in single_entry_corruptions(mod.action)]
+    rng = np.random.default_rng(6)
+    cases += [with_action(mod, bad)
+              for mod in (gen_regular_module(gen_tlj(12)[0]),
+                          gen_regular_module(gen_pointed([4, 6])))
+              for bad in random_corruptions(mod.action, rng, 40)]
+    kinds = set()
+    for mod in cases:
+        want = oracle_validate_module(mod)
+        assert validate_module(mod) == want
+        kinds.update(v.split(":")[0] for v in want)
+    assert {"unit does not act trivially", "mixed associativity"} <= kinds
+
+
+def test_exactness_bound_is_a_named_violation():
+    ring, _ = gen_tlj(4)
+    tensor = np.array(ring.tensor)
+    tensor[1, 1, 2] = 2 ** 27
+    assert validate_fusion(with_tensor(ring, tensor)) == [
+        "exactness bound: associativity sums 3 products of multiplicities "
+        f"up to {2 ** 27} x {2 ** 27} = {3 * 2 ** 54} >= 2^53; "
+        "too large to check exactly"]
+    # a valid ring with a module multiplicity past each of the two bounds
+    module = gen_regular_module(ring)
+    for big, left in ((2 ** 27, 2 ** 27), (2 ** 52, 1)):
+        action = np.array(module.action)
+        action[1, 1, 2] = big
+        [problem] = validate_module(with_action(module, action))
+        assert problem.startswith("exactness bound: mixed associativity sums 3 "
+                                  f"products of multiplicities up to {left} x {big}")
+    # just below the bound the check runs, and finds the corruption
+    tensor = np.array(tensor)
+    tensor[1, 1, 2] = 2 ** 25
+    [problem] = validate_fusion(with_tensor(ring, tensor))
+    assert problem.startswith("associativity:")
+
+
+def test_validate_module_memory_is_cubic_in_rank():
+    # rank 59: the r^4 int64 tensors of an einsum check take 97 MB each,
+    # while the per-label check holds a few r^3 float64 arrays (1.6 MB each)
+    module = gen_regular_module(gen_tlj(60)[0])
+    tracemalloc.start()
+    try:
+        assert validate_module(module) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def test_fusion_stages_log_sizes_and_durations(caplog):
+    ring, _ = gen_tlj(5)
+    module = gen_regular_module(ring)
+    with caplog.at_level(logging.INFO, logger="qindex.fusion"):
+        assert validate_module(module) == []
+        dims = pf_dimensions(ring)
+        assert module_trace_solve(module, dims).status == "ok"
+    messages = [rec.getMessage() for rec in caplog.records
+                if rec.name == "qindex.fusion"]
+    patterns = [r"validate_fusion: rank 4, 0 violations, \d+\.\d{3} s",
+                r"validate_module: rank 4, module size 4, 0 violations, \d+\.\d{3} s",
+                r"pf_dimensions: rank 4, character residual \S+, \d+\.\d{3} s",
+                r"module_trace_solve: rank 4, module size 4, ok, \d+\.\d{3} s"]
+    assert len(messages) == len(patterns)
+    for message, pattern in zip(messages, patterns):
+        assert re.fullmatch(pattern, message), message
 
 
 # -- dimensions --------------------------------------------------------------
@@ -189,6 +404,12 @@ def test_classes_rejects_unclosed_subring():
     ring, module, _, _ = regular_with_trace(4)
     with pytest.raises(ValueError):
         equivalence_classes(module, ["0", "1"])  # 1 x 1 contains 2
+    # the first escape in subring order: 2 x 2 = 0 + 2 + 4 comes before
+    # 1 x 2 = 1 + 3 when the subring lists 2 first
+    module = gen_regular_module(gen_tlj(6)[0])
+    with pytest.raises(ValueError, match="^subring not closed under fusion: "
+                                         "2 x 2 contains 4$"):
+        equivalence_classes(module, ["2", "1", "0"])
 
 
 # -- d_F and local constancy -------------------------------------------------

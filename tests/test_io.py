@@ -4,7 +4,7 @@ import pytest
 from qindex import io as qio
 from qindex.algebra import MultiMatrixAlgebra, TraceWeights
 from qindex.expectation import canonical_expectation
-from qindex.fusion import validate_fusion, validate_module
+from qindex.fusion import FusionRing, validate_fusion, validate_module
 from qindex.generators import gen_pointed, gen_regular_module, gen_tlj
 
 from conftest import diagonal_inclusion, random_multimatrix_inclusion
@@ -66,6 +66,22 @@ def test_ring_and_module_round_trip():
         assert back_m.labels == module.labels
         assert np.array_equal(back_m.action, module.action)
         assert validate_module(back_m) == []
+
+
+def test_ring_to_json_matches_per_entry_reference(rng):
+    # a noncommutative tensor, so that the (u, v) key order is observable
+    ring = FusionRing(("a", "b", "c"), "a", (("a", "a"), ("b", "c"), ("c", "b")),
+                      rng.integers(0, 3, size=(3, 3, 3)))
+    for ring in (ring, gen_tlj(6)[0], gen_pointed([2, 3])):
+        want = {}
+        for u in ring.labels:
+            for v in ring.labels:
+                row = {w: ring.n(u, v, w) for w in ring.labels if ring.n(u, v, w)}
+                if row:
+                    want[f"{u},{v}"] = row
+        got = qio.ring_to_json(ring)["N"]
+        assert list(got.items()) == list(want.items())
+        assert all(type(n) is int for row in got.values() for n in row.values())
 
 
 def test_schema_errors_carry_paths():
