@@ -21,9 +21,15 @@ RANK_RTOL = 1e-10
 #: default tolerance for Hermiticity and axiom checks
 DEFAULT_TOL = 1e-9
 
+#: tolerance of the checks of :attr:`StarHomomorphism.normal_form`.  The
+#: images of matrix units are partial isometries, whose entries have modulus
+#: at most 1, so this absolute bound on them is a relative one
+INCLUSION_TOL = 1e-8
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=complex)
+    """A read-only copy, so the caller's array stays writeable."""
+    a = np.array(a, dtype=complex, order="C")
     a.flags.writeable = False
     return a
 
@@ -65,13 +71,13 @@ class MultiMatrixAlgebra:
         return tuple(groups)
 
     def element(self, mats: Sequence[np.ndarray]) -> AlgebraElement:
-        mats = [np.asarray(m, dtype=complex) for m in mats]
+        mats = tuple(_freeze(m) for m in mats)
         if len(mats) != len(self.blocks):
             raise ValueError("wrong number of blocks")
         for m, size in zip(mats, self.blocks):
             if m.shape != (size, size):
                 raise ValueError(f"block shape {m.shape} does not match size {size}")
-        return AlgebraElement(self, tuple(_freeze(m) for m in mats))
+        return AlgebraElement(self, mats)
 
     def zero(self) -> AlgebraElement:
         return self.element([np.zeros((m, m)) for m in self.blocks])
@@ -192,11 +198,11 @@ class StarHomomorphism:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = _freeze(self.matrix)
         if mat.shape != (self.target.total_dim, self.source.total_dim):
             raise ValueError(f"homomorphism matrix has shape {mat.shape}, "
                              f"expected {(self.target.total_dim, self.source.total_dim)}")
-        object.__setattr__(self, "matrix", _freeze(mat))
+        object.__setattr__(self, "matrix", mat)
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         if x.parent.blocks != self.source.blocks:
@@ -232,6 +238,80 @@ class StarHomomorphism:
             if float(np.max(np.abs(lhs - rhs))) > tol:
                 return False
         return True
+
+    @cached_property
+    def normal_form(self) -> InclusionNormalForm:
+        """Adapted unitaries and multiplicities of this inclusion.
+
+        The range of the image of e^p_11 in B block t is the multiplicity
+        space of A block p there, and the images of e^p_i1 carry it to row
+        i of the corner.  Raises ValueError when the map is not a unital,
+        injective *-homomorphism, tested as: every U_t is unitary and
+        U_t* phi(e^p_ij)_t U_t is e_ij (x) 1 on corner p and 0 elsewhere.
+        """
+        src, tgt = self.source, self.target
+        cols = np.cumsum((0,) + tuple(a * a for a in src.blocks))
+        mult = np.zeros((len(tgt.blocks), len(src.blocks)), dtype=np.int64)
+        corners = []
+        row = 0
+        for t, m in enumerate(tgt.blocks):
+            images = self.matrix[row:row + m * m].T.reshape(-1, m, m)
+            row += m * m
+            # the images of e^p_11 for every p, in one batched eigh
+            e11 = images[cols[:-1]]
+            vals, vecs = np.linalg.eigh((e11 + e11.conj().transpose(0, 2, 1)) / 2)
+            block = []
+            for p, a in enumerate(src.blocks):
+                first = vecs[p][:, vals[p] > 0.5]
+                mult[t, p] = first.shape[1]
+                # corner[:, i, alpha] = phi(e^p_i1) first[:, alpha]
+                block.append(np.stack([images[cols[p] + i * a] @ first
+                                       for i in range(a)], axis=1))
+            unitary = np.concatenate([c.reshape(m, -1) for c in block], axis=1)
+            if unitary.shape[1] != m:
+                raise ValueError(
+                    f"inclusion is not a unital *-homomorphism: B block {t} "
+                    f"has size {m}, the images of A's minimal projections "
+                    f"span {unitary.shape[1]}")
+            gap = float(np.max(np.abs(unitary.conj().T @ unitary - np.eye(m))))
+            if gap > INCLUSION_TOL:
+                raise ValueError(
+                    "inclusion is not a *-homomorphism: the adapted basis of "
+                    f"B block {t} fails unitarity by {gap:.3e}")
+            want = np.zeros_like(images)
+            ofs = 0
+            for p, a in enumerate(src.blocks):
+                k = int(mult[t, p])
+                units = np.einsum("ik,jl,ab->ijkalb", np.eye(a), np.eye(a), np.eye(k))
+                want[cols[p]:cols[p + 1], ofs:ofs + a * k, ofs:ofs + a * k] = \
+                    units.reshape(a * a, a * k, a * k)
+                ofs += a * k
+            gap = float(np.max(np.abs(unitary.conj().T @ images @ unitary - want)))
+            if gap > INCLUSION_TOL:
+                raise ValueError(
+                    "inclusion is not a *-homomorphism: in B block "
+                    f"{t}, U* phi(e^p_ij) U differs from e_ij (x) 1 by {gap:.3e}")
+            corners.append(tuple(block))
+        missing = np.flatnonzero(mult.sum(axis=0) == 0)
+        if missing.size:
+            raise ValueError(f"inclusion is not injective: A block {missing[0]} "
+                             "has multiplicity 0 in every block of B")
+        mult.flags.writeable = False
+        return InclusionNormalForm(tuple(corners), mult)
+
+
+@dataclass(frozen=True)
+class InclusionNormalForm:
+    """A unital inclusion A -> B up to unitaries: B block t is
+    sum_p C^{a_p} (x) C^{k_tp}, with phi(x)_t = U_t (sum_p x_p (x) 1) U_t*.
+
+    ``corners[t][p]`` holds the columns of U_t on corner p, shaped
+    (m_t, a_p, k_tp): column (i, alpha) spans row i of copy alpha.
+    ``multiplicities`` is the inclusion matrix K[t, p] = k_tp.
+    """
+
+    corners: tuple[tuple[np.ndarray, ...], ...]
+    multiplicities: np.ndarray
 
 
 def identity_homomorphism(algebra: MultiMatrixAlgebra) -> StarHomomorphism:

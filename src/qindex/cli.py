@@ -121,7 +121,7 @@ def cmd_index_compute(args) -> int:
 
     if mat is None:
         try:
-            expectation = canonical_expectation(inclusion, tau, tol=args.tol)
+            expectation = canonical_expectation(inclusion, tau)
         except ValueError as err:
             raise CliFailure(EXIT_VALIDATION, str(err))
     else:
@@ -132,8 +132,7 @@ def cmd_index_compute(args) -> int:
                              "not a conditional expectation; failed axioms: "
                              + ", ".join(report.failures))
 
-    index = compute_index_report(expectation, tau, tol=args.tol,
-                                 budget=args.budget, seed=args.seed)
+    index = compute_index_report(expectation, tau, tol=args.tol, seed=args.seed)
     results = {
         "index_norm": index.index_norm,
         "scalar_index": index.scalar_index,
@@ -145,7 +144,7 @@ def cmd_index_compute(args) -> int:
     }
     _write_artifact(args.output, _jsonable(results))
     _emit(args, results, _digest_files([args.spec]),
-          {"tol": args.tol, "budget": args.budget}, args.seed, t0)
+          {"tol": args.tol}, args.seed, t0)
     if math.isinf(index.scalar_index):
         log.warning("infinite scalar index")
         return EXIT_INFINITE
@@ -334,10 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-9,
                         help="numerical tolerance (default 1e-9)")
-    common.add_argument("--budget", type=int, default=2000,
-                        help="iteration budget for index search (default 2000)")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized searches (default 0)")
+                        help="seed recorded in the report (default 0)")
 
     parser = argparse.ArgumentParser(
         prog="qindex",

@@ -1,10 +1,18 @@
 """Conditional expectations on multimatrix inclusions and their indices.
 
-Implements validation of expectation axioms, quasi-basis construction by a
-frame-operator square root in O(D^3), the Watatani index element, the
-scalar index through Choi-matrix pencils, certified interval bounds for
-the probabilistic (Pimsner-Popa) index, finite-group averaging, and
-restriction to intermediate subalgebras.
+Every expectation E onto the image of A in B has a density normal form
+(Pimsner-Popa, Ann. Sci. ENS 19, 1986).  In the adapted bases of the
+inclusion (:attr:`StarHomomorphism.normal_form`), B block t is
+sum_p C^{a_p} (x) C^{k_tp}, and
+
+    E(x)_p = sum_t (id (x) Tr)((1 (x) h_tp) x_t^{(p)})
+
+with one density h_tp >= 0 per pair of blocks and sum_t Tr h_tp = 1.
+Validation, the trace-preserving expectation, the Pimsner-Popa
+quasi-basis, the scalar index max_t sum_p Tr h_tp^{-1} and the exact
+probabilistic index are all read off h.  The Watatani index element,
+finite-group averaging and restriction to intermediate subalgebras work
+on any expectation matrix.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -25,10 +34,8 @@ from .algebra import (
     MultiMatrixAlgebra,
     StarHomomorphism,
     TraceWeights,
-    choi_blocks,
     column_norms,
     max_commutator,
-    multiply_columns,
     orthonormal_columns,
     subalgebra_structure,
 )
@@ -57,11 +64,10 @@ class ConditionalExpectation:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex, order="C")
         d = self.algebra.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"expectation matrix must be {d}x{d}, got {mat.shape}")
-        mat = np.ascontiguousarray(mat)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -77,6 +83,83 @@ class ConditionalExpectation:
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         return self.algebra.from_vector(self.matrix @ x.to_vector())
+
+    @cached_property
+    def densities(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """h[t][p], the k_tp x k_tp density of E on corner p of B block t.
+
+        Entry (alpha, gamma) is read off E on the element of B block t that
+        is e_11 (x) e_{gamma alpha} in the adapted basis: its image is
+        h[alpha, gamma] e_11 in A block p.  That is sum_tp k_tp^2 elements.
+        The matrices are as read, not symmetrised, so that
+        :func:`validate_expectation` can test them.
+        """
+        form = self.inclusion.normal_form
+        out = []
+        row = 0
+        for m, corners in zip(self.algebra.blocks, form.corners):
+            block = self.matrix[row:row + m * m, row:row + m * m]
+            row += m * m
+            hs = []
+            for corner in corners:
+                first = corner[:, 0, :]
+                k = first.shape[1]
+                if k == 0:
+                    hs.append(np.zeros((0, 0), dtype=complex))
+                    continue
+                # the (1,1) entry of A block p, read in copy 0 of block t
+                probe = np.outer(first[:, 0].conj(), first[:, 0]).ravel()
+                units = np.einsum("rg,ca->rcga", first, first.conj()).reshape(m * m, k * k)
+                hs.append(((probe @ block) @ units).reshape(k, k).T)
+            out.append(tuple(hs))
+        return tuple(out)
+
+
+def _rebuild(inclusion: StarHomomorphism,
+             densities: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+    """The matrix of the expectation with densities h: phi composed with
+    x -> z, z_p = sum_t (id (x) Tr)((1 (x) h_tp) (U_t* x_t U_t) on corner p)."""
+    form = inclusion.normal_form
+    src_ofs = np.cumsum((0,) + tuple(a * a for a in inclusion.source.blocks))
+    reduce = np.zeros((inclusion.source.total_dim, inclusion.target.total_dim),
+                      dtype=complex)
+    col = 0
+    for m, corners, hs in zip(inclusion.target.blocks, form.corners, densities):
+        for p, (corner, h) in enumerate(zip(corners, hs)):
+            a, k = corner.shape[1:]
+            if k == 0:
+                continue
+            # z[i, j] = sum_{r c alpha gamma} conj(W[r,i,gamma]) h[alpha,gamma]
+            #           W[c,j,alpha] x[r, c]
+            left = (corner.conj() @ h.T).reshape(m * a, k)
+            part = (left @ corner.reshape(m * a, k).T).reshape(m, a, m, a)
+            reduce[src_ofs[p]:src_ofs[p + 1], col:col + m * m] = \
+                part.transpose(1, 3, 0, 2).reshape(a * a, m * m)
+        col += m * m
+    return inclusion.matrix @ reduce
+
+
+def _spectra(expectation: ConditionalExpectation) -> list[list[np.ndarray]]:
+    """Ascending eigenvalues of the Hermitian part of every density."""
+    return [[np.linalg.eigvalsh((h + h.conj().T) / 2) if h.size else np.zeros(0)
+             for h in hs] for hs in expectation.densities]
+
+
+def _faithfulness(spectra: list[list[np.ndarray]]) -> tuple[float, float, float]:
+    """(smallest, largest) density eigenvalue and the threshold RANK_RTOL
+    times the largest: E is faithful iff every eigenvalue exceeds it."""
+    vals = np.concatenate([v for row in spectra for v in row])
+    lo, hi = float(vals.min()), float(vals.max())
+    return lo, hi, RANK_RTOL * max(hi, 0.0)
+
+
+def _log_normal_form(expectation: ConditionalExpectation, residual: str,
+                     start: float) -> None:
+    lo, hi, threshold = _faithfulness(_spectra(expectation))
+    log.info("normal form: K=%s, h eigenvalues in [%.3e, %.3e] (faithful "
+             "above %.1e), rebuild residual %s, %.3f s",
+             expectation.inclusion.normal_form.multiplicities.tolist(), lo, hi,
+             threshold, residual, time.perf_counter() - start)
 
 
 @dataclass(frozen=True)
@@ -102,10 +185,11 @@ class QuasiBasis:
 
 @dataclass(frozen=True)
 class QuasiBasisResult:
-    """Outcome of the frame-operator construction.
+    """Outcome of the quasi-basis construction.
 
-    ``basis`` is None when the frame operator is numerically singular, in
-    which case ``min_eigenvalue`` names the obstruction.
+    ``min_eigenvalue`` and ``max_eigenvalue`` bound the spectra of the
+    densities.  ``basis`` is None when E is not faithful (a density is
+    singular) or when the basis fails its defect bound.
     """
 
     basis: QuasiBasis | None
@@ -140,12 +224,15 @@ class ValidationReport:
 
 def validate_expectation(expectation: ConditionalExpectation,
                          tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check unitality, idempotence, bimodularity, and positivity.
+    """Check unitality, bimodularity and positivity on the densities.
 
-    Positivity is checked through the Choi matrices of E in the
-    block-diagonal representation; for a unital idempotent bimodule
-    projection this is equivalent to positivity of the map.
+    The A-bimodule maps B -> image(A) are exactly the maps rebuilt from
+    some densities h, so E is bimodular iff it equals the map rebuilt from
+    its own h, to ``tol`` relative to its largest entry.  Such a map is
+    idempotent once it is unital, and positive iff every h_tp is Hermitian
+    positive semidefinite.
     """
+    start = time.perf_counter()
     big = expectation.algebra
     failures = []
 
@@ -153,231 +240,115 @@ def validate_expectation(expectation: ConditionalExpectation,
     if (expectation(one) - one).norm() > tol:
         failures.append("unitality")
 
-    e2 = expectation.matrix @ expectation.matrix
-    if np.max(np.abs(e2 - expectation.matrix)) > tol:
-        failures.append("idempotence")
-
-    # E(a x b) = a E(x) b for spanning a, b is the pair of matrix identities
-    # E L_a = L_a E and E R_a = R_a E over the image basis of A.  Blockwise,
-    # E L_a = (K R_a K E^T)^T and E R_a = (K L_a K E^T)^T, where the
-    # permutation K transposes every block of a coefficient vector
-    e_mat = expectation.matrix
-    swap = np.empty(big.total_dim, dtype=int)
-    for _, rows in big.block_rows:
-        swap[rows] = rows.transpose(0, 2, 1)
-    e_swapped = e_mat.T[swap]
-    bimod = 0.0
-    for a in expectation.inclusion.image_basis():
-        for right in (False, True):
-            comm = (multiply_columns(a, e_swapped, not right)[swap].T
-                    - multiply_columns(a, e_mat, right))
-            bimod = max(bimod, float(np.max(np.abs(comm))))
-        if bimod > tol:
-            break
-    if bimod > tol:
+    h = expectation.densities
+    mat = expectation.matrix
+    residual = float(np.max(np.abs(mat - _rebuild(expectation.inclusion, h)))) \
+        / max(1.0, float(np.max(np.abs(mat))))
+    if residual > tol:
         failures.append("bimodularity")
 
-    if not _expectation_is_cp(expectation, tol):
+    if any(np.max(np.abs(d - d.conj().T)) > tol
+           or np.linalg.eigvalsh((d + d.conj().T) / 2)[0] < -tol
+           for hs in h for d in hs if d.size):
         failures.append("positivity")
 
+    _log_normal_form(expectation, f"{residual:.3e} (tolerance {tol:.1e})", start)
     return ValidationReport(not failures, tuple(failures))
 
 
-def _expectation_is_cp(expectation: ConditionalExpectation, tol: float) -> bool:
-    big = expectation.algebra
-
-    def phi(x: AlgebraElement) -> np.ndarray:
-        return big.embed_block_diagonal(expectation(x))
-
-    return all(float(np.linalg.eigvalsh(c)[0]) >= -tol
-               for c in choi_blocks(phi, big))
-
-
 def canonical_expectation(inclusion: StarHomomorphism,
-                          tau: TraceWeights,
-                          tol: float = DEFAULT_TOL) -> ConditionalExpectation:
+                          tau: TraceWeights) -> ConditionalExpectation:
     """The unique tau-preserving expectation onto the image of A.
 
-    Constructed as the orthogonal projection onto the image of A in the
-    GNS inner product <x, y> = tau(x* y).  Bimodularity is verified and a
-    failure is reported as an error: it would mean tau is not a trace for
-    this inclusion, which must not be silently repaired.
+    Its densities are h_tp = w_t / (K^T w)_p times the identity: for x in
+    corner p of block t, tau(E(x)) = tau(x) fixes h_tp, and
+    sum_t Tr h_tp = 1 follows.  Raises ValueError when the inclusion is
+    not a unital injective *-homomorphism.
     """
+    start = time.perf_counter()
     big = inclusion.target
     if tau.algebra.blocks != big.blocks:
         raise ValueError("trace weights are not on the big algebra")
-    w = tau.coordinate_weights()
-    a_mat = inclusion.matrix
-    gram = a_mat.conj().T @ (w[:, None] * a_mat)
-    proj = a_mat @ np.linalg.solve(gram, a_mat.conj().T * w[None, :])
-    expectation = ConditionalExpectation(inclusion, proj)
-
-    report = validate_expectation(expectation, max(tol, 1e-8))
-    if not report.ok:
-        raise ValueError(
-            "GNS projection is not a conditional expectation "
-            f"(failed: {', '.join(report.failures)}); "
-            "the trace is not compatible with this inclusion")
+    k = inclusion.normal_form.multiplicities
+    w = np.asarray(tau.weights)
+    scale = w[:, None] / (k.T @ w)[None, :]
+    h = tuple(tuple(scale[t, p] * np.eye(k[t, p]) for p in range(k.shape[1]))
+              for t in range(k.shape[0]))
+    expectation = ConditionalExpectation(inclusion, _rebuild(inclusion, h))
+    # E is rebuilt from h, so h is its density exactly; reading it back
+    # would only add rounding
+    expectation.__dict__["densities"] = h
+    _log_normal_form(expectation, "0 by construction", start)
     return expectation
 
 
 # ---------------------------------------------------------------------------
-# Quasi-basis via the frame operator
+# Quasi-basis and index element
 # ---------------------------------------------------------------------------
 
 def quasi_basis_report(expectation: ConditionalExpectation,
-                       tau: TraceWeights,
-                       spanning: Sequence[AlgebraElement] | None = None,
+                       tau: TraceWeights | None = None,
                        tol: float = DEFAULT_TOL) -> QuasiBasisResult:
-    """Quasi-basis construction through the frame operator, in O(D^3).
+    """The Pimsner-Popa quasi-basis of E, in closed form.
 
-    Greedily grows a generating family from ``spanning`` (default: the unit
-    followed by all matrix units), keeping candidates that enlarge the rank
-    of the frame operator S(x) = sum_k v_k E(v_k* x).  S is self-adjoint
-    positive on the GNS space of tau o E and commutes with the right
-    A-action, so u_k = S^{-1/2}(v_k) stays A-linear and satisfies the
-    quasi-basis identity whenever S is invertible.
+    In B block t, with adapted unitary U_t, the family is the matrix units
+    e_{rho,(p,1,alpha)} (1 (x) h_tp^{-1/2}) U_t* over rows rho of the block,
+    A blocks p and copies alpha: sum_t m_t sum_p k_tp elements, and
+    sum_i u_i E(u_i* x) = x holds exactly when every h_tp is invertible.
+    The index element is sum_p Tr h_tp^{-1} on block t.  The defect of the
+    basis against E itself is tested against
+    max(tol, 1e-9) * max(1, ||index element||): it is at most about the
+    index times the rounding residual of E.  ``tau`` is not needed and
+    is accepted for compatibility.
 
-    The GNS Gram matrix G = sum_t 1 (x) F_t commutes with every left
-    multiplication L_v, so in GNS coordinates S = sum_k L_v P P* L_v* with
-    P P* = G^{1/2} E G^{-1/2} factored once.  A candidate's piece is then
-    the factor L_v P, a row gather for a matrix unit, and it is kept when
-    its range leaves the span of the pieces kept so far.  The frame
-    operator T of u = S^{-1/2} v is assembled once; one refinement step
-    u <- T^{-1/2} u removes the roundoff of S^{-1/2}.  The family with the
-    smaller defect, read off the same T, is tested against max(tol, 1e-9).
-
-    Returns a result with ``basis=None`` (plus the offending smallest
-    eigenvalue of S) when S stays singular over the whole spanning set.
+    Returns a result with ``basis=None`` when E is not faithful.
     """
     start = time.perf_counter()
     big = expectation.algebra
-    dim = big.total_dim
-    if spanning is None:
-        spanning = [big.identity()] + big.basis()
+    form = expectation.inclusion.normal_form
+    spectra = _spectra(expectation)
+    lo, hi, threshold = _faithfulness(spectra)
+    if not lo > threshold:
+        log.info("quasi-basis: none, density eigenvalue %.3e is below the "
+                 "faithfulness threshold %.1e, %.3f s", lo, threshold,
+                 time.perf_counter() - start)
+        return QuasiBasisResult(None, lo, hi)
 
-    # G^{+-1/2} x = x h with h_t = (F_t^{+-1/2})^T: right multiplications
-    grams = [np.linalg.eigh(f) for f in _gns_blocks(expectation, tau)]
-    gmax = max(float(vals[-1]) for vals, _ in grams)
-    gmin = min(float(vals[0]) for vals, _ in grams)
-    if gmax <= 0 or gmin < RANK_RTOL * gmax:
-        # degenerate GNS form: E is not faithful, no quasi-basis exists
-        log.info("quasi-basis: D=%d, GNS form degenerate (%.3e of %.3e)",
-                 dim, gmin, gmax)
-        return QuasiBasisResult(None, 0.0, max(gmax, 0.0))
-    g_half = big.element([((vecs * np.sqrt(vals)) @ vecs.conj().T).T
-                          for vals, vecs in grams])
-    g_half_inv = big.element([((vecs / np.sqrt(vals)) @ vecs.conj().T).T
-                              for vals, vecs in grams])
+    blocks = []
+    index_norm = 0.0
+    for m, corners, hs in zip(big.blocks, form.corners, expectation.densities):
+        # c_alpha = U_t (e_1 (x) h^{-1/2} e_alpha) on corner p, so the
+        # elements of block t are the rows e_rho (x) conj(c_alpha)
+        cs = []
+        index_t = 0.0
+        for corner, h in zip(corners, hs):
+            if h.size == 0:
+                continue
+            vals, vecs = np.linalg.eigh((h + h.conj().T) / 2)
+            cs.append(corner[:, 0, :] @ ((vecs / np.sqrt(vals)) @ vecs.conj().T))
+            index_t += float(np.sum(1.0 / vals))
+        index_norm = max(index_norm, index_t)
+        blocks.append(np.kron(np.eye(m), np.concatenate(cs, axis=1).conj()))
+    cols = np.zeros((big.total_dim, sum(b.shape[1] for b in blocks)), dtype=complex)
+    row = col = 0
+    for b in blocks:
+        cols[row:row + b.shape[0], col:col + b.shape[1]] = b
+        row, col = row + b.shape[0], col + b.shape[1]
 
-    def whiten(mat: np.ndarray) -> np.ndarray:
-        """Hermitian part of G^{1/2} mat G^{-1/2}."""
-        # mat G^{-1/2} = (G^{-1/2} mat*)* since G is Hermitian
-        scaled = multiply_columns(g_half_inv, mat.conj().T, right=True).conj().T
-        out = multiply_columns(g_half, scaled, right=True)
-        return (out + out.conj().T) / 2
-
-    def inv_sqrt_apply(vals: np.ndarray, vecs: np.ndarray,
-                       cols: np.ndarray) -> np.ndarray:
-        """G^{-1/2} X^{-1/2} G^{1/2} cols, X = vecs diag(vals) vecs* whitened."""
-        half = multiply_columns(g_half, cols, right=True)
-        half = (vecs / np.sqrt(vals)) @ (vecs.conj().T @ half)
-        return multiply_columns(g_half_inv, half, right=True)
-
-    e_vals, e_vecs = np.linalg.eigh(whiten(expectation.matrix))
-    on = e_vals > RANK_RTOL * max(float(e_vals[-1]), 0.0)
-    factor = e_vecs[:, on] * np.sqrt(e_vals[on])
-
-    # orthonormal basis of the kept ranges, and S~ = sum of kept F F*
-    onb = np.empty((dim, dim), dtype=complex)
-    rank = 0
-    s_tilde = np.zeros((dim, dim), dtype=complex)
-    kept: list[AlgebraElement] = []
-    # largest squared norm of a piece so far: the rank test's scale, a lower
-    # bound of the largest eigenvalue of S~
-    top = 0.0
-    tried = 0
-    for v in spanning:
-        if rank == dim:
-            break
-        tried += 1
-        piece = multiply_columns(v, factor)
-        rows = np.flatnonzero(np.any(piece != 0, axis=1))
-        if rows.size == 0:
-            continue
-        # F = Z diag(sigma) has the range and the F F* of L_v P
-        z, sigma, _ = np.linalg.svd(piece[rows], full_matrices=False)
-        f = z * sigma
-        top = max(top, float(sigma[0]) ** 2)
-        # R* R for R = (1 - Q Q*) F: its eigenvalues are the new directions
-        inner = onb[rows, :rank].conj().T @ f
-        resid = np.diag(sigma ** 2) - inner.conj().T @ inner
-        r_vals, r_vecs = np.linalg.eigh((resid + resid.conj().T) / 2)
-        new = r_vals > RANK_RTOL * top
-        if not new.any():
-            continue
-        kept.append(v)
-        s_tilde[np.ix_(rows, rows)] += f @ f.conj().T
-        grow = -onb[:, :rank] @ (inner @ r_vecs[:, new])
-        grow[rows] += f @ r_vecs[:, new]
-        grow -= onb[:, :rank] @ (onb[:, :rank].conj().T @ grow)
-        grow, _ = np.linalg.qr(grow)
-        onb[:, rank:rank + grow.shape[1]] = grow
-        rank += grow.shape[1]
-
-    s_vals, s_vecs = np.linalg.eigh(s_tilde)
-    smin, smax = float(s_vals[0]), float(s_vals[-1])
-    if smax <= 0 or smin < RANK_RTOL * smax:
-        log.info("quasi-basis: D=%d, %d candidates tried, %d kept, frame "
-                 "operator singular (smin=%.3e smax=%.3e), %.3f s",
-                 dim, tried, len(kept), smin, smax, time.perf_counter() - start)
-        return QuasiBasisResult(None, smin, smax)
-
-    v_cols = np.stack([v.to_vector() for v in kept], axis=1)
-    u_cols = inv_sqrt_apply(s_vals, s_vecs, v_cols)
-    frame = _frame_map(big, expectation.matrix, u_cols)
-    first = _defect(big, frame)
-    # the frame operator of u is T, so T^{-1/2} u has the identity as its
-    # frame operator: exactly one step, never iterated to a tolerance.  It
-    # is kept only when it lowers the defect: E is an expectation only up
-    # to rounding, so a defect already at that floor can rise.
-    t_vals, t_vecs = np.linalg.eigh(whiten(frame))
-    refined = inv_sqrt_apply(t_vals, t_vecs, u_cols)
-    refined_defect = _defect(big, _frame_map(big, expectation.matrix, refined))
-    defect = first
-    if refined_defect < first:
-        u_cols, defect = refined, refined_defect
-    bound = max(tol, 1e-9)
-    log.info("quasi-basis: D=%d, %d candidates tried, %d kept, smin=%.3e "
-             "smax=%.3e, defect %.3e before refinement, %.3e after "
-             "(bound %.1e), %.3f s", dim, tried, len(kept), smin, smax,
-             first, refined_defect, bound, time.perf_counter() - start)
+    defect = _defect(big, _frame_map(big, expectation.matrix, cols))
+    bound = max(tol, 1e-9) * max(1.0, index_norm)
+    log.info("quasi-basis: %d elements, defect %.3e (bound %.1e), %.3f s",
+             cols.shape[1], defect, bound, time.perf_counter() - start)
     if not defect <= bound:
-        return QuasiBasisResult(None, smin, smax, defect)
-    qb = QuasiBasis(tuple(big.from_vector(col) for col in u_cols.T))
-    return QuasiBasisResult(qb, smin, smax, defect)
+        return QuasiBasisResult(None, lo, hi, defect)
+    qb = QuasiBasis(tuple(big.from_vector(c) for c in cols.T))
+    return QuasiBasisResult(qb, lo, hi, defect)
 
 
 def find_quasi_basis(expectation: ConditionalExpectation,
-                     tau: TraceWeights,
-                     spanning: Sequence[AlgebraElement] | None = None,
+                     tau: TraceWeights | None = None,
                      tol: float = DEFAULT_TOL) -> QuasiBasis | None:
-    return quasi_basis_report(expectation, tau, spanning, tol).basis
-
-
-def _gns_blocks(expectation: ConditionalExpectation,
-                tau: TraceWeights) -> list[np.ndarray]:
-    """Blocks F_t of the Gram matrix G = sum_t 1 (x) F_t of
-    <x, y> = tau(E(x* y)) in the matrix-unit basis.
-
-    Since e^t_{ij}* e^s_{kl} = delta_{ts} delta_{ik} e^t_{jl}, only the
-    values F_t[j, l] = tau(E(e^t_{jl})) of the functional are needed.
-    """
-    big = expectation.algebra
-    tau_row = np.concatenate([w * np.eye(m).ravel()
-                              for w, m in zip(tau.weights, big.blocks)])
-    func = big.from_vector(tau_row @ expectation.matrix)
-    return [(f + f.conj().T) / 2 for f in func.data]
+    return quasi_basis_report(expectation, tau, tol).basis
 
 
 def _frame_map(algebra: MultiMatrixAlgebra, mat: np.ndarray,
@@ -432,147 +403,57 @@ def watatani_index(expectation: ConditionalExpectation,
 
 
 # ---------------------------------------------------------------------------
-# Scalar index: the smallest c with cE - id completely positive
+# Scalar and probabilistic index in closed form
 # ---------------------------------------------------------------------------
 
-def scalar_index(expectation: ConditionalExpectation,
-                 rank_rtol: float = RANK_RTOL) -> float:
-    """min{c : cE - id completely positive}, or math.inf.
+def _closed_form_indices(expectation: ConditionalExpectation) -> tuple[float, float]:
+    """(Index^p, scalar index) of E, both infinite when E is not faithful.
 
-    Solved exactly per source block through the generalized eigenvalue
-    pencil of the Choi matrices of id and E: the optimal c is the largest
-    eigenvalue of C_id in the metric of C_E on range(C_E).  When
-    range(C_id) is not contained in range(C_E) no finite c works and the
-    index is reported as infinite, never as a large float.
+    The scalar index min{c : cE - id completely positive} is
+    max_t sum_p Tr h_tp^{-1}.  For v in block t with components V_p,
+    v* E(vv*)^+ v = sum_p tr(h_tp^{-1} Pi_p), Pi_p the projection onto the
+    row space of V_p h_tp^{1/2}, of rank at most min(a_p, k_tp); by Ky Fan's
+    maximum principle Index^p = min{c : cE - id positive} is
+    max_t sum_p (sum of the min(a_p, k_tp) largest eigenvalues of
+    h_tp^{-1}), and it is attained.
     """
-    big = expectation.algebra
-
-    def phi_e(x: AlgebraElement) -> np.ndarray:
-        return big.embed_block_diagonal(expectation(x))
-
-    def phi_id(x: AlgebraElement) -> np.ndarray:
-        return big.embed_block_diagonal(x)
-
-    c_es = choi_blocks(phi_e, big)
-    c_ids = choi_blocks(phi_id, big)
-
-    best = 1.0
-    for c_e, c_id in zip(c_es, c_ids):
-        evals, evecs = np.linalg.eigh(c_e)
-        emax = float(evals[-1]) if evals.size else 0.0
-        keep = evals > rank_rtol * max(emax, 1.0e-300)
-        v = evecs[:, keep]
-        resid = c_id - (v @ (v.conj().T @ c_id))
-        scale = max(float(np.linalg.norm(c_id, 2)), 1.0)
-        if float(np.linalg.norm(resid, 2)) > 1e-8 * scale:
-            return math.inf
-        whitener = v / np.sqrt(evals[keep])
-        pencil = whitener.conj().T @ c_id @ whitener
-        pencil = (pencil + pencil.conj().T) / 2
-        top = float(np.linalg.eigvalsh(pencil)[-1])
-        best = max(best, top)
-    return best
+    start = time.perf_counter()
+    spectra = _spectra(expectation)
+    lo, _, threshold = _faithfulness(spectra)
+    prob = scalar = math.inf
+    if lo > threshold:
+        prob = scalar = 0.0
+        for row in spectra:
+            prob_t = scalar_t = 0.0
+            for a, vals in zip(expectation.subalgebra.blocks, row):
+                inv = 1.0 / vals  # descending
+                top = float(np.sum(inv[:a]))
+                prob_t += top
+                # top plus the rest, so that prob_t <= scalar_t after rounding
+                scalar_t += top + float(np.sum(inv[a:]))
+            prob, scalar = max(prob, prob_t), max(scalar, scalar_t)
+    log.info("closed-form indices: scalar %.12g, probabilistic %.12g, %.3f s",
+             scalar, prob, time.perf_counter() - start)
+    return prob, scalar
 
 
-# ---------------------------------------------------------------------------
-# Probabilistic index: certified interval
-# ---------------------------------------------------------------------------
+def scalar_index(expectation: ConditionalExpectation) -> float:
+    """min{c : cE - id completely positive} = max_t sum_p Tr h_tp^{-1}, or
+    math.inf when a density is singular, never a large float."""
+    return _closed_form_indices(expectation)[1]
+
 
 def probabilistic_index_bounds(expectation: ConditionalExpectation,
                                budget: int = 2000,
                                seed: int = 0) -> tuple[float, float]:
-    """Certified bounds for Index^p = min{c : cE - id positive}.
+    """(Index^p, scalar index) for Index^p = min{c : cE - id positive}.
 
-    Positivity of cE - id only needs to be tested on rank-one positives
-    v v*, and for fixed v the smallest admissible c is
-    f(v) = v* E(v v*)^+ v (infinite when v is outside the range).  Any
-    evaluated v therefore yields a valid lower bound; the supremum is
-    approached by multistart projected-gradient ascent.  The upper bound
-    is the scalar index, since Index^p <= Index^s always holds.
+    The lower end is the exact probabilistic index in closed form (see
+    :func:`_closed_form_indices`); the upper end is the scalar index, since
+    Index^p <= Index^s always holds.  ``budget`` and ``seed`` are accepted
+    for compatibility and unused: nothing is searched.
     """
-    big = expectation.algebra
-    rng = np.random.default_rng(seed)
-    upper = scalar_index(expectation)
-
-    lower = 1.0
-    for t, m in enumerate(big.blocks):
-        starts: list[np.ndarray] = [np.eye(m, dtype=complex)[:, j] for j in range(m)]
-        starts.append(np.full(m, 1.0 / np.sqrt(m), dtype=complex))
-        n_random = 4
-        for _ in range(n_random):
-            v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            starts.append(v / np.linalg.norm(v))
-        iters = max(1, budget // max(1, len(starts)))
-        for v0 in starts:
-            val = _ascend_block(expectation, t, v0, iters)
-            if math.isinf(val):
-                return math.inf, upper
-            lower = max(lower, val)
-    return min(lower, upper) if not math.isinf(upper) else lower, upper
-
-
-def _pp_value(expectation: ConditionalExpectation, t: int, v: np.ndarray) -> float:
-    """v* (E(vv*)_t)^+ v for a unit vector v in block t."""
-    big = expectation.algebra
-    m = big.blocks[t]
-    mats = [np.zeros((s, s), dtype=complex) for s in big.blocks]
-    mats[t] = np.outer(v, v.conj())
-    image = expectation(big.element(mats)).data[t]
-    image = (image + image.conj().T) / 2
-    evals, evecs = np.linalg.eigh(image)
-    emax = float(evals[-1]) if evals.size else 0.0
-    if emax <= 0:
-        return math.inf
-    keep = evals > RANK_RTOL * emax
-    coords = evecs[:, keep].conj().T @ v
-    outside = np.linalg.norm(v) ** 2 - np.linalg.norm(coords) ** 2
-    if outside > 1e-10 * np.linalg.norm(v) ** 2:
-        return math.inf
-    return float(np.real(np.sum(np.abs(coords) ** 2 / evals[keep])))
-
-
-def _ascend_block(expectation: ConditionalExpectation, t: int,
-                  v0: np.ndarray, iters: int) -> float:
-    """Projected-gradient ascent of the Pimsner-Popa objective on a block."""
-    m = v0.size
-    v = v0 / np.linalg.norm(v0)
-    best = _pp_value(expectation, t, v)
-    if math.isinf(best) or m == 1:
-        return best
-    step = 0.1
-    h = 1e-6
-    for _ in range(iters):
-        grad = np.zeros(2 * m)
-        base = _pp_value(expectation, t, v)
-        if math.isinf(base):
-            return base
-        for j in range(m):
-            for part, delta in ((0, h), (1, h * 1j)):
-                w = v.copy()
-                w[j] += delta
-                val = _pp_value(expectation, t, w / np.linalg.norm(w))
-                if math.isinf(val):
-                    return val
-                grad[2 * j + part] = (val - base) / h
-        gvec = grad[0::2] + 1j * grad[1::2]
-        gnorm = np.linalg.norm(gvec)
-        if gnorm < 1e-12:
-            break
-        improved = False
-        while step > 1e-12:
-            w = v + step * gvec / gnorm
-            w = w / np.linalg.norm(w)
-            val = _pp_value(expectation, t, w)
-            if math.isinf(val):
-                return val
-            if val > base + 1e-15:
-                v, best, improved = w, max(best, val), True
-                step *= 1.5
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return best
+    return _closed_form_indices(expectation)
 
 
 # ---------------------------------------------------------------------------
@@ -657,13 +538,12 @@ def index_in_subalgebra(expectation: ConditionalExpectation,
 def compute_index_report(expectation: ConditionalExpectation,
                          tau: TraceWeights,
                          tol: float = DEFAULT_TOL,
-                         budget: int = 2000,
                          seed: int = 0) -> IndexReport:
     """Full index pipeline: quasi-basis, index element, scalar and
-    probabilistic indices."""
+    probabilistic indices.  ``seed`` is recorded in the report."""
     result = quasi_basis_report(expectation, tau, tol=tol)
-    # the certified upper bound of the probabilistic index is the scalar index
-    lower, scalar = probabilistic_index_bounds(expectation, budget, seed)
+    # the upper end of the probabilistic index is the scalar index
+    lower, scalar = probabilistic_index_bounds(expectation)
     if result.basis is None:
         return IndexReport(None, math.inf, scalar, lower, scalar, 0, seed)
     index = watatani_index(expectation, result.basis)

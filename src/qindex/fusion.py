@@ -43,12 +43,11 @@ class FusionRing:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         r = len(self.labels)
-        t = np.asarray(self.tensor, dtype=np.int64)
+        t = np.array(self.tensor, dtype=np.int64, order="C")
         if t.shape != (r, r, r):
             raise ValueError(f"tensor must be {r}x{r}x{r}")
         if np.any(t < 0):
             raise ValueError("multiplicities must be nonnegative")
-        t = np.ascontiguousarray(t)
         t.flags.writeable = False
         object.__setattr__(self, "tensor", t)
         object.__setattr__(self, "dual", tuple((str(a), str(b)) for a, b in self.dual))
@@ -174,12 +173,11 @@ class FusionModule:
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         r = self.ring.rank
         m = len(self.labels)
-        a = np.asarray(self.action, dtype=np.int64)
+        a = np.array(self.action, dtype=np.int64, order="C")
         if a.shape != (r, m, m):
             raise ValueError(f"action tensor must be {r}x{m}x{m}")
         if np.any(a < 0):
             raise ValueError("action multiplicities must be nonnegative")
-        a = np.ascontiguousarray(a)
         a.flags.writeable = False
         object.__setattr__(self, "action", a)
 
@@ -453,12 +451,11 @@ class BigradedDims:
     dims: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.dims, dtype=np.int64)
+        d = np.array(self.dims, dtype=np.int64, order="C")
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("dims must be a square integer matrix")
         if np.any(d < 0):
             raise ValueError("dims must be nonnegative")
-        d = np.ascontiguousarray(d)
         d.flags.writeable = False
         object.__setattr__(self, "dims", d)
 

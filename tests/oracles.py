@@ -1,0 +1,349 @@
+"""Dense reference solvers for the expectation layer.
+
+The library reads every index of an expectation off its per-block
+densities (see ``qindex.expectation``).  The solvers here are the dense
+numerical methods it used before, kept as independent references: the
+greedy frame-operator quasi-basis with its refinement step, the
+Choi-pencil scalar index, the finite-difference Pimsner-Popa ascent and
+the four-axiom validation.  ``expectation_from_densities`` builds explicit
+expectation maps from chosen densities without the library's normal form.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from qindex.algebra import (DEFAULT_TOL, RANK_RTOL, AlgebraElement,
+                            MultiMatrixAlgebra, StarHomomorphism, choi_blocks,
+                            multiply_columns)
+from qindex.expectation import (ConditionalExpectation, QuasiBasis, _defect,
+                                _frame_map)
+
+
+# -- validation ----------------------------------------------------------------
+
+def four_axiom_failures(expectation: ConditionalExpectation,
+                        tol: float = DEFAULT_TOL) -> tuple[str, ...]:
+    """Unitality, idempotence, bimodularity and Choi positivity, each checked
+    on the dense matrix of E."""
+    big = expectation.algebra
+    e_mat = expectation.matrix
+    failures = []
+
+    one = big.identity()
+    if (expectation(one) - one).norm() > tol:
+        failures.append("unitality")
+
+    if np.max(np.abs(e_mat @ e_mat - e_mat)) > tol:
+        failures.append("idempotence")
+
+    # E(a x b) = a E(x) b for spanning a, b is the pair of matrix identities
+    # E L_a = L_a E and E R_a = R_a E over the image basis of A.  Blockwise,
+    # E L_a = (K R_a K E^T)^T and E R_a = (K L_a K E^T)^T, where the
+    # permutation K transposes every block of a coefficient vector
+    swap = np.empty(big.total_dim, dtype=int)
+    for _, rows in big.block_rows:
+        swap[rows] = rows.transpose(0, 2, 1)
+    e_swapped = e_mat.T[swap]
+    bimod = 0.0
+    for a in expectation.inclusion.image_basis():
+        for right in (False, True):
+            comm = (multiply_columns(a, e_swapped, not right)[swap].T
+                    - multiply_columns(a, e_mat, right))
+            bimod = max(bimod, float(np.max(np.abs(comm))))
+    if bimod > tol:
+        failures.append("bimodularity")
+
+    def phi(x: AlgebraElement) -> np.ndarray:
+        return big.embed_block_diagonal(expectation(x))
+
+    if not all(float(np.linalg.eigvalsh(c)[0]) >= -tol for c in choi_blocks(phi, big)):
+        failures.append("positivity")
+    return tuple(failures)
+
+
+# -- greedy quasi-basis ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class GreedyResult:
+    """Outcome of the greedy construction; ``defect_before`` and
+    ``defect_after`` bracket the refinement step, ``defect`` is the smaller."""
+
+    basis: QuasiBasis | None
+    min_eigenvalue: float
+    max_eigenvalue: float
+    defect: float | None = None
+    defect_before: float | None = None
+    defect_after: float | None = None
+    tried: int = 0
+
+
+def _gns_blocks(expectation: ConditionalExpectation, weights) -> list[np.ndarray]:
+    """Blocks F_t of the Gram matrix G = sum_t 1 (x) F_t of
+    <x, y> = tau(E(x* y)) in the matrix-unit basis."""
+    big = expectation.algebra
+    tau_row = np.concatenate([w * np.eye(m).ravel()
+                              for w, m in zip(weights, big.blocks)])
+    func = big.from_vector(tau_row @ expectation.matrix)
+    return [(f + f.conj().T) / 2 for f in func.data]
+
+
+def greedy_quasi_basis(expectation: ConditionalExpectation, tau,
+                       spanning=None, tol: float = DEFAULT_TOL) -> GreedyResult:
+    """Frame-operator quasi-basis grown greedily from ``spanning`` (default:
+    the unit, then every matrix unit), with one refinement step kept only
+    when it lowers the defect; the defect is tested against max(tol, 1e-9).
+
+    A candidate v is kept when the range of its piece L_v P, with
+    P P* = G^{1/2} E G^{-1/2}, leaves the span of the pieces kept so far;
+    u = S^{-1/2} v for the frame operator S of the kept family."""
+    big = expectation.algebra
+    dim = big.total_dim
+    if spanning is None:
+        spanning = [big.identity()] + big.basis()
+
+    grams = [np.linalg.eigh(f) for f in _gns_blocks(expectation, tau.weights)]
+    gmax = max(float(vals[-1]) for vals, _ in grams)
+    gmin = min(float(vals[0]) for vals, _ in grams)
+    if gmax <= 0 or gmin < RANK_RTOL * gmax:
+        return GreedyResult(None, 0.0, max(gmax, 0.0))
+    g_half = big.element([((vecs * np.sqrt(vals)) @ vecs.conj().T).T
+                          for vals, vecs in grams])
+    g_half_inv = big.element([((vecs / np.sqrt(vals)) @ vecs.conj().T).T
+                              for vals, vecs in grams])
+
+    def whiten(mat: np.ndarray) -> np.ndarray:
+        """Hermitian part of G^{1/2} mat G^{-1/2}."""
+        scaled = multiply_columns(g_half_inv, mat.conj().T, right=True).conj().T
+        out = multiply_columns(g_half, scaled, right=True)
+        return (out + out.conj().T) / 2
+
+    def inv_sqrt_apply(vals, vecs, cols):
+        """G^{-1/2} X^{-1/2} G^{1/2} cols, X = vecs diag(vals) vecs* whitened."""
+        half = multiply_columns(g_half, cols, right=True)
+        half = (vecs / np.sqrt(vals)) @ (vecs.conj().T @ half)
+        return multiply_columns(g_half_inv, half, right=True)
+
+    e_vals, e_vecs = np.linalg.eigh(whiten(expectation.matrix))
+    on = e_vals > RANK_RTOL * max(float(e_vals[-1]), 0.0)
+    factor = e_vecs[:, on] * np.sqrt(e_vals[on])
+
+    onb = np.empty((dim, dim), dtype=complex)
+    rank = 0
+    s_tilde = np.zeros((dim, dim), dtype=complex)
+    kept = []
+    top = 0.0
+    tried = 0
+    for v in spanning:
+        if rank == dim:
+            break
+        tried += 1
+        piece = multiply_columns(v, factor)
+        rows = np.flatnonzero(np.any(piece != 0, axis=1))
+        if rows.size == 0:
+            continue
+        z, sigma, _ = np.linalg.svd(piece[rows], full_matrices=False)
+        f = z * sigma
+        top = max(top, float(sigma[0]) ** 2)
+        inner = onb[rows, :rank].conj().T @ f
+        resid = np.diag(sigma ** 2) - inner.conj().T @ inner
+        r_vals, r_vecs = np.linalg.eigh((resid + resid.conj().T) / 2)
+        new = r_vals > RANK_RTOL * top
+        if not new.any():
+            continue
+        kept.append(v)
+        s_tilde[np.ix_(rows, rows)] += f @ f.conj().T
+        grow = -onb[:, :rank] @ (inner @ r_vecs[:, new])
+        grow[rows] += f @ r_vecs[:, new]
+        grow -= onb[:, :rank] @ (onb[:, :rank].conj().T @ grow)
+        grow, _ = np.linalg.qr(grow)
+        onb[:, rank:rank + grow.shape[1]] = grow
+        rank += grow.shape[1]
+
+    s_vals, s_vecs = np.linalg.eigh(s_tilde)
+    smin, smax = float(s_vals[0]), float(s_vals[-1])
+    if smax <= 0 or smin < RANK_RTOL * smax:
+        return GreedyResult(None, smin, smax, tried=tried)
+
+    v_cols = np.stack([v.to_vector() for v in kept], axis=1)
+    u_cols = inv_sqrt_apply(s_vals, s_vecs, v_cols)
+    frame = _frame_map(big, expectation.matrix, u_cols)
+    before = _defect(big, frame)
+    t_vals, t_vecs = np.linalg.eigh(whiten(frame))
+    refined = inv_sqrt_apply(t_vals, t_vecs, u_cols)
+    after = _defect(big, _frame_map(big, expectation.matrix, refined))
+    defect = before
+    if after < before:
+        u_cols, defect = refined, after
+    if not defect <= max(tol, 1e-9):
+        return GreedyResult(None, smin, smax, defect, before, after, tried)
+    basis = QuasiBasis(tuple(big.from_vector(col) for col in u_cols.T))
+    return GreedyResult(basis, smin, smax, defect, before, after, tried)
+
+
+# -- scalar and probabilistic index ------------------------------------------------
+
+def choi_scalar_index(expectation: ConditionalExpectation,
+                      rank_rtol: float = RANK_RTOL) -> float:
+    """min{c : cE - id completely positive} from the generalized eigenvalue
+    pencil of the Choi matrices of id and E, per source block; infinite when
+    range(C_id) leaves range(C_E)."""
+    big = expectation.algebra
+    c_es = choi_blocks(lambda x: big.embed_block_diagonal(expectation(x)), big)
+    c_ids = choi_blocks(big.embed_block_diagonal, big)
+    best = 1.0
+    for c_e, c_id in zip(c_es, c_ids):
+        evals, evecs = np.linalg.eigh(c_e)
+        emax = float(evals[-1]) if evals.size else 0.0
+        keep = evals > rank_rtol * max(emax, 1.0e-300)
+        v = evecs[:, keep]
+        resid = c_id - (v @ (v.conj().T @ c_id))
+        scale = max(float(np.linalg.norm(c_id, 2)), 1.0)
+        if float(np.linalg.norm(resid, 2)) > 1e-8 * scale:
+            return math.inf
+        whitener = v / np.sqrt(evals[keep])
+        pencil = whitener.conj().T @ c_id @ whitener
+        top = float(np.linalg.eigvalsh((pencil + pencil.conj().T) / 2)[-1])
+        best = max(best, top)
+    return best
+
+
+def _pp_value(expectation: ConditionalExpectation, t: int, v: np.ndarray) -> float:
+    """v* (E(vv*)_t)^+ v for a unit vector v in block t."""
+    big = expectation.algebra
+    mats = [np.zeros((s, s), dtype=complex) for s in big.blocks]
+    mats[t] = np.outer(v, v.conj())
+    image = expectation(big.element(mats)).data[t]
+    evals, evecs = np.linalg.eigh((image + image.conj().T) / 2)
+    emax = float(evals[-1]) if evals.size else 0.0
+    if emax <= 0:
+        return math.inf
+    keep = evals > RANK_RTOL * emax
+    coords = evecs[:, keep].conj().T @ v
+    outside = np.linalg.norm(v) ** 2 - np.linalg.norm(coords) ** 2
+    if outside > 1e-10 * np.linalg.norm(v) ** 2:
+        return math.inf
+    return float(np.real(np.sum(np.abs(coords) ** 2 / evals[keep])))
+
+
+def _ascend_block(expectation: ConditionalExpectation, t: int,
+                  v0: np.ndarray, iters: int) -> float:
+    """Projected finite-difference gradient ascent of v -> v* E(vv*)^+ v."""
+    m = v0.size
+    v = v0 / np.linalg.norm(v0)
+    best = _pp_value(expectation, t, v)
+    if math.isinf(best) or m == 1:
+        return best
+    step = 0.1
+    h = 1e-6
+    for _ in range(iters):
+        grad = np.zeros(2 * m)
+        base = _pp_value(expectation, t, v)
+        if math.isinf(base):
+            return base
+        for j in range(m):
+            for part, delta in ((0, h), (1, h * 1j)):
+                w = v.copy()
+                w[j] += delta
+                val = _pp_value(expectation, t, w / np.linalg.norm(w))
+                if math.isinf(val):
+                    return val
+                grad[2 * j + part] = (val - base) / h
+        gvec = grad[0::2] + 1j * grad[1::2]
+        gnorm = np.linalg.norm(gvec)
+        if gnorm < 1e-12:
+            break
+        improved = False
+        while step > 1e-12:
+            w = v + step * gvec / gnorm
+            w = w / np.linalg.norm(w)
+            val = _pp_value(expectation, t, w)
+            if math.isinf(val):
+                return val
+            if val > base + 1e-15:
+                v, best, improved = w, max(best, val), True
+                step *= 1.5
+                break
+            step *= 0.5
+        if not improved:
+            break
+    return best
+
+
+def ascent_probabilistic_bounds(expectation: ConditionalExpectation,
+                                budget: int = 2000,
+                                seed: int = 0) -> tuple[float, float]:
+    """Lower bound of Index^p by multistart ascent (every evaluated v gives a
+    valid lower bound), and the Choi-pencil scalar index as upper bound."""
+    big = expectation.algebra
+    rng = np.random.default_rng(seed)
+    upper = choi_scalar_index(expectation)
+    lower = 1.0
+    for t, m in enumerate(big.blocks):
+        starts = [np.eye(m, dtype=complex)[:, j] for j in range(m)]
+        starts.append(np.full(m, 1.0 / np.sqrt(m), dtype=complex))
+        for _ in range(4):
+            v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            starts.append(v / np.linalg.norm(v))
+        iters = max(1, budget // len(starts))
+        for v0 in starts:
+            val = _ascend_block(expectation, t, v0, iters)
+            if math.isinf(val):
+                return math.inf, upper
+            lower = max(lower, val)
+    return (lower if math.isinf(upper) else min(lower, upper)), upper
+
+
+# -- explicit maps from densities --------------------------------------------------
+
+def expectation_from_densities(a_blocks, k, unitaries, densities
+                               ) -> ConditionalExpectation:
+    """The inclusion with multiplicities k[t, p] conjugated by ``unitaries``
+    (B block t holds k[t, p] copies of A block p down its diagonal, copies
+    of block 0 first), and the expectation
+    E(x)_p = sum_t sum_{alpha, beta} h_tp[beta, alpha] x_t[(p, alpha), (p, beta)],
+    where x_t[(p, alpha), (p, beta)] is the a_p x a_p block between copies
+    alpha and beta of A block p after undoing the conjugation.
+
+    ``densities[t][p]`` is h_tp, a k[t, p] x k[t, p] matrix.  Built entry by
+    entry from this formula, independently of the library's normal form.
+    """
+    sub = MultiMatrixAlgebra(tuple(a_blocks))
+    b_blocks = tuple(int(sum(k[t, p] * a for p, a in enumerate(a_blocks)))
+                     for t in range(k.shape[0]))
+    big = MultiMatrixAlgebra(b_blocks)
+
+    def offset(t, p, alpha):
+        return sum(k[t, q] * a_blocks[q] for q in range(p)) + alpha * a_blocks[p]
+
+    incl_cols = []
+    for p, a in enumerate(a_blocks):
+        for i in range(a):
+            for j in range(a):
+                mats = []
+                for t, m in enumerate(b_blocks):
+                    block = np.zeros((m, m), dtype=complex)
+                    for alpha in range(k[t, p]):
+                        o = offset(t, p, alpha)
+                        block[o + i, o + j] = 1.0
+                    mats.append(unitaries[t] @ block @ unitaries[t].conj().T)
+                incl_cols.append(big.element(mats).to_vector())
+    inclusion = StarHomomorphism(sub, big, np.stack(incl_cols, axis=1))
+
+    e_cols = []
+    for x in big.basis():
+        z = []
+        for p, a in enumerate(a_blocks):
+            zp = np.zeros((a, a), dtype=complex)
+            for t, u in enumerate(unitaries):
+                y = u.conj().T @ x.data[t] @ u
+                for alpha in range(k[t, p]):
+                    for beta in range(k[t, p]):
+                        oa, ob = offset(t, p, alpha), offset(t, p, beta)
+                        zp += densities[t][p][beta, alpha] * y[oa:oa + a, ob:ob + a]
+            z.append(zp)
+        e_cols.append(inclusion(sub.element(z)).to_vector())
+    return ConditionalExpectation(inclusion, np.stack(e_cols, axis=1))

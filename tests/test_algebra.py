@@ -1,14 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
-from qindex.algebra import (MultiMatrixAlgebra, TraceWeights,
+from qindex.algebra import (MultiMatrixAlgebra, StarHomomorphism, TraceWeights,
                             choi_blocks, choi_is_psd, column_norms,
                             commutes_with_algebra, group_algebra_inclusion,
                             is_positive, left_mult_matrix, max_commutator,
                             multiply_columns, right_mult_matrix,
                             subalgebra_structure)
 
-from conftest import pinching_expectation, random_multimatrix_inclusion
+from conftest import (diagonal_inclusion, inclusion_from_multiplicities,
+                      pinching_expectation, random_multimatrix_inclusion)
 
 
 def test_total_dim_and_rep_dim():
@@ -288,3 +291,62 @@ def test_elements_immutable_after_construction(rng):
     incl, tau = group_algebra_inclusion(4, 2)
     with pytest.raises(ValueError):
         incl.matrix[0, 0] = 9.0
+
+
+# -- inclusion normal form ---------------------------------------------------
+
+def test_normal_form_recovers_multiplicities_and_unitaries(rng):
+    for _ in range(10):
+        a_blocks = tuple(int(x) for x in rng.integers(1, 3, size=int(rng.integers(1, 3))))
+        k = rng.integers(0, 3, size=(int(rng.integers(1, 3)), len(a_blocks)))
+        if not (k.sum(axis=1).all() and k.sum(axis=0).all()):
+            continue
+        inclusion = inclusion_from_multiplicities(a_blocks, k, rng)
+        form = inclusion.normal_form
+        assert np.array_equal(form.multiplicities, k)
+        x = inclusion.source.random_element(rng)
+        image = inclusion(x)
+        for t, corners in enumerate(form.corners):
+            u = np.concatenate([c.reshape(c.shape[0], -1) for c in corners], axis=1)
+            assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= 1e-12
+            # U_t* phi(x)_t U_t = sum_p x_p (x) 1_{k_tp}
+            want = np.zeros(u.shape, dtype=complex)
+            ofs = 0
+            for xp, kp in zip(x.data, k[t]):
+                size = xp.shape[0] * kp
+                want[ofs:ofs + size, ofs:ofs + size] = np.kron(xp, np.eye(kp))
+                ofs += size
+            assert np.abs(u.conj().T @ image.data[t] @ u - want).max() <= 1e-12
+
+
+def test_normal_form_rejects_non_homomorphisms():
+    sub, big = MultiMatrixAlgebra((1, 1)), MultiMatrixAlgebra((2,))
+    good = diagonal_inclusion(2).matrix
+    cases = [
+        # e_1 -> e_11 + e_12 is not a projection, so not multiplicative
+        (good + np.outer(np.eye(4)[1], np.eye(2)[0]), "not a *-homomorphism"),
+        # e_2 -> 0: not unital
+        (good * np.array([1.0, 0.0]), "not a unital *-homomorphism"),
+    ]
+    for mat, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StarHomomorphism(sub, big, mat).normal_form
+    # M_2 -> M_2 doubling e_12: the adapted basis is unitary, but
+    # phi(e_12) phi(e_21) = 2 e_11 is not phi(e_11)
+    doubled = StarHomomorphism(big, big, np.diag([1.0, 2.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match=re.escape("differs from e_ij (x) 1 by 1.000e+00")):
+        doubled.normal_form
+    # C + C -> C by (a, b) -> a: unital in the target, but block 2 of A is lost
+    lost = StarHomomorphism(sub, MultiMatrixAlgebra((1,)), np.array([[1.0, 0.0]]))
+    with pytest.raises(ValueError, match="not injective"):
+        lost.normal_form
+
+
+def test_constructors_leave_caller_arrays_writeable():
+    alg = MultiMatrixAlgebra((2,))
+    block = np.eye(2, dtype=complex)
+    alg.element([block])
+    block[0, 1] = 1.0
+    mat = np.array(diagonal_inclusion(2).matrix)
+    StarHomomorphism(MultiMatrixAlgebra((1, 1)), alg, mat)
+    mat[0, 0] = 2.0

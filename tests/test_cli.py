@@ -40,11 +40,14 @@ def test_index_compute_pinching(tmp_path, capsys):
     code, out, _ = run(capsys, "index", "compute", "--spec", pinching_spec(tmp_path),
                        "-o", str(out_path))
     assert code == 0
-    results = report_of(out)["results"]
+    report = report_of(out)
+    assert report["tolerances"] == {"tol": 1e-9}
+    results = report["results"]
     assert abs(results["index_norm"] - 2.0) <= 1e-9
     assert abs(results["scalar_index"] - 2.0) <= 1e-9
     assert abs(results["prob_lower"] - 2.0) <= 1e-9
-    assert results["quasi_basis_size"] >= 2
+    # sum_t m_t sum_p k_tp = 2 * (1 + 1)
+    assert results["quasi_basis_size"] == 4
     assert json.loads(out_path.read_text()) == results
 
 
@@ -108,6 +111,23 @@ def test_index_compute_rejected_quasi_basis_exits_3(tmp_path, capsys, caplog,
     assert "quasi-basis rejected" in caplog.text
     assert "3000000.0" in caplog.text
     assert "infinite scalar index" not in caplog.text
+
+
+def test_index_compute_rejects_non_multiplicative_inclusion(tmp_path, capsys):
+    # C + C -> M_2 sending the first unit to e_11 + e_12, which is not a
+    # projection; on both the canonical and the explicit-map path
+    with open(pinching_spec(tmp_path), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    spec["inclusion"]["matrix"][1][0] = [1, 0]
+    for explicit in (False, True):
+        if explicit:
+            spec["map"] = [[[float(i == j), 0] for j in range(4)] for i in range(4)]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "index", "compute", "--spec", str(path))
+        assert code == 2
+        assert out == ""
+        assert "inclusion is not a *-homomorphism" in err
 
 
 def test_malformed_json_exits_1(tmp_path, capsys):

@@ -22,6 +22,9 @@ from conftest import (ad_homomorphism, diagonal_inclusion, identity_expectation,
                       inclusion_from_multiplicities, pinching_expectation,
                       random_connected_inclusion, random_multimatrix_inclusion,
                       random_unitary, scalars_inclusion, trace_expectation)
+from oracles import (ascent_probabilistic_bounds, choi_scalar_index,
+                     expectation_from_densities, four_axiom_failures,
+                     greedy_quasi_basis)
 
 
 def state_expectation(n, rho):
@@ -86,7 +89,22 @@ def test_validate_rejects_non_idempotent():
     half = 0.5 * np.eye(4) + 0.5 * np.eye(4)[::-1]
     bad = ConditionalExpectation(identity_homomorphism(big), half)
     report = validate_expectation(bad)
-    assert not report.ok
+    assert report.failures == ("bimodularity",)
+
+
+def test_validate_rejects_non_positive_density():
+    # E(x) = tr(rho x) 1 with rho = diag(3/2, -1/2) is a unital bimodule
+    # map whose one density is not positive
+    bad = state_expectation(2, np.diag([1.5, -0.5]))
+    assert validate_expectation(bad).failures == ("positivity",)
+    assert four_axiom_failures(bad) == ("positivity",)
+
+
+def test_expectation_leaves_caller_array_writeable():
+    expectation, _ = pinching_expectation(2)
+    mat = np.array(expectation.matrix)
+    ConditionalExpectation(expectation.inclusion, mat)
+    mat[0, 0] = 2.0
 
 
 # -- canonical construction ---------------------------------------------------
@@ -113,8 +131,9 @@ def test_canonical_identity_when_a_equals_b():
 # -- quasi-basis -------------------------------------------------------------
 
 def test_quasi_basis_identity_after_pruning():
+    # greedy pruning (oracle): the unit alone spans when A = B
     expectation, tau = identity_expectation(3)
-    result = quasi_basis_report(expectation, tau)
+    result = greedy_quasi_basis(expectation, tau)
     assert result.basis is not None
     assert len(result.basis) == 1
     assert (result.basis.elements[0] - expectation.algebra.identity()).norm() <= 1e-9
@@ -157,14 +176,18 @@ def test_quasi_basis_none_for_non_faithful():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_quasi_basis_sizes_pinned(n):
-    # greedy pruning over (1, e_11, e_12, ...): for the pinching the unit
+    # the Pimsner-Popa basis has sum_t m_t sum_p k_tp elements: n * n for
+    # both the pinching (k = 1 for n blocks) and the trace (k = n).  Greedy
+    # pruning over (1, e_11, e_12, ...) (oracle): for the pinching the unit
     # covers the diagonal units and each off-diagonal unit adds a direction;
     # for the trace every unit is kept but e_nn, which 1 and the other
     # diagonal units already span
     expectation, tau = pinching_expectation(n)
-    assert len(find_quasi_basis(expectation, tau)) == n * n - n + 1
+    assert len(find_quasi_basis(expectation, tau)) == n * n
+    assert len(greedy_quasi_basis(expectation, tau).basis) == n * n - n + 1
     expectation, tau = trace_expectation(n)
     assert len(find_quasi_basis(expectation, tau)) == n * n
+    assert len(greedy_quasi_basis(expectation, tau).basis) == n * n
 
 
 def test_frame_map_and_defect_match_dense_reference(rng):
@@ -187,28 +210,46 @@ def test_frame_map_and_defect_match_dense_reference(rng):
 
 
 def test_quasi_basis_report_logs_its_evidence(caplog):
-    expectation, tau = pinching_expectation(3)
+    # one line per stage: the normal form, the quasi-basis, the indices
+    inclusion = diagonal_inclusion(3)
+    tau = TraceWeights(inclusion.target, (1.0 / 3,))
     with caplog.at_level(logging.INFO, logger="qindex.expectation"):
-        result = quasi_basis_report(expectation, tau)
+        canonical = canonical_expectation(inclusion, tau)
+        explicit = ConditionalExpectation(inclusion, canonical.matrix)
+        assert validate_expectation(explicit).ok
+        result = quasi_basis_report(explicit, tau)
+        compute_index_report(explicit, tau)
     assert result.basis is not None
-    text = caplog.text
-    assert "D=9" in text
-    assert "9 candidates tried, 7 kept" in text
-    assert "smin=" in text and "smax=" in text
-    assert "before refinement" in text and "after" in text
-    assert text.rstrip().endswith(" s")
+    lines = [r.getMessage() for r in caplog.records]
+    assert all(line.endswith(" s") for line in lines)
+    forms = [line for line in lines if line.startswith("normal form:")]
+    assert len(forms) == 2
+    assert "K=[[1, 1, 1]]" in forms[0]
+    assert "h eigenvalues in [1.000e+00, 1.000e+00] (faithful above 1.0e-10)" in forms[0]
+    assert "rebuild residual 0 by construction" in forms[0]
+    assert re.search(r"rebuild residual \S+ \(tolerance 1\.0e-09\)", forms[1])
+    bases = [line for line in lines if line.startswith("quasi-basis:")]
+    assert len(bases) == 2
+    assert re.match(r"quasi-basis: 9 elements, defect \S+ \(bound 3\.0e-09\)", bases[0])
+    indices = [line for line in lines if line.startswith("closed-form indices:")]
+    assert indices == [indices[0]]
+    assert "scalar 3, probabilistic 3," in indices[0]
+    assert len(lines) == len(forms) + len(bases) + len(indices)
 
 
 def test_quasi_basis_custom_spanning_sets_agree(rng):
+    # the index element does not depend on the quasi-basis: greedy families
+    # (oracle) grown from random spanning sets agree with the closed form
     expectation, tau = pinching_expectation(2)
     big = expectation.algebra
-    indices = []
+    indices = [watatani_index(expectation, find_quasi_basis(expectation, tau))]
     for _ in range(2):
         spanning = [big.random_element(rng) for _ in range(big.total_dim + 2)]
-        basis = find_quasi_basis(expectation, tau, spanning=spanning)
+        basis = greedy_quasi_basis(expectation, tau, spanning=spanning).basis
         assert basis is not None
         indices.append(watatani_index(expectation, basis))
     assert (indices[0] - indices[1]).norm() <= 1e-8
+    assert (indices[0] - indices[2]).norm() <= 1e-8
 
 
 # -- index element -----------------------------------------------------------
@@ -253,30 +294,52 @@ def test_index_report_finite_across_weight_ratios(ratio):
     # the scalar index is finite at every ratio, so the index element must
     # be found too; index_norm = inf here would be a wrong answer
     expectation, tau = _wide_weight_case(ratio)
-    report = compute_index_report(expectation, tau, budget=100)
-    assert report.quasi_basis_size == 11
+    report = compute_index_report(expectation, tau)
+    # sum_t m_t sum_p k_tp = 3 * 2 + 4 * 3
+    assert report.quasi_basis_size == 18
     assert abs(report.index_norm - report.scalar_index) <= 1e-8 * report.scalar_index
 
 
-def test_refinement_step_kept_only_when_it_lowers_the_defect(caplog):
-    # E is an expectation only up to rounding, so the refinement step can
-    # raise a defect already at that floor; here it does (about 4e-10
-    # before, 4e-9 after), and the family with the smaller defect is kept
+@pytest.mark.parametrize("explicit", [False, True])
+def test_defect_bound_is_relative_to_the_index(explicit):
+    # A = M_2 + M_2 in B = M_4 + M_4, K = [[1, 1], [2, 0]], trace weights
+    # (1.5e-4, 3.4e3): the index is 4.5e7 and the defect of the exact basis
+    # sits at the rounding floor, about 2e-9 here, which an absolute 1e-9
+    # bound would reject
+    k = np.array([[1, 1], [2, 0]])
+    inclusion = inclusion_from_multiplicities((2, 2), k, np.random.default_rng(0))
+    w = np.array([1.5e-4, 3.4e3])
+    tau = TraceWeights(inclusion.target, tuple(w))
+    expectation = canonical_expectation(inclusion, tau)
+    if explicit:
+        expectation = ConditionalExpectation(inclusion, expectation.matrix)
+        assert validate_expectation(expectation).ok
+    want = float(np.max(k @ (k.T @ w) / w))
+    result = quasi_basis_report(expectation, tau)
+    assert result.basis is not None
+    assert result.defect <= 1e-9 * want
+    assert abs(watatani_index(expectation, result.basis).norm() - want) <= 1e-8 * want
+
+
+def test_refinement_step_kept_only_when_it_lowers_the_defect():
+    # greedy quasi-basis (oracle): E is an expectation only up to rounding,
+    # so the refinement step can raise a defect already at that floor, and
+    # the family with the smaller defect is kept
     k = np.array([[2, 1], [0, 1]])
     inclusion = inclusion_from_multiplicities((2, 1), k, np.random.default_rng(0))
     w = np.array([1.0, 1e6])
     tau = TraceWeights(inclusion.target, tuple(w))
     expectation = canonical_expectation(inclusion, tau)
-    with caplog.at_level(logging.INFO, logger="qindex.expectation"):
-        result = quasi_basis_report(expectation, tau)
-    before, after = map(float, re.search(
-        r"defect (\S+) before refinement, (\S+) after", caplog.text).groups())
-    assert result.defect == pytest.approx(min(before, after), rel=1e-3)
+    result = greedy_quasi_basis(expectation, tau)
+    assert result.defect == min(result.defect_before, result.defect_after)
     assert (result.basis is not None) == (result.defect <= 1e-9)
+    want = float(np.max(k @ (k.T @ w) / w))
     if result.basis is not None:
-        want = float(np.max(k @ (k.T @ w) / w))
         norm = watatani_index(expectation, result.basis).norm()
         assert abs(norm - want) <= 1e-8 * want
+    # the closed-form basis is never rejected here
+    basis = find_quasi_basis(expectation, tau)
+    assert abs(watatani_index(expectation, basis).norm() - want) <= 1e-8 * want
 
 
 @pytest.mark.parametrize("ratio", [1e4, 1e8])
@@ -294,9 +357,9 @@ def test_centrality_warning_is_relative_to_the_index(ratio):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(st.data())
 def test_index_norm_is_reference_or_basis_rejected(data):
-    # two B blocks with trace weights 10^U(-4, 4): either the quasi-basis is
-    # rejected, or its index norm is max_t (K K^T w)_t / w_t and its defect
-    # is within 1e-9
+    # two B blocks with trace weights 10^U(-4, 4): the quasi-basis is never
+    # rejected, its index norm is max_t (K K^T w)_t / w_t, and its defect is
+    # within the relative bound 1e-9 * max(1, index)
     a_blocks = data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
     nb = 2
     k = np.array(data.draw(st.lists(
@@ -309,14 +372,13 @@ def test_index_norm_is_reference_or_basis_rejected(data):
     tau = TraceWeights(inclusion.target, tuple(map(float, w)))
     expectation = canonical_expectation(inclusion, tau)
     basis = find_quasi_basis(expectation, tau)
-    if basis is None:
-        return
+    assert basis is not None
     want = float(np.max(k @ (k.T @ w) / w))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         norm = watatani_index(expectation, basis).norm()
     assert abs(norm - want) <= 1e-8 * want
-    assert basis.defect(expectation) <= 1e-9
+    assert basis.defect(expectation) <= 1e-9 * max(1.0, want)
 
 
 # -- scalar index ------------------------------------------------------------
@@ -400,7 +462,7 @@ def test_index_report_ordering_chain(rng):
     for _ in range(5):
         inclusion, tau = random_multimatrix_inclusion(rng)
         expectation = canonical_expectation(inclusion, tau)
-        report = compute_index_report(expectation, tau, budget=300)
+        report = compute_index_report(expectation, tau)
         assert report.prob_lower <= report.prob_upper + 1e-9
         assert report.prob_upper <= report.scalar_index + 1e-9
         assert report.scalar_index <= report.index_norm + 1e-7
@@ -412,7 +474,7 @@ def test_index_element_location_report():
     # element with distinct block scalars does not
     from qindex.expectation import index_in_subalgebra
     expectation, tau = pinching_expectation(2)
-    report = compute_index_report(expectation, tau, budget=100)
+    report = compute_index_report(expectation, tau)
     assert report.index_in_subalgebra is True
 
     big = MultiMatrixAlgebra((1, 1))
@@ -573,3 +635,78 @@ def test_restrict_preserves_quasi_basis_existence(rng):
     tau_c = TraceWeights(restricted.algebra,
                          (1.0,) * len(restricted.algebra.blocks))
     assert find_quasi_basis(restricted, tau_c) is not None
+
+
+# -- density normal form against the dense oracles ------------------------------
+
+def _random_density(k, rng, singular):
+    """k x k PSD with eigenvalues in [1, 10], the smallest set to 0 when
+    ``singular``."""
+    vals = rng.uniform(1.0, 10.0, size=k)
+    if singular:
+        vals[0] = 0.0
+    u = random_unitary(k, rng)
+    return (u * vals) @ u.conj().T
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.data())
+def test_closed_forms_match_dense_oracles(data):
+    # explicit maps built from random non-scalar densities h_tp = w_t R_tp / N_p
+    # (R_tp of condition number <= 10, N_p normalising sum_t Tr h_tp = 1),
+    # trace weights 10^U(-4, 4), one density made singular in some draws
+    a_blocks = data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    nb = data.draw(st.integers(1, 2))
+    k = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=len(a_blocks), max_size=len(a_blocks)),
+        min_size=nb, max_size=nb)))
+    assume(k.sum(axis=1).all() and k.sum(axis=0).all())
+    singular = data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    w = 10.0 ** rng.uniform(-4.0, 4.0, size=nb)
+    raw = [[_random_density(k[t, p], rng, False) for p in range(len(a_blocks))]
+           for t in range(nb)]
+    if singular:
+        # a density that may vanish on a direction while sum_t Tr h_tp = 1 holds
+        spare = np.argwhere((k > 1) | ((k > 0) & ((k > 0).sum(axis=0) > 1)))
+        assume(len(spare))
+        t, p = map(int, spare[int(rng.integers(len(spare)))])
+        raw[t][p] = _random_density(k[t, p], rng, True)
+    norm = [sum(w[t] * np.trace(raw[t][p]).real for t in range(nb))
+            for p in range(len(a_blocks))]
+    h = [[w[t] * raw[t][p] / norm[p] for p in range(len(a_blocks))] for t in range(nb)]
+    b_blocks = k @ np.array(a_blocks)
+    unitaries = [random_unitary(int(m), rng) for m in b_blocks]
+    expectation = expectation_from_densities(a_blocks, k, unitaries, h)
+    tau = TraceWeights(expectation.algebra, tuple(map(float, w)))
+
+    assert validate_expectation(expectation).ok
+    assert four_axiom_failures(expectation) == ()
+    # the densities are read back up to a unitary of each multiplicity space
+    for got, want in zip(expectation.densities, h):
+        for g, d in zip(got, want):
+            assert np.abs(np.linalg.eigvalsh(g) - np.linalg.eigvalsh(d)).max(initial=0) <= 1e-12
+    lower, scalar = probabilistic_index_bounds(expectation)
+    basis = find_quasi_basis(expectation, tau)
+    if singular:
+        assert math.isinf(lower) and math.isinf(scalar)
+        assert math.isinf(choi_scalar_index(expectation))
+        assert basis is None
+        assert greedy_quasi_basis(expectation, tau).basis is None
+        return
+    assert 1.0 - 1e-12 <= lower <= scalar
+    # the closed forms are exact; the dense solvers lose about eps * index
+    # relative accuracy to the smallest density eigenvalue
+    slack = 1e-12 * scalar
+    assert abs(choi_scalar_index(expectation) - scalar) <= max(1e-9, slack) * scalar
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        norm = watatani_index(expectation, basis).norm()
+        greedy = greedy_quasi_basis(expectation, tau).basis
+        if greedy is not None:
+            assert abs(watatani_index(expectation, greedy).norm() - norm) \
+                <= max(1e-8, slack) * norm
+    assert abs(norm - scalar) <= 1e-9 * scalar
+    assert basis.defect(expectation) <= 1e-9 * max(1.0, scalar)
+    ascent, _ = ascent_probabilistic_bounds(expectation, budget=20)
+    assert ascent <= lower * (1 + max(1e-9, slack))

@@ -594,3 +594,17 @@ def test_qsystem_degree_pointed():
     dims = pf_dimensions(ring)
     for lab in ring.labels:
         assert abs(qsystem_degree(dims, lab) - 1.0) <= 1e-12
+
+
+def test_constructors_leave_caller_arrays_writeable():
+    ring, _ = gen_tlj(4)
+    tensor = np.array(ring.tensor)
+    FusionRing(ring.labels, ring.unit, ring.dual, tensor)
+    tensor[0, 0, 0] = 1
+    module = gen_regular_module(ring)
+    action = np.array(module.action)
+    FusionModule(ring, module.labels, action)
+    action[0, 0, 0] = 1
+    dims = np.eye(3, dtype=np.int64)
+    BigradedDims(dims)
+    dims[0, 0] = 2
