@@ -4,9 +4,8 @@ classification of finite-index sublattices between root and weight
 lattices."""
 
 from .algebra import (AlgebraElement, MultiMatrixAlgebra, StarHomomorphism,
-                      TraceWeights, choi_blocks, commutes_with_algebra,
-                      group_algebra_inclusion, identity_homomorphism,
-                      is_positive, subalgebra_structure)
+                      TraceWeights, choi_blocks, group_algebra_inclusion,
+                      identity_homomorphism, is_positive, subalgebra_structure)
 from .expectation import (ConditionalExpectation, IndexReport, QuasiBasis,
                           canonical_expectation, compute_index_report,
                           equivariantize, find_quasi_basis,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -189,8 +189,8 @@ class StarHomomorphism:
     """A unital *-homomorphism between multimatrix algebras.
 
     ``matrix`` acts on coefficient vectors, shape (target.total_dim,
-    source.total_dim).  Validity (unital, multiplicative, star-preserving)
-    is checked on the matrix-unit basis by :meth:`check`.
+    source.total_dim).  Validity (unital, injective, multiplicative,
+    star-preserving) is decided by :attr:`normal_form`.
     """
 
     source: MultiMatrixAlgebra
@@ -217,27 +217,6 @@ class StarHomomorphism:
 
     def image_basis(self) -> list[AlgebraElement]:
         return [self(e) for e in self.source.basis()]
-
-    def check(self, tol: float = DEFAULT_TOL) -> bool:
-        """Unital, multiplicative, adjoint-preserving on a spanning set.
-
-        Multiplicativity phi(e x) = phi(e) phi(x) for all x is the matrix
-        identity phi L_e = L_{phi(e)} phi, checked per basis element e.
-        """
-        if (self(self.source.identity()) - self.target.identity()).norm() > tol:
-            return False
-        adj = self.matrix.conj().T
-        for e in self.source.basis():
-            fe = self(e)
-            e_adj = e.adjoint()
-            if (self(e_adj) - fe.adjoint()).norm() > tol:
-                return False
-            # phi L_e = (L_{e*} phi*)*
-            lhs = multiply_columns(e_adj, adj).conj().T
-            rhs = multiply_columns(fe, self.matrix)
-            if float(np.max(np.abs(lhs - rhs))) > tol:
-                return False
-        return True
 
     @cached_property
     def normal_form(self) -> InclusionNormalForm:
@@ -332,32 +311,6 @@ def right_mult_matrix(x: AlgebraElement) -> np.ndarray:
     return _block_diag(blocks)
 
 
-def multiply_columns(x: AlgebraElement, cols: np.ndarray,
-                     right: bool = False) -> np.ndarray:
-    """x y, or y x with ``right``, for every coefficient column y of ``cols``.
-
-    Equals ``left_mult_matrix(x) @ cols`` (``right_mult_matrix(x) @ cols``)
-    without forming the D x D Kronecker matrix: a block of size m costs one
-    m x m by m x (m k) product, and blocks of equal size share one batched
-    matmul.
-    """
-    cols = np.asarray(cols)
-    k = cols.shape[1]
-    xv = x.to_vector()
-    out = np.empty(cols.shape, dtype=np.result_type(cols, xv))
-    for m, rows in x.parent.block_rows:
-        xs = xv[rows]
-        ys = cols[rows]
-        n = rows.shape[0]
-        if right:
-            # (y x)_ij = sum_l y_il x_lj, with the column index moved inside
-            prod = np.matmul(ys.transpose(0, 1, 3, 2).reshape(n, m * k, m), xs)
-            out[rows] = prod.reshape(n, m, k, m).transpose(0, 1, 3, 2)
-        else:
-            out[rows] = np.matmul(xs, ys.reshape(n, m, m * k)).reshape(n, m, m, k)
-    return out
-
-
 def column_norms(algebra: MultiMatrixAlgebra, cols: np.ndarray) -> np.ndarray:
     """Operator norm of the element held in each coefficient column."""
     worst = np.zeros(cols.shape[1])
@@ -399,11 +352,6 @@ class TraceWeights:
     def __call__(self, x: AlgebraElement) -> complex:
         return complex(sum(w * np.trace(m) for w, m in zip(self.weights, x.data)))
 
-    def coordinate_weights(self) -> np.ndarray:
-        """Diagonal of the GNS Gram matrix in the matrix-unit basis."""
-        return np.concatenate([np.full(m * m, w) for w, m in
-                               zip(self.weights, self.algebra.blocks)])
-
     @staticmethod
     def normalized(algebra: MultiMatrixAlgebra) -> TraceWeights:
         """The tracial state with equal block weights summing against dim."""
@@ -424,21 +372,6 @@ def is_positive(x: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
         if float(np.linalg.eigvalsh(h)[0]) < -tol:
             return False
     return True
-
-
-def commutes_with_algebra(x: AlgebraElement, span: Iterable[AlgebraElement],
-                          tol: float = DEFAULT_TOL) -> bool:
-    """True iff ||[x, a]|| <= tol for every a in the spanning family."""
-    return max_commutator(x, span) <= tol
-
-
-def max_commutator(x: AlgebraElement, span: Iterable[AlgebraElement]) -> float:
-    vecs = [a.to_vector() for a in span]
-    if not vecs:
-        return 0.0
-    cols = np.stack(vecs, axis=1)
-    comm = multiply_columns(x, cols) - multiply_columns(x, cols, right=True)
-    return float(column_norms(x.parent, comm).max())
 
 
 def choi_blocks(phi: Callable[[AlgebraElement], np.ndarray],
@@ -495,15 +428,17 @@ def group_algebra_inclusion(n: int, d: int) -> tuple[StarHomomorphism, TraceWeig
 # Structure of *-subalgebras (numerical Artin-Wedderburn decomposition)
 # ---------------------------------------------------------------------------
 
-def orthonormal_columns(vectors: Sequence[np.ndarray], rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the span of the given vectors."""
-    a = np.stack(vectors, axis=1)
+def orthonormal_columns(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+    """Orthonormal basis (columns) of the span of the columns of ``a``."""
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     rank = int(np.sum(s > rtol * max(s[0], 1.0)))
     return u[:, :rank]
 
 
 def _in_span(vec: np.ndarray, onb: np.ndarray, tol: float) -> bool:
+    """Whether ``vec`` (a vector, or a matrix of columns tested together
+    in the Frobenius norm) lies in the span of the orthonormal columns
+    ``onb``, to ``tol`` relative to its norm."""
     resid = vec - onb @ (onb.conj().T @ vec)
     return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(vec)))
 
@@ -525,8 +460,7 @@ def subalgebra_structure(span: Sequence[AlgebraElement],
     if not span:
         raise ValueError("empty spanning set")
     ambient = span[0].parent
-    vecs = [x.to_vector() for x in span]
-    onb = orthonormal_columns(vecs)
+    onb = orthonormal_columns(np.stack([x.to_vector() for x in span], axis=1))
 
     one = ambient.identity()
     if not _in_span(one.to_vector(), onb, tol):
@@ -578,7 +512,7 @@ def subalgebra_structure(span: Sequence[AlgebraElement],
     unit_reps: list[list[np.ndarray]] = []
     for p in central_projs:
         corner = [p @ r @ p for r in reps]
-        corner_onb = orthonormal_columns([c.ravel() for c in corner])
+        corner_onb = orthonormal_columns(np.stack([c.ravel() for c in corner], axis=1))
         k2 = corner_onb.shape[1]
         k = int(round(np.sqrt(k2)))
         if k * k != k2:
@@ -599,8 +533,11 @@ def subalgebra_structure(span: Sequence[AlgebraElement],
             cols.append(_rep_to_vector(ambient, u))
     matrix = np.stack(cols, axis=1)
     hom = StarHomomorphism(abstract, ambient, matrix)
-    if not hom.check(max(tol, 1e-7)):
-        raise ValueError("failed to realize spanning set as a multimatrix algebra")
+    try:
+        hom.normal_form
+    except ValueError as err:
+        raise ValueError("failed to realize spanning set as a multimatrix "
+                         f"algebra: {err}") from None
     return hom
 
 

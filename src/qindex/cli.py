@@ -23,9 +23,9 @@ import numpy as np
 from . import io as qio
 from .expectation import (ConditionalExpectation, canonical_expectation,
                           compute_index_report, validate_expectation)
-from .fusion import (action_functor, check_locally_constant, d_function,
-                     equivalence_classes, jones_membership, module_trace_solve,
-                     pf_dimensions, validate_module)
+from .fusion import (MultiplicityFunctor, check_locally_constant, d_function,
+                     equivalence_classes, functor_dims, jones_membership,
+                     module_trace_solve, pf_dimensions, validate_module)
 from .generators import gen_pointed, gen_regular_module, gen_tlj
 from .lattice import (IrrepLabel, cartan_data, classify_subgroups,
                       irrep_membership)
@@ -58,9 +58,13 @@ def _load_json(path: str):
                          f"column {err.colno}: {err.msg}")
 
 
+def _canonical(payload) -> str:
+    """The one JSON encoding of reports, digests and artifacts."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def _digest(payload) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
 def _digest_files(paths: list[str]) -> str:
@@ -98,15 +102,14 @@ def _emit(args, results: dict, input_digest: str, tolerances: dict,
         "wall_ms": round(1000.0 * (time.perf_counter() - t0), 3),
         "results": _jsonable(results),
     }
-    print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    print(_canonical(report))
 
 
 def _write_artifact(path: str | None, payload) -> None:
     if path is None:
         return
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_canonical(payload) + "\n")
 
 
 # -- index -------------------------------------------------------------------
@@ -226,7 +229,7 @@ def cmd_fusion_descent(args) -> int:
     for u in action_labels:
         if u not in ring.labels:
             raise CliFailure(EXIT_VALIDATION, f"unknown ring label {u!r}")
-        functor = action_functor(module, solved.trace, u)
+        functor = MultiplicityFunctor(module, functor_dims(module, u))
         d_f = d_function(functor, solved.trace)
         constant, violations = check_locally_constant(d_f, classes, args.tol)
         functors[u] = {"d_F": d_f, "locally_constant": constant,

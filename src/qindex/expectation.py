@@ -34,8 +34,8 @@ from .algebra import (
     MultiMatrixAlgebra,
     StarHomomorphism,
     TraceWeights,
+    _in_span,
     column_norms,
-    max_commutator,
     orthonormal_columns,
     subalgebra_structure,
 )
@@ -114,6 +114,15 @@ class ConditionalExpectation:
             out.append(tuple(hs))
         return tuple(out)
 
+    @cached_property
+    def spectra(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]:
+        """(ascending eigenvalues, eigenvectors) of the Hermitian part of
+        every density, from one eigh each.  Positivity, faithfulness, the
+        quasi-basis and the closed-form indices all read them from here."""
+        return tuple(tuple(np.linalg.eigh((h + h.conj().T) / 2) if h.size
+                           else (np.zeros(0), h) for h in hs)
+                     for hs in self.densities)
+
 
 def _rebuild(inclusion: StarHomomorphism,
              densities: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
@@ -139,23 +148,17 @@ def _rebuild(inclusion: StarHomomorphism,
     return inclusion.matrix @ reduce
 
 
-def _spectra(expectation: ConditionalExpectation) -> list[list[np.ndarray]]:
-    """Ascending eigenvalues of the Hermitian part of every density."""
-    return [[np.linalg.eigvalsh((h + h.conj().T) / 2) if h.size else np.zeros(0)
-             for h in hs] for hs in expectation.densities]
-
-
-def _faithfulness(spectra: list[list[np.ndarray]]) -> tuple[float, float, float]:
+def _faithfulness(expectation: ConditionalExpectation) -> tuple[float, float, float]:
     """(smallest, largest) density eigenvalue and the threshold RANK_RTOL
     times the largest: E is faithful iff every eigenvalue exceeds it."""
-    vals = np.concatenate([v for row in spectra for v in row])
+    vals = np.concatenate([v for row in expectation.spectra for v, _ in row])
     lo, hi = float(vals.min()), float(vals.max())
     return lo, hi, RANK_RTOL * max(hi, 0.0)
 
 
 def _log_normal_form(expectation: ConditionalExpectation, residual: str,
                      start: float) -> None:
-    lo, hi, threshold = _faithfulness(_spectra(expectation))
+    lo, hi, threshold = _faithfulness(expectation)
     log.info("normal form: K=%s, h eigenvalues in [%.3e, %.3e] (faithful "
              "above %.1e), rebuild residual %s, %.3f s",
              expectation.inclusion.normal_form.multiplicities.tolist(), lo, hi,
@@ -247,9 +250,9 @@ def validate_expectation(expectation: ConditionalExpectation,
     if residual > tol:
         failures.append("bimodularity")
 
-    if any(np.max(np.abs(d - d.conj().T)) > tol
-           or np.linalg.eigvalsh((d + d.conj().T) / 2)[0] < -tol
-           for hs in h for d in hs if d.size):
+    if any(d.size and (np.max(np.abs(d - d.conj().T)) > tol or vals[0] < -tol)
+           for hs, row in zip(h, expectation.spectra)
+           for d, (vals, _) in zip(hs, row)):
         failures.append("positivity")
 
     _log_normal_form(expectation, f"{residual:.3e} (tolerance {tol:.1e})", start)
@@ -306,8 +309,7 @@ def quasi_basis_report(expectation: ConditionalExpectation,
     start = time.perf_counter()
     big = expectation.algebra
     form = expectation.inclusion.normal_form
-    spectra = _spectra(expectation)
-    lo, hi, threshold = _faithfulness(spectra)
+    lo, hi, threshold = _faithfulness(expectation)
     if not lo > threshold:
         log.info("quasi-basis: none, density eigenvalue %.3e is below the "
                  "faithfulness threshold %.1e, %.3f s", lo, threshold,
@@ -316,15 +318,14 @@ def quasi_basis_report(expectation: ConditionalExpectation,
 
     blocks = []
     index_norm = 0.0
-    for m, corners, hs in zip(big.blocks, form.corners, expectation.densities):
+    for m, corners, spectra in zip(big.blocks, form.corners, expectation.spectra):
         # c_alpha = U_t (e_1 (x) h^{-1/2} e_alpha) on corner p, so the
         # elements of block t are the rows e_rho (x) conj(c_alpha)
         cs = []
         index_t = 0.0
-        for corner, h in zip(corners, hs):
-            if h.size == 0:
+        for corner, (vals, vecs) in zip(corners, spectra):
+            if vals.size == 0:
                 continue
-            vals, vecs = np.linalg.eigh((h + h.conj().T) / 2)
             cs.append(corner[:, 0, :] @ ((vecs / np.sqrt(vals)) @ vecs.conj().T))
             index_t += float(np.sum(1.0 / vals))
         index_norm = max(index_norm, index_t)
@@ -382,22 +383,26 @@ def _defect(algebra: MultiMatrixAlgebra, frame: np.ndarray) -> float:
 
 def watatani_index(expectation: ConditionalExpectation,
                    quasi_basis: QuasiBasis) -> AlgebraElement:
-    """The index element sum_i u_i u_i*.
+    """The index element x = sum_i u_i u_i*.
 
-    Checks that the element commutes with all of B and is positive
-    invertible; a centrality violation beyond 1e-8 max(1, ||sum u u*||)
+    The centre of B is the block scalars, so the centrality drift of x is
+    max_t ||x_t - (tr x_t / m_t) 1||; a drift beyond 1e-8 max(1, ||x||)
     is reported as a warning since it indicates an invalid quasi-basis.
+    x is positive by construction, and it is invertible when every
+    eigenvalue lower bound tr x_t / m_t - ||x_t - (tr x_t / m_t) 1||
+    exceeds RANK_RTOL ||x||; otherwise ValueError.
     """
-    big = expectation.algebra
-    acc = big.zero()
+    acc = expectation.algebra.zero()
     for u in quasi_basis.elements:
         acc = acc + u * u.adjoint()
-    drift = max_commutator(acc, big.basis())
-    if drift > 1e-8 * max(1.0, acc.norm()):
-        warnings.warn(f"index element fails centrality in B by {drift:.3e}; "
+    norm = acc.norm()
+    scalars = [float(np.trace(m).real) / len(m) for m in acc.data]
+    drifts = [float(np.linalg.norm(m - c * np.eye(len(m)), ord=2))
+              for m, c in zip(acc.data, scalars)]
+    if max(drifts) > 1e-8 * max(1.0, norm):
+        warnings.warn(f"index element fails centrality in B by {max(drifts):.3e}; "
                       "the quasi-basis is probably invalid", stacklevel=2)
-    eigs = np.concatenate([np.linalg.eigvalsh((m + m.conj().T) / 2) for m in acc.data])
-    if float(eigs.min()) <= RANK_RTOL * float(eigs.max()):
+    if min(c - d for c, d in zip(scalars, drifts)) <= RANK_RTOL * norm:
         raise ValueError("index element is not positive invertible")
     return acc
 
@@ -418,14 +423,13 @@ def _closed_form_indices(expectation: ConditionalExpectation) -> tuple[float, fl
     h_tp^{-1}), and it is attained.
     """
     start = time.perf_counter()
-    spectra = _spectra(expectation)
-    lo, _, threshold = _faithfulness(spectra)
+    lo, _, threshold = _faithfulness(expectation)
     prob = scalar = math.inf
     if lo > threshold:
         prob = scalar = 0.0
-        for row in spectra:
+        for row in expectation.spectra:
             prob_t = scalar_t = 0.0
-            for a, vals in zip(expectation.subalgebra.blocks, row):
+            for a, (vals, _) in zip(expectation.subalgebra.blocks, row):
                 inv = 1.0 / vals  # descending
                 top = float(np.sum(inv[:a]))
                 prob_t += top
@@ -466,24 +470,23 @@ def equivariantize(expectation: ConditionalExpectation,
     """Average E over a finite group acting by *-automorphisms of B.
 
     ``action`` lists every group element as an automorphism of B mapping
-    the image of A onto itself.  Returns the averaged expectation
-    x -> |G|^{-1} sum_g g^{-1}(E(g(x))), which is G-equivariant and
-    satisfies scalar_index(avg) <= scalar_index(E).
+    the image of A onto itself.  Each element is validated by its
+    :attr:`StarHomomorphism.normal_form`: a unital injective
+    *-endomorphism of B is an automorphism.  Returns the averaged
+    expectation x -> |G|^{-1} sum_g g^{-1}(E(g(x))), which is
+    G-equivariant and satisfies scalar_index(avg) <= scalar_index(E).
     """
     big = expectation.algebra
-    a_vecs = np.stack([a.to_vector() for a in expectation.inclusion.image_basis()],
-                      axis=1)
-    q = orthonormal_columns([a_vecs[:, k] for k in range(a_vecs.shape[1])])
+    a_mat = expectation.inclusion.matrix
+    onb = orthonormal_columns(a_mat)
     for g in action:
         if g.source.blocks != big.blocks or g.target.blocks != big.blocks:
             raise ValueError("action must consist of endomorphisms of B")
-        if not g.check(tol):
-            raise ValueError("action element is not a *-homomorphism")
-        if abs(np.linalg.det(g.matrix)) < 1e-12:
-            raise ValueError("action element is not invertible")
-        moved = g.matrix @ a_vecs
-        resid = moved - q @ (q.conj().T @ moved)
-        if float(np.linalg.norm(resid)) > tol * max(1.0, float(np.linalg.norm(moved))):
+        try:
+            g.normal_form
+        except ValueError as err:
+            raise ValueError(f"action element is not a *-automorphism: {err}") from None
+        if not _in_span(g.matrix @ a_mat, onb, tol):
             raise ValueError("action does not preserve the subalgebra setwise")
 
     dim = big.total_dim
@@ -504,16 +507,12 @@ def restrict_to_intermediate(expectation: ConditionalExpectation,
     and index computations run unchanged.
     """
     embed_c = subalgebra_structure(span, tol=tol)
-    big = expectation.algebra
-    c_abs = embed_c.source
-    c_pinv = np.linalg.pinv(embed_c.matrix)
-
     a_mat = expectation.inclusion.matrix
-    resid = embed_c.matrix @ (c_pinv @ a_mat) - a_mat
-    if float(np.linalg.norm(resid)) > tol * max(1.0, float(np.linalg.norm(a_mat))):
+    if not _in_span(a_mat, orthonormal_columns(embed_c.matrix), tol):
         raise ValueError("intermediate algebra does not contain the image of A")
 
-    incl = StarHomomorphism(expectation.subalgebra, c_abs, c_pinv @ a_mat)
+    c_pinv = np.linalg.pinv(embed_c.matrix)
+    incl = StarHomomorphism(expectation.subalgebra, embed_c.source, c_pinv @ a_mat)
     e_mat = c_pinv @ expectation.matrix @ embed_c.matrix
     restricted = ConditionalExpectation(incl, e_mat)
 
@@ -528,11 +527,8 @@ def index_in_subalgebra(expectation: ConditionalExpectation,
                         element: AlgebraElement,
                         tol: float = DEFAULT_TOL) -> bool:
     """Whether an element lies in the image of A inside B."""
-    vecs = [a.to_vector() for a in expectation.inclusion.image_basis()]
-    onb = orthonormal_columns(vecs)
-    v = element.to_vector()
-    resid = v - onb @ (onb.conj().T @ v)
-    return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(v)))
+    return _in_span(element.to_vector(),
+                    orthonormal_columns(expectation.inclusion.matrix), tol)
 
 
 def compute_index_report(expectation: ConditionalExpectation,

@@ -5,7 +5,8 @@ densities (see ``qindex.expectation``).  The solvers here are the dense
 numerical methods it used before, kept as independent references: the
 greedy frame-operator quasi-basis with its refinement step, the
 Choi-pencil scalar index, the finite-difference Pimsner-Popa ascent and
-the four-axiom validation.  ``expectation_from_densities`` builds explicit
+the four-axiom validation, all built on the blockwise products of
+``multiply_columns``.  ``expectation_from_densities`` builds explicit
 expectation maps from chosen densities without the library's normal form.
 """
 
@@ -17,10 +18,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from qindex.algebra import (DEFAULT_TOL, RANK_RTOL, AlgebraElement,
-                            MultiMatrixAlgebra, StarHomomorphism, choi_blocks,
-                            multiply_columns)
+                            MultiMatrixAlgebra, StarHomomorphism, choi_blocks)
 from qindex.expectation import (ConditionalExpectation, QuasiBasis, _defect,
                                 _frame_map)
+
+
+# -- blockwise products ----------------------------------------------------------
+
+def multiply_columns(x: AlgebraElement, cols: np.ndarray,
+                     right: bool = False) -> np.ndarray:
+    """x y, or y x with ``right``, for every coefficient column y of ``cols``.
+
+    Equals ``left_mult_matrix(x) @ cols`` (``right_mult_matrix(x) @ cols``)
+    without forming the D x D Kronecker matrix: a block of size m costs one
+    m x m by m x (m k) product, and blocks of equal size share one batched
+    matmul.
+    """
+    cols = np.asarray(cols)
+    k = cols.shape[1]
+    xv = x.to_vector()
+    out = np.empty(cols.shape, dtype=np.result_type(cols, xv))
+    for m, rows in x.parent.block_rows:
+        xs = xv[rows]
+        ys = cols[rows]
+        n = rows.shape[0]
+        if right:
+            # (y x)_ij = sum_l y_il x_lj, with the column index moved inside
+            prod = np.matmul(ys.transpose(0, 1, 3, 2).reshape(n, m * k, m), xs)
+            out[rows] = prod.reshape(n, m, k, m).transpose(0, 1, 3, 2)
+        else:
+            out[rows] = np.matmul(xs, ys.reshape(n, m, m * k)).reshape(n, m, m, k)
+    return out
 
 
 # -- validation ----------------------------------------------------------------

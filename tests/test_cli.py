@@ -165,6 +165,17 @@ def test_generate_round_trips(tmp_path, capsys):
     assert validate_fusion(ring) == []
 
 
+def test_artifacts_are_canonical_compact_json(tmp_path, capsys):
+    # -o files use the encoding of the report line: sorted keys, no spaces
+    ring_path = tmp_path / "tlj4.json"
+    code, out, _ = run(capsys, "fusion", "generate", "tlj", "--n", "4",
+                       "-o", str(ring_path))
+    assert code == 0
+    ring = report_of(out)["results"]["ring"]
+    assert ring_path.read_text() == json.dumps(ring, sort_keys=True,
+                                               separators=(",", ":")) + "\n"
+
+
 def test_generate_tlj4_has_three_labels(tmp_path, capsys):
     out_path = tmp_path / "tlj4.json"
     code, out, _ = run(capsys, "fusion", "generate", "tlj", "--n", "4",

@@ -100,6 +100,35 @@ def test_validate_rejects_non_positive_density():
     assert four_axiom_failures(bad) == ("positivity",)
 
 
+def test_each_density_is_eigendecomposed_once(rng, monkeypatch):
+    # validation, faithfulness, the quasi-basis, the closed-form indices and
+    # the log line all read one cached eigh per nonempty density; the index
+    # element is tested without any eigendecomposition
+    inclusion = inclusion_from_multiplicities((1, 2), np.array([[1, 0], [2, 1]]), rng)
+    tau = TraceWeights(inclusion.target, (0.3, 0.7))
+    inclusion.normal_form  # the inclusion's own eigh calls, cached before counting
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    canonical = canonical_expectation(inclusion, tau)
+    compute_index_report(canonical, tau)
+    nonempty = sum(h.size > 0 for hs in canonical.densities for h in hs)
+    assert nonempty == 3 and len(calls) == nonempty
+
+    calls.clear()
+    explicit = ConditionalExpectation(inclusion, canonical.matrix)
+    assert validate_expectation(explicit).ok
+    compute_index_report(explicit, tau)
+    assert len(calls) == nonempty
+
+
 def test_expectation_leaves_caller_array_writeable():
     expectation, _ = pinching_expectation(2)
     mat = np.array(expectation.matrix)
@@ -253,6 +282,29 @@ def test_quasi_basis_custom_spanning_sets_agree(rng):
 
 
 # -- index element -----------------------------------------------------------
+
+def test_watatani_warns_on_drift_in_a_later_block(rng):
+    # B = M_1 + M_2: block 0 is central whatever it holds, so only block 1,
+    # diag(1, 4) = 5/2 1 - 3/2 diag(1, -1), can drift
+    inclusion = inclusion_from_multiplicities((1,), np.array([[1], [2]]), rng)
+    expectation = canonical_expectation(inclusion, TraceWeights(inclusion.target,
+                                                                (1.0, 1.0)))
+    big = expectation.algebra
+    central = QuasiBasis((big.matrix_unit(0, 0, 0), big.matrix_unit(1, 0, 0),
+                          big.matrix_unit(1, 1, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (watatani_index(expectation, central) - big.identity()).norm() == 0
+    skew = QuasiBasis((big.matrix_unit(0, 0, 0), big.matrix_unit(1, 0, 0),
+                       2.0 * big.matrix_unit(1, 1, 1)))
+    with pytest.warns(UserWarning, match=re.escape("fails centrality in B by 1.500e+00")):
+        watatani_index(expectation, skew)
+    # sum u u* = (1, diag(1, 0)) is singular in block 1
+    singular = QuasiBasis((big.matrix_unit(0, 0, 0), big.matrix_unit(1, 0, 0)))
+    with pytest.warns(UserWarning), \
+            pytest.raises(ValueError, match="not positive invertible"):
+        watatani_index(expectation, singular)
+
 
 def test_watatani_index_values():
     expectation, tau = identity_expectation(2)
@@ -569,9 +621,16 @@ def test_equivariantize_fixes_equivariant_input():
 def test_equivariantize_rejects_bad_action():
     expectation, _ = pinching_expectation(2)
     big = expectation.algebra
+    # kills e_12 and e_21: neither injective nor multiplicative
     not_auto = StarHomomorphism(big, big, np.diag([1.0, 0.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        equivariantize(expectation, [not_auto])
+    # Ad(s) for an invertible, non-unitary s is an algebra automorphism that
+    # preserves the diagonal, but not a *-map
+    s = np.diag([1.0, 2.0])
+    cols = [(s @ e.data[0] @ np.linalg.inv(s)).ravel() for e in big.basis()]
+    not_star = StarHomomorphism(big, big, np.stack(cols, axis=1))
+    for g in (not_auto, not_star):
+        with pytest.raises(ValueError, match="not a \\*-automorphism"):
+            equivariantize(expectation, [identity_homomorphism(big), g])
 
 
 def test_equivariantize_monotone_scalar_index(rng):
