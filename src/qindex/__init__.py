@@ -4,14 +4,13 @@ classification of finite-index sublattices between root and weight
 lattices."""
 
 from .algebra import (AlgebraElement, MultiMatrixAlgebra, StarHomomorphism,
-                      TraceWeights, choi_blocks, group_algebra_inclusion,
+                      TraceWeights, group_algebra_inclusion,
                       identity_homomorphism, is_positive, subalgebra_structure)
 from .expectation import (ConditionalExpectation, IndexReport, QuasiBasis,
                           canonical_expectation, compute_index_report,
-                          equivariantize, find_quasi_basis,
-                          probabilistic_index_bounds, quasi_basis_report,
-                          restrict_to_intermediate, scalar_index,
-                          validate_expectation, watatani_index)
+                          equivariantize, probabilistic_index_bounds,
+                          quasi_basis_report, restrict_to_intermediate,
+                          scalar_index, validate_expectation, watatani_index)
 from .fusion import (BigradedDims, DimensionVector, FusionModule, FusionRing,
                      ModuleTrace, MultiplicityFunctor, action_functor,
                      check_locally_constant, d_function, equivalence_classes,

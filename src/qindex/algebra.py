@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -215,9 +215,6 @@ class StarHomomorphism:
             raise ValueError("composition mismatch")
         return StarHomomorphism(inner.source, self.target, self.matrix @ inner.matrix)
 
-    def image_basis(self) -> list[AlgebraElement]:
-        return [self(e) for e in self.source.basis()]
-
     @cached_property
     def normal_form(self) -> InclusionNormalForm:
         """Adapted unitaries and multiplicities of this inclusion.
@@ -297,20 +294,6 @@ def identity_homomorphism(algebra: MultiMatrixAlgebra) -> StarHomomorphism:
     return StarHomomorphism(algebra, algebra, np.eye(algebra.total_dim))
 
 
-def left_mult_matrix(x: AlgebraElement) -> np.ndarray:
-    """Matrix of y -> x y on coefficient vectors (row-major convention)."""
-    blocks = [mat if m == 1 else np.kron(mat, np.eye(m))
-              for mat, m in zip(x.data, x.parent.blocks)]
-    return _block_diag(blocks)
-
-
-def right_mult_matrix(x: AlgebraElement) -> np.ndarray:
-    """Matrix of y -> y x on coefficient vectors (row-major convention)."""
-    blocks = [mat if m == 1 else np.kron(np.eye(m), mat.T)
-              for mat, m in zip(x.data, x.parent.blocks)]
-    return _block_diag(blocks)
-
-
 def column_norms(algebra: MultiMatrixAlgebra, cols: np.ndarray) -> np.ndarray:
     """Operator norm of the element held in each coefficient column."""
     worst = np.zeros(cols.shape[1])
@@ -322,17 +305,6 @@ def column_norms(algebra: MultiMatrixAlgebra, cols: np.ndarray) -> np.ndarray:
             norms = np.linalg.norm(ys.transpose(0, 3, 1, 2), ord=2, axis=(-2, -1))
         worst = np.maximum(worst, norms.max(axis=0))
     return worst
-
-
-def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n), dtype=complex)
-    ofs = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[ofs:ofs + k, ofs:ofs + k] = b
-        ofs += k
-    return out
 
 
 @dataclass(frozen=True)
@@ -372,34 +344,6 @@ def is_positive(x: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
         if float(np.linalg.eigvalsh(h)[0]) < -tol:
             return False
     return True
-
-
-def choi_blocks(phi: Callable[[AlgebraElement], np.ndarray],
-                domain: MultiMatrixAlgebra) -> list[np.ndarray]:
-    """Choi matrices of a linear map from a multimatrix algebra into M_N.
-
-    For each domain block t of size m, returns
-    ``C_t = sum_{ij} phi(e^t_{ij}) (x) e_{ij}``, an N*m by N*m Hermitian
-    matrix.  phi is completely positive iff every C_t is positive
-    semidefinite.
-    """
-    out = []
-    for t, m in enumerate(domain.blocks):
-        n = np.asarray(phi(domain.matrix_unit(t, 0, 0)), dtype=complex).shape[0]
-        c = np.zeros((n * m, n * m), dtype=complex)
-        # phi(e_ij) (x) e_ij fills exactly the entries (p, i, q, j) of c
-        # viewed as n x m x n x m
-        blocks = c.reshape(n, m, n, m)
-        for i in range(m):
-            for j in range(m):
-                blocks[:, i, :, j] += np.asarray(phi(domain.matrix_unit(t, i, j)),
-                                                 dtype=complex)
-        out.append((c + c.conj().T) / 2)
-    return out
-
-
-def choi_is_psd(c: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return float(np.linalg.eigvalsh(c)[0]) >= -tol
 
 
 def group_algebra_inclusion(n: int, d: int) -> tuple[StarHomomorphism, TraceWeights]:

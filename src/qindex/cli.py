@@ -10,6 +10,7 @@ the wall_ms field.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -150,10 +151,6 @@ def cmd_index_compute(args) -> int:
           {"tol": args.tol}, args.seed, t0)
     if math.isinf(index.scalar_index):
         log.warning("infinite scalar index")
-        return EXIT_INFINITE
-    if index.index_element is None:
-        log.warning("quasi-basis rejected, index_norm is inf; "
-                    "the scalar index is finite: %r", index.scalar_index)
         return EXIT_INFINITE
     return EXIT_OK
 
@@ -332,7 +329,9 @@ def _select_subgroup(specs, name: str):
 
 # -- parser ------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-9,
                         help="numerical tolerance (default 1e-9)")

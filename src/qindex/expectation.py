@@ -9,10 +9,11 @@ sum_p C^{a_p} (x) C^{k_tp}, and
 
 with one density h_tp >= 0 per pair of blocks and sum_t Tr h_tp = 1.
 Validation, the trace-preserving expectation, the Pimsner-Popa
-quasi-basis, the scalar index max_t sum_p Tr h_tp^{-1} and the exact
-probabilistic index are all read off h.  The Watatani index element,
-finite-group averaging and restriction to intermediate subalgebras work
-on any expectation matrix.
+quasi-basis, the Watatani index element (sum_p Tr h_tp^{-1} on B block t),
+the scalar index (its largest block value) and the exact probabilistic
+index are all read off h.  The defect of a quasi-basis, the index element
+sum u_i u_i* of any family, finite-group averaging and restriction to
+intermediate subalgebras work on any expectation matrix.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ log = logging.getLogger("qindex.expectation")
 __all__ = [
     "ConditionalExpectation", "QuasiBasis", "QuasiBasisResult", "IndexReport",
     "ValidationReport", "validate_expectation", "canonical_expectation",
-    "find_quasi_basis", "quasi_basis_report", "watatani_index", "scalar_index",
+    "quasi_basis_report", "watatani_index", "scalar_index",
     "probabilistic_index_bounds", "equivariantize", "restrict_to_intermediate",
     "compute_index_report", "index_in_subalgebra",
 ]
@@ -205,8 +206,8 @@ class QuasiBasisResult:
 class IndexReport:
     """All index data of one expectation.
 
-    ``index_in_subalgebra`` records whether the index element lies in the
-    image of A; centrality in B is checked separately by watatani_index.
+    The index element is central in B by construction;
+    ``index_in_subalgebra`` records whether it lies in the image of A.
     """
 
     index_element: AlgebraElement | None
@@ -346,12 +347,6 @@ def quasi_basis_report(expectation: ConditionalExpectation,
     return QuasiBasisResult(qb, lo, hi, defect)
 
 
-def find_quasi_basis(expectation: ConditionalExpectation,
-                     tau: TraceWeights | None = None,
-                     tol: float = DEFAULT_TOL) -> QuasiBasis | None:
-    return quasi_basis_report(expectation, tau, tol).basis
-
-
 def _frame_map(algebra: MultiMatrixAlgebra, mat: np.ndarray,
                cols: np.ndarray) -> np.ndarray:
     """sum_k L_{c_k} mat L_{c_k}* for the coefficient columns c_k of ``cols``.
@@ -411,22 +406,24 @@ def watatani_index(expectation: ConditionalExpectation,
 # Scalar and probabilistic index in closed form
 # ---------------------------------------------------------------------------
 
-def _closed_form_indices(expectation: ConditionalExpectation) -> tuple[float, float]:
-    """(Index^p, scalar index) of E, both infinite when E is not faithful.
+def _closed_form_indices(expectation: ConditionalExpectation
+                         ) -> tuple[float, tuple[float, ...]]:
+    """Index^p of E and the per-block sums c_t = sum_p Tr h_tp^{-1}, all
+    infinite when E is not faithful.
 
-    The scalar index min{c : cE - id completely positive} is
-    max_t sum_p Tr h_tp^{-1}.  For v in block t with components V_p,
-    v* E(vv*)^+ v = sum_p tr(h_tp^{-1} Pi_p), Pi_p the projection onto the
-    row space of V_p h_tp^{1/2}, of rank at most min(a_p, k_tp); by Ky Fan's
-    maximum principle Index^p = min{c : cE - id positive} is
-    max_t sum_p (sum of the min(a_p, k_tp) largest eigenvalues of
-    h_tp^{-1}), and it is attained.
+    c_t is the index element on B block t, and the scalar index
+    min{c : cE - id completely positive} is max_t c_t.  For v in block t
+    with components V_p, v* E(vv*)^+ v = sum_p tr(h_tp^{-1} Pi_p), Pi_p the
+    projection onto the row space of V_p h_tp^{1/2}, of rank at most
+    min(a_p, k_tp); by Ky Fan's maximum principle Index^p = min{c : cE - id
+    positive} is max_t sum_p (sum of the min(a_p, k_tp) largest eigenvalues
+    of h_tp^{-1}), and it is attained.
     """
     start = time.perf_counter()
     lo, _, threshold = _faithfulness(expectation)
-    prob = scalar = math.inf
+    prob, sums = math.inf, [math.inf] * len(expectation.spectra)
     if lo > threshold:
-        prob = scalar = 0.0
+        prob, sums = 0.0, []
         for row in expectation.spectra:
             prob_t = scalar_t = 0.0
             for a, (vals, _) in zip(expectation.subalgebra.blocks, row):
@@ -435,16 +432,17 @@ def _closed_form_indices(expectation: ConditionalExpectation) -> tuple[float, fl
                 prob_t += top
                 # top plus the rest, so that prob_t <= scalar_t after rounding
                 scalar_t += top + float(np.sum(inv[a:]))
-            prob, scalar = max(prob, prob_t), max(scalar, scalar_t)
+            prob = max(prob, prob_t)
+            sums.append(scalar_t)
     log.info("closed-form indices: scalar %.12g, probabilistic %.12g, %.3f s",
-             scalar, prob, time.perf_counter() - start)
-    return prob, scalar
+             max(sums), prob, time.perf_counter() - start)
+    return prob, tuple(sums)
 
 
 def scalar_index(expectation: ConditionalExpectation) -> float:
     """min{c : cE - id completely positive} = max_t sum_p Tr h_tp^{-1}, or
     math.inf when a density is singular, never a large float."""
-    return _closed_form_indices(expectation)[1]
+    return max(_closed_form_indices(expectation)[1])
 
 
 def probabilistic_index_bounds(expectation: ConditionalExpectation,
@@ -457,7 +455,8 @@ def probabilistic_index_bounds(expectation: ConditionalExpectation,
     Index^p <= Index^s always holds.  ``budget`` and ``seed`` are accepted
     for compatibility and unused: nothing is searched.
     """
-    return _closed_form_indices(expectation)
+    lower, sums = _closed_form_indices(expectation)
+    return lower, max(sums)
 
 
 # ---------------------------------------------------------------------------
@@ -535,14 +534,23 @@ def compute_index_report(expectation: ConditionalExpectation,
                          tau: TraceWeights,
                          tol: float = DEFAULT_TOL,
                          seed: int = 0) -> IndexReport:
-    """Full index pipeline: quasi-basis, index element, scalar and
-    probabilistic indices.  ``seed`` is recorded in the report."""
-    result = quasi_basis_report(expectation, tau, tol=tol)
-    # the upper end of the probabilistic index is the scalar index
-    lower, scalar = probabilistic_index_bounds(expectation)
-    if result.basis is None:
+    """All index data of a valid expectation (canonical, or passed by
+    :func:`validate_expectation`), read off its density spectra in one pass.
+
+    The index element is c_t 1 on B block t, c_t = sum_p Tr h_tp^{-1}: it is
+    sum u_i u_i* for the Pimsner-Popa basis of :func:`quasi_basis_report`,
+    which has sum_t m_t sum_p k_tp elements and satisfies the quasi-basis
+    identity exactly once E equals the map rebuilt from h.  Its norm is the
+    scalar index.  ``tau`` is accepted for compatibility and unused;
+    ``seed`` is recorded in the report.
+    """
+    lower, sums = _closed_form_indices(expectation)
+    scalar = max(sums)
+    if math.isinf(scalar):
         return IndexReport(None, math.inf, scalar, lower, scalar, 0, seed)
-    index = watatani_index(expectation, result.basis)
-    return IndexReport(index, index.norm(), scalar, lower, scalar,
-                       len(result.basis), seed,
+    big = expectation.algebra
+    index = big.element([c * np.eye(m) for c, m in zip(sums, big.blocks)])
+    size = int(np.asarray(big.blocks)
+               @ expectation.inclusion.normal_form.multiplicities.sum(axis=1))
+    return IndexReport(index, scalar, scalar, lower, scalar, size, seed,
                        index_in_subalgebra(expectation, index, max(tol, 1e-8)))

@@ -6,24 +6,86 @@ numerical methods it used before, kept as independent references: the
 greedy frame-operator quasi-basis with its refinement step, the
 Choi-pencil scalar index, the finite-difference Pimsner-Popa ascent and
 the four-axiom validation, all built on the blockwise products of
-``multiply_columns``.  ``expectation_from_densities`` builds explicit
-expectation maps from chosen densities without the library's normal form.
+``multiply_columns`` and the Choi matrices of ``choi_blocks``.  The dense
+Kronecker multiplication matrices ``left_mult_matrix`` and
+``right_mult_matrix`` are the reference for those products, and
+``image_basis`` spans the image of an inclusion.
+``expectation_from_densities`` builds explicit expectation maps from
+chosen densities without the library's normal form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from qindex.algebra import (DEFAULT_TOL, RANK_RTOL, AlgebraElement,
-                            MultiMatrixAlgebra, StarHomomorphism, choi_blocks)
+                            MultiMatrixAlgebra, StarHomomorphism)
 from qindex.expectation import (ConditionalExpectation, QuasiBasis, _defect,
                                 _frame_map)
 
 
-# -- blockwise products ----------------------------------------------------------
+# -- dense references and blockwise products --------------------------------------
+
+def left_mult_matrix(x: AlgebraElement) -> np.ndarray:
+    """Matrix of y -> x y on coefficient vectors (row-major convention)."""
+    return _block_diag([mat if m == 1 else np.kron(mat, np.eye(m))
+                        for mat, m in zip(x.data, x.parent.blocks)])
+
+
+def right_mult_matrix(x: AlgebraElement) -> np.ndarray:
+    """Matrix of y -> y x on coefficient vectors (row-major convention)."""
+    return _block_diag([mat if m == 1 else np.kron(np.eye(m), mat.T)
+                        for mat, m in zip(x.data, x.parent.blocks)])
+
+
+def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n), dtype=complex)
+    ofs = 0
+    for b in blocks:
+        k = b.shape[0]
+        out[ofs:ofs + k, ofs:ofs + k] = b
+        ofs += k
+    return out
+
+
+def image_basis(hom: StarHomomorphism) -> list[AlgebraElement]:
+    """The images of the matrix units of the source: a spanning set of the
+    image of ``hom``."""
+    return [hom(e) for e in hom.source.basis()]
+
+
+def choi_blocks(phi: Callable[[AlgebraElement], np.ndarray],
+                domain: MultiMatrixAlgebra) -> list[np.ndarray]:
+    """Choi matrices of a linear map from a multimatrix algebra into M_N.
+
+    For each domain block t of size m, returns
+    ``C_t = sum_{ij} phi(e^t_{ij}) (x) e_{ij}``, an N*m by N*m Hermitian
+    matrix.  phi is completely positive iff every C_t is positive
+    semidefinite.
+    """
+    out = []
+    for t, m in enumerate(domain.blocks):
+        n = np.asarray(phi(domain.matrix_unit(t, 0, 0)), dtype=complex).shape[0]
+        c = np.zeros((n * m, n * m), dtype=complex)
+        # phi(e_ij) (x) e_ij fills exactly the entries (p, i, q, j) of c
+        # viewed as n x m x n x m
+        blocks = c.reshape(n, m, n, m)
+        for i in range(m):
+            for j in range(m):
+                blocks[:, i, :, j] += np.asarray(phi(domain.matrix_unit(t, i, j)),
+                                                 dtype=complex)
+        out.append((c + c.conj().T) / 2)
+    return out
+
+
+def choi_is_psd(c: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    return float(np.linalg.eigvalsh(c)[0]) >= -tol
+
 
 def multiply_columns(x: AlgebraElement, cols: np.ndarray,
                      right: bool = False) -> np.ndarray:
@@ -77,7 +139,7 @@ def four_axiom_failures(expectation: ConditionalExpectation,
         swap[rows] = rows.transpose(0, 2, 1)
     e_swapped = e_mat.T[swap]
     bimod = 0.0
-    for a in expectation.inclusion.image_basis():
+    for a in image_basis(expectation.inclusion):
         for right in (False, True):
             comm = (multiply_columns(a, e_swapped, not right)[swap].T
                     - multiply_columns(a, e_mat, right))
@@ -88,7 +150,7 @@ def four_axiom_failures(expectation: ConditionalExpectation,
     def phi(x: AlgebraElement) -> np.ndarray:
         return big.embed_block_diagonal(expectation(x))
 
-    if not all(float(np.linalg.eigvalsh(c)[0]) >= -tol for c in choi_blocks(phi, big)):
+    if not all(choi_is_psd(c, tol) for c in choi_blocks(phi, big)):
         failures.append("positivity")
     return tuple(failures)
 

@@ -1,10 +1,7 @@
 import json
-import logging
-import math
 
 from qindex import io as qio
 from qindex.cli import main
-from qindex.expectation import IndexReport
 from qindex.fusion import validate_fusion
 from qindex.generators import gen_regular_module
 
@@ -91,26 +88,6 @@ def test_index_compute_rank_deficient_exits_3(tmp_path, capsys):
     assert code == 3
     results = report_of(out)["results"]
     assert results["scalar_index"] == "inf"
-
-
-def test_index_compute_rejected_quasi_basis_exits_3(tmp_path, capsys, caplog,
-                                                    monkeypatch):
-    # a finite scalar index without an index element: the warning must not
-    # call the index infinite
-    def rejected(expectation, tau, **kwargs):
-        return IndexReport(None, math.inf, 3.0e6, 3.0e6, 3.0e6, 0, 0)
-
-    monkeypatch.setattr("qindex.cli.compute_index_report", rejected)
-    with caplog.at_level(logging.WARNING, logger="qindex"):
-        code, out, _ = run(capsys, "index", "compute", "--spec",
-                           pinching_spec(tmp_path))
-    assert code == 3
-    results = report_of(out)["results"]
-    assert results["index_norm"] == "inf"
-    assert results["scalar_index"] == 3.0e6
-    assert "quasi-basis rejected" in caplog.text
-    assert "3000000.0" in caplog.text
-    assert "infinite scalar index" not in caplog.text
 
 
 def test_index_compute_rejects_non_multiplicative_inclusion(tmp_path, capsys):

@@ -9,22 +9,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qindex.algebra import (MultiMatrixAlgebra, StarHomomorphism, TraceWeights,
-                            choi_blocks, group_algebra_inclusion,
-                            identity_homomorphism, left_mult_matrix)
+                            group_algebra_inclusion, identity_homomorphism)
 from qindex.expectation import (ConditionalExpectation, QuasiBasis, _frame_map,
                                 canonical_expectation, compute_index_report,
-                                equivariantize, find_quasi_basis,
-                                probabilistic_index_bounds, quasi_basis_report,
-                                restrict_to_intermediate, scalar_index,
-                                validate_expectation, watatani_index)
+                                equivariantize, index_in_subalgebra,
+                                probabilistic_index_bounds,
+                                quasi_basis_report, restrict_to_intermediate,
+                                scalar_index, validate_expectation,
+                                watatani_index)
 
 from conftest import (ad_homomorphism, diagonal_inclusion, identity_expectation,
                       inclusion_from_multiplicities, pinching_expectation,
                       random_connected_inclusion, random_multimatrix_inclusion,
                       random_unitary, scalars_inclusion, trace_expectation)
-from oracles import (ascent_probabilistic_bounds, choi_scalar_index,
-                     expectation_from_densities, four_axiom_failures,
-                     greedy_quasi_basis)
+from oracles import (ascent_probabilistic_bounds, choi_blocks,
+                     choi_scalar_index, expectation_from_densities,
+                     four_axiom_failures, greedy_quasi_basis, image_basis,
+                     left_mult_matrix)
 
 
 def state_expectation(n, rho):
@@ -212,10 +213,10 @@ def test_quasi_basis_sizes_pinned(n):
     # for the trace every unit is kept but e_nn, which 1 and the other
     # diagonal units already span
     expectation, tau = pinching_expectation(n)
-    assert len(find_quasi_basis(expectation, tau)) == n * n
+    assert len(quasi_basis_report(expectation, tau).basis) == n * n
     assert len(greedy_quasi_basis(expectation, tau).basis) == n * n - n + 1
     expectation, tau = trace_expectation(n)
-    assert len(find_quasi_basis(expectation, tau)) == n * n
+    assert len(quasi_basis_report(expectation, tau).basis) == n * n
     assert len(greedy_quasi_basis(expectation, tau).basis) == n * n
 
 
@@ -257,8 +258,10 @@ def test_quasi_basis_report_logs_its_evidence(caplog):
     assert "h eigenvalues in [1.000e+00, 1.000e+00] (faithful above 1.0e-10)" in forms[0]
     assert "rebuild residual 0 by construction" in forms[0]
     assert re.search(r"rebuild residual \S+ \(tolerance 1\.0e-09\)", forms[1])
+    # the quasi-basis line comes from quasi_basis_report alone: the index
+    # report reads the index element off the densities
     bases = [line for line in lines if line.startswith("quasi-basis:")]
-    assert len(bases) == 2
+    assert len(bases) == 1
     assert re.match(r"quasi-basis: 9 elements, defect \S+ \(bound 3\.0e-09\)", bases[0])
     indices = [line for line in lines if line.startswith("closed-form indices:")]
     assert indices == [indices[0]]
@@ -271,7 +274,7 @@ def test_quasi_basis_custom_spanning_sets_agree(rng):
     # (oracle) grown from random spanning sets agree with the closed form
     expectation, tau = pinching_expectation(2)
     big = expectation.algebra
-    indices = [watatani_index(expectation, find_quasi_basis(expectation, tau))]
+    indices = [watatani_index(expectation, quasi_basis_report(expectation, tau).basis)]
     for _ in range(2):
         spanning = [big.random_element(rng) for _ in range(big.total_dim + 2)]
         basis = greedy_quasi_basis(expectation, tau, spanning=spanning).basis
@@ -308,15 +311,15 @@ def test_watatani_warns_on_drift_in_a_later_block(rng):
 
 def test_watatani_index_values():
     expectation, tau = identity_expectation(2)
-    idx = watatani_index(expectation, find_quasi_basis(expectation, tau))
+    idx = watatani_index(expectation, quasi_basis_report(expectation, tau).basis)
     assert (idx - expectation.algebra.identity()).norm() <= 1e-9
 
     expectation, tau = pinching_expectation(2)
-    idx = watatani_index(expectation, find_quasi_basis(expectation, tau))
+    idx = watatani_index(expectation, quasi_basis_report(expectation, tau).basis)
     assert (idx - 2.0 * expectation.algebra.identity()).norm() <= 1e-9
 
     expectation, tau = trace_expectation(2)
-    idx = watatani_index(expectation, find_quasi_basis(expectation, tau))
+    idx = watatani_index(expectation, quasi_basis_report(expectation, tau).basis)
     assert (idx - 4.0 * expectation.algebra.identity()).norm() <= 1e-9
 
 
@@ -390,7 +393,7 @@ def test_refinement_step_kept_only_when_it_lowers_the_defect():
         norm = watatani_index(expectation, result.basis).norm()
         assert abs(norm - want) <= 1e-8 * want
     # the closed-form basis is never rejected here
-    basis = find_quasi_basis(expectation, tau)
+    basis = quasi_basis_report(expectation, tau).basis
     assert abs(watatani_index(expectation, basis).norm() - want) <= 1e-8 * want
 
 
@@ -399,7 +402,7 @@ def test_centrality_warning_is_relative_to_the_index(ratio):
     # at ratio 1e8 the commutator drift is about 1e-6 on an index of 3e8,
     # a relative drift of about 1e-15
     expectation, tau = _wide_weight_case(ratio)
-    basis = find_quasi_basis(expectation, tau)
+    basis = quasi_basis_report(expectation, tau).basis
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         index = watatani_index(expectation, basis)
@@ -423,7 +426,7 @@ def test_index_norm_is_reference_or_basis_rejected(data):
     inclusion = inclusion_from_multiplicities(a_blocks, k, rng)
     tau = TraceWeights(inclusion.target, tuple(map(float, w)))
     expectation = canonical_expectation(inclusion, tau)
-    basis = find_quasi_basis(expectation, tau)
+    basis = quasi_basis_report(expectation, tau).basis
     assert basis is not None
     want = float(np.max(k @ (k.T @ w) / w))
     with warnings.catch_warnings():
@@ -521,10 +524,37 @@ def test_index_report_ordering_chain(rng):
         assert abs(report.scalar_index - report.index_norm) <= 1e-7
 
 
+def test_index_report_reads_the_density_spectra_only(rng, monkeypatch):
+    # no quasi-basis, defect or sum u u* on the report path: the index
+    # element (K K^T w)_t / w_t 1 is read off the densities, of the canonical
+    # expectation and of the same map given explicitly and validated
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the index report left the density spectra")
+
+    for name in ("quasi_basis_report", "watatani_index", "_frame_map"):
+        monkeypatch.setattr(f"qindex.expectation.{name}", forbidden)
+    k = np.array([[1, 1], [2, 0]])
+    inclusion = inclusion_from_multiplicities((2, 1), k, rng)
+    w = np.array([0.3, 2.0])
+    tau = TraceWeights(inclusion.target, tuple(w))
+    canonical = canonical_expectation(inclusion, tau)
+    explicit = ConditionalExpectation(inclusion, canonical.matrix)
+    assert validate_expectation(explicit).ok
+    want = k @ (k.T @ w) / w
+    for expectation in (canonical, explicit):
+        report = compute_index_report(expectation, tau)
+        for block, c in zip(report.index_element.data, want):
+            assert np.abs(block - c * np.eye(len(block))).max() <= 1e-12 * c
+        assert report.index_norm == report.scalar_index
+        assert abs(report.scalar_index - want.max()) <= 1e-12 * want.max()
+        # B = M_3 + M_4: sum_t m_t sum_p k_tp = 3 * 2 + 4 * 2
+        assert report.quasi_basis_size == 14
+        assert report.index_in_subalgebra is False
+
+
 def test_index_element_location_report():
     # scalar index element lies in the image of A; a two-block index
     # element with distinct block scalars does not
-    from qindex.expectation import index_in_subalgebra
     expectation, tau = pinching_expectation(2)
     report = compute_index_report(expectation, tau)
     assert report.index_in_subalgebra is True
@@ -551,9 +581,9 @@ def test_tower_multiplicativity():
     e_scalars = canonical_expectation(scalars_in_diag, tau_diag)
     e_comp = canonical_expectation(scalars_inclusion(2), tau)
 
-    n1 = watatani_index(e_diag, find_quasi_basis(e_diag, tau)).norm()
-    n2 = watatani_index(e_scalars, find_quasi_basis(e_scalars, tau_diag)).norm()
-    n3 = watatani_index(e_comp, find_quasi_basis(e_comp, tau)).norm()
+    n1 = watatani_index(e_diag, quasi_basis_report(e_diag, tau).basis).norm()
+    n2 = watatani_index(e_scalars, quasi_basis_report(e_scalars, tau_diag).basis).norm()
+    n3 = watatani_index(e_comp, quasi_basis_report(e_comp, tau).basis).norm()
     assert abs(n1 * n2 - n3) <= 1e-9
     assert abs(n3 - 4.0) <= 1e-9
 
@@ -566,7 +596,7 @@ def test_group_algebra_integer_index():
             inclusion, tau = group_algebra_inclusion(n, d)
             expectation = canonical_expectation(inclusion, tau)
             norm = watatani_index(
-                expectation, find_quasi_basis(expectation, tau)).norm()
+                expectation, quasi_basis_report(expectation, tau).basis).norm()
             assert abs(norm - round(norm)) <= 1e-9
             assert abs(norm - n / d) <= 1e-9
 
@@ -585,7 +615,7 @@ def test_perron_frobenius_trace_gives_scalar_index(rng):
         weights = weights / np.dot(weights, inclusion.target.blocks)
         tau = TraceWeights(inclusion.target, tuple(map(float, weights)))
         expectation = canonical_expectation(inclusion, tau)
-        index = watatani_index(expectation, find_quasi_basis(expectation, tau))
+        index = watatani_index(expectation, quasi_basis_report(expectation, tau).basis)
         assert (index - beta * inclusion.target.identity()).norm() <= 1e-8
         assert abs(scalar_index(expectation) - beta) <= 1e-8
 
@@ -655,7 +685,7 @@ def test_restrict_to_diagonal_gives_index_two():
     restricted = restrict_to_intermediate(expectation, span)
     assert restricted.algebra.blocks == (1, 1)
     tau_c = TraceWeights(restricted.algebra, (0.5, 0.5))
-    basis = find_quasi_basis(restricted, tau_c)
+    basis = quasi_basis_report(restricted, tau_c).basis
     assert basis is not None
     assert abs(watatani_index(restricted, basis).norm() - 2.0) <= 1e-9
 
@@ -690,10 +720,10 @@ def test_restrict_preserves_quasi_basis_existence(rng):
     expectation = canonical_expectation(inclusion, tau)
     big = expectation.algebra
     restricted = restrict_to_intermediate(
-        expectation, [big.identity()] + expectation.inclusion.image_basis())
+        expectation, [big.identity()] + image_basis(expectation.inclusion))
     tau_c = TraceWeights(restricted.algebra,
                          (1.0,) * len(restricted.algebra.blocks))
-    assert find_quasi_basis(restricted, tau_c) is not None
+    assert quasi_basis_report(restricted, tau_c).basis is not None
 
 
 # -- density normal form against the dense oracles ------------------------------
@@ -746,11 +776,14 @@ def test_closed_forms_match_dense_oracles(data):
         for g, d in zip(got, want):
             assert np.abs(np.linalg.eigvalsh(g) - np.linalg.eigvalsh(d)).max(initial=0) <= 1e-12
     lower, scalar = probabilistic_index_bounds(expectation)
-    basis = find_quasi_basis(expectation, tau)
+    basis = quasi_basis_report(expectation, tau).basis
+    report = compute_index_report(expectation, tau)
+    assert report.index_norm == report.scalar_index == scalar
     if singular:
         assert math.isinf(lower) and math.isinf(scalar)
         assert math.isinf(choi_scalar_index(expectation))
         assert basis is None
+        assert report.index_element is None and report.quasi_basis_size == 0
         assert greedy_quasi_basis(expectation, tau).basis is None
         return
     assert 1.0 - 1e-12 <= lower <= scalar
@@ -760,12 +793,18 @@ def test_closed_forms_match_dense_oracles(data):
     assert abs(choi_scalar_index(expectation) - scalar) <= max(1e-9, slack) * scalar
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        norm = watatani_index(expectation, basis).norm()
+        index = watatani_index(expectation, basis)
+        norm = index.norm()
         greedy = greedy_quasi_basis(expectation, tau).basis
         if greedy is not None:
             assert abs(watatani_index(expectation, greedy).norm() - norm) \
                 <= max(1e-8, slack) * norm
     assert abs(norm - scalar) <= 1e-9 * scalar
     assert basis.defect(expectation) <= 1e-9 * max(1.0, scalar)
+    # the report's closed-form index element is sum u u* of that basis
+    for got, want in zip(report.index_element.data, index.data):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert report.quasi_basis_size == len(basis)
+    assert report.index_in_subalgebra == index_in_subalgebra(expectation, index, 1e-8)
     ascent, _ = ascent_probabilistic_bounds(expectation, budget=20)
     assert ascent <= lower * (1 + max(1e-9, slack))

@@ -10,7 +10,6 @@ from qindex.lattice import (CartanData, FiniteAbelianGroup, IrrepLabel,
                             crosscheck_torus_index, enumerate_subgroups,
                             hermite_normal_form, irrep_membership,
                             smith_normal_form, standard_cartan_matrix)
-from qindex.lattice import _det
 
 
 EXPECTED_CENTERS = {
@@ -19,6 +18,29 @@ EXPECTED_CENTERS = {
     "D3": (4,), "D4": (2, 2), "D5": (4,), "D6": (2, 2),
     "E6": (3,), "E7": (2,), "E8": (), "F4": (), "G2": (),
 }
+
+
+def _det(mat):
+    """Exact integer determinant by Gaussian elimination over the rationals:
+    the independent reference of the SNF and HNF tests."""
+    m = [[Fraction(int(x)) for x in row] for row in mat]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = m[c][c]
+        for r in range(c + 1, n):
+            factor = m[r][c] / inv
+            if factor:
+                m[r] = [a - factor * b for a, b in zip(m[r], m[c])]
+    assert det.denominator == 1
+    return int(det)
 
 
 def close(gens, factors):
