@@ -144,17 +144,10 @@ class AlgebraElement:
     def adjoint(self) -> AlgebraElement:
         return self.parent.element([m.conj().T for m in self.data])
 
-    @property
-    def star(self) -> AlgebraElement:
-        return self.adjoint()
-
     def norm(self) -> float:
         """Operator norm: the largest singular value over all blocks."""
         return max(float(abs(m[0, 0])) if m.shape == (1, 1)
                    else float(np.linalg.norm(m, ord=2)) for m in self.data)
-
-    def trace_vector(self) -> np.ndarray:
-        return np.array([np.trace(m) for m in self.data])
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
         return (self - self.adjoint()).norm() <= tol
@@ -223,7 +216,7 @@ class StarHomomorphism:
         space of A block p there, and the images of e^p_i1 carry it to row
         i of the corner.  Raises ValueError when the map is not a unital,
         injective *-homomorphism, tested as: every U_t is unitary and
-        U_t* phi(e^p_ij)_t U_t is e_ij (x) 1 on corner p and 0 elsewhere.
+        phi(e^p_ij)_t is U_t (e_ij (x) 1) U_t*, read off the corner of p.
         """
         src, tgt = self.source, self.target
         cols = np.cumsum((0,) + tuple(a * a for a in src.blocks))
@@ -254,15 +247,12 @@ class StarHomomorphism:
                 raise ValueError(
                     "inclusion is not a *-homomorphism: the adapted basis of "
                     f"B block {t} fails unitarity by {gap:.3e}")
-            want = np.zeros_like(images)
-            ofs = 0
-            for p, a in enumerate(src.blocks):
-                k = int(mult[t, p])
-                units = np.einsum("ik,jl,ab->ijkalb", np.eye(a), np.eye(a), np.eye(k))
-                want[cols[p]:cols[p + 1], ofs:ofs + a * k, ofs:ofs + a * k] = \
-                    units.reshape(a * a, a * k, a * k)
-                ofs += a * k
-            gap = float(np.max(np.abs(unitary.conj().T @ images @ unitary - want)))
+            # with U_t unitary, U_t* phi(e^p_ij) U_t = e_ij (x) 1 exactly when
+            # phi(e^p_ij)_t is the product of columns (p, i, .) and (p, j, .)*
+            gap = max(float(np.max(np.abs(
+                images[cols[p]:cols[p + 1]].reshape(a, a, m, m)
+                - np.einsum("ria,cja->ijrc", c, c.conj()))))
+                for p, (a, c) in enumerate(zip(src.blocks, block)))
             if gap > INCLUSION_TOL:
                 raise ValueError(
                     "inclusion is not a *-homomorphism: in B block "

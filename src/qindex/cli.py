@@ -26,7 +26,8 @@ from .expectation import (ConditionalExpectation, canonical_expectation,
                           compute_index_report, validate_expectation)
 from .fusion import (MultiplicityFunctor, check_locally_constant, d_function,
                      equivalence_classes, functor_dims, jones_membership,
-                     module_trace_solve, pf_dimensions, validate_module)
+                     module_trace_solve, pf_dimensions, validate_fusion,
+                     validate_module)
 from .generators import gen_pointed, gen_regular_module, gen_tlj
 from .lattice import (IrrepLabel, cartan_data, classify_subgroups,
                       irrep_membership)
@@ -60,12 +61,20 @@ def _load_json(path: str):
 
 
 def _canonical(payload) -> str:
-    """The one JSON encoding of reports, digests and artifacts."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """The JSON encoding of reports and artifacts, in which an infinite
+    float is the string "inf"."""
+    try:
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+    except ValueError:  # an infinite index, or fusion jones --value inf
+        return json.dumps(_inf_as_string(payload), sort_keys=True,
+                          separators=(",", ":"), allow_nan=False)
 
 
 def _digest(payload) -> str:
-    return hashlib.sha256(_canonical(payload).encode()).hexdigest()
+    # hashed as Python's json writes it, so --value inf hashes "Infinity"
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _digest_files(paths: list[str]) -> str:
@@ -76,20 +85,12 @@ def _digest_files(paths: list[str]) -> str:
     return h.hexdigest()
 
 
-def _jsonable(value):
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return value
+def _inf_as_string(value):
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {k: _inf_as_string(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return _jsonable(float(value))
-    return value
+        return [_inf_as_string(v) for v in value]
+    return "inf" if isinstance(value, float) and math.isinf(value) else value
 
 
 def _emit(args, results: dict, input_digest: str, tolerances: dict,
@@ -98,10 +99,10 @@ def _emit(args, results: dict, input_digest: str, tolerances: dict,
         "schema": SCHEMA,
         "command": args._command_echo,
         "input_digest": input_digest,
-        "tolerances": _jsonable(tolerances),
+        "tolerances": tolerances,
         "seed": seed,
         "wall_ms": round(1000.0 * (time.perf_counter() - t0), 3),
-        "results": _jsonable(results),
+        "results": results,
     }
     print(_canonical(report))
 
@@ -146,7 +147,7 @@ def cmd_index_compute(args) -> int:
         "seed": index.seed,
         "index_in_subalgebra": index.index_in_subalgebra,
     }
-    _write_artifact(args.output, _jsonable(results))
+    _write_artifact(args.output, results)
     _emit(args, results, _digest_files([args.spec]),
           {"tol": args.tol}, args.seed, t0)
     if math.isinf(index.scalar_index):
@@ -179,9 +180,6 @@ def cmd_fusion_trace(args) -> int:
     t0 = time.perf_counter()
     ring = _ring_from_arg(args.ring)
     module, module_paths = _module_from_arg(args.module, ring)
-    problems = validate_module(module)
-    if problems:
-        raise CliFailure(EXIT_VALIDATION, "; ".join(problems))
     dims = pf_dimensions(ring)
     result = module_trace_solve(module, dims)
     results = {
@@ -190,7 +188,7 @@ def cmd_fusion_trace(args) -> int:
         "ring_dims": dims.as_dict(),
         "trace": result.trace.as_dict() if result.trace else None,
     }
-    _write_artifact(args.output, _jsonable(results))
+    _write_artifact(args.output, results)
     _emit(args, results, _digest_files([args.ring] + module_paths),
           {}, args.seed, t0)
     return EXIT_OK if result.status == "ok" else EXIT_INFINITE
@@ -209,9 +207,6 @@ def cmd_fusion_descent(args) -> int:
     t0 = time.perf_counter()
     ring = _ring_from_arg(args.ring)
     module, module_paths = _module_from_arg(args.module, ring)
-    problems = validate_module(module)
-    if problems:
-        raise CliFailure(EXIT_VALIDATION, "; ".join(problems))
     subring = [x for x in args.subring.split(",") if x]
     dims = pf_dimensions(ring)
     solved = module_trace_solve(module, dims)
@@ -247,27 +242,32 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _ring_from_arg(path: str):
-    data = _load_json(path)
     try:
-        ring = qio.ring_from_json(data)
+        return qio.ring_from_json(_load_json(path))
     except qio.SchemaError as err:
         raise CliFailure(EXIT_VALIDATION, str(err))
-    return ring
 
 
 def _module_from_arg(arg: str, ring):
+    """The validated module of --module, and the files it was read from.
+    The regular module's laws are its ring's axioms, so it is validated
+    as its ring."""
     if arg == "regular":
-        return gen_regular_module(ring), []
-    data = _load_json(arg)
-    try:
-        module = qio.module_from_json(data)
-    except qio.SchemaError as err:
-        raise CliFailure(EXIT_VALIDATION, str(err))
-    if module.ring.labels != ring.labels or \
-            not np.array_equal(module.ring.tensor, ring.tensor):
-        raise CliFailure(EXIT_VALIDATION,
-                         "module file carries a different ring than --ring")
-    return module, [arg]
+        module, paths = gen_regular_module(ring), []
+        problems = [f"ring: {v}" for v in validate_fusion(ring)]
+    else:
+        try:
+            module, paths = qio.module_from_json(_load_json(arg)), [arg]
+        except qio.SchemaError as err:
+            raise CliFailure(EXIT_VALIDATION, str(err))
+        if module.ring.labels != ring.labels or \
+                not np.array_equal(module.ring.tensor, ring.tensor):
+            raise CliFailure(EXIT_VALIDATION,
+                             "module file carries a different ring than --ring")
+        problems = validate_module(module)
+    if problems:
+        raise CliFailure(EXIT_VALIDATION, "; ".join(problems))
+    return module, paths
 
 
 # -- classify ----------------------------------------------------------------
@@ -286,7 +286,7 @@ def cmd_classify_table(args) -> int:
         "index": spec.index_in_p,
     } for spec in specs]
     results = {"lie_type": cartan.lie_type, "entries": rows}
-    _write_artifact(args.output, _jsonable(results))
+    _write_artifact(args.output, results)
     _emit(args, results, _digest({"lie_type": cartan.lie_type}), {}, args.seed, t0)
     return EXIT_OK
 
@@ -329,11 +329,29 @@ def _select_subgroup(specs, name: str):
 
 # -- parser ------------------------------------------------------------------
 
+def _number(text: str) -> float:
+    """A float that is not NaN (--value)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """A finite float >= 0 (--tol)."""
+    if not 0 <= _number(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"not a finite number >= 0: {text!r}")
+    return float(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9,
+    common.add_argument("--tol", type=_tolerance, default=1e-9,
                         help="numerical tolerance (default 1e-9)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed recorded in the report (default 0)")
@@ -379,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_jones = fusion_sub.add_parser("jones", parents=[common],
                                     help="Jones spectrum membership")
-    p_jones.add_argument("--value", type=float, required=True)
+    p_jones.add_argument("--value", type=_number, required=True)
     p_jones.set_defaults(func=cmd_fusion_jones)
 
     p_descent = fusion_sub.add_parser(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -65,32 +65,53 @@ class FusionRing:
     def n(self, u: str, v: str, w: str) -> int:
         return int(self.tensor[self.index(u), self.index(v), self.index(w)])
 
-    def fusion_matrix(self, u: str) -> np.ndarray:
-        """Matrix with entries N_{u v}^w at (v, w)."""
-        return np.array(self.tensor[self.index(u)])
+
+def _associativity_violations(what: str, t: np.ndarray, a: np.ndarray,
+                              where: Callable[..., str]) -> list[str]:
+    """Exact check of sum_x N_{uv}^x a_{x,i}^j = sum_k a_{v,i}^k a_{u,k}^j,
+    with ``t`` = N: mixed associativity of a module, and associativity of
+    the ring for a = N.
+
+    Each ring label u is one pair of products of float64 copies, as
+    (v, (i, j)) and ((v, i), j) matrices.  The sums have r terms up to
+    max(N) * max(a) and m terms up to max(a)^2; below 2^53 every partial
+    sum is an integer that float64 holds exactly, in any order, and above
+    it the violation is ``exactness bound``.  The first mismatch is named
+    by ``where(u, v, i, j)``.
+    """
+    r, m = a.shape[:2]
+    big_t, big_a = int(t.max()), int(a.max(initial=0))
+    for terms, left, right in ((r, big_t, big_a), (m, big_a, big_a)):
+        if terms * left * right >= 2 ** 53:
+            return [f"exactness bound: {what} sums {terms} products of "
+                    f"multiplicities up to {left} x {right} = {terms * left * right} "
+                    ">= 2^53; too large to check exactly"]
+    tf = t.astype(np.float64)
+    af = tf if a is t else a.astype(np.float64)
+    for u in range(r):
+        lhs = (tf[u] @ af.reshape(r, m * m)).reshape(r, m, m)
+        rhs = (af.reshape(r * m, m) @ af[u]).reshape(r, m, m)
+        if not np.array_equal(lhs, rhs):
+            v, i, j = np.argwhere(lhs != rhs)[0]
+            return [f"{what}: {where(u, v, i, j)}: "
+                    f"{int(lhs[v, i, j])} != {int(rhs[v, i, j])}"]
+    return []
 
 
-def _exactness_violation(what: str, terms: int, left: int, right: int) -> list[str]:
-    """The named violation when a sum of ``terms`` products of integers up
-    to ``left`` and ``right`` can reach 2^53.  Below that, every partial
-    sum of nonnegative integers is an integer that float64 holds exactly,
-    in any summation order."""
-    bound = terms * left * right
-    if bound < 2 ** 53:
-        return []
-    return [f"exactness bound: {what} sums {terms} products of "
-            f"multiplicities up to {left} x {right} = {bound} >= 2^53; "
-            "too large to check exactly"]
+def _conjugation_mismatch(a: np.ndarray, dual_idx: list[int]) -> tuple | None:
+    """The first (u, i, j) where a_{ubar,j}^i != a_{u,i}^j, or None: the
+    conjugate transpose law of a module, and Frobenius reciprocity of the
+    ring for a = N.  ``dual_idx[u]`` is the index of ubar."""
+    bad = np.argwhere(a[dual_idx].transpose(0, 2, 1) != a)
+    return tuple(bad[0]) if bad.size else None
 
 
 def validate_fusion(ring: FusionRing) -> list[str]:
     """Exact check of the unit, associativity, and duality axioms.
 
-    Associativity is checked one label u at a time: the two r x r^2
-    products ``N_u @ N`` and ``N @ N_u`` of float64 copies of the
-    multiplicities.  Every sum is exact because it is checked first that
-    r * max(N)^2 < 2^53; a ring above that bound is rejected with an
-    ``exactness bound`` violation.  Memory is O(r^3).
+    Associativity is checked one label u at a time, as float64 products
+    that are exact below the bound r * max(N)^2 < 2^53; a ring above it
+    gets an ``exactness bound`` violation.  Memory is O(r^3).
 
     Returns an empty list for a valid ring; otherwise the violations in the
     order they were found, each naming the identity and the indices.
@@ -127,34 +148,22 @@ def _fusion_violations(ring: FusionRing) -> list[str]:
             if violations:
                 return violations
 
-    big = int(t.max())
-    too_large = _exactness_violation("associativity", r, big, big)
-    if too_large:
-        return too_large
-    # associativity: sum_x N_{uv}^x N_{xw}^y = sum_x N_{vw}^x N_{ux}^y,
-    # as (v, (w, y)) and ((v, w), y) matrices for each u
-    tf = t.astype(np.float64)
-    for u in range(r):
-        lhs = (tf[u] @ tf.reshape(r, r * r)).reshape(r, r, r)
-        rhs = (tf.reshape(r * r, r) @ tf[u]).reshape(r, r, r)
-        if not np.array_equal(lhs, rhs):
-            v, w, y = np.argwhere(lhs != rhs)[0]
-            return [
-                "associativity: "
-                f"({labels[u]},{labels[v]},{labels[w]})->{labels[y]}: "
-                f"{int(lhs[v, w, y])} != {int(rhs[v, w, y])}"]
+    mismatch = _associativity_violations(
+        "associativity", t, t,
+        lambda u, v, w, y: f"({labels[u]},{labels[v]},{labels[w]})->{labels[y]}")
+    if mismatch:
+        return mismatch
 
-    dual_idx = np.array([ring.index(dual_map[lab]) for lab in labels])
-    for u in range(r):
-        ubar = dual_idx[u]
-        for v in range(r):
-            want = 1 if v == ubar else 0
-            if t[u, v, e] != want:
-                return [f"duality: N[{labels[u]},{labels[v]}]^1 = {t[u, v, e]}"]
+    # duality: N_{uv}^1 = delta_{v, ubar}; the first failure in (u, v) order
+    dual_idx = [ring.index(dual_map[lab]) for lab in labels]
+    wrong = np.argwhere(t[:, :, e] != np.eye(r, dtype=np.int64)[dual_idx])
+    if wrong.size:
+        u, v = wrong[0]
+        return [f"duality: N[{labels[u]},{labels[v]}]^1 = {t[u, v, e]}"]
     # Frobenius reciprocity at multiplicity level: N_{ubar w}^v = N_{u v}^w
-    mismatch = t[dual_idx].transpose(0, 2, 1) != t
-    if mismatch.any():
-        u, v, w = np.argwhere(mismatch)[0]
+    bad = _conjugation_mismatch(t, dual_idx)
+    if bad is not None:
+        u, v, w = bad
         ubar = dual_idx[u]
         return [f"reciprocity: N[{labels[ubar]},{labels[w]}]^{labels[v]}"
                 f" != N[{labels[u]},{labels[v]}]^{labels[w]}"]
@@ -197,12 +206,10 @@ def validate_module(module: FusionModule) -> list[str]:
     """Exact check of the ring, unit action, mixed associativity, and
     conjugation.
 
-    Mixed associativity is checked one ring label u at a time, as the
-    products ``N_u @ n`` and ``n @ n_u`` of float64 copies.  They are exact
-    because it is checked first that r * max(N) * max(n) and m * max(n)^2
-    are below 2^53 (m the module size); a module above either bound is
-    rejected with an ``exactness bound`` violation.  Memory is O(r^3 +
-    r m^2).  Ring violations are returned prefixed with ``ring:``.
+    Mixed associativity is checked as the ring's associativity is, below
+    the bounds r * max(N) * max(n) < 2^53 and m * max(n)^2 < 2^53 (m the
+    module size).  Memory is O(r^3 + r m^2).  Ring violations are returned
+    prefixed with ``ring:``.
     """
     start = time.perf_counter()
     violations = _module_violations(module)
@@ -218,34 +225,19 @@ def _module_violations(module: FusionModule) -> list[str]:
     if ring_violations:
         return [f"ring: {v}" for v in ring_violations]
     a = module.action
-    t = ring.tensor
-    r, m = ring.rank, module.size
-    e = ring.index(ring.unit)
-    if not np.array_equal(a[e], np.eye(m, dtype=np.int64)):
+    if not np.array_equal(a[ring.index(ring.unit)],
+                          np.eye(module.size, dtype=np.int64)):
         return ["unit does not act trivially"]
-    big_t, big_a = int(t.max()), int(a.max(initial=0))
-    too_large = (_exactness_violation("mixed associativity", r, big_t, big_a)
-                 or _exactness_violation("mixed associativity", m, big_a, big_a))
-    if too_large:
-        return too_large
-    # sum_x N_{uv}^x n_{x,i}^j = sum_k n_{v,i}^k n_{u,k}^j,
-    # as (v, (i, j)) and ((v, i), j) matrices for each u
-    tf = t.astype(np.float64)
-    af = a.astype(np.float64)
-    for u in range(r):
-        lhs = (tf[u] @ af.reshape(r, m * m)).reshape(r, m, m)
-        rhs = (af.reshape(r * m, m) @ af[u]).reshape(r, m, m)
-        if not np.array_equal(lhs, rhs):
-            v, i, j = np.argwhere(lhs != rhs)[0]
-            return [
-                "mixed associativity: "
-                f"({ring.labels[u]},{ring.labels[v]}) at ({module.labels[i]},"
-                f"{module.labels[j]}): {int(lhs[v, i, j])} != {int(rhs[v, i, j])}"]
-    # n_{ubar, j}^i = n_{u, i}^j
-    for u, lab in enumerate(ring.labels):
-        ubar = ring.index(ring.dual_label(lab))
-        if not np.array_equal(a[ubar], a[u].T):
-            return [f"conjugate transpose law fails at {lab}"]
+    mismatch = _associativity_violations(
+        "mixed associativity", ring.tensor, a,
+        lambda u, v, i, j: (f"({ring.labels[u]},{ring.labels[v]}) at "
+                            f"({module.labels[i]},{module.labels[j]})"))
+    if mismatch:
+        return mismatch
+    bad = _conjugation_mismatch(
+        a, [ring.index(ring.dual_label(lab)) for lab in ring.labels])
+    if bad is not None:
+        return [f"conjugate transpose law fails at {ring.labels[bad[0]]}"]
     return []
 
 
@@ -260,10 +252,6 @@ class DimensionVector:
 
     def as_dict(self) -> dict[str, float]:
         return dict(self.values)
-
-    @staticmethod
-    def from_dict(d: Mapping[str, float]) -> "DimensionVector":
-        return DimensionVector(tuple((k, float(v)) for k, v in d.items()))
 
 
 def pf_dimensions(ring: FusionRing, tol: float = 1e-10) -> DimensionVector:

@@ -7,7 +7,7 @@ which the CLI maps to the validation exit code.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -40,35 +40,33 @@ def _expect(cond: bool, path: str, message: str):
         raise SchemaError(path, message)
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _pair_to_complex(pair: Any, path: str) -> complex:
-    _expect(isinstance(pair, (list, tuple)) and len(pair) == 2,
-            path, "complex entries are [re, im] pairs")
-    re, im = pair
-    _expect(isinstance(re, (int, float)) and isinstance(im, (int, float)),
-            path, "complex entries are [re, im] pairs of numbers")
-    return complex(re, im)
-
-
 def _matrix_to_json(mat: np.ndarray) -> list:
-    return [[_complex_to_pair(z) for z in row] for row in np.asarray(mat, dtype=complex)]
+    mat = np.asarray(mat, dtype=complex)
+    return np.stack((mat.real, mat.imag), -1).tolist()
 
 
 def _matrix_from_json(data: Any, path: str) -> np.ndarray:
     _expect(isinstance(data, list) and data, path, "matrix is a nonempty list of rows")
-    rows = []
-    width = None
-    for i, row in enumerate(data):
-        _expect(isinstance(row, list) and row, f"{path}[{i}]", "row is a nonempty list")
-        if width is None:
-            width = len(row)
-        _expect(len(row) == width, f"{path}[{i}]", "ragged matrix")
-        rows.append([_pair_to_complex(z, f"{path}[{i}][{j}]")
-                     for j, z in enumerate(row)])
-    return np.array(rows, dtype=complex)
+    try:
+        pairs = np.array(data)
+    except ValueError:  # rows or entries of unequal length
+        pairs = None
+    if (pairs is None or pairs.ndim != 3 or pairs.shape[2] != 2
+            or pairs.dtype.kind not in "biuf"
+            or not all(isinstance(row, list) for row in data)):
+        # name the first bad row or entry; if there is none, some int
+        # does not fit int64
+        for i, row in enumerate(data):
+            _expect(isinstance(row, list) and row, f"{path}[{i}]", "row is a nonempty list")
+            _expect(len(row) == len(data[0]), f"{path}[{i}]", "ragged matrix")
+            for j, pair in enumerate(row):
+                _expect(isinstance(pair, (list, tuple)) and len(pair) == 2,
+                        f"{path}[{i}][{j}]", "complex entries are [re, im] pairs")
+                _expect(all(isinstance(x, (int, float)) for x in pair), f"{path}[{i}][{j}]",
+                        "complex entries are [re, im] pairs of numbers")
+        pairs = np.array(data, dtype=np.float64)
+    # [re, im] float64 pairs are the memory layout of complex128
+    return pairs.astype(np.float64).view(complex)[..., 0]
 
 
 # -- algebras and elements ---------------------------------------------------
@@ -158,14 +156,44 @@ def expectation_spec_from_json(data: Any, path: str = "expectation"
 
 # -- fusion data -------------------------------------------------------------
 
-def ring_to_json(ring: FusionRing) -> dict:
-    n_entries: dict[str, dict[str, int]] = {}
-    labels, t = ring.labels, ring.tensor
+def _sparse_to_json(tensor: np.ndarray, labels: Sequence[Sequence[str]]) -> dict:
+    """The map "A,B" -> {C: mult} of the nonzero entries of a 3-tensor,
+    whose axes are named by ``labels``."""
+    a, b, c = labels
+    entries: dict[str, dict[str, int]] = {}
     # np.nonzero walks in C order, so keys and rows keep the (u, v, w) order
-    for u, v, w in zip(*np.nonzero(t)):
-        n_entries.setdefault(f"{labels[u]},{labels[v]}", {})[labels[w]] = int(t[u, v, w])
-    return {"irr": list(ring.labels), "unit": ring.unit,
-            "dual": dict(ring.dual), "N": n_entries}
+    for u, v, w in zip(*np.nonzero(tensor)):
+        entries.setdefault(f"{a[u]},{b[v]}", {})[c[w]] = int(tensor[u, v, w])
+    return entries
+
+
+def _sparse_from_json(data: Mapping, name: str, path: str,
+                      labels: Sequence[Sequence[str]], keys: str,
+                      target: str) -> np.ndarray:
+    """The 3-tensor held as the map "A,B" -> {C: mult} at ``data[name]``;
+    absent entries, and an absent map, are zero.  ``keys`` and ``target``
+    describe a malformed key and an unknown C."""
+    first, second, third = ({lab: i for i, lab in enumerate(axis)} for axis in labels)
+    tensor = np.zeros((len(first), len(second), len(third)), dtype=np.int64)
+    entries = data.get(name, {})
+    path = f"{path}.{name}"
+    _expect(isinstance(entries, Mapping), path, f"{name} is an object")
+    for key, row in entries.items():
+        parts = key.split(",")
+        _expect(len(parts) == 2 and parts[0] in first and parts[1] in second,
+                f"{path}[{key!r}]", keys)
+        _expect(isinstance(row, Mapping), f"{path}[{key!r}]", "value is an object")
+        for w, mult in row.items():
+            _expect(w in third, f"{path}[{key!r}][{w!r}]", target)
+            _expect(isinstance(mult, int) and mult >= 0,
+                    f"{path}[{key!r}][{w!r}]", "multiplicities are nonnegative ints")
+            tensor[first[parts[0]], second[parts[1]], third[w]] = mult
+    return tensor
+
+
+def ring_to_json(ring: FusionRing) -> dict:
+    return {"irr": list(ring.labels), "unit": ring.unit, "dual": dict(ring.dual),
+            "N": _sparse_to_json(ring.tensor, (ring.labels,) * 3)}
 
 
 def ring_from_json(data: Any, path: str = "fusion_ring") -> FusionRing:
@@ -182,35 +210,15 @@ def ring_from_json(data: Any, path: str = "fusion_ring") -> FusionRing:
     _expect(isinstance(dual, Mapping) and set(dual) == set(irr)
             and all(v in irr for v in dual.values()),
             f"{path}.dual", "dual must map every label to a label")
-    index = {lab: i for i, lab in enumerate(irr)}
-    r = len(irr)
-    tensor = np.zeros((r, r, r), dtype=np.int64)
-    entries = data.get("N", {})
-    _expect(isinstance(entries, Mapping), f"{path}.N", "N is an object")
-    for key, row in entries.items():
-        parts = key.split(",")
-        _expect(len(parts) == 2 and parts[0] in index and parts[1] in index,
-                f"{path}.N[{key!r}]", "keys are 'U,V' label pairs")
-        _expect(isinstance(row, Mapping), f"{path}.N[{key!r}]", "value is an object")
-        for w, mult in row.items():
-            _expect(w in index, f"{path}.N[{key!r}][{w!r}]", "unknown target label")
-            _expect(isinstance(mult, int) and mult >= 0,
-                    f"{path}.N[{key!r}][{w!r}]", "multiplicities are nonnegative ints")
-            tensor[index[parts[0]], index[parts[1]], index[w]] = mult
+    tensor = _sparse_from_json(data, "N", path, (irr,) * 3,
+                               "keys are 'U,V' label pairs", "unknown target label")
     return FusionRing(tuple(irr), unit, tuple(dual.items()), tensor)
 
 
 def module_to_json(module: FusionModule) -> dict:
-    entries: dict[str, dict[str, int]] = {}
-    action = module.action
-    for u, ulab in enumerate(module.ring.labels):
-        for i, ilab in enumerate(module.labels):
-            row = {jlab: int(action[u, i, j])
-                   for j, jlab in enumerate(module.labels) if action[u, i, j]}
-            if row:
-                entries[f"{ulab},{ilab}"] = row
-    return {"ring": ring_to_json(module.ring),
-            "irrM": list(module.labels), "n": entries}
+    labels = (module.ring.labels, module.labels, module.labels)
+    return {"ring": ring_to_json(module.ring), "irrM": list(module.labels),
+            "n": _sparse_to_json(module.action, labels)}
 
 
 def module_from_json(data: Any, path: str = "fusion_module") -> FusionModule:
@@ -221,17 +229,6 @@ def module_from_json(data: Any, path: str = "fusion_module") -> FusionModule:
             and all(isinstance(x, str) for x in irr_m),
             f"{path}.irrM", "irrM is a nonempty list of string labels")
     _expect(len(set(irr_m)) == len(irr_m), f"{path}.irrM", "labels must be distinct")
-    index = {lab: i for i, lab in enumerate(irr_m)}
-    action = np.zeros((ring.rank, len(irr_m), len(irr_m)), dtype=np.int64)
-    entries = data.get("n", {})
-    _expect(isinstance(entries, Mapping), f"{path}.n", "n is an object")
-    for key, row in entries.items():
-        parts = key.split(",")
-        _expect(len(parts) == 2 and parts[0] in ring.labels and parts[1] in index,
-                f"{path}.n[{key!r}]", "keys are 'U,i' pairs")
-        for j, mult in row.items():
-            _expect(j in index, f"{path}.n[{key!r}][{j!r}]", "unknown module label")
-            _expect(isinstance(mult, int) and mult >= 0,
-                    f"{path}.n[{key!r}][{j!r}]", "multiplicities are nonnegative ints")
-            action[ring.index(parts[0]), index[parts[1]], index[j]] = mult
+    action = _sparse_from_json(data, "n", path, (ring.labels, irr_m, irr_m),
+                               "keys are 'U,i' pairs", "unknown module label")
     return FusionModule(ring, tuple(irr_m), action)

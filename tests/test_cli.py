@@ -1,4 +1,7 @@
 import json
+import logging
+
+import pytest
 
 from qindex import io as qio
 from qindex.cli import main
@@ -84,10 +87,14 @@ def test_index_compute_rank_deficient_exits_3(tmp_path, capsys):
     }
     path = tmp_path / "rankdef.json"
     path.write_text(json.dumps(spec))
-    code, out, _ = run(capsys, "index", "compute", "--spec", str(path))
+    out_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "index", "compute", "--spec", str(path),
+                       "-o", str(out_path))
     assert code == 3
     results = report_of(out)["results"]
     assert results["scalar_index"] == "inf"
+    assert out_path.read_text() == json.dumps(results, sort_keys=True,
+                                              separators=(",", ":")) + "\n"
 
 
 def test_index_compute_rejects_non_multiplicative_inclusion(tmp_path, capsys):
@@ -105,6 +112,26 @@ def test_index_compute_rejects_non_multiplicative_inclusion(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert "inclusion is not a *-homomorphism" in err
+
+
+def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys):
+    # a map that fails unitality and bimodularity at the default tol; a NaN
+    # tol made every "> tol" comparison False, so it passed validation
+    with open(pinching_spec(tmp_path), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    spec["map"] = [[[2.0 * (i == j), 0] for j in range(4)] for i in range(4)]
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "index", "compute", "--spec", str(path))
+    assert code == 2 and out == "" and "unitality" in err
+    for tol, message in (("nan", "not a number: 'nan'"),
+                         ("abc", "not a number: 'abc'"),
+                         ("inf", "not a finite number >= 0: 'inf'"),
+                         ("-1e-9", "not a finite number >= 0: '-1e-9'")):
+        with pytest.raises(SystemExit) as exc:
+            main(["index", "compute", "--spec", str(path), f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert f"argument --tol: {message}" in capsys.readouterr().err
 
 
 def test_malformed_json_exits_1(tmp_path, capsys):
@@ -186,6 +213,45 @@ def test_fusion_trace_module_file(tmp_path, capsys):
     assert report_of(out)["results"]["status"] == "ok"
 
 
+def test_fusion_trace_validates_the_regular_module_as_its_ring(tmp_path, capsys, caplog):
+    # the regular module's laws are the ring's axioms: one ring validation,
+    # so the associativity products run once per label; a module file
+    # still runs the module validation
+    ring_path = tmp_path / "tlj5.json"
+    run(capsys, "fusion", "generate", "tlj", "--n", "5", "-o", str(ring_path))
+    ring = qio.ring_from_json(json.loads(ring_path.read_text()))
+    module_path = tmp_path / "reg.json"
+    module_path.write_text(json.dumps(qio.module_to_json(gen_regular_module(ring))))
+    cases = [(("fusion", "trace", "--module", "regular"), 0),
+             (("fusion", "descent", "--module", "regular", "--subring", "0,2"), 0),
+             (("fusion", "trace", "--module", str(module_path)), 1)]
+    for (cmd, sub, *rest), modules in cases:
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="qindex.fusion"):
+            code, _, _ = run(capsys, cmd, sub, "--ring", str(ring_path), *rest)
+        assert code == 0
+        stages = [rec.getMessage().split(":")[0] for rec in caplog.records
+                  if rec.name == "qindex.fusion"]
+        assert stages.count("validate_fusion") == 1
+        assert stages.count("validate_module") == modules
+
+
+def test_fusion_trace_rejects_module_row_that_is_not_an_object(tmp_path, capsys):
+    ring_path = tmp_path / "z2.json"
+    run(capsys, "fusion", "generate", "pointed", "--factors", "2",
+        "-o", str(ring_path))
+    ring = qio.ring_from_json(json.loads(ring_path.read_text()))
+    payload = qio.module_to_json(gen_regular_module(ring))
+    payload["n"]["1,0"] = [1]
+    module_path = tmp_path / "bad.json"
+    module_path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "fusion", "trace", "--ring", str(ring_path),
+                         "--module", str(module_path))
+    assert code == 2
+    assert out == ""
+    assert "fusion_module.n['1,0']: value is an object" in err
+
+
 def test_fusion_trace_rejects_ring_axiom_violation(tmp_path, capsys):
     ring_path = tmp_path / "z2.json"
     run(capsys, "fusion", "generate", "pointed", "--factors", "2",
@@ -223,6 +289,18 @@ def test_fusion_jones(capsys):
     code, out, _ = run(capsys, "fusion", "jones", "--value", "3.5")
     results = report_of(out)["results"]
     assert results["member"] is False
+
+
+def test_fusion_jones_value_must_be_a_number(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fusion", "jones", "--value", "nan"])
+    assert exc.value.code == 2
+    assert "argument --value: not a number: 'nan'" in capsys.readouterr().err
+    # infinity is a number: in the continuum, reported as the string "inf"
+    code, out, _ = run(capsys, "fusion", "jones", "--value", "inf")
+    assert code == 0
+    results = report_of(out)["results"]
+    assert results == {"value": "inf", "member": True, "witness": "continuum"}
 
 
 def test_fusion_descent(tmp_path, capsys):

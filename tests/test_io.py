@@ -5,7 +5,8 @@ from qindex import io as qio
 from qindex.algebra import MultiMatrixAlgebra, TraceWeights
 from qindex.expectation import canonical_expectation
 from qindex.fusion import FusionRing, validate_fusion, validate_module
-from qindex.generators import gen_pointed, gen_regular_module, gen_tlj
+from qindex.generators import (gen_pointed, gen_quotient_module,
+                               gen_regular_module, gen_tlj)
 
 from conftest import diagonal_inclusion, random_multimatrix_inclusion
 
@@ -82,6 +83,19 @@ def test_ring_to_json_matches_per_entry_reference(rng):
         got = qio.ring_to_json(ring)["N"]
         assert list(got.items()) == list(want.items())
         assert all(type(n) is int for row in got.values() for n in row.values())
+    # the module codec is the same sparse map, over (ring, module, module) labels
+    for module in (gen_regular_module(ring),
+                   gen_quotient_module(gen_pointed([2, 2]), [2, 2], [(0, 0), (1, 0)])):
+        want = {}
+        for u in module.ring.labels:
+            for i in module.labels:
+                row = {j: int(module.action_matrix(u)[module.index(i), module.index(j)])
+                       for j in module.labels
+                       if module.action_matrix(u)[module.index(i), module.index(j)]}
+                if row:
+                    want[f"{u},{i}"] = row
+        got = qio.module_to_json(module)["n"]
+        assert list(got.items()) == list(want.items())
 
 
 def test_schema_errors_carry_paths():
@@ -96,3 +110,44 @@ def test_schema_errors_carry_paths():
     with pytest.raises(qio.SchemaError):
         qio.element_from_json({"blocks": [[[1, 2], [3, 4]]]},
                               MultiMatrixAlgebra((2,)))
+
+
+@pytest.mark.parametrize("data, message", [
+    ("rows", "m: matrix is a nonempty list of rows"),
+    ([], "m: matrix is a nonempty list of rows"),
+    ([[[1, 0]], "row"], "m[1]: row is a nonempty list"),
+    ([[[1, 0]], []], "m[1]: row is a nonempty list"),
+    ([[[1, 0]], [[1, 0], [0, 0]]], "m[1]: ragged matrix"),
+    ([[[1, 0], [1]]], "m[0][1]: complex entries are [re, im] pairs"),
+    ([[[1, 0], [1, 2, 3]]], "m[0][1]: complex entries are [re, im] pairs"),
+    ([[[1, 0], 5]], "m[0][1]: complex entries are [re, im] pairs"),
+    ([[[1, "0"]]], "m[0][0]: complex entries are [re, im] pairs of numbers"),
+    ([[["1", "2"]]], "m[0][0]: complex entries are [re, im] pairs of numbers"),
+    ([[[1, None]]], "m[0][0]: complex entries are [re, im] pairs of numbers"),
+    # the first bad entry in row order, before a later ragged row
+    ([[[0, 0], [1, "x"]], [[0, 0]]], "m[0][1]: complex entries are [re, im] pairs of numbers"),
+])
+def test_matrix_schema_errors_name_the_first_bad_entry(data, message):
+    with pytest.raises(qio.SchemaError) as err:
+        qio._matrix_from_json(data, "m")
+    assert str(err.value) == message
+
+
+def test_matrix_codec_keeps_every_float():
+    inf = float("inf")
+    data = [[[0, inf], [-0.0, 1.5]], [[True, False], [2 ** 70, -inf]]]
+    mat = qio._matrix_from_json(data, "m")
+    want = np.array([[complex(0, inf), complex(-0.0, 1.5)],
+                     [complex(1, 0), complex(2 ** 70, -inf)]])
+    assert mat.tobytes() == want.tobytes()
+    back = qio._matrix_to_json(mat)
+    assert back == [[[0.0, inf], [-0.0, 1.5]], [[1.0, 0.0], [float(2 ** 70), -inf]]]
+    assert all(type(x) is float for row in back for pair in row for x in pair)
+
+
+def test_module_rows_must_be_objects():
+    payload = qio.module_to_json(gen_regular_module(gen_pointed([2])))
+    payload["n"]["1,0"] = [1]
+    with pytest.raises(qio.SchemaError) as err:
+        qio.module_from_json(payload)
+    assert str(err.value) == "fusion_module.n['1,0']: value is an object"
