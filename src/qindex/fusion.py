@@ -72,12 +72,13 @@ def _associativity_violations(what: str, t: np.ndarray, a: np.ndarray,
     with ``t`` = N: mixed associativity of a module, and associativity of
     the ring for a = N.
 
-    Each ring label u is one pair of products of float64 copies, as
+    Each ring label u is one pair of products of floating-point copies, as
     (v, (i, j)) and ((v, i), j) matrices.  The sums have r terms up to
-    max(N) * max(a) and m terms up to max(a)^2; below 2^53 every partial
-    sum is an integer that float64 holds exactly, in any order, and above
-    it the violation is ``exactness bound``.  The first mismatch is named
-    by ``where(u, v, i, j)``.
+    max(N) * max(a) and m terms up to max(a)^2.  Below 2^24 every partial
+    sum is an integer that float32 holds exactly, in any order, so the
+    copies are float32; below 2^53 they are float64, which holds them
+    exactly; above it the violation is ``exactness bound``.  The first
+    mismatch is named by ``where(u, v, i, j)``.
     """
     r, m = a.shape[:2]
     big_t, big_a = int(t.max()), int(a.max(initial=0))
@@ -86,8 +87,9 @@ def _associativity_violations(what: str, t: np.ndarray, a: np.ndarray,
             return [f"exactness bound: {what} sums {terms} products of "
                     f"multiplicities up to {left} x {right} = {terms * left * right} "
                     ">= 2^53; too large to check exactly"]
-    tf = t.astype(np.float64)
-    af = tf if a is t else a.astype(np.float64)
+    exact32 = max(r * big_t * big_a, m * big_a * big_a) < 2 ** 24
+    tf = t.astype(np.float32 if exact32 else np.float64)
+    af = tf if a is t else a.astype(tf.dtype)
     for u in range(r):
         lhs = (tf[u] @ af.reshape(r, m * m)).reshape(r, m, m)
         rhs = (af.reshape(r * m, m) @ af[u]).reshape(r, m, m)
@@ -109,9 +111,10 @@ def _conjugation_mismatch(a: np.ndarray, dual_idx: list[int]) -> tuple | None:
 def validate_fusion(ring: FusionRing) -> list[str]:
     """Exact check of the unit, associativity, and duality axioms.
 
-    Associativity is checked one label u at a time, as float64 products
-    that are exact below the bound r * max(N)^2 < 2^53; a ring above it
-    gets an ``exactness bound`` violation.  Memory is O(r^3).
+    Associativity is checked one label u at a time, as floating-point
+    products that are exact while r * max(N)^2 stays below the bound:
+    float32 below 2^24, float64 below 2^53, and above 2^53 an
+    ``exactness bound`` violation.  Memory is O(r^3).
 
     Returns an empty list for a valid ring; otherwise the violations in the
     order they were found, each naming the identity and the indices.
@@ -206,10 +209,11 @@ def validate_module(module: FusionModule) -> list[str]:
     """Exact check of the ring, unit action, mixed associativity, and
     conjugation.
 
-    Mixed associativity is checked as the ring's associativity is, below
-    the bounds r * max(N) * max(n) < 2^53 and m * max(n)^2 < 2^53 (m the
-    module size).  Memory is O(r^3 + r m^2).  Ring violations are returned
-    prefixed with ``ring:``.
+    Mixed associativity is checked as the ring's associativity is, with
+    the bounds on r * max(N) * max(n) and m * max(n)^2 (m the module
+    size): float32 products below 2^24, float64 below 2^53, and an
+    ``exactness bound`` violation above.  Memory is O(r^3 + r m^2).  Ring
+    violations are returned prefixed with ``ring:``.
     """
     start = time.perf_counter()
     violations = _module_violations(module)
@@ -419,12 +423,9 @@ def equivalence_classes(module: FusionModule,
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    for u in sub:
-        mat = module.action_matrix(u)
-        for i in range(m):
-            for j in range(m):
-                if mat[i, j] != 0:
-                    union(i, j)
+    linked = np.any(module.action[idx] != 0, axis=0)
+    for i, j in np.argwhere(linked).tolist():
+        union(i, j)
 
     groups: dict[int, list[str]] = {}
     for i, lab in enumerate(module.labels):

@@ -32,12 +32,10 @@ def gen_tlj(n: int) -> tuple[FusionRing, DimensionVector]:
     k = n - 2
     labels = tuple(str(a) for a in range(k + 1))
     r = k + 1
-    tensor = np.zeros((r, r, r), dtype=np.int64)
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                if (a + b + c) % 2 == 0 and abs(a - b) <= c <= min(a + b, 2 * k - a - b):
-                    tensor[a, b, c] = 1
+    a, b, c = np.ogrid[:r, :r, :r]
+    # (a + b) % 2 == c % 2 is the parity rule without an r^3 int array
+    tensor = (((a + b) % 2 == c % 2) & (abs(a - b) <= c)
+              & (c <= np.minimum(a + b, 2 * k - a - b)))
     ring = FusionRing(labels, "0", tuple((lab, lab) for lab in labels), tensor)
     dims = DimensionVector(tuple(
         (str(a), float(np.sin((a + 1) * np.pi / n) / np.sin(np.pi / n)))

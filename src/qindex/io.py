@@ -7,6 +7,9 @@ which the CLI maps to the validation exit code.
 
 from __future__ import annotations
 
+import logging
+import time
+from itertools import chain
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -25,6 +28,8 @@ __all__ = [
     "ring_to_json", "ring_from_json",
     "module_to_json", "module_from_json",
 ]
+
+log = logging.getLogger("qindex.io")
 
 
 class SchemaError(ValueError):
@@ -64,9 +69,19 @@ def _matrix_from_json(data: Any, path: str) -> np.ndarray:
                         f"{path}[{i}][{j}]", "complex entries are [re, im] pairs")
                 _expect(all(isinstance(x, (int, float)) for x in pair), f"{path}[{i}][{j}]",
                         "complex entries are [re, im] pairs of numbers")
+                _expect(all(map(_fits_float, pair)), f"{path}[{i}][{j}]",
+                        "number is too large for a float")
         pairs = np.array(data, dtype=np.float64)
     # [re, im] float64 pairs are the memory layout of complex128
     return pairs.astype(np.float64).view(complex)[..., 0]
+
+
+def _fits_float(x: int | float) -> bool:
+    try:
+        float(x)
+    except OverflowError:  # an int of 309 digits or more
+        return False
+    return True
 
 
 # -- algebras and elements ---------------------------------------------------
@@ -160,11 +175,16 @@ def _sparse_to_json(tensor: np.ndarray, labels: Sequence[Sequence[str]]) -> dict
     """The map "A,B" -> {C: mult} of the nonzero entries of a 3-tensor,
     whose axes are named by ``labels``."""
     a, b, c = labels
-    entries: dict[str, dict[str, int]] = {}
+    nb = tensor.shape[1]
+    flat = tensor.reshape(-1, tensor.shape[2])
     # np.nonzero walks in C order, so keys and rows keep the (u, v, w) order
-    for u, v, w in zip(*np.nonzero(tensor)):
-        entries.setdefault(f"{a[u]},{b[v]}", {})[c[w]] = int(tensor[u, v, w])
-    return entries
+    rows, ws = np.nonzero(flat)
+    mults = flat[rows, ws]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    ends = [*starts[1:].tolist(), len(mults)]
+    return {f"{a[row // nb]},{b[row % nb]}":
+            dict(zip(map(c.__getitem__, ws[s:e].tolist()), mults[s:e].tolist()))
+            for row, s, e in zip(rows[starts].tolist(), starts.tolist(), ends)}
 
 
 def _sparse_from_json(data: Mapping, name: str, path: str,
@@ -172,12 +192,54 @@ def _sparse_from_json(data: Mapping, name: str, path: str,
                       target: str) -> np.ndarray:
     """The 3-tensor held as the map "A,B" -> {C: mult} at ``data[name]``;
     absent entries, and an absent map, are zero.  ``keys`` and ``target``
-    describe a malformed key and an unknown C."""
+    describe a malformed key and an unknown C.  Multiplicities are stored
+    as int64."""
     first, second, third = ({lab: i for i, lab in enumerate(axis)} for axis in labels)
     tensor = np.zeros((len(first), len(second), len(third)), dtype=np.int64)
     entries = data.get(name, {})
     path = f"{path}.{name}"
     _expect(isinstance(entries, Mapping), path, f"{name} is an object")
+    found = _sparse_entries(entries, first, second, third)
+    if found is None:
+        _sparse_walk(tensor, entries, path, first, second, third, keys, target)
+    else:
+        *where, mults = found
+        tensor[tuple(where)] = mults
+    return tensor
+
+
+def _sparse_entries(entries: Mapping, first: dict, second: dict, third: dict):
+    """The (u, v, w) index arrays and int64 multiplicities of a sparse map
+    whose every entry is well formed, or None.  The entries are streamed
+    into the arrays, with no per-entry list."""
+    us, vs, counts = [], [], []
+    for key, row in entries.items():
+        parts = key.split(",") if isinstance(key, str) else ()
+        if (len(parts) != 2 or parts[0] not in first or parts[1] not in second
+                or not isinstance(row, Mapping)):
+            return None
+        us.append(first[parts[0]])
+        vs.append(second[parts[1]])
+        counts.append(len(row))
+    rows, total = entries.values(), sum(counts)
+    if not set(map(type, chain.from_iterable(row.values() for row in rows))) <= {int, bool}:
+        return None
+    try:  # an unknown w maps to None: TypeError; a mult past int64: OverflowError
+        ws = np.fromiter(map(third.get, chain.from_iterable(rows)), np.intp, total)
+        mults = np.fromiter(chain.from_iterable(row.values() for row in rows),
+                            np.int64, total)
+    except (TypeError, OverflowError):
+        return None
+    if np.any(mults < 0):
+        return None
+    return (np.repeat(np.array(us, dtype=np.intp), counts),
+            np.repeat(np.array(vs, dtype=np.intp), counts), ws, mults)
+
+
+def _sparse_walk(tensor: np.ndarray, entries: Mapping, path: str, first: dict,
+                 second: dict, third: dict, keys: str, target: str) -> None:
+    """Store the entries one at a time, raising at the first bad one: the
+    path of a map that ``_sparse_entries`` rejected."""
     for key, row in entries.items():
         parts = key.split(",")
         _expect(len(parts) == 2 and parts[0] in first and parts[1] in second,
@@ -187,8 +249,9 @@ def _sparse_from_json(data: Mapping, name: str, path: str,
             _expect(w in third, f"{path}[{key!r}][{w!r}]", target)
             _expect(isinstance(mult, int) and mult >= 0,
                     f"{path}[{key!r}][{w!r}]", "multiplicities are nonnegative ints")
+            _expect(mult < 2 ** 63, f"{path}[{key!r}][{w!r}]",
+                    "multiplicities are nonnegative ints below 2^63")
             tensor[first[parts[0]], second[parts[1]], third[w]] = mult
-    return tensor
 
 
 def ring_to_json(ring: FusionRing) -> dict:
@@ -197,6 +260,14 @@ def ring_to_json(ring: FusionRing) -> dict:
 
 
 def ring_from_json(data: Any, path: str = "fusion_ring") -> FusionRing:
+    start = time.perf_counter()
+    ring = _ring_from_json(data, path)
+    log.info("ring_from_json: rank %d, %d nonzero, %.3f s", ring.rank,
+             np.count_nonzero(ring.tensor), time.perf_counter() - start)
+    return ring
+
+
+def _ring_from_json(data: Any, path: str) -> FusionRing:
     _expect(isinstance(data, Mapping), path, "fusion ring is an object")
     irr = data.get("irr")
     _expect(isinstance(irr, list) and irr and all(isinstance(x, str) for x in irr),
@@ -222,6 +293,15 @@ def module_to_json(module: FusionModule) -> dict:
 
 
 def module_from_json(data: Any, path: str = "fusion_module") -> FusionModule:
+    start = time.perf_counter()
+    module = _module_from_json(data, path)
+    log.info("module_from_json: rank %d, module size %d, %d nonzero, %.3f s",
+             module.ring.rank, module.size, np.count_nonzero(module.action),
+             time.perf_counter() - start)
+    return module
+
+
+def _module_from_json(data: Any, path: str) -> FusionModule:
     _expect(isinstance(data, Mapping), path, "fusion module is an object")
     ring = ring_from_json(data.get("ring"), f"{path}.ring")
     irr_m = data.get("irrM")

@@ -10,6 +10,8 @@ index of the matching cyclic group-algebra inclusion.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -23,6 +25,8 @@ __all__ = [
     "enumerate_subgroups", "classify_subgroups", "irrep_membership",
     "crosscheck_torus_index", "SUPPORTED_TYPES",
 ]
+
+log = logging.getLogger("qindex.lattice")
 
 SUPPORTED_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -299,6 +303,8 @@ def hermite_normal_form(mat: Sequence[Sequence[int]]) -> list[list[int]]:
     rows = len(m)
     cols = len(m[0]) if rows else 0
 
+    # rows above ``row`` are zero in columns >= col, so every column
+    # operation runs over rows row..rows-1 only
     col = 0
     for row in range(rows):
         # gcd-reduce the entries of this row across columns col..end
@@ -309,25 +315,26 @@ def hermite_normal_form(mat: Sequence[Sequence[int]]) -> list[list[int]]:
                 break
         if pivot is None:
             continue
+        below = range(row, rows)
         for j in range(pivot + 1, cols):
             while m[row][j] != 0:
                 if abs(m[row][pivot]) > abs(m[row][j]):
-                    for i in range(rows):
+                    for i in below:
                         m[i][pivot], m[i][j] = m[i][j], m[i][pivot]
                 q = m[row][j] // m[row][pivot]
-                for i in range(rows):
+                for i in below:
                     m[i][j] -= q * m[i][pivot]
         if pivot != col:
-            for i in range(rows):
+            for i in below:
                 m[i][pivot], m[i][col] = m[i][col], m[i][pivot]
         if m[row][col] < 0:
-            for i in range(rows):
+            for i in below:
                 m[i][col] = -m[i][col]
         # reduce earlier columns against this pivot
         for j in range(col):
             q = m[row][j] // m[row][col]
             if q != 0:
-                for i in range(rows):
+                for i in below:
                     m[i][j] -= q * m[i][col]
         col += 1
 
@@ -440,6 +447,14 @@ def classify_subgroups(cartan: CartanData,
     Lambda = Q to the minimal finite-index subgroup.  Output is sorted by
     index, then by the Hermite normal form of the generators.
     """
+    start = time.perf_counter()
+    specs = _classify(cartan, limit)
+    log.info("classify_subgroups: %s, %d subgroups, %.3f s", cartan.lie_type,
+             len(specs), time.perf_counter() - start)
+    return specs
+
+
+def _classify(cartan: CartanData, limit: int) -> list[SublatticeSpec]:
     center = center_group(cartan)
     c = cartan.matrix()
     r = cartan.rank

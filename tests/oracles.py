@@ -12,13 +12,16 @@ Kronecker multiplication matrices ``left_mult_matrix`` and
 ``image_basis`` spans the image of an inclusion.
 ``expectation_from_densities`` builds explicit expectation maps from
 chosen densities without the library's normal form.
+``sparse_from_json_reference`` decodes the sparse fusion multiplicity
+map one entry at a time, the reference for the whole-array decoder of
+``qindex.io``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from qindex.algebra import (DEFAULT_TOL, RANK_RTOL, AlgebraElement,
                             MultiMatrixAlgebra, StarHomomorphism)
 from qindex.expectation import (ConditionalExpectation, QuasiBasis, _defect,
                                 _frame_map)
+from qindex.io import SchemaError
 
 
 # -- dense references and blockwise products --------------------------------------
@@ -437,3 +441,34 @@ def expectation_from_densities(a_blocks, k, unitaries, densities
             z.append(zp)
         e_cols.append(inclusion(sub.element(z)).to_vector())
     return ConditionalExpectation(inclusion, np.stack(e_cols, axis=1))
+
+
+# -- sparse fusion maps -------------------------------------------------------------
+
+def sparse_from_json_reference(data, name, path, labels, keys, target) -> np.ndarray:
+    """The 3-tensor held as the map "A,B" -> {C: mult} at ``data[name]``,
+    decoded one entry at a time in the map's order; the SchemaError of the
+    first bad entry otherwise.  Same arguments as
+    ``qindex.io._sparse_from_json``."""
+    first, second, third = ({lab: i for i, lab in enumerate(axis)} for axis in labels)
+    tensor = np.zeros((len(first), len(second), len(third)), dtype=np.int64)
+    entries = data.get(name, {})
+    path = f"{path}.{name}"
+    if not isinstance(entries, Mapping):
+        raise SchemaError(path, f"{name} is an object")
+    for key, row in entries.items():
+        parts = key.split(",")
+        if not (len(parts) == 2 and parts[0] in first and parts[1] in second):
+            raise SchemaError(f"{path}[{key!r}]", keys)
+        if not isinstance(row, Mapping):
+            raise SchemaError(f"{path}[{key!r}]", "value is an object")
+        for w, mult in row.items():
+            where = f"{path}[{key!r}][{w!r}]"
+            if w not in third:
+                raise SchemaError(where, target)
+            if not (isinstance(mult, int) and mult >= 0):
+                raise SchemaError(where, "multiplicities are nonnegative ints")
+            if mult >= 2 ** 63:
+                raise SchemaError(where, "multiplicities are nonnegative ints below 2^63")
+            tensor[first[parts[0]], second[parts[1]], third[w]] = mult
+    return tensor

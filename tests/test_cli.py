@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 
@@ -278,6 +279,61 @@ def test_fusion_trace_rejects_multiplicities_past_exactness_bound(tmp_path, caps
                        "--module", "regular")
     assert code == 2
     assert "ring: exactness bound: associativity" in err
+
+
+def test_fusion_trace_rejects_multiplicity_past_int64(tmp_path, capsys):
+    ring_path = tmp_path / "tlj4.json"
+    run(capsys, "fusion", "generate", "tlj", "--n", "4", "-o", str(ring_path))
+    payload = json.loads(ring_path.read_text())
+    payload["N"]["1,1"]["2"] = 2 ** 63
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "fusion", "trace", "--ring", str(huge),
+                         "--module", "regular")
+    assert (code, out) == (2, "")
+    assert err == ("error: fusion_ring.N['1,1']['2']: "
+                   "multiplicities are nonnegative ints below 2^63\n")
+
+
+def test_index_compute_rejects_int_too_large_for_a_float(tmp_path, capsys):
+    path = pinching_spec(tmp_path)
+    spec = json.loads(open(path).read())
+    spec["inclusion"]["matrix"][3][1][0] = 10 ** 400
+    with open(path, "w") as fh:
+        json.dump(spec, fh)
+    code, out, err = run(capsys, "index", "compute", "--spec", path)
+    assert (code, out) == (2, "")
+    assert err == ("error: expectation.inclusion.matrix[3][1]: "
+                   "number is too large for a float\n")
+
+
+def report_digest(stdout):
+    """sha256 of the report without its timing field, as canonical JSON."""
+    report = report_of(stdout)
+    del report["wall_ms"]
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_tlj40_fusion_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    # digests of the outputs from before the fusion path worked on whole
+    # arrays; the relative ring path keeps the command echo fixed
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "fusion", "generate", "tlj", "--n", "40", "-o", "tlj40.json")
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "tlj40.json").read_bytes()).hexdigest() == \
+        "b9fb3cc542231bc0ad98743fe988d3d2becf07994da5714151a840b389e7d656"
+    code, out, _ = run(capsys, "fusion", "trace", "--ring", "tlj40.json",
+                       "--module", "regular")
+    assert code == 0
+    assert report_digest(out) == \
+        "715a26b93c447a9fbb3526fbed8aa3139ae428e8a5b5004460ffe85fdb9c679c"
+    evens = ",".join(str(a) for a in range(0, 39, 2))
+    code, out, _ = run(capsys, "fusion", "descent", "--ring", "tlj40.json",
+                       "--module", "regular", "--subring", evens)
+    assert code == 0
+    assert report_digest(out) == \
+        "e8c622dae0af02a95dc9c9fe5bb4b46d33033baab3326fd34c38734a836c9b72"
 
 
 def test_fusion_jones(capsys):

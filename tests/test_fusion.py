@@ -237,6 +237,44 @@ def test_exactness_bound_is_a_named_violation():
     assert problem.startswith("associativity:")
 
 
+def test_float32_products_stop_at_their_exactness_bound():
+    # x x = 1 + K y, x y = K x + y, y y = 1 + x + K y is a valid ring for
+    # every K; with K = 2^25 its sums reach 2^50, past the 2^24 bound of
+    # float32 and below the 2^53 bound of float64
+    big = 2 ** 25
+    tensor = np.zeros((3, 3, 3), dtype=np.int64)
+    for v in range(3):
+        tensor[0, v, v] = tensor[v, 0, v] = 1
+    tensor[1, 1, 0] = tensor[2, 2, 0] = 1
+    tensor[1, 1, 2] = tensor[1, 2, 1] = tensor[2, 1, 1] = big
+    tensor[1, 2, 2] = tensor[2, 1, 2] = tensor[2, 2, 1] = 1
+    tensor[2, 2, 2] = big
+    ring = FusionRing(("1", "x", "y"), "1",
+                      (("1", "1"), ("x", "x"), ("y", "y")), tensor)
+    assert validate_fusion(ring) == []
+    assert validate_module(gen_regular_module(ring)) == []
+    # N[x,x]^x = 1 moves one sum of size 2^50 by 1
+    bad = np.array(tensor)
+    bad[1, 1, 1] = 1
+    want = [f"associativity: (x,x,y)->y: {big ** 2 + 2} != {big ** 2 + 1}"]
+    assert oracle_validate_fusion(with_tensor(ring, bad)) == want
+    assert validate_fusion(with_tensor(ring, bad)) == want
+
+    # on the regular module of x x = 1 + K x, an action of x with trace K
+    # and determinant -2 is off by the identity: by 1 at K + 1 and K^2 - K + 1
+    tensor = np.zeros((2, 2, 2), dtype=np.int64)
+    tensor[0] = tensor[1, ::-1] = np.eye(2, dtype=np.int64)
+    tensor[1, 1, 1] = big
+    module = gen_regular_module(FusionRing(("1", "x"), "1",
+                                           (("1", "1"), ("x", "x")), tensor))
+    assert validate_module(module) == []
+    action = np.array(module.action)
+    action[1] = [[1, 1], [big + 1, big - 1]]
+    want = [f"mixed associativity: (x,x) at (1,1): {big + 1} != {big + 2}"]
+    assert oracle_validate_module(with_action(module, action)) == want
+    assert validate_module(with_action(module, action)) == want
+
+
 def test_validate_module_memory_is_cubic_in_rank():
     # rank 59: the r^4 int64 tensors of an einsum check take 97 MB each,
     # while the per-label check holds a few r^3 float64 arrays (1.6 MB each)

@@ -32,6 +32,20 @@ def test_tlj5_golden():
     assert abs(dims["1"] - (1.0 + np.sqrt(5.0)) / 2.0) <= 1e-10
 
 
+def test_tlj_matches_defining_formula():
+    for n in range(3, 41):
+        ring, _ = gen_tlj(n)
+        k = n - 2
+        want = np.zeros((k + 1,) * 3, dtype=np.int64)
+        for a in range(k + 1):
+            for b in range(k + 1):
+                for c in range(k + 1):
+                    if (a + b + c) % 2 == 0 and abs(a - b) <= c <= min(a + b, 2 * k - a - b):
+                        want[a, b, c] = 1
+        assert ring.tensor.dtype == np.int64
+        assert np.array_equal(ring.tensor, want), n
+
+
 def test_tlj_rejects_small_n():
     with pytest.raises(ValueError):
         gen_tlj(2)

@@ -1,3 +1,7 @@
+import copy
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from qindex.generators import (gen_pointed, gen_quotient_module,
                                gen_regular_module, gen_tlj)
 
 from conftest import diagonal_inclusion, random_multimatrix_inclusion
+from oracles import sparse_from_json_reference
 
 
 def test_algebra_round_trip():
@@ -126,6 +131,9 @@ def test_schema_errors_carry_paths():
     ([[[1, None]]], "m[0][0]: complex entries are [re, im] pairs of numbers"),
     # the first bad entry in row order, before a later ragged row
     ([[[0, 0], [1, "x"]], [[0, 0]]], "m[0][1]: complex entries are [re, im] pairs of numbers"),
+    # ints too large for a float; 2 ** 70 fits (see below)
+    ([[[10 ** 400, 0]]], "m[0][0]: number is too large for a float"),
+    ([[[0, 0], [0, -10 ** 400]]], "m[0][1]: number is too large for a float"),
 ])
 def test_matrix_schema_errors_name_the_first_bad_entry(data, message):
     with pytest.raises(qio.SchemaError) as err:
@@ -151,3 +159,99 @@ def test_module_rows_must_be_objects():
     with pytest.raises(qio.SchemaError) as err:
         qio.module_from_json(payload)
     assert str(err.value) == "fusion_module.n['1,0']: value is an object"
+
+
+def test_multiplicities_must_fit_int64():
+    ring = gen_tlj(4)[0]
+    payload = qio.ring_to_json(ring)
+    payload["N"]["1,1"]["2"] = 2 ** 63
+    with pytest.raises(qio.SchemaError) as err:
+        qio.ring_from_json(payload)
+    assert str(err.value) == ("fusion_ring.N['1,1']['2']: "
+                              "multiplicities are nonnegative ints below 2^63")
+    payload["N"]["1,1"]["2"] = 2 ** 63 - 1
+    assert qio.ring_from_json(payload).n("1", "1", "2") == 2 ** 63 - 1
+
+    payload = qio.module_to_json(gen_regular_module(ring))
+    payload["n"]["2,1"]["1"] = 10 ** 30
+    with pytest.raises(qio.SchemaError) as err:
+        qio.module_from_json(payload)
+    assert str(err.value) == ("fusion_module.n['2,1']['1']: "
+                              "multiplicities are nonnegative ints below 2^63")
+
+
+#: replacements for one multiplicity: each bad in its own way, or good
+ODD_MULTIPLICITIES = [-1, 2 ** 63, 2 ** 63 - 1, 10 ** 30, -(2 ** 64), 1.0, "1",
+                      None, [1], {"1": 1}, True, False, 0, 3]
+
+
+def corrupted_maps(payload, name, rng, count):
+    """Copies of ``payload`` with 1 to 3 random edits of its sparse map
+    ``name``: a multiplicity replaced from ODD_MULTIPLICITIES, an unknown
+    target, a malformed or unknown key, a row that is not an object, a
+    row dropped, or the whole map replaced."""
+    for _ in range(count):
+        data = copy.deepcopy(payload)
+        entries = data[name]
+        for _ in range(rng.integers(1, 4)):
+            if not isinstance(entries, dict) or not entries:
+                break
+            key = list(entries)[rng.integers(len(entries))]
+            row = entries[key]
+            kind = rng.integers(7)
+            if kind <= 2 and isinstance(row, dict) and row:
+                target = list(row)[rng.integers(len(row))]
+                row[target] = ODD_MULTIPLICITIES[rng.integers(len(ODD_MULTIPLICITIES))]
+            elif kind == 3 and isinstance(row, dict):
+                row[["nope", "1,1", ""][rng.integers(3)]] = 1
+            elif kind == 4:
+                entries[["x", "0,0,0", "nope,0", ",", key + ","][rng.integers(5)]] = {}
+            elif kind == 5:
+                entries[key] = [[1], "1", None][rng.integers(3)]
+            elif rng.integers(20):
+                del entries[key]
+            else:
+                data[name] = [entries]
+        yield data
+
+
+def decoded(decode, *args):
+    try:
+        return ("tensor", decode(*args).tobytes())
+    except qio.SchemaError as err:
+        return ("error", str(err))
+
+
+def test_sparse_decoder_matches_per_entry_reference():
+    rng = np.random.default_rng(11)
+    ring = gen_tlj(7)[0]
+    module = gen_quotient_module(gen_pointed([2, 4]), [2, 4], [(0, 0), (0, 2)])
+    cases = [(qio.ring_to_json(ring), "N", "fusion_ring", (ring.labels,) * 3,
+              "keys are 'U,V' label pairs", "unknown target label"),
+             (qio.module_to_json(module), "n", "fusion_module",
+              (module.ring.labels, module.labels, module.labels),
+              "keys are 'U,i' pairs", "unknown module label")]
+    seen = set()
+    for payload, name, *rest in cases:
+        for data in corrupted_maps(payload, name, rng, 400):
+            want = decoded(sparse_from_json_reference, data, name, *rest)
+            assert decoded(qio._sparse_from_json, data, name, *rest) == want
+            seen.add(want[0] if want[0] == "tensor" else want[1].split(": ")[-1])
+    assert seen == {"tensor", "N is an object", "n is an object",
+                    "keys are 'U,V' label pairs", "keys are 'U,i' pairs",
+                    "value is an object", "unknown target label",
+                    "unknown module label", "multiplicities are nonnegative ints",
+                    "multiplicities are nonnegative ints below 2^63"}
+
+
+def test_fusion_decoders_log_sizes_and_durations(caplog):
+    ring = gen_tlj(5)[0]
+    payload = qio.module_to_json(gen_regular_module(ring))
+    with caplog.at_level(logging.INFO, logger="qindex.io"):
+        qio.module_from_json(payload)
+    messages = [rec.getMessage() for rec in caplog.records if rec.name == "qindex.io"]
+    patterns = [r"ring_from_json: rank 4, 20 nonzero, \d+\.\d{3} s",
+                r"module_from_json: rank 4, module size 4, 20 nonzero, \d+\.\d{3} s"]
+    assert len(messages) == len(patterns)
+    for message, pattern in zip(messages, patterns):
+        assert re.fullmatch(pattern, message), message

@@ -1,3 +1,5 @@
+import logging
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -197,6 +199,14 @@ def test_enumerate_respects_limit():
 
 
 # -- classification ----------------------------------------------------------
+
+def test_classify_subgroups_logs_type_count_and_duration(caplog):
+    with caplog.at_level(logging.INFO, logger="qindex.lattice"):
+        classify_subgroups(cartan_data("D4"))
+    [message] = [rec.getMessage() for rec in caplog.records
+                 if rec.name == "qindex.lattice"]
+    assert re.fullmatch(r"classify_subgroups: D4, 5 subgroups, \d+\.\d{3} s", message)
+
 
 def test_classification_tables():
     want = {
