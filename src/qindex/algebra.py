@@ -9,6 +9,7 @@ linear map (homomorphisms, expectations) in the package.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -299,7 +300,8 @@ def column_norms(algebra: MultiMatrixAlgebra, cols: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TraceWeights:
-    """Faithful positive trace tau(x) = sum_t w_t tr(x_t), all w_t > 0."""
+    """Faithful positive trace tau(x) = sum_t w_t tr(x_t), all w_t finite
+    and > 0."""
 
     algebra: MultiMatrixAlgebra
     weights: tuple[float, ...]
@@ -307,8 +309,9 @@ class TraceWeights:
     def __post_init__(self):
         if len(self.weights) != len(self.algebra.blocks):
             raise ValueError("one weight per block required")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("trace weights must be strictly positive")
+        # an exact comparison, so an int past the float range is rejected
+        if not all(0 < w <= sys.float_info.max for w in self.weights):
+            raise ValueError("trace weights must be finite and strictly positive")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
     def __call__(self, x: AlgebraElement) -> complex:

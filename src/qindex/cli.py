@@ -1,10 +1,17 @@
 """Command-line surface: file-driven index computation, fixture generation,
 fusion analysis, and lattice classification.
 
-Every command prints one RunReport as canonical JSON on stdout.  Exit
-codes: 0 success, 1 parse error, 2 validation failure, 3 infinite or
-unsolvable result.  Reports are deterministic for a fixed seed except for
-the wall_ms field.
+Each ``cmd_*`` computes and returns ``(results, input_digest, tolerances,
+exit_code, artifact)``; the artifact is None when the command writes no
+``-o`` file.  ``main`` alone owns the output contract: it times the
+command, writes the artifact, prints one RunReport as canonical JSON on
+stdout, and maps failures to exit codes.  Exit codes: 0 success, 1
+unreadable input (CliFailure), 2 validation failure (any ValueError), 3
+infinite or unsolvable result.  An exit code a command returns, 0 or 3,
+comes with the report and the artifact.  A raised failure (exit 1, exit 2,
+or the CliFailure of ``fusion descent``'s exit 3) prints ``error:
+<message>`` on stderr, nothing on stdout, and writes no file.  Reports are
+deterministic for a fixed seed except for the wall_ms field.
 """
 
 from __future__ import annotations
@@ -43,6 +50,9 @@ log = logging.getLogger("qindex")
 
 
 class CliFailure(Exception):
+    """A failure with an exit code of its own: 1 for unreadable input, 3
+    when ``fusion descent`` has no module trace to work with."""
+
     def __init__(self, code: int, message: str):
         self.code = code
         super().__init__(message)
@@ -93,51 +103,20 @@ def _inf_as_string(value):
     return "inf" if isinstance(value, float) and math.isinf(value) else value
 
 
-def _emit(args, results: dict, input_digest: str, tolerances: dict,
-          seed: int, t0: float) -> None:
-    report = {
-        "schema": SCHEMA,
-        "command": args._command_echo,
-        "input_digest": input_digest,
-        "tolerances": tolerances,
-        "seed": seed,
-        "wall_ms": round(1000.0 * (time.perf_counter() - t0), 3),
-        "results": results,
-    }
-    print(_canonical(report))
-
-
-def _write_artifact(path: str | None, payload) -> None:
-    if path is None:
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_canonical(payload) + "\n")
-
-
 # -- index -------------------------------------------------------------------
 
-def cmd_index_compute(args) -> int:
-    t0 = time.perf_counter()
-    data = _load_json(args.spec)
-    try:
-        inclusion, mat, tau = qio.expectation_spec_from_json(data)
-    except qio.SchemaError as err:
-        raise CliFailure(EXIT_VALIDATION, str(err))
-
+def cmd_index_compute(args):
+    inclusion, mat, tau = qio.expectation_spec_from_json(_load_json(args.spec))
     if mat is None:
-        try:
-            expectation = canonical_expectation(inclusion, tau)
-        except ValueError as err:
-            raise CliFailure(EXIT_VALIDATION, str(err))
+        expectation = canonical_expectation(inclusion, tau)
     else:
         expectation = ConditionalExpectation(inclusion, mat)
         report = validate_expectation(expectation, tol=args.tol)
         if not report.ok:
-            raise CliFailure(EXIT_VALIDATION,
-                             "not a conditional expectation; failed axioms: "
+            raise ValueError("not a conditional expectation; failed axioms: "
                              + ", ".join(report.failures))
 
-    index = compute_index_report(expectation, tau, tol=args.tol, seed=args.seed)
+    index = compute_index_report(expectation, tol=args.tol, seed=args.seed)
     results = {
         "index_norm": index.index_norm,
         "scalar_index": index.scalar_index,
@@ -147,19 +126,16 @@ def cmd_index_compute(args) -> int:
         "seed": index.seed,
         "index_in_subalgebra": index.index_in_subalgebra,
     }
-    _write_artifact(args.output, results)
-    _emit(args, results, _digest_files([args.spec]),
-          {"tol": args.tol}, args.seed, t0)
+    code = EXIT_OK
     if math.isinf(index.scalar_index):
         log.warning("infinite scalar index")
-        return EXIT_INFINITE
-    return EXIT_OK
+        code = EXIT_INFINITE
+    return results, _digest_files([args.spec]), {"tol": args.tol}, code, results
 
 
 # -- fusion ------------------------------------------------------------------
 
-def cmd_fusion_generate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_fusion_generate(args):
     if args.kind == "tlj":
         ring, dims = gen_tlj(args.n)
         payload = qio.ring_to_json(ring)
@@ -171,14 +147,11 @@ def cmd_fusion_generate(args) -> int:
         payload = qio.ring_to_json(ring)
         results = {"ring": payload}
         params = {"kind": "pointed", "factors": factors}
-    _write_artifact(args.output, payload)
-    _emit(args, results, _digest(params), {}, args.seed, t0)
-    return EXIT_OK
+    return results, _digest(params), {}, EXIT_OK, payload
 
 
-def cmd_fusion_trace(args) -> int:
-    t0 = time.perf_counter()
-    ring = _ring_from_arg(args.ring)
+def cmd_fusion_trace(args):
+    ring = qio.ring_from_json(_load_json(args.ring))
     module, module_paths = _module_from_arg(args.module, ring)
     dims = pf_dimensions(ring)
     result = module_trace_solve(module, dims)
@@ -188,39 +161,30 @@ def cmd_fusion_trace(args) -> int:
         "ring_dims": dims.as_dict(),
         "trace": result.trace.as_dict() if result.trace else None,
     }
-    _write_artifact(args.output, results)
-    _emit(args, results, _digest_files([args.ring] + module_paths),
-          {}, args.seed, t0)
-    return EXIT_OK if result.status == "ok" else EXIT_INFINITE
+    code = EXIT_OK if result.status == "ok" else EXIT_INFINITE
+    return results, _digest_files([args.ring] + module_paths), {}, code, results
 
 
-def cmd_fusion_jones(args) -> int:
-    t0 = time.perf_counter()
+def cmd_fusion_jones(args):
     member, witness = jones_membership(args.value, args.tol)
     results = {"value": args.value, "member": member, "witness": witness}
-    _emit(args, results, _digest({"value": args.value}), {"tol": args.tol},
-          args.seed, t0)
-    return EXIT_OK
+    return results, _digest({"value": args.value}), {"tol": args.tol}, EXIT_OK, None
 
 
-def cmd_fusion_descent(args) -> int:
-    t0 = time.perf_counter()
-    ring = _ring_from_arg(args.ring)
+def cmd_fusion_descent(args):
+    ring = qio.ring_from_json(_load_json(args.ring))
     module, module_paths = _module_from_arg(args.module, ring)
     subring = [x for x in args.subring.split(",") if x]
     dims = pf_dimensions(ring)
     solved = module_trace_solve(module, dims)
     if solved.trace is None:
         raise CliFailure(EXIT_INFINITE, f"no module trace: {solved.status}")
-    try:
-        classes = equivalence_classes(module, subring)
-    except ValueError as err:
-        raise CliFailure(EXIT_VALIDATION, str(err))
+    classes = equivalence_classes(module, subring)
     action_labels = ([args.action_by] if args.action_by else list(ring.labels))
     functors = {}
     for u in action_labels:
         if u not in ring.labels:
-            raise CliFailure(EXIT_VALIDATION, f"unknown ring label {u!r}")
+            raise ValueError(f"unknown ring label {u!r}")
         functor = MultiplicityFunctor(module, functor_dims(module, u))
         d_f = d_function(functor, solved.trace)
         constant, violations = check_locally_constant(d_f, classes, args.tol)
@@ -229,9 +193,8 @@ def cmd_fusion_descent(args) -> int:
     results = {"classes": [list(c) for c in classes],
                "trace": solved.trace.as_dict(),
                "functors": functors}
-    _emit(args, results, _digest_files([args.ring] + module_paths),
-          {"tol": args.tol}, args.seed, t0)
-    return EXIT_OK
+    return (results, _digest_files([args.ring] + module_paths),
+            {"tol": args.tol}, EXIT_OK, None)
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -239,13 +202,6 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         return [int(x) for x in text.split(",") if x]
     except ValueError:
         raise CliFailure(EXIT_PARSE, f"cannot parse {what} {text!r}")
-
-
-def _ring_from_arg(path: str):
-    try:
-        return qio.ring_from_json(_load_json(path))
-    except qio.SchemaError as err:
-        raise CliFailure(EXIT_VALIDATION, str(err))
 
 
 def _module_from_arg(arg: str, ring):
@@ -256,29 +212,21 @@ def _module_from_arg(arg: str, ring):
         module, paths = gen_regular_module(ring), []
         problems = [f"ring: {v}" for v in validate_fusion(ring)]
     else:
-        try:
-            module, paths = qio.module_from_json(_load_json(arg)), [arg]
-        except qio.SchemaError as err:
-            raise CliFailure(EXIT_VALIDATION, str(err))
+        module, paths = qio.module_from_json(_load_json(arg)), [arg]
         if module.ring.labels != ring.labels or \
                 not np.array_equal(module.ring.tensor, ring.tensor):
-            raise CliFailure(EXIT_VALIDATION,
-                             "module file carries a different ring than --ring")
+            raise ValueError("module file carries a different ring than --ring")
         problems = validate_module(module)
     if problems:
-        raise CliFailure(EXIT_VALIDATION, "; ".join(problems))
+        raise ValueError("; ".join(problems))
     return module, paths
 
 
 # -- classify ----------------------------------------------------------------
 
-def cmd_classify_table(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        cartan = cartan_data(args.lie_type)
-        specs = classify_subgroups(cartan)
-    except ValueError as err:
-        raise CliFailure(EXIT_VALIDATION, str(err))
+def cmd_classify_table(args):
+    cartan = cartan_data(args.lie_type)
+    specs = classify_subgroups(cartan)
     rows = [{
         "subgroup": [list(g) for g in spec.subgroup],
         "subgroup_order": spec.subgroup_order,
@@ -286,31 +234,22 @@ def cmd_classify_table(args) -> int:
         "index": spec.index_in_p,
     } for spec in specs]
     results = {"lie_type": cartan.lie_type, "entries": rows}
-    _write_artifact(args.output, results)
-    _emit(args, results, _digest({"lie_type": cartan.lie_type}), {}, args.seed, t0)
-    return EXIT_OK
+    return results, _digest({"lie_type": cartan.lie_type}), {}, EXIT_OK, results
 
 
-def cmd_classify_irrep(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        cartan = cartan_data(args.lie_type)
-        specs = classify_subgroups(cartan)
-        weight = tuple(_parse_int_list(args.weight, "weight"))
-        if len(weight) != cartan.rank:
-            raise ValueError(f"weight must have {cartan.rank} coordinates")
-        label = IrrepLabel(weight)
-        spec = _select_subgroup(specs, args.subgroup)
-        member = irrep_membership(label, spec)
-    except ValueError as err:
-        raise CliFailure(EXIT_VALIDATION, str(err))
+def cmd_classify_irrep(args):
+    cartan = cartan_data(args.lie_type)
+    specs = classify_subgroups(cartan)
+    weight = tuple(_parse_int_list(args.weight, "weight"))
+    if len(weight) != cartan.rank:
+        raise ValueError(f"weight must have {cartan.rank} coordinates")
+    spec = _select_subgroup(specs, args.subgroup)
+    member = irrep_membership(IrrepLabel(weight), spec)
     results = {"lie_type": cartan.lie_type, "weight": list(weight),
                "subgroup": args.subgroup, "index": spec.index_in_p,
                "member": member}
-    _emit(args, results,
-          _digest({"lie_type": cartan.lie_type, "weight": list(weight),
-                   "subgroup": args.subgroup}), {}, args.seed, t0)
-    return EXIT_OK
+    return (results, _digest({"lie_type": cartan.lie_type, "weight": list(weight),
+                              "subgroup": args.subgroup}), {}, EXIT_OK, None)
 
 
 def _select_subgroup(specs, name: str):
@@ -436,17 +375,29 @@ def main(argv: list[str] | None = None) -> int:
                         level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._command_echo = argv
     if getattr(args, "func", None) is cmd_classify_table and args.lie_type is None:
         parser.error("classify requires --lie-type")
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except CliFailure as err:
+        results, input_digest, tolerances, code, artifact = args.func(args)
+        # classify -o F irrep parses -o but has no artifact
+        if artifact is not None and getattr(args, "output", None) is not None:
+            text = _canonical(artifact)
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        print(_canonical({
+            "schema": SCHEMA,
+            "command": argv,
+            "input_digest": input_digest,
+            "tolerances": tolerances,
+            "seed": args.seed,
+            "wall_ms": round(1000.0 * (time.perf_counter() - t0), 3),
+            "results": results,
+        }))
+        return code
+    except (CliFailure, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return err.code
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return err.code if isinstance(err, CliFailure) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -274,7 +274,10 @@ def canonical_expectation(inclusion: StarHomomorphism,
     if tau.algebra.blocks != big.blocks:
         raise ValueError("trace weights are not on the big algebra")
     k = inclusion.normal_form.multiplicities
+    # h does not change when w is scaled; an exact power of two keeps K^T w
+    # finite for weights near the float range's end
     w = np.asarray(tau.weights)
+    w = np.ldexp(w, -np.frexp(w.max())[1])
     scale = w[:, None] / (k.T @ w)[None, :]
     h = tuple(tuple(scale[t, p] * np.eye(k[t, p]) for p in range(k.shape[1]))
               for t in range(k.shape[0]))
@@ -446,14 +449,13 @@ def scalar_index(expectation: ConditionalExpectation) -> float:
 
 
 def probabilistic_index_bounds(expectation: ConditionalExpectation,
-                               budget: int = 2000,
-                               seed: int = 0) -> tuple[float, float]:
+                               budget: int = 2000) -> tuple[float, float]:
     """(Index^p, scalar index) for Index^p = min{c : cE - id positive}.
 
     The lower end is the exact probabilistic index in closed form (see
     :func:`_closed_form_indices`); the upper end is the scalar index, since
-    Index^p <= Index^s always holds.  ``budget`` and ``seed`` are accepted
-    for compatibility and unused: nothing is searched.
+    Index^p <= Index^s always holds.  ``budget`` is accepted for
+    compatibility and unused: nothing is searched.
     """
     lower, sums = _closed_form_indices(expectation)
     return lower, max(sums)
@@ -531,7 +533,6 @@ def index_in_subalgebra(expectation: ConditionalExpectation,
 
 
 def compute_index_report(expectation: ConditionalExpectation,
-                         tau: TraceWeights,
                          tol: float = DEFAULT_TOL,
                          seed: int = 0) -> IndexReport:
     """All index data of a valid expectation (canonical, or passed by
@@ -541,8 +542,7 @@ def compute_index_report(expectation: ConditionalExpectation,
     sum u_i u_i* for the Pimsner-Popa basis of :func:`quasi_basis_report`,
     which has sum_t m_t sum_p k_tp elements and satisfies the quasi-basis
     identity exactly once E equals the map rebuilt from h.  Its norm is the
-    scalar index.  ``tau`` is accepted for compatibility and unused;
-    ``seed`` is recorded in the report.
+    scalar index.  ``seed`` is recorded in the report.
     """
     lower, sums = _closed_form_indices(expectation)
     scalar = max(sums)

@@ -8,6 +8,7 @@ which the CLI maps to the validation exit code.
 from __future__ import annotations
 
 import logging
+import sys
 import time
 from itertools import chain
 from typing import Any, Mapping, Sequence
@@ -72,8 +73,12 @@ def _matrix_from_json(data: Any, path: str) -> np.ndarray:
                 _expect(all(map(_fits_float, pair)), f"{path}[{i}][{j}]",
                         "number is too large for a float")
         pairs = np.array(data, dtype=np.float64)
+    pairs = pairs.astype(np.float64)
+    if not np.isfinite(pairs).all():  # JSON NaN, Infinity or 1e400
+        i, j, _ = np.argwhere(~np.isfinite(pairs))[0]
+        raise SchemaError(f"{path}[{i}][{j}]", "number is not finite")
     # [re, im] float64 pairs are the memory layout of complex128
-    return pairs.astype(np.float64).view(complex)[..., 0]
+    return pairs.view(complex)[..., 0]
 
 
 def _fits_float(x: int | float) -> bool:
@@ -163,8 +168,9 @@ def expectation_spec_from_json(data: Any, path: str = "expectation"
     else:
         _expect(isinstance(weights, list) and len(weights) == len(big.blocks),
                 f"{path}.trace_weights", "one positive weight per target block")
-        _expect(all(isinstance(w, (int, float)) and w > 0 for w in weights),
-                f"{path}.trace_weights", "one positive weight per target block")
+        _expect(all(isinstance(w, (int, float)) and 0 < w <= sys.float_info.max
+                    for w in weights),
+                f"{path}.trace_weights", "one finite positive weight per target block")
         tau = TraceWeights(big, tuple(float(w) for w in weights))
     return inclusion, mat, tau
 
@@ -309,6 +315,8 @@ def _module_from_json(data: Any, path: str) -> FusionModule:
             and all(isinstance(x, str) for x in irr_m),
             f"{path}.irrM", "irrM is a nonempty list of string labels")
     _expect(len(set(irr_m)) == len(irr_m), f"{path}.irrM", "labels must be distinct")
+    _expect(not any("," in x for x in irr_m), f"{path}.irrM",
+            "labels must not contain commas")
     action = _sparse_from_json(data, "n", path, (ring.labels, irr_m, irr_m),
                                "keys are 'U,i' pairs", "unknown module label")
     return FusionModule(ring, tuple(irr_m), action)

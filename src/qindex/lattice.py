@@ -23,15 +23,12 @@ __all__ = [
     "CenterData", "CrosscheckReport", "cartan_data", "standard_cartan_matrix",
     "smith_normal_form", "hermite_normal_form", "center_group",
     "enumerate_subgroups", "classify_subgroups", "irrep_membership",
-    "crosscheck_torus_index", "SUPPORTED_TYPES",
+    "crosscheck_torus_index",
 ]
 
 log = logging.getLogger("qindex.lattice")
 
 SUPPORTED_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
-
-#: concrete types accepted by the CLI; rank limits keep P/Q enumeration exact
-SUPPORTED_TYPES = "A_r (r>=1), B_r (r>=2), C_r (r>=2), D_r (r>=3), E6, E7, E8, F4, G2"
 
 
 def standard_cartan_matrix(family: str, rank: int) -> list[list[int]]:
@@ -513,7 +510,7 @@ def crosscheck_torus_index(n: int, d: int, tol: float = 1e-9) -> CrosscheckRepor
     from .expectation import canonical_expectation, compute_index_report
 
     inclusion, tau = group_algebra_inclusion(n, d)
-    report = compute_index_report(canonical_expectation(inclusion, tau), tau)
+    report = compute_index_report(canonical_expectation(inclusion, tau))
     expected = n // d
     passed = (abs(report.index_norm - expected) <= tol
               and abs(report.scalar_index - expected) <= 1e-7)

@@ -236,6 +236,12 @@ def test_trace_weights_faithful_tracial(rng):
         TraceWeights(alg, (1.0, 0.0))
 
 
+@pytest.mark.parametrize("weight", [float("inf"), float("nan"), 10 ** 400])
+def test_trace_weights_are_finite_and_positive(weight):
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        TraceWeights(MultiMatrixAlgebra((2, 3)), (1.0, weight))
+
+
 def test_subalgebra_structure_diagonal_and_full():
     m2 = MultiMatrixAlgebra((2,))
     diag = subalgebra_structure([m2.identity(), m2.matrix_unit(0, 0, 0),

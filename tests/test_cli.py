@@ -2,12 +2,13 @@ import hashlib
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from qindex import io as qio
 from qindex.cli import main
-from qindex.fusion import validate_fusion
-from qindex.generators import gen_regular_module
+from qindex.fusion import FusionModule, validate_fusion
+from qindex.generators import gen_pointed, gen_regular_module
 
 
 def run(capsys, *argv):
@@ -305,6 +306,84 @@ def test_index_compute_rejects_int_too_large_for_a_float(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == ("error: expectation.inclusion.matrix[3][1]: "
                    "number is too large for a float\n")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("map", [[[float(i == j) if (i, j) != (0, 0) else float("nan"), 0] for j in range(4)]
+             for i in range(4)], "expectation.map[0][0]: number is not finite"),
+    ("trace_weights", [float("inf")],
+     "expectation.trace_weights: one finite positive weight per target block"),
+])
+def test_index_compute_rejects_non_finite_numbers(tmp_path, capsys, field, value, message):
+    # NaN passed every axiom check, since each comparison with it is False,
+    # and was reported as an infinite index with exit 3
+    path = pinching_spec(tmp_path)
+    spec = json.loads(open(path).read())
+    spec[field] = value
+    with open(path, "w") as fh:
+        json.dump(spec, fh)  # writes NaN, Infinity and -Infinity
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "index", "compute", "--spec", path, "-o", str(out_path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
+
+
+def contract_files(tmp_path):
+    """The ring of Z/2, the regular module of Z/4, and the direct sum of two
+    regular modules of Z/2, whose module traces form a plane."""
+    z2 = gen_pointed([2])
+    twice = np.zeros((2, 4, 4), dtype=np.int64)
+    twice[:, :2, :2] = twice[:, 2:, 2:] = gen_regular_module(z2).action
+    payloads = {
+        "ring": qio.ring_to_json(z2),
+        "z4_module": qio.module_to_json(gen_regular_module(gen_pointed([4]))),
+        "decomposable": qio.module_to_json(FusionModule(z2, ("a", "b", "c", "d"), twice)),
+    }
+    paths = {"missing": str(tmp_path / "missing.json"), "out": str(tmp_path / "out.json")}
+    for name, payload in payloads.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(payload, fh)
+    return paths
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["index", "compute", "--spec", "{missing}", "-o", "{out}"], 1, "cannot open {missing}"),
+    (["fusion", "generate", "pointed", "--factors", "2,x", "-o", "{out}"], 1,
+     "cannot parse factors '2,x'"),
+    (["classify", "-o", "{out}", "irrep", "--lie-type", "A1", "--weight", "1,x",
+      "--subgroup", "Q"], 1, "cannot parse weight '1,x'"),
+    (["fusion", "trace", "--ring", "{ring}", "--module", "{z4_module}", "-o", "{out}"], 2,
+     "module file carries a different ring than --ring"),
+    (["fusion", "descent", "--ring", "{ring}", "--module", "regular", "--subring", "0",
+      "--action-by", "q"], 2, "unknown ring label 'q'"),
+    (["classify", "-o", "{out}", "irrep", "--lie-type", "A2", "--weight", "1",
+      "--subgroup", "Q"], 2, "weight must have 2 coordinates"),
+    (["classify", "-o", "{out}", "irrep", "--lie-type", "A2", "--weight", "1,1",
+      "--subgroup", "99"], 2, "table position 99 out of range (0..1)"),
+    (["fusion", "jones", "--value", "-1"], 2, "d must be positive"),
+    (["fusion", "descent", "--ring", "{ring}", "--module", "{decomposable}",
+      "--subring", "0"], 3, "no module trace: decomposable"),
+], ids=["missing-spec", "bad-factors", "bad-weight", "module-ring-mismatch",
+        "unknown-action-by", "weight-length", "subgroup-out-of-range", "negative-jones",
+        "descent-without-trace"])
+def test_failures_print_only_the_error(tmp_path, capsys, argv, code, message):
+    # every failure: its exit code, one error line on stderr, no report on
+    # stdout and no -o file
+    paths = contract_files(tmp_path)
+    got = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert got == (code, "", f"error: {message.format(**paths)}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_classify_irrep_writes_no_artifact(tmp_path, capsys):
+    # classify -o F irrep parses -o, but irrep has no artifact to write
+    out_path = tmp_path / "out.json"
+    code, out, _ = run(capsys, "classify", "-o", str(out_path), "irrep",
+                       "--lie-type", "A1", "--weight", "2", "--subgroup", "Q")
+    assert code == 0
+    assert report_of(out)["results"]["member"] is True
+    assert not out_path.exists()
 
 
 def report_digest(stdout):

@@ -119,14 +119,14 @@ def test_each_density_is_eigendecomposed_once(rng, monkeypatch):
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     canonical = canonical_expectation(inclusion, tau)
-    compute_index_report(canonical, tau)
+    compute_index_report(canonical)
     nonempty = sum(h.size > 0 for hs in canonical.densities for h in hs)
     assert nonempty == 3 and len(calls) == nonempty
 
     calls.clear()
     explicit = ConditionalExpectation(inclusion, canonical.matrix)
     assert validate_expectation(explicit).ok
-    compute_index_report(explicit, tau)
+    compute_index_report(explicit)
     assert len(calls) == nonempty
 
 
@@ -248,7 +248,7 @@ def test_quasi_basis_report_logs_its_evidence(caplog):
         explicit = ConditionalExpectation(inclusion, canonical.matrix)
         assert validate_expectation(explicit).ok
         result = quasi_basis_report(explicit, tau)
-        compute_index_report(explicit, tau)
+        compute_index_report(explicit)
     assert result.basis is not None
     lines = [r.getMessage() for r in caplog.records]
     assert all(line.endswith(" s") for line in lines)
@@ -344,12 +344,23 @@ def _wide_weight_case(ratio):
     return canonical_expectation(inclusion, tau), tau
 
 
+@pytest.mark.parametrize("weights, index", [((1e308, 1e308), 2.0),
+                                            ((1e308, 1e307), 11.0)])
+def test_index_finite_at_weights_near_the_float_range_end(weights, index):
+    # C in C + C, K = [[1], [1]]: h_t = w_t / (w_1 + w_2) does not depend on
+    # the scale of w, though w_1 + w_2 overflows here
+    big, sub = MultiMatrixAlgebra((1, 1)), MultiMatrixAlgebra((1,))
+    inclusion = StarHomomorphism(sub, big, np.array([[1.0], [1.0]]))
+    report = compute_index_report(canonical_expectation(inclusion, TraceWeights(big, weights)))
+    assert report.scalar_index == report.index_norm == report.prob_lower == index
+
+
 @pytest.mark.parametrize("ratio", [1.0, 1e2, 1e4, 1e6, 1e8])
 def test_index_report_finite_across_weight_ratios(ratio):
     # the scalar index is finite at every ratio, so the index element must
     # be found too; index_norm = inf here would be a wrong answer
-    expectation, tau = _wide_weight_case(ratio)
-    report = compute_index_report(expectation, tau)
+    expectation, _ = _wide_weight_case(ratio)
+    report = compute_index_report(expectation)
     # sum_t m_t sum_p k_tp = 3 * 2 + 4 * 3
     assert report.quasi_basis_size == 18
     assert abs(report.index_norm - report.scalar_index) <= 1e-8 * report.scalar_index
@@ -517,7 +528,7 @@ def test_index_report_ordering_chain(rng):
     for _ in range(5):
         inclusion, tau = random_multimatrix_inclusion(rng)
         expectation = canonical_expectation(inclusion, tau)
-        report = compute_index_report(expectation, tau)
+        report = compute_index_report(expectation)
         assert report.prob_lower <= report.prob_upper + 1e-9
         assert report.prob_upper <= report.scalar_index + 1e-9
         assert report.scalar_index <= report.index_norm + 1e-7
@@ -542,7 +553,7 @@ def test_index_report_reads_the_density_spectra_only(rng, monkeypatch):
     assert validate_expectation(explicit).ok
     want = k @ (k.T @ w) / w
     for expectation in (canonical, explicit):
-        report = compute_index_report(expectation, tau)
+        report = compute_index_report(expectation)
         for block, c in zip(report.index_element.data, want):
             assert np.abs(block - c * np.eye(len(block))).max() <= 1e-12 * c
         assert report.index_norm == report.scalar_index
@@ -555,8 +566,8 @@ def test_index_report_reads_the_density_spectra_only(rng, monkeypatch):
 def test_index_element_location_report():
     # scalar index element lies in the image of A; a two-block index
     # element with distinct block scalars does not
-    expectation, tau = pinching_expectation(2)
-    report = compute_index_report(expectation, tau)
+    expectation, _ = pinching_expectation(2)
+    report = compute_index_report(expectation)
     assert report.index_in_subalgebra is True
 
     big = MultiMatrixAlgebra((1, 1))
@@ -777,7 +788,7 @@ def test_closed_forms_match_dense_oracles(data):
             assert np.abs(np.linalg.eigvalsh(g) - np.linalg.eigvalsh(d)).max(initial=0) <= 1e-12
     lower, scalar = probabilistic_index_bounds(expectation)
     basis = quasi_basis_report(expectation, tau).basis
-    report = compute_index_report(expectation, tau)
+    report = compute_index_report(expectation)
     assert report.index_norm == report.scalar_index == scalar
     if singular:
         assert math.isinf(lower) and math.isinf(scalar)

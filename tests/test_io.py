@@ -8,7 +8,8 @@ import pytest
 from qindex import io as qio
 from qindex.algebra import MultiMatrixAlgebra, TraceWeights
 from qindex.expectation import canonical_expectation
-from qindex.fusion import FusionRing, validate_fusion, validate_module
+from qindex.fusion import (FusionModule, FusionRing, validate_fusion,
+                           validate_module)
 from qindex.generators import (gen_pointed, gen_quotient_module,
                                gen_regular_module, gen_tlj)
 
@@ -134,6 +135,10 @@ def test_schema_errors_carry_paths():
     # ints too large for a float; 2 ** 70 fits (see below)
     ([[[10 ** 400, 0]]], "m[0][0]: number is too large for a float"),
     ([[[0, 0], [0, -10 ** 400]]], "m[0][1]: number is too large for a float"),
+    # JSON NaN and Infinity, and float literals past the range such as 1e400
+    ([[[0, 0], [float("nan"), 0]]], "m[0][1]: number is not finite"),
+    ([[[0, 0]], [[0, float("-inf")]]], "m[1][0]: number is not finite"),
+    ([[[2 ** 70, 0]], [[0, float("inf")]]], "m[1][0]: number is not finite"),
 ])
 def test_matrix_schema_errors_name_the_first_bad_entry(data, message):
     with pytest.raises(qio.SchemaError) as err:
@@ -142,15 +147,39 @@ def test_matrix_schema_errors_name_the_first_bad_entry(data, message):
 
 
 def test_matrix_codec_keeps_every_float():
-    inf = float("inf")
-    data = [[[0, inf], [-0.0, 1.5]], [[True, False], [2 ** 70, -inf]]]
+    data = [[[0, 1e308], [-0.0, 1.5]], [[True, False], [2 ** 70, -5e-324]]]
     mat = qio._matrix_from_json(data, "m")
-    want = np.array([[complex(0, inf), complex(-0.0, 1.5)],
-                     [complex(1, 0), complex(2 ** 70, -inf)]])
+    want = np.array([[complex(0, 1e308), complex(-0.0, 1.5)],
+                     [complex(1, 0), complex(2 ** 70, -5e-324)]])
     assert mat.tobytes() == want.tobytes()
     back = qio._matrix_to_json(mat)
-    assert back == [[[0.0, inf], [-0.0, 1.5]], [[1.0, 0.0], [float(2 ** 70), -inf]]]
+    assert back == [[[0.0, 1e308], [-0.0, 1.5]], [[1.0, 0.0], [float(2 ** 70), -5e-324]]]
     assert all(type(x) is float for row in back for pair in row for x in pair)
+
+
+def c_in_c2_spec(weights):
+    """C in C + C, K = [[1], [1]], with the given trace weights."""
+    return {"inclusion": {"source": {"blocks": [1]}, "target": {"blocks": [1, 1]},
+                          "matrix": [[[1, 0]], [[1, 0]]]},
+            "trace_weights": weights}
+
+
+@pytest.mark.parametrize("weights", [[float("inf"), 1], [1, float("nan")], [10 ** 400, 1]])
+def test_trace_weights_must_be_finite(weights):
+    with pytest.raises(qio.SchemaError) as err:
+        qio.expectation_spec_from_json(c_in_c2_spec(weights))
+    assert str(err.value) == ("expectation.trace_weights: "
+                              "one finite positive weight per target block")
+
+
+def test_module_labels_must_not_contain_commas():
+    # every n key 'U,i' that named the label 'a,b' would split in three
+    ring = gen_pointed([2])
+    module = FusionModule(ring, ("a,b", "c"), gen_regular_module(ring).action)
+    payload = qio.module_to_json(module)
+    with pytest.raises(qio.SchemaError) as err:
+        qio.module_from_json(payload)
+    assert str(err.value) == "fusion_module.irrM: labels must not contain commas"
 
 
 def test_module_rows_must_be_objects():
