@@ -11,7 +11,8 @@ with one density h_tp >= 0 per pair of blocks and sum_t Tr h_tp = 1.
 Validation, the trace-preserving expectation, the Pimsner-Popa
 quasi-basis, the Watatani index element (sum_p Tr h_tp^{-1} on B block t),
 the scalar index (its largest block value) and the exact probabilistic
-index are all read off h.  The defect of a quasi-basis, the index element
+index are all read off h, batched over the block pairs with k_tp > 0
+by density size.  The defect of a quasi-basis, the index element
 sum u_i u_i* of any family, finite-group averaging and restriction to
 intermediate subalgebras work on any expectation matrix.
 """
@@ -32,13 +33,16 @@ from .algebra import (
     DEFAULT_TOL,
     RANK_RTOL,
     AlgebraElement,
+    InclusionNormalForm,
     MultiMatrixAlgebra,
     StarHomomorphism,
     TraceWeights,
     _in_span,
     column_norms,
+    group_indices,
     orthonormal_columns,
     subalgebra_structure,
+    submatrices,
 )
 
 log = logging.getLogger("qindex.expectation")
@@ -86,84 +90,98 @@ class ConditionalExpectation:
         return self.algebra.from_vector(self.matrix @ x.to_vector())
 
     @cached_property
-    def densities(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """h[t][p], the k_tp x k_tp density of E on corner p of B block t.
+    def densities(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The densities of E, batched by size: one pair (idx, h) per
+        distinct multiplicity k, with h[n] the k x k density h_tp of the
+        pair idx[n] of ``inclusion.normal_form.pairs``.
 
-        Entry (alpha, gamma) is read off E on the element of B block t that
-        is e_11 (x) e_{gamma alpha} in the adapted basis: its image is
-        h[alpha, gamma] e_11 in A block p.  That is sum_tp k_tp^2 elements.
-        The matrices are as read, not symmetrised, so that
+        Entry (alpha, gamma) of h_tp is read off E on the element of B
+        block t that is e_11 (x) e_{gamma alpha} in the adapted basis: its
+        image is h[alpha, gamma] e_11 in A block p.  The pairs of one
+        density size and B block size share one batched product with E's
+        diagonal blocks.  The matrices are as read, not symmetrised, so that
         :func:`validate_expectation` can test them.
         """
         form = self.inclusion.normal_form
+        pairs = form.pairs
         out = []
-        row = 0
-        for m, corners in zip(self.algebra.blocks, form.corners):
-            block = self.matrix[row:row + m * m, row:row + m * m]
-            row += m * m
-            hs = []
-            for corner in corners:
-                first = corner[:, 0, :]
-                k = first.shape[1]
-                if k == 0:
-                    hs.append(np.zeros((0, 0), dtype=complex))
-                    continue
+        for idx in group_indices(pairs.k):
+            k = int(pairs.k[idx[0]])
+            h = np.empty((idx.size, k, k), dtype=complex)
+            for sub in group_indices(pairs.m[idx]):
+                at = idx[sub]
+                m = int(pairs.m[at[0]])
+                first = form.corner_columns(at, k)
+                # E's diagonal block on each B block of these pairs, read
+                # once; the pairs of one block are slots against it
+                offsets, block = np.unique(pairs.b_ofs[at], return_inverse=True)
+                slot = np.arange(at.size) - np.searchsorted(block, block)
                 # the (1,1) entry of A block p, read in copy 0 of block t
-                probe = np.outer(first[:, 0].conj(), first[:, 0]).ravel()
-                units = np.einsum("rg,ca->rcga", first, first.conj()).reshape(m * m, k * k)
-                hs.append(((probe @ block) @ units).reshape(k, k).T)
-            out.append(tuple(hs))
+                probes = np.zeros((offsets.size, slot.max() + 1, 1, m * m), dtype=complex)
+                probes[block, slot, 0] = (first[:, :, :1].conj()
+                                          * first[:, None, :, 0]).reshape(-1, m * m)
+                read = probes @ submatrices(self.matrix, offsets, offsets,
+                                            m * m, m * m)[:, None]
+                units = np.einsum("nrg,nca->nrcga", first, first.conj()).reshape(-1, m * m, k * k)
+                h[sub] = (read[block, slot] @ units).reshape(-1, k, k).swapaxes(1, 2)
+            out.append((idx, h))
         return tuple(out)
 
     @cached_property
-    def spectra(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]:
-        """(ascending eigenvalues, eigenvectors) of the Hermitian part of
-        every density, from one eigh each.  Positivity, faithfulness, the
-        quasi-basis and the closed-form indices all read them from here."""
-        return tuple(tuple(np.linalg.eigh((h + h.conj().T) / 2) if h.size
-                           else (np.zeros(0), h) for h in hs)
-                     for hs in self.densities)
+    def spectra(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """(idx, ascending eigenvalues, eigenvectors) of the Hermitian part
+        of the densities, one batched eigh per density size, in the order of
+        :attr:`densities`.  Positivity, faithfulness, the quasi-basis and
+        the closed-form indices all read them from here."""
+        return tuple((idx, *np.linalg.eigh((h + h.conj().swapaxes(1, 2)) / 2))
+                     for idx, h in self.densities)
+
+    @cached_property
+    def _eigenvalue_range(self) -> tuple[float, float, float]:
+        """(smallest, largest) density eigenvalue and the threshold RANK_RTOL
+        times the largest: E is faithful iff every eigenvalue exceeds it."""
+        lo = min(float(vals[:, 0].min()) for _, vals, _ in self.spectra)
+        hi = max(float(vals[:, -1].max()) for _, vals, _ in self.spectra)
+        return lo, hi, RANK_RTOL * max(hi, 0.0)
 
 
 def _rebuild(inclusion: StarHomomorphism,
-             densities: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
-    """The matrix of the expectation with densities h: phi composed with
-    x -> z, z_p = sum_t (id (x) Tr)((1 (x) h_tp) (U_t* x_t U_t) on corner p)."""
+             densities: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The matrix of the expectation with densities h, batched as
+    :attr:`ConditionalExpectation.densities`: phi composed with x -> z,
+    z_p = sum_t (id (x) Tr)((1 (x) h_tp) (U_t* x_t U_t) on corner p)."""
     form = inclusion.normal_form
-    src_ofs = np.cumsum((0,) + tuple(a * a for a in inclusion.source.blocks))
+    pairs = form.pairs
     reduce = np.zeros((inclusion.source.total_dim, inclusion.target.total_dim),
                       dtype=complex)
-    col = 0
-    for m, corners, hs in zip(inclusion.target.blocks, form.corners, densities):
-        for p, (corner, h) in enumerate(zip(corners, hs)):
-            a, k = corner.shape[1:]
-            if k == 0:
-                continue
+    for idx, h in densities:
+        k = h.shape[1]
+        for sub in group_indices(pairs.m[idx], pairs.a[idx]):
+            at = idx[sub]
+            m, a = int(pairs.m[at[0]]), int(pairs.a[at[0]])
+            corner = form.corner_columns(at, a * k).reshape(-1, m, a, k)
             # z[i, j] = sum_{r c alpha gamma} conj(W[r,i,gamma]) h[alpha,gamma]
             #           W[c,j,alpha] x[r, c]
-            left = (corner.conj() @ h.T).reshape(m * a, k)
-            part = (left @ corner.reshape(m * a, k).T).reshape(m, a, m, a)
-            reduce[src_ofs[p]:src_ofs[p + 1], col:col + m * m] = \
-                part.transpose(1, 3, 0, 2).reshape(a * a, m * m)
-        col += m * m
+            left = (corner.conj() @ h[sub, None].swapaxes(-1, -2)).reshape(-1, m * a, k)
+            part = (left @ corner.reshape(-1, m * a, k).swapaxes(1, 2)).reshape(-1, m, a, m, a)
+            rows = pairs.a_ofs[at, None, None] + np.arange(a * a)[:, None]
+            cols = pairs.b_ofs[at, None, None] + np.arange(m * m)
+            reduce[rows, cols] = part.transpose(0, 2, 4, 1, 3).reshape(-1, a * a, m * m)
     return inclusion.matrix @ reduce
 
 
-def _faithfulness(expectation: ConditionalExpectation) -> tuple[float, float, float]:
-    """(smallest, largest) density eigenvalue and the threshold RANK_RTOL
-    times the largest: E is faithful iff every eigenvalue exceeds it."""
-    vals = np.concatenate([v for row in expectation.spectra for v, _ in row])
-    lo, hi = float(vals.min()), float(vals.max())
-    return lo, hi, RANK_RTOL * max(hi, 0.0)
-
-
-def _log_normal_form(expectation: ConditionalExpectation, residual: str,
-                     start: float) -> None:
-    lo, hi, threshold = _faithfulness(expectation)
+def _log_normal_form(expectation: ConditionalExpectation, start: float,
+                     residual: float | None = None, tol: float = 0.0) -> None:
+    """The normal-form line at INFO; a residual of None is 0 by construction."""
+    if not log.isEnabledFor(logging.INFO):
+        return
+    lo, hi, threshold = expectation._eigenvalue_range
     log.info("normal form: K=%s, h eigenvalues in [%.3e, %.3e] (faithful "
              "above %.1e), rebuild residual %s, %.3f s",
              expectation.inclusion.normal_form.multiplicities.tolist(), lo, hi,
-             threshold, residual, time.perf_counter() - start)
+             threshold, "0 by construction" if residual is None
+             else f"{residual:.3e} (tolerance {tol:.1e})",
+             time.perf_counter() - start)
 
 
 @dataclass(frozen=True)
@@ -251,12 +269,11 @@ def validate_expectation(expectation: ConditionalExpectation,
     if residual > tol:
         failures.append("bimodularity")
 
-    if any(d.size and (np.max(np.abs(d - d.conj().T)) > tol or vals[0] < -tol)
-           for hs, row in zip(h, expectation.spectra)
-           for d, (vals, _) in zip(hs, row)):
+    if any(np.max(np.abs(d - d.conj().swapaxes(1, 2))) > tol or vals[:, 0].min() < -tol
+           for (_, d), (_, vals, _) in zip(h, expectation.spectra)):
         failures.append("positivity")
 
-    _log_normal_form(expectation, f"{residual:.3e} (tolerance {tol:.1e})", start)
+    _log_normal_form(expectation, start, residual, tol)
     return ValidationReport(not failures, tuple(failures))
 
 
@@ -278,14 +295,15 @@ def canonical_expectation(inclusion: StarHomomorphism,
     # finite for weights near the float range's end
     w = np.asarray(tau.weights)
     w = np.ldexp(w, -np.frexp(w.max())[1])
-    scale = w[:, None] / (k.T @ w)[None, :]
-    h = tuple(tuple(scale[t, p] * np.eye(k[t, p]) for p in range(k.shape[1]))
-              for t in range(k.shape[0]))
+    pairs = inclusion.normal_form.pairs
+    scale = (w[:, None] / (k.T @ w)[None, :])[pairs.t, pairs.p]
+    h = tuple((idx, scale[idx, None, None] * np.eye(pairs.k[idx[0]]))
+              for idx in group_indices(pairs.k))
     expectation = ConditionalExpectation(inclusion, _rebuild(inclusion, h))
     # E is rebuilt from h, so h is its density exactly; reading it back
     # would only add rounding
     expectation.__dict__["densities"] = h
-    _log_normal_form(expectation, "0 by construction", start)
+    _log_normal_form(expectation, start)
     return expectation
 
 
@@ -313,32 +331,38 @@ def quasi_basis_report(expectation: ConditionalExpectation,
     start = time.perf_counter()
     big = expectation.algebra
     form = expectation.inclusion.normal_form
-    lo, hi, threshold = _faithfulness(expectation)
+    lo, hi, threshold = expectation._eigenvalue_range
     if not lo > threshold:
         log.info("quasi-basis: none, density eigenvalue %.3e is below the "
                  "faithfulness threshold %.1e, %.3f s", lo, threshold,
                  time.perf_counter() - start)
         return QuasiBasisResult(None, lo, hi)
 
-    blocks = []
-    index_norm = 0.0
-    for m, corners, spectra in zip(big.blocks, form.corners, expectation.spectra):
-        # c_alpha = U_t (e_1 (x) h^{-1/2} e_alpha) on corner p, so the
-        # elements of block t are the rows e_rho (x) conj(c_alpha)
-        cs = []
-        index_t = 0.0
-        for corner, (vals, vecs) in zip(corners, spectra):
-            if vals.size == 0:
-                continue
-            cs.append(corner[:, 0, :] @ ((vecs / np.sqrt(vals)) @ vecs.conj().T))
-            index_t += float(np.sum(1.0 / vals))
-        index_norm = max(index_norm, index_t)
-        blocks.append(np.kron(np.eye(m), np.concatenate(cs, axis=1).conj()))
-    cols = np.zeros((big.total_dim, sum(b.shape[1] for b in blocks)), dtype=complex)
-    row = col = 0
-    for b in blocks:
-        cols[row:row + b.shape[0], col:col + b.shape[1]] = b
-        row, col = row + b.shape[0], col + b.shape[1]
+    pairs = form.pairs
+    k = form.multiplicities
+    sizes = np.asarray(big.blocks)
+    copies = k.sum(axis=1)
+    # block t holds m_t sum_p k_tp elements (rho, copy), from column
+    # first_col[t] on; the copies of pair (t, p) start at copy_ofs
+    first_col = np.cumsum(sizes * copies) - sizes * copies
+    copy_ofs = (np.cumsum(k, axis=1) - k)[pairs.t, pairs.p]
+    cols = np.zeros((big.total_dim, int(sizes @ copies)), dtype=complex)
+    inverse_sums = np.empty(pairs.t.size)
+    for idx, vals, vecs in expectation.spectra:
+        inverse_sums[idx] = np.sum(1.0 / vals, axis=1)
+        for sub in group_indices(pairs.m[idx]):
+            at, t = idx[sub], pairs.t[idx[sub]]
+            m, width = int(pairs.m[at[0]]), vals.shape[1]
+            # c_alpha = U_t (e_1 (x) h^{-1/2} e_alpha) on corner p, so the
+            # elements of block t are the rows e_rho (x) conj(c_alpha)
+            c = form.corner_columns(at, width) @ (
+                (vecs[sub] / np.sqrt(vals[sub])[:, None, :]) @ vecs[sub].conj().swapaxes(1, 2))
+            rho = np.arange(m)[:, None, None]
+            rows = pairs.b_ofs[at, None, None, None] + rho * m + np.arange(m)[:, None]
+            where = ((first_col[t] + copy_ofs[at])[:, None, None, None]
+                     + rho * copies[t, None, None, None] + np.arange(width))
+            cols[rows, where] = c.conj()[:, None]
+    index_norm = float(np.bincount(pairs.t, inverse_sums, len(big.blocks)).max())
 
     defect = _defect(big, _frame_map(big, expectation.matrix, cols))
     bound = max(tol, 1e-9) * max(1.0, index_norm)
@@ -423,23 +447,25 @@ def _closed_form_indices(expectation: ConditionalExpectation
     of h_tp^{-1}), and it is attained.
     """
     start = time.perf_counter()
-    lo, _, threshold = _faithfulness(expectation)
-    prob, sums = math.inf, [math.inf] * len(expectation.spectra)
+    lo, _, threshold = expectation._eigenvalue_range
+    n_blocks = len(expectation.algebra.blocks)
+    prob, sums = math.inf, (math.inf,) * n_blocks
     if lo > threshold:
-        prob, sums = 0.0, []
-        for row in expectation.spectra:
-            prob_t = scalar_t = 0.0
-            for a, (vals, _) in zip(expectation.subalgebra.blocks, row):
-                inv = 1.0 / vals  # descending
-                top = float(np.sum(inv[:a]))
-                prob_t += top
+        pairs = expectation.inclusion.normal_form.pairs
+        top, total = np.empty((2, pairs.t.size))
+        for idx, vals, _ in expectation.spectra:
+            inv = 1.0 / vals  # descending
+            for sub in group_indices(pairs.a[idx]):
+                a = int(pairs.a[idx[sub[0]]])
+                top[idx[sub]] = inv[sub, :a].sum(axis=1)
                 # top plus the rest, so that prob_t <= scalar_t after rounding
-                scalar_t += top + float(np.sum(inv[a:]))
-            prob = max(prob, prob_t)
-            sums.append(scalar_t)
+                total[idx[sub]] = top[idx[sub]] + inv[sub, a:].sum(axis=1)
+        # per-block sums in the order of the pairs, p ascending
+        prob = float(np.bincount(pairs.t, top, n_blocks).max())
+        sums = tuple(np.bincount(pairs.t, total, n_blocks).tolist())
     log.info("closed-form indices: scalar %.12g, probabilistic %.12g, %.3f s",
              max(sums), prob, time.perf_counter() - start)
-    return prob, tuple(sums)
+    return prob, sums
 
 
 def scalar_index(expectation: ConditionalExpectation) -> float:
@@ -542,7 +568,9 @@ def compute_index_report(expectation: ConditionalExpectation,
     sum u_i u_i* for the Pimsner-Popa basis of :func:`quasi_basis_report`,
     which has sum_t m_t sum_p k_tp elements and satisfies the quasi-basis
     identity exactly once E equals the map rebuilt from h.  Its norm is the
-    scalar index.  ``seed`` is recorded in the report.
+    scalar index.  Whether it lies in the image of A is decided in closed
+    form (:func:`_central_in_image`), to max(tol, 1e-8).  ``seed`` is
+    recorded in the report.
     """
     lower, sums = _closed_form_indices(expectation)
     scalar = max(sums)
@@ -550,7 +578,24 @@ def compute_index_report(expectation: ConditionalExpectation,
         return IndexReport(None, math.inf, scalar, lower, scalar, 0, seed)
     big = expectation.algebra
     index = big.element([c * np.eye(m) for c, m in zip(sums, big.blocks)])
-    size = int(np.asarray(big.blocks)
-               @ expectation.inclusion.normal_form.multiplicities.sum(axis=1))
+    form = expectation.inclusion.normal_form
+    size = int(np.asarray(big.blocks) @ form.multiplicities.sum(axis=1))
     return IndexReport(index, scalar, scalar, lower, scalar, size, seed,
-                       index_in_subalgebra(expectation, index, max(tol, 1e-8)))
+                       _central_in_image(form, np.asarray(sums), max(tol, 1e-8)))
+
+
+def _central_in_image(form: InclusionNormalForm, c: np.ndarray, tol: float) -> bool:
+    """Whether the central element c_t 1 of B lies in the image of A, to
+    ``tol`` relative to its norm as :func:`index_in_subalgebra` decides.
+
+    The element of the image nearest to it is central in A, z_p on every
+    corner p, so its distance is sqrt(sum_tp a_p k_tp (c_t - z_p)^2) with
+    z_p the a_p k_tp-weighted mean of c_t over the blocks t.
+    """
+    pairs = form.pairs
+    weight = pairs.a * pairs.k
+    ct = c[pairs.t]
+    z = np.bincount(pairs.p, weight * ct) / np.bincount(pairs.p, weight)
+    residual = math.sqrt(float(np.sum(weight * (ct - z[pairs.p]) ** 2)))
+    norm = math.sqrt(float(np.asarray(form.target.blocks) @ (c * c)))
+    return residual <= tol * max(1.0, norm)

@@ -41,7 +41,7 @@ class FusionRing:
     tensor: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
+        object.__setattr__(self, "labels", _labels(self.labels))
         r = len(self.labels)
         t = np.array(self.tensor, dtype=np.int64, order="C")
         if t.shape != (r, r, r):
@@ -64,6 +64,15 @@ class FusionRing:
 
     def n(self, u: str, v: str, w: str) -> int:
         return int(self.tensor[self.index(u), self.index(v), self.index(w)])
+
+
+def _labels(labels) -> tuple[str, ...]:
+    """Labels as strings.  The sparse JSON maps key entries by "U,V"
+    pairs, so a label must not contain a comma."""
+    labels = tuple(str(x) for x in labels)
+    if any("," in x for x in labels):
+        raise ValueError("labels must not contain commas")
+    return labels
 
 
 def _associativity_violations(what: str, t: np.ndarray, a: np.ndarray,
@@ -182,7 +191,7 @@ class FusionModule:
     action: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
+        object.__setattr__(self, "labels", _labels(self.labels))
         r = self.ring.rank
         m = len(self.labels)
         a = np.array(self.action, dtype=np.int64, order="C")

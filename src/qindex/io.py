@@ -46,8 +46,14 @@ def _expect(cond: bool, path: str, message: str):
         raise SchemaError(path, message)
 
 
-def _matrix_to_json(mat: np.ndarray) -> list:
+def _matrix_to_json(mat: np.ndarray, path: str = "matrix") -> list:
+    """Rows of [re, im] pairs.  A non-finite entry raises ValueError: JSON
+    has no such number, and the readers reject the NaN and Infinity tokens
+    that ``json`` would write."""
     mat = np.asarray(mat, dtype=complex)
+    if not np.isfinite(mat).all():
+        i, j = np.argwhere(~np.isfinite(mat))[0]
+        raise ValueError(f"{path}[{i}][{j}]: number is not finite")
     return np.stack((mat.real, mat.imag), -1).tolist()
 
 
@@ -106,7 +112,8 @@ def algebra_from_json(data: Any, path: str = "algebra") -> MultiMatrixAlgebra:
 
 
 def element_to_json(x: AlgebraElement) -> dict:
-    return {"blocks": [_matrix_to_json(m) for m in x.data]}
+    return {"blocks": [_matrix_to_json(m, f"element.blocks[{t}]")
+                       for t, m in enumerate(x.data)]}
 
 
 def element_from_json(data: Any, algebra: MultiMatrixAlgebra,
@@ -119,10 +126,10 @@ def element_from_json(data: Any, algebra: MultiMatrixAlgebra,
     return algebra.element(mats)
 
 
-def homomorphism_to_json(hom: StarHomomorphism) -> dict:
+def homomorphism_to_json(hom: StarHomomorphism, path: str = "homomorphism") -> dict:
     return {"source": algebra_to_json(hom.source),
             "target": algebra_to_json(hom.target),
-            "matrix": _matrix_to_json(hom.matrix)}
+            "matrix": _matrix_to_json(hom.matrix, f"{path}.matrix")}
 
 
 def homomorphism_from_json(data: Any, path: str = "homomorphism") -> StarHomomorphism:
@@ -139,8 +146,8 @@ def homomorphism_from_json(data: Any, path: str = "homomorphism") -> StarHomomor
 
 def expectation_to_json(expectation: ConditionalExpectation,
                         tau: TraceWeights | None = None) -> dict:
-    out = {"inclusion": homomorphism_to_json(expectation.inclusion),
-           "map": _matrix_to_json(expectation.matrix)}
+    out = {"inclusion": homomorphism_to_json(expectation.inclusion, "expectation.inclusion"),
+           "map": _matrix_to_json(expectation.matrix, "expectation.map")}
     if tau is not None:
         out["trace_weights"] = list(tau.weights)
     return out

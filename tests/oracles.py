@@ -12,6 +12,11 @@ Kronecker multiplication matrices ``left_mult_matrix`` and
 ``image_basis`` spans the image of an inclusion.
 ``expectation_from_densities`` builds explicit expectation maps from
 chosen densities without the library's normal form.
+``normal_form_reference``, ``densities_reference``,
+``rebuild_reference`` and ``closed_form_indices_reference`` are the
+normal form, the density reading, the rebuilt map and the closed-form
+indices one block pair at a time, the references for the batched ones
+of the library.
 ``sparse_from_json_reference`` decodes the sparse fusion multiplicity
 map one entry at a time, the reference for the whole-array decoder of
 ``qindex.io``.
@@ -25,7 +30,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from qindex.algebra import (DEFAULT_TOL, RANK_RTOL, AlgebraElement,
+from qindex.algebra import (DEFAULT_TOL, INCLUSION_TOL, RANK_RTOL, AlgebraElement,
                             MultiMatrixAlgebra, StarHomomorphism)
 from qindex.expectation import (ConditionalExpectation, QuasiBasis, _defect,
                                 _frame_map)
@@ -441,6 +446,135 @@ def expectation_from_densities(a_blocks, k, unitaries, densities
             z.append(zp)
         e_cols.append(inclusion(sub.element(z)).to_vector())
     return ConditionalExpectation(inclusion, np.stack(e_cols, axis=1))
+
+
+# -- the index layer one block pair at a time -------------------------------------
+
+def normal_form_reference(hom: StarHomomorphism
+                          ) -> tuple[list[list[np.ndarray]], np.ndarray]:
+    """(corners, K) of ``hom``, found one pair (B block t, A block p) at a
+    time: corners[t][p] is the (m_t, a_p, k_tp) corner of U_t, as in
+    ``InclusionNormalForm``.  Raises the ValueError of the first failing B
+    block, with the messages of ``StarHomomorphism.normal_form``."""
+    src, tgt = hom.source, hom.target
+    cols = np.cumsum((0,) + tuple(a * a for a in src.blocks))
+    mult = np.zeros((len(tgt.blocks), len(src.blocks)), dtype=np.int64)
+    corners = []
+    row = 0
+    for t, m in enumerate(tgt.blocks):
+        images = hom.matrix[row:row + m * m].T.reshape(-1, m, m)
+        row += m * m
+        block = []
+        for p, a in enumerate(src.blocks):
+            e11 = images[cols[p]]
+            vals, vecs = np.linalg.eigh((e11 + e11.conj().T) / 2)
+            first = vecs[:, vals > 0.5]
+            mult[t, p] = first.shape[1]
+            block.append(np.stack([images[cols[p] + i * a] @ first
+                                   for i in range(a)], axis=1))
+        unitary = np.concatenate([c.reshape(m, -1) for c in block], axis=1)
+        if unitary.shape[1] != m:
+            raise ValueError(
+                f"inclusion is not a unital *-homomorphism: B block {t} "
+                f"has size {m}, the images of A's minimal projections "
+                f"span {unitary.shape[1]}")
+        gap = float(np.max(np.abs(unitary.conj().T @ unitary - np.eye(m))))
+        if gap > INCLUSION_TOL:
+            raise ValueError(
+                "inclusion is not a *-homomorphism: the adapted basis of "
+                f"B block {t} fails unitarity by {gap:.3e}")
+        gap = max(float(np.max(np.abs(
+            images[cols[p]:cols[p + 1]].reshape(a, a, m, m)
+            - np.einsum("ria,cja->ijrc", c, c.conj()))))
+            for p, (a, c) in enumerate(zip(src.blocks, block)))
+        if gap > INCLUSION_TOL:
+            raise ValueError(
+                "inclusion is not a *-homomorphism: in B block "
+                f"{t}, U* phi(e^p_ij) U differs from e_ij (x) 1 by {gap:.3e}")
+        corners.append(block)
+    missing = np.flatnonzero(mult.sum(axis=0) == 0)
+    if missing.size:
+        raise ValueError(f"inclusion is not injective: A block {missing[0]} "
+                         "has multiplicity 0 in every block of B")
+    return corners, mult
+
+
+def densities_reference(expectation: ConditionalExpectation,
+                        corners: list[list[np.ndarray]]) -> list[list[np.ndarray]]:
+    """h[t][p], read off E one pair at a time in the adapted bases
+    ``corners`` (k_tp = 0 gives a 0 x 0 matrix)."""
+    out = []
+    row = 0
+    for m, block_corners in zip(expectation.algebra.blocks, corners):
+        block = expectation.matrix[row:row + m * m, row:row + m * m]
+        row += m * m
+        hs = []
+        for corner in block_corners:
+            first = corner[:, 0, :]
+            k = first.shape[1]
+            if k == 0:
+                hs.append(np.zeros((0, 0), dtype=complex))
+                continue
+            probe = np.outer(first[:, 0].conj(), first[:, 0]).ravel()
+            units = np.einsum("rg,ca->rcga", first, first.conj()).reshape(m * m, k * k)
+            hs.append(((probe @ block) @ units).reshape(k, k).T)
+        out.append(hs)
+    return out
+
+
+def rebuild_reference(inclusion: StarHomomorphism, corners: list[list[np.ndarray]],
+                      densities: list[list[np.ndarray]]) -> np.ndarray:
+    """The matrix of the expectation with densities h[t][p] in the adapted
+    bases ``corners``, one pair at a time."""
+    src_ofs = np.cumsum((0,) + tuple(a * a for a in inclusion.source.blocks))
+    reduce = np.zeros((inclusion.source.total_dim, inclusion.target.total_dim),
+                      dtype=complex)
+    col = 0
+    for m, block_corners, hs in zip(inclusion.target.blocks, corners, densities):
+        for p, (corner, h) in enumerate(zip(block_corners, hs)):
+            a, k = corner.shape[1:]
+            if k == 0:
+                continue
+            left = (corner.conj() @ h.T).reshape(m * a, k)
+            part = (left @ corner.reshape(m * a, k).T).reshape(m, a, m, a)
+            reduce[src_ofs[p]:src_ofs[p + 1], col:col + m * m] = \
+                part.transpose(1, 3, 0, 2).reshape(a * a, m * m)
+        col += m * m
+    return inclusion.matrix @ reduce
+
+
+def closed_form_indices_reference(a_blocks, densities: list[list[np.ndarray]]
+                                  ) -> tuple[float, list[float]]:
+    """(Index^p, [c_t]) from densities h[t][p], one eigh per density and
+    one pair at a time, all infinite when a density eigenvalue is at most
+    RANK_RTOL times the largest."""
+    spectra = [[np.linalg.eigh((h + h.conj().T) / 2)[0] for h in hs]
+               for hs in densities]
+    vals = np.concatenate([v for row in spectra for v in row])
+    if not vals.min() > RANK_RTOL * max(float(vals.max()), 0.0):
+        return math.inf, [math.inf] * len(densities)
+    prob, sums = 0.0, []
+    for row in spectra:
+        prob_t = scalar_t = 0.0
+        for a, v in zip(a_blocks, row):
+            inv = 1.0 / v  # descending
+            top = float(np.sum(inv[:a]))
+            prob_t += top
+            scalar_t += top + float(np.sum(inv[a:]))
+        prob = max(prob, prob_t)
+        sums.append(scalar_t)
+    return prob, sums
+
+
+def nested_densities(expectation: ConditionalExpectation) -> list[list[np.ndarray]]:
+    """The batched densities of the library as h[t][p], 0 x 0 where k_tp = 0."""
+    k = expectation.inclusion.normal_form.multiplicities
+    pairs = expectation.inclusion.normal_form.pairs
+    out = [[np.zeros((0, 0), dtype=complex) for _ in row] for row in k]
+    for idx, h in expectation.densities:
+        for n, d in zip(idx, h):
+            out[pairs.t[n]][pairs.p[n]] = d
+    return out
 
 
 # -- sparse fusion maps -------------------------------------------------------------

@@ -2,15 +2,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qindex.algebra import (MultiMatrixAlgebra, StarHomomorphism, TraceWeights,
                             column_norms, group_algebra_inclusion, is_positive,
                             subalgebra_structure)
+from qindex.expectation import canonical_expectation, compute_index_report
 
 from conftest import (diagonal_inclusion, inclusion_from_multiplicities,
                       random_multimatrix_inclusion)
 from oracles import (choi_blocks, choi_is_psd, image_basis, left_mult_matrix,
-                     multiply_columns, right_mult_matrix)
+                     multiply_columns, normal_form_reference, right_mult_matrix)
 
 
 def test_total_dim_and_rep_dim():
@@ -301,8 +304,7 @@ def test_normal_form_recovers_multiplicities_and_unitaries(rng):
         assert np.array_equal(form.multiplicities, k)
         x = inclusion.source.random_element(rng)
         image = inclusion(x)
-        for t, corners in enumerate(form.corners):
-            u = np.concatenate([c.reshape(c.shape[0], -1) for c in corners], axis=1)
+        for t, u in enumerate(form.unitaries):
             assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= 1e-12
             # U_t* phi(x)_t U_t = sum_p x_p (x) 1_{k_tp}
             want = np.zeros(u.shape, dtype=complex)
@@ -335,6 +337,86 @@ def test_normal_form_rejects_non_homomorphisms():
     lost = StarHomomorphism(sub, MultiMatrixAlgebra((1,)), np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError, match="not injective"):
         lost.normal_form
+
+
+CORRUPTIONS = (None, "scaled unit", "dropped projection", "lost A block", "stray image")
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.data())
+def test_normal_form_matches_the_per_pair_oracle(data):
+    # up to 8 B blocks, whose sizes repeat, with zero multiplicities and
+    # Haar conjugations; a corrupted map raises the oracle's ValueError
+    a_blocks = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    nb = data.draw(st.integers(1, 8))
+    k = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=len(a_blocks), max_size=len(a_blocks)),
+        min_size=nb, max_size=nb)))
+    assume(k.sum(axis=1).all() and k.sum(axis=0).all())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    inclusion = inclusion_from_multiplicities(a_blocks, k, rng)
+    sub, big = inclusion.source, inclusion.target
+    mat = np.array(inclusion.matrix)
+    corruption = data.draw(st.sampled_from(CORRUPTIONS))
+    # a stray image lands where k_tp = 0, the other corruptions where k_tp > 0
+    chosen = np.argwhere(k == 0 if corruption == "stray image" else k)
+    assume(len(chosen))
+    t, p = map(int, chosen[data.draw(st.integers(0, len(chosen) - 1))])
+    rows = slice(sum(m * m for m in big.blocks[:t]), sum(m * m for m in big.blocks[:t + 1]))
+    first = sum(a * a for a in a_blocks[:p])
+    if corruption == "scaled unit":
+        # e^p_12 (e^p_11 when a_p = 1) doubled in block t
+        mat[rows, first + (a_blocks[p] > 1)] *= 2.0
+    elif corruption == "dropped projection":
+        mat[rows, first] = 0.0
+    elif corruption == "lost A block":
+        sub = MultiMatrixAlgebra(a_blocks + (1,))
+        mat = np.concatenate([mat, np.zeros((big.total_dim, 1))], axis=1)
+    elif corruption == "stray image":
+        # e^p_aa gets an image in block t, too small to add a multiplicity
+        mat[rows.start, first + a_blocks[p] ** 2 - 1] = 0.25
+    hom = StarHomomorphism(sub, big, mat)
+    try:
+        corners, want = normal_form_reference(hom)
+    except ValueError as err:
+        assert corruption is not None
+        with pytest.raises(ValueError) as got:
+            hom.normal_form
+        assert str(got.value) == str(err)
+        return
+    assert corruption is None
+    form = hom.normal_form
+    assert np.array_equal(form.multiplicities, want)
+    for u, block in zip(form.unitaries, corners):
+        ref = np.concatenate([c.reshape(c.shape[0], -1) for c in block], axis=1)
+        assert np.abs(u - ref).max() <= 1e-12
+    for n in range(form.pairs.t.size):
+        t, p, m, a, kk = (int(getattr(form.pairs, f)[n]) for f in "tpmak")
+        corner = form.corner_columns(np.array([n]), a * kk).reshape(m, a, kk)
+        assert np.abs(corner - corners[t][p]).max() <= 1e-12
+
+
+def test_normal_form_cost_is_independent_of_block_count(monkeypatch):
+    # one batched eigh per size class of B blocks in the normal form, and
+    # one per density size after it: C[Z_24] in C[Z_24] costs what C[Z_4]
+    # in C[Z_4] does
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    counts = []
+    for n in (4, 24):
+        calls.clear()
+        inclusion, tau = group_algebra_inclusion(n, n)
+        inclusion.normal_form
+        in_normal_form = len(calls)
+        compute_index_report(canonical_expectation(inclusion, tau))
+        counts.append((in_normal_form, len(calls)))
+    assert counts == [(1, 2), (1, 2)]
 
 
 def test_constructors_leave_caller_arrays_writeable():

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from qindex.algebra import (MultiMatrixAlgebra, StarHomomorphism, TraceWeights,
                             group_algebra_inclusion, identity_homomorphism)
-from qindex.expectation import (ConditionalExpectation, QuasiBasis, _frame_map,
+from qindex.algebra import _in_span, orthonormal_columns
+from qindex.expectation import (ConditionalExpectation, QuasiBasis,
+                                _central_in_image, _closed_form_indices,
+                                _frame_map, _rebuild,
                                 canonical_expectation, compute_index_report,
                                 equivariantize, index_in_subalgebra,
                                 probabilistic_index_bounds,
@@ -23,9 +26,11 @@ from conftest import (ad_homomorphism, diagonal_inclusion, identity_expectation,
                       random_connected_inclusion, random_multimatrix_inclusion,
                       random_unitary, scalars_inclusion, trace_expectation)
 from oracles import (ascent_probabilistic_bounds, choi_blocks,
-                     choi_scalar_index, expectation_from_densities,
+                     choi_scalar_index, closed_form_indices_reference,
+                     densities_reference, expectation_from_densities,
                      four_axiom_failures, greedy_quasi_basis, image_basis,
-                     left_mult_matrix)
+                     left_mult_matrix, nested_densities, normal_form_reference,
+                     rebuild_reference)
 
 
 def state_expectation(n, rho):
@@ -103,8 +108,8 @@ def test_validate_rejects_non_positive_density():
 
 def test_each_density_is_eigendecomposed_once(rng, monkeypatch):
     # validation, faithfulness, the quasi-basis, the closed-form indices and
-    # the log line all read one cached eigh per nonempty density; the index
-    # element is tested without any eigendecomposition
+    # the log line all read one cached batched eigh per density size; the
+    # index element is tested without any eigendecomposition
     inclusion = inclusion_from_multiplicities((1, 2), np.array([[1, 0], [2, 1]]), rng)
     tau = TraceWeights(inclusion.target, (0.3, 0.7))
     inclusion.normal_form  # the inclusion's own eigh calls, cached before counting
@@ -120,14 +125,15 @@ def test_each_density_is_eigendecomposed_once(rng, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     canonical = canonical_expectation(inclusion, tau)
     compute_index_report(canonical)
-    nonempty = sum(h.size > 0 for hs in canonical.densities for h in hs)
-    assert nonempty == 3 and len(calls) == nonempty
+    # three densities, of sizes 1, 2 and 1
+    sizes = sorted(h.shape[1] for _, h in canonical.densities)
+    assert sizes == [1, 2] and len(calls) == len(sizes)
 
     calls.clear()
     explicit = ConditionalExpectation(inclusion, canonical.matrix)
     assert validate_expectation(explicit).ok
     compute_index_report(explicit)
-    assert len(calls) == nonempty
+    assert len(calls) == len(sizes)
 
 
 def test_expectation_leaves_caller_array_writeable():
@@ -631,6 +637,44 @@ def test_perron_frobenius_trace_gives_scalar_index(rng):
         assert abs(scalar_index(expectation) - beta) <= 1e-8
 
 
+def _components(k):
+    """The connected component of each B block in the bipartite graph of k."""
+    comp = list(range(k.shape[0]))
+    for p in range(k.shape[1]):
+        ts = [comp[t] for t in np.flatnonzero(k[:, p])]
+        comp = [ts[0] if c in ts else c for c in comp]
+    return np.array(comp)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.data())
+def test_closed_form_membership_matches_the_svd_oracle(data):
+    # central elements c_t 1 of B: constant on the components of the
+    # Bratteli graph (in the image) or free, times 10^U(-3, 3), plus a
+    # perturbation around the tolerance 1e-8 relative to their norm
+    a_blocks = tuple(data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    nb = data.draw(st.integers(1, 6))
+    k = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=len(a_blocks), max_size=len(a_blocks)),
+        min_size=nb, max_size=nb)))
+    assume(k.sum(axis=1).all() and k.sum(axis=0).all())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    inclusion = inclusion_from_multiplicities(a_blocks, k, rng)
+    c = rng.uniform(1.0, 10.0, size=nb)
+    if data.draw(st.booleans()):
+        c = c[_components(k)]
+    c *= 10.0 ** rng.uniform(-3.0, 3.0)
+    size = data.draw(st.sampled_from([0.0, 1e-10, 3e-9, 1e-8, 3e-8, 1e-6]))
+    c = c + size * np.linalg.norm(c) * rng.standard_normal(nb)
+    tol = 1e-8
+    vec = np.concatenate([ct * np.eye(m).ravel() for ct, m in zip(c, inclusion.target.blocks)])
+    onb = orthonormal_columns(inclusion.matrix)
+    residual = np.linalg.norm(vec - onb @ (onb.conj().T @ vec))
+    # clear of the threshold by more than the rounding of either test
+    assume(abs(residual - tol * max(1.0, np.linalg.norm(vec))) > 1e-6 * tol * np.linalg.norm(vec))
+    assert _central_in_image(inclusion.normal_form, c, tol) == _in_span(vec, onb, tol)
+
+
 # -- equivariantization ------------------------------------------------------
 
 def test_equivariantize_trivial_group():
@@ -783,9 +827,25 @@ def test_closed_forms_match_dense_oracles(data):
     assert validate_expectation(expectation).ok
     assert four_axiom_failures(expectation) == ()
     # the densities are read back up to a unitary of each multiplicity space
-    for got, want in zip(expectation.densities, h):
+    pairs = expectation.inclusion.normal_form.pairs
+    assert np.array_equal(np.sort(np.concatenate([idx for idx, _ in expectation.densities])),
+                          np.arange(np.count_nonzero(k)))
+    for idx, got in expectation.densities:
+        for n, g in zip(idx, got):
+            d = h[pairs.t[n]][pairs.p[n]]
+            assert np.abs(np.linalg.eigvalsh(g) - np.linalg.eigvalsh(d)).max() <= 1e-12
+    # the batched density reading, rebuilt map and closed forms against
+    # their per-pair references: the same densities give the same indices
+    corners, _ = normal_form_reference(expectation.inclusion)
+    batched = nested_densities(expectation)
+    for got, want in zip(batched, densities_reference(expectation, corners)):
         for g, d in zip(got, want):
-            assert np.abs(np.linalg.eigvalsh(g) - np.linalg.eigvalsh(d)).max(initial=0) <= 1e-12
+            assert np.abs(g - d).max(initial=0) <= 1e-12
+    rebuilt = _rebuild(expectation.inclusion, expectation.densities)
+    assert np.abs(rebuilt - rebuild_reference(expectation.inclusion, corners, batched)).max() \
+        <= 1e-12 * np.abs(rebuilt).max()
+    prob, sums = _closed_form_indices(expectation)
+    assert (prob, list(sums)) == closed_form_indices_reference(a_blocks, batched)
     lower, scalar = probabilistic_index_bounds(expectation)
     basis = quasi_basis_report(expectation, tau).basis
     report = compute_index_report(expectation)
@@ -819,3 +879,19 @@ def test_closed_forms_match_dense_oracles(data):
     assert report.index_in_subalgebra == index_in_subalgebra(expectation, index, 1e-8)
     ascent, _ = ascent_probabilistic_bounds(expectation, budget=20)
     assert ascent <= lower * (1 + max(1e-9, slack))
+
+
+def test_closed_forms_match_the_reference_on_long_eigenvalue_sums():
+    # k_tp of 12 and 11: sums of 10 and 11 eigenvalues, where numpy's
+    # unrolled summation would group zero-padded rows differently from
+    # slices, and differ in the last bits for some draws
+    k = np.array([[12], [11]])
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        inclusion = inclusion_from_multiplicities((1,), k, rng)
+        h = [_random_density(int(n), rng, False)[None] for n in k[:, 0]]
+        expectation = ConditionalExpectation(
+            inclusion, _rebuild(inclusion, ((np.array([0]), h[0]), (np.array([1]), h[1]))))
+        prob, sums = _closed_form_indices(expectation)
+        assert (prob, list(sums)) == closed_form_indices_reference(
+            (1,), nested_densities(expectation))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from qindex import io as qio
-from qindex.algebra import MultiMatrixAlgebra, TraceWeights
-from qindex.expectation import canonical_expectation
+from qindex.algebra import MultiMatrixAlgebra, StarHomomorphism, TraceWeights
+from qindex.expectation import ConditionalExpectation, canonical_expectation
 from qindex.fusion import (FusionModule, FusionRing, validate_fusion,
                            validate_module)
 from qindex.generators import (gen_pointed, gen_quotient_module,
@@ -157,6 +157,34 @@ def test_matrix_codec_keeps_every_float():
     assert all(type(x) is float for row in back for pair in row for x in pair)
 
 
+def test_matrix_writers_round_trip_extreme_floats_and_reject_non_finite():
+    big = MultiMatrixAlgebra((2,))
+    expectation = canonical_expectation(diagonal_inclusion(2), TraceWeights(big, (0.5,)))
+    extreme = np.array(expectation.matrix)
+    extreme[0, 1], extreme[3, 2] = 1e308, complex(0, -5e-324)
+    wild = ConditionalExpectation(expectation.inclusion, extreme)
+    inclusion, mat, _ = qio.expectation_spec_from_json(qio.expectation_to_json(wild))
+    assert mat.tobytes() == extreme.tobytes()
+    assert inclusion.matrix.tobytes() == expectation.inclusion.matrix.tobytes()
+    x = big.element([np.array([[1e308, -5e-324], [0, 1]])])
+    assert qio.element_from_json(qio.element_to_json(x), big).data[0].tobytes() \
+        == x.data[0].tobytes()
+    def not_finite(where):
+        return pytest.raises(ValueError, match=re.escape(f"{where}: number is not finite"))
+
+    for bad in (np.inf, -np.inf, np.nan, complex(0, np.nan)):
+        broken = np.array(extreme)
+        broken[2, 1] = bad
+        with not_finite("expectation.map[2][1]"):
+            qio.expectation_to_json(ConditionalExpectation(expectation.inclusion, broken))
+        hom = StarHomomorphism(expectation.inclusion.source, big,
+                               np.where(np.arange(2) == 1, bad, expectation.inclusion.matrix))
+        with not_finite("homomorphism.matrix[0][1]"):
+            qio.homomorphism_to_json(hom)
+        with not_finite("element.blocks[0][1][0]"):
+            qio.element_to_json(big.element([np.array([[1, 0], [bad, 1]])]))
+
+
 def c_in_c2_spec(weights):
     """C in C + C, K = [[1], [1]], with the given trace weights."""
     return {"inclusion": {"source": {"blocks": [1]}, "target": {"blocks": [1, 1]},
@@ -174,12 +202,20 @@ def test_trace_weights_must_be_finite(weights):
 
 def test_module_labels_must_not_contain_commas():
     # every n key 'U,i' that named the label 'a,b' would split in three
-    ring = gen_pointed([2])
-    module = FusionModule(ring, ("a,b", "c"), gen_regular_module(ring).action)
-    payload = qio.module_to_json(module)
+    payload = qio.module_to_json(gen_regular_module(gen_pointed([2])))
+    payload["irrM"] = ["a,b", "c"]
     with pytest.raises(qio.SchemaError) as err:
         qio.module_from_json(payload)
     assert str(err.value) == "fusion_module.irrM: labels must not contain commas"
+
+
+def test_labels_with_commas_fail_at_construction():
+    # so module_to_json never writes a file that module_from_json refuses
+    ring = gen_pointed([2])
+    with pytest.raises(ValueError, match="labels must not contain commas"):
+        FusionModule(ring, ("a,b", "c"), gen_regular_module(ring).action)
+    with pytest.raises(ValueError, match="labels must not contain commas"):
+        FusionRing(("0", "1,"), "0", (("0", "0"), ("1,", "1,")), ring.tensor)
 
 
 def test_module_rows_must_be_objects():

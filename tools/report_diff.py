@@ -1,0 +1,203 @@
+#!/usr/bin/env python3
+"""Compare the CLI output of two qindex source trees over the benchmark inputs.
+
+Usage, from the root of a checkout:
+
+    python3 tools/report_diff.py BASE_SRC HEAD_SRC [--seeds 1-5] [--rtol R]
+
+BASE_SRC and HEAD_SRC are the ``src`` directories of the two trees.  For
+every benchmark workload and seed, the commands of one benchmark pass are built
+with ``perfbench/inputs.build`` of this checkout, and ``-o FILE`` is
+appended to every command that accepts it and has none.  Each tree runs
+the commands of one workload and seed in its own interpreter, through
+``qindex.cli.main(argv)``, in its own copy of the input directory, so
+the command lines are the same on both sides.
+
+Every difference in exit code, stderr, stdout (with the ``wall_ms``
+value masked) or artifact is printed, one line each.  With ``--rtol``, a
+float in a JSON report or artifact may differ by that much relative to
+the larger of the two values; such a difference is printed as
+``allowed`` and does not fail the comparison.  The exit code is 0 when
+every other output is identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import logging
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WALL_MS = re.compile(r'"wall_ms":-?[0-9.eE+-]+')
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'1-5' or '1,3,7' (or a mix) as a list of ints."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+# -- one tree, in its own interpreter -------------------------------------------
+
+def run_commands(argvs: list[list[str]]) -> list[dict]:
+    """Run each command in the working directory and record its exit code,
+    stdout, stderr and artifact (the text of its -o file, or None)."""
+    import qindex.cli
+
+    out = []
+    for n, argv in enumerate(argvs):
+        if "-o" not in argv and _accepts_output(qindex.cli.build_parser(), argv):
+            argv = argv + ["-o", f"artifact{n}.json"]
+        path = argv[argv.index("-o") + 1] if "-o" in argv else None
+        if path is not None and os.path.exists(path):
+            os.remove(path)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        # a fresh handler per command, bound to this command's stderr, as
+        # in a new process
+        logging.getLogger().handlers.clear()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = qindex.cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        artifact = None
+        if path is not None and os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
+                artifact = fh.read()
+        out.append({"argv": argv, "code": code, "stdout": stdout.getvalue(),
+                    "stderr": stderr.getvalue(), "artifact": artifact})
+    return out
+
+
+def _accepts_output(parser: argparse.ArgumentParser, argv: list[str]) -> bool:
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parser.parse_args(argv + ["-o", "x"])
+        except SystemExit:
+            return False
+    return True
+
+
+def run_tree(src: str, workdir: str, argvs: list[list[str]]) -> list[dict]:
+    job, result = os.path.join(workdir, "job.json"), os.path.join(workdir, "result.json")
+    with open(job, "w", encoding="utf-8") as fh:
+        json.dump(argvs, fh)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.pop("QINDEX_LOG", None)
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", job, result],
+                   cwd=workdir, env=env, check=True)
+    with open(result, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# -- comparison ---------------------------------------------------------------------
+
+def json_differences(base, head, rtol: float, path: str = ""):
+    """(path, base value, head value, allowed) for every leaf that differs;
+    allowed when both are floats within ``rtol`` of each other."""
+    if isinstance(base, dict) and isinstance(head, dict):
+        for key in sorted(set(base) | set(head)):
+            sub = f"{path}.{key}" if path else key
+            if key not in base or key not in head:
+                yield sub, base.get(key), head.get(key), False
+            else:
+                yield from json_differences(base[key], head[key], rtol, sub)
+    elif isinstance(base, list) and isinstance(head, list) and len(base) == len(head):
+        for n, (b, h) in enumerate(zip(base, head)):
+            yield from json_differences(b, h, rtol, f"{path}[{n}]")
+    elif type(base) is not type(head) or base != head:
+        close = (isinstance(base, float) and isinstance(head, float)
+                 and abs(base - head) <= rtol * max(abs(base), abs(head)))
+        yield path, base, head, close
+
+
+def text_differences(field: str, base: str | None, head: str | None, rtol: float):
+    if base == head:
+        return
+    try:
+        parsed = json.loads(base), json.loads(head)
+    except (TypeError, ValueError):
+        yield field, base, head, False
+        return
+    found = list(json_differences(*parsed, rtol))
+    if not found:  # same values, different text
+        found = [("", base, head, False)]
+    for path, b, h, allowed in found:
+        yield f"{field} {path}".rstrip(), b, h, allowed
+
+
+def compare(base: list[dict], head: list[dict], rtol: float):
+    """(command number, argv, field, base, head, allowed) per difference."""
+    for n, (b, h) in enumerate(zip(base, head)):
+        if b["argv"] != h["argv"]:
+            yield n, b["argv"], "argv", b["argv"], h["argv"], False
+            continue
+        for field in ("code", "stderr"):
+            if b[field] != h[field]:
+                yield n, b["argv"], field, b[field], h[field], False
+        for field, mask in (("stdout", True), ("artifact", False)):
+            bt, ht = b[field], h[field]
+            if mask:
+                bt, ht = WALL_MS.sub('"wall_ms":0', bt), WALL_MS.sub('"wall_ms":0', ht)
+            for where, bv, hv, allowed in text_differences(field, bt, ht, rtol):
+                yield n, b["argv"], where, bv, hv, allowed
+
+
+def main() -> int:
+    if len(sys.argv) == 4 and sys.argv[1] == "--worker":
+        with open(sys.argv[2], encoding="utf-8") as fh:
+            argvs = json.load(fh)
+        with open(sys.argv[3], "w", encoding="utf-8") as fh:
+            json.dump(run_commands(argvs), fh)
+        return 0
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base_src")
+    parser.add_argument("head_src")
+    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-5"))
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="relative difference allowed in a float field (default 0)")
+    args = parser.parse_args()
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import inputs
+
+    total = failed = allowed_count = 0
+    with tempfile.TemporaryDirectory(prefix="report_diff_") as tmp:
+        for workload in inputs.WORKLOADS:
+            for seed in args.seeds:
+                case = os.path.join(tmp, f"{workload}-{seed}")
+                os.makedirs(os.path.join(case, "inputs"))
+                cwd = os.getcwd()
+                os.chdir(os.path.join(case, "inputs"))
+                try:  # relative paths, so both trees run the same command lines
+                    argvs = [cmd.argv for cmd in inputs.build(workload, seed, ".")]
+                finally:
+                    os.chdir(cwd)
+                runs = []
+                for side, src in (("base", args.base_src), ("head", args.head_src)):
+                    shutil.copytree(os.path.join(case, "inputs"), os.path.join(case, side))
+                    runs.append(run_tree(src, os.path.join(case, side), argvs))
+                total += len(argvs)
+                for n, argv, field, b, h, allowed in compare(*runs, args.rtol):
+                    allowed_count += allowed
+                    failed += not allowed
+                    print(f"{'allowed' if allowed else 'DIFF'} {workload} seed {seed} "
+                          f"#{n} {' '.join(argv)}: {field}: {b!r} != {h!r}")
+    print(f"{total} commands: {failed} differences, {allowed_count} allowed "
+          f"within rtol {args.rtol:g}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
