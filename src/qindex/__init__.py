@@ -5,7 +5,7 @@ lattices."""
 
 from .algebra import (AlgebraElement, MultiMatrixAlgebra, StarHomomorphism,
                       TraceWeights, group_algebra_inclusion,
-                      identity_homomorphism, is_positive, subalgebra_structure)
+                      identity_homomorphism, is_positive)
 from .expectation import (ConditionalExpectation, IndexReport, QuasiBasis,
                           canonical_expectation, compute_index_report,
                           equivariantize, probabilistic_index_bounds,

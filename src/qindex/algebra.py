@@ -4,7 +4,10 @@ A multimatrix algebra ``M_{m_1} + ... + M_{m_T}`` is the universe for all
 index computations in this package.  Elements carry one complex matrix per
 block; the coefficient vector of an element is the concatenation of the
 row-major flattened blocks, which fixes the matrix convention for every
-linear map (homomorphisms, expectations) in the package.
+linear map (homomorphisms, expectations) in the package.  A subalgebra is
+always given by its inclusion, a :class:`StarHomomorphism`, and
+:attr:`StarHomomorphism.normal_form` decides whether that is a unital
+injective *-homomorphism.
 """
 
 from __future__ import annotations
@@ -456,7 +459,7 @@ def group_algebra_inclusion(n: int, d: int) -> tuple[StarHomomorphism, TraceWeig
 
 
 # ---------------------------------------------------------------------------
-# Structure of *-subalgebras (numerical Artin-Wedderburn decomposition)
+# Spans of coefficient vectors
 # ---------------------------------------------------------------------------
 
 def orthonormal_columns(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
@@ -472,167 +475,3 @@ def _in_span(vec: np.ndarray, onb: np.ndarray, tol: float) -> bool:
     ``onb``, to ``tol`` relative to its norm."""
     resid = vec - onb @ (onb.conj().T @ vec)
     return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(vec)))
-
-
-def subalgebra_structure(span: Sequence[AlgebraElement],
-                         tol: float = 1e-8,
-                         seed: int = 0) -> StarHomomorphism:
-    """Multimatrix structure of a unital *-subalgebra given by a spanning set.
-
-    Returns a StarHomomorphism from a fresh MultiMatrixAlgebra onto the
-    subalgebra spanned by ``span`` inside the ambient algebra.  Raises
-    ValueError if the span is not a unital *-closed subalgebra.
-
-    The block decomposition is computed numerically: minimal central
-    projections from a generic Hermitian element of the center, then
-    matrix units inside each corner via one-dimensional intertwiner
-    spaces.  Deterministic for a fixed seed.
-    """
-    if not span:
-        raise ValueError("empty spanning set")
-    ambient = span[0].parent
-    onb = orthonormal_columns(np.stack([x.to_vector() for x in span], axis=1))
-
-    one = ambient.identity()
-    if not _in_span(one.to_vector(), onb, tol):
-        raise ValueError("spanning set does not contain the unit")
-    elems = [ambient.from_vector(onb[:, k]) for k in range(onb.shape[1])]
-    for x in elems:
-        if not _in_span(x.adjoint().to_vector(), onb, tol):
-            raise ValueError("spanning set is not closed under adjoints")
-    for x in elems:
-        for y in elems:
-            if not _in_span((x * y).to_vector(), onb, tol):
-                raise ValueError("spanning set is not closed under products")
-
-    rng = np.random.default_rng(seed)
-    n_rep = ambient.rep_dim
-    reps = [ambient.embed_block_diagonal(x) for x in elems]
-
-    # center of the subalgebra: solve [z, x_k] = 0 for z in the span
-    dim_c = len(elems)
-    rows = []
-    for r in reps:
-        block = np.stack([(r @ s - s @ r).ravel() for s in reps], axis=1)
-        rows.append(block)
-    comm = np.concatenate(rows, axis=0)
-    _, s, vh = np.linalg.svd(comm, full_matrices=False)
-    # elements are orthonormal, so commutator singular values are O(1)
-    # when genuinely nonzero; an all-roundoff spectrum means abelian
-    scale = max(float(s[0]), 1.0) if s.size else 1.0
-    null_dim = int(np.sum(s <= RANK_RTOL * scale)) + max(0, dim_c - len(s))
-    center_coeffs = vh.conj().T[:, dim_c - null_dim:]
-
-    # generic Hermitian central element; its spectral clusters give the
-    # minimal central projections
-    coeffs = rng.standard_normal(null_dim) + 1j * rng.standard_normal(null_dim)
-    z = np.zeros((n_rep, n_rep), dtype=complex)
-    for c, r in zip(center_coeffs @ coeffs, reps):
-        z += c * r
-    z = (z + z.conj().T) / 2
-    evals, evecs = np.linalg.eigh(z)
-    clusters = _cluster(evals, tol=1e-6 * max(1.0, float(np.abs(evals).max())))
-
-    central_projs = []
-    for idx in clusters:
-        v = evecs[:, idx]
-        central_projs.append(v @ v.conj().T)
-
-    # matrix units per central block
-    blocks: list[int] = []
-    unit_reps: list[list[np.ndarray]] = []
-    for p in central_projs:
-        corner = [p @ r @ p for r in reps]
-        corner_onb = orthonormal_columns(np.stack([c.ravel() for c in corner], axis=1))
-        k2 = corner_onb.shape[1]
-        k = int(round(np.sqrt(k2)))
-        if k * k != k2:
-            raise ValueError("corner dimension is not a perfect square; "
-                             "spanning set is not a *-subalgebra")
-        units = _corner_matrix_units(corner_onb, p, k, n_rep, rng)
-        blocks.append(k)
-        unit_reps.append(units)
-
-    order = sorted(range(len(blocks)), key=lambda s_: (blocks[s_], s_))
-    blocks = [blocks[s_] for s_ in order]
-    unit_reps = [unit_reps[s_] for s_ in order]
-
-    abstract = MultiMatrixAlgebra(tuple(blocks))
-    cols = []
-    for units in unit_reps:
-        for u in units:
-            cols.append(_rep_to_vector(ambient, u))
-    matrix = np.stack(cols, axis=1)
-    hom = StarHomomorphism(abstract, ambient, matrix)
-    try:
-        hom.normal_form
-    except ValueError as err:
-        raise ValueError("failed to realize spanning set as a multimatrix "
-                         f"algebra: {err}") from None
-    return hom
-
-
-def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    order = np.argsort(values)
-    groups, current = [], [order[0]]
-    for idx in order[1:]:
-        if values[idx] - values[current[-1]] <= tol:
-            current.append(idx)
-        else:
-            groups.append(np.array(current))
-            current = [idx]
-    groups.append(np.array(current))
-    return groups
-
-
-def _corner_matrix_units(corner_onb: np.ndarray, proj: np.ndarray, k: int,
-                         n_rep: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Matrix units e_{ab} of a corner pCp isomorphic to M_k."""
-    mats = [corner_onb[:, i].reshape(n_rep, n_rep) for i in range(corner_onb.shape[1])]
-    if k == 1:
-        # the corner is C p; tr(p) = multiplicity
-        return [proj]
-
-    coeffs = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
-    h = np.zeros((n_rep, n_rep), dtype=complex)
-    for c, m in zip(coeffs, mats):
-        h += c * m
-    h = (h + h.conj().T) / 2
-    evals, evecs = np.linalg.eigh(h)
-    # eigenvectors outside range(p) pair with eigenvalue 0 and projection 0
-    active = np.abs(np.diag(evecs.conj().T @ proj @ evecs)) > 0.5
-    evals, evecs = evals[active], evecs[:, active]
-    clusters = _cluster(evals, tol=1e-6 * max(1.0, float(np.abs(evals).max())))
-    if len(clusters) != k:
-        raise ValueError("could not separate diagonal projections of a corner")
-    diag_projs = []
-    for idx in clusters:
-        v = evecs[:, idx]
-        diag_projs.append(v @ v.conj().T)
-
-    # partial isometries v_a: q_1 -> q_a through the one-dimensional spaces
-    # q_a (pCp) q_1
-    isometries = [diag_projs[0]]
-    for a in range(1, k):
-        candidates = [diag_projs[a] @ m @ diag_projs[0] for m in mats]
-        w = max(candidates, key=np.linalg.norm)
-        if np.linalg.norm(w) <= 1e-10:
-            raise ValueError("corner is not a full matrix algebra")
-        gram = w.conj().T @ w
-        lam = float(np.real(np.trace(gram)) / max(np.real(np.trace(diag_projs[0])), 1e-30))
-        isometries.append(w / np.sqrt(lam))
-
-    units = []
-    for a in range(k):
-        for b in range(k):
-            units.append(isometries[a] @ isometries[b].conj().T)
-    return units
-
-
-def _rep_to_vector(algebra: MultiMatrixAlgebra, rep: np.ndarray) -> np.ndarray:
-    """Coefficient vector of a block-diagonal representation matrix."""
-    parts, ofs = [], 0
-    for m in algebra.blocks:
-        parts.append(rep[ofs:ofs + m, ofs:ofs + m].ravel())
-        ofs += m
-    return np.concatenate(parts)

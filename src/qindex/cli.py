@@ -49,6 +49,23 @@ EXIT_INFINITE = 3
 log = logging.getLogger("qindex")
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to the ``sys.stderr`` current when it is
+    emitted, so a redirected stderr receives the lines of its own call."""
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _):
+        pass
+
+
+_HANDLER = _StderrHandler()
+_HANDLER.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+
+
 class CliFailure(Exception):
     """A failure with an exit code of its own: 1 for unreadable input, 3
     when ``fusion descent`` has no module trace to work with."""
@@ -371,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     level = os.environ.get("QINDEX_LOG", "warning").upper()
-    logging.basicConfig(stream=sys.stderr,
-                        level=getattr(logging, level, logging.WARNING))
+    log.setLevel(getattr(logging, level, logging.WARNING))
+    log.addHandler(_HANDLER)
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "func", None) is cmd_classify_table and args.lie_type is None:

@@ -13,8 +13,9 @@ quasi-basis, the Watatani index element (sum_p Tr h_tp^{-1} on B block t),
 the scalar index (its largest block value) and the exact probabilistic
 index are all read off h, batched over the block pairs with k_tp > 0
 by density size.  The defect of a quasi-basis, the index element
-sum u_i u_i* of any family, finite-group averaging and restriction to
-intermediate subalgebras work on any expectation matrix.
+sum u_i u_i* of any family and finite-group averaging work on any
+expectation matrix.  Restriction to an intermediate subalgebra
+A <= C <= B takes C by its inclusion into B, as A is taken everywhere.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .algebra import (
     column_norms,
     group_indices,
     orthonormal_columns,
-    subalgebra_structure,
     submatrices,
 )
 
@@ -525,22 +525,30 @@ def equivariantize(expectation: ConditionalExpectation,
 
 
 def restrict_to_intermediate(expectation: ConditionalExpectation,
-                             span: Sequence[AlgebraElement],
+                             intermediate: StarHomomorphism,
                              tol: float = 1e-8) -> ConditionalExpectation:
     """Restriction E|_C to an intermediate subalgebra A <= C <= B.
 
-    ``span`` spans C inside B.  The subalgebra is put into multimatrix
-    form, so the result is a first-class expectation on which quasi-basis
-    and index computations run unchanged.
+    ``intermediate`` is the inclusion C -> B, validated by its
+    :attr:`StarHomomorphism.normal_form`; its image must contain the image
+    of A.  The result is an expectation of C onto the image of A, on which
+    quasi-basis and index computations run unchanged.
     """
-    embed_c = subalgebra_structure(span, tol=tol)
+    if intermediate.target.blocks != expectation.algebra.blocks:
+        raise ValueError("intermediate algebra is included in blocks "
+                         f"{intermediate.target.blocks}, not in B's "
+                         f"{expectation.algebra.blocks}")
+    try:
+        intermediate.normal_form
+    except ValueError as err:
+        raise ValueError(f"intermediate algebra: {err}") from None
     a_mat = expectation.inclusion.matrix
-    if not _in_span(a_mat, orthonormal_columns(embed_c.matrix), tol):
+    if not _in_span(a_mat, orthonormal_columns(intermediate.matrix), tol):
         raise ValueError("intermediate algebra does not contain the image of A")
 
-    c_pinv = np.linalg.pinv(embed_c.matrix)
-    incl = StarHomomorphism(expectation.subalgebra, embed_c.source, c_pinv @ a_mat)
-    e_mat = c_pinv @ expectation.matrix @ embed_c.matrix
+    c_pinv = np.linalg.pinv(intermediate.matrix)
+    incl = StarHomomorphism(expectation.subalgebra, intermediate.source, c_pinv @ a_mat)
+    e_mat = c_pinv @ expectation.matrix @ intermediate.matrix
     restricted = ConditionalExpectation(incl, e_mat)
 
     report = validate_expectation(restricted, max(tol, 1e-8))

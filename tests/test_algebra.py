@@ -6,13 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qindex.algebra import (MultiMatrixAlgebra, StarHomomorphism, TraceWeights,
-                            column_norms, group_algebra_inclusion, is_positive,
-                            subalgebra_structure)
+                            column_norms, group_algebra_inclusion, is_positive)
 from qindex.expectation import canonical_expectation, compute_index_report
 
-from conftest import (diagonal_inclusion, inclusion_from_multiplicities,
-                      random_multimatrix_inclusion)
-from oracles import (choi_blocks, choi_is_psd, image_basis, left_mult_matrix,
+from conftest import diagonal_inclusion, inclusion_from_multiplicities
+from oracles import (choi_blocks, choi_is_psd, left_mult_matrix,
                      multiply_columns, normal_form_reference, right_mult_matrix)
 
 
@@ -243,41 +241,6 @@ def test_trace_weights_faithful_tracial(rng):
 def test_trace_weights_are_finite_and_positive(weight):
     with pytest.raises(ValueError, match="finite and strictly positive"):
         TraceWeights(MultiMatrixAlgebra((2, 3)), (1.0, weight))
-
-
-def test_subalgebra_structure_diagonal_and_full():
-    m2 = MultiMatrixAlgebra((2,))
-    diag = subalgebra_structure([m2.identity(), m2.matrix_unit(0, 0, 0),
-                                 m2.matrix_unit(0, 1, 1)])
-    assert diag.source.blocks == (1, 1)
-    assert diag.normal_form.multiplicities.tolist() == [[1, 1]]
-
-    full = subalgebra_structure([m2.identity()] + m2.basis())
-    assert full.source.blocks == (2,)
-    assert full.normal_form.multiplicities.tolist() == [[1]]
-
-
-def test_subalgebra_structure_recovers_random_inclusions(rng):
-    # the recovered inclusion has the same Bratteli diagram: the same
-    # (size, multiplicity column) per A block, up to the order of blocks
-    def diagram(hom):
-        k = hom.normal_form.multiplicities
-        return sorted((a, tuple(k[:, p])) for p, a in enumerate(hom.source.blocks))
-
-    for _ in range(8):
-        incl, _ = random_multimatrix_inclusion(rng)
-        hom = subalgebra_structure(image_basis(incl))
-        assert diagram(hom) == diagram(incl)
-
-
-def test_subalgebra_structure_rejects_non_subalgebra():
-    m2 = MultiMatrixAlgebra((2,))
-    with pytest.raises(ValueError):
-        # span of {1, e_12} is not *-closed
-        subalgebra_structure([m2.identity(), m2.matrix_unit(0, 0, 1)])
-    with pytest.raises(ValueError):
-        # missing unit
-        subalgebra_structure([m2.matrix_unit(0, 0, 0)])
 
 
 def test_elements_immutable_after_construction(rng):

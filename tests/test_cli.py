@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import logging
 
@@ -51,6 +53,22 @@ def test_index_compute_pinching(tmp_path, capsys):
     # sum_t m_t sum_p k_tp = 2 * (1 + 1)
     assert results["quasi_basis_size"] == 4
     assert json.loads(out_path.read_text()) == results
+
+
+def test_each_call_logs_to_its_own_stderr_at_its_own_level(tmp_path, capsys, monkeypatch):
+    spec = pinching_spec(tmp_path)
+
+    def stage_lines(level):
+        monkeypatch.setenv("QINDEX_LOG", level)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["index", "compute", "--spec", spec]) == 0
+        return [line.split(":")[2] for line in err.getvalue().splitlines()]
+
+    first, second = stage_lines("info"), stage_lines("info")
+    assert first == second == ["normal form", "closed-form indices"]
+    assert stage_lines("warning") == []
+    capsys.readouterr()
 
 
 def test_index_compute_identity(tmp_path, capsys):

@@ -28,7 +28,7 @@ from conftest import (ad_homomorphism, diagonal_inclusion, identity_expectation,
 from oracles import (ascent_probabilistic_bounds, choi_blocks,
                      choi_scalar_index, closed_form_indices_reference,
                      densities_reference, expectation_from_densities,
-                     four_axiom_failures, greedy_quasi_basis, image_basis,
+                     four_axiom_failures, greedy_quasi_basis,
                      left_mult_matrix, nested_densities, normal_form_reference,
                      rebuild_reference)
 
@@ -735,9 +735,7 @@ def test_equivariantize_monotone_scalar_index(rng):
 
 def test_restrict_to_diagonal_gives_index_two():
     expectation, tau = trace_expectation(2)
-    big = expectation.algebra
-    span = [big.identity(), big.matrix_unit(0, 0, 0), big.matrix_unit(0, 1, 1)]
-    restricted = restrict_to_intermediate(expectation, span)
+    restricted = restrict_to_intermediate(expectation, diagonal_inclusion(2))
     assert restricted.algebra.blocks == (1, 1)
     tau_c = TraceWeights(restricted.algebra, (0.5, 0.5))
     basis = quasi_basis_report(restricted, tau_c).basis
@@ -747,38 +745,76 @@ def test_restrict_to_diagonal_gives_index_two():
 
 def test_restrict_to_full_algebra_is_identity_case():
     expectation, tau = trace_expectation(2)
-    big = expectation.algebra
-    restricted = restrict_to_intermediate(expectation, [big.identity()] + big.basis())
+    restricted = restrict_to_intermediate(
+        expectation, identity_homomorphism(expectation.algebra))
     assert restricted.algebra.blocks == (2,)
     assert abs(scalar_index(restricted) - 4.0) <= 1e-9
 
 
 def test_restrict_to_subalgebra_itself():
     expectation, tau = trace_expectation(2)
-    big = expectation.algebra
-    restricted = restrict_to_intermediate(expectation, [big.identity()])
+    restricted = restrict_to_intermediate(expectation, scalars_inclusion(2))
     assert restricted.algebra.blocks == (1,)
     assert abs(scalar_index(restricted) - 1.0) <= 1e-9
 
 
 def test_restrict_rejects_non_subalgebra():
+    # twice the diagonal inclusion is linear and contains the scalars, but
+    # is not multiplicative
     expectation, _ = trace_expectation(2)
-    big = expectation.algebra
-    with pytest.raises(ValueError):
-        restrict_to_intermediate(expectation,
-                                 [big.identity(), big.matrix_unit(0, 0, 1)])
+    doubled = StarHomomorphism(MultiMatrixAlgebra((1, 1)), expectation.algebra,
+                               2 * diagonal_inclusion(2).matrix)
+    with pytest.raises(ValueError, match=r"intermediate algebra: inclusion is "
+                                         r"not a \*-homomorphism"):
+        restrict_to_intermediate(expectation, doubled)
+
+
+def test_restrict_rejects_algebra_without_the_image_of_a():
+    expectation, _ = pinching_expectation(2)
+    with pytest.raises(ValueError, match="does not contain the image of A"):
+        restrict_to_intermediate(expectation, scalars_inclusion(2))
+
+
+def test_restrict_rejects_inclusion_into_another_algebra():
+    expectation, _ = trace_expectation(2)
+    with pytest.raises(ValueError, match=r"included in blocks \(3,\), not in B's \(2,\)"):
+        restrict_to_intermediate(expectation, scalars_inclusion(3))
 
 
 def test_restrict_preserves_quasi_basis_existence(rng):
     # if E has a quasi-basis, the restriction does too
     inclusion, tau = random_multimatrix_inclusion(rng)
     expectation = canonical_expectation(inclusion, tau)
-    big = expectation.algebra
-    restricted = restrict_to_intermediate(
-        expectation, [big.identity()] + image_basis(expectation.inclusion))
+    restricted = restrict_to_intermediate(expectation, expectation.inclusion)
     tau_c = TraceWeights(restricted.algebra,
                          (1.0,) * len(restricted.algebra.blocks))
     assert quasi_basis_report(restricted, tau_c).basis is not None
+
+
+def test_restriction_to_a_tower_is_the_canonical_expectation_of_a_in_c(rng):
+    # for A < C < B, the trace-preserving E of A in B restricts to the
+    # trace-preserving expectation of A in C for tau restricted to C, whose
+    # weights are w_C = K_CB^T w
+    towers = 0
+    while towers < 6:
+        a_to_c, _ = random_multimatrix_inclusion(rng)
+        k_cb = rng.integers(0, 3, size=(int(rng.integers(1, 3)), len(a_to_c.target.blocks)))
+        if not (k_cb.sum(axis=0).all() and k_cb.sum(axis=1).all()):
+            continue
+        c_to_b = inclusion_from_multiplicities(a_to_c.target.blocks, k_cb, rng)
+        if c_to_b.target.total_dim > 200:  # keeps the dense maps small
+            continue
+        towers += 1
+        w = rng.uniform(0.2, 2.0, size=k_cb.shape[0])
+        tau = TraceWeights(c_to_b.target, tuple(w))
+        expectation = canonical_expectation(c_to_b.compose(a_to_c), tau)
+        restricted = restrict_to_intermediate(expectation, c_to_b)
+        expected = canonical_expectation(a_to_c, TraceWeights(a_to_c.target, tuple(k_cb.T @ w)))
+        assert restricted.algebra.blocks == a_to_c.target.blocks
+        assert (np.linalg.norm(restricted.inclusion.matrix - a_to_c.matrix)
+                <= 1e-12 * np.linalg.norm(a_to_c.matrix))
+        assert (np.linalg.norm(restricted.matrix - expected.matrix)
+                <= 1e-12 * np.linalg.norm(expected.matrix))
 
 
 # -- density normal form against the dense oracles ------------------------------
