@@ -7,7 +7,8 @@ row-major flattened blocks, which fixes the matrix convention for every
 linear map (homomorphisms, expectations) in the package.  A subalgebra is
 always given by its inclusion, a :class:`StarHomomorphism`, and
 :attr:`StarHomomorphism.normal_form` decides whether that is a unital
-injective *-homomorphism.
+injective *-homomorphism.  Its pseudo-inverse is a closed form in its
+matrix, :meth:`StarHomomorphism.preimage`.
 """
 
 from __future__ import annotations
@@ -211,6 +212,19 @@ class StarHomomorphism:
         if inner.target.blocks != self.source.blocks:
             raise ValueError("composition mismatch")
         return StarHomomorphism(inner.source, self.target, self.matrix @ inner.matrix)
+
+    def preimage(self, vecs: np.ndarray) -> np.ndarray:
+        """Phi* vecs / n, the least-squares preimage of the coefficient
+        vector (or columns) ``vecs`` under the matrix Phi.
+
+        The images of A's matrix units are pairwise orthogonal, with
+        ||phi(e^p_ij)||^2 = Tr phi(e^p_jj) = sum_t k_tp = n_p, so Phi* Phi
+        is diag(n) and Phi* / n is the pseudo-inverse of Phi.  Raises the
+        ValueError of :attr:`normal_form` on an invalid map.
+        """
+        a = np.asarray(self.source.blocks)
+        n = np.repeat(self.normal_form.multiplicities.sum(axis=0), a * a)
+        return (np.asarray(vecs).T @ self.matrix.conj() / n).T
 
     @cached_property
     def normal_form(self) -> InclusionNormalForm:
@@ -458,20 +472,10 @@ def group_algebra_inclusion(n: int, d: int) -> tuple[StarHomomorphism, TraceWeig
     return StarHomomorphism(sub, big, mat), tau
 
 
-# ---------------------------------------------------------------------------
-# Spans of coefficient vectors
-# ---------------------------------------------------------------------------
-
-def orthonormal_columns(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the span of the columns of ``a``."""
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > rtol * max(s[0], 1.0)))
-    return u[:, :rank]
-
-
-def _in_span(vec: np.ndarray, onb: np.ndarray, tol: float) -> bool:
-    """Whether ``vec`` (a vector, or a matrix of columns tested together
-    in the Frobenius norm) lies in the span of the orthonormal columns
-    ``onb``, to ``tol`` relative to its norm."""
-    resid = vec - onb @ (onb.conj().T @ vec)
-    return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(vec)))
+def _in_image(hom: StarHomomorphism, vecs: np.ndarray, tol: float) -> bool:
+    """Whether ``vecs`` (a coefficient vector of the target, or a matrix of
+    columns tested together in the Frobenius norm) lies in the image of
+    ``hom``, to ``tol`` relative to its norm.  hom.matrix @ hom.preimage is
+    the orthogonal projection onto the image."""
+    resid = vecs - hom.matrix @ hom.preimage(vecs)
+    return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(vecs)))

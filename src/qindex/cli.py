@@ -133,14 +133,14 @@ def cmd_index_compute(args):
             raise ValueError("not a conditional expectation; failed axioms: "
                              + ", ".join(report.failures))
 
-    index = compute_index_report(expectation, tol=args.tol, seed=args.seed)
+    index = compute_index_report(expectation, tol=args.tol)
     results = {
         "index_norm": index.index_norm,
         "scalar_index": index.scalar_index,
         "prob_lower": index.prob_lower,
         "prob_upper": index.prob_upper,
         "quasi_basis_size": index.quasi_basis_size,
-        "seed": index.seed,
+        "seed": args.seed,
         "index_in_subalgebra": index.index_in_subalgebra,
     }
     code = EXIT_OK
@@ -305,12 +305,14 @@ def _tolerance(text: str) -> float:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built once per process."""
-    common = argparse.ArgumentParser(add_help=False)
+    """The parser of every command, built once per process.  Only the
+    commands that test against a tolerance accept --tol."""
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="seed recorded in the report (default 0)")
+    common = argparse.ArgumentParser(add_help=False, parents=[seeded])
     common.add_argument("--tol", type=_tolerance, default=1e-9,
                         help="numerical tolerance (default 1e-9)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in the report (default 0)")
 
     parser = argparse.ArgumentParser(
         prog="qindex",
@@ -331,19 +333,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = fusion_sub.add_parser("generate", help="write fixture rings")
     gen_sub = p_gen.add_subparsers(dest="kind", required=True)
-    p_tlj = gen_sub.add_parser("tlj", parents=[common],
+    p_tlj = gen_sub.add_parser("tlj", parents=[seeded],
                                help="Temperley-Lieb-Jones ring")
     p_tlj.add_argument("--n", type=int, required=True)
     p_tlj.add_argument("-o", "--output", default=None)
     p_tlj.set_defaults(func=cmd_fusion_generate, kind="tlj")
-    p_pointed = gen_sub.add_parser("pointed", parents=[common],
+    p_pointed = gen_sub.add_parser("pointed", parents=[seeded],
                                    help="group ring of an abelian group")
     p_pointed.add_argument("--factors", required=True,
                            help="comma-separated invariant factors, e.g. 2,2")
     p_pointed.add_argument("-o", "--output", default=None)
     p_pointed.set_defaults(func=cmd_fusion_generate, kind="pointed")
 
-    p_trace = fusion_sub.add_parser("trace", parents=[common],
+    p_trace = fusion_sub.add_parser("trace", parents=[seeded],
                                     help="solve for the module trace")
     p_trace.add_argument("--ring", required=True)
     p_trace.add_argument("--module", required=True,
@@ -367,13 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="single ring label (default: all)")
     p_descent.set_defaults(func=cmd_fusion_descent)
 
-    p_classify = sub.add_parser("classify", parents=[common],
+    p_classify = sub.add_parser("classify", parents=[seeded],
                                 help="finite-index subgroup tables")
     p_classify.add_argument("--lie-type", default=None)
     p_classify.add_argument("-o", "--output", default=None)
     p_classify.set_defaults(func=cmd_classify_table)
     classify_sub = p_classify.add_subparsers(dest="classify_cmd")
-    p_irrep = classify_sub.add_parser("irrep", parents=[common],
+    p_irrep = classify_sub.add_parser("irrep", parents=[seeded],
                                       help="irrep membership in a subgroup")
     p_irrep.add_argument("--lie-type", required=True)
     p_irrep.add_argument("--weight", required=True,

@@ -16,6 +16,8 @@ by density size.  The defect of a quasi-basis, the index element
 sum u_i u_i* of any family and finite-group averaging work on any
 expectation matrix.  Restriction to an intermediate subalgebra
 A <= C <= B takes C by its inclusion into B, as A is taken everywhere.
+Images of inclusions are inverted in closed form, by
+:meth:`StarHomomorphism.preimage`; no inclusion matrix is factored.
 """
 
 from __future__ import annotations
@@ -32,16 +34,16 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_TOL,
+    INCLUSION_TOL,
     RANK_RTOL,
     AlgebraElement,
     InclusionNormalForm,
     MultiMatrixAlgebra,
     StarHomomorphism,
     TraceWeights,
-    _in_span,
+    _in_image,
     column_norms,
     group_indices,
-    orthonormal_columns,
     submatrices,
 )
 
@@ -234,7 +236,6 @@ class IndexReport:
     prob_lower: float
     prob_upper: float
     quasi_basis_size: int
-    seed: int
     index_in_subalgebra: bool | None = None
 
 
@@ -312,8 +313,7 @@ def canonical_expectation(inclusion: StarHomomorphism,
 # ---------------------------------------------------------------------------
 
 def quasi_basis_report(expectation: ConditionalExpectation,
-                       tau: TraceWeights | None = None,
-                       tol: float = DEFAULT_TOL) -> QuasiBasisResult:
+                       tau: TraceWeights | None = None) -> QuasiBasisResult:
     """The Pimsner-Popa quasi-basis of E, in closed form.
 
     In B block t, with adapted unitary U_t, the family is the matrix units
@@ -322,7 +322,7 @@ def quasi_basis_report(expectation: ConditionalExpectation,
     sum_i u_i E(u_i* x) = x holds exactly when every h_tp is invertible.
     The index element is sum_p Tr h_tp^{-1} on block t.  The defect of the
     basis against E itself is tested against
-    max(tol, 1e-9) * max(1, ||index element||): it is at most about the
+    DEFAULT_TOL * max(1, ||index element||): it is at most about the
     index times the rounding residual of E.  ``tau`` is not needed and
     is accepted for compatibility.
 
@@ -365,7 +365,7 @@ def quasi_basis_report(expectation: ConditionalExpectation,
     index_norm = float(np.bincount(pairs.t, inverse_sums, len(big.blocks)).max())
 
     defect = _defect(big, _frame_map(big, expectation.matrix, cols))
-    bound = max(tol, 1e-9) * max(1.0, index_norm)
+    bound = DEFAULT_TOL * max(1.0, index_norm)
     log.info("quasi-basis: %d elements, defect %.3e (bound %.1e), %.3f s",
              cols.shape[1], defect, bound, time.perf_counter() - start)
     if not defect <= bound:
@@ -492,20 +492,19 @@ def probabilistic_index_bounds(expectation: ConditionalExpectation,
 # ---------------------------------------------------------------------------
 
 def equivariantize(expectation: ConditionalExpectation,
-                   action: Sequence[StarHomomorphism],
-                   tol: float = 1e-8) -> ConditionalExpectation:
+                   action: Sequence[StarHomomorphism]) -> ConditionalExpectation:
     """Average E over a finite group acting by *-automorphisms of B.
 
     ``action`` lists every group element as an automorphism of B mapping
-    the image of A onto itself.  Each element is validated by its
-    :attr:`StarHomomorphism.normal_form`: a unital injective
-    *-endomorphism of B is an automorphism.  Returns the averaged
-    expectation x -> |G|^{-1} sum_g g^{-1}(E(g(x))), which is
-    G-equivariant and satisfies scalar_index(avg) <= scalar_index(E).
+    the image of A onto itself, to INCLUSION_TOL.  Each element is
+    validated by its :attr:`StarHomomorphism.normal_form`: a unital
+    injective *-endomorphism of B is an automorphism, and its matrix is
+    unitary, so g^{-1} is g*.  Returns the averaged expectation
+    x -> |G|^{-1} sum_g g^{-1}(E(g(x))), which is G-equivariant and
+    satisfies scalar_index(avg) <= scalar_index(E).
     """
     big = expectation.algebra
     a_mat = expectation.inclusion.matrix
-    onb = orthonormal_columns(a_mat)
     for g in action:
         if g.source.blocks != big.blocks or g.target.blocks != big.blocks:
             raise ValueError("action must consist of endomorphisms of B")
@@ -513,25 +512,21 @@ def equivariantize(expectation: ConditionalExpectation,
             g.normal_form
         except ValueError as err:
             raise ValueError(f"action element is not a *-automorphism: {err}") from None
-        if not _in_span(g.matrix @ a_mat, onb, tol):
+        if not _in_image(expectation.inclusion, g.matrix @ a_mat, INCLUSION_TOL):
             raise ValueError("action does not preserve the subalgebra setwise")
 
-    dim = big.total_dim
-    avg = np.zeros((dim, dim), dtype=complex)
-    for g in action:
-        avg += np.linalg.solve(g.matrix, expectation.matrix @ g.matrix)
-    avg /= len(action)
-    return ConditionalExpectation(expectation.inclusion, avg)
+    avg = sum(g.matrix.conj().T @ expectation.matrix @ g.matrix for g in action)
+    return ConditionalExpectation(expectation.inclusion, avg / len(action))
 
 
 def restrict_to_intermediate(expectation: ConditionalExpectation,
-                             intermediate: StarHomomorphism,
-                             tol: float = 1e-8) -> ConditionalExpectation:
+                             intermediate: StarHomomorphism) -> ConditionalExpectation:
     """Restriction E|_C to an intermediate subalgebra A <= C <= B.
 
     ``intermediate`` is the inclusion C -> B, validated by its
     :attr:`StarHomomorphism.normal_form`; its image must contain the image
-    of A.  The result is an expectation of C onto the image of A, on which
+    of A, to INCLUSION_TOL.  The result, the preimage of E on C, is an
+    expectation of C onto the image of A, validated to INCLUSION_TOL, on which
     quasi-basis and index computations run unchanged.
     """
     if intermediate.target.blocks != expectation.algebra.blocks:
@@ -543,15 +538,15 @@ def restrict_to_intermediate(expectation: ConditionalExpectation,
     except ValueError as err:
         raise ValueError(f"intermediate algebra: {err}") from None
     a_mat = expectation.inclusion.matrix
-    if not _in_span(a_mat, orthonormal_columns(intermediate.matrix), tol):
+    if not _in_image(intermediate, a_mat, INCLUSION_TOL):
         raise ValueError("intermediate algebra does not contain the image of A")
 
-    c_pinv = np.linalg.pinv(intermediate.matrix)
-    incl = StarHomomorphism(expectation.subalgebra, intermediate.source, c_pinv @ a_mat)
-    e_mat = c_pinv @ expectation.matrix @ intermediate.matrix
-    restricted = ConditionalExpectation(incl, e_mat)
+    incl = StarHomomorphism(expectation.subalgebra, intermediate.source,
+                            intermediate.preimage(a_mat))
+    restricted = ConditionalExpectation(
+        incl, intermediate.preimage(expectation.matrix @ intermediate.matrix))
 
-    report = validate_expectation(restricted, max(tol, 1e-8))
+    report = validate_expectation(restricted, INCLUSION_TOL)
     if not report.ok:
         raise ValueError("restriction is not a conditional expectation "
                          f"(failed: {', '.join(report.failures)})")
@@ -562,13 +557,11 @@ def index_in_subalgebra(expectation: ConditionalExpectation,
                         element: AlgebraElement,
                         tol: float = DEFAULT_TOL) -> bool:
     """Whether an element lies in the image of A inside B."""
-    return _in_span(element.to_vector(),
-                    orthonormal_columns(expectation.inclusion.matrix), tol)
+    return _in_image(expectation.inclusion, element.to_vector(), tol)
 
 
 def compute_index_report(expectation: ConditionalExpectation,
-                         tol: float = DEFAULT_TOL,
-                         seed: int = 0) -> IndexReport:
+                         tol: float = DEFAULT_TOL) -> IndexReport:
     """All index data of a valid expectation (canonical, or passed by
     :func:`validate_expectation`), read off its density spectra in one pass.
 
@@ -577,18 +570,17 @@ def compute_index_report(expectation: ConditionalExpectation,
     which has sum_t m_t sum_p k_tp elements and satisfies the quasi-basis
     identity exactly once E equals the map rebuilt from h.  Its norm is the
     scalar index.  Whether it lies in the image of A is decided in closed
-    form (:func:`_central_in_image`), to max(tol, 1e-8).  ``seed`` is
-    recorded in the report.
+    form (:func:`_central_in_image`), to max(tol, 1e-8).
     """
     lower, sums = _closed_form_indices(expectation)
     scalar = max(sums)
     if math.isinf(scalar):
-        return IndexReport(None, math.inf, scalar, lower, scalar, 0, seed)
+        return IndexReport(None, math.inf, scalar, lower, scalar, 0)
     big = expectation.algebra
     index = big.element([c * np.eye(m) for c, m in zip(sums, big.blocks)])
     form = expectation.inclusion.normal_form
     size = int(np.asarray(big.blocks) @ form.multiplicities.sum(axis=1))
-    return IndexReport(index, scalar, scalar, lower, scalar, size, seed,
+    return IndexReport(index, scalar, scalar, lower, scalar, size,
                        _central_in_image(form, np.asarray(sums), max(tol, 1e-8)))
 
 

@@ -26,6 +26,11 @@ __all__ = [
 
 log = logging.getLogger("qindex.fusion")
 
+#: bound on the character-equation residual and dual drift of pf_dimensions
+CHARACTER_TOL = 1e-10
+#: relative singular-value threshold of the null space of a module trace
+NULLITY_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FusionRing:
@@ -267,15 +272,15 @@ class DimensionVector:
         return dict(self.values)
 
 
-def pf_dimensions(ring: FusionRing, tol: float = 1e-10) -> DimensionVector:
+def pf_dimensions(ring: FusionRing) -> DimensionVector:
     """The positive character of the ring from its Perron-Frobenius data.
 
     The vector of dimensions is the PF eigenvector of sum_u N_u (which has
     strictly positive entries for any valid fusion ring), normalized by
     d(unit) = 1.  The result is verified against the character equation
     sum_w N_{uv}^w d(w) = d(u) d(v); failure raises with the worst
-    violation since it means the ring has no positive character at the
-    requested accuracy.
+    violation since it means the ring has no positive character to
+    CHARACTER_TOL.
     """
     start = time.perf_counter()
     r = ring.rank
@@ -294,12 +299,12 @@ def pf_dimensions(ring: FusionRing, tol: float = 1e-10) -> DimensionVector:
     for u in range(r):
         resid = ring.tensor[u].astype(float) @ v - v[u] * v
         worst = max(worst, float(np.max(np.abs(resid))))
-    if worst > tol:
+    if worst > CHARACTER_TOL:
         raise ValueError(f"character equation fails by {worst:.3e}; "
                          "no positive character at this accuracy")
     dual_drift = max(abs(v[ring.index(ring.dual_label(lab))] - v[i])
                      for i, lab in enumerate(ring.labels))
-    if dual_drift > tol:
+    if dual_drift > CHARACTER_TOL:
         raise ValueError(f"dimension function not dual-invariant ({dual_drift:.3e})")
     log.info("pf_dimensions: rank %d, character residual %.3e, %.3f s",
              r, worst, time.perf_counter() - start)
@@ -342,26 +347,24 @@ class TraceSolveResult:
     solution_dim: int
 
 
-def module_trace_solve(module: FusionModule, ring_dims: DimensionVector,
-                       rtol: float = 1e-10) -> TraceSolveResult:
+def module_trace_solve(module: FusionModule, ring_dims: DimensionVector) -> TraceSolveResult:
     """Solve the simultaneous eigenvector equations for a module trace.
 
     Stacks (A_u - d(u) I) over all ring labels and inspects the null
-    space: a unique (up to scale) strictly positive solution gives the
-    module trace; zero, indefinite, or multidimensional solution spaces
-    are reported as distinct failures.  A solution space of dimension
+    space, to NULLITY_RTOL: a unique (up to scale) strictly positive
+    solution gives the module trace; zero, indefinite, or multidimensional
+    solution spaces are reported as distinct failures.  A solution space of dimension
     greater than one means the module is decomposable.
     """
     start = time.perf_counter()
-    result = _trace_solve(module, ring_dims, rtol)
+    result = _trace_solve(module, ring_dims)
     log.info("module_trace_solve: rank %d, module size %d, %s, %.3f s",
              module.ring.rank, module.size, result.status,
              time.perf_counter() - start)
     return result
 
 
-def _trace_solve(module: FusionModule, ring_dims: DimensionVector,
-                 rtol: float) -> TraceSolveResult:
+def _trace_solve(module: FusionModule, ring_dims: DimensionVector) -> TraceSolveResult:
     m = module.size
     rows = []
     for u, lab in enumerate(module.ring.labels):
@@ -369,7 +372,7 @@ def _trace_solve(module: FusionModule, ring_dims: DimensionVector,
     stacked = np.concatenate(rows, axis=0)
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     smax = float(svals[0]) if svals.size else 0.0
-    nullity = int(np.sum(svals <= rtol * max(smax, 1.0)))
+    nullity = int(np.sum(svals <= NULLITY_RTOL * max(smax, 1.0)))
     if nullity == 0:
         return TraceSolveResult("no_solution", None, 0)
     if nullity > 1:
@@ -377,7 +380,7 @@ def _trace_solve(module: FusionModule, ring_dims: DimensionVector,
     v = vh[-1].real
     pivot = v[int(np.argmax(np.abs(v)))]
     v = v / pivot
-    if np.any(v <= rtol):
+    if np.any(v <= NULLITY_RTOL):
         return TraceSolveResult("no_positive_solution", None, 1)
     base = module.labels[0]
     v = v / v[0]

@@ -414,22 +414,18 @@ def _hnf_elements(h, d: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def _in_lattice(h: Sequence[Sequence[int]], w: Sequence[int]) -> bool:
-    """Whether w lies in the column lattice of the lower-triangular h.
+    """Whether w lies in the column lattice of h, which must be lower
+    triangular with a positive diagonal (a Hermite normal form of a
+    full-rank lattice).
 
-    Exact forward substitution over the integers; a zero diagonal entry
-    admits only a zero remainder in its row.
+    Exact forward substitution over the integers.
     """
     y: list[int] = []
     for i, row in enumerate(h):
         acc = int(w[i]) - sum(row[j] * y[j] for j in range(i))
-        if row[i] == 0:
-            if acc != 0:
-                return False
-            y.append(0)
-        elif acc % row[i]:
+        if acc % row[i]:
             return False
-        else:
-            y.append(acc // row[i])
+        y.append(acc // row[i])
     return True
 
 
@@ -498,21 +494,21 @@ class CrosscheckReport:
     passed: bool
 
 
-def crosscheck_torus_index(n: int, d: int, tol: float = 1e-9) -> CrosscheckReport:
+def crosscheck_torus_index(n: int, d: int) -> CrosscheckReport:
     """Desk model of the torus expectation behind the classification.
 
     Builds the cyclic group-algebra inclusion of colevel d in C*(Z/n),
     computes the index report of its canonical expectation, and checks
     that the norm of the Watatani index element equals the lattice index
-    n/d (within tol).
+    n/d (within DEFAULT_TOL).
     """
-    from .algebra import group_algebra_inclusion
+    from .algebra import DEFAULT_TOL, group_algebra_inclusion
     from .expectation import canonical_expectation, compute_index_report
 
     inclusion, tau = group_algebra_inclusion(n, d)
     report = compute_index_report(canonical_expectation(inclusion, tau))
     expected = n // d
     # scalar_index is the same float as index_norm, so one test covers both
-    passed = abs(report.index_norm - expected) <= tol
+    passed = abs(report.index_norm - expected) <= DEFAULT_TOL
     return CrosscheckReport(n, d, expected, report.index_norm,
                             report.scalar_index, passed)

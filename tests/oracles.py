@@ -10,6 +10,10 @@ the four-axiom validation, all built on the blockwise products of
 Kronecker multiplication matrices ``left_mult_matrix`` and
 ``right_mult_matrix`` are the reference for those products, and
 ``image_basis`` spans the image of an inclusion.
+``orthonormal_columns`` and ``in_span`` decide membership in a span by an
+SVD of its spanning columns, and ``pinv_restriction`` and
+``solve_average`` restrict and average expectations through ``pinv`` and
+``solve``: the references for the closed-form images of inclusions.
 ``expectation_from_densities`` builds explicit expectation maps from
 chosen densities without the library's normal form.
 ``normal_form_reference``, ``densities_reference``,
@@ -60,6 +64,37 @@ def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
         out[ofs:ofs + k, ofs:ofs + k] = b
         ofs += k
     return out
+
+
+def orthonormal_columns(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+    """Orthonormal basis (columns) of the span of the columns of ``a``."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.sum(s > rtol * max(s[0], 1.0)))
+    return u[:, :rank]
+
+
+def in_span(vec: np.ndarray, onb: np.ndarray, tol: float) -> bool:
+    """Whether ``vec`` (a vector, or a matrix of columns tested together
+    in the Frobenius norm) lies in the span of the orthonormal columns
+    ``onb``, to ``tol`` relative to its norm."""
+    resid = vec - onb @ (onb.conj().T @ vec)
+    return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(vec)))
+
+
+def pinv_restriction(expectation: ConditionalExpectation, intermediate: StarHomomorphism
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of A -> C and E|_C for C -> B, through pinv(C -> B)."""
+    c_pinv = np.linalg.pinv(intermediate.matrix)
+    return (c_pinv @ expectation.inclusion.matrix,
+            c_pinv @ expectation.matrix @ intermediate.matrix)
+
+
+def solve_average(expectation: ConditionalExpectation, action) -> np.ndarray:
+    """|G|^{-1} sum_g g^{-1} E g, with g^{-1} applied by a linear solve."""
+    avg = np.zeros_like(expectation.matrix)
+    for g in action:
+        avg += np.linalg.solve(g.matrix, expectation.matrix @ g.matrix)
+    return avg / len(action)
 
 
 def image_basis(hom: StarHomomorphism) -> list[AlgebraElement]:

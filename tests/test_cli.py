@@ -154,6 +154,40 @@ def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys):
         assert f"argument --tol: {message}" in capsys.readouterr().err
 
 
+def test_a_valid_tolerance_reaches_the_validation(tmp_path, capsys):
+    # the pinching map of M_2 off by 1e-7 in entry [1][0] fails at the
+    # default tol and passes at --tol 1e-6, which the report records
+    with open(pinching_spec(tmp_path), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    spec["map"] = [[[float(i == j and i in (0, 3)), 0] for j in range(4)] for i in range(4)]
+    spec["map"][1][0][0] = 1e-7
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "index", "compute", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert "failed axioms: unitality, bimodularity" in err
+    code, out, _ = run(capsys, "index", "compute", "--spec", str(path), "--tol", "1e-6")
+    assert code == 0
+    assert '"tolerances":{"tol":1e-06}' in out
+    assert abs(report_of(out)["results"]["scalar_index"] - 2.0) <= 1e-6
+
+
+@pytest.mark.parametrize("argv", [
+    ["fusion", "generate", "tlj", "--n", "3"],
+    ["fusion", "generate", "pointed", "--factors", "2"],
+    ["fusion", "trace", "--ring", "ring.json", "--module", "regular"],
+    ["classify", "--lie-type", "A1"],
+    ["classify", "irrep", "--lie-type", "A1", "--weight", "1", "--subgroup", "Q"],
+])
+def test_commands_without_a_tolerance_reject_tol(capsys, argv):
+    # these commands test against no tolerance; their reports say
+    # "tolerances": {}
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol=1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol=1e-9" in capsys.readouterr().err
+
+
 def test_malformed_json_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"oops":')
@@ -520,6 +554,22 @@ def test_classify_irrep(capsys):
     code, out, _ = run(capsys, "classify", "irrep", "--lie-type", "E6",
                        "--weight", "0,0,0,0,0,0", "--subgroup", "Q")
     assert report_of(out)["results"]["member"] is True
+
+
+def test_classify_irrep_selects_p_and_table_positions(capsys):
+    # P is the whole weight lattice; D4 position 1 is the index-2 lattice
+    # with HNF rows (1,0,0,0), (0,1,0,0), (0,0,1,0), (0,0,1,2)
+    code, out, _ = run(capsys, "classify", "irrep", "--lie-type", "A1",
+                       "--weight", "1", "--subgroup", "P")
+    assert code == 0
+    results = report_of(out)["results"]
+    assert results["member"] is True and results["index"] == 1
+    for weight, member in (("0,0,0,1", False), ("0,0,1,1", True)):
+        code, out, _ = run(capsys, "classify", "irrep", "--lie-type", "D4",
+                           "--weight", weight, "--subgroup", "1")
+        assert code == 0
+        results = report_of(out)["results"]
+        assert results["member"] is member and results["index"] == 2
 
 
 def test_classify_rejects_unknown_type(capsys):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from qindex.algebra import (MultiMatrixAlgebra, StarHomomorphism, TraceWeights,
                             group_algebra_inclusion, identity_homomorphism)
-from qindex.algebra import _in_span, orthonormal_columns
 from qindex.expectation import (ConditionalExpectation, QuasiBasis,
                                 _central_in_image, _closed_form_indices,
                                 _frame_map, _rebuild,
@@ -28,9 +27,11 @@ from conftest import (ad_homomorphism, diagonal_inclusion, identity_expectation,
 from oracles import (ascent_probabilistic_bounds, choi_blocks,
                      choi_scalar_index, closed_form_indices_reference,
                      densities_reference, expectation_from_densities,
-                     four_axiom_failures, greedy_quasi_basis,
+                     four_axiom_failures, greedy_quasi_basis, in_span,
                      left_mult_matrix, nested_densities, normal_form_reference,
-                     rebuild_reference)
+                     orthonormal_columns, pinv_restriction, rebuild_reference,
+                     solve_average)
+from test_acceptance import _monomial_actions
 
 
 def state_expectation(n, rho):
@@ -672,7 +673,7 @@ def test_closed_form_membership_matches_the_svd_oracle(data):
     residual = np.linalg.norm(vec - onb @ (onb.conj().T @ vec))
     # clear of the threshold by more than the rounding of either test
     assume(abs(residual - tol * max(1.0, np.linalg.norm(vec))) > 1e-6 * tol * np.linalg.norm(vec))
-    assert _central_in_image(inclusion.normal_form, c, tol) == _in_span(vec, onb, tol)
+    assert _central_in_image(inclusion.normal_form, c, tol) == in_span(vec, onb, tol)
 
 
 # -- equivariantization ------------------------------------------------------
@@ -716,6 +717,20 @@ def test_equivariantize_rejects_bad_action():
     for g in (not_auto, not_star):
         with pytest.raises(ValueError, match="not a \\*-automorphism"):
             equivariantize(expectation, [identity_homomorphism(big), g])
+
+
+def test_equivariantize_rejects_actions_off_b_or_off_the_image_of_a():
+    expectation, _ = pinching_expectation(2)
+    m3 = MultiMatrixAlgebra((3,))
+    with pytest.raises(ValueError, match="must consist of endomorphisms of B"):
+        equivariantize(expectation, [identity_homomorphism(m3)])
+    # Ad of the Hadamard rotation is a *-automorphism of M_2 that carries
+    # the diagonal to the span of 1 and the flip
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    action = [identity_homomorphism(expectation.algebra),
+              ad_homomorphism(hadamard, expectation.algebra)]
+    with pytest.raises(ValueError, match="does not preserve the subalgebra setwise"):
+        equivariantize(expectation, action)
 
 
 def test_equivariantize_monotone_scalar_index(rng):
@@ -815,6 +830,72 @@ def test_restriction_to_a_tower_is_the_canonical_expectation_of_a_in_c(rng):
                 <= 1e-12 * np.linalg.norm(a_to_c.matrix))
         assert (np.linalg.norm(restricted.matrix - expected.matrix)
                 <= 1e-12 * np.linalg.norm(expected.matrix))
+
+
+def test_closed_form_images_match_pinv_svd_and_solve():
+    # 100 random inclusions with up to 3 A blocks and 100 towers A < C < B:
+    # preimage against pinv, membership against the SVD verdict away from
+    # its threshold, restriction against the pinv-built one
+    rng = np.random.default_rng(14)
+    verdicts = set()
+    for _ in range(100):
+        inclusion, tau = random_multimatrix_inclusion(rng, max_a_blocks=3)
+        big = inclusion.target
+        vecs = np.stack([big.random_element(rng).to_vector() for _ in range(3)], axis=1)
+        want = np.linalg.pinv(inclusion.matrix) @ vecs
+        assert np.linalg.norm(inclusion.preimage(vecs) - want) <= 1e-12 * np.linalg.norm(want)
+
+        expectation = canonical_expectation(inclusion, tau)
+        onb = orthonormal_columns(inclusion.matrix)
+        for size in (0.0, 1e-12, 1e-10, 3e-9, 1e-6, 1.0):
+            vec = inclusion(inclusion.source.random_element(rng)).to_vector()
+            vec = vec + size * np.linalg.norm(vec) * big.random_element(rng).to_vector()
+            residual = np.linalg.norm(vec - onb @ (onb.conj().T @ vec))
+            bound = 1e-9 * max(1.0, np.linalg.norm(vec))
+            if abs(residual - bound) <= 1e-3 * bound:
+                continue
+            verdict = in_span(vec, onb, 1e-9)
+            assert index_in_subalgebra(expectation, big.from_vector(vec)) == verdict
+            verdicts.add(verdict)
+
+        while True:
+            a_to_c, _ = random_multimatrix_inclusion(rng, max_a_blocks=3)
+            k_cb = rng.integers(0, 3, size=(int(rng.integers(1, 3)), len(a_to_c.target.blocks)))
+            if k_cb.sum(axis=0).all() and k_cb.sum(axis=1).all():
+                break
+        c_to_b = inclusion_from_multiplicities(a_to_c.target.blocks, k_cb, rng)
+        tau = TraceWeights(c_to_b.target, tuple(rng.uniform(0.2, 2.0, size=k_cb.shape[0])))
+        expectation = canonical_expectation(c_to_b.compose(a_to_c), tau)
+        restricted = restrict_to_intermediate(expectation, c_to_b)
+        for got, want in zip((restricted.inclusion.matrix, restricted.matrix),
+                             pinv_restriction(expectation, c_to_b)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert verdicts == {False, True}
+
+
+def test_equivariantize_matches_the_solve_average_on_monomial_actions():
+    # the actions of criterion 11 fix the range of E, the scalars; the
+    # order-6 shift of C^6 permutes the image (a, b, c, a, b, c) of C^3 by
+    # a 3-cycle, so g and g^{-1} differ on it
+    rng = np.random.default_rng(11)
+    cases = []
+    for action, big in _monomial_actions():
+        n = big.blocks[0]
+        for _ in range(4):
+            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            cases.append((state_expectation(n, z @ z.conj().T / np.trace(z @ z.conj().T)),
+                          action))
+    big = MultiMatrixAlgebra((1,) * 6)
+    inclusion = StarHomomorphism(MultiMatrixAlgebra((1,) * 3), big, np.eye(3)[[0, 1, 2] * 2])
+    shift = np.roll(np.eye(6), 1, axis=0)
+    action = [StarHomomorphism(big, big, np.linalg.matrix_power(shift, j)) for j in range(6)]
+    for _ in range(4):
+        tau = TraceWeights(big, tuple(rng.uniform(0.2, 2.0, size=6)))
+        cases.append((canonical_expectation(inclusion, tau), action))
+    for expectation, action in cases:
+        want = solve_average(expectation, action)
+        got = equivariantize(expectation, action).matrix
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # -- density normal form against the dense oracles ------------------------------
