@@ -503,6 +503,8 @@ def equivariantize(expectation: ConditionalExpectation,
     x -> |G|^{-1} sum_g g^{-1}(E(g(x))), which is G-equivariant and
     satisfies scalar_index(avg) <= scalar_index(E).
     """
+    if not action:
+        raise ValueError("action must list at least one group element")
     big = expectation.algebra
     a_mat = expectation.inclusion.matrix
     for g in action:

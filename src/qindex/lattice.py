@@ -2,10 +2,13 @@
 
 Everything is exact integer arithmetic in the fundamental-weight basis:
 P = Z^r and Q is the column lattice of the Cartan matrix.  The quotient
-P/Q is computed by Smith normal form, its subgroups are listed directly
-as Hermite normal forms and pulled back to sublattices Q <= Lambda <= P,
-and the resulting lattice indices are cross-checked against the Watatani
-index of the matching cyclic group-algebra inclusion.
+P/Q is computed by Smith normal form, its subgroups H are listed directly
+as Hermite normal forms, and each is pulled back along the class map
+P -> P/Q to a sublattice Q <= Lambda <= P.  The Hermite basis of Lambda
+is read off the finite quotient P/Lambda = (P/Q)/H, so only matrices
+with as many rows as P/Q has invariant factors are reduced.  The
+resulting lattice indices are cross-checked against the Watatani index
+of the matching cyclic group-algebra inclusion.
 """
 
 from __future__ import annotations
@@ -149,17 +152,16 @@ class FiniteAbelianGroup:
 
 @dataclass(frozen=True)
 class CenterData:
-    """P/Q with the unimodular transforms of the Smith decomposition.
+    """P/Q with the row transform of the Smith decomposition.
 
-    ``u @ cartan @ v = diag(divisors)``; the class of a weight x in P/Q is
-    (u @ x) mod divisors, and only the coordinates with divisor > 1 carry
-    information (they are listed in ``nontrivial``).
+    ``u @ cartan @ v = diag(divisors)`` for unimodular u and v; the class
+    of a weight x in P/Q is (u @ x) mod divisors, and only the coordinates
+    with divisor > 1 carry information (they are listed in ``nontrivial``).
     """
 
     group: FiniteAbelianGroup
     divisors: tuple[int, ...]
     u: tuple[tuple[int, ...], ...]
-    v: tuple[tuple[int, ...], ...]
     nontrivial: tuple[int, ...]
 
     def weight_class(self, weight: Sequence[int]) -> tuple[int, ...]:
@@ -245,12 +247,18 @@ def smith_normal_form(mat: Sequence[Sequence[int]]
 
     t = 0
     while t < min(rows, cols):
-        # move a smallest nonzero entry of the trailing block to (t, t)
-        pivot = None
+        # move a smallest nonzero entry of the trailing block to (t, t); the
+        # first one found wins ties, so the scan may stop at an entry of 1
+        pivot, least = None, 0
         for i in range(t, rows):
             for j in range(t, cols):
-                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                a = abs(m[i][j])
+                if a and (pivot is None or a < least):
+                    pivot, least = (i, j), a
+                    if a == 1:
+                        break
+            if least == 1:
+                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -271,6 +279,9 @@ def smith_normal_form(mat: Sequence[Sequence[int]]
                 if m[t][j] != 0:
                     dirty = True
         if dirty:
+            continue
+        if m[t][t] == 1:
+            t += 1
             continue
         # divisibility: fold any non-multiple into the pivot row and retry
         bad = None
@@ -349,14 +360,12 @@ def _identity(n: int) -> list[list[int]]:
 
 def center_group(cartan: CartanData) -> CenterData:
     """P/Q from the Smith normal form of the Cartan matrix."""
-    u, d, v = smith_normal_form(cartan.matrix())
+    u, d, _ = smith_normal_form(cartan.matrix())
     divisors = tuple(d[i][i] for i in range(cartan.rank))
     nontrivial = tuple(i for i, x in enumerate(divisors) if x > 1)
     factors = tuple(divisors[i] for i in nontrivial)
     group = FiniteAbelianGroup(factors) if factors else FiniteAbelianGroup(())
-    return CenterData(group, divisors,
-                      tuple(tuple(r) for r in u), tuple(tuple(r) for r in v),
-                      nontrivial)
+    return CenterData(group, divisors, tuple(tuple(r) for r in u), nontrivial)
 
 
 def enumerate_subgroups(group: FiniteAbelianGroup,
@@ -369,8 +378,12 @@ def enumerate_subgroups(group: FiniteAbelianGroup,
     H, ordered by (det H, H), and the generators are the nonzero columns
     of H mod d.  Refuses groups above ``limit``.
     """
+    start = time.perf_counter()
     d = group.invariant_factors
-    return [_hnf_generators(h, d) for h in _subgroup_hnfs(group, limit)]
+    subgroups = [_hnf_generators(h, d) for h in _subgroup_hnfs(group, limit)]
+    log.info("enumerate_subgroups: order %d, %d subgroups, %.3f s", group.order,
+             len(subgroups), time.perf_counter() - start)
+    return subgroups
 
 
 def _subgroup_hnfs(group: FiniteAbelianGroup, limit: int
@@ -433,12 +446,14 @@ def classify_subgroups(cartan: CartanData,
                        limit: int = 10_000) -> list[SublatticeSpec]:
     """Sublattices Q <= Lambda <= P for every subgroup of P/Q.
 
-    Each subgroup comes from the Hermite normal form listing of
-    ``enumerate_subgroups``; its generators are lifted to weight
-    coordinates through u^-1 = C v D^-1 and joined with the Cartan
-    columns.  Lambda = P corresponds to the full dual (index 1) and
-    Lambda = Q to the minimal finite-index subgroup.  Output is sorted by
-    index, then by the Hermite normal form of the generators.
+    Each subgroup H comes from the Hermite normal form listing of
+    ``enumerate_subgroups``, and Lambda is its preimage under the class
+    map P -> P/Q.  The Hermite basis of Lambda is read off the finite
+    quotient P/Lambda = (P/Q)/H, one weight coordinate at a time (see
+    ``_preimage_hnf``), with no elimination on r x r integer matrices.
+    Lambda = P corresponds to the full dual (index 1) and Lambda = Q to the
+    minimal finite-index subgroup.  Output is sorted by index, then by the
+    Hermite normal form of the generators.
     """
     start = time.perf_counter()
     specs = _classify(cartan, limit)
@@ -449,26 +464,75 @@ def classify_subgroups(cartan: CartanData,
 
 def _classify(cartan: CartanData, limit: int) -> list[SublatticeSpec]:
     center = center_group(cartan)
-    c = cartan.matrix()
-    r = cartan.rank
     d = center.group.invariant_factors
-    # column p of u^-1 = C v D^-1, for each nontrivial Smith coordinate p
-    lifts = []
-    for p in center.nontrivial:
-        col = [sum(c[i][m] * center.v[m][p] for m in range(r)) for i in range(r)]
-        assert all(x % center.divisors[p] == 0 for x in col)
-        lifts.append([x // center.divisors[p] for x in col])
-    roots = [list(col) for col in zip(*c)]
+    # the class of e_i in P/Q: column i of u on the nontrivial coordinates
+    classes = [tuple(center.u[p][i] % center.divisors[p] for p in center.nontrivial)
+               for i in range(cartan.rank)]
     specs = []
     for h in _subgroup_hnfs(center.group, limit):
-        cols = roots + [[sum(g[q] * lifts[q][i] for q in range(len(g)))
-                         for i in range(r)] for g in _hnf_generators(h, d)]
-        basis = hermite_normal_form([[col[i] for col in cols] for i in range(r)])
-        specs.append(SublatticeSpec(tuple(tuple(row) for row in basis),
-                                    prod(basis[i][i] for i in range(r)),
+        basis = _preimage_hnf(h, classes)
+        specs.append(SublatticeSpec(basis, prod(basis[i][i] for i in range(len(basis))),
                                     _hnf_elements(h, d)))
     specs.sort(key=lambda s: (s.index_in_p, s.generators))
     return specs
+
+
+def _preimage_hnf(h, classes: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Column HNF of Lambda = {x in Z^r : sum_i x_i classes[i] in L}, where
+    L is the column lattice of the k x k Hermite form h and contains
+    diag(d) Z^k.
+
+    Z^r / Lambda = Z^k / L.  Let N_i = L + span(classes[i:]).  The part of
+    Lambda supported on coordinates >= i has index det L / det N_i in that
+    coordinate space, so the diagonal entry is b_ii = det N_{i+1} / det N_i,
+    and N_i / N_{i+1} is cyclic of order b_ii, generated by classes[i].
+    Column i is b_ii e_i + sum_{j > i} c_j e_j with 0 <= c_j < b_jj: the
+    c_j are the digits of -b_ii classes[i] in N_{i+1} / L, taken from
+    j = i + 1 upward, each one a lookup of a coset representative modulo
+    N_{j+1}.  Only k-row matrices are put in Hermite form, and at most
+    log2 [P : Lambda] of the b_ii exceed 1.
+    """
+    r, k = len(classes), len(h)
+    lattice = [list(row) for row in h]
+    det = prod(h[a][a] for a in range(k))
+    diag = [1] * r
+    digits = {}  # j with b_jj > 1 -> (N_{j+1}, {coset rep of c classes[j]: c})
+    for i in reversed(range(r)):
+        if det == 1:
+            break
+        if _in_lattice(lattice, classes[i]):
+            continue
+        wider = hermite_normal_form([row + [classes[i][a]] for a, row in enumerate(lattice)])
+        wider_det = prod(wider[a][a] for a in range(k))
+        diag[i] = det // wider_det
+        digits[i] = (lattice, {_coset_rep([c * x for x in classes[i]], lattice): c
+                               for c in range(diag[i])})
+        lattice, det = wider, wider_det
+    steps = sorted(digits)
+    basis = [[0] * r for _ in range(r)]
+    for i in range(r):
+        basis[i][i] = diag[i]
+        target = [-diag[i] * x for x in classes[i]]
+        for j in steps:
+            if j <= i:
+                continue
+            below, table = digits[j]
+            c = table[_coset_rep(target, below)]
+            basis[j][i] = c
+            target = [t - c * x for t, x in zip(target, classes[j])]
+    return tuple(tuple(row) for row in basis)
+
+
+def _coset_rep(x: Sequence[int], h: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The representative of x + L with 0 <= x_a < h_aa, for the column
+    Hermite form h of a full-rank lattice L."""
+    x = list(x)
+    for a, row in enumerate(h):
+        q = x[a] // row[a]
+        if q:
+            for b in range(a, len(h)):
+                x[b] -= q * h[b][a]
+    return tuple(x)
 
 
 def irrep_membership(label: IrrepLabel, spec: SublatticeSpec) -> bool:
@@ -477,11 +541,21 @@ def irrep_membership(label: IrrepLabel, spec: SublatticeSpec) -> bool:
     Every weight of the irrep is congruent to the highest weight modulo Q,
     so membership of the class of the highest weight in Lambda/Q decides
     the question; computed by exact triangular solve against the Hermite
-    basis of Lambda.
+    basis of Lambda, which must be square and lower triangular with a
+    positive diagonal.
     """
-    if len(label.weight) != len(spec.generators):
+    start = time.perf_counter()
+    h = spec.generators
+    r = len(h)
+    if any(len(row) != r or row[i] <= 0 or any(row[i + 1:]) for i, row in enumerate(h)):
+        raise ValueError("lattice generators must be square and lower triangular "
+                         "with a positive diagonal")
+    if len(label.weight) != r:
         raise ValueError("weight has wrong rank")
-    return _in_lattice(spec.generators, label.weight)
+    member = _in_lattice(h, label.weight)
+    log.info("irrep_membership: rank %d, %s, %.3f s", r,
+             "member" if member else "not a member", time.perf_counter() - start)
+    return member
 
 
 @dataclass(frozen=True)

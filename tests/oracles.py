@@ -24,6 +24,11 @@ of the library.
 ``sparse_from_json_reference`` decodes the sparse fusion multiplicity
 map one entry at a time, the reference for the whole-array decoder of
 ``qindex.io``.
+``smith_normal_form_reference`` scans the whole trailing block for every
+Smith pivot, and ``classify_reference`` builds each sublattice by integer
+elimination of the Cartan columns joined with lifted subgroup generators:
+the references for the pivot scan and the quotient construction of
+``qindex.lattice``.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ from qindex.algebra import (DEFAULT_TOL, INCLUSION_TOL, RANK_RTOL, AlgebraElemen
 from qindex.expectation import (ConditionalExpectation, QuasiBasis, _defect,
                                 _frame_map)
 from qindex.io import SchemaError
+from qindex.lattice import (CartanData, FiniteAbelianGroup, SublatticeSpec,
+                            _hnf_elements, _hnf_generators, _subgroup_hnfs,
+                            hermite_normal_form)
 
 
 # -- dense references and blockwise products --------------------------------------
@@ -641,3 +649,88 @@ def sparse_from_json_reference(data, name, path, labels, keys, target) -> np.nda
                 raise SchemaError(where, "multiplicities are nonnegative ints below 2^63")
             tensor[first[parts[0]], second[parts[1]], third[w]] = mult
     return tensor
+
+
+# -- sublattices ---------------------------------------------------------------------
+
+def smith_normal_form_reference(mat) -> tuple[list[list[int]], list[list[int]],
+                                              list[list[int]]]:
+    """(u, d, v) with u m v = d, each pivot a first smallest nonzero entry
+    of a full scan of the trailing block, and the divisibility scan run
+    after every pivot."""
+    m = [list(map(int, row)) for row in mat]
+    rows, cols = len(m), len(m[0])
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def add_row(src, dst, q):
+        m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
+        u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
+
+    def add_col(src, dst, q):
+        for row in m + v:
+            row[dst] += q * row[src]
+
+    t = 0
+    while t < min(rows, cols):
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if m[i][j] != 0 and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        i, j = pivot
+        m[t], m[i] = m[i], m[t]
+        u[t], u[i] = u[i], u[t]
+        for row in m + v:
+            row[t], row[j] = row[j], row[t]
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
+        dirty = False
+        for i in range(t + 1, rows):
+            if m[i][t] != 0:
+                add_row(t, i, -(m[i][t] // m[t][t]))
+                dirty = dirty or m[i][t] != 0
+        for j in range(t + 1, cols):
+            if m[t][j] != 0:
+                add_col(t, j, -(m[t][j] // m[t][t]))
+                dirty = dirty or m[t][j] != 0
+        if dirty:
+            continue
+        bad = next((i for i in range(t + 1, rows) for j in range(t + 1, cols)
+                    if m[i][j] % m[t][t] != 0), None)
+        if bad is not None:
+            add_row(bad, t, 1)
+            continue
+        t += 1
+    return u, m, v
+
+
+def classify_reference(cartan: CartanData, limit: int = 10_000) -> list[SublatticeSpec]:
+    """The sublattice table by elimination: for each subgroup of P/Q, its
+    generators lifted to weights through u^-1 = C v D^-1, joined with the
+    Cartan columns and put in column Hermite normal form (r x (r + k))."""
+    c = cartan.matrix()
+    r = cartan.rank
+    u, snf, v = smith_normal_form_reference(c)
+    divisors = [snf[i][i] for i in range(r)]
+    nontrivial = [p for p in range(r) if divisors[p] > 1]
+    d = tuple(divisors[p] for p in nontrivial)
+    lifts = []
+    for p in nontrivial:
+        col = [sum(c[i][m] * v[m][p] for m in range(r)) for i in range(r)]
+        assert all(x % divisors[p] == 0 for x in col)
+        lifts.append([x // divisors[p] for x in col])
+    roots = [list(col) for col in zip(*c)]
+    specs = []
+    for h in _subgroup_hnfs(FiniteAbelianGroup(d), limit):
+        cols = roots + [[sum(g[q] * lifts[q][i] for q in range(len(g)))
+                         for i in range(r)] for g in _hnf_generators(h, d)]
+        basis = hermite_normal_form([[col[i] for col in cols] for i in range(r)])
+        specs.append(SublatticeSpec(tuple(tuple(row) for row in basis),
+                                    math.prod(basis[i][i] for i in range(r)),
+                                    _hnf_elements(h, d)))
+    specs.sort(key=lambda s: (s.index_in_p, s.generators))
+    return specs

@@ -721,6 +721,8 @@ def test_equivariantize_rejects_bad_action():
 
 def test_equivariantize_rejects_actions_off_b_or_off_the_image_of_a():
     expectation, _ = pinching_expectation(2)
+    with pytest.raises(ValueError, match="at least one group element"):
+        equivariantize(expectation, [])
     m3 = MultiMatrixAlgebra((3,))
     with pytest.raises(ValueError, match="must consist of endomorphisms of B"):
         equivariantize(expectation, [identity_homomorphism(m3)])

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qindex.lattice
 from qindex.lattice import (CartanData, FiniteAbelianGroup, IrrepLabel,
-                            cartan_data, center_group, classify_subgroups,
-                            crosscheck_torus_index, enumerate_subgroups,
-                            hermite_normal_form, irrep_membership,
-                            smith_normal_form, standard_cartan_matrix)
+                            SublatticeSpec, cartan_data, center_group,
+                            classify_subgroups, crosscheck_torus_index,
+                            enumerate_subgroups, hermite_normal_form,
+                            irrep_membership, smith_normal_form,
+                            standard_cartan_matrix)
+
+from oracles import classify_reference, smith_normal_form_reference
 
 
 EXPECTED_CENTERS = {
@@ -82,6 +86,7 @@ def brute_force_subgroups(factors):
 def test_smith_normal_form_properties(mat):
     n = len(mat)
     u, d, v = smith_normal_form(mat)
+    assert (u, d, v) == smith_normal_form_reference(mat)
 
     def matmul(a, b):
         return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
@@ -208,6 +213,55 @@ def test_classify_subgroups_logs_type_count_and_duration(caplog):
     assert re.fullmatch(r"classify_subgroups: D4, 5 subgroups, \d+\.\d{3} s", message)
 
 
+def test_enumerate_subgroups_logs_order_count_and_duration(caplog):
+    with caplog.at_level(logging.INFO, logger="qindex.lattice"):
+        enumerate_subgroups(FiniteAbelianGroup((2, 2)))
+    [message] = [rec.getMessage() for rec in caplog.records
+                 if rec.name == "qindex.lattice"]
+    assert re.fullmatch(r"enumerate_subgroups: order 4, 5 subgroups, \d+\.\d{3} s", message)
+
+
+def test_irrep_membership_logs_rank_verdict_and_duration(caplog):
+    specs = classify_subgroups(cartan_data("A1"))
+    with caplog.at_level(logging.INFO, logger="qindex.lattice"):
+        irrep_membership(IrrepLabel((1,)), specs[-1])
+        irrep_membership(IrrepLabel((2,)), specs[-1])
+    messages = [rec.getMessage() for rec in caplog.records
+                if rec.name == "qindex.lattice"]
+    assert len(messages) == 2
+    assert re.fullmatch(r"irrep_membership: rank 1, not a member, \d+\.\d{3} s", messages[0])
+    assert re.fullmatch(r"irrep_membership: rank 1, member, \d+\.\d{3} s", messages[1])
+
+
+SIMPLE_TYPES = ([f"A{r}" for r in range(1, 65)] + [f"B{r}" for r in range(2, 17)]
+                + [f"C{r}" for r in range(2, 17)] + [f"D{r}" for r in range(3, 25)]
+                + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def test_classify_matches_elimination_reference():
+    for lie_type in SIMPLE_TYPES:
+        cartan = cartan_data(lie_type)
+        assert classify_subgroups(cartan) == classify_reference(cartan), lie_type
+
+
+def test_classify_puts_only_k_row_matrices_in_hermite_form(monkeypatch):
+    """The quotient construction reduces k x (k + 1) matrices, k the number
+    of invariant factors of P/Q, never the r-row Cartan elimination."""
+    shapes = []
+
+    def counting(mat):
+        shapes.append((len(mat), len(mat[0])))
+        return hermite_normal_form(mat)
+
+    monkeypatch.setattr(qindex.lattice, "hermite_normal_form", counting)
+    for lie_type in ("A1", "A23", "A59", "D8", "D9", "E6", "E7", "E8"):
+        k = len(center_group(cartan_data(lie_type)).group.invariant_factors)
+        shapes.clear()
+        classify_subgroups(cartan_data(lie_type))
+        assert all(shape == (k, k + 1) for shape in shapes), (lie_type, shapes)
+        assert bool(shapes) == (k > 0), lie_type  # P = Q leaves nothing to reduce
+
+
 def test_classification_tables():
     want = {
         "A1": [1, 2],
@@ -308,6 +362,18 @@ def test_irrep_membership_coherence(rng):
                 for b in members[:6]:
                     s = tuple(x + y for x, y in zip(a, b))
                     assert irrep_membership(IrrepLabel(s), spec)
+
+
+def test_irrep_membership_rejects_malformed_generators():
+    label = IrrepLabel((1, 1))
+    for generators in (((1, 0), (0, 0)),      # zero on the diagonal
+                       ((1, 0), (0, -2)),     # negative diagonal
+                       ((1, 1), (0, 1)),      # not lower triangular
+                       ((1, 0), (0,)),        # ragged
+                       ((1, 0, 0), (0, 1, 0))):  # not square
+        spec = SublatticeSpec(generators, 1, ((0,),))
+        with pytest.raises(ValueError, match="lower triangular with a positive diagonal"):
+            irrep_membership(label, spec)
 
 
 def test_irrep_label_rejects_negative():
