@@ -111,30 +111,6 @@ class MultiMatrixAlgebra:
                     out.append(self.element(mats))
         return out
 
-    def matrix_unit(self, t: int, i: int, j: int) -> AlgebraElement:
-        mats = [np.zeros((s, s)) for s in self.blocks]
-        mats[t][i, j] = 1.0
-        return self.element(mats)
-
-    def random_element(self, rng: np.random.Generator, hermitian: bool = False) -> AlgebraElement:
-        mats = []
-        for m in self.blocks:
-            a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-            if hermitian:
-                a = (a + a.conj().T) / 2
-            mats.append(a)
-        return self.element(mats)
-
-    def embed_block_diagonal(self, x: AlgebraElement) -> np.ndarray:
-        """Faithful representation of x as one block-diagonal rep_dim matrix."""
-        n = self.rep_dim
-        out = np.zeros((n, n), dtype=complex)
-        ofs = 0
-        for mat, m in zip(x.data, self.blocks):
-            out[ofs:ofs + m, ofs:ofs + m] = mat
-            ofs += m
-        return out
-
 
 @dataclass(frozen=True)
 class AlgebraElement:

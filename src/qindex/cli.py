@@ -98,6 +98,24 @@ def _canonical(payload) -> str:
                           separators=(",", ":"), allow_nan=False)
 
 
+def _canonical_with(payload, part, text: str) -> str:
+    """``_canonical(payload)``, reusing ``text``, the canonical text of the
+    object ``part``, wherever ``payload`` holds that object itself.  Keys
+    are sorted and joined as ``json.dumps`` does, so the bytes are the
+    same."""
+    if payload is part:
+        return text
+    if _holds(payload, part):
+        return "{" + ",".join(f"{json.dumps(key)}:{_canonical_with(value, part, text)}"
+                              for key, value in sorted(payload.items())) + "}"
+    return _canonical(payload)
+
+
+def _holds(value, part) -> bool:
+    return value is part or (isinstance(value, dict)
+                             and any(_holds(v, part) for v in value.values()))
+
+
 def _digest(payload) -> str:
     # hashed as Python's json writes it, so --value inf hashes "Infinity"
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -400,11 +418,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         results, input_digest, tolerances, code, artifact = args.func(args)
         # classify -o F irrep parses -o but has no artifact
+        text = None
         if artifact is not None and getattr(args, "output", None) is not None:
             text = _canonical(artifact)
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
-        print(_canonical({
+        report = {
             "schema": SCHEMA,
             "command": argv,
             "input_digest": input_digest,
@@ -412,7 +431,10 @@ def main(argv: list[str] | None = None) -> int:
             "seed": args.seed,
             "wall_ms": round(1000.0 * (time.perf_counter() - t0), 3),
             "results": results,
-        }))
+        }
+        # the report holds the artifact, whose text is made once
+        print(_canonical(report) if text is None
+              else _canonical_with(report, artifact, text))
         return code
     except (CliFailure, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

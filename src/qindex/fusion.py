@@ -7,6 +7,7 @@ double-precision with verification against the defining equations.
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass
@@ -30,6 +31,8 @@ log = logging.getLogger("qindex.fusion")
 CHARACTER_TOL = 1e-10
 #: relative singular-value threshold of the null space of a module trace
 NULLITY_RTOL = 1e-10
+#: prime modulus of the generation certificate, the largest below 2^25
+_CERTIFICATE_PRIME = 33554393
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,11 @@ class FusionRing:
     def n(self, u: str, v: str, w: str) -> int:
         return int(self.tensor[self.index(u), self.index(v), self.index(w)])
 
+    @functools.cached_property
+    def _generators(self) -> tuple[int, ...]:
+        """The indices of ``_generating_set``, computed once per ring."""
+        return _generating_set(self.tensor, self.index(self.unit))
+
 
 def _labels(labels) -> tuple[str, ...]:
     """Labels as strings.  The sparse JSON maps key entries by "U,V"
@@ -80,13 +88,88 @@ def _labels(labels) -> tuple[str, ...]:
     return labels
 
 
+def _generating_set(tensor: np.ndarray, unit: int) -> tuple[int, ...]:
+    """Indices of a set S of labels that generates the ring, picked
+    greedily in label order, and certified to generate it.
+
+    A label joins S when its basis vector is not in the span V of the words
+    of the labels before it.  V is the smallest space that holds 1 and is
+    closed under left multiplication by S (x -> s x is x @ N[s]); it is
+    grown over Z/p by multiplying each vector added to it by every s in S,
+    in int64: every sum has at most r terms below p^2, exact while
+    r * p^2 < 2^63 (r < 2^13), and a larger ring returns every label.  V is
+    held as the matrix ``reduce`` = I - B of its reduced echelon basis B,
+    indexed by pivot, so that x @ reduce is x reduced modulo V and row u of
+    it is zero when e_u is in V.  Rank mod p is at most rank over Q, so
+    V = (Z/p)^r certifies that S generates the ring.  The unit laws must
+    hold: then u 1 = u, so the loop ends with V everything.
+
+    Growing V costs O(|S| r^3) operations, and it spares a check of every
+    label it reaches.  Once it has reached fewer labels than it picked, as
+    on rings in which few labels generate more than themselves, every label
+    not yet in V joins S, which then generates the ring with no more words.
+    """
+    r, p = tensor.shape[0], _CERTIFICATE_PRIME
+    if r * (p - 1) ** 2 >= 2 ** 63:
+        return tuple(range(r))
+    reduce = np.eye(r, dtype=np.int64)
+    span = np.empty((r, r), dtype=np.int64)  # the vectors added to V
+    rank = 0
+
+    def insert(rows):
+        """Add to V the rows that are not in it; return how many."""
+        nonlocal rank
+        start = rank
+        for y in (rows[rows.any(axis=1)] % p) @ reduce % p:
+            if rank > start:
+                y = y @ reduce % p
+            c = int(y.argmax())
+            if y[c]:  # not in V: y / y[c] becomes the row of B at pivot c
+                hit = reduce[:, c].nonzero()[0]
+                scale = reduce[hit, c] * pow(int(y[c]), -1, p) % p
+                reduce[hit] = (reduce[hit] - np.multiply.outer(scale, y)) % p
+                span[rank] = y
+                rank += 1
+        return rank - start
+
+    insert(np.eye(r, dtype=np.int64)[[unit]])
+    gens: list[int] = []
+    by = np.empty((r, r, r), dtype=np.int64)  # by[k] = N[gens[k]] mod p
+    u = 0
+    while (outside := u + reduce[u:].any(axis=1).nonzero()[0]).size:
+        u = int(outside[0])
+        if u - len(gens) < len(gens):  # of the labels before u, V reached fewer than S
+            return (*gens, *outside.tolist())
+        by[len(gens)] = tensor[u] % p
+        gens.append(u)
+        # V is closed under the earlier labels of S: apply u to all of it,
+        # then all of S to what that adds
+        first, new = len(gens) - 1, span[:rank]
+        while len(new):
+            added = insert((new @ by[first:len(gens)]).reshape(-1, r))
+            first, new = 0, span[rank - added:rank]
+        u += 1
+    return tuple(gens)
+
+
 def _associativity_violations(what: str, t: np.ndarray, a: np.ndarray,
-                              where: Callable[..., str]) -> list[str]:
+                              where: Callable[..., str],
+                              generators: Sequence[int]) -> tuple[list[str], int]:
     """Exact check of sum_x N_{uv}^x a_{x,i}^j = sum_k a_{v,i}^k a_{u,k}^j,
     with ``t`` = N: mixed associativity of a module, and associativity of
-    the ring for a = N.
+    the ring for a = N.  Returns the violations and the number of labels
+    checked.
 
-    Each ring label u is one pair of products of floating-point copies, as
+    The labels u that pass span a subring that holds the unit: if a and b
+    pass, so does ab (Light's associativity test; Clifford-Preston, The
+    Algebraic Theory of Semigroups I, section 1.2).  For a module this
+    needs the ring to be associative and its unit to act trivially, which
+    are checked first.  So only the labels of ``generators``, a set S that
+    generates the ring, are checked: |S| label checks in place of r.  When
+    one of them fails, every label is checked in order, so the first
+    violation is the same as when all are.
+
+    Each label u is one pair of products of floating-point copies, as
     (v, (i, j)) and ((v, i), j) matrices.  The sums have r terms up to
     max(N) * max(a) and m terms up to max(a)^2.  Below 2^24 every partial
     sum is an integer that float32 holds exactly, in any order, so the
@@ -100,18 +183,24 @@ def _associativity_violations(what: str, t: np.ndarray, a: np.ndarray,
         if terms * left * right >= 2 ** 53:
             return [f"exactness bound: {what} sums {terms} products of "
                     f"multiplicities up to {left} x {right} = {terms * left * right} "
-                    ">= 2^53; too large to check exactly"]
+                    ">= 2^53; too large to check exactly"], 0
     exact32 = max(r * big_t * big_a, m * big_a * big_a) < 2 ** 24
     tf = t.astype(np.float32 if exact32 else np.float64)
     af = tf if a is t else a.astype(tf.dtype)
-    for u in range(r):
+
+    def mismatch(u):
         lhs = (tf[u] @ af.reshape(r, m * m)).reshape(r, m, m)
         rhs = (af.reshape(r * m, m) @ af[u]).reshape(r, m, m)
-        if not np.array_equal(lhs, rhs):
-            v, i, j = np.argwhere(lhs != rhs)[0]
-            return [f"{what}: {where(u, v, i, j)}: "
-                    f"{int(lhs[v, i, j])} != {int(rhs[v, i, j])}"]
-    return []
+        if np.array_equal(lhs, rhs):
+            return None
+        v, i, j = np.argwhere(lhs != rhs)[0]
+        return (f"{what}: {where(u, v, i, j)}: "
+                f"{int(lhs[v, i, j])} != {int(rhs[v, i, j])}")
+
+    if not any(map(mismatch, generators)):
+        return [], len(generators)
+    u, found = next((u, msg) for u in range(r) if (msg := mismatch(u)))
+    return [found], len(set(generators).union(range(u + 1)))
 
 
 def _conjugation_mismatch(a: np.ndarray, dual_idx: list[int]) -> tuple | None:
@@ -125,66 +214,85 @@ def _conjugation_mismatch(a: np.ndarray, dual_idx: list[int]) -> tuple | None:
 def validate_fusion(ring: FusionRing) -> list[str]:
     """Exact check of the unit, associativity, and duality axioms.
 
-    Associativity is checked one label u at a time, as floating-point
-    products that are exact while r * max(N)^2 stays below the bound:
-    float32 below 2^24, float64 below 2^53, and above 2^53 an
-    ``exactness bound`` violation.  Memory is O(r^3).
+    Associativity is checked on a set S of labels that generates the ring,
+    certified by an echelon basis mod p of the words in S (O(|S| r^3)
+    int64 operations): the labels that pass form a subring, so S passing
+    proves every label does.  Each label of S costs a pair of r x r by
+    r x r^2 floating-point products, so the check costs |S| r^4 in place of
+    r^5 (|S| = 1 for TLJ).  They are exact while r * max(N)^2 stays below
+    the bound: float32 below 2^24, float64 below 2^53, and above 2^53 an
+    ``exactness bound`` violation.  When a label of S fails, every label is
+    checked in order, so the first violation named is the first in label
+    order.  Memory is O(r^3).
 
     Returns an empty list for a valid ring; otherwise the violations in the
     order they were found, each naming the identity and the indices.
     """
     start = time.perf_counter()
-    violations = _fusion_violations(ring)
-    log.info("validate_fusion: rank %d, %d violations, %.3f s",
-             ring.rank, len(violations), time.perf_counter() - start)
+    violations, checked = _fusion_violations(ring)
+    log.info("validate_fusion: rank %d, %s, %d violations, %.3f s", ring.rank,
+             _labels_checked(ring, checked), len(violations),
+             time.perf_counter() - start)
     return violations
 
 
-def _fusion_violations(ring: FusionRing) -> list[str]:
+def _labels_checked(ring: FusionRing, checked: int) -> str:
+    """The log clause of how many labels ran the associativity products."""
+    clause = f"{checked} of {ring.rank} labels checked"
+    if checked:
+        clause += f" (generating set of {len(ring._generators)} certified mod p)"
+    return clause
+
+
+def _fusion_violations(ring: FusionRing) -> tuple[list[str], int]:
+    """The violations of ``validate_fusion`` and the number of labels whose
+    associativity was checked."""
     violations = []
     r = ring.rank
     t = ring.tensor
     labels = ring.labels
     if ring.unit not in labels:
-        return [f"unit label {ring.unit!r} is not in the label set"]
+        return [f"unit label {ring.unit!r} is not in the label set"], 0
     dual_map = dict(ring.dual)
     if set(dual_map) != set(labels) or set(dual_map.values()) != set(labels):
-        return ["dual involution is not a bijection on the labels"]
+        return ["dual involution is not a bijection on the labels"], 0
     for a in labels:
         if dual_map[dual_map[a]] != a:
-            return [f"dual is not an involution at {a!r}"]
+            return [f"dual is not an involution at {a!r}"], 0
 
+    # the unit laws at the first (v, w) where either fails
     e = ring.index(ring.unit)
-    for v in range(r):
-        for w in range(r):
-            want = 1 if v == w else 0
-            if t[e, v, w] != want:
-                violations.append(f"unit: N[1,{labels[v]}]^{labels[w]} = {t[e, v, w]}")
-            if t[v, e, w] != want:
-                violations.append(f"unit: N[{labels[v]},1]^{labels[w]} = {t[v, e, w]}")
-            if violations:
-                return violations
+    eye = np.eye(r, dtype=np.int64)
+    wrong = np.argwhere((t[e] != eye) | (t[:, e] != eye))
+    if wrong.size:
+        v, w = wrong[0]
+        if t[e, v, w] != eye[v, w]:
+            violations.append(f"unit: N[1,{labels[v]}]^{labels[w]} = {t[e, v, w]}")
+        if t[v, e, w] != eye[v, w]:
+            violations.append(f"unit: N[{labels[v]},1]^{labels[w]} = {t[v, e, w]}")
+        return violations, 0
 
-    mismatch = _associativity_violations(
+    mismatch, checked = _associativity_violations(
         "associativity", t, t,
-        lambda u, v, w, y: f"({labels[u]},{labels[v]},{labels[w]})->{labels[y]}")
+        lambda u, v, w, y: f"({labels[u]},{labels[v]},{labels[w]})->{labels[y]}",
+        ring._generators)
     if mismatch:
-        return mismatch
+        return mismatch, checked
 
     # duality: N_{uv}^1 = delta_{v, ubar}; the first failure in (u, v) order
     dual_idx = [ring.index(dual_map[lab]) for lab in labels]
-    wrong = np.argwhere(t[:, :, e] != np.eye(r, dtype=np.int64)[dual_idx])
+    wrong = np.argwhere(t[:, :, e] != eye[dual_idx])
     if wrong.size:
         u, v = wrong[0]
-        return [f"duality: N[{labels[u]},{labels[v]}]^1 = {t[u, v, e]}"]
+        return [f"duality: N[{labels[u]},{labels[v]}]^1 = {t[u, v, e]}"], checked
     # Frobenius reciprocity at multiplicity level: N_{ubar w}^v = N_{u v}^w
     bad = _conjugation_mismatch(t, dual_idx)
     if bad is not None:
         u, v, w = bad
         ubar = dual_idx[u]
         return [f"reciprocity: N[{labels[ubar]},{labels[w]}]^{labels[v]}"
-                f" != N[{labels[u]},{labels[v]}]^{labels[w]}"]
-    return []
+                f" != N[{labels[u]},{labels[v]}]^{labels[w]}"], checked
+    return [], checked
 
 
 @dataclass(frozen=True)
@@ -223,40 +331,45 @@ def validate_module(module: FusionModule) -> list[str]:
     """Exact check of the ring, unit action, mixed associativity, and
     conjugation.
 
-    Mixed associativity is checked as the ring's associativity is, with
-    the bounds on r * max(N) * max(n) and m * max(n)^2 (m the module
-    size): float32 products below 2^24, float64 below 2^53, and an
-    ``exactness bound`` violation above.  Memory is O(r^3 + r m^2).  Ring
+    Mixed associativity is checked as the ring's associativity is, on the
+    ring's generating set S (|S| r m^2 (r + m) products): the labels that
+    pass form a subring once the ring is associative and its unit acts
+    trivially.  The bounds are on r * max(N) * max(n) and m * max(n)^2 (m
+    the module size): float32 products below 2^24, float64 below 2^53, and
+    an ``exactness bound`` violation above.  Memory is O(r^3 + r m^2).  Ring
     violations are returned prefixed with ``ring:``.
     """
     start = time.perf_counter()
-    violations = _module_violations(module)
-    log.info("validate_module: rank %d, module size %d, %d violations, %.3f s",
-             module.ring.rank, module.size, len(violations),
-             time.perf_counter() - start)
+    violations, checked = _module_violations(module)
+    log.info("validate_module: rank %d, module size %d, %s, %d violations, %.3f s",
+             module.ring.rank, module.size, _labels_checked(module.ring, checked),
+             len(violations), time.perf_counter() - start)
     return violations
 
 
-def _module_violations(module: FusionModule) -> list[str]:
+def _module_violations(module: FusionModule) -> tuple[list[str], int]:
+    """The violations of ``validate_module`` and the number of labels whose
+    mixed associativity was checked."""
     ring = module.ring
     ring_violations = validate_fusion(ring)
     if ring_violations:
-        return [f"ring: {v}" for v in ring_violations]
+        return [f"ring: {v}" for v in ring_violations], 0
     a = module.action
     if not np.array_equal(a[ring.index(ring.unit)],
                           np.eye(module.size, dtype=np.int64)):
-        return ["unit does not act trivially"]
-    mismatch = _associativity_violations(
+        return ["unit does not act trivially"], 0
+    mismatch, checked = _associativity_violations(
         "mixed associativity", ring.tensor, a,
         lambda u, v, i, j: (f"({ring.labels[u]},{ring.labels[v]}) at "
-                            f"({module.labels[i]},{module.labels[j]})"))
+                            f"({module.labels[i]},{module.labels[j]})"),
+        ring._generators)
     if mismatch:
-        return mismatch
+        return mismatch, checked
     bad = _conjugation_mismatch(
         a, [ring.index(ring.dual_label(lab)) for lab in ring.labels])
     if bad is not None:
-        return [f"conjugate transpose law fails at {ring.labels[bad[0]]}"]
-    return []
+        return [f"conjugate transpose law fails at {ring.labels[bad[0]]}"], checked
+    return [], checked
 
 
 @dataclass(frozen=True)

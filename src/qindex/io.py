@@ -192,12 +192,11 @@ def _sparse_to_json(tensor: np.ndarray, labels: Sequence[Sequence[str]]) -> dict
     flat = tensor.reshape(-1, tensor.shape[2])
     # np.nonzero walks in C order, so keys and rows keep the (u, v, w) order
     rows, ws = np.nonzero(flat)
-    mults = flat[rows, ws]
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    ends = [*starts[1:].tolist(), len(mults)]
-    return {f"{a[row // nb]},{b[row % nb]}":
-            dict(zip(map(c.__getitem__, ws[s:e].tolist()), mults[s:e].tolist()))
-            for row, s, e in zip(rows[starts].tolist(), starts.tolist(), ends)}
+    names = list(map(c.__getitem__, ws.tolist()))
+    mults = flat[rows, ws].tolist()
+    starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
+    return {f"{a[row // nb]},{b[row % nb]}": dict(zip(names[s:e], mults[s:e]))
+            for row, s, e in zip(rows[starts].tolist(), starts, [*starts[1:], len(mults)])}
 
 
 def _sparse_from_json(data: Mapping, name: str, path: str,
@@ -228,8 +227,9 @@ def _sparse_entries(entries: Mapping, first: dict, second: dict, third: dict):
     us, vs, counts = [], [], []
     for key, row in entries.items():
         parts = key.split(",") if isinstance(key, str) else ()
+        # a dict is a Mapping; its type test is the fast one
         if (len(parts) != 2 or parts[0] not in first or parts[1] not in second
-                or not isinstance(row, Mapping)):
+                or not (type(row) is dict or isinstance(row, Mapping))):
             return None
         us.append(first[parts[0]])
         vs.append(second[parts[1]])

@@ -164,13 +164,6 @@ class CenterData:
     u: tuple[tuple[int, ...], ...]
     nontrivial: tuple[int, ...]
 
-    def weight_class(self, weight: Sequence[int]) -> tuple[int, ...]:
-        """Image of a weight in the invariant-factor coordinates of P/Q."""
-        u = [list(r) for r in self.u]
-        x = [sum(u[i][j] * int(weight[j]) for j in range(len(weight)))
-             for i in range(len(u))]
-        return tuple(x[i] % self.divisors[i] for i in self.nontrivial)
-
 
 @dataclass(frozen=True)
 class SublatticeSpec:

@@ -14,6 +14,12 @@ def random_unitary(n, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def random_element(algebra, rng):
+    """An element of ``algebra`` with standard complex normal entries."""
+    return algebra.element([rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                            for m in algebra.blocks])
+
+
 def ad_homomorphism(u, algebra, block=0):
     """Ad(u) on a single-block algebra (u unitary on that block)."""
     cols = []

@@ -28,13 +28,20 @@ map one entry at a time, the reference for the whole-array decoder of
 Smith pivot, and ``classify_reference`` builds each sublattice by integer
 elimination of the Cartan columns joined with lifted subgroup generators:
 the references for the pivot scan and the quotient construction of
-``qindex.lattice``.
+``qindex.lattice``; ``weight_class`` maps a weight to its class in P/Q.
+``words_rank`` is the rank over Q of the words in a set of fusion labels,
+the reference for the generation certificate of ``qindex.fusion``, and
+``validate_fusion_every_label`` is the ring validation that checks the
+associativity of every label, the baseline of its cost.
+``matrix_unit`` and ``embed_block_diagonal`` build matrix units and the
+block-diagonal representation of an element.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
@@ -43,8 +50,9 @@ from qindex.algebra import (DEFAULT_TOL, INCLUSION_TOL, RANK_RTOL, AlgebraElemen
                             MultiMatrixAlgebra, StarHomomorphism)
 from qindex.expectation import (ConditionalExpectation, QuasiBasis, _defect,
                                 _frame_map)
+from qindex.fusion import FusionRing, _associativity_violations, _conjugation_mismatch
 from qindex.io import SchemaError
-from qindex.lattice import (CartanData, FiniteAbelianGroup, SublatticeSpec,
+from qindex.lattice import (CartanData, CenterData, FiniteAbelianGroup, SublatticeSpec,
                             _hnf_elements, _hnf_generators, _subgroup_hnfs,
                             hermite_normal_form)
 
@@ -61,6 +69,18 @@ def right_mult_matrix(x: AlgebraElement) -> np.ndarray:
     """Matrix of y -> y x on coefficient vectors (row-major convention)."""
     return _block_diag([mat if m == 1 else np.kron(np.eye(m), mat.T)
                         for mat, m in zip(x.data, x.parent.blocks)])
+
+
+def embed_block_diagonal(x: AlgebraElement) -> np.ndarray:
+    """Faithful representation of x as one block-diagonal rep_dim matrix."""
+    return _block_diag(list(x.data))
+
+
+def matrix_unit(algebra: MultiMatrixAlgebra, t: int, i: int, j: int) -> AlgebraElement:
+    """The matrix unit e^t_{ij} of ``algebra``."""
+    mats = [np.zeros((s, s)) for s in algebra.blocks]
+    mats[t][i, j] = 1.0
+    return algebra.element(mats)
 
 
 def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
@@ -122,14 +142,14 @@ def choi_blocks(phi: Callable[[AlgebraElement], np.ndarray],
     """
     out = []
     for t, m in enumerate(domain.blocks):
-        n = np.asarray(phi(domain.matrix_unit(t, 0, 0)), dtype=complex).shape[0]
+        n = np.asarray(phi(matrix_unit(domain, t, 0, 0)), dtype=complex).shape[0]
         c = np.zeros((n * m, n * m), dtype=complex)
         # phi(e_ij) (x) e_ij fills exactly the entries (p, i, q, j) of c
         # viewed as n x m x n x m
         blocks = c.reshape(n, m, n, m)
         for i in range(m):
             for j in range(m):
-                blocks[:, i, :, j] += np.asarray(phi(domain.matrix_unit(t, i, j)),
+                blocks[:, i, :, j] += np.asarray(phi(matrix_unit(domain, t, i, j)),
                                                  dtype=complex)
         out.append((c + c.conj().T) / 2)
     return out
@@ -200,7 +220,7 @@ def four_axiom_failures(expectation: ConditionalExpectation,
         failures.append("bimodularity")
 
     def phi(x: AlgebraElement) -> np.ndarray:
-        return big.embed_block_diagonal(expectation(x))
+        return embed_block_diagonal(expectation(x))
 
     if not all(choi_is_psd(c, tol) for c in choi_blocks(phi, big)):
         failures.append("positivity")
@@ -334,8 +354,8 @@ def choi_scalar_index(expectation: ConditionalExpectation,
     pencil of the Choi matrices of id and E, per source block; infinite when
     range(C_id) leaves range(C_E)."""
     big = expectation.algebra
-    c_es = choi_blocks(lambda x: big.embed_block_diagonal(expectation(x)), big)
-    c_ids = choi_blocks(big.embed_block_diagonal, big)
+    c_es = choi_blocks(lambda x: embed_block_diagonal(expectation(x)), big)
+    c_ids = choi_blocks(embed_block_diagonal, big)
     best = 1.0
     for c_e, c_id in zip(c_es, c_ids):
         evals, evecs = np.linalg.eigh(c_e)
@@ -651,7 +671,90 @@ def sparse_from_json_reference(data, name, path, labels, keys, target) -> np.nda
     return tensor
 
 
+# -- fusion rings -------------------------------------------------------------------
+
+def validate_fusion_every_label(ring: FusionRing) -> list[str]:
+    """``validate_fusion`` as it ran before the generation certificate: the
+    unit laws one (v, w) pair at a time, the associativity products of
+    every label, then duality and reciprocity.  The baseline for the cost
+    of the certificate."""
+    r, t, labels = ring.rank, ring.tensor, ring.labels
+    if ring.unit not in labels:
+        return [f"unit label {ring.unit!r} is not in the label set"]
+    dual_map = dict(ring.dual)
+    if set(dual_map) != set(labels) or set(dual_map.values()) != set(labels):
+        return ["dual involution is not a bijection on the labels"]
+    for a in labels:
+        if dual_map[dual_map[a]] != a:
+            return [f"dual is not an involution at {a!r}"]
+    e = ring.index(ring.unit)
+    violations = []
+    for v in range(r):
+        for w in range(r):
+            want = 1 if v == w else 0
+            if t[e, v, w] != want:
+                violations.append(f"unit: N[1,{labels[v]}]^{labels[w]} = {t[e, v, w]}")
+            if t[v, e, w] != want:
+                violations.append(f"unit: N[{labels[v]},1]^{labels[w]} = {t[v, e, w]}")
+            if violations:
+                return violations
+    mismatch, _ = _associativity_violations(
+        "associativity", t, t,
+        lambda u, v, w, y: f"({labels[u]},{labels[v]},{labels[w]})->{labels[y]}",
+        range(r))
+    if mismatch:
+        return mismatch
+    dual_idx = [ring.index(dual_map[lab]) for lab in labels]
+    wrong = np.argwhere(t[:, :, e] != np.eye(r, dtype=np.int64)[dual_idx])
+    if wrong.size:
+        u, v = wrong[0]
+        return [f"duality: N[{labels[u]},{labels[v]}]^1 = {t[u, v, e]}"]
+    bad = _conjugation_mismatch(t, dual_idx)
+    if bad is not None:
+        u, v, w = bad
+        return [f"reciprocity: N[{labels[dual_idx[u]]},{labels[w]}]^{labels[v]}"
+                f" != N[{labels[u]},{labels[v]}]^{labels[w]}"]
+    return []
+
+
+def words_rank(tensor: np.ndarray, unit: int, gens) -> int:
+    """Rank over Q of the span of the right-nested words
+    s_1 (s_2 (... (s_k 1))) in the labels ``gens`` (s x = x @ N[s]), by a
+    breadth-first closure in exact rationals: the reference for the
+    generation certificate of ``qindex.fusion``."""
+    r = tensor.shape[0]
+    basis: list[tuple[int, list[Fraction]]] = []  # (pivot, row), pivot entry 1
+
+    def add(vec) -> list[Fraction] | None:
+        vec = [Fraction(int(x)) for x in vec]
+        for pivot, row in basis:
+            if vec[pivot]:
+                f = vec[pivot]
+                vec = [x - f * y for x, y in zip(vec, row)]
+        if not any(vec):
+            return None
+        pivot = next(i for i, x in enumerate(vec) if x)
+        basis.append((pivot, [x / vec[pivot] for x in vec]))
+        return vec
+
+    queue = [add(np.eye(r, dtype=np.int64)[unit])]
+    while queue:
+        x = queue.pop()
+        for s in gens:
+            y = add([sum(x[v] * int(tensor[s, v, w]) for v in range(r)) for w in range(r)])
+            if y is not None:
+                queue.append(y)
+    return len(basis)
+
+
 # -- sublattices ---------------------------------------------------------------------
+
+def weight_class(center: CenterData, weight) -> tuple[int, ...]:
+    """Image of a weight in the invariant-factor coordinates of P/Q:
+    (u @ weight) mod divisors on the nontrivial coordinates."""
+    x = [sum(u_ij * int(w) for u_ij, w in zip(row, weight)) for row in center.u]
+    return tuple(x[i] % center.divisors[i] for i in center.nontrivial)
+
 
 def smith_normal_form_reference(mat) -> tuple[list[list[int]], list[list[int]],
                                               list[list[int]]]:

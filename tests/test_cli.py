@@ -7,8 +7,9 @@ import logging
 import numpy as np
 import pytest
 
+import qindex.cli
 from qindex import io as qio
-from qindex.cli import main
+from qindex.cli import _canonical, _canonical_with, main
 from qindex.fusion import FusionModule, validate_fusion
 from qindex.generators import gen_pointed, gen_regular_module
 
@@ -115,6 +116,35 @@ def test_index_compute_rank_deficient_exits_3(tmp_path, capsys):
     assert results["scalar_index"] == "inf"
     assert out_path.read_text() == json.dumps(results, sort_keys=True,
                                               separators=(",", ":")) + "\n"
+
+
+def test_report_splices_the_artifact_text_it_holds():
+    # the same bytes as encoding the whole report, "inf" included
+    artifact = {"b": [1.5, float("inf")], "a": (1, 2)}
+    text = _canonical(artifact)
+    for report in ({"results": artifact, "seed": 0},
+                   {"results": {"ring": artifact, "dims": {"0": 1.0}}, "command": ["x"]},
+                   {"results": {"ring": artifact}, "wall_ms": float("inf")},
+                   {"results": {"ring": dict(artifact)}}):
+        assert _canonical_with(report, artifact, text) == _canonical(report)
+
+
+def test_fusion_generate_encodes_the_ring_once(tmp_path, capsys, monkeypatch):
+    def holds(value, part):
+        return value == part or (isinstance(value, dict)
+                                 and any(holds(v, part) for v in value.values()))
+
+    encoded = []
+    canonical = qindex.cli._canonical
+    monkeypatch.setattr(qindex.cli, "_canonical",
+                        lambda payload: encoded.append(payload) or canonical(payload))
+    out_path = tmp_path / "tlj9.json"
+    code, out, _ = run(capsys, "fusion", "generate", "tlj", "--n", "9", "-o", str(out_path))
+    assert code == 0
+    ring = json.loads(out_path.read_text())
+    assert [holds(payload, ring) for payload in encoded].count(True) == 1
+    assert report_of(out)["results"]["ring"] == ring
+    assert out == canonical(report_of(out)) + "\n"
 
 
 def test_index_compute_rejects_non_multiplicative_inclusion(tmp_path, capsys):

@@ -22,15 +22,16 @@ from qindex.expectation import (ConditionalExpectation, QuasiBasis,
 
 from conftest import (ad_homomorphism, diagonal_inclusion, identity_expectation,
                       inclusion_from_multiplicities, pinching_expectation,
-                      random_connected_inclusion, random_multimatrix_inclusion,
-                      random_unitary, scalars_inclusion, trace_expectation)
+                      random_connected_inclusion, random_element,
+                      random_multimatrix_inclusion, random_unitary, scalars_inclusion,
+                      trace_expectation)
 from oracles import (ascent_probabilistic_bounds, choi_blocks,
                      choi_scalar_index, closed_form_indices_reference,
                      densities_reference, expectation_from_densities,
-                     four_axiom_failures, greedy_quasi_basis, in_span,
-                     left_mult_matrix, nested_densities, normal_form_reference,
-                     orthonormal_columns, pinv_restriction, rebuild_reference,
-                     solve_average)
+                     embed_block_diagonal, four_axiom_failures, greedy_quasi_basis,
+                     in_span, left_mult_matrix, matrix_unit, nested_densities,
+                     normal_form_reference, orthonormal_columns, pinv_restriction,
+                     rebuild_reference, solve_average)
 from test_acceptance import _monomial_actions
 
 
@@ -48,7 +49,7 @@ def scalar_index_bisect(expectation, hi_cap=1e7):
 
     def is_cp(c):
         def phi(x):
-            return big.embed_block_diagonal(c * expectation(x) - x)
+            return embed_block_diagonal(c * expectation(x) - x)
         return all(np.linalg.eigvalsh(blk)[0] >= -1e-11
                    for blk in choi_blocks(phi, big))
 
@@ -82,7 +83,7 @@ def test_validate_pinching():
 def test_validate_rejects_corner_compression():
     # x -> e_11 x e_11 fails unitality
     big = MultiMatrixAlgebra((2,))
-    p = big.matrix_unit(0, 0, 0)
+    p = matrix_unit(big, 0, 0, 0)
     cols = [(p * x * p).to_vector() for x in big.basis()]
     bad = ConditionalExpectation(identity_homomorphism(big),
                                  np.stack(cols, axis=1))
@@ -185,7 +186,7 @@ def test_quasi_basis_pinching_and_hand_checked_family():
     # diag(x) + offdiag(x) = x
     big = expectation.algebra
     family = QuasiBasis((big.identity(),
-                         big.matrix_unit(0, 0, 1) + big.matrix_unit(0, 1, 0)))
+                         matrix_unit(big, 0, 0, 1) + matrix_unit(big, 0, 1, 0)))
     assert family.defect(expectation) <= 1e-12
 
 
@@ -196,7 +197,7 @@ def test_quasi_basis_trace_case():
     assert len(result.basis) == 4
     # hand-checked family sqrt(2) e_ij: sum 2 e_ij tr(e_ji x)/2 = x
     big = expectation.algebra
-    family = QuasiBasis(tuple(np.sqrt(2.0) * big.matrix_unit(0, i, j)
+    family = QuasiBasis(tuple(np.sqrt(2.0) * matrix_unit(big, 0, i, j)
                               for i in range(2) for j in range(2)))
     assert family.defect(expectation) <= 1e-12
 
@@ -234,7 +235,7 @@ def test_frame_map_and_defect_match_dense_reference(rng):
         inclusion, tau = random_multimatrix_inclusion(rng)
         expectation = canonical_expectation(inclusion, tau)
         big = expectation.algebra
-        family = QuasiBasis(tuple(big.random_element(rng)
+        family = QuasiBasis(tuple(random_element(big, rng)
                                   for _ in range(int(rng.integers(1, 5)))))
         dense = sum(left_mult_matrix(u) @ expectation.matrix
                     @ left_mult_matrix(u.adjoint()) for u in family.elements)
@@ -283,7 +284,7 @@ def test_quasi_basis_custom_spanning_sets_agree(rng):
     big = expectation.algebra
     indices = [watatani_index(expectation, quasi_basis_report(expectation, tau).basis)]
     for _ in range(2):
-        spanning = [big.random_element(rng) for _ in range(big.total_dim + 2)]
+        spanning = [random_element(big, rng) for _ in range(big.total_dim + 2)]
         basis = greedy_quasi_basis(expectation, tau, spanning=spanning).basis
         assert basis is not None
         indices.append(watatani_index(expectation, basis))
@@ -300,17 +301,17 @@ def test_watatani_warns_on_drift_in_a_later_block(rng):
     expectation = canonical_expectation(inclusion, TraceWeights(inclusion.target,
                                                                 (1.0, 1.0)))
     big = expectation.algebra
-    central = QuasiBasis((big.matrix_unit(0, 0, 0), big.matrix_unit(1, 0, 0),
-                          big.matrix_unit(1, 1, 1)))
+    central = QuasiBasis((matrix_unit(big, 0, 0, 0), matrix_unit(big, 1, 0, 0),
+                          matrix_unit(big, 1, 1, 1)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert (watatani_index(expectation, central) - big.identity()).norm() == 0
-    skew = QuasiBasis((big.matrix_unit(0, 0, 0), big.matrix_unit(1, 0, 0),
-                       2.0 * big.matrix_unit(1, 1, 1)))
+    skew = QuasiBasis((matrix_unit(big, 0, 0, 0), matrix_unit(big, 1, 0, 0),
+                       2.0 * matrix_unit(big, 1, 1, 1)))
     with pytest.warns(UserWarning, match=re.escape("fails centrality in B by 1.500e+00")):
         watatani_index(expectation, skew)
     # sum u u* = (1, diag(1, 0)) is singular in block 1
-    singular = QuasiBasis((big.matrix_unit(0, 0, 0), big.matrix_unit(1, 0, 0)))
+    singular = QuasiBasis((matrix_unit(big, 0, 0, 0), matrix_unit(big, 1, 0, 0)))
     with pytest.warns(UserWarning), \
             pytest.raises(ValueError, match="not positive invertible"):
         watatani_index(expectation, singular)
@@ -333,11 +334,11 @@ def test_watatani_index_values():
 def test_watatani_warns_on_invalid_family():
     expectation, tau = pinching_expectation(2)
     big = expectation.algebra
-    bogus = QuasiBasis((big.identity(), big.matrix_unit(0, 0, 1)))
+    bogus = QuasiBasis((big.identity(), matrix_unit(big, 0, 0, 1)))
     with pytest.warns(UserWarning):
         watatani_index(expectation, bogus)
     # sum u u* = diag(1, 4) is positive invertible but not central
-    skew = QuasiBasis((big.matrix_unit(0, 0, 0), 2.0 * big.matrix_unit(0, 1, 1)))
+    skew = QuasiBasis((matrix_unit(big, 0, 0, 0), 2.0 * matrix_unit(big, 0, 1, 1)))
     with pytest.warns(UserWarning):
         watatani_index(expectation, skew)
 
@@ -843,15 +844,15 @@ def test_closed_form_images_match_pinv_svd_and_solve():
     for _ in range(100):
         inclusion, tau = random_multimatrix_inclusion(rng, max_a_blocks=3)
         big = inclusion.target
-        vecs = np.stack([big.random_element(rng).to_vector() for _ in range(3)], axis=1)
+        vecs = np.stack([random_element(big, rng).to_vector() for _ in range(3)], axis=1)
         want = np.linalg.pinv(inclusion.matrix) @ vecs
         assert np.linalg.norm(inclusion.preimage(vecs) - want) <= 1e-12 * np.linalg.norm(want)
 
         expectation = canonical_expectation(inclusion, tau)
         onb = orthonormal_columns(inclusion.matrix)
         for size in (0.0, 1e-12, 1e-10, 3e-9, 1e-6, 1.0):
-            vec = inclusion(inclusion.source.random_element(rng)).to_vector()
-            vec = vec + size * np.linalg.norm(vec) * big.random_element(rng).to_vector()
+            vec = inclusion(random_element(inclusion.source, rng)).to_vector()
+            vec = vec + size * np.linalg.norm(vec) * random_element(big, rng).to_vector()
             residual = np.linalg.norm(vec - onb @ (onb.conj().T @ vec))
             bound = 1e-9 * max(1.0, np.linalg.norm(vec))
             if abs(residual - bound) <= 1e-3 * bound:

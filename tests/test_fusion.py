@@ -1,12 +1,13 @@
 import logging
 import re
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qindex.fusion import (BigradedDims, FusionModule, FusionRing,
-                           MultiplicityFunctor, action_functor,
+                           MultiplicityFunctor, _associativity_violations, action_functor,
                            check_locally_constant, d_function,
                            equivalence_classes, functor_dims, functor_trace,
                            functor_trace_components, jones_membership,
@@ -15,6 +16,8 @@ from qindex.fusion import (BigradedDims, FusionModule, FusionRing,
                            standard_solution_components, validate_fusion,
                            validate_module)
 from qindex.generators import gen_pointed, gen_quotient_module, gen_regular_module, gen_tlj
+
+from oracles import validate_fusion_every_label, words_rank
 
 
 def regular_with_trace(n):
@@ -29,9 +32,48 @@ def regular_with_trace(n):
 # -- validation --------------------------------------------------------------
 
 def test_validate_tlj_rings():
-    for n in range(3, 13):
+    for n in range(3, 41):
         ring, _ = gen_tlj(n)
-        assert validate_fusion(ring) == []
+        assert validate_fusion(ring) == oracle_validate_fusion(ring) == []
+        module = gen_regular_module(ring)
+        assert validate_module(module) == oracle_validate_module(module) == []
+
+
+def test_validate_pointed_rings_and_quotient_modules():
+    for factors, subgroup in (([2, 2, 2], [(0, 0, 0), (0, 0, 1)]),
+                              ([2, 4, 6], [(0, 0, 0), (0, 2, 0), (1, 0, 3), (1, 2, 3)]),
+                              ([3, 3], [(0, 0), (1, 1), (2, 2)]),
+                              ([12], [(0,), (4,), (8,)])):
+        ring = gen_pointed(factors)
+        assert validate_fusion(ring) == oracle_validate_fusion(ring) == []
+        modules = [gen_quotient_module(ring, factors, subgroup)]
+        if ring.rank < 48:  # the regular module's oracle costs r^5
+            modules.append(gen_regular_module(ring))
+        for module in modules:
+            assert validate_module(module) == oracle_validate_module(module) == []
+
+
+def generating_labels(ring):
+    return tuple(ring.labels[i] for i in ring._generators)
+
+
+def test_generating_set_is_greedy_and_spans_the_ring():
+    # 1 generates TLJ(n); a pointed ring needs one label per cyclic factor
+    # that the labels before it do not reach
+    for n in range(3, 41):
+        assert generating_labels(gen_tlj(n)[0]) == ("1",)
+    for factors, want in (([2, 2, 2], ("0.0.1", "0.1.0", "1.0.0")),
+                          ([2, 4, 6], ("0.0.1", "0.1.0", "1.0.0")),
+                          ([3, 3], ("0.1", "1.0")), ([12], ("1",))):
+        assert generating_labels(gen_pointed(factors)) == want
+    # over Q, the words of S span the ring, and each label of S adds to
+    # the span of the words of those before it
+    for ring in [gen_tlj(n)[0] for n in (3, 5, 9)] + [
+            gen_pointed(f) for f in ([2, 2, 2], [2, 4], [3, 3])]:
+        gens, unit = ring._generators, ring.index(ring.unit)
+        ranks = [words_rank(ring.tensor, unit, gens[:k]) for k in range(len(gens) + 1)]
+        assert ranks[-1] == ring.rank
+        assert all(a < b for a, b in zip(ranks, ranks[1:]))
 
 
 def test_validate_detects_corrupted_unit():
@@ -163,7 +205,8 @@ def with_action(module, action):
 
 
 def test_validate_fusion_matches_oracle_on_corruptions():
-    rings = [gen_tlj(n)[0] for n in range(3, 9)] + [gen_pointed([2, 2])]
+    rings = [gen_tlj(n)[0] for n in range(3, 9)] + [gen_pointed([2, 2]),
+                                                    gen_pointed([2, 2, 2])]
     cases = [with_tensor(ring, bad) for ring in rings
              for bad in single_entry_corruptions(ring.tensor)]
     rng = np.random.default_rng(5)
@@ -173,7 +216,7 @@ def test_validate_fusion_matches_oracle_on_corruptions():
     kinds = set()
     for ring in cases:
         want = oracle_validate_fusion(ring)
-        assert validate_fusion(ring) == want
+        assert validate_fusion(ring) == validate_fusion_every_label(ring) == want
         kinds.update(v.split(":")[0] for v in want)
     assert {"unit", "associativity"} <= kinds
 
@@ -199,6 +242,8 @@ def test_validate_module_matches_oracle_on_corruptions():
     modules = [gen_regular_module(gen_tlj(n)[0]) for n in range(3, 7)]
     modules.append(gen_quotient_module(gen_pointed([2, 2]), [2, 2],
                                        [(0, 0), (1, 0)]))
+    modules.append(gen_quotient_module(gen_pointed([2, 2, 2]), [2, 2, 2],
+                                       [(0, 0, 0), (0, 0, 1)]))
     cases = [with_action(mod, bad) for mod in modules
              for bad in single_entry_corruptions(mod.action)]
     rng = np.random.default_rng(6)
@@ -212,6 +257,73 @@ def test_validate_module_matches_oracle_on_corruptions():
         assert validate_module(mod) == want
         kinds.update(v.split(":")[0] for v in want)
     assert {"unit does not act trivially", "mixed associativity"} <= kinds
+
+
+def test_first_violation_outside_the_generating_set_is_found_by_the_rescan():
+    # The labels before the first failing one pass, and so do the words
+    # they span, so the first failing label is in the greedy S (unless its
+    # vector is a word mod p only).  Handed a generating set without it,
+    # the check still names it: a failing generator starts a rescan of
+    # every label in order.
+    ring = gen_tlj(7)[0]
+    labels = ring.labels
+    rescanned = 0
+    for bad in single_entry_corruptions(ring.tensor):
+        want = oracle_validate_fusion(with_tensor(ring, bad))
+        if not want or not want[0].startswith("associativity"):
+            continue
+        first = ring.index(want[0].split("(")[1].split(",")[0])
+        assert first in with_tensor(ring, bad)._generators
+        others = tuple(u for u in range(ring.rank) if u != first)
+        if words_rank(bad, 0, others) < ring.rank:
+            continue
+        found = _associativity_violations(
+            "associativity", bad, bad,
+            lambda u, v, w, y: f"({labels[u]},{labels[v]},{labels[w]})->{labels[y]}",
+            others)
+        assert found == (want, ring.rank)
+        rescanned += 1
+    assert rescanned > 20
+
+
+def idempotent_ring(r):
+    """1, x_1, ..., x_{r-1} with x_i x_j = delta_ij x_i: associative, and
+    no label is a word in the others, so S holds every label but the unit.
+    There is no duality, so validation checks associativity, then fails."""
+    tensor = np.zeros((r, r, r), dtype=np.int64)
+    for v in range(r):
+        tensor[0, v, v] = tensor[v, 0, v] = 1
+    for i in range(1, r):
+        tensor[i, i, i] = 1
+    labels = tuple(map(str, range(r)))
+    return FusionRing(labels, "0", tuple(zip(labels, labels)), tensor)
+
+
+def test_every_label_a_generator(caplog):
+    ring = idempotent_ring(12)
+    assert ring._generators == tuple(range(1, 12))
+    with caplog.at_level(logging.INFO, logger="qindex.fusion"):
+        assert validate_fusion(ring) == oracle_validate_fusion(ring) == [
+            "duality: N[1,1]^1 = 0"]
+    assert "11 of 12 labels checked (generating set of 11 certified mod p)" in \
+        caplog.records[-1].getMessage()
+
+
+def test_validation_is_no_slower_when_every_label_is_a_generator():
+    # the certificate gives up once it has reached fewer labels than it
+    # picked, so here it adds two closures to 47 label checks, against the
+    # 48 checks of the validation that ran before it
+    certified, every_label = [], []
+    for _ in range(5):
+        ring = idempotent_ring(48)  # the generating set is cached per ring
+        start = time.perf_counter()
+        got = validate_fusion(ring)
+        certified.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        want = validate_fusion_every_label(ring)
+        every_label.append(time.perf_counter() - start)
+        assert got == want
+    assert min(certified) <= 1.1 * min(every_label)
 
 
 def test_exactness_bound_is_a_named_violation():
@@ -275,17 +387,21 @@ def test_float32_products_stop_at_their_exactness_bound():
     assert validate_module(with_action(module, action)) == want
 
 
-def test_validate_module_memory_is_cubic_in_rank():
+def test_validate_module_memory_is_cubic_in_rank(caplog):
     # rank 59: the r^4 int64 tensors of an einsum check take 97 MB each,
-    # while the per-label check holds a few r^3 float64 arrays (1.6 MB each)
+    # while the per-label check holds a few r^3 float64 arrays (1.6 MB
+    # each); label 1 generates, so it is the one label checked
     module = gen_regular_module(gen_tlj(60)[0])
     tracemalloc.start()
     try:
-        assert validate_module(module) == []
+        with caplog.at_level(logging.INFO, logger="qindex.fusion"):
+            assert validate_module(module) == []
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+    checked = "1 of 59 labels checked (generating set of 1 certified mod p)"
+    assert [checked in rec.getMessage() for rec in caplog.records] == [True, True]
 
 
 def test_fusion_stages_log_sizes_and_durations(caplog):
@@ -297,8 +413,10 @@ def test_fusion_stages_log_sizes_and_durations(caplog):
         assert module_trace_solve(module, dims).status == "ok"
     messages = [rec.getMessage() for rec in caplog.records
                 if rec.name == "qindex.fusion"]
-    patterns = [r"validate_fusion: rank 4, 0 violations, \d+\.\d{3} s",
-                r"validate_module: rank 4, module size 4, 0 violations, \d+\.\d{3} s",
+    checked = r"1 of 4 labels checked \(generating set of 1 certified mod p\)"
+    patterns = [rf"validate_fusion: rank 4, {checked}, 0 violations, \d+\.\d{{3}} s",
+                rf"validate_module: rank 4, module size 4, {checked}, 0 violations, "
+                r"\d+\.\d{3} s",
                 r"pf_dimensions: rank 4, character residual \S+, \d+\.\d{3} s",
                 r"module_trace_solve: rank 4, module size 4, ok, \d+\.\d{3} s"]
     assert len(messages) == len(patterns)

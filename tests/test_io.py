@@ -13,7 +13,7 @@ from qindex.fusion import (FusionModule, FusionRing, validate_fusion,
 from qindex.generators import (gen_pointed, gen_quotient_module,
                                gen_regular_module, gen_tlj)
 
-from conftest import diagonal_inclusion, random_multimatrix_inclusion
+from conftest import diagonal_inclusion, random_element, random_multimatrix_inclusion
 from oracles import sparse_from_json_reference
 
 
@@ -24,7 +24,7 @@ def test_algebra_round_trip():
 
 def test_element_round_trip(rng):
     alg = MultiMatrixAlgebra((2, 1))
-    x = alg.random_element(rng)
+    x = random_element(alg, rng)
     back = qio.element_from_json(qio.element_to_json(x), alg)
     assert (back - x).norm() <= 1e-15
 
