@@ -3,9 +3,10 @@ fusion analysis, and lattice classification.
 
 Each ``cmd_*`` computes and returns ``(results, input_digest, tolerances,
 exit_code, artifact)``; the artifact is None when the command writes no
-``-o`` file.  ``main`` alone owns the output contract: it times the
-command, writes the artifact, prints one RunReport as canonical JSON on
-stdout, and maps failures to exit codes.  Exit codes: 0 success, 1
+``-o`` file, and a str when the command wrote its canonical JSON text
+itself (``fusion generate``).  ``main`` alone owns the output contract: it
+times the command, writes the artifact, prints one RunReport as canonical
+JSON on stdout, and maps failures to exit codes.  Exit codes: 0 success, 1
 unreadable input (CliFailure), 2 validation failure (any ValueError), 3
 infinite or unsolvable result.  An exit code a command returns, 0 or 3,
 comes with the report and the artifact.  A raised failure (exit 1, exit 2,
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import logging
 import math
@@ -75,12 +77,19 @@ class CliFailure(Exception):
         super().__init__(message)
 
 
-def _load_json(path: str):
+def _load_json(path: str, inputs: list[tuple[str, bytes]]):
+    """The JSON document in the file at ``path``, decoded as a text-mode
+    ``open`` would decode it.  The file is read once: its bytes are
+    appended to ``inputs`` for ``_digest_files``.  Invalid UTF-8 raises
+    UnicodeDecodeError, a ValueError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except FileNotFoundError:
         raise CliFailure(EXIT_PARSE, f"cannot open {path}")
+    inputs.append((path, raw))
+    try:
+        return json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
     except json.JSONDecodeError as err:
         raise CliFailure(EXIT_PARSE,
                          f"{path}: malformed JSON at line {err.lineno} "
@@ -102,7 +111,8 @@ def _canonical_with(payload, part, text: str) -> str:
     """``_canonical(payload)``, reusing ``text``, the canonical text of the
     object ``part``, wherever ``payload`` holds that object itself.  Keys
     are sorted and joined as ``json.dumps`` does, so the bytes are the
-    same."""
+    same.  An artifact given as its text is both ``part`` and ``text``: a
+    str in the report that stands for the object it encodes."""
     if payload is part:
         return text
     if _holds(payload, part):
@@ -122,11 +132,11 @@ def _digest(payload) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _digest_files(paths: list[str]) -> str:
+def _digest_files(inputs: list[tuple[str, bytes]]) -> str:
+    """sha256 of the bytes of the files read, in the order of their paths."""
     h = hashlib.sha256()
-    for path in sorted(paths):
-        with open(path, "rb") as fh:
-            h.update(fh.read())
+    for _, raw in sorted(inputs, key=lambda item: item[0]):
+        h.update(raw)
     return h.hexdigest()
 
 
@@ -141,7 +151,8 @@ def _inf_as_string(value):
 # -- index -------------------------------------------------------------------
 
 def cmd_index_compute(args):
-    inclusion, mat, tau = qio.expectation_spec_from_json(_load_json(args.spec))
+    inputs = []
+    inclusion, mat, tau = qio.expectation_spec_from_json(_load_json(args.spec, inputs))
     if mat is None:
         expectation = canonical_expectation(inclusion, tau)
     else:
@@ -165,7 +176,7 @@ def cmd_index_compute(args):
     if math.isinf(index.scalar_index):
         log.warning("infinite scalar index")
         code = EXIT_INFINITE
-    return results, _digest_files([args.spec]), {"tol": args.tol}, code, results
+    return results, _digest_files(inputs), {"tol": args.tol}, code, results
 
 
 # -- fusion ------------------------------------------------------------------
@@ -173,21 +184,22 @@ def cmd_index_compute(args):
 def cmd_fusion_generate(args):
     if args.kind == "tlj":
         ring, dims = gen_tlj(args.n)
-        payload = qio.ring_to_json(ring)
-        results = {"ring": payload, "dims": dims.as_dict()}
+        text = qio.ring_to_text(ring)
+        results = {"ring": text, "dims": dims.as_dict()}
         params = {"kind": "tlj", "n": args.n}
     else:
         factors = _parse_int_list(args.factors, "factors")
         ring = gen_pointed(factors)
-        payload = qio.ring_to_json(ring)
-        results = {"ring": payload}
+        text = qio.ring_to_text(ring)
+        results = {"ring": text}
         params = {"kind": "pointed", "factors": factors}
-    return results, _digest(params), {}, EXIT_OK, payload
+    return results, _digest(params), {}, EXIT_OK, text
 
 
 def cmd_fusion_trace(args):
-    ring = qio.ring_from_json(_load_json(args.ring))
-    module, module_paths = _module_from_arg(args.module, ring)
+    inputs = []
+    ring = qio.ring_from_json(_load_json(args.ring, inputs))
+    module = _module_from_arg(args.module, ring, inputs)
     dims = pf_dimensions(ring)
     result = module_trace_solve(module, dims)
     results = {
@@ -197,7 +209,7 @@ def cmd_fusion_trace(args):
         "trace": result.trace.as_dict() if result.trace else None,
     }
     code = EXIT_OK if result.status == "ok" else EXIT_INFINITE
-    return results, _digest_files([args.ring] + module_paths), {}, code, results
+    return results, _digest_files(inputs), {}, code, results
 
 
 def cmd_fusion_jones(args):
@@ -207,8 +219,9 @@ def cmd_fusion_jones(args):
 
 
 def cmd_fusion_descent(args):
-    ring = qio.ring_from_json(_load_json(args.ring))
-    module, module_paths = _module_from_arg(args.module, ring)
+    inputs = []
+    ring = qio.ring_from_json(_load_json(args.ring, inputs))
+    module = _module_from_arg(args.module, ring, inputs)
     subring = [x for x in args.subring.split(",") if x]
     dims = pf_dimensions(ring)
     solved = module_trace_solve(module, dims)
@@ -228,8 +241,7 @@ def cmd_fusion_descent(args):
     results = {"classes": [list(c) for c in classes],
                "trace": solved.trace.as_dict(),
                "functors": functors}
-    return (results, _digest_files([args.ring] + module_paths),
-            {"tol": args.tol}, EXIT_OK, None)
+    return results, _digest_files(inputs), {"tol": args.tol}, EXIT_OK, None
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -239,22 +251,22 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise CliFailure(EXIT_PARSE, f"cannot parse {what} {text!r}")
 
 
-def _module_from_arg(arg: str, ring):
-    """The validated module of --module, and the files it was read from.
-    The regular module's laws are its ring's axioms, so it is validated
-    as its ring."""
+def _module_from_arg(arg: str, ring, inputs: list[tuple[str, bytes]]):
+    """The validated module of --module; a module file read is appended to
+    ``inputs``.  The regular module's laws are its ring's axioms, so it is
+    validated as its ring."""
     if arg == "regular":
-        module, paths = gen_regular_module(ring), []
+        module = gen_regular_module(ring)
         problems = [f"ring: {v}" for v in validate_fusion(ring)]
     else:
-        module, paths = qio.module_from_json(_load_json(arg)), [arg]
+        module = qio.module_from_json(_load_json(arg, inputs))
         if module.ring.labels != ring.labels or \
                 not np.array_equal(module.ring.tensor, ring.tensor):
             raise ValueError("module file carries a different ring than --ring")
         problems = validate_module(module)
     if problems:
         raise ValueError("; ".join(problems))
-    return module, paths
+    return module
 
 
 # -- classify ----------------------------------------------------------------
@@ -417,10 +429,11 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         results, input_digest, tolerances, code, artifact = args.func(args)
+        text = artifact if isinstance(artifact, str) else None
         # classify -o F irrep parses -o but has no artifact
-        text = None
         if artifact is not None and getattr(args, "output", None) is not None:
-            text = _canonical(artifact)
+            if text is None:
+                text = _canonical(artifact)
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         report = {

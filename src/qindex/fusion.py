@@ -11,7 +11,7 @@ import functools
 import logging
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +33,9 @@ CHARACTER_TOL = 1e-10
 NULLITY_RTOL = 1e-10
 #: prime modulus of the generation certificate, the largest below 2^25
 _CERTIFICATE_PRIME = 33554393
+#: entries of the largest product of an associativity check: labels are
+#: checked together up to it, so a small ring pays one pair of products
+_CHECK_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,11 @@ class FusionRing:
         return self.labels.index(label)
 
     def dual_label(self, label: str) -> str:
-        return dict(self.dual)[label]
+        return self._dual_of[label]
+
+    @functools.cached_property
+    def _dual_of(self) -> dict[str, str]:
+        return dict(self.dual)
 
     def n(self, u: str, v: str, w: str) -> int:
         return int(self.tensor[self.index(u), self.index(v), self.index(w)])
@@ -97,12 +104,20 @@ def _generating_set(tensor: np.ndarray, unit: int) -> tuple[int, ...]:
     closed under left multiplication by S (x -> s x is x @ N[s]); it is
     grown over Z/p by multiplying each vector added to it by every s in S,
     in int64: every sum has at most r terms below p^2, exact while
-    r * p^2 < 2^63 (r < 2^13), and a larger ring returns every label.  V is
-    held as the matrix ``reduce`` = I - B of its reduced echelon basis B,
-    indexed by pivot, so that x @ reduce is x reduced modulo V and row u of
-    it is zero when e_u is in V.  Rank mod p is at most rank over Q, so
-    V = (Z/p)^r certifies that S generates the ring.  The unit laws must
-    hold: then u 1 = u, so the loop ends with V everything.
+    r * p^2 < 2^63 (r < 2^13), and a larger ring returns every label.  Rank
+    mod p is at most rank over Q, so V = (Z/p)^r certifies that S
+    generates the ring.  The unit laws must hold: then u 1 = u, so the loop
+    ends with V everything.
+
+    V starts as the span of the basis vectors e_x of a set R of labels,
+    R = {unit}.  While it is one, a vector is in V when it is zero outside
+    R, and a vector of V that is nonzero at one label z outside R puts e_z
+    in V, so z joins R: no arithmetic.  The words of TLJ's generator and of
+    a pointed ring are all of these kinds.  The first vector with two
+    nonzero entries outside R turns R into an echelon basis of unit
+    vectors; from then on V is an echelon basis keyed by lead, the last
+    nonzero entry, and a vector is reduced by the basis vector of its lead
+    until it is zero (it is in V) or has a lead no basis vector has.
 
     Growing V costs O(|S| r^3) operations, and it spares a check of every
     label it reaches.  Once it has reached fewer labels than it picked, as
@@ -112,42 +127,62 @@ def _generating_set(tensor: np.ndarray, unit: int) -> tuple[int, ...]:
     r, p = tensor.shape[0], _CERTIFICATE_PRIME
     if r * (p - 1) ** 2 >= 2 ** 63:
         return tuple(range(r))
-    reduce = np.eye(r, dtype=np.int64)
-    span = np.empty((r, r), dtype=np.int64)  # the vectors added to V
-    rank = 0
+    reached = {unit}  # R, while V is the span of e_x for x in R
+    basis: dict[int, tuple[np.ndarray, int]] = {}  # then: lead -> (vector of V, 1 / its lead)
+    identity = np.eye(r, dtype=np.int64)
 
-    def insert(rows):
-        """Add to V the rows that are not in it; return how many."""
-        nonlocal rank
-        start = rank
-        for y in (rows[rows.any(axis=1)] % p) @ reduce % p:
-            if rank > start:
-                y = y @ reduce % p
-            c = int(y.argmax())
-            if y[c]:  # not in V: y / y[c] becomes the row of B at pivot c
-                hit = reduce[:, c].nonzero()[0]
-                scale = reduce[hit, c] * pow(int(y[c]), -1, p) % p
-                reduce[hit] = (reduce[hit] - np.multiply.outer(scale, y)) % p
-                span[rank] = y
-                rank += 1
-        return rank - start
+    def residue(y: np.ndarray) -> tuple[list[int], np.ndarray]:
+        """The labels where y reduced modulo V is nonzero, and that residue:
+        none when y is in V, else the last is a lead no basis vector has."""
+        while nonzero := y.nonzero()[0].tolist():
+            lead = nonzero[-1]
+            if lead not in basis:
+                break
+            b, inverse = basis[lead]
+            y = (y - int(y[lead]) * inverse % p * b) % p
+        return nonzero, y
 
-    insert(np.eye(r, dtype=np.int64)[[unit]])
+    def insert(rows: np.ndarray) -> np.ndarray:
+        """Add to V the rows that are not in it; return them."""
+        added = []
+        for k, y in enumerate(rows):
+            if not basis:
+                new = [x for x in y.nonzero()[0].tolist() if x not in reached]
+                if len(new) < 2:  # y is in V, or puts e_z in V for its new label z
+                    if new:
+                        reached.add(new[0])
+                        added.append(k)
+                    continue
+                basis.update((x, (identity[x], 1)) for x in reached)
+            nonzero, rest = residue(y)
+            if nonzero:
+                basis[nonzero[-1]] = rest, pow(int(rest[nonzero[-1]]), -1, p)
+                added.append(k)
+        return rows if len(added) == len(rows) else rows[added]
+
+    def outside(start: int) -> Iterator[int]:
+        """The labels from ``start`` on whose basis vectors are not in V."""
+        if not basis:
+            return (x for x in range(start, r) if x not in reached)
+        return (x for x in range(start, r) if residue(identity[x])[0])
+
+    spans = [identity[unit:unit + 1]]  # the vectors added to V
     gens: list[int] = []
-    by = np.empty((r, r, r), dtype=np.int64)  # by[k] = N[gens[k]] mod p
     u = 0
-    while (outside := u + reduce[u:].any(axis=1).nonzero()[0]).size:
-        u = int(outside[0])
+    while len(basis or reached) < r:
+        u = next(outside(u))
         if u - len(gens) < len(gens):  # of the labels before u, V reached fewer than S
-            return (*gens, *outside.tolist())
-        by[len(gens)] = tensor[u] % p
+            return (*gens, *outside(u))
         gens.append(u)
+        by = tensor[u] % p
+        # [N[s] for s in S] mod p, side by side
+        words = by if len(gens) == 1 else np.concatenate((words, by), axis=1)
         # V is closed under the earlier labels of S: apply u to all of it,
         # then all of S to what that adds
-        first, new = len(gens) - 1, span[:rank]
-        while len(new):
-            added = insert((new @ by[first:len(gens)]).reshape(-1, r))
-            first, new = 0, span[rank - added:rank]
+        new = insert(np.concatenate(spans) @ by % p)
+        while len(new) and len(basis or reached) < r:
+            spans.append(new)
+            new = insert((new @ words).reshape(-1, r) % p)
         u += 1
     return tuple(gens)
 
@@ -170,7 +205,9 @@ def _associativity_violations(what: str, t: np.ndarray, a: np.ndarray,
     violation is the same as when all are.
 
     Each label u is one pair of products of floating-point copies, as
-    (v, (i, j)) and ((v, i), j) matrices.  The sums have r terms up to
+    (v, (i, j)) and ((v, i), j) matrices; labels are checked in groups of
+    one pair of products each, as large as ``_CHECK_ENTRIES`` allows, so a
+    small ring pays for one pair.  The sums have r terms up to
     max(N) * max(a) and m terms up to max(a)^2.  Below 2^24 every partial
     sum is an integer that float32 holds exactly, in any order, so the
     copies are float32; below 2^53 they are float64, which holds them
@@ -178,7 +215,8 @@ def _associativity_violations(what: str, t: np.ndarray, a: np.ndarray,
     mismatch is named by ``where(u, v, i, j)``.
     """
     r, m = a.shape[:2]
-    big_t, big_a = int(t.max()), int(a.max(initial=0))
+    big_t = int(t.max())
+    big_a = big_t if a is t else int(a.max(initial=0))
     for terms, left, right in ((r, big_t, big_a), (m, big_a, big_a)):
         if terms * left * right >= 2 ** 53:
             return [f"exactness bound: {what} sums {terms} products of "
@@ -197,8 +235,16 @@ def _associativity_violations(what: str, t: np.ndarray, a: np.ndarray,
         return (f"{what}: {where(u, v, i, j)}: "
                 f"{int(lhs[v, i, j])} != {int(rhs[v, i, j])}")
 
-    if not any(map(mismatch, generators)):
-        return [], len(generators)
+    def passes(us: Sequence[int]) -> bool:
+        """Whether every label of ``us`` passes, in one pair of products."""
+        lhs = tf[us] @ af.reshape(r, m * m)
+        rhs = af.reshape(r * m, m) @ af[us]
+        return bool((lhs.ravel() == rhs.ravel()).all())  # both in (u, v, i, j) order
+
+    size = max(1, _CHECK_ENTRIES // (r * m * m))
+    gens = list(generators)
+    if all(passes(gens[k:k + size]) for k in range(0, len(gens), size)):
+        return [], len(gens)
     u, found = next((u, msg) for u in range(r) if (msg := mismatch(u)))
     return [found], len(set(generators).union(range(u + 1)))
 
@@ -207,8 +253,8 @@ def _conjugation_mismatch(a: np.ndarray, dual_idx: list[int]) -> tuple | None:
     """The first (u, i, j) where a_{ubar,j}^i != a_{u,i}^j, or None: the
     conjugate transpose law of a module, and Frobenius reciprocity of the
     ring for a = N.  ``dual_idx[u]`` is the index of ubar."""
-    bad = np.argwhere(a[dual_idx].transpose(0, 2, 1) != a)
-    return tuple(bad[0]) if bad.size else None
+    bad = a[dual_idx].transpose(0, 2, 1) != a
+    return tuple(np.argwhere(bad)[0]) if bad.any() else None
 
 
 def validate_fusion(ring: FusionRing) -> list[str]:
@@ -230,9 +276,10 @@ def validate_fusion(ring: FusionRing) -> list[str]:
     """
     start = time.perf_counter()
     violations, checked = _fusion_violations(ring)
-    log.info("validate_fusion: rank %d, %s, %d violations, %.3f s", ring.rank,
-             _labels_checked(ring, checked), len(violations),
-             time.perf_counter() - start)
+    if log.isEnabledFor(logging.INFO):  # small rings validate in tens of microseconds
+        log.info("validate_fusion: rank %d, %s, %d violations, %.3f s", ring.rank,
+                 _labels_checked(ring, checked), len(violations),
+                 time.perf_counter() - start)
     return violations
 
 
@@ -263,9 +310,9 @@ def _fusion_violations(ring: FusionRing) -> tuple[list[str], int]:
     # the unit laws at the first (v, w) where either fails
     e = ring.index(ring.unit)
     eye = np.eye(r, dtype=np.int64)
-    wrong = np.argwhere((t[e] != eye) | (t[:, e] != eye))
-    if wrong.size:
-        v, w = wrong[0]
+    wrong = (t[e] != eye) | (t[:, e] != eye)
+    if wrong.any():
+        v, w = np.argwhere(wrong)[0]
         if t[e, v, w] != eye[v, w]:
             violations.append(f"unit: N[1,{labels[v]}]^{labels[w]} = {t[e, v, w]}")
         if t[v, e, w] != eye[v, w]:
@@ -279,20 +326,22 @@ def _fusion_violations(ring: FusionRing) -> tuple[list[str], int]:
     if mismatch:
         return mismatch, checked
 
-    # duality: N_{uv}^1 = delta_{v, ubar}; the first failure in (u, v) order
+    # Frobenius reciprocity at multiplicity level: N_{ubar w}^v = N_{u v}^w.
+    # At w = 1 it is duality, N_{uv}^1 = N_{ubar 1}^v = delta_{v, ubar} by
+    # the unit laws, so duality is searched only when reciprocity fails,
+    # and its first failure in (u, v) order is named before reciprocity's
     dual_idx = [ring.index(dual_map[lab]) for lab in labels]
-    wrong = np.argwhere(t[:, :, e] != eye[dual_idx])
-    if wrong.size:
-        u, v = wrong[0]
-        return [f"duality: N[{labels[u]},{labels[v]}]^1 = {t[u, v, e]}"], checked
-    # Frobenius reciprocity at multiplicity level: N_{ubar w}^v = N_{u v}^w
     bad = _conjugation_mismatch(t, dual_idx)
-    if bad is not None:
-        u, v, w = bad
-        ubar = dual_idx[u]
-        return [f"reciprocity: N[{labels[ubar]},{labels[w]}]^{labels[v]}"
-                f" != N[{labels[u]},{labels[v]}]^{labels[w]}"], checked
-    return [], checked
+    if bad is None:
+        return [], checked
+    wrong = t[:, :, e] != eye[dual_idx]
+    if wrong.any():
+        u, v = np.argwhere(wrong)[0]
+        return [f"duality: N[{labels[u]},{labels[v]}]^1 = {t[u, v, e]}"], checked
+    u, v, w = bad
+    ubar = dual_idx[u]
+    return [f"reciprocity: N[{labels[ubar]},{labels[w]}]^{labels[v]}"
+            f" != N[{labels[u]},{labels[v]}]^{labels[w]}"], checked
 
 
 @dataclass(frozen=True)
@@ -341,9 +390,10 @@ def validate_module(module: FusionModule) -> list[str]:
     """
     start = time.perf_counter()
     violations, checked = _module_violations(module)
-    log.info("validate_module: rank %d, module size %d, %s, %d violations, %.3f s",
-             module.ring.rank, module.size, _labels_checked(module.ring, checked),
-             len(violations), time.perf_counter() - start)
+    if log.isEnabledFor(logging.INFO):
+        log.info("validate_module: rank %d, module size %d, %s, %d violations, %.3f s",
+                 module.ring.rank, module.size, _labels_checked(module.ring, checked),
+                 len(violations), time.perf_counter() - start)
     return violations
 
 
@@ -378,8 +428,12 @@ class DimensionVector:
 
     values: tuple[tuple[str, float], ...]
 
+    @functools.cached_property
+    def _by_label(self) -> dict[str, float]:
+        return dict(self.values)
+
     def __getitem__(self, label: str) -> float:
-        return dict(self.values)[label]
+        return self._by_label[label]
 
     def as_dict(self) -> dict[str, float]:
         return dict(self.values)
@@ -408,10 +462,9 @@ def pf_dimensions(ring: FusionRing) -> DimensionVector:
                          "ring admits no positive character")
     v = v / v[ring.index(ring.unit)]
 
-    worst = 0.0
-    for u in range(r):
-        resid = ring.tensor[u].astype(float) @ v - v[u] * v
-        worst = max(worst, float(np.max(np.abs(resid))))
+    # resid[u, x] = sum_w N_{ux}^w d(w) - d(u) d(x), as one (r^2 x r) product
+    resid = (ring.tensor.reshape(r * r, r).astype(float) @ v).reshape(r, r) - np.outer(v, v)
+    worst = float(np.max(np.abs(resid)))
     if worst > CHARACTER_TOL:
         raise ValueError(f"character equation fails by {worst:.3e}; "
                          "no positive character at this accuracy")
@@ -437,8 +490,12 @@ class ModuleTrace:
     values: tuple[tuple[str, float], ...]
     base_label: str
 
+    @functools.cached_property
+    def _by_label(self) -> dict[str, float]:
+        return dict(self.values)
+
     def __getitem__(self, label: str) -> float:
-        return dict(self.values)[label]
+        return self._by_label[label]
 
     def vector(self) -> np.ndarray:
         return np.array([v for _, v in self.values])
@@ -477,13 +534,19 @@ def module_trace_solve(module: FusionModule, ring_dims: DimensionVector) -> Trac
     return result
 
 
+def _stack_svd(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors of a tall stack, from the
+    SVD of its square R factor: the stack is Q R with Q's columns
+    orthonormal, so R has the same singular values and right singular
+    vectors, and Q (as large as the stack) is never formed."""
+    _, svals, vh = np.linalg.svd(np.linalg.qr(stacked, mode="r"))
+    return svals, vh
+
+
 def _trace_solve(module: FusionModule, ring_dims: DimensionVector) -> TraceSolveResult:
-    m = module.size
-    rows = []
-    for u, lab in enumerate(module.ring.labels):
-        rows.append(module.action[u].astype(float) - ring_dims[lab] * np.eye(m))
-    stacked = np.concatenate(rows, axis=0)
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+    r, m = module.ring.rank, module.size
+    d = np.array([ring_dims[lab] for lab in module.ring.labels])
+    svals, vh = _stack_svd((module.action - d[:, None, None] * np.eye(m)).reshape(r * m, m))
     smax = float(svals[0]) if svals.size else 0.0
     nullity = int(np.sum(svals <= NULLITY_RTOL * max(smax, 1.0)))
     if nullity == 0:
@@ -504,7 +567,7 @@ def _trace_solve(module: FusionModule, ring_dims: DimensionVector) -> TraceSolve
 
 def plancherel_weight(trace: ModuleTrace, a: Mapping[str, complex]) -> complex:
     """sum_i m(i)^2 a_i over the irreducibles of the module."""
-    return complex(sum((dict(trace.values)[i] ** 2) * complex(a.get(i, 0.0))
+    return complex(sum((trace[i] ** 2) * complex(a.get(i, 0.0))
                        for i in trace.module.labels))
 
 

@@ -7,6 +7,7 @@ which the CLI maps to the validation exit code.
 
 from __future__ import annotations
 
+import json
 import logging
 import sys
 import time
@@ -26,8 +27,8 @@ __all__ = [
     "element_to_json", "element_from_json",
     "homomorphism_to_json", "homomorphism_from_json",
     "expectation_to_json", "expectation_spec_from_json",
-    "ring_to_json", "ring_from_json",
-    "module_to_json", "module_from_json",
+    "ring_to_text", "ring_to_json", "ring_from_json",
+    "module_to_text", "module_to_json", "module_from_json",
 ]
 
 log = logging.getLogger("qindex.io")
@@ -184,19 +185,54 @@ def expectation_spec_from_json(data: Any, path: str = "expectation"
 
 # -- fusion data -------------------------------------------------------------
 
-def _sparse_to_json(tensor: np.ndarray, labels: Sequence[Sequence[str]]) -> dict:
-    """The map "A,B" -> {C: mult} of the nonzero entries of a 3-tensor,
-    whose axes are named by ``labels``."""
+def _dumps(value) -> str:
+    """Canonical JSON: ``json.dumps(..., sort_keys=True, separators=(",", ":"))``."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _object_text(fields: Mapping[str, str]) -> str:
+    """The canonical text of an object whose values are given as their
+    canonical texts: keys sorted and joined as ``json.dumps`` does."""
+    return "{" + ",".join(f"{json.dumps(key)}:{text}"
+                          for key, text in sorted(fields.items())) + "}"
+
+
+def _sparse_text(tensor: np.ndarray, labels: Sequence[Sequence[str]]) -> str:
+    """The canonical text of the map "A,B" -> {C: mult} of the nonzero
+    entries of a 3-tensor, whose axes are named by ``labels``.
+
+    Each axis is permuted into the order in which ``sort_keys`` writes it,
+    so that ``np.nonzero`` walks the entries in the order of the text.  The
+    key "A,B" sorts as the pair (A + ",", B): no label holds a comma, so
+    A + "," is a prefix of no other such string, and two keys with
+    different A differ within it.  Each label is escaped once, and the key
+    is written as ``esc(A)[:-1] + "," + esc(B)[1:]``, which is ``esc("A,B")``
+    since ``json.dumps`` escapes a string one character at a time.
+    """
     a, b, c = labels
-    nb = tensor.shape[1]
-    flat = tensor.reshape(-1, tensor.shape[2])
-    # np.nonzero walks in C order, so keys and rows keep the (u, v, w) order
-    rows, ws = np.nonzero(flat)
-    names = list(map(c.__getitem__, ws.tolist()))
-    mults = flat[rows, ws].tolist()
-    starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
-    return {f"{a[row // nb]},{b[row % nb]}": dict(zip(names[s:e], mults[s:e]))
-            for row, s, e in zip(rows[starts].tolist(), starts, [*starts[1:], len(mults)])}
+    orders = [np.array(sorted(range(len(axis)), key=key), dtype=np.intp)
+              for axis, key in ((a, lambda i: a[i] + ","), (b, b.__getitem__),
+                                (c, c.__getitem__))]
+    oa, ob, oc = orders
+    rows, ws = np.nonzero((tensor != 0).take(oa, 0).take(ob, 1).take(oc, 2)
+                          .reshape(-1, len(c)))
+    if not rows.size:
+        return "{}"
+    ea, eb, ec = ([json.dumps(axis[i]) for i in order.tolist()]
+                  for axis, order in zip(labels, orders))
+    us, vs = np.divmod(rows, len(b))
+    values, which = np.unique(tensor[oa[us], ob[vs], oc[ws]], return_inverse=True)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    us, vs = us[starts], vs[starts]
+    # per entry: its separator (a row opens with its key), "C": and mult
+    cells = np.empty((rows.size, 3), dtype=object)
+    cells[:, 0] = ","
+    cells[starts, 0] = (np.array([f"}},{e[:-1]}," for e in ea], dtype=object)[us]
+                        + np.array([f"{e[1:]}:{{" for e in eb], dtype=object)[vs])
+    cells[0, 0] = cells[0, 0][2:]
+    cells[:, 1] = np.array([e + ":" for e in ec], dtype=object)[ws]
+    cells[:, 2] = np.array(list(map(str, values.tolist())), dtype=object)[which]
+    return "{" + "".join(cells.ravel().tolist()) + "}}"
 
 
 def _sparse_from_json(data: Mapping, name: str, path: str,
@@ -267,9 +303,16 @@ def _sparse_walk(tensor: np.ndarray, entries: Mapping, path: str, first: dict,
             tensor[first[parts[0]], second[parts[1]], third[w]] = mult
 
 
+def ring_to_text(ring: FusionRing) -> str:
+    """The canonical JSON text of ``ring_to_json(ring)``, written directly
+    from the multiplicity tensor."""
+    return _object_text({"irr": _dumps(list(ring.labels)), "unit": _dumps(ring.unit),
+                         "dual": _dumps(dict(ring.dual)),
+                         "N": _sparse_text(ring.tensor, (ring.labels,) * 3)})
+
+
 def ring_to_json(ring: FusionRing) -> dict:
-    return {"irr": list(ring.labels), "unit": ring.unit, "dual": dict(ring.dual),
-            "N": _sparse_to_json(ring.tensor, (ring.labels,) * 3)}
+    return json.loads(ring_to_text(ring))
 
 
 def ring_from_json(data: Any, path: str = "fusion_ring") -> FusionRing:
@@ -299,10 +342,17 @@ def _ring_from_json(data: Any, path: str) -> FusionRing:
     return FusionRing(tuple(irr), unit, tuple(dual.items()), tensor)
 
 
-def module_to_json(module: FusionModule) -> dict:
+def module_to_text(module: FusionModule) -> str:
+    """The canonical JSON text of ``module_to_json(module)``, written
+    directly from the action tensor."""
     labels = (module.ring.labels, module.labels, module.labels)
-    return {"ring": ring_to_json(module.ring), "irrM": list(module.labels),
-            "n": _sparse_to_json(module.action, labels)}
+    return _object_text({"ring": ring_to_text(module.ring),
+                         "irrM": _dumps(list(module.labels)),
+                         "n": _sparse_text(module.action, labels)})
+
+
+def module_to_json(module: FusionModule) -> dict:
+    return json.loads(module_to_text(module))
 
 
 def module_from_json(data: Any, path: str = "fusion_module") -> FusionModule:

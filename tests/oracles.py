@@ -23,7 +23,12 @@ indices one block pair at a time, the references for the batched ones
 of the library.
 ``sparse_from_json_reference`` decodes the sparse fusion multiplicity
 map one entry at a time, the reference for the whole-array decoder of
-``qindex.io``.
+``qindex.io``, and ``ring_to_json_reference`` and
+``module_to_json_reference`` build the payload dicts that
+``qindex.io`` once encoded with ``json.dumps``: the references for its
+text encoder.  ``trace_solve_reference`` solves for a module trace by the
+thin SVD of the whole stacked system, the reference for the SVD of its R
+factor.
 ``smith_normal_form_reference`` scans the whole trailing block for every
 Smith pivot, and ``classify_reference`` builds each sublattice by integer
 elimination of the Cartan columns joined with lifted subgroup generators:
@@ -50,7 +55,9 @@ from qindex.algebra import (DEFAULT_TOL, INCLUSION_TOL, RANK_RTOL, AlgebraElemen
                             MultiMatrixAlgebra, StarHomomorphism)
 from qindex.expectation import (ConditionalExpectation, QuasiBasis, _defect,
                                 _frame_map)
-from qindex.fusion import FusionRing, _associativity_violations, _conjugation_mismatch
+from qindex.fusion import (NULLITY_RTOL, DimensionVector, FusionModule, FusionRing,
+                           ModuleTrace, TraceSolveResult, _associativity_violations,
+                           _conjugation_mismatch)
 from qindex.io import SchemaError
 from qindex.lattice import (CartanData, CenterData, FiniteAbelianGroup, SublatticeSpec,
                             _hnf_elements, _hnf_generators, _subgroup_hnfs,
@@ -671,6 +678,31 @@ def sparse_from_json_reference(data, name, path, labels, keys, target) -> np.nda
     return tensor
 
 
+def sparse_to_json_reference(tensor: np.ndarray, labels) -> dict:
+    """The map "A,B" -> {C: mult} of the nonzero entries of a 3-tensor,
+    whose axes are named by ``labels``, in (A, B, C) index order."""
+    a, b, c = labels
+    nb = tensor.shape[1]
+    flat = tensor.reshape(-1, tensor.shape[2])
+    rows, ws = np.nonzero(flat)
+    names = list(map(c.__getitem__, ws.tolist()))
+    mults = flat[rows, ws].tolist()
+    starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
+    return {f"{a[row // nb]},{b[row % nb]}": dict(zip(names[s:e], mults[s:e]))
+            for row, s, e in zip(rows[starts].tolist(), starts, [*starts[1:], len(mults)])}
+
+
+def ring_to_json_reference(ring: FusionRing) -> dict:
+    return {"irr": list(ring.labels), "unit": ring.unit, "dual": dict(ring.dual),
+            "N": sparse_to_json_reference(ring.tensor, (ring.labels,) * 3)}
+
+
+def module_to_json_reference(module: FusionModule) -> dict:
+    labels = (module.ring.labels, module.labels, module.labels)
+    return {"ring": ring_to_json_reference(module.ring), "irrM": list(module.labels),
+            "n": sparse_to_json_reference(module.action, labels)}
+
+
 # -- fusion rings -------------------------------------------------------------------
 
 def validate_fusion_every_label(ring: FusionRing) -> list[str]:
@@ -745,6 +777,33 @@ def words_rank(tensor: np.ndarray, unit: int, gens) -> int:
             if y is not None:
                 queue.append(y)
     return len(basis)
+
+
+def stacked_svd(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors of a stack, by its thin SVD."""
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+    return svals, vh
+
+
+def trace_solve_reference(module: FusionModule,
+                          ring_dims: DimensionVector) -> TraceSolveResult:
+    """``module_trace_solve`` by the thin SVD of the stack of
+    A_u - d(u) I, built one label at a time."""
+    m = module.size
+    stacked = np.concatenate([module.action[u].astype(float) - ring_dims[lab] * np.eye(m)
+                              for u, lab in enumerate(module.ring.labels)])
+    svals, vh = stacked_svd(stacked)
+    smax = float(svals[0]) if svals.size else 0.0
+    nullity = int(np.sum(svals <= NULLITY_RTOL * max(smax, 1.0)))
+    if nullity != 1:
+        return TraceSolveResult("no_solution" if nullity == 0 else "decomposable",
+                                None, nullity)
+    v = vh[-1] / vh[-1][int(np.argmax(np.abs(vh[-1])))]
+    if np.any(v <= NULLITY_RTOL):
+        return TraceSolveResult("no_positive_solution", None, 1)
+    return TraceSolveResult("ok", ModuleTrace(module, ring_dims,
+                                              tuple(zip(module.labels, map(float, v / v[0]))),
+                                              module.labels[0]), 1)
 
 
 # -- sublattices ---------------------------------------------------------------------

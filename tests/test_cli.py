@@ -11,7 +11,7 @@ import qindex.cli
 from qindex import io as qio
 from qindex.cli import _canonical, _canonical_with, main
 from qindex.fusion import FusionModule, validate_fusion
-from qindex.generators import gen_pointed, gen_regular_module
+from qindex.generators import gen_pointed, gen_regular_module, gen_tlj
 
 
 def run(capsys, *argv):
@@ -130,21 +130,93 @@ def test_report_splices_the_artifact_text_it_holds():
 
 
 def test_fusion_generate_encodes_the_ring_once(tmp_path, capsys, monkeypatch):
+    # io writes the ring's text once; cli writes that text to -o and into
+    # the report, and encodes no object that holds the ring
     def holds(value, part):
         return value == part or (isinstance(value, dict)
                                  and any(holds(v, part) for v in value.values()))
 
-    encoded = []
-    canonical = qindex.cli._canonical
+    texts, encoded = [], []
+    ring_to_text, canonical = qio.ring_to_text, qindex.cli._canonical
+    monkeypatch.setattr(qio, "ring_to_text",
+                        lambda ring: texts.append(ring_to_text(ring)) or texts[-1])
     monkeypatch.setattr(qindex.cli, "_canonical",
                         lambda payload: encoded.append(payload) or canonical(payload))
     out_path = tmp_path / "tlj9.json"
-    code, out, _ = run(capsys, "fusion", "generate", "tlj", "--n", "9", "-o", str(out_path))
-    assert code == 0
-    ring = json.loads(out_path.read_text())
-    assert [holds(payload, ring) for payload in encoded].count(True) == 1
-    assert report_of(out)["results"]["ring"] == ring
-    assert out == canonical(report_of(out)) + "\n"
+    for output in (["-o", str(out_path)], []):
+        code, out, _ = run(capsys, "fusion", "generate", "tlj", "--n", "9", *output)
+        assert code == 0
+        ring = report_of(out)["results"]["ring"]
+        assert texts == [canonical(ring)]
+        assert not any(holds(payload, ring) or holds(payload, texts[0])
+                       for payload in encoded)
+        assert out == canonical(report_of(out)) + "\n"
+        texts.clear()
+    assert out_path.read_text() == canonical(ring) + "\n"
+
+
+@pytest.mark.parametrize("kind", [["tlj", "--n", "12"], ["pointed", "--factors", "2,6"]])
+def test_fusion_generate_output_is_the_same_with_and_without_o(tmp_path, capsys, kind):
+    # byte for byte, but for the command echo and the timing; the report
+    # holds the -o file's text as it is
+    out_path = tmp_path / "ring.json"
+    reports = []
+    for output in (["-o", str(out_path)], []):
+        code, out, err = run(capsys, "fusion", "generate", *kind, *output)
+        assert (code, err) == (0, "")
+        report = report_of(out)
+        assert out.count('"command":' + json.dumps(report["command"], separators=(",", ":"))) == 1
+        reports.append(out.replace(json.dumps(report["command"], separators=(",", ":")), "[]")
+                       .replace(f'"wall_ms":{report["wall_ms"]!r}', '"wall_ms":0'))
+    assert reports[0] == reports[1]
+    text = out_path.read_text()
+    assert text.endswith("\n") and f'"ring":{text[:-1]}' in reports[0]
+
+
+def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch):
+    # the digest hashes the bytes that were parsed, in the order of the
+    # paths: sha256 of the files as before
+    ring = gen_tlj(7)[0]
+    ring_path, module_path = tmp_path / "ring.json", tmp_path / "module.json"
+    ring_path.write_text(qio.ring_to_text(ring))
+    module_path.write_text(qio.module_to_text(gen_regular_module(ring)))
+    spec_path = pinching_spec(tmp_path)
+    reads = []
+    monkeypatch.setattr(qindex.cli, "open", lambda path, mode="r", **kw: (
+        reads.append(str(path)) if "r" in mode else None) or open(path, mode, **kw),
+        raising=False)
+    both = hashlib.sha256(module_path.read_bytes() + ring_path.read_bytes()).hexdigest()
+    for argv, paths, digest in (
+            (["index", "compute", "--spec", spec_path], [spec_path],
+             hashlib.sha256(open(spec_path, "rb").read()).hexdigest()),
+            (["fusion", "trace", "--ring", str(ring_path), "--module", str(module_path)],
+             [str(ring_path), str(module_path)], both),
+            (["fusion", "descent", "--ring", str(ring_path), "--module", str(module_path),
+              "--subring", "0,2,4"], [str(ring_path), str(module_path)], both)):
+        reads.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert reads == paths
+        assert report_of(out)["input_digest"] == digest
+
+
+def test_unreadable_text_fails_as_text_mode_reading_does(tmp_path, capsys):
+    # invalid UTF-8 is a validation failure (exit 2); malformed JSON is
+    # exit 1, at the line and column of the text with its newlines
+    # translated, as open() in text mode reads it
+    for raw, code in ((b'\xff{"inclusion": 1}', 2), (b'{\r\n"a":\r\n}', 1),
+                      (b'{\r"a":\r}', 1), (b'{"a": "\r"}', 1), (b"\xef\xbb\xbf{}", 1)):
+        path = tmp_path / "spec.json"
+        path.write_bytes(raw)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                json.load(fh)
+        except UnicodeDecodeError as err:
+            want = f"error: {err}\n"
+        except json.JSONDecodeError as err:
+            want = (f"error: {path}: malformed JSON at line {err.lineno} "
+                    f"column {err.colno}: {err.msg}\n")
+        assert run(capsys, "index", "compute", "--spec", str(path)) == (code, "", want)
 
 
 def test_index_compute_rejects_non_multiplicative_inclusion(tmp_path, capsys):

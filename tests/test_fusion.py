@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qindex.fusion import (BigradedDims, FusionModule, FusionRing,
-                           MultiplicityFunctor, _associativity_violations, action_functor,
+from qindex.fusion import (NULLITY_RTOL, BigradedDims, FusionModule, FusionRing,
+                           MultiplicityFunctor, _associativity_violations, _stack_svd,
+                           action_functor,
                            check_locally_constant, d_function,
                            equivalence_classes, functor_dims, functor_trace,
                            functor_trace_components, jones_membership,
@@ -17,7 +18,8 @@ from qindex.fusion import (BigradedDims, FusionModule, FusionRing,
                            validate_module)
 from qindex.generators import gen_pointed, gen_quotient_module, gen_regular_module, gen_tlj
 
-from oracles import validate_fusion_every_label, words_rank
+from oracles import (stacked_svd, trace_solve_reference, validate_fusion_every_label,
+                     words_rank)
 
 
 def regular_with_trace(n):
@@ -53,6 +55,23 @@ def test_validate_pointed_rings_and_quotient_modules():
             assert validate_module(module) == oracle_validate_module(module) == []
 
 
+def rep_a4():
+    """The representation ring of A4: Z/3 = {1, w, w2}, and 3 with
+    3 w = 3 and 3 3 = 1 + w + w2 + 2 3.  The words of 3 leave the span of
+    basis vectors at once: 3 3 is nonzero at two labels it had not
+    reached."""
+    labels = ("1", "3", "w", "w2")
+    one, three, w, w2 = range(4)
+    tensor = np.zeros((4, 4, 4), dtype=np.int64)
+    for a in (one, w, w2):
+        for b in (one, w, w2):
+            tensor[a, b, (one, w, w2)[((a > 0) * (a - 1) + (b > 0) * (b - 1)) % 3]] = 1
+        tensor[a, three, three] = tensor[three, a, three] = 1
+    tensor[three, three] = [1, 2, 1, 1]
+    return FusionRing(labels, "1", (("1", "1"), ("3", "3"), ("w", "w2"), ("w2", "w")),
+                      tensor)
+
+
 def generating_labels(ring):
     return tuple(ring.labels[i] for i in ring._generators)
 
@@ -66,14 +85,27 @@ def test_generating_set_is_greedy_and_spans_the_ring():
                           ([2, 4, 6], ("0.0.1", "0.1.0", "1.0.0")),
                           ([3, 3], ("0.1", "1.0")), ([12], ("1",))):
         assert generating_labels(gen_pointed(factors)) == want
+    assert generating_labels(rep_a4()) == ("3", "w")
     # over Q, the words of S span the ring, and each label of S adds to
     # the span of the words of those before it
     for ring in [gen_tlj(n)[0] for n in (3, 5, 9)] + [
-            gen_pointed(f) for f in ([2, 2, 2], [2, 4], [3, 3])]:
+            gen_pointed(f) for f in ([2, 2, 2], [2, 4], [3, 3])] + [rep_a4()]:
         gens, unit = ring._generators, ring.index(ring.unit)
         ranks = [words_rank(ring.tensor, unit, gens[:k]) for k in range(len(gens) + 1)]
         assert ranks[-1] == ring.rank
         assert all(a < b for a, b in zip(ranks, ranks[1:]))
+
+
+def test_validate_rep_a4_and_its_corruptions():
+    # words that leave the span of basis vectors: the echelon basis path
+    ring = rep_a4()
+    assert validate_fusion(ring) == oracle_validate_fusion(ring) == []
+    module = gen_regular_module(ring)
+    assert validate_module(module) == oracle_validate_module(module) == []
+    assert pf_dimensions(ring).as_dict() == pytest.approx({"1": 1, "3": 3, "w": 1, "w2": 1})
+    for bad in single_entry_corruptions(ring.tensor):
+        assert validate_fusion(with_tensor(ring, bad)) == \
+            oracle_validate_fusion(with_tensor(ring, bad))
 
 
 def test_validate_detects_corrupted_unit():
@@ -514,6 +546,69 @@ def test_module_trace_no_solution():
     module = FusionModule(ring, ("x", "y"), action)
     result = module_trace_solve(module, pf_dimensions(ring))
     assert result.status == "no_solution"
+
+
+def test_module_trace_no_positive_solution():
+    # the null space is spanned by (1, 0), which is not strictly positive
+    ring = gen_pointed([2])
+    action = np.zeros((2, 2, 2), dtype=np.int64)
+    action[0] = np.eye(2, dtype=np.int64)
+    action[1, 0, 0] = 1
+    module = FusionModule(ring, ("x", "y"), action)
+    result = module_trace_solve(module, pf_dimensions(ring))
+    assert (result.status, result.solution_dim) == ("no_positive_solution", 1)
+
+
+def trace_solve_cases():
+    """Modules of every module_trace_solve status."""
+    cases = [gen_regular_module(gen_tlj(n)[0]) for n in range(3, 26)]
+    cases += [gen_regular_module(gen_pointed(f)) for f in ([2], [5], [2, 4], [3, 3])]
+    cases += [gen_quotient_module(gen_pointed([2, 4]), [2, 4], [(0, 0), (0, 2)]),
+              gen_regular_module(rep_a4())]
+    z2 = gen_pointed([2])
+    for bottom in ([[1, 0], [0, 0]], [[2, 0], [0, 2]], [[0, 1], [1, 0]]):
+        action = np.zeros((2, 2, 2), dtype=np.int64)
+        action[0], action[1] = np.eye(2, dtype=np.int64), bottom
+        cases.append(FusionModule(z2, ("x", "y"), action))
+    ring = gen_tlj(6)[0]
+    double = np.zeros((ring.rank, 2 * ring.rank, 2 * ring.rank), dtype=np.int64)
+    double[:, :ring.rank, :ring.rank] = double[:, ring.rank:, ring.rank:] = ring.tensor
+    cases.append(FusionModule(ring, [f"{x}{y}" for x in "ab" for y in ring.labels], double))
+    return cases
+
+
+def test_module_trace_solve_matches_the_stacked_svd():
+    statuses = set()
+    for module in trace_solve_cases():
+        dims = pf_dimensions(module.ring)
+        got, want = module_trace_solve(module, dims), trace_solve_reference(module, dims)
+        assert (got.status, got.solution_dim) == (want.status, want.solution_dim)
+        statuses.add(got.status)
+        if got.trace is not None:
+            assert got.trace.as_dict() == pytest.approx(want.trace.as_dict(), rel=1e-12)
+    assert statuses == {"ok", "no_solution", "no_positive_solution", "decomposable"}
+
+
+def test_r_factor_svd_matches_the_stacked_svd(rng):
+    # random tall stacks with null spaces of dimension 0, 1 and 2, and
+    # singular values from 1e-3 to 1e3
+    for _ in range(200):
+        m = int(rng.integers(1, 12))
+        r = int(rng.integers(1, 8))
+        stacked = rng.standard_normal((r * m, m)) * 10.0 ** rng.uniform(-3, 3, size=m)
+        nullity = min(int(rng.integers(0, 3)), m)
+        if nullity:
+            stacked[:, m - nullity:] = stacked[:, :m - nullity] @ rng.standard_normal(
+                (m - nullity, nullity)) if m > nullity else 0.0
+        svals, vh = _stack_svd(stacked)
+        ref_svals, ref_vh = stacked_svd(stacked)
+        scale = max(float(ref_svals[0]), 1.0)
+        assert np.allclose(svals, ref_svals, rtol=0, atol=1e-12 * scale)
+        zero = NULLITY_RTOL * scale
+        assert np.sum(svals <= zero) == np.sum(ref_svals <= zero) >= nullity
+        if np.sum(ref_svals <= zero) == 1:  # a null vector, up to sign
+            assert min(np.abs(vh[-1] - ref_vh[-1]).max(),
+                       np.abs(vh[-1] + ref_vh[-1]).max()) <= 1e-10
 
 
 # -- Plancherel weight -------------------------------------------------------

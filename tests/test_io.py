@@ -4,9 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qindex import io as qio
 from qindex.algebra import MultiMatrixAlgebra, StarHomomorphism, TraceWeights
+from qindex.cli import _canonical
 from qindex.expectation import ConditionalExpectation, canonical_expectation
 from qindex.fusion import (FusionModule, FusionRing, validate_fusion,
                            validate_module)
@@ -14,7 +17,8 @@ from qindex.generators import (gen_pointed, gen_quotient_module,
                                gen_regular_module, gen_tlj)
 
 from conftest import diagonal_inclusion, random_element, random_multimatrix_inclusion
-from oracles import sparse_from_json_reference
+from oracles import (module_to_json_reference, ring_to_json_reference,
+                     sparse_from_json_reference)
 
 
 def test_algebra_round_trip():
@@ -102,6 +106,48 @@ def test_ring_to_json_matches_per_entry_reference(rng):
                     want[f"{u},{i}"] = row
         got = qio.module_to_json(module)["n"]
         assert list(got.items()) == list(want.items())
+
+
+#: labels whose escapes or sort order a key writer can get wrong: quotes,
+#: backslashes, non-ASCII and control characters, the empty label, and
+#: prefixes that sort on either side of the "," of a "U,V" key
+HARD_LABELS = ['"', "\\", "é", "☃", "\x01", "", "1", "10", "1+", "1 ", "\U0001f600", '1"']
+
+
+def label_lists(size):
+    return st.lists(st.one_of(st.sampled_from(HARD_LABELS),
+                              st.text(st.characters(exclude_characters=","), max_size=3)),
+                    min_size=size, max_size=size, unique=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_text_encoder_writes_the_bytes_of_the_dict_encoder(data):
+    # relabelled generator rings and modules, and random multiplicities up
+    # to 2^62 with empty rows and empty maps
+    kind = data.draw(st.sampled_from(["tlj", "pointed", "random"]))
+    if kind == "tlj":
+        base = gen_tlj(data.draw(st.integers(3, 9)))[0]
+        module = gen_regular_module(base)
+    elif kind == "pointed":
+        base = gen_pointed([2, 4])
+        module = gen_quotient_module(base, [2, 4], [(0, 0), (0, 2)])
+    else:
+        r, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+        mults = st.sampled_from([0, 0, 0, 1, 2, 7, 10, 2 ** 62])
+        base = FusionRing(tuple(map(str, range(r))), "0", (),
+                          np.array(data.draw(st.lists(mults, min_size=r ** 3, max_size=r ** 3)))
+                          .reshape(r, r, r))
+        module = FusionModule(base, tuple(map(str, range(m))),
+                              np.array(data.draw(st.lists(mults, min_size=r * m * m,
+                                                          max_size=r * m * m)))
+                              .reshape(r, m, m))
+    labels = data.draw(label_lists(base.rank))
+    ring = FusionRing(labels, labels[0], tuple(zip(labels, reversed(labels))), base.tensor)
+    module = FusionModule(ring, data.draw(label_lists(module.size)), module.action)
+    assert qio.ring_to_text(ring) == _canonical(ring_to_json_reference(ring))
+    assert qio.module_to_text(module) == _canonical(module_to_json_reference(module))
+    assert qio.module_to_json(module) == module_to_json_reference(module)
 
 
 def test_schema_errors_carry_paths():

@@ -8,8 +8,12 @@ Usage, from the root of a checkout:
 BASE_SRC and HEAD_SRC are the ``src`` directories of the two trees.  For
 every benchmark workload and seed, the commands of one benchmark pass are built
 with ``perfbench/inputs.build`` of this checkout, and ``-o FILE`` is
-appended to every command that accepts it and has none.  Each tree runs
-the commands of one workload and seed in its own interpreter, through
+appended to every command that accepts it and has none.  A fixed set of
+commands that the benchmark never runs comes last: ``fusion generate``
+of pointed and TLJ rings with and without ``-o``, and ``fusion trace``
+and ``fusion descent`` with module files, a decomposable one and one of
+another ring among them.  Each tree runs the commands of one workload and
+seed (or the fixed set) in its own interpreter, through
 ``qindex.cli.main(argv)``, in its own copy of the input directory, so
 the command lines are the same on both sides.
 
@@ -50,14 +54,18 @@ def parse_seeds(text: str) -> list[int]:
 
 # -- one tree, in its own interpreter -------------------------------------------
 
-def run_commands(argvs: list[list[str]]) -> list[dict]:
+def run_commands(jobs: list[dict]) -> list[dict]:
     """Run each command in the working directory and record its exit code,
-    stdout, stderr and artifact (the text of its -o file, or None)."""
+    stdout, stderr and artifact (the text of its -o file, or None).  A job
+    is {"argv": [...], "output": bool}; with "output", ``-o FILE`` is
+    appended when the command accepts it and has none."""
     import qindex.cli
 
     out = []
-    for n, argv in enumerate(argvs):
-        if "-o" not in argv and _accepts_output(qindex.cli.build_parser(), argv):
+    for n, job in enumerate(jobs):
+        argv = job["argv"]
+        if job["output"] and "-o" not in argv and \
+                _accepts_output(qindex.cli.build_parser(), argv):
             argv = argv + ["-o", f"artifact{n}.json"]
         path = argv[argv.index("-o") + 1] if "-o" in argv else None
         if path is not None and os.path.exists(path):
@@ -89,16 +97,61 @@ def _accepts_output(parser: argparse.ArgumentParser, argv: list[str]) -> bool:
     return True
 
 
-def run_tree(src: str, workdir: str, argvs: list[list[str]]) -> list[dict]:
+def run_tree(src: str, workdir: str, jobs: list[dict]) -> list[dict]:
     job, result = os.path.join(workdir, "job.json"), os.path.join(workdir, "result.json")
     with open(job, "w", encoding="utf-8") as fh:
-        json.dump(argvs, fh)
+        json.dump(jobs, fh)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     env.pop("QINDEX_LOG", None)
     subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", job, result],
                    cwd=workdir, env=env, check=True)
     with open(result, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+# -- the fixed fusion set ------------------------------------------------------------
+
+def _tlj_ring(n: int) -> dict:
+    """The fusion_ring file of TLJ(n), from the truncated SU(2) rule."""
+    k = n - 2
+    labels = [str(a) for a in range(k + 1)]
+    rules = {f"{a},{b}": {str(c): 1 for c in range(abs(a - b), min(a + b, 2 * k - a - b) + 1, 2)}
+             for a in range(k + 1) for b in range(k + 1)}
+    return {"irr": labels, "unit": "0", "dual": {x: x for x in labels}, "N": rules}
+
+
+def _regular_module(ring: dict, copies: int) -> dict:
+    """``copies`` regular modules of ``ring`` side by side, its labels
+    renamed, as a fusion_module file."""
+    names = {x: [f"m{c}_{x}" for c in range(copies)] for x in ring["irr"]}
+    action = {}
+    for key, row in ring["N"].items():
+        u, i = key.split(",")
+        for c in range(copies):
+            action[f"{u},{names[i][c]}"] = {names[j][c]: n for j, n in row.items()}
+    return {"ring": ring, "irrM": [m for x in ring["irr"] for m in names[x]], "n": action}
+
+
+def fixed_fusion_set() -> list[dict]:
+    """Write the module files of the fixed set into the working directory
+    and return its jobs."""
+    files = {"tlj9.json": _tlj_ring(9), "tlj9_module.json": _regular_module(_tlj_ring(9), 1),
+             "tlj9_twice.json": _regular_module(_tlj_ring(9), 2),
+             "tlj7_module.json": _regular_module(_tlj_ring(7), 1)}
+    for name, payload in files.items():
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+    evens = ["--subring", "0,2,4,6"]
+    argvs = [(["fusion", "generate", "pointed", "--factors", "2,4"], True),
+             (["fusion", "generate", "pointed", "--factors", "3,2,2"], False),
+             (["fusion", "generate", "tlj", "--n", "9"], False),
+             (["fusion", "generate", "tlj", "--n", "60"], False),
+             (["fusion", "generate", "tlj", "--n", "12"], True)]
+    for module in ("tlj9_module.json", "tlj9_twice.json", "tlj7_module.json"):
+        argvs += [(["fusion", "trace", "--ring", "tlj9.json", "--module", module], True),
+                  (["fusion", "descent", "--ring", "tlj9.json", "--module", module] + evens,
+                   False)]
+    return [{"argv": argv, "output": output} for argv, output in argvs]
 
 
 # -- comparison ---------------------------------------------------------------------
@@ -157,9 +210,9 @@ def compare(base: list[dict], head: list[dict], rtol: float):
 def main() -> int:
     if len(sys.argv) == 4 and sys.argv[1] == "--worker":
         with open(sys.argv[2], encoding="utf-8") as fh:
-            argvs = json.load(fh)
+            jobs = json.load(fh)
         with open(sys.argv[3], "w", encoding="utf-8") as fh:
-            json.dump(run_commands(argvs), fh)
+            json.dump(run_commands(jobs), fh)
         return 0
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -172,28 +225,34 @@ def main() -> int:
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import inputs
 
+    def benchmark_pass(workload, seed):
+        return lambda: [{"argv": cmd.argv, "output": True}
+                        for cmd in inputs.build(workload, seed, ".")]
+
+    cases = [(f"{workload} seed {seed}", benchmark_pass(workload, seed))
+             for workload in inputs.WORKLOADS for seed in args.seeds]
+    cases.append(("fixed fusion set", fixed_fusion_set))
     total = failed = allowed_count = 0
     with tempfile.TemporaryDirectory(prefix="report_diff_") as tmp:
-        for workload in inputs.WORKLOADS:
-            for seed in args.seeds:
-                case = os.path.join(tmp, f"{workload}-{seed}")
-                os.makedirs(os.path.join(case, "inputs"))
-                cwd = os.getcwd()
-                os.chdir(os.path.join(case, "inputs"))
-                try:  # relative paths, so both trees run the same command lines
-                    argvs = [cmd.argv for cmd in inputs.build(workload, seed, ".")]
-                finally:
-                    os.chdir(cwd)
-                runs = []
-                for side, src in (("base", args.base_src), ("head", args.head_src)):
-                    shutil.copytree(os.path.join(case, "inputs"), os.path.join(case, side))
-                    runs.append(run_tree(src, os.path.join(case, side), argvs))
-                total += len(argvs)
-                for n, argv, field, b, h, allowed in compare(*runs, args.rtol):
-                    allowed_count += allowed
-                    failed += not allowed
-                    print(f"{'allowed' if allowed else 'DIFF'} {workload} seed {seed} "
-                          f"#{n} {' '.join(argv)}: {field}: {b!r} != {h!r}")
+        for k, (name, build) in enumerate(cases):
+            case = os.path.join(tmp, str(k))
+            os.makedirs(os.path.join(case, "inputs"))
+            cwd = os.getcwd()
+            os.chdir(os.path.join(case, "inputs"))
+            try:  # relative paths, so both trees run the same command lines
+                jobs = build()
+            finally:
+                os.chdir(cwd)
+            runs = []
+            for side, src in (("base", args.base_src), ("head", args.head_src)):
+                shutil.copytree(os.path.join(case, "inputs"), os.path.join(case, side))
+                runs.append(run_tree(src, os.path.join(case, side), jobs))
+            total += len(jobs)
+            for n, argv, field, b, h, allowed in compare(*runs, args.rtol):
+                allowed_count += allowed
+                failed += not allowed
+                print(f"{'allowed' if allowed else 'DIFF'} {name} "
+                      f"#{n} {' '.join(argv)}: {field}: {b!r} != {h!r}")
     print(f"{total} commands: {failed} differences, {allowed_count} allowed "
           f"within rtol {args.rtol:g}")
     return 1 if failed else 0
