@@ -96,29 +96,17 @@ def _load_json(path: str, inputs: list[tuple[str, bytes]]):
                          f"column {err.colno}: {err.msg}")
 
 
-def _canonical(payload) -> str:
-    """The JSON encoding of reports and artifacts, in which an infinite
-    float is the string "inf"."""
-    try:
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                          allow_nan=False)
-    except ValueError:  # an infinite index, or fusion jones --value inf
-        return json.dumps(_inf_as_string(payload), sort_keys=True,
-                          separators=(",", ":"), allow_nan=False)
-
-
 def _canonical_with(payload, part, text: str) -> str:
-    """``_canonical(payload)``, reusing ``text``, the canonical text of the
-    object ``part``, wherever ``payload`` holds that object itself.  Keys
-    are sorted and joined as ``json.dumps`` does, so the bytes are the
-    same.  An artifact given as its text is both ``part`` and ``text``: a
-    str in the report that stands for the object it encodes."""
+    """``qio.canonical_text(payload)``, reusing ``text``, the canonical
+    text of the object ``part``, wherever ``payload`` holds that object
+    itself.  An artifact given as its text is both ``part`` and ``text``:
+    a str in the report that stands for the object it encodes."""
     if payload is part:
         return text
     if _holds(payload, part):
-        return "{" + ",".join(f"{json.dumps(key)}:{_canonical_with(value, part, text)}"
-                              for key, value in sorted(payload.items())) + "}"
-    return _canonical(payload)
+        return qio.canonical_object({key: _canonical_with(value, part, text)
+                                     for key, value in payload.items()})
+    return qio.canonical_text(payload)
 
 
 def _holds(value, part) -> bool:
@@ -138,14 +126,6 @@ def _digest_files(inputs: list[tuple[str, bytes]]) -> str:
     for _, raw in sorted(inputs, key=lambda item: item[0]):
         h.update(raw)
     return h.hexdigest()
-
-
-def _inf_as_string(value):
-    if isinstance(value, dict):
-        return {k: _inf_as_string(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_inf_as_string(v) for v in value]
-    return "inf" if isinstance(value, float) and math.isinf(value) else value
 
 
 # -- index -------------------------------------------------------------------
@@ -433,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
         # classify -o F irrep parses -o but has no artifact
         if artifact is not None and getattr(args, "output", None) is not None:
             if text is None:
-                text = _canonical(artifact)
+                text = qio.canonical_text(artifact)
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         report = {
@@ -446,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
             "results": results,
         }
         # the report holds the artifact, whose text is made once
-        print(_canonical(report) if text is None
+        print(qio.canonical_text(report) if text is None
               else _canonical_with(report, artifact, text))
         return code
     except (CliFailure, ValueError) as err:

@@ -109,15 +109,14 @@ def _generating_set(tensor: np.ndarray, unit: int) -> tuple[int, ...]:
     generates the ring.  The unit laws must hold: then u 1 = u, so the loop
     ends with V everything.
 
-    V starts as the span of the basis vectors e_x of a set R of labels,
-    R = {unit}.  While it is one, a vector is in V when it is zero outside
-    R, and a vector of V that is nonzero at one label z outside R puts e_z
-    in V, so z joins R: no arithmetic.  The words of TLJ's generator and of
-    a pointed ring are all of these kinds.  The first vector with two
-    nonzero entries outside R turns R into an echelon basis of unit
-    vectors; from then on V is an echelon basis keyed by lead, the last
-    nonzero entry, and a vector is reduced by the basis vector of its lead
-    until it is zero (it is in V) or has a lead no basis vector has.
+    V is an echelon basis keyed by lead, the last nonzero entry.  A basis
+    vector that is the basis vector e_x of a label x is kept as x alone, in
+    a set of such labels that starts as {unit}: a vector is reduced by
+    dropping its entries at these labels, which needs no arithmetic, and
+    by the basis vector of its lead until it is zero (it is in V) or has a
+    lead no basis vector has.  A residue with one such entry left puts e_z
+    in V for that label z.  The words of TLJ's generator and of a pointed
+    ring all reduce this way, so V grows with no arithmetic on them.
 
     Growing V costs O(|S| r^3) operations, and it spares a check of every
     label it reaches.  Once it has reached fewer labels than it picked, as
@@ -127,14 +126,16 @@ def _generating_set(tensor: np.ndarray, unit: int) -> tuple[int, ...]:
     r, p = tensor.shape[0], _CERTIFICATE_PRIME
     if r * (p - 1) ** 2 >= 2 ** 63:
         return tuple(range(r))
-    reached = {unit}  # R, while V is the span of e_x for x in R
-    basis: dict[int, tuple[np.ndarray, int]] = {}  # then: lead -> (vector of V, 1 / its lead)
+    reached = {unit}  # the labels x with e_x in V
+    # the other leads -> (vector of V, 1 / its lead)
+    basis: dict[int, tuple[np.ndarray, int]] = {}
     identity = np.eye(r, dtype=np.int64)
 
     def residue(y: np.ndarray) -> tuple[list[int], np.ndarray]:
-        """The labels where y reduced modulo V is nonzero, and that residue:
-        none when y is in V, else the last is a lead no basis vector has."""
-        while nonzero := y.nonzero()[0].tolist():
+        """The labels outside ``reached`` where y reduced modulo V is
+        nonzero, and that residue: none when y is in V, else the last is a
+        lead no basis vector has."""
+        while nonzero := [x for x in y.nonzero()[0].tolist() if x not in reached]:
             lead = nonzero[-1]
             if lead not in basis:
                 break
@@ -146,30 +147,25 @@ def _generating_set(tensor: np.ndarray, unit: int) -> tuple[int, ...]:
         """Add to V the rows that are not in it; return them."""
         added = []
         for k, y in enumerate(rows):
-            if not basis:
-                new = [x for x in y.nonzero()[0].tolist() if x not in reached]
-                if len(new) < 2:  # y is in V, or puts e_z in V for its new label z
-                    if new:
-                        reached.add(new[0])
-                        added.append(k)
-                    continue
-                basis.update((x, (identity[x], 1)) for x in reached)
             nonzero, rest = residue(y)
-            if nonzero:
+            if len(nonzero) == 1:
+                reached.add(nonzero[0])
+            elif nonzero:
                 basis[nonzero[-1]] = rest, pow(int(rest[nonzero[-1]]), -1, p)
+            if nonzero:
                 added.append(k)
         return rows if len(added) == len(rows) else rows[added]
 
     def outside(start: int) -> Iterator[int]:
-        """The labels from ``start`` on whose basis vectors are not in V."""
-        if not basis:
-            return (x for x in range(start, r) if x not in reached)
-        return (x for x in range(start, r) if residue(identity[x])[0])
+        """The labels from ``start`` on whose basis vectors are not in V:
+        e_x is its own residue unless x is in ``reached`` or is a lead."""
+        return (x for x in range(start, r) if x not in reached
+                and (x not in basis or residue(identity[x])[0]))
 
     spans = [identity[unit:unit + 1]]  # the vectors added to V
     gens: list[int] = []
     u = 0
-    while len(basis or reached) < r:
+    while len(reached) + len(basis) < r:
         u = next(outside(u))
         if u - len(gens) < len(gens):  # of the labels before u, V reached fewer than S
             return (*gens, *outside(u))
@@ -180,7 +176,7 @@ def _generating_set(tensor: np.ndarray, unit: int) -> tuple[int, ...]:
         # V is closed under the earlier labels of S: apply u to all of it,
         # then all of S to what that adds
         new = insert(np.concatenate(spans) @ by % p)
-        while len(new) and len(basis or reached) < r:
+        while len(new) and len(reached) + len(basis) < r:
             spans.append(new)
             new = insert((new @ words).reshape(-1, r) % p)
         u += 1
@@ -207,12 +203,12 @@ def _associativity_violations(what: str, t: np.ndarray, a: np.ndarray,
     Each label u is one pair of products of floating-point copies, as
     (v, (i, j)) and ((v, i), j) matrices; labels are checked in groups of
     one pair of products each, as large as ``_CHECK_ENTRIES`` allows, so a
-    small ring pays for one pair.  The sums have r terms up to
-    max(N) * max(a) and m terms up to max(a)^2.  Below 2^24 every partial
-    sum is an integer that float32 holds exactly, in any order, so the
-    copies are float32; below 2^53 they are float64, which holds them
-    exactly; above it the violation is ``exactness bound``.  The first
-    mismatch is named by ``where(u, v, i, j)``.
+    small ring pays for one pair, and so does its rescan.  The sums have r
+    terms up to max(N) * max(a) and m terms up to max(a)^2.  Below 2^24
+    every partial sum is an integer that float32 holds exactly, in any
+    order, so the copies are float32; below 2^53 they are float64, which
+    holds them exactly; above it the violation is ``exactness bound``.
+    The first mismatch is named by ``where(u, v, i, j)``.
     """
     r, m = a.shape[:2]
     big_t = int(t.max())
@@ -226,26 +222,24 @@ def _associativity_violations(what: str, t: np.ndarray, a: np.ndarray,
     tf = t.astype(np.float32 if exact32 else np.float64)
     af = tf if a is t else a.astype(tf.dtype)
 
-    def mismatch(u):
-        lhs = (tf[u] @ af.reshape(r, m * m)).reshape(r, m, m)
-        rhs = (af.reshape(r * m, m) @ af[u]).reshape(r, m, m)
-        if np.array_equal(lhs, rhs):
+    def mismatch(us: Sequence[int]) -> tuple[int, str] | None:
+        """The first label of ``us`` that fails, in order, and its first
+        violation; both sides of the group are in (u, v, i, j) order."""
+        lhs = (tf[us] @ af.reshape(r, m * m)).reshape(-1, r, m, m)
+        rhs = (af.reshape(r * m, m) @ af[us]).reshape(-1, r, m, m)
+        wrong = lhs != rhs
+        if not wrong.any():
             return None
-        v, i, j = np.argwhere(lhs != rhs)[0]
-        return (f"{what}: {where(u, v, i, j)}: "
-                f"{int(lhs[v, i, j])} != {int(rhs[v, i, j])}")
-
-    def passes(us: Sequence[int]) -> bool:
-        """Whether every label of ``us`` passes, in one pair of products."""
-        lhs = tf[us] @ af.reshape(r, m * m)
-        rhs = af.reshape(r * m, m) @ af[us]
-        return bool((lhs.ravel() == rhs.ravel()).all())  # both in (u, v, i, j) order
+        k, v, i, j = np.argwhere(wrong)[0]
+        return us[k], (f"{what}: {where(us[k], v, i, j)}: "
+                       f"{int(lhs[k, v, i, j])} != {int(rhs[k, v, i, j])}")
 
     size = max(1, _CHECK_ENTRIES // (r * m * m))
     gens = list(generators)
-    if all(passes(gens[k:k + size]) for k in range(0, len(gens), size)):
+    if not any(mismatch(gens[k:k + size]) for k in range(0, len(gens), size)):
         return [], len(gens)
-    u, found = next((u, msg) for u in range(r) if (msg := mismatch(u)))
+    u, found = next(bad for k in range(0, r, size)
+                    if (bad := mismatch(range(r)[k:k + size])))
     return [found], len(set(generators).union(range(u + 1)))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import sys
 import time
 from itertools import chain
@@ -22,7 +23,7 @@ from .expectation import ConditionalExpectation
 from .fusion import FusionModule, FusionRing
 
 __all__ = [
-    "SchemaError",
+    "SchemaError", "canonical_text", "canonical_object",
     "algebra_to_json", "algebra_from_json",
     "element_to_json", "element_from_json",
     "homomorphism_to_json", "homomorphism_from_json",
@@ -185,16 +186,30 @@ def expectation_spec_from_json(data: Any, path: str = "expectation"
 
 # -- fusion data -------------------------------------------------------------
 
-def _dumps(value) -> str:
-    """Canonical JSON: ``json.dumps(..., sort_keys=True, separators=(",", ":"))``."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+def canonical_text(value) -> str:
+    """The canonical JSON text of reports and artifacts: keys sorted, no
+    spaces, and an infinite float written as the string "inf"."""
+    try:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
+    except ValueError:  # an infinite index, or fusion jones --value inf
+        return json.dumps(_inf_as_string(value), sort_keys=True,
+                          separators=(",", ":"), allow_nan=False)
 
 
-def _object_text(fields: Mapping[str, str]) -> str:
+def _inf_as_string(value):
+    if isinstance(value, dict):
+        return {k: _inf_as_string(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_inf_as_string(v) for v in value]
+    return "inf" if isinstance(value, float) and math.isinf(value) else value
+
+
+def canonical_object(texts: Mapping[str, str]) -> str:
     """The canonical text of an object whose values are given as their
-    canonical texts: keys sorted and joined as ``json.dumps`` does."""
+    canonical texts: keys sorted and joined as ``canonical_text`` does."""
     return "{" + ",".join(f"{json.dumps(key)}:{text}"
-                          for key, text in sorted(fields.items())) + "}"
+                          for key, text in sorted(texts.items())) + "}"
 
 
 def _sparse_text(tensor: np.ndarray, labels: Sequence[Sequence[str]]) -> str:
@@ -306,9 +321,10 @@ def _sparse_walk(tensor: np.ndarray, entries: Mapping, path: str, first: dict,
 def ring_to_text(ring: FusionRing) -> str:
     """The canonical JSON text of ``ring_to_json(ring)``, written directly
     from the multiplicity tensor."""
-    return _object_text({"irr": _dumps(list(ring.labels)), "unit": _dumps(ring.unit),
-                         "dual": _dumps(dict(ring.dual)),
-                         "N": _sparse_text(ring.tensor, (ring.labels,) * 3)})
+    return canonical_object({"irr": canonical_text(list(ring.labels)),
+                             "unit": canonical_text(ring.unit),
+                             "dual": canonical_text(dict(ring.dual)),
+                             "N": _sparse_text(ring.tensor, (ring.labels,) * 3)})
 
 
 def ring_to_json(ring: FusionRing) -> dict:
@@ -346,9 +362,9 @@ def module_to_text(module: FusionModule) -> str:
     """The canonical JSON text of ``module_to_json(module)``, written
     directly from the action tensor."""
     labels = (module.ring.labels, module.labels, module.labels)
-    return _object_text({"ring": ring_to_text(module.ring),
-                         "irrM": _dumps(list(module.labels)),
-                         "n": _sparse_text(module.action, labels)})
+    return canonical_object({"ring": ring_to_text(module.ring),
+                             "irrM": canonical_text(list(module.labels)),
+                             "n": _sparse_text(module.action, labels)})
 
 
 def module_to_json(module: FusionModule) -> dict:

@@ -9,7 +9,7 @@ import pytest
 
 import qindex.cli
 from qindex import io as qio
-from qindex.cli import _canonical, _canonical_with, main
+from qindex.cli import _canonical_with, main
 from qindex.fusion import FusionModule, validate_fusion
 from qindex.generators import gen_pointed, gen_regular_module, gen_tlj
 
@@ -121,26 +121,26 @@ def test_index_compute_rank_deficient_exits_3(tmp_path, capsys):
 def test_report_splices_the_artifact_text_it_holds():
     # the same bytes as encoding the whole report, "inf" included
     artifact = {"b": [1.5, float("inf")], "a": (1, 2)}
-    text = _canonical(artifact)
+    text = qio.canonical_text(artifact)
     for report in ({"results": artifact, "seed": 0},
                    {"results": {"ring": artifact, "dims": {"0": 1.0}}, "command": ["x"]},
                    {"results": {"ring": artifact}, "wall_ms": float("inf")},
                    {"results": {"ring": dict(artifact)}}):
-        assert _canonical_with(report, artifact, text) == _canonical(report)
+        assert _canonical_with(report, artifact, text) == qio.canonical_text(report)
 
 
 def test_fusion_generate_encodes_the_ring_once(tmp_path, capsys, monkeypatch):
     # io writes the ring's text once; cli writes that text to -o and into
-    # the report, and encodes no object that holds the ring
+    # the report, and no object that holds the ring is encoded again
     def holds(value, part):
         return value == part or (isinstance(value, dict)
                                  and any(holds(v, part) for v in value.values()))
 
     texts, encoded = [], []
-    ring_to_text, canonical = qio.ring_to_text, qindex.cli._canonical
+    ring_to_text, canonical = qio.ring_to_text, qio.canonical_text
     monkeypatch.setattr(qio, "ring_to_text",
                         lambda ring: texts.append(ring_to_text(ring)) or texts[-1])
-    monkeypatch.setattr(qindex.cli, "_canonical",
+    monkeypatch.setattr(qio, "canonical_text",
                         lambda payload: encoded.append(payload) or canonical(payload))
     out_path = tmp_path / "tlj9.json"
     for output in (["-o", str(out_path)], []):

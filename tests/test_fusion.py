@@ -16,6 +16,7 @@ from qindex.fusion import (NULLITY_RTOL, BigradedDims, FusionModule, FusionRing,
                            plancherel_weight, qsystem_degree,
                            standard_solution_components, validate_fusion,
                            validate_module)
+from qindex import fusion
 from qindex.generators import gen_pointed, gen_quotient_module, gen_regular_module, gen_tlj
 
 from oracles import (stacked_svd, trace_solve_reference, validate_fusion_every_label,
@@ -291,12 +292,13 @@ def test_validate_module_matches_oracle_on_corruptions():
     assert {"unit does not act trivially", "mixed associativity"} <= kinds
 
 
-def test_first_violation_outside_the_generating_set_is_found_by_the_rescan():
+def test_first_violation_outside_the_generating_set_is_found_by_the_rescan(monkeypatch):
     # The labels before the first failing one pass, and so do the words
     # they span, so the first failing label is in the greedy S (unless its
     # vector is a word mod p only).  Handed a generating set without it,
     # the check still names it: a failing generator starts a rescan of
-    # every label in order.
+    # every label in order, with labels checked in groups of 1, 3 or all 7
+    # a pair of products.
     ring = gen_tlj(7)[0]
     labels = ring.labels
     rescanned = 0
@@ -309,11 +311,13 @@ def test_first_violation_outside_the_generating_set_is_found_by_the_rescan():
         others = tuple(u for u in range(ring.rank) if u != first)
         if words_rank(bad, 0, others) < ring.rank:
             continue
-        found = _associativity_violations(
-            "associativity", bad, bad,
-            lambda u, v, w, y: f"({labels[u]},{labels[v]},{labels[w]})->{labels[y]}",
-            others)
-        assert found == (want, ring.rank)
+        for group in (1, 3, ring.rank):
+            monkeypatch.setattr(fusion, "_CHECK_ENTRIES", group * ring.rank ** 3)
+            found = _associativity_violations(
+                "associativity", bad, bad,
+                lambda u, v, w, y: f"({labels[u]},{labels[v]},{labels[w]})->{labels[y]}",
+                others)
+            assert found == (want, ring.rank)
         rescanned += 1
     assert rescanned > 20
 
