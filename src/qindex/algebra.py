@@ -52,7 +52,7 @@ class MultiMatrixAlgebra:
             raise ValueError(f"block sizes must be >= 1, got {self.blocks}")
         object.__setattr__(self, "blocks", tuple(int(m) for m in self.blocks))
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         """Length of an element's coefficient vector, sum of m_t^2."""
         return int(sum(m * m for m in self.blocks))
@@ -362,6 +362,8 @@ def group_indices(*keys: np.ndarray) -> list[np.ndarray]:
     key = keys[0]
     for more in keys[1:]:
         key = key * (int(more.max(initial=0)) + 1) + more
+    if key.size and key.min() == key.max():
+        return [np.arange(key.size)]
     order = np.argsort(key, kind="stable")
     ordered = key[order]
     ends = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), key.size]

@@ -80,12 +80,13 @@ class CliFailure(Exception):
 def _load_json(path: str, inputs: list[tuple[str, bytes]]):
     """The JSON document in the file at ``path``, decoded as a text-mode
     ``open`` would decode it.  The file is read once: its bytes are
-    appended to ``inputs`` for ``_digest_files``.  Invalid UTF-8 raises
-    UnicodeDecodeError, a ValueError."""
+    appended to ``inputs`` for ``_digest_files``.  A path that cannot be
+    opened or read (missing, a directory, not readable) is a CliFailure;
+    invalid UTF-8 raises UnicodeDecodeError, a ValueError."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-    except FileNotFoundError:
+    except OSError:
         raise CliFailure(EXIT_PARSE, f"cannot open {path}")
     inputs.append((path, raw))
     try:

@@ -12,7 +12,10 @@ Validation, the trace-preserving expectation, the Pimsner-Popa
 quasi-basis, the Watatani index element (sum_p Tr h_tp^{-1} on B block t),
 the scalar index (its largest block value) and the exact probabilistic
 index are all read off h, batched over the block pairs with k_tp > 0
-by density size.  The defect of a quasi-basis, the index element
+by density size.  The trace-preserving expectation is held by its
+scalar densities h_tp = w_t / (K^T w)_p, so its indices are read off K
+and w with no eigendecomposition, and its matrix is built only when
+read.  The defect of a quasi-basis, the index element
 sum u_i u_i* of any family and finite-group averaging work on any
 expectation matrix.  Restriction to an intermediate subalgebra
 A <= C <= B takes C by its inclusion into B, as A is taken everywhere.
@@ -58,25 +61,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ConditionalExpectation:
     """A linear idempotent A-bimodule projection E: B -> image(A).
 
-    ``inclusion`` embeds A into B; ``matrix`` acts on B's coefficient
-    vectors.  Nothing is checked at construction time; use
-    :func:`validate_expectation`.
+    ``inclusion`` embeds A into B.  E is given by ``matrix``, acting on
+    B's coefficient vectors, or by ``scalars``: one number per pair of
+    ``inclusion.normal_form.pairs``, E's density h_tp = scalars[n] 1 on
+    pair n, the form of the trace-preserving expectation.  The matrix
+    of E given by its densities is built on first read and then cached;
+    the index report reads only the densities.  Nothing is checked at
+    construction time; use :func:`validate_expectation`.
     """
 
-    inclusion: StarHomomorphism
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex, order="C")
-        d = self.algebra.total_dim
-        if mat.shape != (d, d):
-            raise ValueError(f"expectation matrix must be {d}x{d}, got {mat.shape}")
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
+    def __init__(self, inclusion: StarHomomorphism, matrix: np.ndarray | None = None,
+                 *, scalars: np.ndarray | None = None):
+        if (matrix is None) == (scalars is None):
+            raise ValueError("an expectation is given by its matrix or by its "
+                             "scalar densities, and not by both")
+        self.inclusion = inclusion
+        self._scalars = None if scalars is None else np.asarray(scalars, dtype=float)
+        if matrix is not None:
+            mat = np.array(matrix, dtype=complex, order="C")
+            d = self.algebra.total_dim
+            if mat.shape != (d, d):
+                raise ValueError(f"expectation matrix must be {d}x{d}, got {mat.shape}")
+            mat.flags.writeable = False
+            self.__dict__["matrix"] = mat
 
     @property
     def algebra(self) -> MultiMatrixAlgebra:
@@ -88,6 +98,14 @@ class ConditionalExpectation:
         """The abstract small algebra A."""
         return self.inclusion.source
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """E's matrix on B's coefficient vectors, rebuilt from its
+        densities when it was not given."""
+        mat = _rebuild(self.inclusion, self.densities)
+        mat.flags.writeable = False
+        return mat
+
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         return self.algebra.from_vector(self.matrix @ x.to_vector())
 
@@ -97,15 +115,19 @@ class ConditionalExpectation:
         distinct multiplicity k, with h[n] the k x k density h_tp of the
         pair idx[n] of ``inclusion.normal_form.pairs``.
 
-        Entry (alpha, gamma) of h_tp is read off E on the element of B
-        block t that is e_11 (x) e_{gamma alpha} in the adapted basis: its
-        image is h[alpha, gamma] e_11 in A block p.  The pairs of one
-        density size and B block size share one batched product with E's
-        diagonal blocks.  The matrices are as read, not symmetrised, so that
+        Scalar densities are as given.  Otherwise entry (alpha, gamma) of
+        h_tp is read off E on the element of B block t that is
+        e_11 (x) e_{gamma alpha} in the adapted basis: its image is
+        h[alpha, gamma] e_11 in A block p.  The pairs of one density size
+        and B block size share one batched product with E's diagonal
+        blocks.  The matrices are as read, not symmetrised, so that
         :func:`validate_expectation` can test them.
         """
         form = self.inclusion.normal_form
         pairs = form.pairs
+        if self._scalars is not None:
+            return tuple((idx, self._scalars[idx, None, None] * np.eye(pairs.k[idx[0]]))
+                         for idx in group_indices(pairs.k))
         out = []
         for idx in group_indices(pairs.k):
             k = int(pairs.k[idx[0]])
@@ -133,18 +155,33 @@ class ConditionalExpectation:
     def spectra(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """(idx, ascending eigenvalues, eigenvectors) of the Hermitian part
         of the densities, one batched eigh per density size, in the order of
-        :attr:`densities`.  Positivity, faithfulness, the quasi-basis and
-        the closed-form indices all read them from here."""
+        :attr:`densities`.  Positivity and the quasi-basis read them from
+        here."""
         return tuple((idx, *np.linalg.eigh((h + h.conj().swapaxes(1, 2)) / 2))
                      for idx, h in self.densities)
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        """The density eigenvalues pair by pair, one row per pair of
+        ``inclusion.normal_form.pairs``: those of h_tp ascending in its
+        first k_tp entries, then its largest again to the common width.
+        Scalar densities are repeated, with no eigendecomposition."""
+        k = self.inclusion.normal_form.pairs.k
+        if self._scalars is not None:
+            return np.broadcast_to(self._scalars[:, None], (k.size, k.max()))
+        vals = np.empty((k.size, k.max()))
+        for idx, v, _ in self.spectra:
+            vals[idx] = v[:, -1:]
+            vals[idx, :v.shape[1]] = v
+        return vals
 
     @cached_property
     def _eigenvalue_range(self) -> tuple[float, float, float]:
         """(smallest, largest) density eigenvalue and the threshold RANK_RTOL
         times the largest: E is faithful iff every eigenvalue exceeds it."""
-        lo = min(float(vals[:, 0].min()) for _, vals, _ in self.spectra)
-        hi = max(float(vals[:, -1].max()) for _, vals, _ in self.spectra)
-        return lo, hi, RANK_RTOL * max(hi, 0.0)
+        vals = self._eigenvalues
+        hi = float(vals.max())
+        return float(vals.min()), hi, RANK_RTOL * max(hi, 0.0)
 
 
 def _rebuild(inclusion: StarHomomorphism,
@@ -226,17 +263,28 @@ class QuasiBasisResult:
 class IndexReport:
     """All index data of one expectation.
 
-    The index element is central in B by construction;
-    ``index_in_subalgebra`` records whether it lies in the image of A.
+    The index element is c_t 1 on block t of B, for the ``block_values``
+    c_t (None when E is not faithful), and is built on first read.  It is
+    central in B by construction; ``index_in_subalgebra`` records whether
+    it lies in the image of A.
     """
 
-    index_element: AlgebraElement | None
+    algebra: MultiMatrixAlgebra
+    block_values: tuple[float, ...] | None
     index_norm: float
     scalar_index: float
     prob_lower: float
     prob_upper: float
     quasi_basis_size: int
     index_in_subalgebra: bool | None = None
+
+    @cached_property
+    def index_element(self) -> AlgebraElement | None:
+        """c_t 1 on every block t of B, or None when E is not faithful."""
+        if self.block_values is None:
+            return None
+        return self.algebra.element([c * np.eye(m) for c, m
+                                     in zip(self.block_values, self.algebra.blocks)])
 
 
 @dataclass(frozen=True)
@@ -259,8 +307,8 @@ def validate_expectation(expectation: ConditionalExpectation,
     big = expectation.algebra
     failures = []
 
-    one = big.identity()
-    if (expectation(one) - one).norm() > tol:
+    one = big.identity().to_vector()
+    if column_norms(big, (expectation.matrix @ one - one)[:, None])[0] > tol:
         failures.append("unitality")
 
     h = expectation.densities
@@ -297,13 +345,8 @@ def canonical_expectation(inclusion: StarHomomorphism,
     w = np.asarray(tau.weights)
     w = np.ldexp(w, -np.frexp(w.max())[1])
     pairs = inclusion.normal_form.pairs
-    scale = (w[:, None] / (k.T @ w)[None, :])[pairs.t, pairs.p]
-    h = tuple((idx, scale[idx, None, None] * np.eye(pairs.k[idx[0]]))
-              for idx in group_indices(pairs.k))
-    expectation = ConditionalExpectation(inclusion, _rebuild(inclusion, h))
-    # E is rebuilt from h, so h is its density exactly; reading it back
-    # would only add rounding
-    expectation.__dict__["densities"] = h
+    expectation = ConditionalExpectation(inclusion,
+                                         scalars=w[pairs.t] / (k.T @ w)[pairs.p])
     _log_normal_form(expectation, start)
     return expectation
 
@@ -347,9 +390,7 @@ def quasi_basis_report(expectation: ConditionalExpectation,
     first_col = np.cumsum(sizes * copies) - sizes * copies
     copy_ofs = (np.cumsum(k, axis=1) - k)[pairs.t, pairs.p]
     cols = np.zeros((big.total_dim, int(sizes @ copies)), dtype=complex)
-    inverse_sums = np.empty(pairs.t.size)
     for idx, vals, vecs in expectation.spectra:
-        inverse_sums[idx] = np.sum(1.0 / vals, axis=1)
         for sub in group_indices(pairs.m[idx]):
             at, t = idx[sub], pairs.t[idx[sub]]
             m, width = int(pairs.m[at[0]]), vals.shape[1]
@@ -362,10 +403,9 @@ def quasi_basis_report(expectation: ConditionalExpectation,
             where = ((first_col[t] + copy_ofs[at])[:, None, None, None]
                      + rho * copies[t, None, None, None] + np.arange(width))
             cols[rows, where] = c.conj()[:, None]
-    index_norm = float(np.bincount(pairs.t, inverse_sums, len(big.blocks)).max())
 
     defect = _defect(big, _frame_map(big, expectation.matrix, cols))
-    bound = DEFAULT_TOL * max(1.0, index_norm)
+    bound = DEFAULT_TOL * max(1.0, max(_closed_form_indices(expectation)[1]))
     log.info("quasi-basis: %d elements, defect %.3e (bound %.1e), %.3f s",
              cols.shape[1], defect, bound, time.perf_counter() - start)
     if not defect <= bound:
@@ -445,27 +485,40 @@ def _closed_form_indices(expectation: ConditionalExpectation
     min(a_p, k_tp); by Ky Fan's maximum principle Index^p = min{c : cE - id
     positive} is max_t sum_p (sum of the min(a_p, k_tp) largest eigenvalues
     of h_tp^{-1}), and it is attained.
+
+    Every pair is one row of inverse eigenvalues, descending: its
+    min(a_p, k_tp) first entries, and its others moved to the front of a
+    second row, are summed as np.sum sums a slice (:func:`_row_sums`).
     """
-    start = time.perf_counter()
     lo, _, threshold = expectation._eigenvalue_range
     n_blocks = len(expectation.algebra.blocks)
-    prob, sums = math.inf, (math.inf,) * n_blocks
-    if lo > threshold:
-        pairs = expectation.inclusion.normal_form.pairs
-        top, total = np.empty((2, pairs.t.size))
-        for idx, vals, _ in expectation.spectra:
-            inv = 1.0 / vals  # descending
-            for sub in group_indices(pairs.a[idx]):
-                a = int(pairs.a[idx[sub[0]]])
-                top[idx[sub]] = inv[sub, :a].sum(axis=1)
-                # top plus the rest, so that prob_t <= scalar_t after rounding
-                total[idx[sub]] = top[idx[sub]] + inv[sub, a:].sum(axis=1)
-        # per-block sums in the order of the pairs, p ascending
-        prob = float(np.bincount(pairs.t, top, n_blocks).max())
-        sums = tuple(np.bincount(pairs.t, total, n_blocks).tolist())
-    log.info("closed-form indices: scalar %.12g, probabilistic %.12g, %.3f s",
-             max(sums), prob, time.perf_counter() - start)
-    return prob, sums
+    if not lo > threshold:
+        return math.inf, (math.inf,) * n_blocks
+    pairs = expectation.inclusion.normal_form.pairs
+    inv = 1.0 / expectation._eigenvalues
+    cols = np.arange(inv.shape[1])
+    top_len = np.minimum(pairs.a, pairs.k)
+    top = _row_sums(inv, top_len)
+    # the inverses of each pair from entry a_p on, moved to the front of a row
+    rest = inv[np.arange(len(inv))[:, None], np.minimum(cols + pairs.a[:, None], cols[-1])]
+    rest = _row_sums(rest, pairs.k - top_len)
+    # per-block sums in the order of the pairs, p ascending; top plus the
+    # rest, so that prob_t <= scalar_t after rounding
+    prob = float(np.bincount(pairs.t, top, n_blocks).max())
+    return prob, tuple(np.bincount(pairs.t, top + rest, n_blocks).tolist())
+
+
+def _row_sums(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """np.sum(x[n, :lengths[n]]) for every row n of x, bit for bit.
+
+    Each length is summed at its own width, one pass per distinct length:
+    numpy groups the additions of a sum by its length, so zeros past a
+    row's end could change the last bits of its sum.
+    """
+    out = np.empty(len(x))
+    for rows in group_indices(lengths):
+        out[rows] = x[rows, :lengths[rows[0]]].sum(axis=1)
+    return out
 
 
 def scalar_index(expectation: ConditionalExpectation) -> float:
@@ -565,7 +618,8 @@ def index_in_subalgebra(expectation: ConditionalExpectation,
 def compute_index_report(expectation: ConditionalExpectation,
                          tol: float = DEFAULT_TOL) -> IndexReport:
     """All index data of a valid expectation (canonical, or passed by
-    :func:`validate_expectation`), read off its density spectra in one pass.
+    :func:`validate_expectation`), read off its density eigenvalues in one
+    pass; E's matrix is not read.
 
     The index element is c_t 1 on B block t, c_t = sum_p Tr h_tp^{-1}: it is
     sum u_i u_i* for the Pimsner-Popa basis of :func:`quasi_basis_report`,
@@ -574,15 +628,17 @@ def compute_index_report(expectation: ConditionalExpectation,
     scalar index.  Whether it lies in the image of A is decided in closed
     form (:func:`_central_in_image`), to max(tol, 1e-8).
     """
+    start = time.perf_counter()
     lower, sums = _closed_form_indices(expectation)
     scalar = max(sums)
-    if math.isinf(scalar):
-        return IndexReport(None, math.inf, scalar, lower, scalar, 0)
+    log.info("closed-form indices: scalar %.12g, probabilistic %.12g, %.3f s",
+             scalar, lower, time.perf_counter() - start)
     big = expectation.algebra
-    index = big.element([c * np.eye(m) for c, m in zip(sums, big.blocks)])
+    if math.isinf(scalar):
+        return IndexReport(big, None, math.inf, scalar, lower, scalar, 0)
     form = expectation.inclusion.normal_form
-    size = int(np.asarray(big.blocks) @ form.multiplicities.sum(axis=1))
-    return IndexReport(index, scalar, scalar, lower, scalar, size,
+    return IndexReport(big, sums, scalar, scalar, lower, scalar,
+                       int(form.pairs.m @ form.pairs.k),
                        _central_in_image(form, np.asarray(sums), max(tol, 1e-8)))
 
 

@@ -14,6 +14,9 @@ Kronecker multiplication matrices ``left_mult_matrix`` and
 SVD of its spanning columns, and ``pinv_restriction`` and
 ``solve_average`` restrict and average expectations through ``pinv`` and
 ``solve``: the references for the closed-form images of inclusions.
+``tau_projection`` is the trace-preserving expectation as the orthogonal
+projection onto the image of A in the trace inner product, through
+``solve``: the reference for the matrix rebuilt from its densities.
 ``expectation_from_densities`` builds explicit expectation maps from
 chosen densities without the library's normal form.
 ``normal_form_reference``, ``densities_reference``,
@@ -130,6 +133,14 @@ def solve_average(expectation: ConditionalExpectation, action) -> np.ndarray:
     for g in action:
         avg += np.linalg.solve(g.matrix, expectation.matrix @ g.matrix)
     return avg / len(action)
+
+
+def tau_projection(inclusion: StarHomomorphism, weights) -> np.ndarray:
+    """The matrix of the orthogonal projection onto the image of A in
+    <x, y> = sum_t w_t tr(x_t* y_t): Phi (Phi* W Phi)^{-1} Phi* W."""
+    w = np.concatenate([np.full(m * m, wt) for m, wt in zip(inclusion.target.blocks, weights)])
+    phi = inclusion.matrix
+    return phi @ np.linalg.solve(phi.conj().T @ (w[:, None] * phi), phi.conj().T * w)
 
 
 def image_basis(hom: StarHomomorphism) -> list[AlgebraElement]:

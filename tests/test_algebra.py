@@ -361,8 +361,8 @@ def test_normal_form_matches_the_per_pair_oracle(data):
 
 def test_normal_form_cost_is_independent_of_block_count(monkeypatch):
     # one batched eigh per size class of B blocks in the normal form, and
-    # one per density size after it: C[Z_24] in C[Z_24] costs what C[Z_4]
-    # in C[Z_4] does
+    # none after it, since the canonical densities are scalars: C[Z_24] in
+    # C[Z_24] costs what C[Z_4] in C[Z_4] does
     calls = []
     real = np.linalg.eigh
 
@@ -379,7 +379,7 @@ def test_normal_form_cost_is_independent_of_block_count(monkeypatch):
         in_normal_form = len(calls)
         compute_index_report(canonical_expectation(inclusion, tau))
         counts.append((in_normal_form, len(calls)))
-    assert counts == [(1, 2), (1, 2)]
+    assert counts == [(1, 1), (1, 1)]
 
 
 def test_constructors_leave_caller_arrays_writeable():

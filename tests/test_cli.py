@@ -493,7 +493,9 @@ def contract_files(tmp_path):
         "z4_module": qio.module_to_json(gen_regular_module(gen_pointed([4]))),
         "decomposable": qio.module_to_json(FusionModule(z2, ("a", "b", "c", "d"), twice)),
     }
-    paths = {"missing": str(tmp_path / "missing.json"), "out": str(tmp_path / "out.json")}
+    paths = {"missing": str(tmp_path / "missing.json"), "out": str(tmp_path / "out.json"),
+             "directory": str(tmp_path / "inputs")}
+    (tmp_path / "inputs").mkdir()
     for name, payload in payloads.items():
         paths[name] = str(tmp_path / f"{name}.json")
         with open(paths[name], "w") as fh:
@@ -503,6 +505,12 @@ def contract_files(tmp_path):
 
 @pytest.mark.parametrize("argv, code, message", [
     (["index", "compute", "--spec", "{missing}", "-o", "{out}"], 1, "cannot open {missing}"),
+    (["index", "compute", "--spec", "{directory}", "-o", "{out}"], 1,
+     "cannot open {directory}"),
+    (["fusion", "trace", "--ring", "{directory}", "--module", "regular", "-o", "{out}"], 1,
+     "cannot open {directory}"),
+    (["fusion", "trace", "--ring", "{ring}", "--module", "{directory}", "-o", "{out}"], 1,
+     "cannot open {directory}"),
     (["fusion", "generate", "pointed", "--factors", "2,x", "-o", "{out}"], 1,
      "cannot parse factors '2,x'"),
     (["classify", "-o", "{out}", "irrep", "--lie-type", "A1", "--weight", "1,x",
@@ -518,7 +526,7 @@ def contract_files(tmp_path):
     (["fusion", "jones", "--value", "-1"], 2, "d must be positive"),
     (["fusion", "descent", "--ring", "{ring}", "--module", "{decomposable}",
       "--subring", "0"], 3, "no module trace: decomposable"),
-], ids=["missing-spec", "bad-factors", "bad-weight", "module-ring-mismatch",
+], ids=["missing-spec", "directory-spec", "directory-ring", "directory-module", "bad-factors", "bad-weight", "module-ring-mismatch",
         "unknown-action-by", "weight-length", "subgroup-out-of-range", "negative-jones",
         "descent-without-trace"])
 def test_failures_print_only_the_error(tmp_path, capsys, argv, code, message):

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import logging
 import math
 import re
@@ -8,11 +11,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qindex import io as qio
 from qindex.algebra import (MultiMatrixAlgebra, StarHomomorphism, TraceWeights,
                             group_algebra_inclusion, identity_homomorphism)
+from qindex.cli import main
 from qindex.expectation import (ConditionalExpectation, QuasiBasis,
                                 _central_in_image, _closed_form_indices,
-                                _frame_map, _rebuild,
+                                _frame_map, _rebuild, _row_sums,
                                 canonical_expectation, compute_index_report,
                                 equivariantize, index_in_subalgebra,
                                 probabilistic_index_bounds,
@@ -31,7 +36,7 @@ from oracles import (ascent_probabilistic_bounds, choi_blocks,
                      embed_block_diagonal, four_axiom_failures, greedy_quasi_basis,
                      in_span, left_mult_matrix, matrix_unit, nested_densities,
                      normal_form_reference, orthonormal_columns, pinv_restriction,
-                     rebuild_reference, solve_average)
+                     rebuild_reference, solve_average, tau_projection)
 from test_acceptance import _monomial_actions
 
 
@@ -110,8 +115,9 @@ def test_validate_rejects_non_positive_density():
 
 def test_each_density_is_eigendecomposed_once(rng, monkeypatch):
     # validation, faithfulness, the quasi-basis, the closed-form indices and
-    # the log line all read one cached batched eigh per density size; the
-    # index element is tested without any eigendecomposition
+    # the log line all read one cached batched eigh per density size of an
+    # explicit map; the scalar densities of the canonical expectation need
+    # none, and the index element is tested without any eigendecomposition
     inclusion = inclusion_from_multiplicities((1, 2), np.array([[1, 0], [2, 1]]), rng)
     tau = TraceWeights(inclusion.target, (0.3, 0.7))
     inclusion.normal_form  # the inclusion's own eigh calls, cached before counting
@@ -127,9 +133,10 @@ def test_each_density_is_eigendecomposed_once(rng, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     canonical = canonical_expectation(inclusion, tau)
     compute_index_report(canonical)
+    assert calls == []
     # three densities, of sizes 1, 2 and 1
     sizes = sorted(h.shape[1] for _, h in canonical.densities)
-    assert sizes == [1, 2] and len(calls) == len(sizes)
+    assert sizes == [1, 2]
 
     calls.clear()
     explicit = ConditionalExpectation(inclusion, canonical.matrix)
@@ -569,6 +576,132 @@ def test_index_report_reads_the_density_spectra_only(rng, monkeypatch):
         # B = M_3 + M_4: sum_t m_t sum_p k_tp = 3 * 2 + 4 * 2
         assert report.quasi_basis_size == 14
         assert report.index_in_subalgebra is False
+
+
+def test_canonical_index_path_never_builds_the_matrix(rng, tmp_path, monkeypatch):
+    # the report of the canonical expectation, in the library and through
+    # index compute on a spec without a map, reads only K and w
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the canonical index path built the expectation matrix")
+
+    monkeypatch.setattr("qindex.expectation._rebuild", forbidden)
+    k = np.array([[1, 1], [2, 0], [0, 3]])
+    inclusion = inclusion_from_multiplicities((2, 1), k, rng)
+    w = np.array([0.3, 2.0, 1e-3])
+    report = compute_index_report(canonical_expectation(
+        inclusion, TraceWeights(inclusion.target, tuple(w))))
+    want = k @ (k.T @ w) / w
+    assert abs(report.scalar_index - want.max()) <= 1e-12 * want.max()
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"inclusion": qio.homomorphism_to_json(inclusion),
+                                "trace_weights": w.tolist()}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["index", "compute", "--spec", str(spec)]) == 0
+    assert json.loads(out.getvalue())["results"]["scalar_index"] == report.scalar_index
+
+
+def test_index_element_is_built_on_first_read(rng):
+    # the report holds the block values c_t; its index element is c_t 1,
+    # made when it is first read and then kept
+    k = np.array([[1, 1], [2, 0]])
+    inclusion = inclusion_from_multiplicities((2, 1), k, rng)
+    w = np.array([0.3, 2.0])
+    report = compute_index_report(canonical_expectation(
+        inclusion, TraceWeights(inclusion.target, tuple(w))))
+    assert "index_element" not in vars(report)
+    element = report.index_element
+    assert report.index_element is element
+    want = k @ (k.T @ w) / w
+    for block, c, value, m in zip(element.data, report.block_values, want,
+                                  inclusion.target.blocks):
+        assert np.array_equal(block, c * np.eye(m))
+        assert abs(c - value) <= 1e-12 * value
+    assert max(report.block_values) == report.scalar_index
+
+
+def test_expectation_is_given_by_its_matrix_or_its_scalar_densities():
+    expectation, _ = pinching_expectation(2)
+    for kwargs in ({}, {"matrix": expectation.matrix, "scalars": [0.5, 0.5]}):
+        with pytest.raises(ValueError, match="by its matrix or by its scalar densities"):
+            ConditionalExpectation(expectation.inclusion, **kwargs)
+
+
+def test_row_sums_add_as_np_sum_adds_a_slice():
+    # every row at its own length, from empty to 300 entries, as the
+    # reference closed forms sum their slices
+    rng = np.random.default_rng(5)
+    x = 10.0 ** rng.uniform(-4, 4, size=(400, 300))
+    lengths = rng.integers(0, 301, size=400)
+    lengths[:40] = np.arange(40)
+    got = _row_sums(x, lengths)
+    assert got.tolist() == [float(np.sum(row[:n])) for row, n in zip(x, lengths)]
+
+
+def _z2_action(inclusion: StarHomomorphism) -> list[StarHomomorphism]:
+    """{1, Ad phi(v)} for the self-adjoint unitary v = diag(1, -1, 1, ...) on
+    every block of A: a group of *-automorphisms of B that maps the image
+    of A onto itself."""
+    sub = inclusion.source
+    v = sub.element([np.diag((-1.0) ** np.arange(a)) for a in sub.blocks])
+    u = inclusion(v)
+    g = np.zeros((inclusion.target.total_dim,) * 2, dtype=complex)
+    ofs = 0
+    for block in u.data:
+        n = block.size
+        g[ofs:ofs + n, ofs:ofs + n] = np.kron(block, block.conj())
+        ofs += n
+    big = inclusion.target
+    return [identity_homomorphism(big), StarHomomorphism(big, big, g)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.data())
+def test_lazy_canonical_matrix_matches_the_dense_oracle(data):
+    # trace weights 10^U(-4, 4) and multiplicities up to 12: the matrix the
+    # canonical expectation builds on first read is the tau-orthogonal
+    # projection onto the image of A, and the calls that read it give what
+    # they give on that matrix passed explicitly
+    a_blocks = data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    nb = data.draw(st.integers(1, 2))
+    k = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 12), min_size=len(a_blocks), max_size=len(a_blocks)),
+        min_size=nb, max_size=nb)))
+    assume(k.sum(axis=1).all() and k.sum(axis=0).all())
+    assume(int(np.sum((k @ np.array(a_blocks)) ** 2)) <= 300)  # keeps the dense maps small
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    inclusion = inclusion_from_multiplicities(tuple(a_blocks), k, rng)
+    w = 10.0 ** rng.uniform(-4.0, 4.0, size=nb)
+    tau = TraceWeights(inclusion.target, tuple(map(float, w)))
+
+    lazy = canonical_expectation(inclusion, tau)
+    assert "matrix" not in vars(lazy)
+    want = tau_projection(inclusion, w)
+    assert np.abs(lazy.matrix - want).max() <= 1e-12 * np.abs(want).max()
+    assert lazy.matrix is lazy.matrix and not lazy.matrix.flags.writeable
+
+    explicit = ConditionalExpectation(inclusion, lazy.matrix)
+    action = _z2_action(inclusion)
+    assert np.array_equal(equivariantize(canonical_expectation(inclusion, tau), action).matrix,
+                          equivariantize(explicit, action).matrix)
+    whole = identity_homomorphism(inclusion.target)
+    got = restrict_to_intermediate(canonical_expectation(inclusion, tau), whole)
+    ref = restrict_to_intermediate(explicit, whole)
+    assert np.array_equal(got.matrix, ref.matrix)
+    assert np.array_equal(got.inclusion.matrix, ref.inclusion.matrix)
+    # the scalar densities and those read back off the matrix agree to
+    # rounding, and so do the bases built from them
+    got = quasi_basis_report(canonical_expectation(inclusion, tau), tau)
+    ref = quasi_basis_report(explicit, tau)
+    index = scalar_index(explicit)
+    assert got.basis is not None and ref.basis is not None
+    assert got.defect <= 1e-9 * max(1.0, index) and ref.defect <= 1e-9 * max(1.0, index)
+    assert abs(got.min_eigenvalue - ref.min_eigenvalue) <= 1e-12 * ref.max_eigenvalue
+    assert abs(got.max_eigenvalue - ref.max_eigenvalue) <= 1e-12 * ref.max_eigenvalue
+    assert len(got.basis) == len(ref.basis)
+    for u, v in zip(got.basis.elements, ref.basis.elements):
+        assert np.abs(u.to_vector() - v.to_vector()).max() <= 1e-9 * math.sqrt(index)
 
 
 def test_index_element_location_report():

@@ -8,12 +8,17 @@ Usage, from the root of a checkout:
 BASE_SRC and HEAD_SRC are the ``src`` directories of the two trees.  For
 every benchmark workload and seed, the commands of one benchmark pass are built
 with ``perfbench/inputs.build`` of this checkout, and ``-o FILE`` is
-appended to every command that accepts it and has none.  A fixed set of
-commands that the benchmark never runs comes last: ``fusion generate``
-of pointed and TLJ rings with and without ``-o``, and ``fusion trace``
-and ``fusion descent`` with module files, a decomposable one and one of
-another ring among them.  Each tree runs the commands of one workload and
-seed (or the fixed set) in its own interpreter, through
+appended to every command that accepts it and has none.  Two fixed sets
+of commands that the benchmark never runs come last.  The fusion set is
+``fusion generate`` of pointed and TLJ rings with and without ``-o``, and
+``fusion trace`` and ``fusion descent`` with module files, a
+decomposable one and one of another ring among them.  The index set is
+``index compute``, on the canonical expectation and on its explicit map,
+of the Jones towers T(4) to T(9) and of inclusions with multiplicities
+from 2 to 12 and A blocks of mixed sizes, where the sums of the
+closed-form indices run over rows of different lengths.  Each tree runs
+the commands of one workload and seed (or a fixed set) in its own
+interpreter, through
 ``qindex.cli.main(argv)``, in its own copy of the input directory, so
 the command lines are the same on both sides.
 
@@ -32,12 +37,15 @@ import contextlib
 import io
 import json
 import logging
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WALL_MS = re.compile(r'"wall_ms":-?[0-9.eE+-]+')
@@ -154,6 +162,64 @@ def fixed_fusion_set() -> list[dict]:
     return [{"argv": argv, "output": output} for argv, output in argvs]
 
 
+# -- the fixed index set -------------------------------------------------------------
+
+def jones_tower(n: int) -> tuple[list[int], np.ndarray, list[float]]:
+    """(A blocks, K, B trace weights) of the Jones tower T(n), n >= 4.
+
+    A and B are levels n-3 and n-2 of the Bratteli diagram of the graph
+    A_{n-1}, whose vertices are 0..n-2: the block sizes are the numbers
+    of paths from vertex 0, K is the adjacency between the two levels, and
+    the weight of B vertex j is d_j beta^{-(n-2)/2}, with
+    d_j = sin((j+1) pi/n) / sin(pi/n) and beta = 4 cos^2(pi/n), the index.
+    """
+    paths = [np.eye(n - 1, dtype=np.int64)[0]]
+    for _ in range(n - 2):
+        step = np.zeros(n - 1, dtype=np.int64)
+        step[1:] += paths[-1][:-1]
+        step[:-1] += paths[-1][1:]
+        paths.append(step)
+    a_vertices, b_vertices = np.flatnonzero(paths[n - 3]), np.flatnonzero(paths[n - 2])
+    k = (np.abs(b_vertices[:, None] - a_vertices[None, :]) == 1).astype(np.int64)
+    beta = 4.0 * math.cos(math.pi / n) ** 2
+    weights = [math.sin((j + 1) * math.pi / n) / math.sin(math.pi / n)
+               * beta ** (-(n - 2) / 2) for j in b_vertices]
+    return paths[n - 3][a_vertices].tolist(), k, weights
+
+
+#: (A blocks, K) of the inclusions with mixed multiplicities
+MIXED_INCLUSIONS = (((1,), [[12], [4], [5], [6], [7]]),
+                    ((1, 2), [[12, 1], [3, 2], [5, 3]]),
+                    ((2, 1, 3), [[2, 5, 1], [0, 7, 2], [4, 0, 0]]),
+                    ((1, 3), [[9, 1], [5, 2]]))
+
+
+def fixed_index_set() -> list[dict]:
+    """Write the specs of the fixed index set into the working directory
+    and return its jobs: T(n) with identity unitaries, the mixed
+    inclusions with Haar unitaries and trace weights 10^U(-4, 4)."""
+    import inputs
+
+    rng = np.random.default_rng(0)
+    specs = []
+    for n in range(4, 10):
+        a_blocks, k, weights = jones_tower(n)
+        specs.append((f"tower{n}", a_blocks, k, weights, None))
+    for i, (a_blocks, k) in enumerate(MIXED_INCLUSIONS):
+        k = np.array(k)
+        specs.append((f"mixed{i}", a_blocks, k,
+                      (10.0 ** rng.uniform(-4, 4, size=len(k))).tolist(), rng))
+    jobs = []
+    for name, a_blocks, k, weights, haar in specs:
+        for explicit in (False, True):
+            path = f"{name}{'_map' if explicit else ''}.json"
+            spec = inputs._index_spec(a_blocks, k, weights, haar, explicit)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(spec, fh)
+            jobs.append({"argv": ["index", "compute", "--spec", path], "output": True})
+    return jobs
+
+
 # -- comparison ---------------------------------------------------------------------
 
 def json_differences(base, head, rtol: float, path: str = ""):
@@ -231,7 +297,7 @@ def main() -> int:
 
     cases = [(f"{workload} seed {seed}", benchmark_pass(workload, seed))
              for workload in inputs.WORKLOADS for seed in args.seeds]
-    cases.append(("fixed fusion set", fixed_fusion_set))
+    cases += [("fixed fusion set", fixed_fusion_set), ("fixed index set", fixed_index_set)]
     total = failed = allowed_count = 0
     with tempfile.TemporaryDirectory(prefix="report_diff_") as tmp:
         for k, (name, build) in enumerate(cases):
