@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import io
 import json
 import logging
 import math
@@ -78,11 +77,13 @@ class CliFailure(Exception):
 
 
 def _load_json(path: str, inputs: list[tuple[str, bytes]]):
-    """The JSON document in the file at ``path``, decoded as a text-mode
-    ``open`` would decode it.  The file is read once: its bytes are
-    appended to ``inputs`` for ``_digest_files``.  A path that cannot be
-    opened or read (missing, a directory, not readable) is a CliFailure;
-    invalid UTF-8 raises UnicodeDecodeError, a ValueError."""
+    """The JSON document in the file at ``path``, decoded by ``qio.loads``
+    as ``json.loads`` decodes the text of a text-mode ``open``, with its
+    matrices of [re, im] pairs read from their bytes where it can.  The
+    file is read once: its bytes are appended to ``inputs`` for
+    ``_digest_files``.  A path that cannot be opened or read (missing, a
+    directory, not readable) and malformed JSON are a CliFailure; invalid
+    UTF-8 raises UnicodeDecodeError, a ValueError."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -90,7 +91,7 @@ def _load_json(path: str, inputs: list[tuple[str, bytes]]):
         raise CliFailure(EXIT_PARSE, f"cannot open {path}")
     inputs.append((path, raw))
     try:
-        return json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
+        return qio.loads(raw)
     except json.JSONDecodeError as err:
         raise CliFailure(EXIT_PARSE,
                          f"{path}: malformed JSON at line {err.lineno} "

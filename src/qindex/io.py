@@ -1,8 +1,10 @@
 """JSON codecs for the file formats documented in docs/formats.md.
 
-Complex scalars are [re, im] pairs; matrices are nested row lists.  All
-loaders raise SchemaError with a path-like location for malformed data,
-which the CLI maps to the validation exit code.
+Complex scalars are [re, im] pairs; matrices are nested row lists.
+``loads`` reads a document with each such matrix held as one float64
+ndarray of its pairs where it can.  All loaders raise SchemaError with a path-like
+location for malformed data, which the CLI maps to the validation exit
+code.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import logging
 import math
 import sys
 import time
+from io import BytesIO, TextIOWrapper
 from itertools import chain
 from typing import Any, Mapping, Sequence
 
@@ -23,7 +26,7 @@ from .expectation import ConditionalExpectation
 from .fusion import FusionModule, FusionRing
 
 __all__ = [
-    "SchemaError", "canonical_text", "canonical_object",
+    "SchemaError", "loads", "canonical_text", "canonical_object",
     "algebra_to_json", "algebra_from_json",
     "element_to_json", "element_from_json",
     "homomorphism_to_json", "homomorphism_from_json",
@@ -60,14 +63,33 @@ def _matrix_to_json(mat: np.ndarray, path: str = "matrix") -> list:
 
 
 def _matrix_from_json(data: Any, path: str) -> np.ndarray:
+    """The complex matrix held as a list of rows of [re, im] pairs, or as
+    the (rows, cols, 2) ndarray of its pairs that ``loads`` read for it."""
+    if isinstance(data, np.ndarray):
+        _expect(data.ndim == 3 and data.shape[2] == 2 and data.size
+                and data.dtype.kind in "iuf", path, "matrix is a nonempty list of rows")
+        pairs = data
+    else:
+        pairs = _pairs_from_lists(data, path)
+    pairs = pairs.astype(np.float64, copy=False)
+    if not np.isfinite(pairs).all():  # JSON NaN, Infinity or 1e400
+        i, j, _ = np.argwhere(~np.isfinite(pairs))[0]
+        raise SchemaError(f"{path}[{i}][{j}]", "number is not finite")
+    # [re, im] float64 pairs are the memory layout of complex128
+    return pairs.view(complex)[..., 0]
+
+
+def _pairs_from_lists(data: Any, path: str) -> np.ndarray:
     _expect(isinstance(data, list) and data, path, "matrix is a nonempty list of rows")
     try:
         pairs = np.array(data)
     except ValueError:  # rows or entries of unequal length
         pairs = None
     if (pairs is None or pairs.ndim != 3 or pairs.shape[2] != 2
-            or pairs.dtype.kind not in "biuf"
-            or not all(isinstance(row, list) for row in data)):
+            or pairs.dtype.kind not in "iuf"
+            or not all(isinstance(row, list) for row in data)
+            # numpy reads JSON true as 1
+            or bool in set(map(type, chain.from_iterable(chain.from_iterable(data))))):
         # name the first bad row or entry; if there is none, some int
         # does not fit int64
         for i, row in enumerate(data):
@@ -76,17 +98,17 @@ def _matrix_from_json(data: Any, path: str) -> np.ndarray:
             for j, pair in enumerate(row):
                 _expect(isinstance(pair, (list, tuple)) and len(pair) == 2,
                         f"{path}[{i}][{j}]", "complex entries are [re, im] pairs")
-                _expect(all(isinstance(x, (int, float)) for x in pair), f"{path}[{i}][{j}]",
+                _expect(all(map(_is_number, pair)), f"{path}[{i}][{j}]",
                         "complex entries are [re, im] pairs of numbers")
                 _expect(all(map(_fits_float, pair)), f"{path}[{i}][{j}]",
                         "number is too large for a float")
         pairs = np.array(data, dtype=np.float64)
-    pairs = pairs.astype(np.float64)
-    if not np.isfinite(pairs).all():  # JSON NaN, Infinity or 1e400
-        i, j, _ = np.argwhere(~np.isfinite(pairs))[0]
-        raise SchemaError(f"{path}[{i}][{j}]", "number is not finite")
-    # [re, im] float64 pairs are the memory layout of complex128
-    return pairs.view(complex)[..., 0]
+    return pairs
+
+
+def _is_number(x, kinds=(int, float)) -> bool:
+    """An instance of ``kinds`` other than a bool: JSON true is not 1."""
+    return isinstance(x, kinds) and not isinstance(x, bool)
 
 
 def _fits_float(x: int | float) -> bool:
@@ -95,6 +117,118 @@ def _fits_float(x: int | float) -> bool:
     except OverflowError:  # an int of 309 digits or more
         return False
     return True
+
+
+# -- documents ---------------------------------------------------------------
+
+#: JSON whitespace but the carriage return, which the text path never
+#: sees, and maps of each byte of a JSON number to 0 and of brackets to spaces
+_SPACE = b" \t\n"
+_NUMBERS_AS_ZERO = bytes.maketrans(b"123456789.eE+-", b"0" * 14)
+_BRACKETS_AS_SPACES = bytes.maketrans(b"[]", b"  ")
+
+
+def loads(raw: bytes) -> Any:
+    """The JSON document in the bytes ``raw``, as ``json.loads`` returns the
+    text a text-mode ``open`` reads from them (UTF-8, newlines translated),
+    except that an array of rows of [re, im] number pairs that is the
+    value of an object key may be read straight from its bytes, as the
+    (rows, cols, 2) float64 ndarray of its pairs.  Arrays are read so only
+    from a document whose text is its bytes: ASCII, with no escape and no
+    carriage return.  Malformed JSON raises the ``json.JSONDecodeError`` of
+    ``json.loads``, invalid UTF-8 a ``UnicodeDecodeError``."""
+    if b"[[[" in raw and raw.isascii() and b"\\" not in raw and b"\r" not in raw:
+        count, spliced = _splice_arrays(raw)
+        if count:
+            try:
+                data = json.loads(spliced.decode())
+                # a placeholder in a list is not swapped, so the counts differ
+                if type(data) is dict and _swap_placeholders(data) == count:
+                    return data
+            except (json.JSONDecodeError, OverflowError):  # or an int past 1e308
+                pass  # decoded again below, so an error names its place in raw
+    return json.loads(TextIOWrapper(BytesIO(raw), encoding="utf-8").read())
+
+
+def _splice_arrays(raw: bytes) -> tuple[int, bytes]:
+    """The number of arrays of pairs in ``raw`` whose layout
+    ``_pairs_layout`` accepts, and ``raw`` with each replaced by the
+    placeholder {"\\u0000": [rows, cols, [numbers]]}, the numbers being
+    its text with each bracket read as a space.
+
+    ``raw`` has no backslash, so a string ends at the next quote, and a
+    "[[[" outside a string follows an even number of quotes.  The array
+    that starts there ends, if it is one, at the last "]" before the next
+    quote or "}", since neither can sit in an array of numbers.  The
+    placeholder is a JSON value exactly when the array is one, since
+    ``json``'s grammar then rejects a malformed number, such as 01, +1,
+    .5 or 1., and a slot between two commas that holds no number or two.
+    So the spliced text is valid JSON exactly when ``raw`` is; a string
+    would be valid as a key too.  A string in ``raw`` holds no NUL, so only
+    a placeholder has the key "\\u0000"."""
+    count, parts = 0, []
+    done = counted = quotes = 0
+    start = raw.find(b"[[[")
+    while start >= 0:
+        quotes += raw.count(b'"', counted, start)
+        counted = after = start + 3
+        if quotes % 2 == 0:
+            # find returns -1 for a byte not found: read it as the end
+            stop = min(raw.find(b'"', start) % (len(raw) + 1),
+                       raw.find(b"}", start) % (len(raw) + 1))
+            end = raw.rfind(b"]", start, stop) + 1
+            text = raw[start:end]
+            shape = _pairs_layout(text) if end > start else None
+            if shape is not None:
+                parts += [raw[done:start], b'{"\\u0000":[%d,%d,[' % shape,
+                          text.translate(_BRACKETS_AS_SPACES), b"]]}"]
+                count += 1
+                done = end
+            after = counted = max(end, after)
+        start = raw.find(b"[[[", after)
+    parts.append(raw[done:])
+    return count, b"".join(parts)
+
+
+def _pairs_layout(text: bytes) -> tuple[int, int] | None:
+    """(rows, cols) when, without spaces and numbers, ``text`` is the
+    brackets and commas of an array of rows of [re, im] pairs, and each
+    number sits in its pair; None otherwise.
+
+    Without spaces, and with each number byte written as 0, the comma of
+    each of the rows * cols pairs then reads "0,0".  ``json`` checks that
+    each slot between two commas holds one number (see ``_splice_arrays``).
+    A number outside its pair then leaves a pair slot empty, and a comma
+    between pairs reads "0,0" only when the pairs on both sides have one.
+    Along the pairs in order that is at most one comma fewer than such
+    pairs, so fewer commas read "0,0"."""
+    layout = text.translate(_NUMBERS_AS_ZERO, _SPACE)
+    skeleton = layout.translate(None, b"0")
+    cols = skeleton.find(b"]]") // 4
+    rows = len(skeleton) // (4 * cols + 2)
+    row = b"[%b]" % b",".join([b"[,]"] * cols)
+    if skeleton != b"[%b]" % b",".join([row] * rows) or layout.count(b"0,0") != rows * cols:
+        return None
+    return rows, cols
+
+
+def _swap_placeholders(data: dict) -> int:
+    """Replace each placeholder of ``_splice_arrays`` that is the value of
+    a key of ``data``, or of an object nested in it through objects, by
+    the float64 array of its pairs; return how many there were.  An int
+    past the float range raises OverflowError."""
+    swapped = 0
+    for key, value in data.items():
+        if type(value) is dict:
+            if "\0" in value:
+                rows, cols, numbers = value["\0"]
+                # float() of each int, as numpy converts one in a float array
+                pairs = np.fromiter(numbers, np.float64, len(numbers))
+                data[key] = pairs.reshape(rows, cols, 2)  # a new value, not a new key
+                swapped += 1
+            else:
+                swapped += _swap_placeholders(value)
+    return swapped
 
 
 # -- algebras and elements ---------------------------------------------------
@@ -108,7 +242,8 @@ def algebra_from_json(data: Any, path: str = "algebra") -> MultiMatrixAlgebra:
     blocks = data.get("blocks")
     _expect(isinstance(blocks, list) and blocks, f"{path}.blocks",
             "blocks is a nonempty list of positive integers")
-    _expect(all(isinstance(b, int) and b >= 1 for b in blocks), f"{path}.blocks",
+    _expect(all(_is_number(b, int) and b >= 1 for b in blocks),
+            f"{path}.blocks",
             "blocks is a nonempty list of positive integers")
     return MultiMatrixAlgebra(tuple(blocks))
 
@@ -163,6 +298,21 @@ def expectation_spec_from_json(data: Any, path: str = "expectation"
     trace-preserving expectation; when "trace_weights" is omitted the
     normalized trace is used.
     """
+    start = time.perf_counter()
+    inclusion, mat, _ = spec = _expectation_spec_from_json(data, path)
+    if log.isEnabledFor(logging.INFO):
+        held = [data["inclusion"]["matrix"]] + ([data["map"]] if mat is not None else [])
+        from_text = sum(isinstance(m, np.ndarray) for m in held)
+        log.info("expectation_spec_from_json: D %d, dim A %d, %s, "
+                 "matrices %d from text, %d through json, %.3f s",
+                 inclusion.target.total_dim, inclusion.source.total_dim,
+                 "explicit map" if mat is not None else "no map", from_text,
+                 len(held) - from_text, time.perf_counter() - start)
+    return spec
+
+
+def _expectation_spec_from_json(data: Any, path: str
+                                ) -> tuple[StarHomomorphism, np.ndarray | None, TraceWeights]:
     _expect(isinstance(data, Mapping), path, "expectation is an object")
     inclusion = homomorphism_from_json(data.get("inclusion"), f"{path}.inclusion")
     big = inclusion.target
@@ -177,8 +327,7 @@ def expectation_spec_from_json(data: Any, path: str = "expectation"
     else:
         _expect(isinstance(weights, list) and len(weights) == len(big.blocks),
                 f"{path}.trace_weights", "one positive weight per target block")
-        _expect(all(isinstance(w, (int, float)) and 0 < w <= sys.float_info.max
-                    for w in weights),
+        _expect(all(_is_number(w) and 0 < w <= sys.float_info.max for w in weights),
                 f"{path}.trace_weights", "one finite positive weight per target block")
         tau = TraceWeights(big, tuple(float(w) for w in weights))
     return inclusion, mat, tau
@@ -286,7 +435,7 @@ def _sparse_entries(entries: Mapping, first: dict, second: dict, third: dict):
         vs.append(second[parts[1]])
         counts.append(len(row))
     rows, total = entries.values(), sum(counts)
-    if not set(map(type, chain.from_iterable(row.values() for row in rows))) <= {int, bool}:
+    if not set(map(type, chain.from_iterable(row.values() for row in rows))) <= {int}:
         return None
     try:  # an unknown w maps to None: TypeError; a mult past int64: OverflowError
         ws = np.fromiter(map(third.get, chain.from_iterable(rows)), np.intp, total)
@@ -311,7 +460,7 @@ def _sparse_walk(tensor: np.ndarray, entries: Mapping, path: str, first: dict,
         _expect(isinstance(row, Mapping), f"{path}[{key!r}]", "value is an object")
         for w, mult in row.items():
             _expect(w in third, f"{path}[{key!r}][{w!r}]", target)
-            _expect(isinstance(mult, int) and mult >= 0,
+            _expect(_is_number(mult, int) and mult >= 0,
                     f"{path}[{key!r}][{w!r}]", "multiplicities are nonnegative ints")
             _expect(mult < 2 ** 63, f"{path}[{key!r}][{w!r}]",
                     "multiplicities are nonnegative ints below 2^63")

@@ -681,7 +681,7 @@ def sparse_from_json_reference(data, name, path, labels, keys, target) -> np.nda
             where = f"{path}[{key!r}][{w!r}]"
             if w not in third:
                 raise SchemaError(where, target)
-            if not (isinstance(mult, int) and mult >= 0):
+            if not (isinstance(mult, int) and not isinstance(mult, bool) and mult >= 0):
                 raise SchemaError(where, "multiplicities are nonnegative ints")
             if mult >= 2 ** 63:
                 raise SchemaError(where, "multiplicities are nonnegative ints below 2^63")

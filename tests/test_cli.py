@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import logging
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,9 @@ from qindex import io as qio
 from qindex.cli import _canonical_with, main
 from qindex.fusion import FusionModule, validate_fusion
 from qindex.generators import gen_pointed, gen_regular_module, gen_tlj
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from report_diff import WALL_MS, spec_corpus  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -67,7 +72,8 @@ def test_each_call_logs_to_its_own_stderr_at_its_own_level(tmp_path, capsys, mon
         return [line.split(":")[2] for line in err.getvalue().splitlines()]
 
     first, second = stage_lines("info"), stage_lines("info")
-    assert first == second == ["normal form", "closed-form indices"]
+    assert first == second == ["expectation_spec_from_json", "normal form",
+                               "closed-form indices"]
     assert stage_lines("warning") == []
     capsys.readouterr()
 
@@ -217,6 +223,69 @@ def test_unreadable_text_fails_as_text_mode_reading_does(tmp_path, capsys):
             want = (f"error: {path}: malformed JSON at line {err.lineno} "
                     f"column {err.colno}: {err.msg}\n")
         assert run(capsys, "index", "compute", "--spec", str(path)) == (code, "", want)
+
+
+@pytest.mark.parametrize("name", list(spec_corpus()))
+def test_spec_corpus_reads_as_json_reads_it(tmp_path, capsys, monkeypatch, name):
+    # each spec, malformed or not, gives the outputs it gives when every
+    # matrix is decoded by json and checked as lists
+    monkeypatch.delenv("QINDEX_LOG", raising=False)
+    path = tmp_path / "spec.json"
+    path.write_bytes(spec_corpus()[name])
+
+    def outputs():
+        code, out, err = run(capsys, "index", "compute", "--spec", str(path))
+        return code, WALL_MS.sub('"wall_ms":0', out), err
+
+    fast = outputs()
+    monkeypatch.setattr(qio, "loads", lambda raw: json.loads(
+        io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()))
+    assert outputs() == fast
+
+
+def test_spec_corpus_takes_the_text_path_on_valid_specs():
+    corpus = spec_corpus()
+    for name in ("valid", "map-exponents", "map-2^53+1", "map-spaces", "compact",
+                 "tabs-and-newlines", "array-in-string", "map-all-ints", "map-1e400"):
+        assert isinstance(qio.loads(corpus[name])["map"], np.ndarray), name
+    for name in ("map-true", "map-nan", "map-int-400-digits",
+                 "escaped-key", "crlf", "non-ascii-key"):
+        assert not isinstance(qio.loads(corpus[name]).get("map"), np.ndarray), name
+
+
+@pytest.mark.parametrize("where, message", [
+    (("inclusion", "matrix", 3, 1, 0), "expectation.inclusion.matrix[3][1]: "
+     "complex entries are [re, im] pairs of numbers"),
+    (("map", 0, 0, 0), "expectation.map[0][0]: complex entries are [re, im] pairs of numbers"),
+    (("trace_weights", 0), "expectation.trace_weights: one finite positive weight per "
+     "target block"),
+    (("inclusion", "source", "blocks", 1), "expectation.inclusion.source.blocks: "
+     "blocks is a nonempty list of positive integers"),
+])
+def test_index_compute_rejects_json_true(tmp_path, capsys, where, message):
+    # true was read as 1, and this spec reported index 2
+    spec = json.loads(open(pinching_spec(tmp_path)).read())
+    spec["map"] = [[[float(i == j and i in (0, 3)), 0] for j in range(4)] for i in range(4)]
+    spec["trace_weights"] = [1]
+    *keys, last = where
+    target = spec
+    for key in keys:
+        target = target[key]
+    assert target[last] == 1
+    target[last] = True
+    path = tmp_path / "true.json"
+    path.write_text(json.dumps(spec))
+    assert run(capsys, "index", "compute", "--spec", str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_fusion_trace_rejects_json_true_multiplicity(tmp_path, capsys):
+    ring_path = tmp_path / "tlj4.json"
+    run(capsys, "fusion", "generate", "tlj", "--n", "4", "-o", str(ring_path))
+    ring_path.write_text(ring_path.read_text().replace('"1,1":{"0":1', '"1,1":{"0":true'))
+    code, out, err = run(capsys, "fusion", "trace", "--ring", str(ring_path),
+                         "--module", "regular")
+    assert (code, out, err) == (2, "", "error: fusion_ring.N['1,1']['0']: "
+                                "multiplicities are nonnegative ints\n")
 
 
 def test_index_compute_rejects_non_multiplicative_inclusion(tmp_path, capsys):

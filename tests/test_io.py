@@ -1,4 +1,6 @@
 import copy
+import io
+import json
 import logging
 import re
 
@@ -196,6 +198,9 @@ def test_schema_errors_carry_paths():
     ([[[0, 0], [float("nan"), 0]]], "m[0][1]: number is not finite"),
     ([[[0, 0]], [[0, float("-inf")]]], "m[1][0]: number is not finite"),
     ([[[2 ** 70, 0]], [[0, float("inf")]]], "m[1][0]: number is not finite"),
+    # JSON true and false are not numbers, alone or among numbers
+    ([[[True, False]]], "m[0][0]: complex entries are [re, im] pairs of numbers"),
+    ([[[0, 0.5], [1, True]]], "m[0][1]: complex entries are [re, im] pairs of numbers"),
 ])
 def test_matrix_schema_errors_name_the_first_bad_entry(data, message):
     with pytest.raises(qio.SchemaError) as err:
@@ -204,7 +209,7 @@ def test_matrix_schema_errors_name_the_first_bad_entry(data, message):
 
 
 def test_matrix_codec_keeps_every_float():
-    data = [[[0, 1e308], [-0.0, 1.5]], [[True, False], [2 ** 70, -5e-324]]]
+    data = [[[0, 1e308], [-0.0, 1.5]], [[1, 0], [2 ** 70, -5e-324]]]
     mat = qio._matrix_from_json(data, "m")
     want = np.array([[complex(0, 1e308), complex(-0.0, 1.5)],
                      [complex(1, 0), complex(2 ** 70, -5e-324)]])
@@ -249,12 +254,114 @@ def c_in_c2_spec(weights):
             "trace_weights": weights}
 
 
-@pytest.mark.parametrize("weights", [[float("inf"), 1], [1, float("nan")], [10 ** 400, 1]])
+@pytest.mark.parametrize("weights", [[float("inf"), 1], [1, float("nan")], [10 ** 400, 1],
+                                     [True, 1]])
 def test_trace_weights_must_be_finite(weights):
     with pytest.raises(qio.SchemaError) as err:
         qio.expectation_spec_from_json(c_in_c2_spec(weights))
     assert str(err.value) == ("expectation.trace_weights: "
                               "one finite positive weight per target block")
+
+
+def test_block_sizes_must_not_be_booleans():
+    with pytest.raises(qio.SchemaError) as err:
+        qio.algebra_from_json({"blocks": [2, True]})
+    assert str(err.value) == "algebra.blocks: blocks is a nonempty list of positive integers"
+
+
+def test_multiplicities_must_not_be_booleans():
+    payload = qio.ring_to_json(gen_tlj(4)[0])
+    payload["N"]["1,1"]["2"] = True
+    with pytest.raises(qio.SchemaError) as err:
+        qio.ring_from_json(payload)
+    assert str(err.value) == "fusion_ring.N['1,1']['2']: multiplicities are nonnegative ints"
+
+    payload = qio.module_to_json(gen_regular_module(gen_pointed([2])))
+    payload["n"]["1,0"]["1"] = True
+    with pytest.raises(qio.SchemaError) as err:
+        qio.module_from_json(payload)
+    assert str(err.value) == "fusion_module.n['1,0']['1']: multiplicities are nonnegative ints"
+
+
+def json_text_loads(raw: bytes):
+    """The reference of ``qio.loads``: ``json`` on the text of a text-mode
+    ``open``."""
+    return json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
+
+
+def number_texts():
+    """JSON spellings of ints and floats: signed exponents in e and E,
+    17 significant digits, -0.0, and ints past 2^53 and int64."""
+    ints = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-2 ** 70, 2 ** 70),
+                     st.sampled_from([2 ** 53 + 1, -(2 ** 53 + 1), 2 ** 63, 2 ** 64 + 1])).map(str)
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    spelled = st.tuples(floats, st.sampled_from(["{!r}", "{:.17g}", "{:.16e}", "{:.3E}"])).map(
+        lambda pair: pair[1].format(pair[0]))
+    return st.one_of(ints, spelled, st.sampled_from(["-0.0", "-0", "0E+0", "1e-0", "2.5E-3"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_loads_reads_pair_arrays_as_json_and_numpy_do(data):
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    space = st.sampled_from(["", "", " ", "\n", "\t", " \n  "])
+
+    def spaced(text, lead=True):
+        return (data.draw(space) if lead else "") + text + data.draw(space)
+
+    def pair(lead):
+        return spaced("[" + spaced(data.draw(number_texts())) + ","
+                      + spaced(data.draw(number_texts())) + "]", lead)
+
+    # the text path starts at the first "[[[", so those brackets touch
+    array = "[" + ",".join(spaced("[" + ",".join(pair(i or j) for j in range(cols)) + "]", i)
+                           for i in range(rows)) + "]"
+    raw = ('{"m": %s, "rest": {"n": [[1, 2]], "s": "[[[1, 2]]]"}, "last": %s}'
+           % (array, array)).encode()
+    got, want = qio.loads(raw), json_text_loads(raw)
+    for key in ("m", "last"):
+        pairs = got.pop(key)
+        assert isinstance(pairs, np.ndarray) and pairs.shape == (rows, cols, 2)
+        assert (pairs.view(np.uint64)
+                == np.array(want.pop(key)).astype(np.float64).view(np.uint64)).all()
+    assert got == want
+
+
+def test_loads_reads_arrays_only_where_they_are_values_of_keys():
+    array = "[[[1, 0.5]]]"
+    for text in ['{"a": %s, "b": [%s, {"c": %s}]}', '{"a": [{"c": %s}, %s, %s]}',
+                 '%s', '{"a": %s, "a": %s, "b": "%s"}']:
+        raw = text.replace("%s", array).encode()
+        got = qio.loads(raw)
+        assert canonical_with_arrays(got) == qio.canonical_text(json_text_loads(raw))
+    assert isinstance(qio.loads(b'{"a": [[[1, 0.5]]]}')["a"], np.ndarray)
+
+
+def canonical_with_arrays(value):
+    if isinstance(value, dict):
+        return qio.canonical_object({k: canonical_with_arrays(v) for k, v in value.items()})
+    if isinstance(value, np.ndarray):
+        return qio.canonical_text(value.tolist())
+    if isinstance(value, list):
+        return "[" + ",".join(map(canonical_with_arrays, value)) + "]"
+    return qio.canonical_text(value)
+
+
+def test_expectation_spec_decoder_logs_sizes_and_sources(caplog):
+    spec = qio.expectation_to_json(canonical_expectation(
+        diagonal_inclusion(2), TraceWeights(MultiMatrixAlgebra((2,)), (0.5,))))
+    with caplog.at_level(logging.INFO, logger="qindex.io"):
+        qio.expectation_spec_from_json(qio.loads(json.dumps(spec).encode()))
+        del spec["map"]
+        qio.expectation_spec_from_json(spec)
+    messages = [rec.getMessage() for rec in caplog.records if rec.name == "qindex.io"]
+    patterns = [r"expectation_spec_from_json: D 4, dim A 2, explicit map, "
+                r"matrices 2 from text, 0 through json, \d+\.\d{3} s",
+                r"expectation_spec_from_json: D 4, dim A 2, no map, "
+                r"matrices 0 from text, 1 through json, \d+\.\d{3} s"]
+    assert len(messages) == len(patterns)
+    for message, pattern in zip(messages, patterns):
+        assert re.fullmatch(pattern, message), message
 
 
 def test_module_labels_must_not_contain_commas():

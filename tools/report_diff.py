@@ -8,15 +8,19 @@ Usage, from the root of a checkout:
 BASE_SRC and HEAD_SRC are the ``src`` directories of the two trees.  For
 every benchmark workload and seed, the commands of one benchmark pass are built
 with ``perfbench/inputs.build`` of this checkout, and ``-o FILE`` is
-appended to every command that accepts it and has none.  Two fixed sets
-of commands that the benchmark never runs come last.  The fusion set is
+appended to every command that accepts it and has none.  Three fixed
+sets of commands that the benchmark never runs come last.  The fusion set is
 ``fusion generate`` of pointed and TLJ rings with and without ``-o``, and
 ``fusion trace`` and ``fusion descent`` with module files, a
 decomposable one and one of another ring among them.  The index set is
 ``index compute``, on the canonical expectation and on its explicit map,
 of the Jones towers T(4) to T(9) and of inclusions with multiplicities
 from 2 to 12 and A blocks of mixed sizes, where the sums of the
-closed-form indices run over rows of different lengths.  Each tree runs
+closed-form indices run over rows of different lengths.  The spec set is
+``index compute`` on every file of ``spec_corpus``: malformed and edge
+specs that reach each way ``qindex.io.loads`` leaves its text path for
+``json`` (see there), with the valid spellings next to them, so both
+trees' exit codes and error messages on them are compared.  Each tree runs
 the commands of one workload and seed (or a fixed set) in its own
 interpreter, through
 ``qindex.cli.main(argv)``, in its own copy of the input directory, so
@@ -220,6 +224,110 @@ def fixed_index_set() -> list[dict]:
     return jobs
 
 
+# -- the fixed spec corpus ----------------------------------------------------------
+
+#: rows of [re, im] pairs of the diagonal subalgebra of M_2 and of its
+#: trace-preserving expectation, as ``json.dump`` writes them
+_INCLUSION = ("[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], "
+              "[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]")
+_ZERO_ROW = "[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]"
+_MAP = (f"[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], {_ZERO_ROW}, {_ZERO_ROW}, "
+        "[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]")
+
+#: replacements of the first map entry [1.0, 0.0]: each malformed, past
+#: the float range, or a valid spelling of a number
+_ENTRIES = {
+    "one-number": "[1.0]", "three-numbers": "[1.0, 0.0, 0.0]", "true": "[true, 0.0]",
+    "false": "[1.0, false]", "null": "[null, 0.0]", "string": '["1", 0.0]',
+    "nan": "[NaN, 0.0]", "infinity": "[Infinity, 0.0]", "minus-infinity": "[1.0, -Infinity]",
+    "1e400": "[1e400, 0.0]", "int-400-digits": "[1" + "0" * 400 + ", 0.0]",
+    "ints-400-digits": "[-1" + "0" * 400 + ", 0]", "int-30-digits": "[1" + "0" * 30 + ", 0]",
+    "leading-zero": "[01, 0.0]", "plus": "[+1, 0.0]", "bare-fraction": "[.5, 0.0]",
+    "bare-point": "[1., 0.0]", "two-numbers-one-slot": "[1 2, 0.0]", "bare-exponent": "[1e, 0.0]",
+    "bare-minus": "[-, 0.0]", "empty-second": "[1.0, ]", "empty-first": "[, 0.0]",
+    "trailing-comma": "[1.0, 0.0,]", "number-outside-pair": "[1.0,]0.0",
+    "number-before-pair": "1.0[, 0.0]", "nested-pair": "[[1.0, 0.0]]", "unclosed-pair": "[1.0, 0.0",
+    "extra-bracket": "[1.0, 0.0]]", "no-brackets": "1.0, 0.0", "object": '{"re": 1.0}',
+    "exponents": "[1E0, -0E+0]", "ints": "[1, -0]", "2^53+1": "[9007199254740993, 0]",
+    "2^64": "[18446744073709551616, 0]", "17-digits": "[1.0000000000000002, 5e-324]",
+    "spaces": "[ 1.0 ,\t0.0\n]",
+}
+
+
+def _spec(matrix: str = _INCLUSION, spec_map: str | None = _MAP, blocks: str = "[1, 1]",
+          weights: str = "[0.5]", extra: str = "") -> str:
+    text = ('{"inclusion": {"source": {"blocks": %s}, "target": {"blocks": [2]}, '
+            '"matrix": %s}' % (blocks, matrix))
+    if spec_map is not None:
+        text += ', "map": ' + spec_map
+    return text + ', "trace_weights": ' + weights + extra + "}"
+
+
+def spec_corpus() -> dict[str, bytes]:
+    """Expectation spec files, by name, that reach every way ``qio.loads``
+    leaves its text path, and the valid spellings next to them: malformed
+    numbers, pairs and rows, JSON true and non-finite numbers, arrays that
+    are not values of a key, strings that hold brackets, escapes, CRLF, a
+    byte order mark and non-ASCII bytes."""
+    base = _spec()
+    texts = {"valid": base, "valid-no-map": _spec(spec_map=None),
+             "canonical-map-last": _spec(spec_map=None, extra=', "map": ' + _MAP)}
+    for name, entry in _ENTRIES.items():
+        texts[f"map-{name}"] = _spec(spec_map=_MAP.replace("[1.0, 0.0]", entry, 1))
+        texts[f"matrix-{name}"] = _spec(matrix=_INCLUSION.replace("[1.0, 0.0]", entry, 1))
+    short_row = "[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]"
+    texts.update({
+        "map-ragged": _spec(spec_map=_MAP.replace(_ZERO_ROW, short_row, 1)),
+        "map-empty-row": _spec(spec_map=_MAP.replace(_ZERO_ROW, "[]", 1)),
+        "map-empty-slot": _spec(spec_map=_MAP.replace(_ZERO_ROW + ", ", _ZERO_ROW + ", , ", 1)),
+        "map-trailing-comma": _spec(spec_map=_MAP[:-1] + ",]"),
+        "map-4-deep": _spec(spec_map="[" + _MAP + "]"),
+        "map-empty": _spec(spec_map="[[[]]]"),
+        "map-3x4": _spec(spec_map=_MAP.replace(_ZERO_ROW + ", ", "", 1)),
+        "map-all-ints": _spec(spec_map=_MAP.replace(".0", "")),
+        "map-negative-zeros": _spec(spec_map=_MAP.replace("0.0", "-0.0")),
+        "blocks-true": _spec(blocks="[1, true]"),
+        "weights-true": _spec(weights="[true]"),
+        "weights-1e400": _spec(weights="[1e400]"),
+        "array-key": "{[[[1, 2]]]: 1}",
+        "array-key-after-value": _spec(extra=", [[[1, 0]]]: 2"),
+        "top-level-array": "[[[1, 0]]]",
+        "array-in-list": _spec(extra=', "extra": [[[[1, 0]]], {"a": [[[1, 0]]]}]'),
+        "array-in-object-in-list": _spec(extra=', "extra": [{"m": [[[1, 0]]]}]'),
+        "duplicate-map": _spec(extra=', "map": ' + _MAP),
+        "array-in-string": _spec(extra=', "note": "[[[1, 2]]]", "n2": "x[[[1, 2]]]y"'),
+        "escaped-quote": _spec(extra=', "note": "a\\"[[[1, 2]]]"'),
+        "escaped-key": base.replace('"map"', '"m\\u0061p"'),
+        "nul-key": _spec(extra=', "\\u0000": 0'),
+        "unterminated-string": base.replace('"trace_weights"', '"trace_weights'),
+        "truncated": base[:len(base) // 2],
+        "missing-comma": base.replace(', "map"', ' "map"'),
+        "crlf": base.replace(", ", ",\r\n"),
+        "cr": base.replace(", ", ",\r"),
+        "tabs-and-newlines": base.replace(", ", ",\n\t").replace("]", " \n]"),
+        "compact": base.replace(", ", ",").replace(": ", ":"),
+        "non-ascii-key": _spec(extra=', "é": 1'),
+        "empty": "", "null": "null", "empty-object": "{}", "empty-list": "[]",
+    })
+    out = {name: text.encode() for name, text in texts.items()}
+    out["bom"] = b"\xef\xbb\xbf" + base.encode()
+    out["invalid-utf8"] = base.encode() + b"\xff"
+    out["invalid-utf8-key"] = _spec(extra=', "é": 1').encode().replace(b"\xc3", b"\xff")
+    return out
+
+
+def fixed_spec_set() -> list[dict]:
+    """Write the spec corpus into the working directory and return its
+    ``index compute`` jobs."""
+    jobs = []
+    for name, raw in spec_corpus().items():
+        path = f"corpus-{name}.json"
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        jobs.append({"argv": ["index", "compute", "--spec", path], "output": True})
+    return jobs
+
+
 # -- comparison ---------------------------------------------------------------------
 
 def json_differences(base, head, rtol: float, path: str = ""):
@@ -297,7 +405,8 @@ def main() -> int:
 
     cases = [(f"{workload} seed {seed}", benchmark_pass(workload, seed))
              for workload in inputs.WORKLOADS for seed in args.seeds]
-    cases += [("fixed fusion set", fixed_fusion_set), ("fixed index set", fixed_index_set)]
+    cases += [("fixed fusion set", fixed_fusion_set), ("fixed index set", fixed_index_set),
+              ("fixed spec set", fixed_spec_set)]
     total = failed = allowed_count = 0
     with tempfile.TemporaryDirectory(prefix="report_diff_") as tmp:
         for k, (name, build) in enumerate(cases):
