@@ -177,11 +177,17 @@ class ConditionalExpectation:
 
     @cached_property
     def _eigenvalue_range(self) -> tuple[float, float, float]:
-        """(smallest, largest) density eigenvalue and the threshold RANK_RTOL
-        times the largest: E is faithful iff every eigenvalue exceeds it."""
+        """(smallest, largest) density eigenvalue and the threshold that E
+        is faithful iff every eigenvalue exceeds.  Scalar densities, those
+        of the canonical expectation w_t / (K^T w)_p, are exact: faithful
+        iff positive, so their threshold is 0 and only a density that
+        underflows to 0 fails it.  A density read off an explicit map
+        carries its rounding, and its threshold is RANK_RTOL times the
+        largest."""
         vals = self._eigenvalues
         hi = float(vals.max())
-        return float(vals.min()), hi, RANK_RTOL * max(hi, 0.0)
+        threshold = 0.0 if self._scalars is not None else RANK_RTOL * max(hi, 0.0)
+        return float(vals.min()), hi, threshold
 
 
 def _rebuild(inclusion: StarHomomorphism,
@@ -495,7 +501,8 @@ def _closed_form_indices(expectation: ConditionalExpectation
     if not lo > threshold:
         return math.inf, (math.inf,) * n_blocks
     pairs = expectation.inclusion.normal_form.pairs
-    inv = 1.0 / expectation._eigenvalues
+    with np.errstate(over="ignore"):  # past the float range: an infinite index
+        inv = 1.0 / expectation._eigenvalues
     cols = np.arange(inv.shape[1])
     top_len = np.minimum(pairs.a, pairs.k)
     top = _row_sums(inv, top_len)
@@ -652,8 +659,13 @@ def _central_in_image(form: InclusionNormalForm, c: np.ndarray, tol: float) -> b
     """
     pairs = form.pairs
     weight = pairs.a * pairs.k
+    # c scaled by a power of two near 1/max c, so that no square overflows
+    # for an index up to the float range; while no value leaves the normal
+    # range, the test gives what it gives on c itself, bit for bit
+    exponent = math.frexp(float(c.max()))[1]
+    c = np.ldexp(c, -exponent)
     ct = c[pairs.t]
     z = np.bincount(pairs.p, weight * ct) / np.bincount(pairs.p, weight)
     residual = math.sqrt(float(np.sum(weight * (ct - z[pairs.p]) ** 2)))
     norm = math.sqrt(float(np.asarray(form.target.blocks) @ (c * c)))
-    return residual <= tol * max(1.0, norm)
+    return residual <= tol * max(math.ldexp(1.0, -exponent), norm)

@@ -14,9 +14,11 @@ import logging
 import math
 import sys
 import time
+from collections.abc import Mapping, Sequence
+from functools import cached_property
 from io import BytesIO, TextIOWrapper
-from itertools import chain
-from typing import Any, Mapping, Sequence
+from itertools import chain, islice
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -31,8 +33,7 @@ __all__ = [
     "element_to_json", "element_from_json",
     "homomorphism_to_json", "homomorphism_from_json",
     "expectation_to_json", "expectation_spec_from_json",
-    "ring_to_text", "ring_to_json", "ring_from_json",
-    "module_to_text", "module_to_json", "module_from_json",
+    "ring_to_text", "ring_from_json", "module_to_text", "module_from_json",
 ]
 
 log = logging.getLogger("qindex.io")
@@ -131,23 +132,41 @@ _BRACKETS_AS_SPACES = bytes.maketrans(b"[]", b"  ")
 def loads(raw: bytes) -> Any:
     """The JSON document in the bytes ``raw``, as ``json.loads`` returns the
     text a text-mode ``open`` reads from them (UTF-8, newlines translated),
-    except that an array of rows of [re, im] number pairs that is the
-    value of an object key may be read straight from its bytes, as the
-    (rows, cols, 2) float64 ndarray of its pairs.  Arrays are read so only
+    except for two kinds of values of object keys read straight from their
+    bytes: an array of rows of [re, im] number pairs may come back as the
+    (rows, cols, 2) float64 ndarray of its pairs, and the sparse map
+    "A,B" -> {C: mult} of an "N" or "n" key as a ``_SparseMap``, a Mapping
+    equal to the dict ``json`` returns for it.  Values are read so only
     from a document whose text is its bytes: ASCII, with no escape and no
     carriage return.  Malformed JSON raises the ``json.JSONDecodeError`` of
     ``json.loads``, invalid UTF-8 a ``UnicodeDecodeError``."""
-    if b"[[[" in raw and raw.isascii() and b"\\" not in raw and b"\r" not in raw:
-        count, spliced = _splice_arrays(raw)
-        if count:
+    arrays, maps = b"[[[" in raw, _has_map_key(raw)
+    if (arrays or maps) and raw.isascii() and b"\\" not in raw and b"\r" not in raw:
+        text, held = _splice_maps(raw) if maps else (raw, [])
+        count, text = _splice_arrays(text) if arrays else (0, text)
+        if count or held:
             try:
-                data = json.loads(spliced.decode())
+                data = json.loads(text.decode())
                 # a placeholder in a list is not swapped, so the counts differ
-                if type(data) is dict and _swap_placeholders(data) == count:
+                if type(data) is dict and \
+                        _swap_placeholders(data, held) == count + len(held):
                     return data
             except (json.JSONDecodeError, OverflowError):  # or an int past 1e308
                 pass  # decoded again below, so an error names its place in raw
     return json.loads(TextIOWrapper(BytesIO(raw), encoding="utf-8").read())
+
+
+def _has_map_key(raw: bytes) -> bool:
+    """Whether the string "N" or "n" occurs in ``raw``.  Each letter is
+    found by memchr, which is fast where it is rare; ``in`` scans for the
+    last byte of its needle, and JSON text is full of quotes."""
+    for key in (b'"N"', b'"n"'):
+        at = raw.find(key[1:2], 1)
+        while at > 0:
+            if raw[at - 1:at + 2] == key:
+                return True
+            at = raw.find(key[1:2], at + 1)
+    return False
 
 
 def _splice_arrays(raw: bytes) -> tuple[int, bytes]:
@@ -156,7 +175,8 @@ def _splice_arrays(raw: bytes) -> tuple[int, bytes]:
     placeholder {"\\u0000": [rows, cols, [numbers]]}, the numbers being
     its text with each bracket read as a space.
 
-    ``raw`` has no backslash, so a string ends at the next quote, and a
+    A backslash in ``raw`` sits only in a placeholder of ``_splice_maps``,
+    never before a quote, so a string ends at the next quote, and a
     "[[[" outside a string follows an even number of quotes.  The array
     that starts there ends, if it is one, at the last "]" before the next
     quote or "}", since neither can sit in an array of numbers.  The
@@ -212,23 +232,334 @@ def _pairs_layout(text: bytes) -> tuple[int, int] | None:
     return rows, cols
 
 
-def _swap_placeholders(data: dict) -> int:
-    """Replace each placeholder of ``_splice_arrays`` that is the value of
-    a key of ``data``, or of an object nested in it through objects, by
-    the float64 array of its pairs; return how many there were.  An int
-    past the float range raises OverflowError."""
+def _swap_placeholders(data: dict, maps: list) -> int:
+    """Replace each placeholder of ``_splice_arrays`` and ``_splice_maps``
+    that is the value of a key of ``data``, or of an object nested in it
+    through objects, by the float64 array of its pairs or by the map
+    ``maps[i]`` it names; return how many there were.  An int past the
+    float range raises OverflowError."""
     swapped = 0
     for key, value in data.items():
         if type(value) is dict:
             if "\0" in value:
-                rows, cols, numbers = value["\0"]
-                # float() of each int, as numpy converts one in a float array
-                pairs = np.fromiter(numbers, np.float64, len(numbers))
-                data[key] = pairs.reshape(rows, cols, 2)  # a new value, not a new key
+                held = value["\0"]
+                if type(held) is int:
+                    data[key] = maps[held]  # a new value, not a new key
+                else:
+                    rows, cols, numbers = held
+                    # float() of each int, as numpy converts one in a float array
+                    pairs = np.fromiter(numbers, np.float64, len(numbers))
+                    data[key] = pairs.reshape(rows, cols, 2)
                 swapped += 1
             else:
-                swapped += _swap_placeholders(value)
+                swapped += _swap_placeholders(value, maps)
     return swapped
+
+
+# -- sparse maps read from their bytes -----------------------------------------
+
+#: bytes past the end of a document, so that the digits and separator
+#: bytes read after a string, and a word read at the start of one, stay
+#: in the buffer
+_PAD = 32
+#: bytes that can end or start a number or literal: whitespace between two
+#: of them separates tokens, so deleting it could make a valid document
+_TOKEN = np.zeros(256, dtype=bool)
+_TOKEN[np.frombuffer(b"0123456789.+-abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
+                     np.uint8)] = True
+#: masks of the first 0..8 bytes of a little-endian word
+_MASKS = np.array([(1 << (8 * n)) - 1 for n in range(9)], dtype=np.uint64)
+#: at most 18 digits, so that every multiplicity is below 2^63
+_MAX_DIGITS = 18
+_QUOTE, _COLON, _OPEN_BRACE, _CLOSE_BRACE, _COMMA, _ZERO = map(np.uint8, b'":{},0')
+
+
+class _SparseMap(Mapping):
+    """A sparse map "A,B" -> {C: mult} that ``loads`` checked byte by byte.
+
+    ``text`` is the map's JSON text and ``buffer`` the bytes of its
+    document.  ``spans`` holds the (starts, ends) offsets in ``buffer`` of
+    the three parts of the keys: A and B of each row's key, and C of each
+    entry's.  ``entry_row`` is the row of each entry and ``mults`` its
+    multiplicity.  As a Mapping it is the dict that ``json`` decodes from
+    ``text``, decoded on first use.
+    """
+
+    def __init__(self, text: bytes, buffer: np.ndarray,
+                 spans: tuple[tuple[np.ndarray, np.ndarray], ...],
+                 entry_row: np.ndarray, mults: np.ndarray):
+        self.text, self.buffer, self.spans = text, buffer, spans
+        self.entry_row, self.mults = entry_row, mults
+
+    @cached_property
+    def _decoded(self) -> dict:
+        return json.loads(self.text)
+
+    def __getitem__(self, key):
+        return self._decoded[key]
+
+    def __iter__(self):
+        return iter(self._decoded)
+
+    def __len__(self) -> int:
+        return len(self._decoded)
+
+    def tensor(self, labels: Sequence[Sequence[str]]) -> np.ndarray | None:
+        """The int64 3-tensor of the map, whose axes are named by
+        ``labels``, or None when a key is not a label (pair) or a key
+        repeats, for ``json`` to decide."""
+        tables = {id(axis): axis for axis in labels}  # a label list repeats
+        tables = {key: _label_table(axis) for key, axis in tables.items()}
+        first, second, third = (_label_indices(self.buffer, starts, ends, tables[id(axis)])
+                                for (starts, ends), axis in zip(self.spans, labels))
+        if first is None or second is None or third is None:
+            return None
+        shape = tuple(map(len, labels))
+        cells = first * shape[1] + second
+        where = cells[self.entry_row] * shape[2] + third
+        if not (_distinct(cells, shape[0] * shape[1])
+                and _distinct(where, shape[0] * shape[1] * shape[2])):
+            return None
+        tensor = np.zeros(shape, dtype=np.int64)
+        tensor.reshape(-1)[where] = self.mults
+        return tensor
+
+
+def _distinct(values: np.ndarray, size: int) -> bool:
+    seen = np.zeros(size, dtype=bool)
+    seen[values] = True
+    return np.count_nonzero(seen) == values.size
+
+
+def _words(buffer: np.ndarray) -> np.ndarray:
+    """The little-endian uint64 word at each byte offset of ``buffer``,
+    as a view with a stride of one byte."""
+    return np.ndarray((buffer.size - 7,), dtype="<u8", buffer=buffer, strides=(1,))
+
+
+class _LabelTable(NamedTuple):
+    """The labels of an axis as words of 8 bytes: ``words`` holds the
+    ``width`` words of each label, NUL-padded, and ``keys`` one key per
+    label; label n sits in slot ``lookup[key * multiplier >> shift]``."""
+
+    words: np.ndarray
+    keys: np.ndarray
+    multiplier: np.uint64
+    shift: np.uint64
+    lookup: np.ndarray
+
+
+def _label_table(labels: Sequence[str]) -> _LabelTable | None:
+    """The table of ``labels``, or None when no multiplier tried gives
+    their keys distinct slots.  The table has about 2 r^2 slots for r
+    labels, which leaves each multiplier a chance of about 3/4."""
+    encoded = [label.encode() for label in labels]
+    width = -(-max(map(len, encoded)) // 8) or 1
+    words = np.frombuffer(b"".join(e.ljust(8 * width, b"\0") for e in encoded),
+                          dtype="<u8").reshape(-1, width)
+    keys = _word_keys(words.T)
+    bits = max(8, 2 * len(keys).bit_length() + 1)
+    shift = np.uint64(64 - bits)
+    for multiplier in _MULTIPLIERS:
+        slots = keys * multiplier >> shift
+        ranked = np.sort(slots)  # np.unique would import numpy.ma on first use
+        if np.all(ranked[1:] != ranked[:-1]):
+            lookup = np.full(1 << bits, -1, dtype=np.intp)
+            lookup[slots] = np.arange(keys.size)
+            return _LabelTable(words, keys, multiplier, shift, lookup)
+    return None
+
+
+def _label_indices(buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                   table: _LabelTable | None) -> np.ndarray | None:
+    """The index in ``table`` of each string buffer[start:end], or None
+    when one is no label.
+
+    A string is read as its words of 8 bytes, the bytes past its end
+    masked to 0; a string holds no NUL, so its words and its length
+    determine each other.  One word is its key; more are hashed into one,
+    and a match is then checked word by word."""
+    if table is None:
+        return None
+    width = table.words.shape[1]
+    lengths = ends - starts
+    if lengths.size and lengths.max() > 8 * width:
+        return None
+    read = _words(buffer)
+    # a word past a string's end is masked to 0, and read where it fits
+    words = [read[np.minimum(starts + 8 * n, read.size - 1)]
+             & _MASKS[np.minimum(np.maximum(lengths - 8 * n, 0), 8)] for n in range(width)]
+    keys = _word_keys(words)
+    found = table.lookup[keys * table.multiplier >> table.shift]  # -1 in a free slot
+    match = table.keys[found] == keys
+    for n in range(1, width):
+        match &= table.words[found, n] == words[n]
+    return found if match.all() else None
+
+
+def _word_keys(words: Sequence[np.ndarray]) -> np.ndarray:
+    """The words of each string, one array per word, hashed into one key."""
+    keys = words[0]
+    for column in words[1:]:
+        keys = keys * _MULTIPLIERS[0] + column  # wraps mod 2^64
+    return keys
+
+
+#: odd 64-bit multipliers of Fibonacci and MurmurHash3 hashing
+_MULTIPLIERS = tuple(map(np.uint64, (0x9E3779B97F4A7C15, 0xFF51AFD7ED558CCD,
+                                     0xC4CEB9FE1A85EC53, 0xC2B2AE3D27D4EB4F)))
+
+
+def _strip_spaces(raw: bytes) -> bytes:
+    """``raw`` without its spaces, tabs and newlines outside strings, or
+    ``raw`` itself when a deleted run of them would join two number or
+    literal bytes, or the quotes do not pair.  The two texts are then
+    valid JSON, or not, together, and hold the same values."""
+    raw = raw.strip(_SPACE)
+    if not any(space in raw for space in (b" ", b"\t", b"\n")):
+        return raw
+    b = np.frombuffer(raw, np.uint8)
+    quotes = np.flatnonzero(b == 34)
+    if quotes.size % 2:
+        return raw
+    # runs outside and inside strings alternate; a closing quote is inside
+    bounds = np.concatenate(([0], quotes + np.arange(quotes.size) % 2, [b.size]))
+    inside = np.repeat(np.arange(bounds.size - 1) % 2 == 1, np.diff(bounds))
+    drop = ~inside & ((b == 32) | (b == 9) | (b == 10))
+    edges = np.flatnonzero(np.diff(drop.view(np.int8), prepend=0, append=0))
+    starts, ends = edges[0::2], edges[1::2]  # raw has no space at either end
+    if np.any(_TOKEN[b[starts - 1]] & _TOKEN[b[ends]]):
+        return raw
+    return b[~drop].tobytes()
+
+
+def _splice_maps(raw: bytes) -> tuple[bytes, list[_SparseMap]]:
+    """``raw`` with each sparse map that is the value of an "N" or "n" key
+    and that every byte of checks replaced by the placeholder
+    {"\\u0000": i}, and the ``_SparseMap`` i of each, its spaces outside
+    strings deleted when ``_strip_spaces`` may.
+
+    ``raw`` has no backslash, so strings end at the next quote.  The
+    bytes between one string and the next are a separator, and a map is
+    the strings from its key to the first whose separator ends it: each
+    key opens the map or a row, or is an entry whose separator holds its
+    multiplicity, and each separator says what the next string is.  Each
+    map that is not so read is left to ``json``, as is an empty one, and
+    so is every map of a document that still holds a control byte once
+    its spaces are deleted, which no valid document does.  A checked map
+    is valid JSON, and so is the placeholder."""
+    raw = _strip_spaces(raw)
+    b = np.frombuffer(raw + bytes(_PAD), np.uint8)
+    size = len(raw)
+    quotes = np.flatnonzero(b == 34)
+    if quotes.size % 2:
+        return raw, []
+    opens, closes = quotes[0::2], quotes[1::2]
+    keys = np.flatnonzero((closes - opens == 2) & (b[opens + 1] | 32 == ord("n")))
+    # a control byte left in a string, or outside one, is malformed JSON
+    if not keys.size or np.any(b[:size] < 32):
+        return raw, []
+    sep = _separators(b, closes)
+    stops = np.flatnonzero(~sep.valid | sep.ending)
+    parts, held, done = [], [], 0
+    for key in keys.tolist():
+        if opens[key] < done or not sep.opening[key]:
+            continue
+        at = np.searchsorted(stops, key + 1)
+        if at == stops.size or not sep.valid[stops[at]]:
+            continue
+        last = int(stops[at])
+        rows = sep.row[key + 1:last + 1]
+        # the first string is a row key, and each separator says what the
+        # next one is
+        if not rows[0] or np.any(rows[1:] != sep.next_row[key + 1:last]):
+            continue
+        row_keys = np.flatnonzero(rows) + (key + 1)
+        entry_keys = np.flatnonzero(~rows) + (key + 1)
+        commas = _one_comma(b, opens[row_keys] + 1, closes[row_keys])
+        if commas is None:
+            continue
+        start = int(closes[key]) + 2
+        digits = int(sep.digits[last])
+        end = int(closes[last]) + 1 + digits + (3 if digits else 4)
+        # the entries of each row follow its key
+        counts = np.diff(row_keys, append=last + 1) - 1
+        spans = ((opens[row_keys] + 1, commas), (commas + 1, closes[row_keys]),
+                 (opens[entry_keys] + 1, closes[entry_keys]))
+        held.append(_SparseMap(raw[start:end], b, spans,
+                               np.repeat(np.arange(row_keys.size), counts),
+                               sep.mults[entry_keys]))
+        parts += [raw[done:start], b'{"\\u0000":%d}' % (len(held) - 1)]
+        done = end
+    parts.append(raw[done:])
+    return b"".join(parts), held
+
+
+class _Separators(NamedTuple):
+    """What the separator after each string of a document says, as a
+    sparse map's grammar reads it: whether it opens a row (or the map),
+    whether the string is a row key, whether the next string is one,
+    whether it ends the map, and whether it is a separator of the map at
+    all; ``digits`` and ``mults`` are the digits of an entry and the int64
+    number they write."""
+
+    opening: np.ndarray
+    row: np.ndarray
+    next_row: np.ndarray
+    ending: np.ndarray
+    valid: np.ndarray
+    digits: np.ndarray
+    mults: np.ndarray
+
+
+def _separators(b: np.ndarray, closes: np.ndarray) -> _Separators:
+    """The separators after the strings that close at ``closes``: the map
+    or a row opens (:{), an empty row ends (:{}, and :{}} at the map's
+    end), or an entry ends (:<digits>, within a row, :<digits>}, at a
+    row's end and :<digits>}} at the map's end).  Digits have no leading
+    zero and are at most 18.  The bytes are read one offset at a time for
+    all separators at once; a separator that does not end the map ends
+    where the next string opens, at a quote."""
+    starts = closes + 1
+    colon = b[starts] == _COLON
+    first = b[starts + 1] - _ZERO  # a digit's value, or past 9
+    number = colon & (first < 10)
+    digits = number.astype(np.intp)
+    mults = digits * first
+    run = number.copy()
+    for offset in range(2, _MAX_DIGITS + 2):
+        value = b[starts + offset] - _ZERO
+        run &= value < 10
+        if not run.any():
+            break
+        digits += run
+        mults = np.where(run, mults * 10 + value, mults)
+    after = starts + 1 + digits
+    x, y, z, w = b[after], b[after + 1], b[after + 2], b[after + 3]
+    braced = colon & (first == _OPEN_BRACE - _ZERO)  # and so no digits
+    opening = braced & (y == _QUOTE)
+    empty = braced & (y == _CLOSE_BRACE)
+    entry = number & (digits <= _MAX_DIGITS) & ((digits == 1) | (first != 0))
+    closed = entry & (x == _CLOSE_BRACE)
+    empty_row = empty & (z == _COMMA) & (w == _QUOTE)
+    empty_end = empty & (z == _CLOSE_BRACE)
+    row_end = closed & (y == _COMMA) & (z == _QUOTE)
+    map_end = closed & (y == _CLOSE_BRACE)
+    row = opening | empty_row | empty_end
+    valid = row | (entry & (x == _COMMA) & (y == _QUOTE)) | row_end | map_end
+    return _Separators(opening, row, empty_row | row_end, empty_end | map_end, valid,
+                       digits, mults)
+
+
+def _one_comma(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The offset of the comma in each string b[start:end], or None when
+    one holds no comma or more than one."""
+    width = int((ends - starts).max())
+    grid = b[starts[:, None] + np.arange(width)]
+    commas = (grid == ord(",")) & (np.arange(width) < (ends - starts)[:, None])
+    if not np.all(commas.sum(axis=1) == 1):
+        return None
+    return starts + commas.argmax(axis=1)
 
 
 # -- algebras and elements ---------------------------------------------------
@@ -401,94 +732,103 @@ def _sparse_text(tensor: np.ndarray, labels: Sequence[Sequence[str]]) -> str:
 
 def _sparse_from_json(data: Mapping, name: str, path: str,
                       labels: Sequence[Sequence[str]], keys: str,
-                      target: str) -> np.ndarray:
-    """The 3-tensor held as the map "A,B" -> {C: mult} at ``data[name]``;
-    absent entries, and an absent map, are zero.  ``keys`` and ``target``
-    describe a malformed key and an unknown C.  Multiplicities are stored
-    as int64."""
-    first, second, third = ({lab: i for i, lab in enumerate(axis)} for axis in labels)
-    tensor = np.zeros((len(first), len(second), len(third)), dtype=np.int64)
+                      target: str) -> tuple[np.ndarray, bool]:
+    """The 3-tensor held as the map "A,B" -> {C: mult} at ``data[name]``,
+    and whether it was read from the map's bytes; absent entries, and an
+    absent map, are zero.  ``keys`` and ``target`` describe a malformed key
+    and an unknown C.  Multiplicities are stored as int64.  A map that
+    ``loads`` read from its bytes is scattered at once, unless a key is no
+    label (pair) or repeats; then, as any other map, it is walked as the
+    dict ``json`` decodes from it, which names its first bad entry."""
     entries = data.get(name, {})
+    if isinstance(entries, _SparseMap):
+        tensor = entries.tensor(labels)
+        if tensor is not None:
+            return tensor, True
     path = f"{path}.{name}"
     _expect(isinstance(entries, Mapping), path, f"{name} is an object")
-    found = _sparse_entries(entries, first, second, third)
-    if found is None:
-        _sparse_walk(tensor, entries, path, first, second, third, keys, target)
-    else:
-        *where, mults = found
-        tensor[tuple(where)] = mults
-    return tensor
-
-
-def _sparse_entries(entries: Mapping, first: dict, second: dict, third: dict):
-    """The (u, v, w) index arrays and int64 multiplicities of a sparse map
-    whose every entry is well formed, or None.  The entries are streamed
-    into the arrays, with no per-entry list."""
-    us, vs, counts = [], [], []
-    for key, row in entries.items():
-        parts = key.split(",") if isinstance(key, str) else ()
-        # a dict is a Mapping; its type test is the fast one
-        if (len(parts) != 2 or parts[0] not in first or parts[1] not in second
-                or not (type(row) is dict or isinstance(row, Mapping))):
-            return None
-        us.append(first[parts[0]])
-        vs.append(second[parts[1]])
-        counts.append(len(row))
-    rows, total = entries.values(), sum(counts)
-    if not set(map(type, chain.from_iterable(row.values() for row in rows))) <= {int}:
-        return None
-    try:  # an unknown w maps to None: TypeError; a mult past int64: OverflowError
-        ws = np.fromiter(map(third.get, chain.from_iterable(rows)), np.intp, total)
-        mults = np.fromiter(chain.from_iterable(row.values() for row in rows),
-                            np.int64, total)
-    except (TypeError, OverflowError):
-        return None
-    if np.any(mults < 0):
-        return None
-    return (np.repeat(np.array(us, dtype=np.intp), counts),
-            np.repeat(np.array(vs, dtype=np.intp), counts), ws, mults)
+    first, second, third = ({lab: i for i, lab in enumerate(axis)} for axis in labels)
+    tensor = np.zeros((len(first), len(second), len(third)), dtype=np.int64)
+    _sparse_walk(tensor, entries, path, first, second, third, keys, target)
+    return tensor, False
 
 
 def _sparse_walk(tensor: np.ndarray, entries: Mapping, path: str, first: dict,
                  second: dict, third: dict, keys: str, target: str) -> None:
-    """Store the entries one at a time, raising at the first bad one: the
-    path of a map that ``_sparse_entries`` rejected."""
+    """Store the entries, raising at the first bad one.
+
+    The keys are checked row by row, up to the first bad key or row, and
+    the entries of the rows before it are streamed into arrays at once.
+    When one of those entries is bad (an unknown target, or a multiplicity
+    that is not an int in [0, 2^63)), the rows are walked again entry by
+    entry to name the first; a bad key or row after them is raised only
+    then."""
+    cells, rows, bad = [], [], None
     for key, row in entries.items():
         parts = key.split(",")
-        _expect(len(parts) == 2 and parts[0] in first and parts[1] in second,
-                f"{path}[{key!r}]", keys)
-        _expect(isinstance(row, Mapping), f"{path}[{key!r}]", "value is an object")
-        for w, mult in row.items():
-            _expect(w in third, f"{path}[{key!r}][{w!r}]", target)
-            _expect(_is_number(mult, int) and mult >= 0,
-                    f"{path}[{key!r}][{w!r}]", "multiplicities are nonnegative ints")
-            _expect(mult < 2 ** 63, f"{path}[{key!r}][{w!r}]",
-                    "multiplicities are nonnegative ints below 2^63")
-            tensor[first[parts[0]], second[parts[1]], third[w]] = mult
+        if not (len(parts) == 2 and parts[0] in first and parts[1] in second):
+            bad = SchemaError(f"{path}[{key!r}]", keys)
+            break
+        if not isinstance(row, Mapping):
+            bad = SchemaError(f"{path}[{key!r}]", "value is an object")
+            break
+        cells.append((first[parts[0]], second[parts[1]]))
+        rows.append(row)
+    counts = list(map(len, rows))
+    total = sum(counts)
+    try:
+        if not set(map(type, chain.from_iterable(row.values() for row in rows))) <= {int}:
+            raise TypeError  # JSON true is no multiplicity
+        # an unknown target maps to None: TypeError; a mult past int64: OverflowError
+        targets = np.fromiter(map(third.get, chain.from_iterable(rows)), np.intp, total)
+        mults = np.fromiter(chain.from_iterable(row.values() for row in rows), np.int64, total)
+        if np.any(mults < 0):
+            raise TypeError
+    except (TypeError, OverflowError):
+        found = [_row_walk(row, f"{path}[{key!r}]", third, target)
+                 for key, row in islice(entries.items(), len(rows))]
+        targets = np.array([at for row in found for at, _ in row], dtype=np.intp)
+        mults = np.array([mult for row in found for _, mult in row], dtype=np.int64)
+    if bad is not None:
+        raise bad
+    u, v = np.repeat(np.array(cells, dtype=np.intp).reshape(-1, 2), counts, axis=0).T
+    tensor[u, v, targets] = mults
+
+
+def _row_walk(row: Mapping, path: str, third: dict, target: str) -> list[tuple[int, int]]:
+    """The (target index, multiplicity) of each entry of a row, checked one
+    entry at a time, raising at the first bad one."""
+    found = []
+    for w, mult in row.items():
+        _expect(w in third, f"{path}[{w!r}]", target)
+        _expect(_is_number(mult, int) and mult >= 0, f"{path}[{w!r}]",
+                "multiplicities are nonnegative ints")
+        _expect(mult < 2 ** 63, f"{path}[{w!r}]",
+                "multiplicities are nonnegative ints below 2^63")
+        found.append((third[w], int(mult)))
+    return found
 
 
 def ring_to_text(ring: FusionRing) -> str:
-    """The canonical JSON text of ``ring_to_json(ring)``, written directly
-    from the multiplicity tensor."""
+    """The canonical JSON text of the ring's file, written directly from
+    the multiplicity tensor."""
     return canonical_object({"irr": canonical_text(list(ring.labels)),
                              "unit": canonical_text(ring.unit),
                              "dual": canonical_text(dict(ring.dual)),
                              "N": _sparse_text(ring.tensor, (ring.labels,) * 3)})
 
 
-def ring_to_json(ring: FusionRing) -> dict:
-    return json.loads(ring_to_text(ring))
-
-
 def ring_from_json(data: Any, path: str = "fusion_ring") -> FusionRing:
     start = time.perf_counter()
-    ring = _ring_from_json(data, path)
-    log.info("ring_from_json: rank %d, %d nonzero, %.3f s", ring.rank,
-             np.count_nonzero(ring.tensor), time.perf_counter() - start)
+    ring, from_bytes = _ring_from_json(data, path)
+    if log.isEnabledFor(logging.INFO):
+        log.info("ring_from_json: rank %d, %d nonzero, N %s, %.3f s",
+                 ring.rank, np.count_nonzero(ring.tensor),
+                 "from bytes" if from_bytes else "through json", time.perf_counter() - start)
     return ring
 
 
-def _ring_from_json(data: Any, path: str) -> FusionRing:
+def _ring_from_json(data: Any, path: str) -> tuple[FusionRing, bool]:
     _expect(isinstance(data, Mapping), path, "fusion ring is an object")
     irr = data.get("irr")
     _expect(isinstance(irr, list) and irr and all(isinstance(x, str) for x in irr),
@@ -502,34 +842,32 @@ def _ring_from_json(data: Any, path: str) -> FusionRing:
     _expect(isinstance(dual, Mapping) and set(dual) == set(irr)
             and all(v in irr for v in dual.values()),
             f"{path}.dual", "dual must map every label to a label")
-    tensor = _sparse_from_json(data, "N", path, (irr,) * 3,
-                               "keys are 'U,V' label pairs", "unknown target label")
-    return FusionRing(tuple(irr), unit, tuple(dual.items()), tensor)
+    tensor, from_bytes = _sparse_from_json(data, "N", path, (irr,) * 3,
+                                           "keys are 'U,V' label pairs",
+                                           "unknown target label")
+    return FusionRing(tuple(irr), unit, tuple(dual.items()), tensor), from_bytes
 
 
 def module_to_text(module: FusionModule) -> str:
-    """The canonical JSON text of ``module_to_json(module)``, written
-    directly from the action tensor."""
+    """The canonical JSON text of the module's file, written directly from
+    the action tensor."""
     labels = (module.ring.labels, module.labels, module.labels)
     return canonical_object({"ring": ring_to_text(module.ring),
                              "irrM": canonical_text(list(module.labels)),
                              "n": _sparse_text(module.action, labels)})
 
 
-def module_to_json(module: FusionModule) -> dict:
-    return json.loads(module_to_text(module))
-
-
 def module_from_json(data: Any, path: str = "fusion_module") -> FusionModule:
     start = time.perf_counter()
-    module = _module_from_json(data, path)
-    log.info("module_from_json: rank %d, module size %d, %d nonzero, %.3f s",
-             module.ring.rank, module.size, np.count_nonzero(module.action),
-             time.perf_counter() - start)
+    module, from_bytes = _module_from_json(data, path)
+    if log.isEnabledFor(logging.INFO):
+        log.info("module_from_json: rank %d, module size %d, %d nonzero, n %s, %.3f s",
+                 module.ring.rank, module.size, np.count_nonzero(module.action),
+                 "from bytes" if from_bytes else "through json", time.perf_counter() - start)
     return module
 
 
-def _module_from_json(data: Any, path: str) -> FusionModule:
+def _module_from_json(data: Any, path: str) -> tuple[FusionModule, bool]:
     _expect(isinstance(data, Mapping), path, "fusion module is an object")
     ring = ring_from_json(data.get("ring"), f"{path}.ring")
     irr_m = data.get("irrM")
@@ -539,6 +877,6 @@ def _module_from_json(data: Any, path: str) -> FusionModule:
     _expect(len(set(irr_m)) == len(irr_m), f"{path}.irrM", "labels must be distinct")
     _expect(not any("," in x for x in irr_m), f"{path}.irrM",
             "labels must not contain commas")
-    action = _sparse_from_json(data, "n", path, (ring.labels, irr_m, irr_m),
-                               "keys are 'U,i' pairs", "unknown module label")
-    return FusionModule(ring, tuple(irr_m), action)
+    action, from_bytes = _sparse_from_json(data, "n", path, (ring.labels, irr_m, irr_m),
+                                           "keys are 'U,i' pairs", "unknown module label")
+    return FusionModule(ring, tuple(irr_m), action), from_bytes

@@ -1,11 +1,24 @@
 """Shared fixtures: canonical small expectations and random inclusions."""
 
+import json
+
 import numpy as np
 import pytest
 
+from qindex import io as qio
 from qindex.algebra import (MultiMatrixAlgebra, StarHomomorphism, TraceWeights,
                             identity_homomorphism)
 from qindex.expectation import canonical_expectation
+
+
+def ring_to_json(ring):
+    """The payload of a ring file: the ring's canonical text, parsed."""
+    return json.loads(qio.ring_to_text(ring))
+
+
+def module_to_json(module):
+    """The payload of a module file: the module's canonical text, parsed."""
+    return json.loads(qio.module_to_text(module))
 
 
 def random_unitary(n, rng):

@@ -16,7 +16,9 @@ from qindex.fusion import FusionModule, validate_fusion
 from qindex.generators import gen_pointed, gen_regular_module, gen_tlj
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from report_diff import WALL_MS, spec_corpus  # noqa: E402
+from report_diff import WALL_MS, ring_corpus, ring_corpus_argvs, spec_corpus  # noqa: E402
+
+from conftest import module_to_json, ring_to_json
 
 
 def run(capsys, *argv):
@@ -122,6 +124,23 @@ def test_index_compute_rank_deficient_exits_3(tmp_path, capsys):
     assert results["scalar_index"] == "inf"
     assert out_path.read_text() == json.dumps(results, sort_keys=True,
                                               separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("w", [1e-9, 2e-10, 1e-11, 1e-300])
+def test_canonical_index_is_finite_at_any_weight_ratio(tmp_path, capsys, w):
+    # C in C + C with trace weights [1, w]: the densities 1/(1+w) and
+    # w/(1+w) are positive, so the index (1+w)/w is finite however small w is
+    spec = {"inclusion": {"source": {"blocks": [1]}, "target": {"blocks": [1, 1]},
+                          "matrix": [[[1, 0]], [[1, 0]]]},
+            "trace_weights": [1, w]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "index", "compute", "--spec", str(path))
+    assert (code, err) == (0, "")
+    results = report_of(out)["results"]
+    for key in ("scalar_index", "index_norm", "prob_lower", "prob_upper"):
+        assert abs(results[key] - (1 + w) / w) <= 1e-12 * (1 + w) / w
+    assert results["index_in_subalgebra"] is False
 
 
 def test_report_splices_the_artifact_text_it_holds():
@@ -251,6 +270,60 @@ def test_spec_corpus_takes_the_text_path_on_valid_specs():
     for name in ("map-true", "map-nan", "map-int-400-digits",
                  "escaped-key", "crlf", "non-ascii-key"):
         assert not isinstance(qio.loads(corpus[name]).get("map"), np.ndarray), name
+
+
+@pytest.mark.parametrize("name", list(ring_corpus()))
+def test_ring_corpus_reads_as_json_reads_it(tmp_path, capsys, monkeypatch, name):
+    # each ring or module file, malformed or not, gives the outputs of
+    # fusion trace and fusion descent that it gives when every map is
+    # decoded by json and walked entry by entry
+    monkeypatch.delenv("QINDEX_LOG", raising=False)
+    corpus = ring_corpus()
+    ring, path = tmp_path / "ring.json", tmp_path / "file.json"
+    ring.write_bytes(corpus["valid"])
+    path.write_bytes(corpus[name])
+
+    def outputs():
+        out = []
+        for argv in ring_corpus_argvs(name, str(path), str(ring)):
+            code, stdout, stderr = run(capsys, *argv)
+            out.append((code, WALL_MS.sub('"wall_ms":0', stdout), stderr))
+        return out
+
+    fast = outputs()
+    monkeypatch.setattr(qio, "loads", lambda raw: json.loads(
+        io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()))
+    assert outputs() == fast
+
+
+def test_ring_corpus_takes_the_byte_path_on_valid_maps():
+    corpus = ring_corpus()
+    for name in ("valid", "valid-indent", "valid-spaces", "valid-map-last", "trailing-newline",
+                 "tabs", "mult-zero", "mult-space", "mult-18-digits", "repeated-row-key",
+                 "empty-row", "empty-last-row", "empty-rows-only", "unknown-target",
+                 "unknown-row-label", "labels-punctuation", "labels-digits-indent",
+                 "labels-map-keys", "labels-long", "labels-100-bytes-map-last"):
+        assert isinstance(qio.loads(corpus[name])["N"], qio._SparseMap), name
+    module = qio.loads(corpus["module-valid"])
+    assert isinstance(module["n"], qio._SparseMap)
+    assert isinstance(module["ring"]["N"], qio._SparseMap)
+    # read from bytes, but a key is no label or repeats: walked as json reads it
+    for name in ("repeated-row-key", "repeated-entry-key", "unknown-target",
+                 "unknown-row-label", "labels-colliding-key", "valid"):
+        doc = qio.loads(corpus[name])
+        assert isinstance(doc["N"], qio._SparseMap), name
+        try:
+            _, from_bytes = qio._sparse_from_json(doc, "N", "fusion_ring", (doc["irr"],) * 3,
+                                                  "keys", "target")
+        except qio.SchemaError:  # the first bad entry, named by the walk
+            from_bytes = False
+        assert from_bytes == (name == "valid"), name
+    for name in ("mult-minus-zero", "mult-float",
+                 "mult-exponent", "mult-true", "mult-null", "mult-19-digits", "mult-2^63",
+                 "empty-map", "row-nested", "key-0", "key-0,0,0", "escaped-key",
+                 "labels-quotes", "labels-escaped",
+                 "labels-non-ascii", "labels-tab", "crlf", "cr"):
+        assert not isinstance(qio.loads(corpus[name]).get("N"), qio._SparseMap), name
 
 
 @pytest.mark.parametrize("where, message", [
@@ -431,7 +504,7 @@ def test_fusion_trace_module_file(tmp_path, capsys):
         "-o", str(ring_path))
     ring = qio.ring_from_json(json.loads(ring_path.read_text()))
     module_path = tmp_path / "reg.json"
-    module_path.write_text(json.dumps(qio.module_to_json(gen_regular_module(ring))))
+    module_path.write_text(json.dumps(module_to_json(gen_regular_module(ring))))
     code, out, _ = run(capsys, "fusion", "trace", "--ring", str(ring_path),
                        "--module", str(module_path))
     assert code == 0
@@ -446,7 +519,7 @@ def test_fusion_trace_validates_the_regular_module_as_its_ring(tmp_path, capsys,
     run(capsys, "fusion", "generate", "tlj", "--n", "5", "-o", str(ring_path))
     ring = qio.ring_from_json(json.loads(ring_path.read_text()))
     module_path = tmp_path / "reg.json"
-    module_path.write_text(json.dumps(qio.module_to_json(gen_regular_module(ring))))
+    module_path.write_text(json.dumps(module_to_json(gen_regular_module(ring))))
     cases = [(("fusion", "trace", "--module", "regular"), 0),
              (("fusion", "descent", "--module", "regular", "--subring", "0,2"), 0),
              (("fusion", "trace", "--module", str(module_path)), 1)]
@@ -466,7 +539,7 @@ def test_fusion_trace_rejects_module_row_that_is_not_an_object(tmp_path, capsys)
     run(capsys, "fusion", "generate", "pointed", "--factors", "2",
         "-o", str(ring_path))
     ring = qio.ring_from_json(json.loads(ring_path.read_text()))
-    payload = qio.module_to_json(gen_regular_module(ring))
+    payload = module_to_json(gen_regular_module(ring))
     payload["n"]["1,0"] = [1]
     module_path = tmp_path / "bad.json"
     module_path.write_text(json.dumps(payload))
@@ -558,9 +631,9 @@ def contract_files(tmp_path):
     twice = np.zeros((2, 4, 4), dtype=np.int64)
     twice[:, :2, :2] = twice[:, 2:, 2:] = gen_regular_module(z2).action
     payloads = {
-        "ring": qio.ring_to_json(z2),
-        "z4_module": qio.module_to_json(gen_regular_module(gen_pointed([4]))),
-        "decomposable": qio.module_to_json(FusionModule(z2, ("a", "b", "c", "d"), twice)),
+        "ring": ring_to_json(z2),
+        "z4_module": module_to_json(gen_regular_module(gen_pointed([4]))),
+        "decomposable": module_to_json(FusionModule(z2, ("a", "b", "c", "d"), twice)),
     }
     paths = {"missing": str(tmp_path / "missing.json"), "out": str(tmp_path / "out.json"),
              "directory": str(tmp_path / "inputs")}

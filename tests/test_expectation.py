@@ -270,7 +270,9 @@ def test_quasi_basis_report_logs_its_evidence(caplog):
     forms = [line for line in lines if line.startswith("normal form:")]
     assert len(forms) == 2
     assert "K=[[1, 1, 1]]" in forms[0]
-    assert "h eigenvalues in [1.000e+00, 1.000e+00] (faithful above 1.0e-10)" in forms[0]
+    # canonical densities are exact: faithful iff positive
+    assert "h eigenvalues in [1.000e+00, 1.000e+00] (faithful above 0.0e+00)" in forms[0]
+    assert "(faithful above 1.0e-10)" in forms[1]
     assert "rebuild residual 0 by construction" in forms[0]
     assert re.search(r"rebuild residual \S+ \(tolerance 1\.0e-09\)", forms[1])
     # the quasi-basis line comes from quasi_basis_report alone: the index

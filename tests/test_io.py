@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import re
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from qindex.fusion import (FusionModule, FusionRing, validate_fusion,
 from qindex.generators import (gen_pointed, gen_quotient_module,
                                gen_regular_module, gen_tlj)
 
-from conftest import diagonal_inclusion, random_element, random_multimatrix_inclusion
+from conftest import (diagonal_inclusion, module_to_json, random_element,
+                      random_multimatrix_inclusion, ring_to_json)
 from oracles import (module_to_json_reference, ring_to_json_reference,
                      sparse_from_json_reference)
 
@@ -66,7 +68,7 @@ def test_expectation_spec_defaults():
 def test_ring_and_module_round_trip():
     for make in (lambda: gen_tlj(5)[0], lambda: gen_pointed([2, 2])):
         ring = make()
-        back = qio.ring_from_json(qio.ring_to_json(ring))
+        back = qio.ring_from_json(ring_to_json(ring))
         assert back.labels == ring.labels
         assert back.unit == ring.unit
         assert dict(back.dual) == dict(ring.dual)
@@ -74,7 +76,7 @@ def test_ring_and_module_round_trip():
         assert validate_fusion(back) == []
 
         module = gen_regular_module(ring)
-        back_m = qio.module_from_json(qio.module_to_json(module))
+        back_m = qio.module_from_json(module_to_json(module))
         assert back_m.labels == module.labels
         assert np.array_equal(back_m.action, module.action)
         assert validate_module(back_m) == []
@@ -97,7 +99,7 @@ def test_ring_to_json_matches_per_entry_reference(rng):
                 row = {w: ring.n(u, v, w) for w in ring.labels if ring.n(u, v, w)}
                 if row:
                     want[f"{u},{v}"] = row
-        got = qio.ring_to_json(ring)["N"]
+        got = ring_to_json(ring)["N"]
         assert got == want
         # keys in canonical order, as the parsed canonical text holds them
         assert [(key, list(row.items())) for key, row in got.items()] == \
@@ -115,7 +117,7 @@ def test_ring_to_json_matches_per_entry_reference(rng):
                        if module.action_matrix(u)[module.index(i), module.index(j)]}
                 if row:
                     want[f"{u},{i}"] = row
-        got = qio.module_to_json(module)["n"]
+        got = module_to_json(module)["n"]
         assert [(key, list(row.items())) for key, row in got.items()] == \
             canonical_order(want)
 
@@ -132,11 +134,10 @@ def label_lists(size):
                     min_size=size, max_size=size, unique=True)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_text_encoder_writes_the_bytes_of_the_dict_encoder(data):
-    # relabelled generator rings and modules, and random multiplicities up
-    # to 2^62 with empty rows and empty maps
+def relabelled_ring_and_module(data, labels):
+    """A generator ring and module (TLJ or pointed), or random
+    multiplicities up to 2^62 with empty rows and empty maps, relabelled
+    with lists drawn from ``labels(size)``."""
     kind = data.draw(st.sampled_from(["tlj", "pointed", "random"]))
     if kind == "tlj":
         base = gen_tlj(data.draw(st.integers(3, 9)))[0]
@@ -154,13 +155,55 @@ def test_text_encoder_writes_the_bytes_of_the_dict_encoder(data):
                               np.array(data.draw(st.lists(mults, min_size=r * m * m,
                                                           max_size=r * m * m)))
                               .reshape(r, m, m))
-    labels = data.draw(label_lists(base.rank))
-    ring = FusionRing(labels, labels[0], tuple(zip(labels, reversed(labels))), base.tensor)
-    module = FusionModule(ring, data.draw(label_lists(module.size)), module.action)
+    names = data.draw(labels(base.rank))
+    ring = FusionRing(names, names[0], tuple(zip(names, reversed(names))), base.tensor)
+    return ring, FusionModule(ring, data.draw(labels(module.size)), module.action)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_text_encoder_writes_the_bytes_of_the_dict_encoder(data):
+    ring, module = relabelled_ring_and_module(data, label_lists)
     assert qio.ring_to_text(ring) == qio.canonical_text(ring_to_json_reference(ring))
     assert qio.module_to_text(module) == \
         qio.canonical_text(module_to_json_reference(module))
-    assert qio.module_to_json(module) == module_to_json_reference(module)
+    assert module_to_json(module) == module_to_json_reference(module)
+
+
+#: labels that a reader of map bytes can get wrong: JSON punctuation, a
+#: space, digits with and without a leading zero, the map keys, text that
+#: spells the start of a map (with quotes, which are escaped) and labels
+#: of more than one 8-byte word
+BYTE_LABELS = ["{", "}", ":", "[", " ", "1", "10", "01", "N", "n", "N:{", '"N":{', "}}",
+               "abcdefgh", "abcdefghi", "x" * 12]
+
+
+def byte_label_lists(size):
+    printable = st.characters(min_codepoint=32, max_codepoint=126, exclude_characters=",")
+    return st.lists(st.one_of(st.sampled_from(BYTE_LABELS), st.text(printable, min_size=1,
+                                                                     max_size=12)),
+                    min_size=size, max_size=size, unique=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_loads_reads_sparse_maps_as_json_reads_them(data):
+    # compact and indented ring and module files: the same tensors as
+    # through json, and every map that json reads with no escape is read
+    # from its bytes, unless it is empty or has a multiplicity of 19 digits
+    ring, module = relabelled_ring_and_module(data, byte_label_lists)
+    cases = ((qio.ring_to_text(ring), qio.ring_from_json, "N", attrgetter("tensor"), ring),
+             (qio.module_to_text(module), qio.module_from_json, "n", attrgetter("action"),
+              module))
+    for text, decode, name, tensor, written in cases:
+        want = tensor(written)
+        for raw in (text.encode(), json.dumps(json.loads(text), indent=2).encode()):
+            got, reference = qio.loads(raw), json_text_loads(raw)
+            assert got == reference
+            assert np.array_equal(tensor(decode(got)), want)
+            assert np.array_equal(tensor(decode(reference)), want)
+            assert isinstance(got[name], qio._SparseMap) == (
+                b"\\" not in raw and want.any() and want.max() < 10 ** 18)
 
 
 def test_schema_errors_carry_paths():
@@ -270,13 +313,13 @@ def test_block_sizes_must_not_be_booleans():
 
 
 def test_multiplicities_must_not_be_booleans():
-    payload = qio.ring_to_json(gen_tlj(4)[0])
+    payload = ring_to_json(gen_tlj(4)[0])
     payload["N"]["1,1"]["2"] = True
     with pytest.raises(qio.SchemaError) as err:
         qio.ring_from_json(payload)
     assert str(err.value) == "fusion_ring.N['1,1']['2']: multiplicities are nonnegative ints"
 
-    payload = qio.module_to_json(gen_regular_module(gen_pointed([2])))
+    payload = module_to_json(gen_regular_module(gen_pointed([2])))
     payload["n"]["1,0"]["1"] = True
     with pytest.raises(qio.SchemaError) as err:
         qio.module_from_json(payload)
@@ -366,7 +409,7 @@ def test_expectation_spec_decoder_logs_sizes_and_sources(caplog):
 
 def test_module_labels_must_not_contain_commas():
     # every n key 'U,i' that named the label 'a,b' would split in three
-    payload = qio.module_to_json(gen_regular_module(gen_pointed([2])))
+    payload = module_to_json(gen_regular_module(gen_pointed([2])))
     payload["irrM"] = ["a,b", "c"]
     with pytest.raises(qio.SchemaError) as err:
         qio.module_from_json(payload)
@@ -383,7 +426,7 @@ def test_labels_with_commas_fail_at_construction():
 
 
 def test_module_rows_must_be_objects():
-    payload = qio.module_to_json(gen_regular_module(gen_pointed([2])))
+    payload = module_to_json(gen_regular_module(gen_pointed([2])))
     payload["n"]["1,0"] = [1]
     with pytest.raises(qio.SchemaError) as err:
         qio.module_from_json(payload)
@@ -392,7 +435,7 @@ def test_module_rows_must_be_objects():
 
 def test_multiplicities_must_fit_int64():
     ring = gen_tlj(4)[0]
-    payload = qio.ring_to_json(ring)
+    payload = ring_to_json(ring)
     payload["N"]["1,1"]["2"] = 2 ** 63
     with pytest.raises(qio.SchemaError) as err:
         qio.ring_from_json(payload)
@@ -401,7 +444,7 @@ def test_multiplicities_must_fit_int64():
     payload["N"]["1,1"]["2"] = 2 ** 63 - 1
     assert qio.ring_from_json(payload).n("1", "1", "2") == 2 ** 63 - 1
 
-    payload = qio.module_to_json(gen_regular_module(ring))
+    payload = module_to_json(gen_regular_module(ring))
     payload["n"]["2,1"]["1"] = 10 ** 30
     with pytest.raises(qio.SchemaError) as err:
         qio.module_from_json(payload)
@@ -455,17 +498,24 @@ def test_sparse_decoder_matches_per_entry_reference():
     rng = np.random.default_rng(11)
     ring = gen_tlj(7)[0]
     module = gen_quotient_module(gen_pointed([2, 4]), [2, 4], [(0, 0), (0, 2)])
-    cases = [(qio.ring_to_json(ring), "N", "fusion_ring", (ring.labels,) * 3,
+    cases = [(ring_to_json(ring), "N", "fusion_ring", (ring.labels,) * 3,
               "keys are 'U,V' label pairs", "unknown target label"),
-             (qio.module_to_json(module), "n", "fusion_module",
+             (module_to_json(module), "n", "fusion_module",
               (module.ring.labels, module.labels, module.labels),
               "keys are 'U,i' pairs", "unknown module label")]
-    seen = set()
+    seen, from_bytes = set(), 0
     for payload, name, *rest in cases:
         for data in corrupted_maps(payload, name, rng, 400):
             want = decoded(sparse_from_json_reference, data, name, *rest)
-            assert decoded(qio._sparse_from_json, data, name, *rest) == want
+            # the dict, and the document read back by loads, whose map
+            # may be read from its bytes
+            read = qio.loads(json.dumps(data).encode())
+            from_bytes += isinstance(read[name], qio._SparseMap)
+            for doc in (data, read):
+                assert decoded(lambda *a: qio._sparse_from_json(*a)[0],
+                               doc, name, *rest) == want
             seen.add(want[0] if want[0] == "tensor" else want[1].split(": ")[-1])
+    assert from_bytes >= 100  # most edits are multiplicities that json must read
     assert seen == {"tensor", "N is an object", "n is an object",
                     "keys are 'U,V' label pairs", "keys are 'U,i' pairs",
                     "value is an object", "unknown target label",
@@ -475,12 +525,15 @@ def test_sparse_decoder_matches_per_entry_reference():
 
 def test_fusion_decoders_log_sizes_and_durations(caplog):
     ring = gen_tlj(5)[0]
-    payload = qio.module_to_json(gen_regular_module(ring))
+    payload = module_to_json(gen_regular_module(ring))
     with caplog.at_level(logging.INFO, logger="qindex.io"):
         qio.module_from_json(payload)
+        qio.module_from_json(qio.loads(json.dumps(payload).encode()))
     messages = [rec.getMessage() for rec in caplog.records if rec.name == "qindex.io"]
-    patterns = [r"ring_from_json: rank 4, 20 nonzero, \d+\.\d{3} s",
-                r"module_from_json: rank 4, module size 4, 20 nonzero, \d+\.\d{3} s"]
+    patterns = [rf"{stage}: rank 4, {size}20 nonzero, {name} {source}, \d+\.\d{{3}} s"
+                for source in ("through json", "from bytes")
+                for stage, size, name in (("ring_from_json", "", "N"),
+                                          ("module_from_json", "module size 4, ", "n"))]
     assert len(messages) == len(patterns)
     for message, pattern in zip(messages, patterns):
         assert re.fullmatch(pattern, message), message

@@ -8,7 +8,7 @@ Usage, from the root of a checkout:
 BASE_SRC and HEAD_SRC are the ``src`` directories of the two trees.  For
 every benchmark workload and seed, the commands of one benchmark pass are built
 with ``perfbench/inputs.build`` of this checkout, and ``-o FILE`` is
-appended to every command that accepts it and has none.  Three fixed
+appended to every command that accepts it and has none.  Four fixed
 sets of commands that the benchmark never runs come last.  The fusion set is
 ``fusion generate`` of pointed and TLJ rings with and without ``-o``, and
 ``fusion trace`` and ``fusion descent`` with module files, a
@@ -20,7 +20,10 @@ closed-form indices run over rows of different lengths.  The spec set is
 ``index compute`` on every file of ``spec_corpus``: malformed and edge
 specs that reach each way ``qindex.io.loads`` leaves its text path for
 ``json`` (see there), with the valid spellings next to them, so both
-trees' exit codes and error messages on them are compared.  Each tree runs
+trees' exit codes and error messages on them are compared.  The ring
+set is ``fusion trace`` and ``fusion descent`` on every file of
+``ring_corpus``, which does the same for the sparse maps of ring and
+module files.  Each tree runs
 the commands of one workload and seed (or a fixed set) in its own
 interpreter, through
 ``qindex.cli.main(argv)``, in its own copy of the input directory, so
@@ -328,6 +331,158 @@ def fixed_spec_set() -> list[dict]:
     return jobs
 
 
+# -- the fixed ring corpus ----------------------------------------------------------
+
+def _canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _relabel(ring: dict, names: dict) -> dict:
+    """The fusion_ring file ``ring`` with its labels renamed by ``names``."""
+    def name(x):
+        return names.get(x, x)
+    return {"irr": [name(x) for x in ring["irr"]], "unit": name(ring["unit"]),
+            "dual": {name(k): name(v) for k, v in ring["dual"].items()},
+            "N": {",".join(map(name, key.split(","))): {name(w): n for w, n in row.items()}
+                  for key, row in ring["N"].items()}}
+
+
+#: replacements of the multiplicity of the first entry of a map: each
+#: malformed, past int64 or a valid spelling of an int
+_MULTIPLICITIES = {
+    "leading-zero": "01", "zeros": "00", "minus-zero": "-0", "float": "1.0", "exponent": "1e0",
+    "true": "true", "null": "null", "string": '"1"', "list": "[1]", "minus-one": "-1",
+    "zero": "0", "space": " 1 ", "two-numbers": "1 2", "split-literal": "tr ue",
+    "2^62": str(2 ** 62), "18-digits": "9" * 18,
+    "19-digits": "1" + "0" * 18, "2^63-1": str(2 ** 63 - 1), "2^63": str(2 ** 63),
+    "30-digits": "1" + "0" * 29,
+}
+
+
+def ring_corpus() -> dict[str, bytes]:
+    """Fusion ring files of TLJ(5), and module files of its regular module
+    (named module-*), by name, that reach every way ``qio.loads`` leaves
+    its byte path for the sparse maps "N" and "n", with the valid
+    spellings next to them: repeated keys, malformed, negative, float,
+    boolean and null multiplicities and ints past int64, empty rows and
+    maps, trailing commas and missing colons, unknown labels and keys that
+    are not pairs, labels of JSON punctuation and of more than 8 bytes,
+    escapes, CR and CRLF, a byte order mark and non-ASCII bytes."""
+    ring = _tlj_ring(5)
+    base = _canonical(ring)
+    first = '"0,0":{"0":1}'
+    texts = {"valid": base, "valid-indent": json.dumps(ring, indent=2, sort_keys=True),
+             "valid-spaces": json.dumps(ring, sort_keys=True), "valid-map-last": json.dumps(
+                 {key: ring[key] for key in ("irr", "unit", "dual", "N")}),
+             "trailing-newline": base + "\n"}
+    for name, value in _MULTIPLICITIES.items():
+        texts[f"mult-{name}"] = base.replace(first, '"0,0":{"0":%s}' % value)
+    edits = {
+        "repeated-row-key": ('"N":{', '"N":{"1,1":{"3":1},'),
+        "repeated-row-key-last-wrong": ('"3,3":{"0":1}', '"3,3":{"0":1},"1,1":{"3":1}'),
+        "repeated-entry-key": (first, '"0,0":{"0":2,"0":1}'),
+        "repeated-entry-key-last-wrong": (first, '"0,0":{"0":1,"0":2}'),
+        "empty-row": ('"0,1":{"1":1}', '"0,1":{}'),
+        "empty-last-row": ('"3,3":{"0":1}', '"3,3":{}'),
+        "empty-rows-only": ('"N":{', '"N":{"0,1":{},"0,2":{},'),
+        "trailing-comma-row": (first, '"0,0":{"0":1,}'),
+        "trailing-comma-map": ('"3,3":{"0":1}}', '"3,3":{"0":1},}'),
+        "missing-colon": (first, '"0,0"{"0":1}'),
+        "missing-entry-colon": (first, '"0,0":{"0"1}'),
+        "unknown-target": (first, '"0,0":{"9":1}'),
+        "unknown-row-label": (first, '"0,9":{"0":1}'),
+        "key-0": (first, '"0":{"0":1}'),
+        "key-0,0,0": (first, '"0,0,0":{"0":1}'),
+        "key-empty": (first, '"":{"0":1}'),
+        "row-number": (first, '"0,0":1'),
+        "row-list": (first, '"0,0":[1]'),
+        "row-nested": (first, '"0,0":{"0":{"0":1}}'),
+        "row-nested-pair": (first, '"0,0":{"1,1":{"0":1}}'),
+        "entry-in-map": ('"0,1":{"1":1}', '"1":2,"0,1":{"1":1}'),
+        "trailing-comma-empty-row": ('"3,3":{"0":1}}', '"3,3":{},},"3,3":{"0":1}}'),
+        "junk-after-open": (first, '"0,0":{x"0":1}'),
+        "junk-after-entry": (first, '"0,0":{"0":1,2,"1":1}'),
+        "junk-after-row": ('"0,1":{"1":1}', 'x"0,1":{"1":1}'),
+        "escaped-key": (first, '"0,\\u0030":{"0":1}'),
+        "control-in-key": (first, '"0,0\x01":{"0":1}'),
+        "duplicate-map": ('"dual"', '"N":{"0,0":{"0":1}},"dual"'),
+        "unterminated-key": (first, '"0,0:{"0":1}'),
+    }
+    for name, (old, new) in edits.items():
+        texts[name] = base.replace(old, new, 1)
+    start, end = base.index('"N":') + 4, base.index(',"dual"')
+    texts["empty-map"] = base[:start] + "{}" + base[end:]
+    texts["map-list"] = base[:start] + "[" + base[start:end] + "]" + base[end:]
+    texts["truncated"] = base[:len(base) // 2]
+    texts["in-list"] = "[" + base + "]"
+    relabels = {"punctuation": {"1": "}}", "2": "{:[", "3": " "},
+                "digits": {"1": "10", "2": "01", "3": "1"},
+                "map-keys": {"1": "N", "2": "n", "3": "N:{"},
+                "long": {"1": "abcdefghi", "2": "abcdefghijkl", "3": "abcdefgh"},
+                "quotes": {"3": '"N":{'}, "non-ascii": {"3": "é"},
+                "escaped": {"3": "☃"}, "tab": {"3": "a\tb"}}
+    for name, names in relabels.items():
+        relabeled = _relabel(ring, names)
+        texts[f"labels-{name}"] = _canonical(relabeled)
+        texts[f"labels-{name}-indent"] = json.dumps(relabeled, indent=2)
+    texts["labels-non-ascii"] = json.dumps(_relabel(ring, relabels["non-ascii"]),
+                                           ensure_ascii=False)
+    texts["labels-raw-tab"] = texts["labels-tab"].replace("\\t", "\t")
+    # labels of 100 bytes, the last entry of the map a few bytes from the end
+    long_labels = _relabel(ring, {"1": "y" * 100, "3": "x" * 100})
+    texts["labels-100-bytes-map-last"] = json.dumps(
+        {key: long_labels[key] for key in ("irr", "unit", "dual", "N")})
+    # a label and a string of 16 bytes whose keys collide, so that only the
+    # word by word check tells the string from the label
+    label, string = "collide0!6x$6%-J", "kollide0yU$*jWqX"
+    texts["labels-colliding-key"] = _canonical(_relabel(ring, {"3": label})).replace(
+        '"0,%s":{"%s":1}' % (label, label), '"0,%s":{"%s":1}' % (label, string))
+    indent = texts["valid-indent"]
+    texts.update({"crlf": indent.replace("\n", "\r\n"), "cr": indent.replace("\n", "\r"),
+                  "tabs": indent.replace("  ", "\t"), "empty": ""})
+    module = _regular_module(ring, 1)
+    action = _canonical(module["n"])
+    module_edits = {"valid": action, "unknown-label": action.replace('"m0_1"', '"m9"', 1),
+                    "bad-key": action.replace('"1,m0_0"', '"1,m0_0,x"', 1),
+                    "2^63": action.replace(':1', ':%d' % 2 ** 63, 1),
+                    "repeated-row-key": "{" + action[1:action.index("}") + 1] + "," + action[1:]}
+    for name, n in module_edits.items():
+        texts[f"module-{name}"] = '{"irrM":%s,"n":%s,"ring":%s}' % (
+            json.dumps(module["irrM"]), n, base)
+    texts["module-non-ascii"] = json.dumps(
+        {**module, "irrM": module["irrM"][:-1] + ["é"],
+         "n": json.loads(action.replace('"m0_3"', '"é"'))}, ensure_ascii=False)
+    texts["module-indent"] = json.dumps(module, indent=2)
+    out = {name: text.encode() for name, text in texts.items()}
+    out["bom"] = b"\xef\xbb\xbf" + base.encode()
+    out["invalid-utf8"] = base.encode().replace(b'"3"', b'"\xff"')
+    return out
+
+
+def ring_corpus_argvs(name: str, path: str, ring: str) -> list[list[str]]:
+    """The ``fusion trace`` and ``fusion descent`` commands of the file
+    ``name`` of ``ring_corpus`` at ``path``: a ring file with its regular
+    module, a module file with the ring file ``ring``."""
+    if name.startswith("module-"):
+        args = ["--ring", ring, "--module", path]
+    else:
+        args = ["--ring", path, "--module", "regular"]
+    return [["fusion", "trace", *args], ["fusion", "descent", *args, "--subring", "0,2"]]
+
+
+def fixed_ring_set() -> list[dict]:
+    """Write the ring corpus into the working directory and return its
+    ``fusion trace`` and ``fusion descent`` jobs."""
+    jobs = []
+    for name, raw in ring_corpus().items():
+        path = f"ring-{name}.json"
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        jobs += [{"argv": argv, "output": True}
+                 for argv in ring_corpus_argvs(name, path, "ring-valid.json")]
+    return jobs
+
+
 # -- comparison ---------------------------------------------------------------------
 
 def json_differences(base, head, rtol: float, path: str = ""):
@@ -406,7 +561,7 @@ def main() -> int:
     cases = [(f"{workload} seed {seed}", benchmark_pass(workload, seed))
              for workload in inputs.WORKLOADS for seed in args.seeds]
     cases += [("fixed fusion set", fixed_fusion_set), ("fixed index set", fixed_index_set),
-              ("fixed spec set", fixed_spec_set)]
+              ("fixed spec set", fixed_spec_set), ("fixed ring set", fixed_ring_set)]
     total = failed = allowed_count = 0
     with tempfile.TemporaryDirectory(prefix="report_diff_") as tmp:
         for k, (name, build) in enumerate(cases):
