@@ -743,7 +743,9 @@ def functor_trace_components(functor: MultiplicityFunctor, trace: ModuleTrace,
                              ) -> tuple[float, float, float]:
     """Left insertion, right insertion, and closed-form functor trace.
 
-    eta maps (j, i) to a PSD matrix on the multiplicity space M(j, F(i)).
+    eta maps (j, i) to a PSD matrix on the multiplicity space M(j, F(i)):
+    its Hermitian defect and its smallest eigenvalue are checked against
+    1e-9 times its largest absolute entry, so a zero block passes.
     The left value is omega(R* (id (x) eta) R) evaluated with the explicit
     standard vectors, the right value the mirrored insertion through Rbar,
     and the closed form is sum_{ij} m(i) m(j) tr(eta_{ji}).
@@ -763,8 +765,9 @@ def functor_trace_components(functor: MultiplicityFunctor, trace: ModuleTrace,
             raise ValueError(f"eta block at {(j, i)} must be {mult}x{mult}")
         if mult == 0:
             continue
-        if float(np.max(np.abs(block - block.conj().T))) > 1e-9 or \
-                float(np.linalg.eigvalsh(block)[0]) < -1e-9:
+        tol = 1e-9 * float(np.max(np.abs(block)))
+        if float(np.max(np.abs(block - block.conj().T))) > tol or \
+                float(np.linalg.eigvalsh(block)[0]) < -tol:
             raise ValueError(f"eta block at {(j, i)} is not positive semidefinite")
         tr_eta = float(np.real(np.trace(block)))
         closed += mvals[i] * mvals[j] * tr_eta

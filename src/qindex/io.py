@@ -17,7 +17,7 @@ import time
 from collections.abc import Mapping, Sequence
 from functools import cached_property
 from io import BytesIO, TextIOWrapper
-from itertools import chain, islice
+from itertools import chain
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -140,7 +140,8 @@ def loads(raw: bytes) -> Any:
     from a document whose text is its bytes: ASCII, with no escape and no
     carriage return.  Malformed JSON raises the ``json.JSONDecodeError`` of
     ``json.loads``, invalid UTF-8 a ``UnicodeDecodeError``."""
-    arrays, maps = b"[[[" in raw, _has_map_key(raw)
+    arrays = _occurs(raw, b"[[[", 0)
+    maps = _occurs(raw, b'"N"', 1) or _occurs(raw, b'"n"', 1)
     if (arrays or maps) and raw.isascii() and b"\\" not in raw and b"\r" not in raw:
         text, held = _splice_maps(raw) if maps else (raw, [])
         count, text = _splice_arrays(text) if arrays else (0, text)
@@ -156,16 +157,17 @@ def loads(raw: bytes) -> Any:
     return json.loads(TextIOWrapper(BytesIO(raw), encoding="utf-8").read())
 
 
-def _has_map_key(raw: bytes) -> bool:
-    """Whether the string "N" or "n" occurs in ``raw``.  Each letter is
-    found by memchr, which is fast where it is rare; ``in`` scans for the
-    last byte of its needle, and JSON text is full of quotes."""
-    for key in (b'"N"', b'"n"'):
-        at = raw.find(key[1:2], 1)
-        while at > 0:
-            if raw[at - 1:at + 2] == key:
-                return True
-            at = raw.find(key[1:2], at + 1)
+def _occurs(raw: bytes, needle: bytes, at: int) -> bool:
+    """Whether ``needle`` occurs in ``raw``, found by memchr on its byte at
+    ``at`` and checked there.  memchr is fast where that byte is rare;
+    ``in`` scans for the last byte of its needle, and JSON text is full of
+    quotes and brackets."""
+    byte = needle[at:at + 1]
+    found = raw.find(byte, at)
+    while found >= 0:
+        if raw[found - at:found - at + len(needle)] == needle:
+            return True
+        found = raw.find(byte, found + 1)
     return False
 
 
@@ -262,11 +264,6 @@ def _swap_placeholders(data: dict, maps: list) -> int:
 #: bytes read after a string, and a word read at the start of one, stay
 #: in the buffer
 _PAD = 32
-#: bytes that can end or start a number or literal: whitespace between two
-#: of them separates tokens, so deleting it could make a valid document
-_TOKEN = np.zeros(256, dtype=bool)
-_TOKEN[np.frombuffer(b"0123456789.+-abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
-                     np.uint8)] = True
 #: masks of the first 0..8 bytes of a little-endian word
 _MASKS = np.array([(1 << (8 * n)) - 1 for n in range(9)], dtype=np.uint64)
 #: at most 18 digits, so that every multiplicity is below 2^63
@@ -307,7 +304,7 @@ class _SparseMap(Mapping):
     def tensor(self, labels: Sequence[Sequence[str]]) -> np.ndarray | None:
         """The int64 3-tensor of the map, whose axes are named by
         ``labels``, or None when a key is not a label (pair) or a key
-        repeats, for ``json`` to decide."""
+        repeats, or a label has more than 8 bytes, for ``json`` to decide."""
         tables = {id(axis): axis for axis in labels}  # a label list repeats
         tables = {key: _label_table(axis) for key, axis in tables.items()}
         first, second, third = (_label_indices(self.buffer, starts, ends, tables[id(axis)])
@@ -338,11 +335,10 @@ def _words(buffer: np.ndarray) -> np.ndarray:
 
 
 class _LabelTable(NamedTuple):
-    """The labels of an axis as words of 8 bytes: ``words`` holds the
-    ``width`` words of each label, NUL-padded, and ``keys`` one key per
-    label; label n sits in slot ``lookup[key * multiplier >> shift]``."""
+    """The labels of an axis, each of at most 8 bytes, as their
+    NUL-padded words ``keys``; label n sits in slot
+    ``lookup[keys[n] * multiplier >> shift]``."""
 
-    words: np.ndarray
     keys: np.ndarray
     multiplier: np.uint64
     shift: np.uint64
@@ -350,14 +346,14 @@ class _LabelTable(NamedTuple):
 
 
 def _label_table(labels: Sequence[str]) -> _LabelTable | None:
-    """The table of ``labels``, or None when no multiplier tried gives
-    their keys distinct slots.  The table has about 2 r^2 slots for r
-    labels, which leaves each multiplier a chance of about 3/4."""
+    """The table of ``labels``, or None when a label has more than 8
+    bytes or no multiplier tried gives their keys distinct slots.  The
+    table has about 2 r^2 slots for r labels, which leaves each multiplier
+    a chance of about 3/4."""
     encoded = [label.encode() for label in labels]
-    width = -(-max(map(len, encoded)) // 8) or 1
-    words = np.frombuffer(b"".join(e.ljust(8 * width, b"\0") for e in encoded),
-                          dtype="<u8").reshape(-1, width)
-    keys = _word_keys(words.T)
+    if max(map(len, encoded)) > 8:
+        return None
+    keys = np.frombuffer(b"".join(e.ljust(8, b"\0") for e in encoded), dtype="<u8")
     bits = max(8, 2 * len(keys).bit_length() + 1)
     shift = np.uint64(64 - bits)
     for multiplier in _MULTIPLIERS:
@@ -366,7 +362,7 @@ def _label_table(labels: Sequence[str]) -> _LabelTable | None:
         if np.all(ranked[1:] != ranked[:-1]):
             lookup = np.full(1 << bits, -1, dtype=np.intp)
             lookup[slots] = np.arange(keys.size)
-            return _LabelTable(words, keys, multiplier, shift, lookup)
+            return _LabelTable(keys, multiplier, shift, lookup)
     return None
 
 
@@ -375,34 +371,17 @@ def _label_indices(buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     """The index in ``table`` of each string buffer[start:end], or None
     when one is no label.
 
-    A string is read as its words of 8 bytes, the bytes past its end
-    masked to 0; a string holds no NUL, so its words and its length
-    determine each other.  One word is its key; more are hashed into one,
-    and a match is then checked word by word."""
+    A string of at most 8 bytes is read as one word, its key, the bytes
+    past its end masked to 0; a string holds no NUL, so its key and its
+    length determine each other.  A longer string is no label."""
     if table is None:
         return None
-    width = table.words.shape[1]
     lengths = ends - starts
-    if lengths.size and lengths.max() > 8 * width:
+    if lengths.size and lengths.max() > 8:
         return None
-    read = _words(buffer)
-    # a word past a string's end is masked to 0, and read where it fits
-    words = [read[np.minimum(starts + 8 * n, read.size - 1)]
-             & _MASKS[np.minimum(np.maximum(lengths - 8 * n, 0), 8)] for n in range(width)]
-    keys = _word_keys(words)
+    keys = _words(buffer)[starts] & _MASKS[lengths]
     found = table.lookup[keys * table.multiplier >> table.shift]  # -1 in a free slot
-    match = table.keys[found] == keys
-    for n in range(1, width):
-        match &= table.words[found, n] == words[n]
-    return found if match.all() else None
-
-
-def _word_keys(words: Sequence[np.ndarray]) -> np.ndarray:
-    """The words of each string, one array per word, hashed into one key."""
-    keys = words[0]
-    for column in words[1:]:
-        keys = keys * _MULTIPLIERS[0] + column  # wraps mod 2^64
-    return keys
+    return found if np.all(table.keys[found] == keys) else None
 
 
 #: odd 64-bit multipliers of Fibonacci and MurmurHash3 hashing
@@ -410,45 +389,22 @@ _MULTIPLIERS = tuple(map(np.uint64, (0x9E3779B97F4A7C15, 0xFF51AFD7ED558CCD,
                                      0xC4CEB9FE1A85EC53, 0xC2B2AE3D27D4EB4F)))
 
 
-def _strip_spaces(raw: bytes) -> bytes:
-    """``raw`` without its spaces, tabs and newlines outside strings, or
-    ``raw`` itself when a deleted run of them would join two number or
-    literal bytes, or the quotes do not pair.  The two texts are then
-    valid JSON, or not, together, and hold the same values."""
-    raw = raw.strip(_SPACE)
-    if not any(space in raw for space in (b" ", b"\t", b"\n")):
-        return raw
-    b = np.frombuffer(raw, np.uint8)
-    quotes = np.flatnonzero(b == 34)
-    if quotes.size % 2:
-        return raw
-    # runs outside and inside strings alternate; a closing quote is inside
-    bounds = np.concatenate(([0], quotes + np.arange(quotes.size) % 2, [b.size]))
-    inside = np.repeat(np.arange(bounds.size - 1) % 2 == 1, np.diff(bounds))
-    drop = ~inside & ((b == 32) | (b == 9) | (b == 10))
-    edges = np.flatnonzero(np.diff(drop.view(np.int8), prepend=0, append=0))
-    starts, ends = edges[0::2], edges[1::2]  # raw has no space at either end
-    if np.any(_TOKEN[b[starts - 1]] & _TOKEN[b[ends]]):
-        return raw
-    return b[~drop].tobytes()
-
-
 def _splice_maps(raw: bytes) -> tuple[bytes, list[_SparseMap]]:
     """``raw`` with each sparse map that is the value of an "N" or "n" key
     and that every byte of checks replaced by the placeholder
-    {"\\u0000": i}, and the ``_SparseMap`` i of each, its spaces outside
-    strings deleted when ``_strip_spaces`` may.
+    {"\\u0000": i}, and the ``_SparseMap`` i of each; ``raw`` is first
+    stripped of the whitespace at its ends.
 
     ``raw`` has no backslash, so strings end at the next quote.  The
     bytes between one string and the next are a separator, and a map is
     the strings from its key to the first whose separator ends it: each
     key opens the map or a row, or is an entry whose separator holds its
     multiplicity, and each separator says what the next string is.  Each
-    map that is not so read is left to ``json``, as is an empty one, and
-    so is every map of a document that still holds a control byte once
-    its spaces are deleted, which no valid document does.  A checked map
-    is valid JSON, and so is the placeholder."""
-    raw = _strip_spaces(raw)
+    map that is not so read is left to ``json``, as is an empty one or one
+    with whitespace between its tokens, and so is every map of a document
+    that holds a tab, newline or other control byte inside it.  A checked
+    map is valid JSON, and so is the placeholder."""
+    raw = raw.strip(_SPACE)
     b = np.frombuffer(raw + bytes(_PAD), np.uint8)
     size = len(raw)
     quotes = np.flatnonzero(b == 34)
@@ -738,8 +694,9 @@ def _sparse_from_json(data: Mapping, name: str, path: str,
     absent map, are zero.  ``keys`` and ``target`` describe a malformed key
     and an unknown C.  Multiplicities are stored as int64.  A map that
     ``loads`` read from its bytes is scattered at once, unless a key is no
-    label (pair) or repeats; then, as any other map, it is walked as the
-    dict ``json`` decodes from it, which names its first bad entry."""
+    label (pair) or repeats, or a label has more than 8 bytes; then, as any
+    other map, it is walked as the dict ``json`` decodes from it, which
+    names its first bad entry."""
     entries = data.get(name, {})
     if isinstance(entries, _SparseMap):
         tensor = entries.tensor(labels)
@@ -755,58 +712,25 @@ def _sparse_from_json(data: Mapping, name: str, path: str,
 
 def _sparse_walk(tensor: np.ndarray, entries: Mapping, path: str, first: dict,
                  second: dict, third: dict, keys: str, target: str) -> None:
-    """Store the entries, raising at the first bad one.
-
-    The keys are checked row by row, up to the first bad key or row, and
-    the entries of the rows before it are streamed into arrays at once.
-    When one of those entries is bad (an unknown target, or a multiplicity
-    that is not an int in [0, 2^63)), the rows are walked again entry by
-    entry to name the first; a bad key or row after them is raised only
-    then."""
-    cells, rows, bad = [], [], None
+    """Store the entries one at a time in the map's order, raising at the
+    first bad key, row or entry."""
     for key, row in entries.items():
         parts = key.split(",")
         if not (len(parts) == 2 and parts[0] in first and parts[1] in second):
-            bad = SchemaError(f"{path}[{key!r}]", keys)
-            break
+            raise SchemaError(f"{path}[{key!r}]", keys)
         if not isinstance(row, Mapping):
-            bad = SchemaError(f"{path}[{key!r}]", "value is an object")
-            break
-        cells.append((first[parts[0]], second[parts[1]]))
-        rows.append(row)
-    counts = list(map(len, rows))
-    total = sum(counts)
-    try:
-        if not set(map(type, chain.from_iterable(row.values() for row in rows))) <= {int}:
-            raise TypeError  # JSON true is no multiplicity
-        # an unknown target maps to None: TypeError; a mult past int64: OverflowError
-        targets = np.fromiter(map(third.get, chain.from_iterable(rows)), np.intp, total)
-        mults = np.fromiter(chain.from_iterable(row.values() for row in rows), np.int64, total)
-        if np.any(mults < 0):
-            raise TypeError
-    except (TypeError, OverflowError):
-        found = [_row_walk(row, f"{path}[{key!r}]", third, target)
-                 for key, row in islice(entries.items(), len(rows))]
-        targets = np.array([at for row in found for at, _ in row], dtype=np.intp)
-        mults = np.array([mult for row in found for _, mult in row], dtype=np.int64)
-    if bad is not None:
-        raise bad
-    u, v = np.repeat(np.array(cells, dtype=np.intp).reshape(-1, 2), counts, axis=0).T
-    tensor[u, v, targets] = mults
-
-
-def _row_walk(row: Mapping, path: str, third: dict, target: str) -> list[tuple[int, int]]:
-    """The (target index, multiplicity) of each entry of a row, checked one
-    entry at a time, raising at the first bad one."""
-    found = []
-    for w, mult in row.items():
-        _expect(w in third, f"{path}[{w!r}]", target)
-        _expect(_is_number(mult, int) and mult >= 0, f"{path}[{w!r}]",
-                "multiplicities are nonnegative ints")
-        _expect(mult < 2 ** 63, f"{path}[{w!r}]",
-                "multiplicities are nonnegative ints below 2^63")
-        found.append((third[w], int(mult)))
-    return found
+            raise SchemaError(f"{path}[{key!r}]", "value is an object")
+        cell = tensor[first[parts[0]], second[parts[1]]]
+        for w, mult in row.items():
+            if w not in third:
+                raise SchemaError(f"{path}[{key!r}][{w!r}]", target)
+            if not (_is_number(mult, int) and mult >= 0):
+                raise SchemaError(f"{path}[{key!r}][{w!r}]",
+                                  "multiplicities are nonnegative ints")
+            if mult >= 2 ** 63:
+                raise SchemaError(f"{path}[{key!r}][{w!r}]",
+                                  "multiplicities are nonnegative ints below 2^63")
+            cell[third[w]] = mult
 
 
 def ring_to_text(ring: FusionRing) -> str:

@@ -297,19 +297,24 @@ def test_ring_corpus_reads_as_json_reads_it(tmp_path, capsys, monkeypatch, name)
 
 
 def test_ring_corpus_takes_the_byte_path_on_valid_maps():
+    # a map is read from its bytes when it has no whitespace between its
+    # tokens and every label has at most 8 bytes
     corpus = ring_corpus()
-    for name in ("valid", "valid-indent", "valid-spaces", "valid-map-last", "trailing-newline",
-                 "tabs", "mult-zero", "mult-space", "mult-18-digits", "repeated-row-key",
-                 "empty-row", "empty-last-row", "empty-rows-only", "unknown-target",
-                 "unknown-row-label", "labels-punctuation", "labels-digits-indent",
-                 "labels-map-keys", "labels-long", "labels-100-bytes-map-last"):
+    for name in ("valid", "valid-map-last", "trailing-newline", "mult-zero", "mult-18-digits",
+                 "repeated-row-key", "empty-row", "empty-last-row", "empty-rows-only",
+                 "unknown-target", "unknown-row-label", "labels-punctuation", "labels-digits",
+                 "labels-map-keys", "labels-long", "labels-colliding-key", "labels-8-bytes",
+                 "labels-9-bytes"):
         assert isinstance(qio.loads(corpus[name])["N"], qio._SparseMap), name
     module = qio.loads(corpus["module-valid"])
     assert isinstance(module["n"], qio._SparseMap)
     assert isinstance(module["ring"]["N"], qio._SparseMap)
-    # read from bytes, but a key is no label or repeats: walked as json reads it
+    # read from bytes, but a key is no label or repeats, or a label has
+    # more than 8 bytes: walked as json reads it
     for name in ("repeated-row-key", "repeated-entry-key", "unknown-target",
-                 "unknown-row-label", "labels-colliding-key", "valid"):
+                 "unknown-row-label", "labels-long", "labels-colliding-key", "labels-9-bytes",
+                 "valid", "labels-punctuation", "labels-digits", "labels-map-keys",
+                 "labels-8-bytes"):
         doc = qio.loads(corpus[name])
         assert isinstance(doc["N"], qio._SparseMap), name
         try:
@@ -317,13 +322,18 @@ def test_ring_corpus_takes_the_byte_path_on_valid_maps():
                                                   "keys", "target")
         except qio.SchemaError:  # the first bad entry, named by the walk
             from_bytes = False
-        assert from_bytes == (name == "valid"), name
-    for name in ("mult-minus-zero", "mult-float",
+        assert from_bytes == (name in ("valid", "labels-punctuation", "labels-digits",
+                                       "labels-map-keys", "labels-8-bytes")), name
+    for name in ("valid-indent", "valid-spaces", "tabs", "mult-space", "labels-digits-indent",
+                 "labels-punctuation-indent", "labels-map-keys-indent", "labels-long-indent",
+                 "labels-8-bytes-indent", "labels-100-bytes-map-last",
+                 "mult-minus-zero", "mult-float",
                  "mult-exponent", "mult-true", "mult-null", "mult-19-digits", "mult-2^63",
                  "empty-map", "row-nested", "key-0", "key-0,0,0", "escaped-key",
                  "labels-quotes", "labels-escaped",
                  "labels-non-ascii", "labels-tab", "crlf", "cr"):
         assert not isinstance(qio.loads(corpus[name]).get("N"), qio._SparseMap), name
+    assert not isinstance(qio.loads(corpus["module-indent"])["n"], qio._SparseMap)
 
 
 @pytest.mark.parametrize("where, message", [

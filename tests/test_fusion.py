@@ -776,6 +776,35 @@ def test_functor_trace_zero_eta():
     assert functor_trace(functor, trace, eta) == 0.0
 
 
+def test_functor_trace_accepts_rank_one_eta_at_any_scale(rng):
+    # the smallest eigenvalue of a rank-one block sits at the rounding
+    # floor of its scale, about -1e-8 at 1e8, which a bound of -1e-9 rejected
+    ring = rep_a4()
+    module = gen_regular_module(ring)
+    trace = module_trace_solve(module, pf_dimensions(ring)).trace
+    functor = action_functor(module, trace, "3")
+    dims = functor.dims.dims
+    for scale in (1e8, 1e12):
+        for _ in range(50):
+            eta = {}
+            for j, i in zip(*np.nonzero(dims)):
+                v = rng.standard_normal(dims[j, i]) + 1j * rng.standard_normal(dims[j, i])
+                eta[(j, i)] = scale * np.outer(v, v.conj())
+            left, right, closed = functor_trace_components(functor, trace, eta)
+            assert abs(left - closed) <= 1e-9 * closed
+            assert abs(right - closed) <= 1e-9 * closed
+
+
+def test_functor_trace_rejects_small_negative_eta():
+    # -1e-10 times the identity passed a bound of -1e-9 and gave a
+    # negative trace
+    _, module, _, trace = regular_with_trace(6)
+    functor = action_functor(module, trace, "1")
+    eta = {key: -1e-10 * block for key, block in identity_eta(functor).items()}
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        functor_trace_components(functor, trace, eta)
+
+
 def test_functor_trace_single_block_unit():
     # only the (i0, i0) block of the identity-object functor, trace 1
     _, module, _, trace = regular_with_trace(4)

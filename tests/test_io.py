@@ -189,21 +189,27 @@ def byte_label_lists(size):
 @given(st.data())
 def test_loads_reads_sparse_maps_as_json_reads_them(data):
     # compact and indented ring and module files: the same tensors as
-    # through json, and every map that json reads with no escape is read
-    # from its bytes, unless it is empty or has a multiplicity of 19 digits
+    # through json, and every map of a compact file that json reads with no
+    # escape is spliced, unless it is empty or has a multiplicity of 19
+    # digits, and read from its bytes when every label has at most 8 bytes
     ring, module = relabelled_ring_and_module(data, byte_label_lists)
-    cases = ((qio.ring_to_text(ring), qio.ring_from_json, "N", attrgetter("tensor"), ring),
+    cases = ((qio.ring_to_text(ring), qio.ring_from_json, "N", attrgetter("tensor"), ring,
+              (ring.labels,) * 3),
              (qio.module_to_text(module), qio.module_from_json, "n", attrgetter("action"),
-              module))
-    for text, decode, name, tensor, written in cases:
+              module, (ring.labels, module.labels, module.labels)))
+    for text, decode, name, tensor, written, labels in cases:
         want = tensor(written)
+        short = all(len(label.encode()) <= 8 for axis in labels for label in axis)
         for raw in (text.encode(), json.dumps(json.loads(text), indent=2).encode()):
             got, reference = qio.loads(raw), json_text_loads(raw)
             assert got == reference
             assert np.array_equal(tensor(decode(got)), want)
             assert np.array_equal(tensor(decode(reference)), want)
-            assert isinstance(got[name], qio._SparseMap) == (
-                b"\\" not in raw and want.any() and want.max() < 10 ** 18)
+            spliced = (raw == text.encode() and b"\\" not in raw
+                       and want.any() and want.max() < 10 ** 18)
+            assert isinstance(got[name], qio._SparseMap) == spliced
+            if spliced:
+                assert (got[name].tensor(labels) is not None) == short
 
 
 def test_schema_errors_carry_paths():
@@ -509,7 +515,7 @@ def test_sparse_decoder_matches_per_entry_reference():
             want = decoded(sparse_from_json_reference, data, name, *rest)
             # the dict, and the document read back by loads, whose map
             # may be read from its bytes
-            read = qio.loads(json.dumps(data).encode())
+            read = qio.loads(json.dumps(data, separators=(",", ":")).encode())
             from_bytes += isinstance(read[name], qio._SparseMap)
             for doc in (data, read):
                 assert decoded(lambda *a: qio._sparse_from_json(*a)[0],
@@ -528,7 +534,7 @@ def test_fusion_decoders_log_sizes_and_durations(caplog):
     payload = module_to_json(gen_regular_module(ring))
     with caplog.at_level(logging.INFO, logger="qindex.io"):
         qio.module_from_json(payload)
-        qio.module_from_json(qio.loads(json.dumps(payload).encode()))
+        qio.module_from_json(qio.loads(json.dumps(payload, separators=(",", ":")).encode()))
     messages = [rec.getMessage() for rec in caplog.records if rec.name == "qindex.io"]
     patterns = [rf"{stage}: rank 4, {size}20 nonzero, {name} {source}, \d+\.\d{{3}} s"
                 for source in ("through json", "from bytes")

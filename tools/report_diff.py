@@ -366,14 +366,15 @@ def ring_corpus() -> dict[str, bytes]:
     spellings next to them: repeated keys, malformed, negative, float,
     boolean and null multiplicities and ints past int64, empty rows and
     maps, trailing commas and missing colons, unknown labels and keys that
-    are not pairs, labels of JSON punctuation and of more than 8 bytes,
+    are not pairs, labels of JSON punctuation, of exactly 8 bytes (the
+    longest read from bytes) and of more, whitespace between tokens,
     escapes, CR and CRLF, a byte order mark and non-ASCII bytes."""
     ring = _tlj_ring(5)
     base = _canonical(ring)
     first = '"0,0":{"0":1}'
     texts = {"valid": base, "valid-indent": json.dumps(ring, indent=2, sort_keys=True),
              "valid-spaces": json.dumps(ring, sort_keys=True), "valid-map-last": json.dumps(
-                 {key: ring[key] for key in ("irr", "unit", "dual", "N")}),
+                 {key: ring[key] for key in ("irr", "unit", "dual", "N")}, separators=(",", ":")),
              "trailing-newline": base + "\n"}
     for name, value in _MULTIPLICITIES.items():
         texts[f"mult-{name}"] = base.replace(first, '"0,0":{"0":%s}' % value)
@@ -419,6 +420,8 @@ def ring_corpus() -> dict[str, bytes]:
                 "digits": {"1": "10", "2": "01", "3": "1"},
                 "map-keys": {"1": "N", "2": "n", "3": "N:{"},
                 "long": {"1": "abcdefghi", "2": "abcdefghijkl", "3": "abcdefgh"},
+                "8-bytes": {"1": "{:[]}}01", "3": "N:{ }n:{"},
+                "9-bytes": {"1": "abcdefghi", "3": "{:[]}}01x"},
                 "quotes": {"3": '"N":{'}, "non-ascii": {"3": "é"},
                 "escaped": {"3": "☃"}, "tab": {"3": "a\tb"}}
     for name, names in relabels.items():
@@ -432,8 +435,9 @@ def ring_corpus() -> dict[str, bytes]:
     long_labels = _relabel(ring, {"1": "y" * 100, "3": "x" * 100})
     texts["labels-100-bytes-map-last"] = json.dumps(
         {key: long_labels[key] for key in ("irr", "unit", "dual", "N")})
-    # a label and a string of 16 bytes whose keys collide, so that only the
-    # word by word check tells the string from the label
+    # a label of 16 bytes, and a string of 16 bytes that differs from it,
+    # in its place as one entry key: a label of more than 8 bytes sends
+    # the map to json, whose walk names the unknown key
     label, string = "collide0!6x$6%-J", "kollide0yU$*jWqX"
     texts["labels-colliding-key"] = _canonical(_relabel(ring, {"3": label})).replace(
         '"0,%s":{"%s":1}' % (label, label), '"0,%s":{"%s":1}' % (label, string))
