@@ -183,12 +183,6 @@ class StarHomomorphism:
             raise ValueError("element is not in the source algebra")
         return self.target.from_vector(self.matrix @ x.to_vector())
 
-    def compose(self, inner: StarHomomorphism) -> StarHomomorphism:
-        """self after inner."""
-        if inner.target.blocks != self.source.blocks:
-            raise ValueError("composition mismatch")
-        return StarHomomorphism(inner.source, self.target, self.matrix @ inner.matrix)
-
     def preimage(self, vecs: np.ndarray) -> np.ndarray:
         """Phi* vecs / n, the least-squares preimage of the coefficient
         vector (or columns) ``vecs`` under the matrix Phi.

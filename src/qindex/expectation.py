@@ -270,9 +270,9 @@ class IndexReport:
     """All index data of one expectation.
 
     The index element is c_t 1 on block t of B, for the ``block_values``
-    c_t (None when E is not faithful), and is built on first read.  It is
-    central in B by construction; ``index_in_subalgebra`` records whether
-    it lies in the image of A.
+    c_t (None when E is not faithful).  It is central in B by
+    construction; ``index_in_subalgebra`` records whether it lies in the
+    image of A.
     """
 
     algebra: MultiMatrixAlgebra
@@ -283,14 +283,6 @@ class IndexReport:
     prob_upper: float
     quasi_basis_size: int
     index_in_subalgebra: bool | None = None
-
-    @cached_property
-    def index_element(self) -> AlgebraElement | None:
-        """c_t 1 on every block t of B, or None when E is not faithful."""
-        if self.block_values is None:
-            return None
-        return self.algebra.element([c * np.eye(m) for c, m
-                                     in zip(self.block_values, self.algebra.blocks)])
 
 
 @dataclass(frozen=True)

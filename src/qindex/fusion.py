@@ -38,6 +38,17 @@ _CERTIFICATE_PRIME = 33554393
 _CHECK_ENTRIES = 2 ** 16
 
 
+def _frozen(array) -> np.ndarray:
+    """``array`` when it is a read-only C-contiguous int64 array that owns its
+    data, as the library's own tensors are; else a read-only int64 copy."""
+    if (isinstance(array, np.ndarray) and array.dtype == np.int64
+            and array.flags.c_contiguous and array.flags.owndata and not array.flags.writeable):
+        return array
+    array = np.array(array, dtype=np.int64, order="C")
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class FusionRing:
     """Based ring of a rigid C*-tensor category at the multiplicity level.
@@ -54,12 +65,11 @@ class FusionRing:
     def __post_init__(self):
         object.__setattr__(self, "labels", _labels(self.labels))
         r = len(self.labels)
-        t = np.array(self.tensor, dtype=np.int64, order="C")
+        t = _frozen(self.tensor)
         if t.shape != (r, r, r):
             raise ValueError(f"tensor must be {r}x{r}x{r}")
         if np.any(t < 0):
             raise ValueError("multiplicities must be nonnegative")
-        t.flags.writeable = False
         object.__setattr__(self, "tensor", t)
         object.__setattr__(self, "dual", tuple((str(a), str(b)) for a, b in self.dual))
 
@@ -350,12 +360,11 @@ class FusionModule:
         object.__setattr__(self, "labels", _labels(self.labels))
         r = self.ring.rank
         m = len(self.labels)
-        a = np.array(self.action, dtype=np.int64, order="C")
+        a = _frozen(self.action)
         if a.shape != (r, m, m):
             raise ValueError(f"action tensor must be {r}x{m}x{m}")
         if np.any(a < 0):
             raise ValueError("action multiplicities must be nonnegative")
-        a.flags.writeable = False
         object.__setattr__(self, "action", a)
 
     @property
@@ -591,28 +600,20 @@ def equivalence_classes(module: FusionModule,
         raise ValueError(f"subring not closed under fusion: "
                          f"{sub[a]} x {sub[b]} contains {ring.labels[w]}")
 
-    m = module.size
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
     linked = np.any(module.action[idx] != 0, axis=0)
-    for i, j in np.argwhere(linked).tolist():
-        union(i, j)
-
-    groups: dict[int, list[str]] = {}
-    for i, lab in enumerate(module.labels):
-        groups.setdefault(find(i), []).append(lab)
-    return [tuple(groups[k]) for k in sorted(groups)]
+    linked = linked | linked.T | np.eye(module.size, dtype=bool)
+    # each label takes the smallest label linked to it until none changes,
+    # and then holds the smallest member of its class
+    first = np.arange(module.size)
+    while True:
+        grown = np.where(linked, first, module.size).min(axis=1)
+        if np.array_equal(grown, first):
+            break
+        first = grown
+    classes: dict[int, list[str]] = {}
+    for k, lab in zip(first.tolist(), module.labels):
+        classes.setdefault(k, []).append(lab)
+    return [tuple(c) for c in classes.values()]
 
 
 @dataclass(frozen=True)
@@ -622,12 +623,11 @@ class BigradedDims:
     dims: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.dims, dtype=np.int64, order="C")
+        d = _frozen(self.dims)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("dims must be a square integer matrix")
         if np.any(d < 0):
             raise ValueError("dims must be nonnegative")
-        d.flags.writeable = False
         object.__setattr__(self, "dims", d)
 
 

@@ -78,7 +78,7 @@ def gen_pointed(factors: Sequence[int]) -> FusionRing:
 
 def gen_regular_module(ring: FusionRing) -> FusionModule:
     """The ring acting on itself: n_{u,i}^j = N_{u i}^j."""
-    return FusionModule(ring, ring.labels, np.array(ring.tensor))
+    return FusionModule(ring, ring.labels, ring.tensor)
 
 
 def gen_quotient_module(ring: FusionRing, factors: Sequence[int],

@@ -302,7 +302,7 @@ class _SparseMap(Mapping):
         return len(self._decoded)
 
     def tensor(self, labels: Sequence[Sequence[str]]) -> np.ndarray | None:
-        """The int64 3-tensor of the map, whose axes are named by
+        """The read-only int64 3-tensor of the map, whose axes are named by
         ``labels``, or None when a key is not a label (pair) or a key
         repeats, or a label has more than 8 bytes, for ``json`` to decide."""
         tables = {id(axis): axis for axis in labels}  # a label list repeats
@@ -319,6 +319,7 @@ class _SparseMap(Mapping):
             return None
         tensor = np.zeros(shape, dtype=np.int64)
         tensor.reshape(-1)[where] = self.mults
+        tensor.flags.writeable = False
         return tensor
 
 
@@ -692,7 +693,7 @@ def _sparse_from_json(data: Mapping, name: str, path: str,
     """The 3-tensor held as the map "A,B" -> {C: mult} at ``data[name]``,
     and whether it was read from the map's bytes; absent entries, and an
     absent map, are zero.  ``keys`` and ``target`` describe a malformed key
-    and an unknown C.  Multiplicities are stored as int64.  A map that
+    and an unknown C.  Multiplicities are stored as read-only int64.  A map that
     ``loads`` read from its bytes is scattered at once, unless a key is no
     label (pair) or repeats, or a label has more than 8 bytes; then, as any
     other map, it is walked as the dict ``json`` decodes from it, which
@@ -707,6 +708,7 @@ def _sparse_from_json(data: Mapping, name: str, path: str,
     first, second, third = ({lab: i for i, lab in enumerate(axis)} for axis in labels)
     tensor = np.zeros((len(first), len(second), len(third)), dtype=np.int64)
     _sparse_walk(tensor, entries, path, first, second, third, keys, target)
+    tensor.flags.writeable = False
     return tensor, False
 
 
@@ -724,7 +726,7 @@ def _sparse_walk(tensor: np.ndarray, entries: Mapping, path: str, first: dict,
         for w, mult in row.items():
             if w not in third:
                 raise SchemaError(f"{path}[{key!r}][{w!r}]", target)
-            if not (_is_number(mult, int) and mult >= 0):
+            if not (type(mult) is int and mult >= 0):  # JSON true is not 1
                 raise SchemaError(f"{path}[{key!r}][{w!r}]",
                                   "multiplicities are nonnegative ints")
             if mult >= 2 ** 63:

@@ -144,10 +144,7 @@ class FiniteAbelianGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return prod(self.invariant_factors)
 
 
 @dataclass(frozen=True)
@@ -357,8 +354,8 @@ def center_group(cartan: CartanData) -> CenterData:
     divisors = tuple(d[i][i] for i in range(cartan.rank))
     nontrivial = tuple(i for i, x in enumerate(divisors) if x > 1)
     factors = tuple(divisors[i] for i in nontrivial)
-    group = FiniteAbelianGroup(factors) if factors else FiniteAbelianGroup(())
-    return CenterData(group, divisors, tuple(tuple(r) for r in u), nontrivial)
+    return CenterData(FiniteAbelianGroup(factors), divisors,
+                      tuple(tuple(r) for r in u), nontrivial)
 
 
 def enumerate_subgroups(group: FiniteAbelianGroup,
@@ -557,7 +554,6 @@ class CrosscheckReport:
     d: int
     expected_index: int
     index_norm: float
-    scalar_index: float
     passed: bool
 
 
@@ -575,7 +571,5 @@ def crosscheck_torus_index(n: int, d: int) -> CrosscheckReport:
     inclusion, tau = group_algebra_inclusion(n, d)
     report = compute_index_report(canonical_expectation(inclusion, tau))
     expected = n // d
-    # scalar_index is the same float as index_norm, so one test covers both
     passed = abs(report.index_norm - expected) <= DEFAULT_TOL
-    return CrosscheckReport(n, d, expected, report.index_norm,
-                            report.scalar_index, passed)
+    return CrosscheckReport(n, d, expected, report.index_norm, passed)

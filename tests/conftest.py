@@ -21,6 +21,22 @@ def module_to_json(module):
     return json.loads(qio.module_to_text(module))
 
 
+def compose(outer, inner):
+    """The inclusion ``outer`` after ``inner``."""
+    if inner.target.blocks != outer.source.blocks:
+        raise ValueError("composition mismatch")
+    return StarHomomorphism(inner.source, outer.target, outer.matrix @ inner.matrix)
+
+
+def index_element(report):
+    """The index element c_t 1 on every block t of B of an index report,
+    or None when its expectation is not faithful."""
+    if report.block_values is None:
+        return None
+    return report.algebra.element([c * np.eye(m) for c, m
+                                   in zip(report.block_values, report.algebra.blocks)])
+
+
 def random_unitary(n, rng):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)

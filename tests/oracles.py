@@ -31,7 +31,9 @@ map one entry at a time, the reference for the whole-array decoder of
 ``qindex.io`` once encoded with ``json.dumps``: the references for its
 text encoder.  ``trace_solve_reference`` solves for a module trace by the
 thin SVD of the whole stacked system, the reference for the SVD of its R
-factor.
+factor.  ``equivalence_classes_reference`` joins linked module labels by
+union-find, the reference for the label propagation of
+``equivalence_classes``.
 ``smith_normal_form_reference`` scans the whole trailing block for every
 Smith pivot, and ``classify_reference`` builds each sublattice by integer
 elimination of the Cartan columns joined with lifted subgroup generators:
@@ -815,6 +817,30 @@ def trace_solve_reference(module: FusionModule,
     return TraceSolveResult("ok", ModuleTrace(module, ring_dims,
                                               tuple(zip(module.labels, map(float, v / v[0]))),
                                               module.labels[0]), 1)
+
+
+def equivalence_classes_reference(module: FusionModule,
+                                  subring) -> list[tuple[str, ...]]:
+    """``equivalence_classes`` by union-find over the linked pairs, each
+    class under its smallest member, for a subring that is closed under
+    duals and fusion."""
+    parent = list(range(module.size))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    idx = [module.ring.index(u) for u in subring]
+    for i, j in np.argwhere(np.any(module.action[idx] != 0, axis=0)).tolist():
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    groups: dict[int, list[str]] = {}
+    for i, lab in enumerate(module.labels):
+        groups.setdefault(find(i), []).append(lab)
+    return [tuple(groups[k]) for k in sorted(groups)]
 
 
 # -- sublattices ---------------------------------------------------------------------

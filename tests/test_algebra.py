@@ -9,7 +9,8 @@ from qindex.algebra import (MultiMatrixAlgebra, StarHomomorphism, TraceWeights,
                             column_norms, group_algebra_inclusion, is_positive)
 from qindex.expectation import canonical_expectation, compute_index_report
 
-from conftest import diagonal_inclusion, inclusion_from_multiplicities, random_element
+from conftest import (compose, diagonal_inclusion, inclusion_from_multiplicities,
+                      random_element)
 from oracles import (choi_blocks, choi_is_psd, left_mult_matrix, matrix_unit,
                      multiply_columns, normal_form_reference, right_mult_matrix)
 
@@ -222,7 +223,7 @@ def test_group_algebra_inclusion_composes():
         outer, _ = group_algebra_inclusion(n, d)
         inner, _ = group_algebra_inclusion(d, e)
         direct, _ = group_algebra_inclusion(n, e)
-        assert np.array_equal(outer.compose(inner).matrix, direct.matrix)
+        assert np.array_equal(compose(outer, inner).matrix, direct.matrix)
 
 
 def test_trace_weights_faithful_tracial(rng):

@@ -1,3 +1,4 @@
+import json
 import logging
 import re
 import time
@@ -17,10 +18,12 @@ from qindex.fusion import (NULLITY_RTOL, BigradedDims, FusionModule, FusionRing,
                            standard_solution_components, validate_fusion,
                            validate_module)
 from qindex import fusion
-from qindex.generators import gen_pointed, gen_quotient_module, gen_regular_module, gen_tlj
+from qindex import io as qio
+from qindex.generators import (gen_pointed, gen_quotient_module, gen_regular_module,
+                               gen_tlj, pointed_elements, pointed_label)
 
-from oracles import (stacked_svd, trace_solve_reference, validate_fusion_every_label,
-                     words_rank)
+from oracles import (equivalence_classes_reference, stacked_svd, trace_solve_reference,
+                     validate_fusion_every_label, words_rank)
 
 
 def regular_with_trace(n):
@@ -881,14 +884,100 @@ def test_qsystem_degree_pointed():
 
 
 def test_constructors_leave_caller_arrays_writeable():
+    # a writeable array is copied: the caller may still edit it, and the
+    # ring, module or dims do not see the edit
     ring, _ = gen_tlj(4)
     tensor = np.array(ring.tensor)
-    FusionRing(ring.labels, ring.unit, ring.dual, tensor)
+    copied = FusionRing(ring.labels, ring.unit, ring.dual, tensor)
     tensor[0, 0, 0] = 1
+    assert np.array_equal(copied.tensor, ring.tensor)
     module = gen_regular_module(ring)
     action = np.array(module.action)
-    FusionModule(ring, module.labels, action)
+    copied = FusionModule(ring, module.labels, action)
     action[0, 0, 0] = 1
+    assert np.array_equal(copied.action, module.action)
     dims = np.eye(3, dtype=np.int64)
-    BigradedDims(dims)
+    copied = BigradedDims(dims)
     dims[0, 0] = 2
+    assert np.array_equal(copied.dims, np.eye(3))
+
+
+def test_constructors_keep_frozen_tensors():
+    ring, _ = gen_tlj(5)
+    # a read-only int64 array that owns its data is kept as it is
+    assert gen_regular_module(ring).action is ring.tensor
+    assert FusionRing(ring.labels, ring.unit, ring.dual, ring.tensor).tensor is ring.tensor
+    # a read-only view, or a read-only array of another dtype, is copied
+    for other in (ring.tensor[:], ring.tensor.astype(np.int32)):
+        other.flags.writeable = False
+        kept = FusionRing(ring.labels, ring.unit, ring.dual, other).tensor
+        assert kept is not other and kept.dtype == np.int64
+        assert not kept.flags.writeable and np.array_equal(kept, ring.tensor)
+    dims = np.eye(3, dtype=np.int64)
+    dims.flags.writeable = False
+    assert BigradedDims(dims).dims is dims
+    # both decoder paths build a frozen tensor, for the ring to keep
+    text = qio.ring_to_text(ring)
+    for data, byte_path in ((qio.loads(text.encode()), True), (json.loads(text), False)):
+        tensor, from_bytes = qio._sparse_from_json(data, "N", "fusion_ring", (ring.labels,) * 3,
+                                                   "keys", "target")
+        assert from_bytes == byte_path and not tensor.flags.writeable
+        assert np.array_equal(tensor, ring.tensor)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_classes_match_union_find_on_tlj(n):
+    ring, _ = gen_tlj(n)
+    module = gen_regular_module(ring)
+    even = [lab for lab in ring.labels if int(lab) % 2 == 0]
+    for subring in (even, ["0"], ring.labels):
+        assert (equivalence_classes(module, subring)
+                == equivalence_classes_reference(module, subring))
+
+
+def test_classes_are_the_transitive_closure_of_linking():
+    # an action that is no module links labels along chains and one way
+    # only; the classes are still the components of the linking graph
+    rng = np.random.default_rng(23)
+    ring = gen_pointed([1])
+    for m in range(1, 40):
+        action = (rng.random((1, m, m)) < rng.uniform(0, 3 / m)).astype(np.int64)
+        module = FusionModule(ring, tuple(str(i) for i in range(m)), action)
+        assert (equivalence_classes(module, ["0"])
+                == equivalence_classes_reference(module, ["0"]))
+
+
+def _subgroups(factors):
+    """Every subgroup of the group with these factors, as element sets."""
+    elements = pointed_elements(factors)
+
+    def closure(gens):
+        group = {tuple(0 for _ in factors)}
+        while True:
+            grown = group | {tuple((a + b) % f for a, b, f in zip(g, h, factors))
+                             for g in group for h in gens}
+            if grown == group:
+                return frozenset(group)
+            group = grown
+
+    found = {closure(set())}
+    frontier = set(found)
+    while frontier:
+        frontier = {closure(group | {g}) for group in frontier for g in elements} - found
+        found |= frontier
+    return sorted(found, key=sorted)
+
+
+@pytest.mark.parametrize("factors", [[1], [2], [3], [4], [5], [6], [7], [8], [9],
+                                     [10], [11], [12], [2, 2], [2, 4], [2, 6],
+                                     [3, 3], [4, 3], [2, 2, 2], [2, 2, 3]])
+def test_classes_match_union_find_on_pointed(factors):
+    ring = gen_pointed(factors)
+    subgroups = _subgroups(factors)
+    modules = [gen_regular_module(ring)]
+    modules += [gen_quotient_module(ring, factors, sub) for sub in subgroups]
+    for sub in subgroups:
+        subring = [pointed_label(e) for e in sorted(sub)]
+        for module in modules:
+            assert (equivalence_classes(module, subring)
+                    == equivalence_classes_reference(module, subring))
