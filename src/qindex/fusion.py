@@ -39,14 +39,19 @@ _CHECK_ENTRIES = 2 ** 16
 
 
 def _frozen(array) -> np.ndarray:
-    """``array`` when it is a read-only C-contiguous int64 array that owns its
-    data, as the library's own tensors are; else a read-only int64 copy."""
+    """``array`` when it is a read-only C-contiguous int64 view of a read-only
+    array that owns its data, as the library's own tensors are: numpy
+    refuses to make such a view writeable.  Anything else is copied into a
+    new read-only owner, of which a view is returned, so that no caller
+    holds an array it can unfreeze to change the copy."""
     if (isinstance(array, np.ndarray) and array.dtype == np.int64
-            and array.flags.c_contiguous and array.flags.owndata and not array.flags.writeable):
+            and array.flags.c_contiguous and not array.flags.writeable
+            and isinstance(array.base, np.ndarray) and array.base.flags.owndata
+            and not array.base.flags.writeable):
         return array
     array = np.array(array, dtype=np.int64, order="C")
     array.flags.writeable = False
-    return array
+    return array.view()
 
 
 @dataclass(frozen=True)

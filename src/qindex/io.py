@@ -22,17 +22,12 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .algebra import (AlgebraElement, MultiMatrixAlgebra, StarHomomorphism,
-                      TraceWeights)
-from .expectation import ConditionalExpectation
+from .algebra import MultiMatrixAlgebra, StarHomomorphism, TraceWeights
 from .fusion import FusionModule, FusionRing
 
 __all__ = [
     "SchemaError", "loads", "canonical_text", "canonical_object",
-    "algebra_to_json", "algebra_from_json",
-    "element_to_json", "element_from_json",
-    "homomorphism_to_json", "homomorphism_from_json",
-    "expectation_to_json", "expectation_spec_from_json",
+    "algebra_from_json", "homomorphism_from_json", "expectation_spec_from_json",
     "ring_to_text", "ring_from_json", "module_to_text", "module_from_json",
 ]
 
@@ -50,17 +45,6 @@ class SchemaError(ValueError):
 def _expect(cond: bool, path: str, message: str):
     if not cond:
         raise SchemaError(path, message)
-
-
-def _matrix_to_json(mat: np.ndarray, path: str = "matrix") -> list:
-    """Rows of [re, im] pairs.  A non-finite entry raises ValueError: JSON
-    has no such number, and the readers reject the NaN and Infinity tokens
-    that ``json`` would write."""
-    mat = np.asarray(mat, dtype=complex)
-    if not np.isfinite(mat).all():
-        i, j = np.argwhere(~np.isfinite(mat))[0]
-        raise ValueError(f"{path}[{i}][{j}]: number is not finite")
-    return np.stack((mat.real, mat.imag), -1).tolist()
 
 
 def _matrix_from_json(data: Any, path: str) -> np.ndarray:
@@ -135,39 +119,41 @@ def loads(raw: bytes) -> Any:
     except for two kinds of values of object keys read straight from their
     bytes: an array of rows of [re, im] number pairs may come back as the
     (rows, cols, 2) float64 ndarray of its pairs, and the sparse map
-    "A,B" -> {C: mult} of an "N" or "n" key as a ``_SparseMap``, a Mapping
-    equal to the dict ``json`` returns for it.  Values are read so only
-    from a document whose text is its bytes: ASCII, with no escape and no
-    carriage return.  Malformed JSON raises the ``json.JSONDecodeError`` of
-    ``json.loads``, invalid UTF-8 a ``UnicodeDecodeError``."""
-    arrays = _occurs(raw, b"[[[", 0)
-    maps = _occurs(raw, b'"N"', 1) or _occurs(raw, b'"n"', 1)
-    if (arrays or maps) and raw.isascii() and b"\\" not in raw and b"\r" not in raw:
-        text, held = _splice_maps(raw) if maps else (raw, [])
+    "A,B" -> {C: mult} that opens a ring file, as ``ring_to_text`` writes
+    it, as a ``_SparseMap``, a Mapping equal to the dict ``json`` returns
+    for it.  Values are read so only from a document whose text is its
+    bytes: ASCII, with no escape and no carriage return.  Malformed JSON
+    raises the ``json.JSONDecodeError`` of ``json.loads``, invalid UTF-8 a
+    ``UnicodeDecodeError``."""
+    arrays = _occurs(raw, b"[[[")
+    ring = raw.startswith(_RING_START)
+    if (arrays or ring) and raw.isascii() and b"\\" not in raw and b"\r" not in raw:
+        text, held = _splice_map(raw) if ring else (raw, None)
         count, text = _splice_arrays(text) if arrays else (0, text)
-        if count or held:
+        if count or held is not None:
             try:
                 data = json.loads(text.decode())
+                # unless a later "N" key replaced it, as json keeps the last
+                if held is not None and data.get("N") == {"\0": 0}:
+                    data["N"] = held
                 # a placeholder in a list is not swapped, so the counts differ
-                if type(data) is dict and \
-                        _swap_placeholders(data, held) == count + len(held):
+                if type(data) is dict and _swap_placeholders(data) == count:
                     return data
             except (json.JSONDecodeError, OverflowError):  # or an int past 1e308
                 pass  # decoded again below, so an error names its place in raw
     return json.loads(TextIOWrapper(BytesIO(raw), encoding="utf-8").read())
 
 
-def _occurs(raw: bytes, needle: bytes, at: int) -> bool:
-    """Whether ``needle`` occurs in ``raw``, found by memchr on its byte at
-    ``at`` and checked there.  memchr is fast where that byte is rare;
-    ``in`` scans for the last byte of its needle, and JSON text is full of
-    quotes and brackets."""
-    byte = needle[at:at + 1]
-    found = raw.find(byte, at)
+def _occurs(raw: bytes, needle: bytes) -> bool:
+    """Whether ``needle`` occurs in ``raw``, found by memchr on its first
+    byte and checked there.  memchr is fast where that byte is rare; ``in``
+    scans for the last byte of its needle, and JSON text is full of quotes
+    and brackets."""
+    found = raw.find(needle[:1])
     while found >= 0:
-        if raw[found - at:found - at + len(needle)] == needle:
+        if raw.startswith(needle, found):
             return True
-        found = raw.find(byte, found + 1)
+        found = raw.find(needle[:1], found + 1)
     return False
 
 
@@ -177,7 +163,7 @@ def _splice_arrays(raw: bytes) -> tuple[int, bytes]:
     placeholder {"\\u0000": [rows, cols, [numbers]]}, the numbers being
     its text with each bracket read as a space.
 
-    A backslash in ``raw`` sits only in a placeholder of ``_splice_maps``,
+    A backslash in ``raw`` sits only in the placeholder of ``_splice_map``,
     never before a quote, so a string ends at the next quote, and a
     "[[[" outside a string follows an even number of quotes.  The array
     that starts there ends, if it is one, at the last "]" before the next
@@ -234,27 +220,22 @@ def _pairs_layout(text: bytes) -> tuple[int, int] | None:
     return rows, cols
 
 
-def _swap_placeholders(data: dict, maps: list) -> int:
-    """Replace each placeholder of ``_splice_arrays`` and ``_splice_maps``
-    that is the value of a key of ``data``, or of an object nested in it
-    through objects, by the float64 array of its pairs or by the map
-    ``maps[i]`` it names; return how many there were.  An int past the
-    float range raises OverflowError."""
+def _swap_placeholders(data: dict) -> int:
+    """Replace each placeholder of ``_splice_arrays`` that is the value of a
+    key of ``data``, or of an object nested in it through objects, by the
+    float64 array of its pairs; return how many there were.  An int past
+    the float range raises OverflowError."""
     swapped = 0
     for key, value in data.items():
         if type(value) is dict:
             if "\0" in value:
-                held = value["\0"]
-                if type(held) is int:
-                    data[key] = maps[held]  # a new value, not a new key
-                else:
-                    rows, cols, numbers = held
-                    # float() of each int, as numpy converts one in a float array
-                    pairs = np.fromiter(numbers, np.float64, len(numbers))
-                    data[key] = pairs.reshape(rows, cols, 2)
+                rows, cols, numbers = value["\0"]
+                # float() of each int, as numpy converts one in a float array
+                pairs = np.fromiter(numbers, np.float64, len(numbers))
+                data[key] = pairs.reshape(rows, cols, 2)
                 swapped += 1
             else:
-                swapped += _swap_placeholders(value, maps)
+                swapped += _swap_placeholders(value)
     return swapped
 
 
@@ -269,6 +250,9 @@ _MASKS = np.array([(1 << (8 * n)) - 1 for n in range(9)], dtype=np.uint64)
 #: at most 18 digits, so that every multiplicity is below 2^63
 _MAX_DIGITS = 18
 _QUOTE, _COLON, _OPEN_BRACE, _CLOSE_BRACE, _COMMA, _ZERO = map(np.uint8, b'":{},0')
+#: how a ring file that ``ring_to_text`` wrote opens: its keys are sorted,
+#: so "N" comes first
+_RING_START = b'{"N":{"'
 
 
 class _SparseMap(Mapping):
@@ -301,26 +285,25 @@ class _SparseMap(Mapping):
     def __len__(self) -> int:
         return len(self._decoded)
 
-    def tensor(self, labels: Sequence[Sequence[str]]) -> np.ndarray | None:
-        """The read-only int64 3-tensor of the map, whose axes are named by
-        ``labels``, or None when a key is not a label (pair) or a key
-        repeats, or a label has more than 8 bytes, for ``json`` to decide."""
-        tables = {id(axis): axis for axis in labels}  # a label list repeats
-        tables = {key: _label_table(axis) for key, axis in tables.items()}
-        first, second, third = (_label_indices(self.buffer, starts, ends, tables[id(axis)])
-                                for (starts, ends), axis in zip(self.spans, labels))
+    def tensor(self, labels: Sequence[str]) -> np.ndarray | None:
+        """The read-only int64 3-tensor of the map, whose three axes are
+        named by ``labels``, or None when a key is not a label (pair) or a
+        key repeats, or a label has more than 8 bytes, for ``json`` to
+        decide."""
+        table = _label_table(labels)
+        first, second, third = (_label_indices(self.buffer, starts, ends, table)
+                                for starts, ends in self.spans)
         if first is None or second is None or third is None:
             return None
-        shape = tuple(map(len, labels))
-        cells = first * shape[1] + second
-        where = cells[self.entry_row] * shape[2] + third
-        if not (_distinct(cells, shape[0] * shape[1])
-                and _distinct(where, shape[0] * shape[1] * shape[2])):
+        r = len(labels)
+        cells = first * r + second
+        where = cells[self.entry_row] * r + third
+        if not (_distinct(cells, r * r) and _distinct(where, r ** 3)):
             return None
-        tensor = np.zeros(shape, dtype=np.int64)
+        tensor = np.zeros((r, r, r), dtype=np.int64)
         tensor.reshape(-1)[where] = self.mults
         tensor.flags.writeable = False
-        return tensor
+        return tensor.view()
 
 
 def _distinct(values: np.ndarray, size: int) -> bool:
@@ -390,77 +373,61 @@ _MULTIPLIERS = tuple(map(np.uint64, (0x9E3779B97F4A7C15, 0xFF51AFD7ED558CCD,
                                      0xC4CEB9FE1A85EC53, 0xC2B2AE3D27D4EB4F)))
 
 
-def _splice_maps(raw: bytes) -> tuple[bytes, list[_SparseMap]]:
-    """``raw`` with each sparse map that is the value of an "N" or "n" key
-    and that every byte of checks replaced by the placeholder
-    {"\\u0000": i}, and the ``_SparseMap`` i of each; ``raw`` is first
-    stripped of the whitespace at its ends.
+def _splice_map(raw: bytes) -> tuple[bytes, _SparseMap | None]:
+    """``raw``, which opens with the key "N" of a sparse map, with that map
+    replaced by the placeholder {"\\u0000":0} when every byte of it checks,
+    and its ``_SparseMap``; else ``raw`` and None.  ``raw`` is first
+    stripped of the whitespace at its end.
 
     ``raw`` has no backslash, so strings end at the next quote.  The
-    bytes between one string and the next are a separator, and a map is
-    the strings from its key to the first whose separator ends it: each
-    key opens the map or a row, or is an entry whose separator holds its
-    multiplicity, and each separator says what the next string is.  Each
-    map that is not so read is left to ``json``, as is an empty one or one
-    with whitespace between its tokens, and so is every map of a document
-    that holds a tab, newline or other control byte inside it.  A checked
-    map is valid JSON, and so is the placeholder."""
-    raw = raw.strip(_SPACE)
+    bytes between one string and the next are a separator, and the map is
+    strings 1 through the first whose separator ends it: each key opens a
+    row, or is an entry whose separator holds its multiplicity, and each
+    separator says what the next string is.  A map that is not so read is
+    left to ``json``, as is an empty one or one with whitespace between its
+    tokens, and so is the map of a document that holds a tab, newline or
+    other control byte inside it.  A checked map is valid JSON, and so is
+    the placeholder."""
+    raw = raw.rstrip(_SPACE)
     b = np.frombuffer(raw + bytes(_PAD), np.uint8)
-    size = len(raw)
     quotes = np.flatnonzero(b == 34)
-    if quotes.size % 2:
-        return raw, []
-    opens, closes = quotes[0::2], quotes[1::2]
-    keys = np.flatnonzero((closes - opens == 2) & (b[opens + 1] | 32 == ord("n")))
     # a control byte left in a string, or outside one, is malformed JSON
-    if not keys.size or np.any(b[:size] < 32):
-        return raw, []
+    if quotes.size % 2 or np.any(b[:len(raw)] < 32):
+        return raw, None
+    opens, closes = quotes[0::2], quotes[1::2]
     sep = _separators(b, closes)
-    stops = np.flatnonzero(~sep.valid | sep.ending)
-    parts, held, done = [], [], 0
-    for key in keys.tolist():
-        if opens[key] < done or not sep.opening[key]:
-            continue
-        at = np.searchsorted(stops, key + 1)
-        if at == stops.size or not sep.valid[stops[at]]:
-            continue
-        last = int(stops[at])
-        rows = sep.row[key + 1:last + 1]
-        # the first string is a row key, and each separator says what the
-        # next one is
-        if not rows[0] or np.any(rows[1:] != sep.next_row[key + 1:last]):
-            continue
-        row_keys = np.flatnonzero(rows) + (key + 1)
-        entry_keys = np.flatnonzero(~rows) + (key + 1)
-        commas = _one_comma(b, opens[row_keys] + 1, closes[row_keys])
-        if commas is None:
-            continue
-        start = int(closes[key]) + 2
-        digits = int(sep.digits[last])
-        end = int(closes[last]) + 1 + digits + (3 if digits else 4)
-        # the entries of each row follow its key
-        counts = np.diff(row_keys, append=last + 1) - 1
-        spans = ((opens[row_keys] + 1, commas), (commas + 1, closes[row_keys]),
-                 (opens[entry_keys] + 1, closes[entry_keys]))
-        held.append(_SparseMap(raw[start:end], b, spans,
-                               np.repeat(np.arange(row_keys.size), counts),
-                               sep.mults[entry_keys]))
-        parts += [raw[done:start], b'{"\\u0000":%d}' % (len(held) - 1)]
-        done = end
-    parts.append(raw[done:])
-    return b"".join(parts), held
+    last = 1 + int(np.argmax(~sep.valid[1:] | sep.ending[1:]))
+    if not (sep.valid[last] and sep.ending[last]):
+        return raw, None
+    rows = sep.row[1:last + 1]
+    # the first string is a row key, and each separator says what the next
+    # one is
+    if not rows[0] or np.any(rows[1:] != sep.next_row[1:last]):
+        return raw, None
+    row_keys = np.flatnonzero(rows) + 1
+    entry_keys = np.flatnonzero(~rows) + 1
+    commas = _one_comma(b, opens[row_keys] + 1, closes[row_keys])
+    if commas is None:
+        return raw, None
+    digits = int(sep.digits[last])
+    end = int(closes[last]) + 1 + digits + (3 if digits else 4)
+    # the entries of each row follow its key
+    counts = np.diff(row_keys, append=last + 1) - 1
+    spans = ((opens[row_keys] + 1, commas), (commas + 1, closes[row_keys]),
+             (opens[entry_keys] + 1, closes[entry_keys]))
+    key = b'{"N":'
+    held = _SparseMap(raw[len(key):end], b, spans,
+                      np.repeat(np.arange(row_keys.size), counts), sep.mults[entry_keys])
+    return key + b'{"\\u0000":0}' + raw[end:], held
 
 
 class _Separators(NamedTuple):
     """What the separator after each string of a document says, as a
-    sparse map's grammar reads it: whether it opens a row (or the map),
-    whether the string is a row key, whether the next string is one,
-    whether it ends the map, and whether it is a separator of the map at
-    all; ``digits`` and ``mults`` are the digits of an entry and the int64
-    number they write."""
+    sparse map's grammar reads it: whether the string is a row key,
+    whether the next string is one, whether it ends the map, and whether it
+    is a separator of the map at all; ``digits`` and ``mults`` are the
+    digits of an entry and the int64 number they write."""
 
-    opening: np.ndarray
     row: np.ndarray
     next_row: np.ndarray
     ending: np.ndarray
@@ -504,7 +471,7 @@ def _separators(b: np.ndarray, closes: np.ndarray) -> _Separators:
     map_end = closed & (y == _CLOSE_BRACE)
     row = opening | empty_row | empty_end
     valid = row | (entry & (x == _COMMA) & (y == _QUOTE)) | row_end | map_end
-    return _Separators(opening, row, empty_row | row_end, empty_end | map_end, valid,
+    return _Separators(row, empty_row | row_end, empty_end | map_end, valid,
                        digits, mults)
 
 
@@ -519,11 +486,7 @@ def _one_comma(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarra
     return starts + commas.argmax(axis=1)
 
 
-# -- algebras and elements ---------------------------------------------------
-
-def algebra_to_json(algebra: MultiMatrixAlgebra) -> dict:
-    return {"blocks": list(algebra.blocks)}
-
+# -- algebras and homomorphisms ----------------------------------------------
 
 def algebra_from_json(data: Any, path: str = "algebra") -> MultiMatrixAlgebra:
     _expect(isinstance(data, Mapping), path, "algebra is an object")
@@ -534,27 +497,6 @@ def algebra_from_json(data: Any, path: str = "algebra") -> MultiMatrixAlgebra:
             f"{path}.blocks",
             "blocks is a nonempty list of positive integers")
     return MultiMatrixAlgebra(tuple(blocks))
-
-
-def element_to_json(x: AlgebraElement) -> dict:
-    return {"blocks": [_matrix_to_json(m, f"element.blocks[{t}]")
-                       for t, m in enumerate(x.data)]}
-
-
-def element_from_json(data: Any, algebra: MultiMatrixAlgebra,
-                      path: str = "element") -> AlgebraElement:
-    _expect(isinstance(data, Mapping), path, "element is an object")
-    blocks = data.get("blocks")
-    _expect(isinstance(blocks, list) and len(blocks) == len(algebra.blocks),
-            f"{path}.blocks", f"expected {len(algebra.blocks)} blocks")
-    mats = [_matrix_from_json(b, f"{path}.blocks[{t}]") for t, b in enumerate(blocks)]
-    return algebra.element(mats)
-
-
-def homomorphism_to_json(hom: StarHomomorphism, path: str = "homomorphism") -> dict:
-    return {"source": algebra_to_json(hom.source),
-            "target": algebra_to_json(hom.target),
-            "matrix": _matrix_to_json(hom.matrix, f"{path}.matrix")}
 
 
 def homomorphism_from_json(data: Any, path: str = "homomorphism") -> StarHomomorphism:
@@ -568,15 +510,6 @@ def homomorphism_from_json(data: Any, path: str = "homomorphism") -> StarHomomor
 
 
 # -- expectations ------------------------------------------------------------
-
-def expectation_to_json(expectation: ConditionalExpectation,
-                        tau: TraceWeights | None = None) -> dict:
-    out = {"inclusion": homomorphism_to_json(expectation.inclusion, "expectation.inclusion"),
-           "map": _matrix_to_json(expectation.matrix, "expectation.map")}
-    if tau is not None:
-        out["trace_weights"] = list(tau.weights)
-    return out
-
 
 def expectation_spec_from_json(data: Any, path: str = "expectation"
                                ) -> tuple[StarHomomorphism, np.ndarray | None, TraceWeights]:
@@ -693,14 +626,15 @@ def _sparse_from_json(data: Mapping, name: str, path: str,
     """The 3-tensor held as the map "A,B" -> {C: mult} at ``data[name]``,
     and whether it was read from the map's bytes; absent entries, and an
     absent map, are zero.  ``keys`` and ``target`` describe a malformed key
-    and an unknown C.  Multiplicities are stored as read-only int64.  A map that
-    ``loads`` read from its bytes is scattered at once, unless a key is no
-    label (pair) or repeats, or a label has more than 8 bytes; then, as any
-    other map, it is walked as the dict ``json`` decodes from it, which
-    names its first bad entry."""
+    and an unknown C.  Multiplicities are stored as read-only int64.  The
+    map that opens a ring file, which ``loads`` read from its bytes and
+    whose three axes are the ring's labels, is scattered at once, unless a
+    key is no label (pair) or repeats, or a label has more than 8 bytes;
+    then, as any other map, it is walked as the dict ``json`` decodes from
+    it, which names its first bad entry."""
     entries = data.get(name, {})
     if isinstance(entries, _SparseMap):
-        tensor = entries.tensor(labels)
+        tensor = entries.tensor(labels[0])
         if tensor is not None:
             return tensor, True
     path = f"{path}.{name}"
@@ -709,7 +643,7 @@ def _sparse_from_json(data: Mapping, name: str, path: str,
     tensor = np.zeros((len(first), len(second), len(third)), dtype=np.int64)
     _sparse_walk(tensor, entries, path, first, second, third, keys, target)
     tensor.flags.writeable = False
-    return tensor, False
+    return tensor.view(), False
 
 
 def _sparse_walk(tensor: np.ndarray, entries: Mapping, path: str, first: dict,
@@ -746,22 +680,8 @@ def ring_to_text(ring: FusionRing) -> str:
 
 def ring_from_json(data: Any, path: str = "fusion_ring") -> FusionRing:
     start = time.perf_counter()
-    ring, from_bytes = _ring_from_json(data, path)
-    if log.isEnabledFor(logging.INFO):
-        log.info("ring_from_json: rank %d, %d nonzero, N %s, %.3f s",
-                 ring.rank, np.count_nonzero(ring.tensor),
-                 "from bytes" if from_bytes else "through json", time.perf_counter() - start)
-    return ring
-
-
-def _ring_from_json(data: Any, path: str) -> tuple[FusionRing, bool]:
     _expect(isinstance(data, Mapping), path, "fusion ring is an object")
-    irr = data.get("irr")
-    _expect(isinstance(irr, list) and irr and all(isinstance(x, str) for x in irr),
-            f"{path}.irr", "irr is a nonempty list of string labels")
-    _expect(len(set(irr)) == len(irr), f"{path}.irr", "labels must be distinct")
-    _expect(not any("," in x for x in irr), f"{path}.irr",
-            "labels must not contain commas")
+    irr = _labels_from_json(data, "irr", path)
     unit = data.get("unit")
     _expect(unit in irr, f"{path}.unit", "unit must be one of the labels")
     dual = data.get("dual")
@@ -771,7 +691,22 @@ def _ring_from_json(data: Any, path: str) -> tuple[FusionRing, bool]:
     tensor, from_bytes = _sparse_from_json(data, "N", path, (irr,) * 3,
                                            "keys are 'U,V' label pairs",
                                            "unknown target label")
-    return FusionRing(tuple(irr), unit, tuple(dual.items()), tensor), from_bytes
+    ring = FusionRing(tuple(irr), unit, tuple(dual.items()), tensor)
+    if log.isEnabledFor(logging.INFO):
+        log.info("ring_from_json: rank %d, %d nonzero, N %s, %.3f s",
+                 ring.rank, np.count_nonzero(ring.tensor),
+                 "from bytes" if from_bytes else "through json", time.perf_counter() - start)
+    return ring
+
+
+def _labels_from_json(data: Mapping, key: str, path: str) -> list[str]:
+    labels = data.get(key)
+    path = f"{path}.{key}"
+    _expect(isinstance(labels, list) and labels and all(isinstance(x, str) for x in labels),
+            path, f"{key} is a nonempty list of string labels")
+    _expect(len(set(labels)) == len(labels), path, "labels must be distinct")
+    _expect(not any("," in x for x in labels), path, "labels must not contain commas")
+    return labels
 
 
 def module_to_text(module: FusionModule) -> str:
@@ -785,24 +720,14 @@ def module_to_text(module: FusionModule) -> str:
 
 def module_from_json(data: Any, path: str = "fusion_module") -> FusionModule:
     start = time.perf_counter()
-    module, from_bytes = _module_from_json(data, path)
-    if log.isEnabledFor(logging.INFO):
-        log.info("module_from_json: rank %d, module size %d, %d nonzero, n %s, %.3f s",
-                 module.ring.rank, module.size, np.count_nonzero(module.action),
-                 "from bytes" if from_bytes else "through json", time.perf_counter() - start)
-    return module
-
-
-def _module_from_json(data: Any, path: str) -> tuple[FusionModule, bool]:
     _expect(isinstance(data, Mapping), path, "fusion module is an object")
     ring = ring_from_json(data.get("ring"), f"{path}.ring")
-    irr_m = data.get("irrM")
-    _expect(isinstance(irr_m, list) and irr_m
-            and all(isinstance(x, str) for x in irr_m),
-            f"{path}.irrM", "irrM is a nonempty list of string labels")
-    _expect(len(set(irr_m)) == len(irr_m), f"{path}.irrM", "labels must be distinct")
-    _expect(not any("," in x for x in irr_m), f"{path}.irrM",
-            "labels must not contain commas")
-    action, from_bytes = _sparse_from_json(data, "n", path, (ring.labels, irr_m, irr_m),
-                                           "keys are 'U,i' pairs", "unknown module label")
-    return FusionModule(ring, tuple(irr_m), action), from_bytes
+    irr_m = _labels_from_json(data, "irrM", path)
+    action, _ = _sparse_from_json(data, "n", path, (ring.labels, irr_m, irr_m),
+                                  "keys are 'U,i' pairs", "unknown module label")
+    module = FusionModule(ring, tuple(irr_m), action)
+    if log.isEnabledFor(logging.INFO):
+        log.info("module_from_json: rank %d, module size %d, %d nonzero, %.3f s",
+                 module.ring.rank, module.size, np.count_nonzero(module.action),
+                 time.perf_counter() - start)
+    return module

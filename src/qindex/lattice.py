@@ -32,6 +32,8 @@ __all__ = [
 log = logging.getLogger("qindex.lattice")
 
 SUPPORTED_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
+#: the largest group order whose subgroups are enumerated
+SUBGROUP_LIMIT = 10_000
 
 
 def standard_cartan_matrix(family: str, rank: int) -> list[list[int]]:
@@ -358,34 +360,32 @@ def center_group(cartan: CartanData) -> CenterData:
                       tuple(tuple(r) for r in u), nontrivial)
 
 
-def enumerate_subgroups(group: FiniteAbelianGroup,
-                        limit: int = 10_000) -> list[tuple[tuple[int, ...], ...]]:
+def enumerate_subgroups(group: FiniteAbelianGroup) -> list[tuple[tuple[int, ...], ...]]:
     """All subgroups, each as a tuple of generators in invariant-factor
     coordinates.
 
     A subgroup of Z^k / diag(d) Z^k is a lattice diag(d) Z^k <= L <= Z^k;
     the lattices are listed directly by their column Hermite normal form
     H, ordered by (det H, H), and the generators are the nonzero columns
-    of H mod d.  Refuses groups above ``limit``.
+    of H mod d.  Refuses groups above ``SUBGROUP_LIMIT``.
     """
     start = time.perf_counter()
     d = group.invariant_factors
-    subgroups = [_hnf_generators(h, d) for h in _subgroup_hnfs(group, limit)]
+    subgroups = [_hnf_generators(h, d) for h in _subgroup_hnfs(group)]
     log.info("enumerate_subgroups: order %d, %d subgroups, %.3f s", group.order,
              len(subgroups), time.perf_counter() - start)
     return subgroups
 
 
-def _subgroup_hnfs(group: FiniteAbelianGroup, limit: int
-                   ) -> list[tuple[tuple[int, ...], ...]]:
+def _subgroup_hnfs(group: FiniteAbelianGroup) -> list[tuple[tuple[int, ...], ...]]:
     """Column HNFs H of the lattices diag(d) Z^k <= L <= Z^k, by (det H, H).
 
     Every such H has h_ii | d_i and 0 <= h_ij < h_ii for j < i; a candidate
     is kept when each d_j e_j lies in its column lattice (Cohen, GTM 138,
     section 2.4).
     """
-    if group.order > limit:
-        raise ValueError(f"group order {group.order} exceeds the limit {limit}")
+    if group.order > SUBGROUP_LIMIT:
+        raise ValueError(f"group order {group.order} exceeds the limit {SUBGROUP_LIMIT}")
     d = group.invariant_factors
     k = len(d)
     d_cols = [tuple(d[j] if i == j else 0 for i in range(k)) for j in range(k)]
@@ -432,8 +432,7 @@ def _in_lattice(h: Sequence[Sequence[int]], w: Sequence[int]) -> bool:
     return True
 
 
-def classify_subgroups(cartan: CartanData,
-                       limit: int = 10_000) -> list[SublatticeSpec]:
+def classify_subgroups(cartan: CartanData) -> list[SublatticeSpec]:
     """Sublattices Q <= Lambda <= P for every subgroup of P/Q.
 
     Each subgroup H comes from the Hermite normal form listing of
@@ -446,20 +445,20 @@ def classify_subgroups(cartan: CartanData,
     Hermite normal form of the generators.
     """
     start = time.perf_counter()
-    specs = _classify(cartan, limit)
+    specs = _classify(cartan)
     log.info("classify_subgroups: %s, %d subgroups, %.3f s", cartan.lie_type,
              len(specs), time.perf_counter() - start)
     return specs
 
 
-def _classify(cartan: CartanData, limit: int) -> list[SublatticeSpec]:
+def _classify(cartan: CartanData) -> list[SublatticeSpec]:
     center = center_group(cartan)
     d = center.group.invariant_factors
     # the class of e_i in P/Q: column i of u on the nontrivial coordinates
     classes = [tuple(center.u[p][i] % center.divisors[p] for p in center.nontrivial)
                for i in range(cartan.rank)]
     specs = []
-    for h in _subgroup_hnfs(center.group, limit):
+    for h in _subgroup_hnfs(center.group):
         basis = _preimage_hnf(h, classes)
         specs.append(SublatticeSpec(basis, prod(basis[i][i] for i in range(len(basis))),
                                     _hnf_elements(h, d)))

@@ -24,6 +24,10 @@ chosen densities without the library's normal form.
 normal form, the density reading, the rebuilt map and the closed-form
 indices one block pair at a time, the references for the batched ones
 of the library.
+``matrix_to_json``, ``algebra_to_json``, ``element_to_json``,
+``element_from_json``, ``homomorphism_to_json`` and
+``expectation_to_json`` write (and read) algebra data in the formats of
+``docs/formats.md``, to build the files that ``qindex.io`` reads.
 ``sparse_from_json_reference`` decodes the sparse fusion multiplicity
 map one entry at a time, the reference for the whole-array decoder of
 ``qindex.io``, and ``ring_to_json_reference`` and
@@ -57,13 +61,13 @@ from typing import Callable, Mapping
 import numpy as np
 
 from qindex.algebra import (DEFAULT_TOL, INCLUSION_TOL, RANK_RTOL, AlgebraElement,
-                            MultiMatrixAlgebra, StarHomomorphism)
+                            MultiMatrixAlgebra, StarHomomorphism, TraceWeights)
 from qindex.expectation import (ConditionalExpectation, QuasiBasis, _defect,
                                 _frame_map)
 from qindex.fusion import (NULLITY_RTOL, DimensionVector, FusionModule, FusionRing,
                            ModuleTrace, TraceSolveResult, _associativity_violations,
                            _conjugation_mismatch)
-from qindex.io import SchemaError
+from qindex.io import SchemaError, _expect, _matrix_from_json
 from qindex.lattice import (CartanData, CenterData, FiniteAbelianGroup, SublatticeSpec,
                             _hnf_elements, _hnf_generators, _subgroup_hnfs,
                             hermite_normal_form)
@@ -660,6 +664,53 @@ def nested_densities(expectation: ConditionalExpectation) -> list[list[np.ndarra
     return out
 
 
+# -- JSON writers of algebra data ---------------------------------------------------
+
+def matrix_to_json(mat: np.ndarray, path: str = "matrix") -> list:
+    """Rows of [re, im] pairs.  A non-finite entry raises ValueError: JSON
+    has no such number, and the readers reject the NaN and Infinity tokens
+    that ``json`` would write."""
+    mat = np.asarray(mat, dtype=complex)
+    if not np.isfinite(mat).all():
+        i, j = np.argwhere(~np.isfinite(mat))[0]
+        raise ValueError(f"{path}[{i}][{j}]: number is not finite")
+    return np.stack((mat.real, mat.imag), -1).tolist()
+
+
+def algebra_to_json(algebra: MultiMatrixAlgebra) -> dict:
+    return {"blocks": list(algebra.blocks)}
+
+
+def element_to_json(x: AlgebraElement) -> dict:
+    return {"blocks": [matrix_to_json(m, f"element.blocks[{t}]")
+                       for t, m in enumerate(x.data)]}
+
+
+def element_from_json(data, algebra: MultiMatrixAlgebra,
+                      path: str = "element") -> AlgebraElement:
+    _expect(isinstance(data, Mapping), path, "element is an object")
+    blocks = data.get("blocks")
+    _expect(isinstance(blocks, list) and len(blocks) == len(algebra.blocks),
+            f"{path}.blocks", f"expected {len(algebra.blocks)} blocks")
+    mats = [_matrix_from_json(b, f"{path}.blocks[{t}]") for t, b in enumerate(blocks)]
+    return algebra.element(mats)
+
+
+def homomorphism_to_json(hom: StarHomomorphism, path: str = "homomorphism") -> dict:
+    return {"source": algebra_to_json(hom.source),
+            "target": algebra_to_json(hom.target),
+            "matrix": matrix_to_json(hom.matrix, f"{path}.matrix")}
+
+
+def expectation_to_json(expectation: ConditionalExpectation,
+                        tau: TraceWeights | None = None) -> dict:
+    out = {"inclusion": homomorphism_to_json(expectation.inclusion, "expectation.inclusion"),
+           "map": matrix_to_json(expectation.matrix, "expectation.map")}
+    if tau is not None:
+        out["trace_weights"] = list(tau.weights)
+    return out
+
+
 # -- sparse fusion maps -------------------------------------------------------------
 
 def sparse_from_json_reference(data, name, path, labels, keys, target) -> np.ndarray:
@@ -924,7 +975,9 @@ def classify_reference(cartan: CartanData, limit: int = 10_000) -> list[Sublatti
         lifts.append([x // divisors[p] for x in col])
     roots = [list(col) for col in zip(*c)]
     specs = []
-    for h in _subgroup_hnfs(FiniteAbelianGroup(d), limit):
+    if math.prod(d) > limit:
+        raise ValueError(f"group order {math.prod(d)} exceeds the limit {limit}")
+    for h in _subgroup_hnfs(FiniteAbelianGroup(d)):
         cols = roots + [[sum(g[q] * lifts[q][i] for q in range(len(g)))
                          for i in range(r)] for g in _hnf_generators(h, d)]
         basis = hermite_normal_form([[col[i] for col in cols] for i in range(r)])

@@ -297,18 +297,21 @@ def test_ring_corpus_reads_as_json_reads_it(tmp_path, capsys, monkeypatch, name)
 
 
 def test_ring_corpus_takes_the_byte_path_on_valid_maps():
-    # a map is read from its bytes when it has no whitespace between its
-    # tokens and every label has at most 8 bytes
+    # the map that opens a ring file is read from its bytes when it has no
+    # whitespace between its tokens and every label has at most 8 bytes
     corpus = ring_corpus()
-    for name in ("valid", "valid-map-last", "trailing-newline", "mult-zero", "mult-18-digits",
+    for name in ("valid", "trailing-newline", "mult-zero", "mult-18-digits",
                  "repeated-row-key", "empty-row", "empty-last-row", "empty-rows-only",
                  "unknown-target", "unknown-row-label", "labels-punctuation", "labels-digits",
                  "labels-map-keys", "labels-long", "labels-colliding-key", "labels-8-bytes",
                  "labels-9-bytes"):
         assert isinstance(qio.loads(corpus[name])["N"], qio._SparseMap), name
+    # a map anywhere else, as in a module file or after other keys, is
+    # read by json
     module = qio.loads(corpus["module-valid"])
-    assert isinstance(module["n"], qio._SparseMap)
-    assert isinstance(module["ring"]["N"], qio._SparseMap)
+    assert not isinstance(module["n"], qio._SparseMap)
+    assert not isinstance(module["ring"]["N"], qio._SparseMap)
+    assert not isinstance(qio.loads(corpus["valid-map-last"])["N"], qio._SparseMap)
     # read from bytes, but a key is no label or repeats, or a label has
     # more than 8 bytes: walked as json reads it
     for name in ("repeated-row-key", "repeated-entry-key", "unknown-target",
@@ -334,6 +337,19 @@ def test_ring_corpus_takes_the_byte_path_on_valid_maps():
                  "labels-non-ascii", "labels-tab", "crlf", "cr"):
         assert not isinstance(qio.loads(corpus[name]).get("N"), qio._SparseMap), name
     assert not isinstance(qio.loads(corpus["module-indent"])["n"], qio._SparseMap)
+
+
+def test_generated_ring_files_take_the_byte_path(tmp_path, capsys):
+    # the ring files that fusion generate -o writes, as the benchmark reads
+    # them, have their N map read from its bytes
+    for argv in (["tlj", "--n", "40"], ["pointed", "--factors", "2,6"]):
+        path = tmp_path / "ring.json"
+        assert run(capsys, "fusion", "generate", *argv, "-o", str(path))[0] == 0
+        doc = qio.loads(path.read_bytes())
+        tensor, from_bytes = qio._sparse_from_json(doc, "N", "fusion_ring", (doc["irr"],) * 3,
+                                                   "keys", "target")
+        assert from_bytes, argv
+        assert np.array_equal(tensor, qio.ring_from_json(json.loads(path.read_text())).tensor)
 
 
 @pytest.mark.parametrize("where, message", [

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qindex import io as qio
 from qindex.algebra import (MultiMatrixAlgebra, StarHomomorphism, TraceWeights,
                             group_algebra_inclusion, identity_homomorphism)
 from qindex.cli import main
@@ -35,7 +34,7 @@ from oracles import (ascent_probabilistic_bounds, choi_blocks,
                      choi_scalar_index, closed_form_indices_reference,
                      densities_reference, expectation_from_densities,
                      embed_block_diagonal, four_axiom_failures, greedy_quasi_basis,
-                     in_span, left_mult_matrix, matrix_unit, nested_densities,
+                     homomorphism_to_json, in_span, left_mult_matrix, matrix_unit, nested_densities,
                      normal_form_reference, orthonormal_columns, pinv_restriction,
                      rebuild_reference, solve_average, tau_projection)
 from test_acceptance import _monomial_actions
@@ -597,7 +596,7 @@ def test_canonical_index_path_never_builds_the_matrix(rng, tmp_path, monkeypatch
     assert abs(report.scalar_index - want.max()) <= 1e-12 * want.max()
 
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"inclusion": qio.homomorphism_to_json(inclusion),
+    spec.write_text(json.dumps({"inclusion": homomorphism_to_json(inclusion),
                                 "trace_weights": w.tolist()}))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

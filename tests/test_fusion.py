@@ -904,25 +904,45 @@ def test_constructors_leave_caller_arrays_writeable():
 
 def test_constructors_keep_frozen_tensors():
     ring, _ = gen_tlj(5)
-    # a read-only int64 array that owns its data is kept as it is
+    # a read-only int64 view of a read-only owner, as the library's own
+    # tensors are, is kept as it is
     assert gen_regular_module(ring).action is ring.tensor
     assert FusionRing(ring.labels, ring.unit, ring.dual, ring.tensor).tensor is ring.tensor
-    # a read-only view, or a read-only array of another dtype, is copied
-    for other in (ring.tensor[:], ring.tensor.astype(np.int32)):
+    assert FusionRing(ring.labels, ring.unit, ring.dual, ring.tensor[:]).tensor.base \
+        is ring.tensor.base
+    # an owned frozen array, or a read-only array of another dtype, is copied
+    owned = ring.tensor.copy()
+    for other in (owned, ring.tensor.astype(np.int32)):
         other.flags.writeable = False
         kept = FusionRing(ring.labels, ring.unit, ring.dual, other).tensor
-        assert kept is not other and kept.dtype == np.int64
+        assert kept is not other and kept.base is not other and kept.dtype == np.int64
         assert not kept.flags.writeable and np.array_equal(kept, ring.tensor)
     dims = np.eye(3, dtype=np.int64)
     dims.flags.writeable = False
-    assert BigradedDims(dims).dims is dims
-    # both decoder paths build a frozen tensor, for the ring to keep
+    held = BigradedDims(dims).dims
+    assert held is not dims and held.base is not dims and np.array_equal(held, dims)
+    assert BigradedDims(held).dims is held
+    # both decoder paths build a frozen view, for the ring to keep
     text = qio.ring_to_text(ring)
     for data, byte_path in ((qio.loads(text.encode()), True), (json.loads(text), False)):
         tensor, from_bytes = qio._sparse_from_json(data, "N", "fusion_ring", (ring.labels,) * 3,
                                                    "keys", "target")
         assert from_bytes == byte_path and not tensor.flags.writeable
         assert np.array_equal(tensor, ring.tensor)
+        assert FusionRing(ring.labels, ring.unit, ring.dual, tensor).tensor is tensor
+
+
+def test_a_caller_cannot_change_a_ring_through_its_own_array():
+    base = gen_tlj(4)[0]
+    tensor = base.tensor.copy()
+    tensor.flags.writeable = False
+    ring = FusionRing(base.labels, base.unit, base.dual, tensor)
+    module = FusionModule(ring, ring.labels, tensor)
+    tensor.flags.writeable = True
+    tensor[0, 0, 0] = -5
+    assert ring.tensor[0, 0, 0] == 1 and module.action[0, 0, 0] == 1
+    with pytest.raises(ValueError):
+        ring.tensor.flags.writeable = True
 
 
 @pytest.mark.parametrize("n", range(3, 13))

@@ -199,8 +199,8 @@ def test_enumerate_matches_brute_force(raw):
 
 
 def test_enumerate_respects_limit():
-    with pytest.raises(ValueError):
-        enumerate_subgroups(FiniteAbelianGroup((10007 * 2,)), limit=10_000)
+    with pytest.raises(ValueError, match="group order 20014 exceeds the limit 10000"):
+        enumerate_subgroups(FiniteAbelianGroup((10007 * 2,)))
 
 
 # -- classification ----------------------------------------------------------

@@ -23,7 +23,7 @@ LOADS = {
     "generators": {"generators", "fusion"},
     "algebra": {"algebra"},
     "expectation": {"expectation", "algebra"},
-    "io": {"io", "algebra", "expectation", "fusion"},
+    "io": {"io", "algebra", "fusion"},
     "cli": {"algebra", "cli", "expectation", "fusion", "generators", "io", "lattice"},
 }
 

@@ -361,14 +361,15 @@ _MULTIPLICITIES = {
 
 def ring_corpus() -> dict[str, bytes]:
     """Fusion ring files of TLJ(5), and module files of its regular module
-    (named module-*), by name, that reach every way ``qio.loads`` leaves
-    its byte path for the sparse maps "N" and "n", with the valid
-    spellings next to them: repeated keys, malformed, negative, float,
-    boolean and null multiplicities and ints past int64, empty rows and
-    maps, trailing commas and missing colons, unknown labels and keys that
-    are not pairs, labels of JSON punctuation, of exactly 8 bytes (the
-    longest read from bytes) and of more, whitespace between tokens,
-    escapes, CR and CRLF, a byte order mark and non-ASCII bytes."""
+    (named module-*, read by ``json``), by name, that reach every way
+    ``qio.loads`` leaves its byte path for the sparse map "N" that opens a
+    ring file, with the valid spellings next to them: repeated keys,
+    malformed, negative, float, boolean and null multiplicities and ints
+    past int64, empty rows and maps, trailing commas and missing colons,
+    unknown labels and keys that are not pairs, labels of JSON punctuation,
+    of exactly 8 bytes (the longest read from bytes) and of more,
+    whitespace between tokens, escapes, CR and CRLF, a byte order mark and
+    non-ASCII bytes."""
     ring = _tlj_ring(5)
     base = _canonical(ring)
     first = '"0,0":{"0":1}'
