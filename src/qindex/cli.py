@@ -76,14 +76,15 @@ class CliFailure(Exception):
         super().__init__(message)
 
 
-def _load_json(path: str, inputs: list[tuple[str, bytes]]):
-    """The JSON document in the file at ``path``, decoded by ``qio.loads``
-    as ``json.loads`` decodes the text of a text-mode ``open``, with its
-    matrices of [re, im] pairs read from their bytes where it can.  The
-    file is read once: its bytes are appended to ``inputs`` for
-    ``_digest_files``.  A path that cannot be opened or read (missing, a
-    directory, not readable) and malformed JSON are a CliFailure; invalid
-    UTF-8 raises UnicodeDecodeError, a ValueError."""
+def _load_json(path: str, inputs: list[tuple[str, bytes]], decode=None):
+    """The file at ``path`` decoded by ``decode`` from its bytes, by
+    ``qio.loads`` when it is None: the JSON document that ``json.loads``
+    decodes from the text of a text-mode ``open``, with its matrices of
+    [re, im] pairs read from their bytes where it can.  The file is read
+    once: its bytes are appended to ``inputs`` for ``_digest_files``.  A
+    path that cannot be opened or read (missing, a directory, not
+    readable) and malformed JSON are a CliFailure; invalid UTF-8 raises
+    UnicodeDecodeError, a ValueError."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -91,7 +92,7 @@ def _load_json(path: str, inputs: list[tuple[str, bytes]]):
         raise CliFailure(EXIT_PARSE, f"cannot open {path}")
     inputs.append((path, raw))
     try:
-        return qio.loads(raw)
+        return (decode or qio.loads)(raw)
     except json.JSONDecodeError as err:
         raise CliFailure(EXIT_PARSE,
                          f"{path}: malformed JSON at line {err.lineno} "
@@ -180,7 +181,7 @@ def cmd_fusion_generate(args):
 
 def cmd_fusion_trace(args):
     inputs = []
-    ring = qio.ring_from_json(_load_json(args.ring, inputs))
+    ring = _load_json(args.ring, inputs, qio.ring_from_bytes)
     module = _module_from_arg(args.module, ring, inputs)
     dims = pf_dimensions(ring)
     result = module_trace_solve(module, dims)
@@ -202,7 +203,7 @@ def cmd_fusion_jones(args):
 
 def cmd_fusion_descent(args):
     inputs = []
-    ring = qio.ring_from_json(_load_json(args.ring, inputs))
+    ring = _load_json(args.ring, inputs, qio.ring_from_bytes)
     module = _module_from_arg(args.module, ring, inputs)
     subring = [x for x in args.subring.split(",") if x]
     dims = pf_dimensions(ring)

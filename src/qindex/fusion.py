@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import logging
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -38,20 +39,27 @@ _CERTIFICATE_PRIME = 33554393
 _CHECK_ENTRIES = 2 ** 16
 
 
-def _frozen(array) -> np.ndarray:
-    """``array`` when it is a read-only C-contiguous int64 view of a read-only
-    array that owns its data, as the library's own tensors are: numpy
-    refuses to make such a view writeable.  Anything else is copied into a
-    new read-only owner, of which a view is returned, so that no caller
-    holds an array it can unfreeze to change the copy."""
-    if (isinstance(array, np.ndarray) and array.dtype == np.int64
-            and array.flags.c_contiguous and not array.flags.writeable
-            and isinstance(array.base, np.ndarray) and array.base.flags.owndata
-            and not array.base.flags.writeable):
-        return array
-    array = np.array(array, dtype=np.int64, order="C")
+#: the read-only arrays that own the data of the library's tensors, by id:
+#: no caller holds one, so none can unfreeze it to change a tensor
+_OWNERS: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
+
+def _freeze(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``, a new C-contiguous int64 array that
+    owns its data, frozen and recorded as one of the library's owners."""
     array.flags.writeable = False
+    _OWNERS[id(array)] = array
     return array.view()
+
+
+def _frozen(array) -> np.ndarray:
+    """``array`` when it is a C-contiguous int64 view of one of the library's
+    owners, which numpy refuses to make writeable; else a view of a new
+    owner, a copy of ``array``."""
+    if (isinstance(array, np.ndarray) and array.dtype == np.int64 and array.flags.c_contiguous
+            and array.base is not None and _OWNERS.get(id(array.base)) is array.base):
+        return array
+    return _freeze(np.array(array, dtype=np.int64, order="C"))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import math
 import sys
 import time
 from collections.abc import Mapping, Sequence
-from functools import cached_property
 from io import BytesIO, TextIOWrapper
 from itertools import chain
 from typing import Any, NamedTuple
@@ -23,12 +22,13 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra, StarHomomorphism, TraceWeights
-from .fusion import FusionModule, FusionRing
+from .fusion import FusionModule, FusionRing, _freeze
 
 __all__ = [
     "SchemaError", "loads", "canonical_text", "canonical_object",
     "algebra_from_json", "homomorphism_from_json", "expectation_spec_from_json",
-    "ring_to_text", "ring_from_json", "module_to_text", "module_from_json",
+    "ring_to_text", "ring_from_bytes", "ring_from_json", "module_to_text",
+    "module_from_json",
 ]
 
 log = logging.getLogger("qindex.io")
@@ -116,26 +116,17 @@ _BRACKETS_AS_SPACES = bytes.maketrans(b"[]", b"  ")
 def loads(raw: bytes) -> Any:
     """The JSON document in the bytes ``raw``, as ``json.loads`` returns the
     text a text-mode ``open`` reads from them (UTF-8, newlines translated),
-    except for two kinds of values of object keys read straight from their
-    bytes: an array of rows of [re, im] number pairs may come back as the
-    (rows, cols, 2) float64 ndarray of its pairs, and the sparse map
-    "A,B" -> {C: mult} that opens a ring file, as ``ring_to_text`` writes
-    it, as a ``_SparseMap``, a Mapping equal to the dict ``json`` returns
-    for it.  Values are read so only from a document whose text is its
-    bytes: ASCII, with no escape and no carriage return.  Malformed JSON
+    except that an array of rows of [re, im] number pairs that is the value
+    of an object key may come back as the (rows, cols, 2) float64 ndarray
+    of its pairs.  Arrays are read so only from a document whose text is
+    its bytes: ASCII, with no escape and no carriage return.  Malformed JSON
     raises the ``json.JSONDecodeError`` of ``json.loads``, invalid UTF-8 a
     ``UnicodeDecodeError``."""
-    arrays = _occurs(raw, b"[[[")
-    ring = raw.startswith(_RING_START)
-    if (arrays or ring) and raw.isascii() and b"\\" not in raw and b"\r" not in raw:
-        text, held = _splice_map(raw) if ring else (raw, None)
-        count, text = _splice_arrays(text) if arrays else (0, text)
-        if count or held is not None:
+    if b"[[[" in raw and raw.isascii() and b"\\" not in raw and b"\r" not in raw:
+        count, text = _splice_arrays(raw)
+        if count:
             try:
                 data = json.loads(text.decode())
-                # unless a later "N" key replaced it, as json keeps the last
-                if held is not None and data.get("N") == {"\0": 0}:
-                    data["N"] = held
                 # a placeholder in a list is not swapped, so the counts differ
                 if type(data) is dict and _swap_placeholders(data) == count:
                     return data
@@ -144,27 +135,13 @@ def loads(raw: bytes) -> Any:
     return json.loads(TextIOWrapper(BytesIO(raw), encoding="utf-8").read())
 
 
-def _occurs(raw: bytes, needle: bytes) -> bool:
-    """Whether ``needle`` occurs in ``raw``, found by memchr on its first
-    byte and checked there.  memchr is fast where that byte is rare; ``in``
-    scans for the last byte of its needle, and JSON text is full of quotes
-    and brackets."""
-    found = raw.find(needle[:1])
-    while found >= 0:
-        if raw.startswith(needle, found):
-            return True
-        found = raw.find(needle[:1], found + 1)
-    return False
-
-
 def _splice_arrays(raw: bytes) -> tuple[int, bytes]:
     """The number of arrays of pairs in ``raw`` whose layout
     ``_pairs_layout`` accepts, and ``raw`` with each replaced by the
     placeholder {"\\u0000": [rows, cols, [numbers]]}, the numbers being
     its text with each bracket read as a space.
 
-    A backslash in ``raw`` sits only in the placeholder of ``_splice_map``,
-    never before a quote, so a string ends at the next quote, and a
+    ``raw`` has no backslash, so a string ends at the next quote, and a
     "[[[" outside a string follows an even number of quotes.  The array
     that starts there ends, if it is one, at the last "]" before the next
     quote or "}", since neither can sit in an array of numbers.  The
@@ -255,55 +232,56 @@ _QUOTE, _COLON, _OPEN_BRACE, _CLOSE_BRACE, _COMMA, _ZERO = map(np.uint8, b'":{},
 _RING_START = b'{"N":{"'
 
 
-class _SparseMap(Mapping):
-    """A sparse map "A,B" -> {C: mult} that ``loads`` checked byte by byte.
+def ring_from_bytes(raw: bytes) -> FusionRing:
+    """The ring of the ring file whose bytes are ``raw``, as
+    ``ring_from_json(loads(raw))`` reads it.  The sparse map "N" that opens
+    a file as ``ring_to_text`` writes it is read from its bytes, and only
+    the rest of the document is decoded by ``json``, when the file's text
+    is its bytes (ASCII, with no backslash and no carriage return), every
+    byte of the map checks (see ``_map_from_bytes``), its keys are distinct
+    labels (pairs), each label has at most 8 bytes, and no later "N" key
+    replaces it.  Any other file goes through ``ring_from_json(loads(raw))``,
+    which raises the errors its text gives."""
+    start = time.perf_counter()
+    held = (_map_from_bytes(raw) if raw.startswith(_RING_START) and raw.isascii()
+            and b"\\" not in raw and b"\r" not in raw else None)
+    if held is not None:
+        *parts, end = held
+        try:
+            # raw holds no NUL, so a later "N", which json keeps, replaces
+            # this placeholder, even a null one
+            rest = json.loads(b'{"N":"\\u0000"' + raw[end:])
+        except json.JSONDecodeError:
+            rest = None  # decoded again below, so the error names its place in raw
+        if rest is not None and rest["N"] == "\0":
+            irr, unit, dual = _ring_header(rest, "fusion_ring")
+            tensor = _map_tensor(irr, *parts)
+            if tensor is not None:
+                return _built_ring(irr, unit, dual, tensor, start,
+                                   "ring_from_bytes: rank %d, %d nonzero, N from bytes, %.3f s")
+    return ring_from_json(loads(raw))
 
-    ``text`` is the map's JSON text and ``buffer`` the bytes of its
-    document.  ``spans`` holds the (starts, ends) offsets in ``buffer`` of
-    the three parts of the keys: A and B of each row's key, and C of each
-    entry's.  ``entry_row`` is the row of each entry and ``mults`` its
-    multiplicity.  As a Mapping it is the dict that ``json`` decodes from
-    ``text``, decoded on first use.
-    """
 
-    def __init__(self, text: bytes, buffer: np.ndarray,
-                 spans: tuple[tuple[np.ndarray, np.ndarray], ...],
-                 entry_row: np.ndarray, mults: np.ndarray):
-        self.text, self.buffer, self.spans = text, buffer, spans
-        self.entry_row, self.mults = entry_row, mults
-
-    @cached_property
-    def _decoded(self) -> dict:
-        return json.loads(self.text)
-
-    def __getitem__(self, key):
-        return self._decoded[key]
-
-    def __iter__(self):
-        return iter(self._decoded)
-
-    def __len__(self) -> int:
-        return len(self._decoded)
-
-    def tensor(self, labels: Sequence[str]) -> np.ndarray | None:
-        """The read-only int64 3-tensor of the map, whose three axes are
-        named by ``labels``, or None when a key is not a label (pair) or a
-        key repeats, or a label has more than 8 bytes, for ``json`` to
-        decide."""
-        table = _label_table(labels)
-        first, second, third = (_label_indices(self.buffer, starts, ends, table)
-                                for starts, ends in self.spans)
-        if first is None or second is None or third is None:
-            return None
-        r = len(labels)
-        cells = first * r + second
-        where = cells[self.entry_row] * r + third
-        if not (_distinct(cells, r * r) and _distinct(where, r ** 3)):
-            return None
-        tensor = np.zeros((r, r, r), dtype=np.int64)
-        tensor.reshape(-1)[where] = self.mults
-        tensor.flags.writeable = False
-        return tensor.view()
+def _map_tensor(labels: Sequence[str], buffer: np.ndarray,
+                spans: tuple[tuple[np.ndarray, np.ndarray], ...],
+                entry_row: np.ndarray, mults: np.ndarray) -> np.ndarray | None:
+    """The read-only int64 3-tensor of a map that ``_map_from_bytes`` read,
+    whose three axes are named by ``labels``, or None when a key is not a
+    label (pair) or a key repeats, or a label has more than 8 bytes, for
+    ``json`` to decide."""
+    table = _label_table(labels)
+    first, second, third = (_label_indices(buffer, starts, ends, table)
+                            for starts, ends in spans)
+    if first is None or second is None or third is None:
+        return None
+    r = len(labels)
+    cells = first * r + second
+    where = cells[entry_row] * r + third
+    if not (_distinct(cells, r * r) and _distinct(where, r ** 3)):
+        return None
+    tensor = np.zeros((r, r, r), dtype=np.int64)
+    tensor.reshape(-1)[where] = mults
+    return _freeze(tensor)
 
 
 def _distinct(values: np.ndarray, size: int) -> bool:
@@ -373,11 +351,14 @@ _MULTIPLIERS = tuple(map(np.uint64, (0x9E3779B97F4A7C15, 0xFF51AFD7ED558CCD,
                                      0xC4CEB9FE1A85EC53, 0xC2B2AE3D27D4EB4F)))
 
 
-def _splice_map(raw: bytes) -> tuple[bytes, _SparseMap | None]:
-    """``raw``, which opens with the key "N" of a sparse map, with that map
-    replaced by the placeholder {"\\u0000":0} when every byte of it checks,
-    and its ``_SparseMap``; else ``raw`` and None.  ``raw`` is first
-    stripped of the whitespace at its end.
+def _map_from_bytes(raw: bytes) -> tuple | None:
+    """The map "A,B" -> {C: mult} that opens ``raw``, the bytes of a
+    document with no backslash, when every byte of it checks: the bytes of
+    the document, padded, and the (starts, ends) offsets in them of the
+    three parts of the keys (A and B of each row's key, and C of each
+    entry's), then the row and the multiplicity of each entry, and the
+    offset just past the map; else None.  ``raw`` is first stripped of the
+    whitespace at its end.
 
     ``raw`` has no backslash, so strings end at the next quote.  The
     bytes between one string and the next are a separator, and the map is
@@ -386,39 +367,36 @@ def _splice_map(raw: bytes) -> tuple[bytes, _SparseMap | None]:
     separator says what the next string is.  A map that is not so read is
     left to ``json``, as is an empty one or one with whitespace between its
     tokens, and so is the map of a document that holds a tab, newline or
-    other control byte inside it.  A checked map is valid JSON, and so is
-    the placeholder."""
+    other control byte inside it.  A checked map is valid JSON."""
     raw = raw.rstrip(_SPACE)
     b = np.frombuffer(raw + bytes(_PAD), np.uint8)
     quotes = np.flatnonzero(b == 34)
     # a control byte left in a string, or outside one, is malformed JSON
     if quotes.size % 2 or np.any(b[:len(raw)] < 32):
-        return raw, None
+        return None
     opens, closes = quotes[0::2], quotes[1::2]
     sep = _separators(b, closes)
     last = 1 + int(np.argmax(~sep.valid[1:] | sep.ending[1:]))
     if not (sep.valid[last] and sep.ending[last]):
-        return raw, None
+        return None
     rows = sep.row[1:last + 1]
     # the first string is a row key, and each separator says what the next
     # one is
     if not rows[0] or np.any(rows[1:] != sep.next_row[1:last]):
-        return raw, None
+        return None
     row_keys = np.flatnonzero(rows) + 1
     entry_keys = np.flatnonzero(~rows) + 1
     commas = _one_comma(b, opens[row_keys] + 1, closes[row_keys])
     if commas is None:
-        return raw, None
+        return None
     digits = int(sep.digits[last])
     end = int(closes[last]) + 1 + digits + (3 if digits else 4)
     # the entries of each row follow its key
     counts = np.diff(row_keys, append=last + 1) - 1
     spans = ((opens[row_keys] + 1, commas), (commas + 1, closes[row_keys]),
              (opens[entry_keys] + 1, closes[entry_keys]))
-    key = b'{"N":'
-    held = _SparseMap(raw[len(key):end], b, spans,
-                      np.repeat(np.arange(row_keys.size), counts), sep.mults[entry_keys])
-    return key + b'{"\\u0000":0}' + raw[end:], held
+    return (b, spans, np.repeat(np.arange(row_keys.size), counts), sep.mults[entry_keys],
+            end)
 
 
 class _Separators(NamedTuple):
@@ -621,35 +599,17 @@ def _sparse_text(tensor: np.ndarray, labels: Sequence[Sequence[str]]) -> str:
 
 
 def _sparse_from_json(data: Mapping, name: str, path: str,
-                      labels: Sequence[Sequence[str]], keys: str,
-                      target: str) -> tuple[np.ndarray, bool]:
-    """The 3-tensor held as the map "A,B" -> {C: mult} at ``data[name]``,
-    and whether it was read from the map's bytes; absent entries, and an
-    absent map, are zero.  ``keys`` and ``target`` describe a malformed key
-    and an unknown C.  Multiplicities are stored as read-only int64.  The
-    map that opens a ring file, which ``loads`` read from its bytes and
-    whose three axes are the ring's labels, is scattered at once, unless a
-    key is no label (pair) or repeats, or a label has more than 8 bytes;
-    then, as any other map, it is walked as the dict ``json`` decodes from
-    it, which names its first bad entry."""
+                      labels: Sequence[Sequence[str]], keys: str, target: str) -> np.ndarray:
+    """The read-only int64 3-tensor held as the map "A,B" -> {C: mult} at
+    ``data[name]``, stored one entry at a time in the order ``json``
+    decoded them, raising at the first bad key, row or entry; absent
+    entries, and an absent map, are zero.  ``keys`` and ``target`` describe
+    a malformed key and an unknown C."""
     entries = data.get(name, {})
-    if isinstance(entries, _SparseMap):
-        tensor = entries.tensor(labels[0])
-        if tensor is not None:
-            return tensor, True
     path = f"{path}.{name}"
     _expect(isinstance(entries, Mapping), path, f"{name} is an object")
     first, second, third = ({lab: i for i, lab in enumerate(axis)} for axis in labels)
     tensor = np.zeros((len(first), len(second), len(third)), dtype=np.int64)
-    _sparse_walk(tensor, entries, path, first, second, third, keys, target)
-    tensor.flags.writeable = False
-    return tensor.view(), False
-
-
-def _sparse_walk(tensor: np.ndarray, entries: Mapping, path: str, first: dict,
-                 second: dict, third: dict, keys: str, target: str) -> None:
-    """Store the entries one at a time in the map's order, raising at the
-    first bad key, row or entry."""
     for key, row in entries.items():
         parts = key.split(",")
         if not (len(parts) == 2 and parts[0] in first and parts[1] in second):
@@ -667,6 +627,7 @@ def _sparse_walk(tensor: np.ndarray, entries: Mapping, path: str, first: dict,
                 raise SchemaError(f"{path}[{key!r}][{w!r}]",
                                   "multiplicities are nonnegative ints below 2^63")
             cell[third[w]] = mult
+    return _freeze(tensor)
 
 
 def ring_to_text(ring: FusionRing) -> str:
@@ -680,22 +641,34 @@ def ring_to_text(ring: FusionRing) -> str:
 
 def ring_from_json(data: Any, path: str = "fusion_ring") -> FusionRing:
     start = time.perf_counter()
+    irr, unit, dual = _ring_header(data, path)
+    tensor = _sparse_from_json(data, "N", path, (irr,) * 3, "keys are 'U,V' label pairs",
+                               "unknown target label")
+    return _built_ring(irr, unit, dual, tensor, start,
+                       "ring_from_json: rank %d, %d nonzero, N through json, %.3f s")
+
+
+def _ring_header(data: Any, path: str) -> tuple[list[str], str, Mapping]:
+    """The labels, unit and dual of the ring file's document ``data``."""
     _expect(isinstance(data, Mapping), path, "fusion ring is an object")
     irr = _labels_from_json(data, "irr", path)
     unit = data.get("unit")
-    _expect(unit in irr, f"{path}.unit", "unit must be one of the labels")
+    _expect(isinstance(unit, str) and unit in irr, f"{path}.unit",
+            "unit must be one of the labels")
     dual = data.get("dual")
     _expect(isinstance(dual, Mapping) and set(dual) == set(irr)
-            and all(v in irr for v in dual.values()),
+            and all(isinstance(v, str) and v in irr for v in dual.values()),
             f"{path}.dual", "dual must map every label to a label")
-    tensor, from_bytes = _sparse_from_json(data, "N", path, (irr,) * 3,
-                                           "keys are 'U,V' label pairs",
-                                           "unknown target label")
+    return irr, unit, dual
+
+
+def _built_ring(irr: list[str], unit: str, dual: Mapping, tensor: np.ndarray,
+                start: float, message: str) -> FusionRing:
+    """The ring, logged by ``message`` with its rank, its nonzero count and
+    the time since ``start``."""
     ring = FusionRing(tuple(irr), unit, tuple(dual.items()), tensor)
     if log.isEnabledFor(logging.INFO):
-        log.info("ring_from_json: rank %d, %d nonzero, N %s, %.3f s",
-                 ring.rank, np.count_nonzero(ring.tensor),
-                 "from bytes" if from_bytes else "through json", time.perf_counter() - start)
+        log.info(message, ring.rank, np.count_nonzero(ring.tensor), time.perf_counter() - start)
     return ring
 
 
@@ -723,8 +696,8 @@ def module_from_json(data: Any, path: str = "fusion_module") -> FusionModule:
     _expect(isinstance(data, Mapping), path, "fusion module is an object")
     ring = ring_from_json(data.get("ring"), f"{path}.ring")
     irr_m = _labels_from_json(data, "irrM", path)
-    action, _ = _sparse_from_json(data, "n", path, (ring.labels, irr_m, irr_m),
-                                  "keys are 'U,i' pairs", "unknown module label")
+    action = _sparse_from_json(data, "n", path, (ring.labels, irr_m, irr_m),
+                               "keys are 'U,i' pairs", "unknown module label")
     module = FusionModule(ring, tuple(irr_m), action)
     if log.isEnabledFor(logging.INFO):
         log.info("module_from_json: rank %d, module size %d, %d nonzero, %.3f s",

@@ -199,9 +199,9 @@ class IrrepLabel:
 # Exact integer normal forms
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(mat: Sequence[Sequence[int]]
-                      ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form with transforms: returns (u, d, v) with u m v = d.
+def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Smith normal form with its row transform: returns (u, d) with
+    u m v = d for some v.
 
     u and v are unimodular, d is diagonal with d_1 | d_2 | ...  Exact
     integer arithmetic throughout.
@@ -209,7 +209,6 @@ def smith_normal_form(mat: Sequence[Sequence[int]]
     m = [list(map(int, row)) for row in mat]
     rows, cols = len(m), len(m[0])
     u = _identity(rows)
-    v = _identity(cols)
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
@@ -217,8 +216,6 @@ def smith_normal_form(mat: Sequence[Sequence[int]]
 
     def swap_cols(i, j):
         for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
             row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, q):
@@ -229,8 +226,6 @@ def smith_normal_form(mat: Sequence[Sequence[int]]
 
     def add_col(src, dst, q):
         for row in m:
-            row[dst] += q * row[src]
-        for row in v:
             row[dst] += q * row[src]
 
     def negate_row(i):
@@ -288,7 +283,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]
             add_row(bad, t, 1)
             continue
         t += 1
-    return u, m, v
+    return u, m
 
 
 def hermite_normal_form(mat: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -352,7 +347,7 @@ def _identity(n: int) -> list[list[int]]:
 
 def center_group(cartan: CartanData) -> CenterData:
     """P/Q from the Smith normal form of the Cartan matrix."""
-    u, d, _ = smith_normal_form(cartan.matrix())
+    u, d = smith_normal_form(cartan.matrix())
     divisors = tuple(d[i][i] for i in range(cartan.rank))
     nontrivial = tuple(i for i, x in enumerate(divisors) if x > 1)
     factors = tuple(divisors[i] for i in nontrivial)

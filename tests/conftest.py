@@ -1,6 +1,7 @@
 """Shared fixtures: canonical small expectations and random inclusions."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,14 @@ def ring_to_json(ring):
 def module_to_json(module):
     """The payload of a module file: the module's canonical text, parsed."""
     return json.loads(qio.module_to_text(module))
+
+
+def ring_from_bytes_spied(raw):
+    """``qio.ring_from_bytes(raw)``, and whether it read the ring's map from
+    its bytes, that is, without calling ``qio.ring_from_json``."""
+    with mock.patch.object(qio, "ring_from_json", wraps=qio.ring_from_json) as spy:
+        ring = qio.ring_from_bytes(raw)
+    return ring, not spy.called
 
 
 def compose(outer, inner):

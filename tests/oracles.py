@@ -716,7 +716,7 @@ def expectation_to_json(expectation: ConditionalExpectation,
 def sparse_from_json_reference(data, name, path, labels, keys, target) -> np.ndarray:
     """The 3-tensor held as the map "A,B" -> {C: mult} at ``data[name]``,
     decoded one entry at a time in the map's order; the SchemaError of the
-    first bad entry otherwise.  Same arguments as
+    first bad entry otherwise.  Same arguments and result as
     ``qindex.io._sparse_from_json``."""
     first, second, third = ({lab: i for i, lab in enumerate(axis)} for axis in labels)
     tensor = np.zeros((len(first), len(second), len(third)), dtype=np.int64)

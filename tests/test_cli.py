@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import logging
+import re
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from qindex.generators import gen_pointed, gen_regular_module, gen_tlj
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from report_diff import WALL_MS, ring_corpus, ring_corpus_argvs, spec_corpus  # noqa: E402
 
-from conftest import module_to_json, ring_to_json
+from conftest import module_to_json, ring_from_bytes_spied, ring_to_json
 
 
 def run(capsys, *argv):
@@ -291,65 +292,89 @@ def test_ring_corpus_reads_as_json_reads_it(tmp_path, capsys, monkeypatch, name)
         return out
 
     fast = outputs()
-    monkeypatch.setattr(qio, "loads", lambda raw: json.loads(
-        io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()))
+    read = []
+
+    def text_loads(raw):
+        return json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
+
+    def ring_reference(raw):
+        read.append(raw)
+        return qio.ring_from_json(text_loads(raw))
+
+    monkeypatch.setattr(qio, "loads", text_loads)
+    monkeypatch.setattr(qio, "ring_from_bytes", ring_reference)
     assert outputs() == fast
+    assert read
 
 
 def test_ring_corpus_takes_the_byte_path_on_valid_maps():
     # the map that opens a ring file is read from its bytes when it has no
-    # whitespace between its tokens and every label has at most 8 bytes
+    # whitespace between its tokens, its keys are distinct labels (pairs),
+    # every label has at most 8 bytes and no later "N" key replaces it;
+    # every other file, a module file among them, goes through json
     corpus = ring_corpus()
-    for name in ("valid", "trailing-newline", "mult-zero", "mult-18-digits",
-                 "repeated-row-key", "empty-row", "empty-last-row", "empty-rows-only",
-                 "unknown-target", "unknown-row-label", "labels-punctuation", "labels-digits",
-                 "labels-map-keys", "labels-long", "labels-colliding-key", "labels-8-bytes",
-                 "labels-9-bytes"):
-        assert isinstance(qio.loads(corpus[name])["N"], qio._SparseMap), name
-    # a map anywhere else, as in a module file or after other keys, is
-    # read by json
-    module = qio.loads(corpus["module-valid"])
-    assert not isinstance(module["n"], qio._SparseMap)
-    assert not isinstance(module["ring"]["N"], qio._SparseMap)
-    assert not isinstance(qio.loads(corpus["valid-map-last"])["N"], qio._SparseMap)
-    # read from bytes, but a key is no label or repeats, or a label has
-    # more than 8 bytes: walked as json reads it
-    for name in ("repeated-row-key", "repeated-entry-key", "unknown-target",
-                 "unknown-row-label", "labels-long", "labels-colliding-key", "labels-9-bytes",
-                 "valid", "labels-punctuation", "labels-digits", "labels-map-keys",
-                 "labels-8-bytes"):
-        doc = qio.loads(corpus[name])
-        assert isinstance(doc["N"], qio._SparseMap), name
+    from_bytes = {"valid", "trailing-newline", "mult-zero", "mult-18-digits", "empty-row",
+                  "empty-last-row", "labels-punctuation", "labels-digits", "labels-map-keys",
+                  "labels-8-bytes"}
+    for name, raw in corpus.items():
         try:
-            _, from_bytes = qio._sparse_from_json(doc, "N", "fusion_ring", (doc["irr"],) * 3,
-                                                  "keys", "target")
-        except qio.SchemaError:  # the first bad entry, named by the walk
-            from_bytes = False
-        assert from_bytes == (name in ("valid", "labels-punctuation", "labels-digits",
-                                       "labels-map-keys", "labels-8-bytes")), name
+            _, read = ring_from_bytes_spied(raw)
+        except ValueError:  # the error of the file's text, raised through json
+            read = False
+        assert read == (name in from_bytes), name
+    # every byte of these maps checks, but a key is no label (pair) or
+    # repeats, a label has more than 8 bytes, or a later "N" key follows
+    for name in ("repeated-row-key", "repeated-entry-key", "empty-rows-only", "unknown-target",
+                 "unknown-row-label", "labels-long", "labels-colliding-key", "labels-9-bytes",
+                 "duplicate-map", "duplicate-map-null", *from_bytes):
+        assert qio._map_from_bytes(corpus[name]) is not None, name
     for name in ("valid-indent", "valid-spaces", "tabs", "mult-space", "labels-digits-indent",
                  "labels-punctuation-indent", "labels-map-keys-indent", "labels-long-indent",
-                 "labels-8-bytes-indent", "labels-100-bytes-map-last",
-                 "mult-minus-zero", "mult-float",
-                 "mult-exponent", "mult-true", "mult-null", "mult-19-digits", "mult-2^63",
-                 "empty-map", "row-nested", "key-0", "key-0,0,0", "escaped-key",
-                 "labels-quotes", "labels-escaped",
-                 "labels-non-ascii", "labels-tab", "crlf", "cr"):
-        assert not isinstance(qio.loads(corpus[name]).get("N"), qio._SparseMap), name
-    assert not isinstance(qio.loads(corpus["module-indent"])["n"], qio._SparseMap)
+                 "labels-8-bytes-indent", "mult-minus-zero", "mult-float", "mult-exponent",
+                 "mult-true", "mult-null", "mult-19-digits", "mult-2^63", "empty-map",
+                 "row-nested", "key-0", "key-0,0,0", "labels-quotes", "cr"):
+        assert qio._map_from_bytes(corpus[name]) is None, name
 
 
-def test_generated_ring_files_take_the_byte_path(tmp_path, capsys):
-    # the ring files that fusion generate -o writes, as the benchmark reads
-    # them, have their N map read from its bytes
-    for argv in (["tlj", "--n", "40"], ["pointed", "--factors", "2,6"]):
-        path = tmp_path / "ring.json"
-        assert run(capsys, "fusion", "generate", *argv, "-o", str(path))[0] == 0
-        doc = qio.loads(path.read_bytes())
-        tensor, from_bytes = qio._sparse_from_json(doc, "N", "fusion_ring", (doc["irr"],) * 3,
-                                                   "keys", "target")
-        assert from_bytes, argv
-        assert np.array_equal(tensor, qio.ring_from_json(json.loads(path.read_text())).tensor)
+def json_values_only(value) -> bool:
+    """Whether ``value`` is built of dicts, lists, strings, numbers,
+    booleans and None only, as ``json`` returns."""
+    if type(value) is dict:
+        return all(map(json_values_only, value.values()))
+    if type(value) is list:
+        return all(map(json_values_only, value))
+    return value is None or type(value) in (str, int, float, bool)
+
+
+def test_ring_corpus_loads_as_json_loads_it():
+    # a ring or module file holds no array of pairs: loads returns what
+    # json returns, of dicts and lists only
+    for name, raw in ring_corpus().items():
+        try:
+            want = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
+        except ValueError as err:
+            with pytest.raises(type(err)) as got:
+                qio.loads(raw)
+            assert str(got.value) == str(err), name
+            continue
+        got = qio.loads(raw)
+        assert got == want and json_values_only(got), name
+
+
+def test_generated_ring_files_take_the_byte_path(tmp_path, capsys, monkeypatch):
+    # fusion trace and fusion descent read the N map of the ring files that
+    # fusion generate -o writes, as the benchmark runs them, from its bytes
+    path = str(tmp_path / "ring.json")
+    evens = ",".join(map(str, range(0, 39, 2)))
+    for argv, subring in ((["tlj", "--n", "40"], evens), (["pointed", "--factors", "2,6"], "0.0")):
+        monkeypatch.delenv("QINDEX_LOG", raising=False)
+        assert run(capsys, "fusion", "generate", *argv, "-o", path)[0] == 0
+        monkeypatch.setenv("QINDEX_LOG", "info")
+        for command in (["trace"], ["descent", "--subring", subring]):
+            code, _, err = run(capsys, "fusion", *command, "--ring", path, "--module", "regular")
+            assert code == 0, (argv, command)
+            assert re.search(r"ring_from_bytes: rank \d+, \d+ nonzero, N from bytes", err), err
+            assert "ring_from_json" not in err
 
 
 @pytest.mark.parametrize("where, message", [

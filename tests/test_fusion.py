@@ -904,31 +904,33 @@ def test_constructors_leave_caller_arrays_writeable():
 
 def test_constructors_keep_frozen_tensors():
     ring, _ = gen_tlj(5)
-    # a read-only int64 view of a read-only owner, as the library's own
-    # tensors are, is kept as it is
+    # a read-only int64 view of an owner that the library froze itself, as
+    # its own tensors are, is kept as it is
     assert gen_regular_module(ring).action is ring.tensor
     assert FusionRing(ring.labels, ring.unit, ring.dual, ring.tensor).tensor is ring.tensor
     assert FusionRing(ring.labels, ring.unit, ring.dual, ring.tensor[:]).tensor.base \
         is ring.tensor.base
-    # an owned frozen array, or a read-only array of another dtype, is copied
+    # an owned frozen array, a view of a frozen owner of the caller's, or a
+    # read-only array of another dtype, is copied
     owned = ring.tensor.copy()
-    for other in (owned, ring.tensor.astype(np.int32)):
+    for other in (owned, owned.view(), ring.tensor.astype(np.int32)):
         other.flags.writeable = False
         kept = FusionRing(ring.labels, ring.unit, ring.dual, other).tensor
-        assert kept is not other and kept.base is not other and kept.dtype == np.int64
-        assert not kept.flags.writeable and np.array_equal(kept, ring.tensor)
+        assert kept is not other and kept.base is not other and kept.base is not owned
+        assert kept.dtype == np.int64 and not kept.flags.writeable
+        assert np.array_equal(kept, ring.tensor)
     dims = np.eye(3, dtype=np.int64)
     dims.flags.writeable = False
     held = BigradedDims(dims).dims
     assert held is not dims and held.base is not dims and np.array_equal(held, dims)
     assert BigradedDims(held).dims is held
-    # both decoder paths build a frozen view, for the ring to keep
+    # both decoders build a frozen view of the library's own, for the ring
+    # to keep
     text = qio.ring_to_text(ring)
-    for data, byte_path in ((qio.loads(text.encode()), True), (json.loads(text), False)):
-        tensor, from_bytes = qio._sparse_from_json(data, "N", "fusion_ring", (ring.labels,) * 3,
-                                                   "keys", "target")
-        assert from_bytes == byte_path and not tensor.flags.writeable
-        assert np.array_equal(tensor, ring.tensor)
+    for tensor in (qio.ring_from_bytes(text.encode()).tensor,
+                   qio._sparse_from_json(json.loads(text), "N", "fusion_ring",
+                                         (ring.labels,) * 3, "keys", "target")):
+        assert not tensor.flags.writeable and np.array_equal(tensor, ring.tensor)
         assert FusionRing(ring.labels, ring.unit, ring.dual, tensor).tensor is tensor
 
 
@@ -943,6 +945,19 @@ def test_a_caller_cannot_change_a_ring_through_its_own_array():
     assert ring.tensor[0, 0, 0] == 1 and module.action[0, 0, 0] == 1
     with pytest.raises(ValueError):
         ring.tensor.flags.writeable = True
+
+
+def test_a_caller_cannot_change_a_ring_through_a_view_of_its_own_array():
+    # a frozen owner of the caller's is copied, even behind a view: the
+    # caller can unfreeze it
+    base = gen_tlj(4)[0]
+    owner = base.tensor.copy()
+    owner.flags.writeable = False
+    ring = FusionRing(base.labels, base.unit, base.dual, owner.view())
+    module = FusionModule(ring, ring.labels, owner.view())
+    owner.flags.writeable = True
+    owner[0, 0, 0] = -5
+    assert ring.tensor[0, 0, 0] == 1 and module.action[0, 0, 0] == 1
 
 
 @pytest.mark.parametrize("n", range(3, 13))

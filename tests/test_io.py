@@ -19,7 +19,7 @@ from qindex.generators import (gen_pointed, gen_quotient_module,
                                gen_regular_module, gen_tlj)
 
 from conftest import (diagonal_inclusion, module_to_json, random_element,
-                      random_multimatrix_inclusion, ring_to_json)
+                      random_multimatrix_inclusion, ring_from_bytes_spied, ring_to_json)
 from oracles import (algebra_to_json, element_from_json, element_to_json,
                      expectation_to_json, homomorphism_to_json, matrix_to_json,
                      module_to_json_reference, ring_to_json_reference,
@@ -190,31 +190,29 @@ def byte_label_lists(size):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_loads_reads_sparse_maps_as_json_reads_them(data):
-    # compact and indented ring and module files: the same tensors as
-    # through json.  The map that opens a compact ring file that json reads
-    # with no escape is spliced, unless it is empty or has a multiplicity
-    # of 19 digits, and read from its bytes when every label has at most
-    # 8 bytes; the maps of a module file are read by json
+    # compact and indented ring and module files: loads returns what json
+    # returns, and the decoders the same tensors from both.  ring_from_bytes
+    # reads the map of a compact ring file that json reads with no escape
+    # from its bytes, unless it is empty, has a multiplicity of 19 digits or
+    # a label has more than 8 bytes
     ring, module = relabelled_ring_and_module(data, byte_label_lists)
-    cases = ((qio.ring_to_text(ring), qio.ring_from_json, "N", attrgetter("tensor"), ring,
-              ring.labels),
-             (qio.module_to_text(module), qio.module_from_json, "n", attrgetter("action"),
-              module, None))
-    for text, decode, name, tensor, written, labels in cases:
+    cases = ((qio.ring_to_text(ring), qio.ring_from_json, attrgetter("tensor"), ring),
+             (qio.module_to_text(module), qio.module_from_json, attrgetter("action"), module))
+    for text, decode, tensor, written in cases:
         want = tensor(written)
         for raw in (text.encode(), json.dumps(json.loads(text), indent=2).encode()):
             got, reference = qio.loads(raw), json_text_loads(raw)
             assert got == reference
             assert np.array_equal(tensor(decode(got)), want)
             assert np.array_equal(tensor(decode(reference)), want)
-            spliced = (labels is not None and raw == text.encode() and b"\\" not in raw
-                       and want.any() and want.max() < 10 ** 18)
-            assert isinstance(got[name], qio._SparseMap) == spliced
-            if labels is None:
-                assert not isinstance(got["ring"]["N"], qio._SparseMap)
-            if spliced:
-                short = all(len(label.encode()) <= 8 for label in labels)
-                assert (got[name].tensor(labels) is not None) == short
+            if decode is qio.ring_from_json:
+                read, from_bytes = ring_from_bytes_spied(raw)
+                assert (read.labels, read.unit) == (ring.labels, ring.unit)
+                assert dict(read.dual) == dict(ring.dual)
+                assert np.array_equal(read.tensor, want)
+                assert from_bytes == (raw == text.encode() and b"\\" not in raw and want.any()
+                                      and want.max() < 10 ** 18
+                                      and all(len(label.encode()) <= 8 for label in ring.labels))
 
 
 def test_schema_errors_carry_paths():
@@ -229,6 +227,23 @@ def test_schema_errors_carry_paths():
     with pytest.raises(qio.SchemaError):
         element_from_json({"blocks": [[[1, 2], [3, 4]]]},
                               MultiMatrixAlgebra((2,)))
+
+
+def test_ring_labels_read_as_pair_arrays_are_no_labels():
+    # loads reads an array of pairs as an ndarray, which is no label, so
+    # both ring readers name the key, as json's lists do
+    text = qio.ring_to_text(gen_tlj(5)[0])
+    pairs = "[[[1,2],[3,4]]]"
+    for old, new, message in (('"unit":"0"', f'"unit":{pairs}', "fusion_ring.unit: unit "
+                               "must be one of the labels"),
+                              ('"dual":{"0":"0"', f'"dual":{{"0":{pairs}', "fusion_ring.dual: "
+                               "dual must map every label to a label")):
+        compact = text.replace(old, new)
+        for raw in (compact.encode(), json.dumps(json.loads(compact), indent=2).encode()):
+            for read in (qio.ring_from_bytes, lambda raw: qio.ring_from_json(qio.loads(raw))):
+                with pytest.raises(qio.SchemaError) as err:
+                    read(raw)
+                assert str(err.value) == message
 
 
 @pytest.mark.parametrize("data, message", [
@@ -510,26 +525,28 @@ def test_sparse_decoder_matches_per_entry_reference():
     ring = gen_tlj(7)[0]
     module = gen_quotient_module(gen_pointed([2, 4]), [2, 4], [(0, 0), (0, 2)])
     # only a ring document takes the byte path, so rings get more edits
-    cases = [(800, ring_to_json(ring), "N", "fusion_ring", (ring.labels,) * 3,
-              "keys are 'U,V' label pairs", "unknown target label"),
-             (400, module_to_json(module), "n", "fusion_module",
+    cases = [(400, module_to_json(module), "n", "fusion_module",
               (module.ring.labels, module.labels, module.labels),
-              "keys are 'U,i' pairs", "unknown module label")]
+              "keys are 'U,i' pairs", "unknown module label"),
+             (1600, ring_to_json(ring), "N", "fusion_ring", (ring.labels,) * 3,
+              "keys are 'U,V' label pairs", "unknown target label")]
     seen, from_bytes = set(), 0
     for count, payload, name, *rest in cases:
         for data in corrupted_maps(payload, name, rng, count):
             want = decoded(sparse_from_json_reference, data, name, *rest)
-            # the dict, and the document read back by loads, whose map
-            # may be read from its bytes
-            read = qio.loads(json.dumps(data, separators=(",", ":")).encode())
-            spliced = isinstance(read[name], qio._SparseMap)
-            assert name == "N" or not (spliced or isinstance(read["ring"]["N"], qio._SparseMap))
-            from_bytes += spliced
-            for doc in (data, read):
-                assert decoded(lambda *a: qio._sparse_from_json(*a)[0],
-                               doc, name, *rest) == want
+            raw = json.dumps(data, separators=(",", ":")).encode()
+            # the dict, and the document read back by loads
+            for doc in (data, qio.loads(raw)):
+                assert decoded(qio._sparse_from_json, doc, name, *rest) == want
+            if name == "N":  # and the ring file, whose map may be read from its bytes
+                try:
+                    got, read = ring_from_bytes_spied(raw)
+                    assert ("tensor", got.tensor.tobytes()) == want
+                    from_bytes += read
+                except qio.SchemaError as err:
+                    assert ("error", str(err)) == want
             seen.add(want[0] if want[0] == "tensor" else want[1].split(": ")[-1])
-    # of the ring documents; most edits are multiplicities that json must read
+    # of the ring documents; most edits leave a map that json must read
     assert from_bytes >= 100
     assert seen == {"tensor", "N is an object", "n is an object",
                     "keys are 'U,V' label pairs", "keys are 'U,i' pairs",
@@ -544,12 +561,16 @@ def test_fusion_decoders_log_sizes_and_durations(caplog):
     with caplog.at_level(logging.INFO, logger="qindex.io"):
         qio.module_from_json(payload)
         qio.module_from_json(qio.loads(json.dumps(payload, separators=(",", ":")).encode()))
-        qio.ring_from_json(qio.loads(qio.ring_to_text(ring).encode()))
+        qio.ring_from_bytes(qio.ring_to_text(ring).encode())
+        qio.ring_from_bytes(json.dumps(ring_to_json(ring), indent=2).encode())
     messages = [rec.getMessage() for rec in caplog.records if rec.name == "qindex.io"]
-    # a module file's maps are read by json; a ring file's from its bytes
-    module = [r"ring_from_json: rank 4, 20 nonzero, N through json, \d+\.\d{3} s",
+    # a module file's maps are read by json; a compact ring file's from its
+    # bytes, an indented one's by json
+    through_json = r"ring_from_json: rank 4, 20 nonzero, N through json, \d+\.\d{3} s"
+    module = [through_json,
               r"module_from_json: rank 4, module size 4, 20 nonzero, \d+\.\d{3} s"]
-    patterns = module * 2 + [r"ring_from_json: rank 4, 20 nonzero, N from bytes, \d+\.\d{3} s"]
+    patterns = module * 2 + [r"ring_from_bytes: rank 4, 20 nonzero, N from bytes, \d+\.\d{3} s",
+                             through_json]
     assert len(messages) == len(patterns)
     for message, pattern in zip(messages, patterns):
         assert re.fullmatch(pattern, message), message

@@ -85,8 +85,9 @@ def brute_force_subgroups(factors):
                        min_size=n, max_size=n)))
 def test_smith_normal_form_properties(mat):
     n = len(mat)
-    u, d, v = smith_normal_form(mat)
-    assert (u, d, v) == smith_normal_form_reference(mat)
+    u, d = smith_normal_form(mat)
+    u_ref, d_ref, v = smith_normal_form_reference(mat)
+    assert (u, d) == (u_ref, d_ref)
 
     def matmul(a, b):
         return [[sum(a[i][k] * b[k][j] for k in range(len(b)))

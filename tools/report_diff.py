@@ -23,7 +23,8 @@ specs that reach each way ``qindex.io.loads`` leaves its text path for
 trees' exit codes and error messages on them are compared.  The ring
 set is ``fusion trace`` and ``fusion descent`` on every file of
 ``ring_corpus``, which does the same for the sparse maps of ring and
-module files.  Each tree runs
+module files and each way ``qindex.io.ring_from_bytes`` leaves its byte
+path.  Each tree runs
 the commands of one workload and seed (or a fixed set) in its own
 interpreter, through
 ``qindex.cli.main(argv)``, in its own copy of the input directory, so
@@ -362,14 +363,14 @@ _MULTIPLICITIES = {
 def ring_corpus() -> dict[str, bytes]:
     """Fusion ring files of TLJ(5), and module files of its regular module
     (named module-*, read by ``json``), by name, that reach every way
-    ``qio.loads`` leaves its byte path for the sparse map "N" that opens a
-    ring file, with the valid spellings next to them: repeated keys,
+    ``qio.ring_from_bytes`` leaves its byte path for the sparse map "N" that
+    opens a ring file, with the valid spellings next to them: repeated keys,
     malformed, negative, float, boolean and null multiplicities and ints
     past int64, empty rows and maps, trailing commas and missing colons,
     unknown labels and keys that are not pairs, labels of JSON punctuation,
     of exactly 8 bytes (the longest read from bytes) and of more,
-    whitespace between tokens, escapes, CR and CRLF, a byte order mark and
-    non-ASCII bytes."""
+    whitespace between tokens, escapes, CR and CRLF, a byte order mark,
+    non-ASCII bytes, and a later "N" key, a map or null."""
     ring = _tlj_ring(5)
     base = _canonical(ring)
     first = '"0,0":{"0":1}'
@@ -408,6 +409,7 @@ def ring_corpus() -> dict[str, bytes]:
         "escaped-key": (first, '"0,\\u0030":{"0":1}'),
         "control-in-key": (first, '"0,0\x01":{"0":1}'),
         "duplicate-map": ('"dual"', '"N":{"0,0":{"0":1}},"dual"'),
+        "duplicate-map-null": ('"dual"', '"N":null,"dual"'),
         "unterminated-key": (first, '"0,0:{"0":1}'),
     }
     for name, (old, new) in edits.items():
