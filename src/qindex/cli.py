@@ -3,16 +3,17 @@ fusion analysis, and lattice classification.
 
 Each ``cmd_*`` computes and returns ``(results, input_digest, tolerances,
 exit_code, artifact)``; the artifact is None when the command writes no
-``-o`` file, and a str when the command wrote its canonical JSON text
-itself (``fusion generate``).  ``main`` alone owns the output contract: it
-times the command, writes the artifact, prints one RunReport as canonical
-JSON on stdout, and maps failures to exit codes.  Exit codes: 0 success, 1
-unreadable input (CliFailure), 2 validation failure (any ValueError), 3
-infinite or unsolvable result.  An exit code a command returns, 0 or 3,
-comes with the report and the artifact.  A raised failure (exit 1, exit 2,
-or the CliFailure of ``fusion descent``'s exit 3) prints ``error:
-<message>`` on stderr, nothing on stdout, and writes no file.  Reports are
-deterministic for a fixed seed except for the wall_ms field.
+``-o`` file, the object whose canonical JSON text the file holds, or the
+pair of a text that the report holds in its place and the file's bytes,
+None without ``-o`` (``fusion generate``).  ``main`` alone owns the output
+contract: it times the command, writes the artifact, prints one RunReport
+as canonical JSON on stdout, and maps failures to exit codes.  Exit codes:
+0 success, 1 unreadable input (CliFailure), 2 validation failure (any
+ValueError), 3 infinite or unsolvable result.  An exit code a command
+returns, 0 or 3, comes with the report and the artifact.  A raised failure
+(exit 1, exit 2, or the CliFailure of ``fusion descent``'s exit 3) prints
+``error: <message>`` on stderr, nothing on stdout, and writes no file.
+Reports are deterministic for a fixed seed except for the wall_ms field.
 """
 
 from __future__ import annotations
@@ -77,14 +78,11 @@ class CliFailure(Exception):
 
 
 def _load_json(path: str, inputs: list[tuple[str, bytes]], decode=None):
-    """The file at ``path`` decoded by ``decode`` from its bytes, by
-    ``qio.loads`` when it is None: the JSON document that ``json.loads``
-    decodes from the text of a text-mode ``open``, with its matrices of
-    [re, im] pairs read from their bytes where it can.  The file is read
-    once: its bytes are appended to ``inputs`` for ``_digest_files``.  A
-    path that cannot be opened or read (missing, a directory, not
-    readable) and malformed JSON are a CliFailure; invalid UTF-8 raises
-    UnicodeDecodeError, a ValueError."""
+    """The file at ``path`` decoded from its bytes by ``decode``, or by
+    ``qio.loads`` when it is None.  The file is read once: its bytes are
+    appended to ``inputs`` for ``_digest_files``.  A path that cannot be
+    opened or read (missing, a directory, not readable) and malformed JSON
+    are a CliFailure; invalid UTF-8 raises UnicodeDecodeError, a ValueError."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -167,16 +165,17 @@ def cmd_index_compute(args):
 def cmd_fusion_generate(args):
     if args.kind == "tlj":
         ring, dims = gen_tlj(args.n)
-        text = qio.ring_to_text(ring)
-        results = {"ring": text, "dims": dims.as_dict()}
+        results = {"dims": dims.as_dict()}
         params = {"kind": "tlj", "n": args.n}
     else:
         factors = _parse_int_list(args.factors, "factors")
         ring = gen_pointed(factors)
-        text = qio.ring_to_text(ring)
-        results = {"ring": text}
+        results = {}
         params = {"kind": "pointed", "factors": factors}
-    return results, _digest(params), {}, EXIT_OK, text
+    # the report holds the ring/1 text, the -o file is qindex.ring/2
+    results["ring"] = text = qio.ring_to_text(ring)
+    data = qio.ring_to_bytes(ring) if args.output is not None else None
+    return results, _digest(params), {}, EXIT_OK, (text, data)
 
 
 def cmd_fusion_trace(args):
@@ -412,13 +411,12 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         results, input_digest, tolerances, code, artifact = args.func(args)
-        text = artifact if isinstance(artifact, str) else None
+        part, data = artifact if isinstance(artifact, tuple) else (artifact, None)
+        text = qio.canonical_text(part) if isinstance(part, dict) else part
         # classify -o F irrep parses -o but has no artifact
-        if artifact is not None and getattr(args, "output", None) is not None:
-            if text is None:
-                text = qio.canonical_text(artifact)
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+        if part is not None and getattr(args, "output", None) is not None:
+            with open(args.output, "wb") as fh:
+                fh.write((data or text.encode()) + b"\n")
         report = {
             "schema": SCHEMA,
             "command": argv,
@@ -430,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         # the report holds the artifact, whose text is made once
         print(qio.canonical_text(report) if text is None
-              else _canonical_with(report, artifact, text))
+              else _canonical_with(report, part, text))
         return code
     except (CliFailure, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -9,6 +9,7 @@ code.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import math
@@ -17,7 +18,7 @@ import time
 from collections.abc import Mapping, Sequence
 from io import BytesIO, TextIOWrapper
 from itertools import chain
-from typing import Any, NamedTuple
+from typing import Any
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .fusion import FusionModule, FusionRing, _freeze
 __all__ = [
     "SchemaError", "loads", "canonical_text", "canonical_object",
     "algebra_from_json", "homomorphism_from_json", "expectation_spec_from_json",
-    "ring_to_text", "ring_from_bytes", "ring_from_json", "module_to_text",
+    "ring_to_text", "ring_to_bytes", "ring_from_bytes", "ring_from_json",
     "module_from_json",
 ]
 
@@ -216,254 +217,6 @@ def _swap_placeholders(data: dict) -> int:
     return swapped
 
 
-# -- sparse maps read from their bytes -----------------------------------------
-
-#: bytes past the end of a document, so that the digits and separator
-#: bytes read after a string, and a word read at the start of one, stay
-#: in the buffer
-_PAD = 32
-#: masks of the first 0..8 bytes of a little-endian word
-_MASKS = np.array([(1 << (8 * n)) - 1 for n in range(9)], dtype=np.uint64)
-#: at most 18 digits, so that every multiplicity is below 2^63
-_MAX_DIGITS = 18
-_QUOTE, _COLON, _OPEN_BRACE, _CLOSE_BRACE, _COMMA, _ZERO = map(np.uint8, b'":{},0')
-#: how a ring file that ``ring_to_text`` wrote opens: its keys are sorted,
-#: so "N" comes first
-_RING_START = b'{"N":{"'
-
-
-def ring_from_bytes(raw: bytes) -> FusionRing:
-    """The ring of the ring file whose bytes are ``raw``, as
-    ``ring_from_json(loads(raw))`` reads it.  The sparse map "N" that opens
-    a file as ``ring_to_text`` writes it is read from its bytes, and only
-    the rest of the document is decoded by ``json``, when the file's text
-    is its bytes (ASCII, with no backslash and no carriage return), every
-    byte of the map checks (see ``_map_from_bytes``), its keys are distinct
-    labels (pairs), each label has at most 8 bytes, and no later "N" key
-    replaces it.  Any other file goes through ``ring_from_json(loads(raw))``,
-    which raises the errors its text gives."""
-    start = time.perf_counter()
-    held = (_map_from_bytes(raw) if raw.startswith(_RING_START) and raw.isascii()
-            and b"\\" not in raw and b"\r" not in raw else None)
-    if held is not None:
-        *parts, end = held
-        try:
-            # raw holds no NUL, so a later "N", which json keeps, replaces
-            # this placeholder, even a null one
-            rest = json.loads(b'{"N":"\\u0000"' + raw[end:])
-        except json.JSONDecodeError:
-            rest = None  # decoded again below, so the error names its place in raw
-        if rest is not None and rest["N"] == "\0":
-            irr, unit, dual = _ring_header(rest, "fusion_ring")
-            tensor = _map_tensor(irr, *parts)
-            if tensor is not None:
-                return _built_ring(irr, unit, dual, tensor, start,
-                                   "ring_from_bytes: rank %d, %d nonzero, N from bytes, %.3f s")
-    return ring_from_json(loads(raw))
-
-
-def _map_tensor(labels: Sequence[str], buffer: np.ndarray,
-                spans: tuple[tuple[np.ndarray, np.ndarray], ...],
-                entry_row: np.ndarray, mults: np.ndarray) -> np.ndarray | None:
-    """The read-only int64 3-tensor of a map that ``_map_from_bytes`` read,
-    whose three axes are named by ``labels``, or None when a key is not a
-    label (pair) or a key repeats, or a label has more than 8 bytes, for
-    ``json`` to decide."""
-    table = _label_table(labels)
-    first, second, third = (_label_indices(buffer, starts, ends, table)
-                            for starts, ends in spans)
-    if first is None or second is None or third is None:
-        return None
-    r = len(labels)
-    cells = first * r + second
-    where = cells[entry_row] * r + third
-    if not (_distinct(cells, r * r) and _distinct(where, r ** 3)):
-        return None
-    tensor = np.zeros((r, r, r), dtype=np.int64)
-    tensor.reshape(-1)[where] = mults
-    return _freeze(tensor)
-
-
-def _distinct(values: np.ndarray, size: int) -> bool:
-    seen = np.zeros(size, dtype=bool)
-    seen[values] = True
-    return np.count_nonzero(seen) == values.size
-
-
-def _words(buffer: np.ndarray) -> np.ndarray:
-    """The little-endian uint64 word at each byte offset of ``buffer``,
-    as a view with a stride of one byte."""
-    return np.ndarray((buffer.size - 7,), dtype="<u8", buffer=buffer, strides=(1,))
-
-
-class _LabelTable(NamedTuple):
-    """The labels of an axis, each of at most 8 bytes, as their
-    NUL-padded words ``keys``; label n sits in slot
-    ``lookup[keys[n] * multiplier >> shift]``."""
-
-    keys: np.ndarray
-    multiplier: np.uint64
-    shift: np.uint64
-    lookup: np.ndarray
-
-
-def _label_table(labels: Sequence[str]) -> _LabelTable | None:
-    """The table of ``labels``, or None when a label has more than 8
-    bytes or no multiplier tried gives their keys distinct slots.  The
-    table has about 2 r^2 slots for r labels, which leaves each multiplier
-    a chance of about 3/4."""
-    encoded = [label.encode() for label in labels]
-    if max(map(len, encoded)) > 8:
-        return None
-    keys = np.frombuffer(b"".join(e.ljust(8, b"\0") for e in encoded), dtype="<u8")
-    bits = max(8, 2 * len(keys).bit_length() + 1)
-    shift = np.uint64(64 - bits)
-    for multiplier in _MULTIPLIERS:
-        slots = keys * multiplier >> shift
-        ranked = np.sort(slots)  # np.unique would import numpy.ma on first use
-        if np.all(ranked[1:] != ranked[:-1]):
-            lookup = np.full(1 << bits, -1, dtype=np.intp)
-            lookup[slots] = np.arange(keys.size)
-            return _LabelTable(keys, multiplier, shift, lookup)
-    return None
-
-
-def _label_indices(buffer: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                   table: _LabelTable | None) -> np.ndarray | None:
-    """The index in ``table`` of each string buffer[start:end], or None
-    when one is no label.
-
-    A string of at most 8 bytes is read as one word, its key, the bytes
-    past its end masked to 0; a string holds no NUL, so its key and its
-    length determine each other.  A longer string is no label."""
-    if table is None:
-        return None
-    lengths = ends - starts
-    if lengths.size and lengths.max() > 8:
-        return None
-    keys = _words(buffer)[starts] & _MASKS[lengths]
-    found = table.lookup[keys * table.multiplier >> table.shift]  # -1 in a free slot
-    return found if np.all(table.keys[found] == keys) else None
-
-
-#: odd 64-bit multipliers of Fibonacci and MurmurHash3 hashing
-_MULTIPLIERS = tuple(map(np.uint64, (0x9E3779B97F4A7C15, 0xFF51AFD7ED558CCD,
-                                     0xC4CEB9FE1A85EC53, 0xC2B2AE3D27D4EB4F)))
-
-
-def _map_from_bytes(raw: bytes) -> tuple | None:
-    """The map "A,B" -> {C: mult} that opens ``raw``, the bytes of a
-    document with no backslash, when every byte of it checks: the bytes of
-    the document, padded, and the (starts, ends) offsets in them of the
-    three parts of the keys (A and B of each row's key, and C of each
-    entry's), then the row and the multiplicity of each entry, and the
-    offset just past the map; else None.  ``raw`` is first stripped of the
-    whitespace at its end.
-
-    ``raw`` has no backslash, so strings end at the next quote.  The
-    bytes between one string and the next are a separator, and the map is
-    strings 1 through the first whose separator ends it: each key opens a
-    row, or is an entry whose separator holds its multiplicity, and each
-    separator says what the next string is.  A map that is not so read is
-    left to ``json``, as is an empty one or one with whitespace between its
-    tokens, and so is the map of a document that holds a tab, newline or
-    other control byte inside it.  A checked map is valid JSON."""
-    raw = raw.rstrip(_SPACE)
-    b = np.frombuffer(raw + bytes(_PAD), np.uint8)
-    quotes = np.flatnonzero(b == 34)
-    # a control byte left in a string, or outside one, is malformed JSON
-    if quotes.size % 2 or np.any(b[:len(raw)] < 32):
-        return None
-    opens, closes = quotes[0::2], quotes[1::2]
-    sep = _separators(b, closes)
-    last = 1 + int(np.argmax(~sep.valid[1:] | sep.ending[1:]))
-    if not (sep.valid[last] and sep.ending[last]):
-        return None
-    rows = sep.row[1:last + 1]
-    # the first string is a row key, and each separator says what the next
-    # one is
-    if not rows[0] or np.any(rows[1:] != sep.next_row[1:last]):
-        return None
-    row_keys = np.flatnonzero(rows) + 1
-    entry_keys = np.flatnonzero(~rows) + 1
-    commas = _one_comma(b, opens[row_keys] + 1, closes[row_keys])
-    if commas is None:
-        return None
-    digits = int(sep.digits[last])
-    end = int(closes[last]) + 1 + digits + (3 if digits else 4)
-    # the entries of each row follow its key
-    counts = np.diff(row_keys, append=last + 1) - 1
-    spans = ((opens[row_keys] + 1, commas), (commas + 1, closes[row_keys]),
-             (opens[entry_keys] + 1, closes[entry_keys]))
-    return (b, spans, np.repeat(np.arange(row_keys.size), counts), sep.mults[entry_keys],
-            end)
-
-
-class _Separators(NamedTuple):
-    """What the separator after each string of a document says, as a
-    sparse map's grammar reads it: whether the string is a row key,
-    whether the next string is one, whether it ends the map, and whether it
-    is a separator of the map at all; ``digits`` and ``mults`` are the
-    digits of an entry and the int64 number they write."""
-
-    row: np.ndarray
-    next_row: np.ndarray
-    ending: np.ndarray
-    valid: np.ndarray
-    digits: np.ndarray
-    mults: np.ndarray
-
-
-def _separators(b: np.ndarray, closes: np.ndarray) -> _Separators:
-    """The separators after the strings that close at ``closes``: the map
-    or a row opens (:{), an empty row ends (:{}, and :{}} at the map's
-    end), or an entry ends (:<digits>, within a row, :<digits>}, at a
-    row's end and :<digits>}} at the map's end).  Digits have no leading
-    zero and are at most 18.  The bytes are read one offset at a time for
-    all separators at once; a separator that does not end the map ends
-    where the next string opens, at a quote."""
-    starts = closes + 1
-    colon = b[starts] == _COLON
-    first = b[starts + 1] - _ZERO  # a digit's value, or past 9
-    number = colon & (first < 10)
-    digits = number.astype(np.intp)
-    mults = digits * first
-    run = number.copy()
-    for offset in range(2, _MAX_DIGITS + 2):
-        value = b[starts + offset] - _ZERO
-        run &= value < 10
-        if not run.any():
-            break
-        digits += run
-        mults = np.where(run, mults * 10 + value, mults)
-    after = starts + 1 + digits
-    x, y, z, w = b[after], b[after + 1], b[after + 2], b[after + 3]
-    braced = colon & (first == _OPEN_BRACE - _ZERO)  # and so no digits
-    opening = braced & (y == _QUOTE)
-    empty = braced & (y == _CLOSE_BRACE)
-    entry = number & (digits <= _MAX_DIGITS) & ((digits == 1) | (first != 0))
-    closed = entry & (x == _CLOSE_BRACE)
-    empty_row = empty & (z == _COMMA) & (w == _QUOTE)
-    empty_end = empty & (z == _CLOSE_BRACE)
-    row_end = closed & (y == _COMMA) & (z == _QUOTE)
-    map_end = closed & (y == _CLOSE_BRACE)
-    row = opening | empty_row | empty_end
-    valid = row | (entry & (x == _COMMA) & (y == _QUOTE)) | row_end | map_end
-    return _Separators(row, empty_row | row_end, empty_end | map_end, valid,
-                       digits, mults)
-
-
-def _one_comma(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The offset of the comma in each string b[start:end], or None when
-    one holds no comma or more than one."""
-    width = int((ends - starts).max())
-    grid = b[starts[:, None] + np.arange(width)]
-    commas = (grid == ord(",")) & (np.arange(width) < (ends - starts)[:, None])
-    if not np.all(commas.sum(axis=1) == 1):
-        return None
-    return starts + commas.argmax(axis=1)
-
-
 # -- algebras and homomorphisms ----------------------------------------------
 
 def algebra_from_json(data: Any, path: str = "algebra") -> MultiMatrixAlgebra:
@@ -533,6 +286,9 @@ def _expectation_spec_from_json(data: Any, path: str
 
 
 # -- fusion data -------------------------------------------------------------
+
+RING2 = "qindex.ring/2"
+
 
 def canonical_text(value) -> str:
     """The canonical JSON text of reports and artifacts: keys sorted, no
@@ -672,6 +428,70 @@ def _built_ring(irr: list[str], unit: str, dual: Mapping, tensor: np.ndarray,
     return ring
 
 
+def ring_to_bytes(ring: FusionRing) -> bytes:
+    """The canonical JSON text, as bytes, of the ring's qindex.ring/2 file
+    (see docs/formats.md)."""
+    flat = ring.tensor.reshape(-1)
+    nonzero = flat != 0
+    width = np.min_scalar_type(flat.max()).itemsize  # 1 for an all-zero tensor
+    n = {"mask": base64.b64encode(np.packbits(nonzero)).decode(),
+         "mult": base64.b64encode(flat[nonzero].astype(f"<u{width}")).decode()}
+    return canonical_text({"N": n, "dual": dict(ring.dual), "irr": list(ring.labels),
+                           "schema": RING2, "unit": ring.unit}).encode()
+
+
+def ring_from_bytes(raw: bytes) -> FusionRing:
+    """The ring of the ring file whose bytes are ``raw``: a qindex.ring/2
+    file's tensor is scattered from its mask at once, and any other
+    document goes to ``ring_from_json``."""
+    start = time.perf_counter()
+    data = loads(raw)
+    schema = data.get("schema") if isinstance(data, Mapping) else None
+    if not (isinstance(schema, str) and schema == RING2):
+        return ring_from_json(data)
+    irr, unit, dual = _ring_header(data, "fusion_ring")
+    tensor = _mask_tensor(data.get("N"), len(irr), "fusion_ring.N")
+    return _built_ring(irr, unit, dual, tensor, start,
+                       "ring_from_bytes: rank %d, %d nonzero, N from base64, %.3f s")
+
+
+def _mask_tensor(data: Any, r: int, path: str) -> np.ndarray:
+    """The read-only int64 r x r x r tensor of a qindex.ring/2 "N", which
+    has one text per tensor, so no order or range is left to check."""
+    _expect(isinstance(data, Mapping), path, "N is an object")
+    _expect(set(data) <= {"mask", "mult"}, path, "N holds only mask and mult")
+    mask, mult = (_base64_bytes(data.get(key), f"{path}.{key}", key) for key in ("mask", "mult"))
+    # a mask of another length or with a pad bit set packs back to other bytes
+    nonzero = np.unpackbits(np.frombuffer(mask, np.uint8), count=r ** 3).view(bool)
+    _expect(np.packbits(nonzero).tobytes() == mask, f"{path}.mask",
+            f"mask has {(r ** 3 + 7) // 8} bytes, one bit per entry, and zero pad bits")
+    count = np.count_nonzero(nonzero)
+    width = len(mult) // count if count else 1
+    _expect(width in (1, 2, 4, 8) and len(mult) == width * count, f"{path}.mult",
+            "one multiplicity of 1, 2, 4 or 8 bytes per set mask bit")
+    mults = np.frombuffer(mult, f"<u{width}")
+    top = int(mults.max()) if count else 1
+    _expect(mults.all(), f"{path}.mult", "multiplicities are positive")
+    _expect(top < 2 ** 63, f"{path}.mult", "multiplicities are below 2^63")
+    _expect(width == 1 or top >= 1 << 4 * width, f"{path}.mult",
+            "multiplicities have the narrowest width that holds the largest")
+    tensor = np.zeros((r, r, r), dtype=np.int64)
+    tensor.reshape(-1)[nonzero] = mults
+    return _freeze(tensor)
+
+
+def _base64_bytes(text: Any, path: str, name: str) -> bytes:
+    """The bytes whose base64 is ``text``, which is canonical: no padding
+    missing, no trailing bit set and no character that b64decode drops."""
+    try:
+        raw = base64.b64decode(text) if isinstance(text, str) else None
+    except ValueError:  # bad padding, or a character that is not ASCII
+        raw = None
+    _expect(raw is not None and base64.b64encode(raw).decode() == text, path,
+            f"{name} is a string of canonical base64")
+    return raw
+
+
 def _labels_from_json(data: Mapping, key: str, path: str) -> list[str]:
     labels = data.get(key)
     path = f"{path}.{key}"
@@ -680,15 +500,6 @@ def _labels_from_json(data: Mapping, key: str, path: str) -> list[str]:
     _expect(len(set(labels)) == len(labels), path, "labels must be distinct")
     _expect(not any("," in x for x in labels), path, "labels must not contain commas")
     return labels
-
-
-def module_to_text(module: FusionModule) -> str:
-    """The canonical JSON text of the module's file, written directly from
-    the action tensor."""
-    labels = (module.ring.labels, module.labels, module.labels)
-    return canonical_object({"ring": ring_to_text(module.ring),
-                             "irrM": canonical_text(list(module.labels)),
-                             "n": _sparse_text(module.action, labels)})
 
 
 def module_from_json(data: Any, path: str = "fusion_module") -> FusionModule:

@@ -11,6 +11,8 @@ from qindex.algebra import (MultiMatrixAlgebra, StarHomomorphism, TraceWeights,
                             identity_homomorphism)
 from qindex.expectation import canonical_expectation
 
+from oracles import module_to_text
+
 
 def ring_to_json(ring):
     """The payload of a ring file: the ring's canonical text, parsed."""
@@ -19,12 +21,12 @@ def ring_to_json(ring):
 
 def module_to_json(module):
     """The payload of a module file: the module's canonical text, parsed."""
-    return json.loads(qio.module_to_text(module))
+    return json.loads(module_to_text(module))
 
 
 def ring_from_bytes_spied(raw):
-    """``qio.ring_from_bytes(raw)``, and whether it read the ring's map from
-    its bytes, that is, without calling ``qio.ring_from_json``."""
+    """``qio.ring_from_bytes(raw)``, and whether it read the ring as a
+    qindex.ring/2 file, that is, without calling ``qio.ring_from_json``."""
     with mock.patch.object(qio, "ring_from_json", wraps=qio.ring_from_json) as spy:
         ring = qio.ring_from_bytes(raw)
     return ring, not spy.called

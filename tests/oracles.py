@@ -33,11 +33,14 @@ map one entry at a time, the reference for the whole-array decoder of
 ``qindex.io``, and ``ring_to_json_reference`` and
 ``module_to_json_reference`` build the payload dicts that
 ``qindex.io`` once encoded with ``json.dumps``: the references for its
-text encoder.  ``trace_solve_reference`` solves for a module trace by the
-thin SVD of the whole stacked system, the reference for the SVD of its R
-factor.  ``equivalence_classes_reference`` joins linked module labels by
-union-find, the reference for the label propagation of
-``equivalence_classes``.
+text encoder.  ``module_to_text`` writes a module file with that encoder;
+the CLI writes none.  ``ring2_reference`` builds the payload of a
+qindex.ring/2 file one bit and one multiplicity at a time, the reference
+for ``qindex.io.ring_to_bytes``.  ``trace_solve_reference`` solves for a
+module trace by the thin SVD of the whole stacked system, the reference
+for the SVD of its R factor.  ``equivalence_classes_reference`` joins
+linked module labels by union-find, the reference for the label
+propagation of ``equivalence_classes``.
 ``smith_normal_form_reference`` scans the whole trailing block for every
 Smith pivot, and ``classify_reference`` builds each sublattice by integer
 elimination of the Cartan columns joined with lifted subgroup generators:
@@ -53,6 +56,8 @@ block-diagonal representation of an element.
 
 from __future__ import annotations
 
+import base64
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,7 +72,8 @@ from qindex.expectation import (ConditionalExpectation, QuasiBasis, _defect,
 from qindex.fusion import (NULLITY_RTOL, DimensionVector, FusionModule, FusionRing,
                            ModuleTrace, TraceSolveResult, _associativity_violations,
                            _conjugation_mismatch)
-from qindex.io import SchemaError, _expect, _matrix_from_json
+from qindex.io import (SchemaError, _expect, _matrix_from_json, _sparse_text, canonical_object,
+                       canonical_text, ring_to_text)
 from qindex.lattice import (CartanData, CenterData, FiniteAbelianGroup, SublatticeSpec,
                             _hnf_elements, _hnf_generators, _subgroup_hnfs,
                             hermite_normal_form)
@@ -765,6 +771,37 @@ def module_to_json_reference(module: FusionModule) -> dict:
     labels = (module.ring.labels, module.labels, module.labels)
     return {"ring": ring_to_json_reference(module.ring), "irrM": list(module.labels),
             "n": sparse_to_json_reference(module.action, labels)}
+
+
+def module_to_text(module: FusionModule) -> str:
+    """The canonical JSON text of the module's file, written directly from
+    the action tensor."""
+    labels = (module.ring.labels, module.labels, module.labels)
+    return canonical_object({"ring": ring_to_text(module.ring),
+                             "irrM": canonical_text(list(module.labels)),
+                             "n": _sparse_text(module.action, labels)})
+
+
+def ring2_reference(ring: FusionRing) -> dict:
+    """The payload of the ring's qindex.ring/2 file: bit n of the mask,
+    counted from the high bit of byte n // 8, is set when entry n of the
+    tensor in C order is nonzero, and the nonzero entries follow in that
+    order as little-endian ints of the fewest of 1, 2, 4 or 8 bytes that
+    hold the largest."""
+    r = ring.rank
+    mask = bytearray((r ** 3 + 7) // 8)
+    mults = []
+    for n, (u, v, w) in enumerate(itertools.product(range(r), repeat=3)):
+        mult = int(ring.tensor[u, v, w])
+        if mult:
+            mask[n // 8] |= 0x80 >> n % 8
+            mults.append(mult)
+    width = next(w for w in (1, 2, 4, 8) if max(mults, default=0) < 1 << 8 * w)
+    values = b"".join(mult.to_bytes(width, "little") for mult in mults)
+    return {"N": {"mask": base64.b64encode(bytes(mask)).decode(),
+                  "mult": base64.b64encode(values).decode()},
+            "dual": dict(ring.dual), "irr": list(ring.labels), "schema": "qindex.ring/2",
+            "unit": ring.unit}
 
 
 # -- fusion rings -------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import hashlib
 import io
@@ -20,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from report_diff import WALL_MS, ring_corpus, ring_corpus_argvs, spec_corpus  # noqa: E402
 
 from conftest import module_to_json, ring_from_bytes_spied, ring_to_json
+from oracles import module_to_text, ring2_reference
 
 
 def run(capsys, *argv):
@@ -156,16 +158,20 @@ def test_report_splices_the_artifact_text_it_holds():
 
 
 def test_fusion_generate_encodes_the_ring_once(tmp_path, capsys, monkeypatch):
-    # io writes the ring's text once; cli writes that text to -o and into
-    # the report, and no object that holds the ring is encoded again
+    # io writes the ring's text once, and its ring/2 file only with -o; cli
+    # writes that text into the report and the file to -o, and no object
+    # that holds the ring is encoded again
     def holds(value, part):
         return value == part or (isinstance(value, dict)
                                  and any(holds(v, part) for v in value.values()))
 
-    texts, encoded = [], []
-    ring_to_text, canonical = qio.ring_to_text, qio.canonical_text
+    texts, files, encoded = [], [], []
+    ring_to_text, ring_to_bytes = qio.ring_to_text, qio.ring_to_bytes
+    canonical = qio.canonical_text
     monkeypatch.setattr(qio, "ring_to_text",
                         lambda ring: texts.append(ring_to_text(ring)) or texts[-1])
+    monkeypatch.setattr(qio, "ring_to_bytes",
+                        lambda ring: files.append(ring_to_bytes(ring)) or files[-1])
     monkeypatch.setattr(qio, "canonical_text",
                         lambda payload: encoded.append(payload) or canonical(payload))
     out_path = tmp_path / "tlj9.json"
@@ -178,13 +184,13 @@ def test_fusion_generate_encodes_the_ring_once(tmp_path, capsys, monkeypatch):
                        for payload in encoded)
         assert out == canonical(report_of(out)) + "\n"
         texts.clear()
-    assert out_path.read_text() == canonical(ring) + "\n"
+    assert len(files) == 1 and out_path.read_bytes() == files[0] + b"\n"
 
 
 @pytest.mark.parametrize("kind", [["tlj", "--n", "12"], ["pointed", "--factors", "2,6"]])
 def test_fusion_generate_output_is_the_same_with_and_without_o(tmp_path, capsys, kind):
-    # byte for byte, but for the command echo and the timing; the report
-    # holds the -o file's text as it is
+    # byte for byte, but for the command echo and the timing; the -o file
+    # is the qindex.ring/2 file of the ring the report holds
     out_path = tmp_path / "ring.json"
     reports = []
     for output in (["-o", str(out_path)], []):
@@ -195,8 +201,9 @@ def test_fusion_generate_output_is_the_same_with_and_without_o(tmp_path, capsys,
         reports.append(out.replace(json.dumps(report["command"], separators=(",", ":")), "[]")
                        .replace(f'"wall_ms":{report["wall_ms"]!r}', '"wall_ms":0'))
     assert reports[0] == reports[1]
-    text = out_path.read_text()
-    assert text.endswith("\n") and f'"ring":{text[:-1]}' in reports[0]
+    ring = qio.ring_from_json(report_of(reports[0])["results"]["ring"])
+    assert out_path.read_bytes() == qio.ring_to_bytes(ring) + b"\n"
+    assert qio.ring_to_text(qio.ring_from_bytes(out_path.read_bytes())) == qio.ring_to_text(ring)
 
 
 def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch):
@@ -205,7 +212,7 @@ def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch):
     ring = gen_tlj(7)[0]
     ring_path, module_path = tmp_path / "ring.json", tmp_path / "module.json"
     ring_path.write_text(qio.ring_to_text(ring))
-    module_path.write_text(qio.module_to_text(gen_regular_module(ring)))
+    module_path.write_text(module_to_text(gen_regular_module(ring)))
     spec_path = pinching_spec(tmp_path)
     reads = []
     monkeypatch.setattr(qindex.cli, "open", lambda path, mode="r", **kw: (
@@ -307,33 +314,91 @@ def test_ring_corpus_reads_as_json_reads_it(tmp_path, capsys, monkeypatch, name)
     assert read
 
 
-def test_ring_corpus_takes_the_byte_path_on_valid_maps():
-    # the map that opens a ring file is read from its bytes when it has no
-    # whitespace between its tokens, its keys are distinct labels (pairs),
-    # every label has at most 8 bytes and no later "N" key replaces it;
-    # every other file, a module file among them, goes through json
+def test_ring_corpus_goes_through_the_entry_walk():
+    # a file read as qindex.ring/2 says so in its "schema"; every file of
+    # the corpus, a ring/1 or module file, valid or not, goes through json
+    # and the entry walk of ring_from_json, and so do the valid ring's
+    # ring/1 text under another schema and its ring/2 text without one
     corpus = ring_corpus()
-    from_bytes = {"valid", "trailing-newline", "mult-zero", "mult-18-digits", "empty-row",
-                  "empty-last-row", "labels-punctuation", "labels-digits", "labels-map-keys",
-                  "labels-8-bytes"}
-    for name, raw in corpus.items():
+    unclosed = corpus["valid"][:-1]  # the valid ring/1 text but its last brace
+    texts = {**corpus, "schema-other": unclosed + b',"schema":"qindex.ring/3"}',
+             "schema-list": unclosed + b',"schema":["qindex.ring/2"]}',
+             "schema-pairs": unclosed + b',"schema":[[[1,2]]]}'}
+    for name, raw in texts.items():
         try:
             _, read = ring_from_bytes_spied(raw)
         except ValueError:  # the error of the file's text, raised through json
             read = False
-        assert read == (name in from_bytes), name
-    # every byte of these maps checks, but a key is no label (pair) or
-    # repeats, a label has more than 8 bytes, or a later "N" key follows
-    for name in ("repeated-row-key", "repeated-entry-key", "empty-rows-only", "unknown-target",
-                 "unknown-row-label", "labels-long", "labels-colliding-key", "labels-9-bytes",
-                 "duplicate-map", "duplicate-map-null", *from_bytes):
-        assert qio._map_from_bytes(corpus[name]) is not None, name
-    for name in ("valid-indent", "valid-spaces", "tabs", "mult-space", "labels-digits-indent",
-                 "labels-punctuation-indent", "labels-map-keys-indent", "labels-long-indent",
-                 "labels-8-bytes-indent", "mult-minus-zero", "mult-float", "mult-exponent",
-                 "mult-true", "mult-null", "mult-19-digits", "mult-2^63", "empty-map",
-                 "row-nested", "key-0", "key-0,0,0", "labels-quotes", "cr"):
-        assert qio._map_from_bytes(corpus[name]) is None, name
+        assert not read, name
+    ring2 = json.loads(qio.ring_to_bytes(qio.ring_from_json(json.loads(corpus["valid"]))))
+    _, read = ring_from_bytes_spied(json.dumps(ring2).encode())
+    assert read
+    del ring2["schema"]
+    with pytest.raises(qio.SchemaError, match=r"fusion_ring.N\['mask'\]: keys are"):
+        ring_from_bytes_spied(json.dumps(ring2).encode())
+
+
+def ring2_damage() -> dict[str, tuple[dict, str]]:
+    """The qindex.ring/2 file of TLJ(6), whose 125 mask bits leave 3 pad
+    bits, with one kind of damage to its "N" each, by name, and the error
+    that each gives."""
+    valid = json.loads(qio.ring_to_bytes(gen_tlj(6)[0]))
+    n = valid["N"]
+    mask = base64.b64decode(n["mask"])
+    mults = np.frombuffer(base64.b64decode(n["mult"]), np.uint8)
+    unset = next(k for k in range(125) if not mask[k // 8] & 0x80 >> k % 8)
+    more = bytearray(mask)
+    more[unset // 8] |= 0x80 >> unset % 8
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    # the last base64 digit of 16 bytes carries 2 bits and 4 trailing zero bits
+    trailing = n["mask"][:21] + alphabet[alphabet.index(n["mask"][21]) + 1] + "=="
+
+    def b64(raw) -> str:
+        return base64.b64encode(bytes(raw)).decode()
+
+    mask_error = "fusion_ring.N.mask: mask is a string of canonical base64"
+    mult_error = "fusion_ring.N.mult: mult is a string of canonical base64"
+    mask_bits_error = "fusion_ring.N.mask: mask has 16 bytes, one bit per entry, and zero pad bits"
+    count_error = "fusion_ring.N.mult: one multiplicity of 1, 2, 4 or 8 bytes per set mask bit"
+    cases = {
+        "mask-short": ({**n, "mask": b64(mask[:-1])}, mask_bits_error),
+        "mask-long": ({**n, "mask": b64(mask + b"\0")}, mask_bits_error),
+        "pad-bit": ({**n, "mask": b64(mask[:-1] + bytes([mask[-1] | 1]))}, mask_bits_error),
+        "more-bits": ({**n, "mask": b64(more)}, count_error),
+        "more-mults": ({**n, "mult": b64(np.append(mults, 1))}, count_error),
+        "no-mults": ({**n, "mult": ""}, count_error),
+        "zero-mult": ({**n, "mult": b64(np.append(0, mults[1:]))},
+                      "fusion_ring.N.mult: multiplicities are positive"),
+        "wider-than-needed": ({**n, "mult": b64(mults.astype("<u2").tobytes())},
+                              "fusion_ring.N.mult: multiplicities have the narrowest width "
+                              "that holds the largest"),
+        "2^63": ({**n, "mult": b64(np.append(np.uint64(2 ** 63), mults[1:]).astype("<u8")
+                                   .tobytes())},
+                 "fusion_ring.N.mult: multiplicities are below 2^63"),
+        "missing-padding": ({**n, "mask": n["mask"].rstrip("=")}, mask_error),
+        "newline": ({**n, "mult": n["mult"][:8] + "\n" + n["mult"][8:]}, mult_error),
+        "non-alphabet": ({**n, "mult": n["mult"][:8] + "!" + n["mult"][8:]}, mult_error),
+        "non-ascii": ({**n, "mask": "é" + n["mask"][1:]}, mask_error),
+        "trailing-bits": ({**n, "mask": trailing}, mask_error),
+        "mask-number": ({**n, "mask": 5}, mask_error),
+        "mask-list": ({**n, "mask": [n["mask"]]}, mask_error),
+        "mask-missing": ({"mult": n["mult"]}, mask_error),
+        "mult-missing": ({"mask": n["mask"]}, mult_error),
+        "extra-key": ({**n, "index": ""}, "fusion_ring.N: N holds only mask and mult"),
+        "not-an-object": ([n["mask"], n["mult"]], "fusion_ring.N: N is an object"),
+    }
+    return {name: ({**valid, "N": damaged}, message)
+            for name, (damaged, message) in cases.items()}
+
+
+@pytest.mark.parametrize("name", list(ring2_damage()))
+def test_fusion_trace_rejects_damaged_ring2_files(tmp_path, capsys, name):
+    # each is a validation failure that names the part of N that fails
+    payload, message = ring2_damage()[name]
+    path = tmp_path / "ring.json"
+    path.write_text(qio.canonical_text(payload) + "\n")
+    assert run(capsys, "fusion", "trace", "--ring", str(path), "--module", "regular") == \
+        (2, "", f"error: {message}\n")
 
 
 def json_values_only(value) -> bool:
@@ -361,9 +426,9 @@ def test_ring_corpus_loads_as_json_loads_it():
         assert got == want and json_values_only(got), name
 
 
-def test_generated_ring_files_take_the_byte_path(tmp_path, capsys, monkeypatch):
-    # fusion trace and fusion descent read the N map of the ring files that
-    # fusion generate -o writes, as the benchmark runs them, from its bytes
+def test_generated_ring_files_are_read_as_ring2(tmp_path, capsys, monkeypatch):
+    # fusion trace and fusion descent read the ring files that fusion
+    # generate -o writes, as the benchmark runs them, as qindex.ring/2
     path = str(tmp_path / "ring.json")
     evens = ",".join(map(str, range(0, 39, 2)))
     for argv, subring in ((["tlj", "--n", "40"], evens), (["pointed", "--factors", "2,6"], "0.0")):
@@ -373,7 +438,7 @@ def test_generated_ring_files_take_the_byte_path(tmp_path, capsys, monkeypatch):
         for command in (["trace"], ["descent", "--subring", subring]):
             code, _, err = run(capsys, "fusion", *command, "--ring", path, "--module", "regular")
             assert code == 0, (argv, command)
-            assert re.search(r"ring_from_bytes: rank \d+, \d+ nonzero, N from bytes", err), err
+            assert re.search(r"ring_from_bytes: rank \d+, \d+ nonzero, N from base64", err), err
             assert "ring_from_json" not in err
 
 
@@ -404,8 +469,8 @@ def test_index_compute_rejects_json_true(tmp_path, capsys, where, message):
 
 def test_fusion_trace_rejects_json_true_multiplicity(tmp_path, capsys):
     ring_path = tmp_path / "tlj4.json"
-    run(capsys, "fusion", "generate", "tlj", "--n", "4", "-o", str(ring_path))
-    ring_path.write_text(ring_path.read_text().replace('"1,1":{"0":1', '"1,1":{"0":true'))
+    ring_path.write_text(qio.ring_to_text(gen_tlj(4)[0]).replace('"1,1":{"0":1',
+                                                                '"1,1":{"0":true'))
     code, out, err = run(capsys, "fusion", "trace", "--ring", str(ring_path),
                          "--module", "regular")
     assert (code, out, err) == (2, "", "error: fusion_ring.N['1,1']['0']: "
@@ -505,7 +570,7 @@ def test_generate_round_trips(tmp_path, capsys):
     code, _, _ = run(capsys, "fusion", "generate", "tlj", "--n", "7",
                      "-o", str(out_path))
     assert code == 0
-    ring = qio.ring_from_json(json.loads(out_path.read_text()))
+    ring = qio.ring_from_bytes(out_path.read_bytes())
     assert len(ring.labels) == 6
     assert validate_fusion(ring) == []
 
@@ -513,19 +578,20 @@ def test_generate_round_trips(tmp_path, capsys):
     code, _, _ = run(capsys, "fusion", "generate", "pointed", "--factors", "2,2",
                      "-o", str(out_path))
     assert code == 0
-    ring = qio.ring_from_json(json.loads(out_path.read_text()))
+    ring = qio.ring_from_bytes(out_path.read_bytes())
     assert len(ring.labels) == 4
     assert validate_fusion(ring) == []
 
 
 def test_artifacts_are_canonical_compact_json(tmp_path, capsys):
-    # -o files use the encoding of the report line: sorted keys, no spaces
+    # -o files use the encoding of the report line: sorted keys, no
+    # spaces; a ring file is the qindex.ring/2 payload of the report's ring
     ring_path = tmp_path / "tlj4.json"
     code, out, _ = run(capsys, "fusion", "generate", "tlj", "--n", "4",
                        "-o", str(ring_path))
     assert code == 0
-    ring = report_of(out)["results"]["ring"]
-    assert ring_path.read_text() == json.dumps(ring, sort_keys=True,
+    ring = qio.ring_from_json(report_of(out)["results"]["ring"])
+    assert ring_path.read_text() == json.dumps(ring2_reference(ring), sort_keys=True,
                                                separators=(",", ":")) + "\n"
 
 
@@ -553,7 +619,7 @@ def test_fusion_trace_module_file(tmp_path, capsys):
     ring_path = tmp_path / "z4.json"
     run(capsys, "fusion", "generate", "pointed", "--factors", "4",
         "-o", str(ring_path))
-    ring = qio.ring_from_json(json.loads(ring_path.read_text()))
+    ring = qio.ring_from_bytes(ring_path.read_bytes())
     module_path = tmp_path / "reg.json"
     module_path.write_text(json.dumps(module_to_json(gen_regular_module(ring))))
     code, out, _ = run(capsys, "fusion", "trace", "--ring", str(ring_path),
@@ -568,7 +634,7 @@ def test_fusion_trace_validates_the_regular_module_as_its_ring(tmp_path, capsys,
     # still runs the module validation
     ring_path = tmp_path / "tlj5.json"
     run(capsys, "fusion", "generate", "tlj", "--n", "5", "-o", str(ring_path))
-    ring = qio.ring_from_json(json.loads(ring_path.read_text()))
+    ring = qio.ring_from_bytes(ring_path.read_bytes())
     module_path = tmp_path / "reg.json"
     module_path.write_text(json.dumps(module_to_json(gen_regular_module(ring))))
     cases = [(("fusion", "trace", "--module", "regular"), 0),
@@ -589,7 +655,7 @@ def test_fusion_trace_rejects_module_row_that_is_not_an_object(tmp_path, capsys)
     ring_path = tmp_path / "z2.json"
     run(capsys, "fusion", "generate", "pointed", "--factors", "2",
         "-o", str(ring_path))
-    ring = qio.ring_from_json(json.loads(ring_path.read_text()))
+    ring = qio.ring_from_bytes(ring_path.read_bytes())
     payload = module_to_json(gen_regular_module(ring))
     payload["n"]["1,0"] = [1]
     module_path = tmp_path / "bad.json"
@@ -602,10 +668,7 @@ def test_fusion_trace_rejects_module_row_that_is_not_an_object(tmp_path, capsys)
 
 
 def test_fusion_trace_rejects_ring_axiom_violation(tmp_path, capsys):
-    ring_path = tmp_path / "z2.json"
-    run(capsys, "fusion", "generate", "pointed", "--factors", "2",
-        "-o", str(ring_path))
-    payload = json.loads(ring_path.read_text())
+    payload = ring_to_json(gen_pointed([2]))
     payload["N"]["1,1"] = {"0": 2}  # breaks duality: N[1,1]^0 must be 1
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(payload))
@@ -617,9 +680,7 @@ def test_fusion_trace_rejects_ring_axiom_violation(tmp_path, capsys):
 
 
 def test_fusion_trace_rejects_multiplicities_past_exactness_bound(tmp_path, capsys):
-    ring_path = tmp_path / "tlj4.json"
-    run(capsys, "fusion", "generate", "tlj", "--n", "4", "-o", str(ring_path))
-    payload = json.loads(ring_path.read_text())
+    payload = ring_to_json(gen_tlj(4)[0])
     payload["N"]["1,1"]["2"] = 2 ** 27
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps(payload))
@@ -630,9 +691,7 @@ def test_fusion_trace_rejects_multiplicities_past_exactness_bound(tmp_path, caps
 
 
 def test_fusion_trace_rejects_multiplicity_past_int64(tmp_path, capsys):
-    ring_path = tmp_path / "tlj4.json"
-    run(capsys, "fusion", "generate", "tlj", "--n", "4", "-o", str(ring_path))
-    payload = json.loads(ring_path.read_text())
+    payload = ring_to_json(gen_tlj(4)[0])
     payload["N"]["1,1"]["2"] = 2 ** 63
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps(payload))
@@ -751,23 +810,43 @@ def report_digest(stdout):
 
 def test_tlj40_fusion_outputs_are_pinned(tmp_path, monkeypatch, capsys):
     # digests of the outputs from before the fusion path worked on whole
-    # arrays; the relative ring path keeps the command echo fixed
-    monkeypatch.chdir(tmp_path)
-    code, _, _ = run(capsys, "fusion", "generate", "tlj", "--n", "40", "-o", "tlj40.json")
-    assert code == 0
-    assert hashlib.sha256((tmp_path / "tlj40.json").read_bytes()).hexdigest() == \
-        "b9fb3cc542231bc0ad98743fe988d3d2becf07994da5714151a840b389e7d656"
-    code, out, _ = run(capsys, "fusion", "trace", "--ring", "tlj40.json",
-                       "--module", "regular")
-    assert code == 0
-    assert report_digest(out) == \
-        "715a26b93c447a9fbb3526fbed8aa3139ae428e8a5b5004460ffe85fdb9c679c"
+    # arrays, read from the ring/1 file that fusion generate -o once wrote;
+    # then of the qindex.ring/2 file it writes now and of the reports read
+    # from it, which differ from the others only in their input digest.
+    # The relative ring path keeps the command echo fixed
     evens = ",".join(str(a) for a in range(0, 39, 2))
-    code, out, _ = run(capsys, "fusion", "descent", "--ring", "tlj40.json",
-                       "--module", "regular", "--subring", evens)
-    assert code == 0
-    assert report_digest(out) == \
-        "e8c622dae0af02a95dc9c9fe5bb4b46d33033baab3326fd34c38734a836c9b72"
+    digests = {}
+    for name in ("ring1", "ring2"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        if name == "ring1":
+            Path("tlj40.json").write_text(qio.ring_to_text(gen_tlj(40)[0]) + "\n")
+        else:
+            code, out, _ = run(capsys, "fusion", "generate", "tlj", "--n", "40",
+                               "-o", "tlj40.json")
+            assert code == 0
+            digests["generate"] = report_digest(out)
+        digests[name] = hashlib.sha256(Path("tlj40.json").read_bytes()).hexdigest()
+        reports = []
+        for command, *subring in (["trace"], ["descent", "--subring", evens]):
+            code, out, _ = run(capsys, "fusion", command, "--ring", "tlj40.json",
+                               "--module", "regular", *subring)
+            assert code == 0
+            digests[f"{name} {command}"] = report_digest(out)
+            report = report_of(out)
+            del report["wall_ms"], report["input_digest"]
+            reports.append(report)
+        digests[f"{name} reports"] = reports
+    assert digests.pop("ring1 reports") == digests.pop("ring2 reports")
+    assert digests == {
+        "ring1": "b9fb3cc542231bc0ad98743fe988d3d2becf07994da5714151a840b389e7d656",
+        "ring1 trace": "715a26b93c447a9fbb3526fbed8aa3139ae428e8a5b5004460ffe85fdb9c679c",
+        "ring1 descent": "e8c622dae0af02a95dc9c9fe5bb4b46d33033baab3326fd34c38734a836c9b72",
+        "generate": "400f99d6bc808e5ff9148224b8c66b2a30fa38d4ec54dc4b09284b5d9f995d16",
+        "ring2": "4b4844b26a8d735aa275823463a47131e21c818435cab15e04e12d0b974209f9",
+        "ring2 trace": "4543fabe2e5162c6b299906a28c95348a6f3b435c117c8f7a78b49a827cd8738",
+        "ring2 descent": "2c4c5c53c1b1776a615a6847a44e3a00c08cdf4206dcd093e13848a1fe80d0a2",
+    }
 
 
 def test_fusion_jones(capsys):

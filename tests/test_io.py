@@ -1,3 +1,4 @@
+import base64
 import copy
 import io
 import json
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qindex import io as qio
 from qindex.algebra import MultiMatrixAlgebra, StarHomomorphism, TraceWeights
@@ -22,8 +24,8 @@ from conftest import (diagonal_inclusion, module_to_json, random_element,
                       random_multimatrix_inclusion, ring_from_bytes_spied, ring_to_json)
 from oracles import (algebra_to_json, element_from_json, element_to_json,
                      expectation_to_json, homomorphism_to_json, matrix_to_json,
-                     module_to_json_reference, ring_to_json_reference,
-                     sparse_from_json_reference)
+                     module_to_json_reference, module_to_text, ring2_reference,
+                     ring_to_json_reference, sparse_from_json_reference)
 
 
 def test_algebra_round_trip():
@@ -167,7 +169,7 @@ def relabelled_ring_and_module(data, labels):
 def test_text_encoder_writes_the_bytes_of_the_dict_encoder(data):
     ring, module = relabelled_ring_and_module(data, label_lists)
     assert qio.ring_to_text(ring) == qio.canonical_text(ring_to_json_reference(ring))
-    assert qio.module_to_text(module) == \
+    assert module_to_text(module) == \
         qio.canonical_text(module_to_json_reference(module))
     assert module_to_json(module) == module_to_json_reference(module)
 
@@ -192,12 +194,11 @@ def byte_label_lists(size):
 def test_loads_reads_sparse_maps_as_json_reads_them(data):
     # compact and indented ring and module files: loads returns what json
     # returns, and the decoders the same tensors from both.  ring_from_bytes
-    # reads the map of a compact ring file that json reads with no escape
-    # from its bytes, unless it is empty, has a multiplicity of 19 digits or
-    # a label has more than 8 bytes
+    # reads each ring/1 file through json, and the ring's qindex.ring/2
+    # file, whose labels are JSON strings as in ring/1, without it
     ring, module = relabelled_ring_and_module(data, byte_label_lists)
     cases = ((qio.ring_to_text(ring), qio.ring_from_json, attrgetter("tensor"), ring),
-             (qio.module_to_text(module), qio.module_from_json, attrgetter("action"), module))
+             (module_to_text(module), qio.module_from_json, attrgetter("action"), module))
     for text, decode, tensor, written in cases:
         want = tensor(written)
         for raw in (text.encode(), json.dumps(json.loads(text), indent=2).encode()):
@@ -206,13 +207,53 @@ def test_loads_reads_sparse_maps_as_json_reads_them(data):
             assert np.array_equal(tensor(decode(got)), want)
             assert np.array_equal(tensor(decode(reference)), want)
             if decode is qio.ring_from_json:
-                read, from_bytes = ring_from_bytes_spied(raw)
-                assert (read.labels, read.unit) == (ring.labels, ring.unit)
-                assert dict(read.dual) == dict(ring.dual)
-                assert np.array_equal(read.tensor, want)
-                assert from_bytes == (raw == text.encode() and b"\\" not in raw and want.any()
-                                      and want.max() < 10 ** 18
-                                      and all(len(label.encode()) <= 8 for label in ring.labels))
+                for file, ring2 in ((raw, False), (qio.ring_to_bytes(ring), True)):
+                    read, from_bytes = ring_from_bytes_spied(file)
+                    assert (read.labels, read.unit) == (ring.labels, ring.unit)
+                    assert dict(read.dual) == dict(ring.dual)
+                    assert np.array_equal(read.tensor, want)
+                    assert from_bytes == ring2
+
+
+#: multiplicities at the edges of the widths of a qindex.ring/2 file
+RING2_MULTIPLICITIES = [0, 1, 255, 256, 65535, 65536, 2 ** 32, 2 ** 63 - 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ring2_files_round_trip(data):
+    # random tensors of rank 1 to 12, whose largest multiplicity picks the
+    # width: the writer writes the bytes of the per-bit reference, and the
+    # reader gives the tensor back
+    r = data.draw(st.integers(1, 12))
+    top = data.draw(st.sampled_from(RING2_MULTIPLICITIES))
+    tensor = data.draw(arrays(np.int64, (r, r, r), elements=st.sampled_from(
+        [m for m in RING2_MULTIPLICITIES if m <= top])))
+    labels = tuple(map(str, range(r)))
+    ring = FusionRing(labels, "0", tuple(zip(labels, labels)), tensor)
+    raw = qio.ring_to_bytes(ring)
+    assert raw == qio.canonical_text(ring2_reference(ring)).encode()
+    read = qio.ring_from_bytes(raw)
+    assert read.labels == labels and np.array_equal(read.tensor, tensor)
+    n = json.loads(raw)["N"]
+    mults = base64.b64decode(n["mult"])
+    count = np.count_nonzero(tensor)
+    assert len(base64.b64decode(n["mask"])) == -(-r ** 3 // 8)
+    assert len(mults) == count * next(w for w in (1, 2, 4, 8) if tensor.max() < 1 << 8 * w)
+
+
+def test_ring2_files_take_every_width():
+    # each multiplicity alone in a rank-2 tensor, read back from the width
+    # that holds it
+    widths = {}
+    for mult in RING2_MULTIPLICITIES[1:]:
+        tensor = np.zeros((2, 2, 2), dtype=np.int64)
+        tensor[1, 0, 1] = mult
+        ring = FusionRing(("a", "b"), "a", (("a", "a"), ("b", "b")), tensor)
+        raw = qio.ring_to_bytes(ring)
+        assert np.array_equal(qio.ring_from_bytes(raw).tensor, tensor)
+        widths[mult] = len(base64.b64decode(json.loads(raw)["N"]["mult"]))
+    assert widths == {1: 1, 255: 1, 256: 2, 65535: 2, 65536: 4, 2 ** 32: 8, 2 ** 63 - 1: 8}
 
 
 def test_schema_errors_carry_paths():
@@ -524,13 +565,14 @@ def test_sparse_decoder_matches_per_entry_reference():
     rng = np.random.default_rng(11)
     ring = gen_tlj(7)[0]
     module = gen_quotient_module(gen_pointed([2, 4]), [2, 4], [(0, 0), (0, 2)])
-    # only a ring document takes the byte path, so rings get more edits
+    # rings get more edits: each tensor a ring document decodes to is
+    # also written as qindex.ring/2 and read back
     cases = [(400, module_to_json(module), "n", "fusion_module",
               (module.ring.labels, module.labels, module.labels),
               "keys are 'U,i' pairs", "unknown module label"),
              (1600, ring_to_json(ring), "N", "fusion_ring", (ring.labels,) * 3,
               "keys are 'U,V' label pairs", "unknown target label")]
-    seen, from_bytes = set(), 0
+    seen, ring2 = set(), set()
     for count, payload, name, *rest in cases:
         for data in corrupted_maps(payload, name, rng, count):
             want = decoded(sparse_from_json_reference, data, name, *rest)
@@ -538,16 +580,19 @@ def test_sparse_decoder_matches_per_entry_reference():
             # the dict, and the document read back by loads
             for doc in (data, qio.loads(raw)):
                 assert decoded(qio._sparse_from_json, doc, name, *rest) == want
-            if name == "N":  # and the ring file, whose map may be read from its bytes
+            if name == "N":  # and the ring file, read through json
                 try:
                     got, read = ring_from_bytes_spied(raw)
-                    assert ("tensor", got.tensor.tobytes()) == want
-                    from_bytes += read
+                    assert ("tensor", got.tensor.tobytes()) == want and not read
                 except qio.SchemaError as err:
                     assert ("error", str(err)) == want
+                else:
+                    got, read = ring_from_bytes_spied(qio.ring_to_bytes(got))
+                    assert ("tensor", got.tensor.tobytes()) == want and read
+                    ring2.add(want[1])
             seen.add(want[0] if want[0] == "tensor" else want[1].split(": ")[-1])
-    # of the ring documents; most edits leave a map that json must read
-    assert from_bytes >= 100
+    # distinct tensors read back from their ring/2 files
+    assert len(ring2) >= 100
     assert seen == {"tensor", "N is an object", "n is an object",
                     "keys are 'U,V' label pairs", "keys are 'U,i' pairs",
                     "value is an object", "unknown target label",
@@ -561,16 +606,17 @@ def test_fusion_decoders_log_sizes_and_durations(caplog):
     with caplog.at_level(logging.INFO, logger="qindex.io"):
         qio.module_from_json(payload)
         qio.module_from_json(qio.loads(json.dumps(payload, separators=(",", ":")).encode()))
+        qio.ring_from_bytes(qio.ring_to_bytes(ring))
         qio.ring_from_bytes(qio.ring_to_text(ring).encode())
         qio.ring_from_bytes(json.dumps(ring_to_json(ring), indent=2).encode())
     messages = [rec.getMessage() for rec in caplog.records if rec.name == "qindex.io"]
-    # a module file's maps are read by json; a compact ring file's from its
-    # bytes, an indented one's by json
+    # a module file's maps are read by json; a ring/2 file's from base64,
+    # a compact or indented ring/1 file's by json
     through_json = r"ring_from_json: rank 4, 20 nonzero, N through json, \d+\.\d{3} s"
     module = [through_json,
               r"module_from_json: rank 4, module size 4, 20 nonzero, \d+\.\d{3} s"]
-    patterns = module * 2 + [r"ring_from_bytes: rank 4, 20 nonzero, N from bytes, \d+\.\d{3} s",
-                             through_json]
+    patterns = module * 2 + [r"ring_from_bytes: rank 4, 20 nonzero, N from base64, \d+\.\d{3} s",
+                             through_json, through_json]
     assert len(messages) == len(patterns)
     for message, pattern in zip(messages, patterns):
         assert re.fullmatch(pattern, message), message

@@ -22,11 +22,10 @@ specs that reach each way ``qindex.io.loads`` leaves its text path for
 ``json`` (see there), with the valid spellings next to them, so both
 trees' exit codes and error messages on them are compared.  The ring
 set is ``fusion trace`` and ``fusion descent`` on every file of
-``ring_corpus``, which does the same for the sparse maps of ring and
-module files and each way ``qindex.io.ring_from_bytes`` leaves its byte
-path.  Each tree runs
-the commands of one workload and seed (or a fixed set) in its own
-interpreter, through
+``ring_corpus``: malformed and edge qindex.ring/1 and module files, whose
+sparse maps ``qindex.io`` walks entry by entry as ``json`` decodes them,
+with the valid spellings next to them.  Each tree runs the commands of
+one workload and seed (or a fixed set) in its own interpreter, through
 ``qindex.cli.main(argv)``, in its own copy of the input directory, so
 the command lines are the same on both sides.
 
@@ -34,8 +33,12 @@ Every difference in exit code, stderr, stdout (with the ``wall_ms``
 value masked) or artifact is printed, one line each.  With ``--rtol``, a
 float in a JSON report or artifact may differ by that much relative to
 the larger of the two values; such a difference is printed as
-``allowed`` and does not fail the comparison.  The exit code is 0 when
-every other output is identical, 1 otherwise.
+``allowed`` and does not fail the comparison.  Two ``fusion generate``
+artifacts whose texts differ are both decoded by
+``qindex.io.ring_from_bytes`` of HEAD_SRC, in its own interpreter; when
+they hold the same ring, the difference is printed as ``same ring`` and
+does not fail the comparison.  The exit code is 0 when every other
+output is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -113,16 +116,46 @@ def _accepts_output(parser: argparse.ArgumentParser, argv: list[str]) -> bool:
     return True
 
 
-def run_tree(src: str, workdir: str, jobs: list[dict]) -> list[dict]:
+def decode_rings(texts: list[str]) -> list[str]:
+    """The qindex.ring/1 text of the ring that ``qindex.io.ring_from_bytes``
+    reads from each ring file text, or its error."""
+    from qindex import io as qio
+
+    out = []
+    for text in texts:
+        try:
+            out.append(qio.ring_to_text(qio.ring_from_bytes(text.encode())))
+        except ValueError as err:
+            out.append(f"error: {err}")
+    return out
+
+
+def run_tree(src: str, workdir: str, jobs: list, mode: str = "--worker") -> list:
+    """The result of ``run_commands`` (``decode_rings`` with ``--rings``)
+    on ``jobs`` in a new interpreter that imports qindex from ``src``."""
     job, result = os.path.join(workdir, "job.json"), os.path.join(workdir, "result.json")
     with open(job, "w", encoding="utf-8") as fh:
         json.dump(jobs, fh)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     env.pop("QINDEX_LOG", None)
-    subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", job, result],
+    subprocess.run([sys.executable, os.path.abspath(__file__), mode, job, result],
                    cwd=workdir, env=env, check=True)
     with open(result, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def same_rings(src: str, workdir: str, base: list[dict], head: list[dict]) -> set[int]:
+    """The numbers of the ``fusion generate`` commands whose artifacts
+    differ in text but decode, by ``ring_from_bytes`` of the tree ``src``,
+    to the same ring."""
+    pairs = {n: (b["artifact"], h["artifact"]) for n, (b, h) in enumerate(zip(base, head))
+             if b["argv"][:2] == ["fusion", "generate"] and b["argv"] == h["argv"]
+             and None not in (b["artifact"], h["artifact"]) and b["artifact"] != h["artifact"]}
+    if not pairs:
+        return set()
+    rings = run_tree(src, workdir, [text for pair in pairs.values() for text in pair], "--rings")
+    return {n for n, b, h in zip(pairs, rings[0::2], rings[1::2])
+            if b == h and not b.startswith("error")}
 
 
 # -- the fixed fusion set ------------------------------------------------------------
@@ -361,16 +394,15 @@ _MULTIPLICITIES = {
 
 
 def ring_corpus() -> dict[str, bytes]:
-    """Fusion ring files of TLJ(5), and module files of its regular module
-    (named module-*, read by ``json``), by name, that reach every way
-    ``qio.ring_from_bytes`` leaves its byte path for the sparse map "N" that
-    opens a ring file, with the valid spellings next to them: repeated keys,
+    """Fusion ring files of TLJ(5) in qindex.ring/1, and module files of its
+    regular module (named module-*), by name: edge and malformed sparse
+    maps and documents, with the valid spellings next to them: repeated keys,
     malformed, negative, float, boolean and null multiplicities and ints
     past int64, empty rows and maps, trailing commas and missing colons,
     unknown labels and keys that are not pairs, labels of JSON punctuation,
-    of exactly 8 bytes (the longest read from bytes) and of more,
-    whitespace between tokens, escapes, CR and CRLF, a byte order mark,
-    non-ASCII bytes, and a later "N" key, a map or null."""
+    of exactly 8 bytes and of more, whitespace between tokens, escapes, CR
+    and CRLF, a byte order mark, non-ASCII bytes, and a later "N" key, a
+    map or null."""
     ring = _tlj_ring(5)
     base = _canonical(ring)
     first = '"0,0":{"0":1}'
@@ -439,8 +471,7 @@ def ring_corpus() -> dict[str, bytes]:
     texts["labels-100-bytes-map-last"] = json.dumps(
         {key: long_labels[key] for key in ("irr", "unit", "dual", "N")})
     # a label of 16 bytes, and a string of 16 bytes that differs from it,
-    # in its place as one entry key: a label of more than 8 bytes sends
-    # the map to json, whose walk names the unknown key
+    # in its place as one entry key: the walk names the unknown key
     label, string = "collide0!6x$6%-J", "kollide0yU$*jWqX"
     texts["labels-colliding-key"] = _canonical(_relabel(ring, {"3": label})).replace(
         '"0,%s":{"%s":1}' % (label, label), '"0,%s":{"%s":1}' % (label, string))
@@ -526,29 +557,35 @@ def text_differences(field: str, base: str | None, head: str | None, rtol: float
         yield f"{field} {path}".rstrip(), b, h, allowed
 
 
-def compare(base: list[dict], head: list[dict], rtol: float):
-    """(command number, argv, field, base, head, allowed) per difference."""
+def compare(base: list[dict], head: list[dict], rtol: float, rings: set[int]):
+    """(command number, argv, field, base, head, verdict) per difference:
+    "DIFF", "allowed" within ``rtol``, or "same ring" for the artifacts of
+    the commands in ``rings``."""
     for n, (b, h) in enumerate(zip(base, head)):
         if b["argv"] != h["argv"]:
-            yield n, b["argv"], "argv", b["argv"], h["argv"], False
+            yield n, b["argv"], "argv", b["argv"], h["argv"], "DIFF"
             continue
         for field in ("code", "stderr"):
             if b[field] != h[field]:
-                yield n, b["argv"], field, b[field], h[field], False
+                yield n, b["argv"], field, b[field], h[field], "DIFF"
         for field, mask in (("stdout", True), ("artifact", False)):
             bt, ht = b[field], h[field]
             if mask:
                 bt, ht = WALL_MS.sub('"wall_ms":0', bt), WALL_MS.sub('"wall_ms":0', ht)
+            if field == "artifact" and n in rings:
+                yield n, b["argv"], field, len(bt), len(ht), "same ring"
+                continue
             for where, bv, hv, allowed in text_differences(field, bt, ht, rtol):
-                yield n, b["argv"], where, bv, hv, allowed
+                yield n, b["argv"], where, bv, hv, "allowed" if allowed else "DIFF"
 
 
 def main() -> int:
-    if len(sys.argv) == 4 and sys.argv[1] == "--worker":
+    if len(sys.argv) == 4 and sys.argv[1] in ("--worker", "--rings"):
         with open(sys.argv[2], encoding="utf-8") as fh:
             jobs = json.load(fh)
+        work = run_commands if sys.argv[1] == "--worker" else decode_rings
         with open(sys.argv[3], "w", encoding="utf-8") as fh:
-            json.dump(run_commands(jobs), fh)
+            json.dump(work(jobs), fh)
         return 0
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -569,7 +606,7 @@ def main() -> int:
              for workload in inputs.WORKLOADS for seed in args.seeds]
     cases += [("fixed fusion set", fixed_fusion_set), ("fixed index set", fixed_index_set),
               ("fixed spec set", fixed_spec_set), ("fixed ring set", fixed_ring_set)]
-    total = failed = allowed_count = 0
+    total = failed = allowed_count = rings_count = 0
     with tempfile.TemporaryDirectory(prefix="report_diff_") as tmp:
         for k, (name, build) in enumerate(cases):
             case = os.path.join(tmp, str(k))
@@ -585,13 +622,18 @@ def main() -> int:
                 shutil.copytree(os.path.join(case, "inputs"), os.path.join(case, side))
                 runs.append(run_tree(src, os.path.join(case, side), jobs))
             total += len(jobs)
-            for n, argv, field, b, h, allowed in compare(*runs, args.rtol):
-                allowed_count += allowed
-                failed += not allowed
-                print(f"{'allowed' if allowed else 'DIFF'} {name} "
-                      f"#{n} {' '.join(argv)}: {field}: {b!r} != {h!r}")
+            rings = same_rings(args.head_src, os.path.join(case, "head"), *runs)
+            for n, argv, field, b, h, verdict in compare(*runs, args.rtol, rings):
+                allowed_count += verdict == "allowed"
+                rings_count += verdict == "same ring"
+                failed += verdict == "DIFF"
+                if verdict == "same ring":
+                    print(f"same ring {name} #{n} {' '.join(argv)}: {field} of "
+                          f"{b} and {h} characters")
+                else:
+                    print(f"{verdict} {name} #{n} {' '.join(argv)}: {field}: {b!r} != {h!r}")
     print(f"{total} commands: {failed} differences, {allowed_count} allowed "
-          f"within rtol {args.rtol:g}")
+          f"within rtol {args.rtol:g}, {rings_count} artifacts the same ring")
     return 1 if failed else 0
 
 
