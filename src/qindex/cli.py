@@ -77,12 +77,12 @@ class CliFailure(Exception):
         super().__init__(message)
 
 
-def _load_json(path: str, inputs: list[tuple[str, bytes]], decode=None):
-    """The file at ``path`` decoded from its bytes by ``decode``, or by
-    ``qio.loads`` when it is None.  The file is read once: its bytes are
-    appended to ``inputs`` for ``_digest_files``.  A path that cannot be
-    opened or read (missing, a directory, not readable) and malformed JSON
-    are a CliFailure; invalid UTF-8 raises UnicodeDecodeError, a ValueError."""
+def _load_json(path: str, inputs: list[tuple[str, bytes]], decode):
+    """The file at ``path`` decoded from its bytes by ``decode``.  The file
+    is read once: its bytes are appended to ``inputs`` for ``_digest_files``.
+    A path that cannot be opened or read (missing, a directory, not
+    readable) and malformed JSON are a CliFailure; invalid UTF-8 raises
+    UnicodeDecodeError, a ValueError."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -90,7 +90,7 @@ def _load_json(path: str, inputs: list[tuple[str, bytes]], decode=None):
         raise CliFailure(EXIT_PARSE, f"cannot open {path}")
     inputs.append((path, raw))
     try:
-        return (decode or qio.loads)(raw)
+        return decode(raw)
     except json.JSONDecodeError as err:
         raise CliFailure(EXIT_PARSE,
                          f"{path}: malformed JSON at line {err.lineno} "
@@ -133,7 +133,7 @@ def _digest_files(inputs: list[tuple[str, bytes]]) -> str:
 
 def cmd_index_compute(args):
     inputs = []
-    inclusion, mat, tau = qio.expectation_spec_from_json(_load_json(args.spec, inputs))
+    inclusion, mat, tau = qio.expectation_spec_from_json(_load_json(args.spec, inputs, qio.loads))
     if mat is None:
         expectation = canonical_expectation(inclusion, tau)
     else:
@@ -241,7 +241,7 @@ def _module_from_arg(arg: str, ring, inputs: list[tuple[str, bytes]]):
         module = gen_regular_module(ring)
         problems = [f"ring: {v}" for v in validate_fusion(ring)]
     else:
-        module = qio.module_from_json(_load_json(arg, inputs))
+        module = qio.module_from_json(_load_json(arg, inputs, qio.text_loads))
         if module.ring.labels != ring.labels or \
                 not np.array_equal(module.ring.tensor, ring.tensor):
             raise ValueError("module file carries a different ring than --ring")

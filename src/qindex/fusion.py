@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import logging
 import time
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -39,27 +38,14 @@ _CERTIFICATE_PRIME = 33554393
 _CHECK_ENTRIES = 2 ** 16
 
 
-#: the read-only arrays that own the data of the library's tensors, by id:
-#: no caller holds one, so none can unfreeze it to change a tensor
-_OWNERS: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
-
-
-def _freeze(array: np.ndarray) -> np.ndarray:
-    """A read-only view of ``array``, a new C-contiguous int64 array that
-    owns its data, frozen and recorded as one of the library's owners."""
-    array.flags.writeable = False
-    _OWNERS[id(array)] = array
+def _held(array) -> np.ndarray:
+    """A read-only view of ``array`` when it is a read-only C-contiguous
+    int64 array, which is kept as given; else of a read-only copy of it."""
+    if not (isinstance(array, np.ndarray) and array.dtype == np.int64
+            and array.flags.c_contiguous and not array.flags.writeable):
+        array = np.array(array, dtype=np.int64, order="C")
+        array.flags.writeable = False
     return array.view()
-
-
-def _frozen(array) -> np.ndarray:
-    """``array`` when it is a C-contiguous int64 view of one of the library's
-    owners, which numpy refuses to make writeable; else a view of a new
-    owner, a copy of ``array``."""
-    if (isinstance(array, np.ndarray) and array.dtype == np.int64 and array.flags.c_contiguous
-            and array.base is not None and _OWNERS.get(id(array.base)) is array.base):
-        return array
-    return _freeze(np.array(array, dtype=np.int64, order="C"))
 
 
 @dataclass(frozen=True)
@@ -68,6 +54,9 @@ class FusionRing:
 
     ``tensor[u, v, w]`` is the multiplicity of w in u (x) v; ``dual`` is the
     label involution with N_{u v}^{unit} = delta_{v, dual(u)}.
+
+    ``tensor``, like ``FusionModule.action`` and ``BigradedDims.dims``, is
+    read-only by contract (``_held``); its ``.base`` is outside it.
     """
 
     labels: tuple[str, ...]
@@ -78,7 +67,7 @@ class FusionRing:
     def __post_init__(self):
         object.__setattr__(self, "labels", _labels(self.labels))
         r = len(self.labels)
-        t = _frozen(self.tensor)
+        t = _held(self.tensor)
         if t.shape != (r, r, r):
             raise ValueError(f"tensor must be {r}x{r}x{r}")
         if np.any(t < 0):
@@ -373,7 +362,7 @@ class FusionModule:
         object.__setattr__(self, "labels", _labels(self.labels))
         r = self.ring.rank
         m = len(self.labels)
-        a = _frozen(self.action)
+        a = _held(self.action)
         if a.shape != (r, m, m):
             raise ValueError(f"action tensor must be {r}x{m}x{m}")
         if np.any(a < 0):
@@ -636,7 +625,7 @@ class BigradedDims:
     dims: np.ndarray
 
     def __post_init__(self):
-        d = _frozen(self.dims)
+        d = _held(self.dims)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("dims must be a square integer matrix")
         if np.any(d < 0):

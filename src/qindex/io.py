@@ -1,10 +1,10 @@
 """JSON codecs for the file formats documented in docs/formats.md.
 
 Complex scalars are [re, im] pairs; matrices are nested row lists.
-``loads`` reads a document with each such matrix held as one float64
-ndarray of its pairs where it can.  All loaders raise SchemaError with a path-like
-location for malformed data, which the CLI maps to the validation exit
-code.
+``loads`` reads a spec with each matrix held as one float64 ndarray of its
+pairs where it can, ``text_loads`` reads ring and module files.  All
+loaders raise SchemaError with a path-like location for malformed data,
+which the CLI maps to the validation exit code.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from typing import Any
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra, StarHomomorphism, TraceWeights
-from .fusion import FusionModule, FusionRing, _freeze
+from .fusion import FusionModule, FusionRing
 
 __all__ = [
-    "SchemaError", "loads", "canonical_text", "canonical_object",
+    "SchemaError", "loads", "text_loads", "canonical_text", "canonical_object",
     "algebra_from_json", "homomorphism_from_json", "expectation_spec_from_json",
     "ring_to_text", "ring_to_bytes", "ring_from_bytes", "ring_from_json",
     "module_from_json",
@@ -115,12 +115,11 @@ _BRACKETS_AS_SPACES = bytes.maketrans(b"[]", b"  ")
 
 
 def loads(raw: bytes) -> Any:
-    """The JSON document in the bytes ``raw``, as ``json.loads`` returns the
-    text a text-mode ``open`` reads from them (UTF-8, newlines translated),
-    except that an array of rows of [re, im] number pairs that is the value
-    of an object key may come back as the (rows, cols, 2) float64 ndarray
-    of its pairs.  Arrays are read so only from a document whose text is
-    its bytes: ASCII, with no escape and no carriage return.  Malformed JSON
+    """``text_loads(raw)``, the document in the bytes ``raw``, except that
+    an array of rows of [re, im] number pairs that is the value of an
+    object key may come back as the (rows, cols, 2) float64 ndarray of its
+    pairs.  Arrays are read so only from a document whose text is its
+    bytes: ASCII, with no escape and no carriage return.  Malformed JSON
     raises the ``json.JSONDecodeError`` of ``json.loads``, invalid UTF-8 a
     ``UnicodeDecodeError``."""
     if b"[[[" in raw and raw.isascii() and b"\\" not in raw and b"\r" not in raw:
@@ -133,6 +132,11 @@ def loads(raw: bytes) -> Any:
                     return data
             except (json.JSONDecodeError, OverflowError):  # or an int past 1e308
                 pass  # decoded again below, so an error names its place in raw
+    return text_loads(raw)
+
+
+def text_loads(raw: bytes) -> Any:
+    """``json.loads`` of the text a text-mode ``open`` reads from ``raw``."""
     return json.loads(TextIOWrapper(BytesIO(raw), encoding="utf-8").read())
 
 
@@ -383,7 +387,8 @@ def _sparse_from_json(data: Mapping, name: str, path: str,
                 raise SchemaError(f"{path}[{key!r}][{w!r}]",
                                   "multiplicities are nonnegative ints below 2^63")
             cell[third[w]] = mult
-    return _freeze(tensor)
+    tensor.flags.writeable = False
+    return tensor
 
 
 def ring_to_text(ring: FusionRing) -> str:
@@ -441,16 +446,19 @@ def ring_to_bytes(ring: FusionRing) -> bytes:
 
 
 def ring_from_bytes(raw: bytes) -> FusionRing:
-    """The ring of the ring file whose bytes are ``raw``: a qindex.ring/2
-    file's tensor is scattered from its mask at once, and any other
-    document goes to ``ring_from_json``."""
+    """The ring of the ring file whose bytes are ``raw``, decoded by ``json``."""
     start = time.perf_counter()
-    data = loads(raw)
-    schema = data.get("schema") if isinstance(data, Mapping) else None
-    if not (isinstance(schema, str) and schema == RING2):
-        return ring_from_json(data)
-    irr, unit, dual = _ring_header(data, "fusion_ring")
-    tensor = _mask_tensor(data.get("N"), len(irr), "fusion_ring.N")
+    return _ring_document(text_loads(raw), "fusion_ring", start)
+
+
+def _ring_document(data: Any, path: str, start: float) -> FusionRing:
+    """The ring of a ring document that ``json`` decoded, read since ``start``:
+    a qindex.ring/2 tensor is scattered from its mask, any other document
+    goes to ``ring_from_json``."""
+    if not (isinstance(data, Mapping) and data.get("schema") == RING2):
+        return ring_from_json(data, path)
+    irr, unit, dual = _ring_header(data, path)
+    tensor = _mask_tensor(data.get("N"), len(irr), f"{path}.N")
     return _built_ring(irr, unit, dual, tensor, start,
                        "ring_from_bytes: rank %d, %d nonzero, N from base64, %.3f s")
 
@@ -461,10 +469,11 @@ def _mask_tensor(data: Any, r: int, path: str) -> np.ndarray:
     _expect(isinstance(data, Mapping), path, "N is an object")
     _expect(set(data) <= {"mask", "mult"}, path, "N holds only mask and mult")
     mask, mult = (_base64_bytes(data.get(key), f"{path}.{key}", key) for key in ("mask", "mult"))
-    # a mask of another length or with a pad bit set packs back to other bytes
+    # checked before any bit is unpacked; the pad bits end the last byte
+    size = (r ** 3 + 7) // 8
+    _expect(len(mask) == size and not mask[-1] & (1 << -r ** 3 % 8) - 1, f"{path}.mask",
+            f"mask has {size} bytes, one bit per entry, and zero pad bits")
     nonzero = np.unpackbits(np.frombuffer(mask, np.uint8), count=r ** 3).view(bool)
-    _expect(np.packbits(nonzero).tobytes() == mask, f"{path}.mask",
-            f"mask has {(r ** 3 + 7) // 8} bytes, one bit per entry, and zero pad bits")
     count = np.count_nonzero(nonzero)
     width = len(mult) // count if count else 1
     _expect(width in (1, 2, 4, 8) and len(mult) == width * count, f"{path}.mult",
@@ -477,7 +486,8 @@ def _mask_tensor(data: Any, r: int, path: str) -> np.ndarray:
             "multiplicities have the narrowest width that holds the largest")
     tensor = np.zeros((r, r, r), dtype=np.int64)
     tensor.reshape(-1)[nonzero] = mults
-    return _freeze(tensor)
+    tensor.flags.writeable = False
+    return tensor
 
 
 def _base64_bytes(text: Any, path: str, name: str) -> bytes:
@@ -505,7 +515,7 @@ def _labels_from_json(data: Mapping, key: str, path: str) -> list[str]:
 def module_from_json(data: Any, path: str = "fusion_module") -> FusionModule:
     start = time.perf_counter()
     _expect(isinstance(data, Mapping), path, "fusion module is an object")
-    ring = ring_from_json(data.get("ring"), f"{path}.ring")
+    ring = _ring_document(data.get("ring"), f"{path}.ring", start)
     irr_m = _labels_from_json(data, "irrM", path)
     action = _sparse_from_json(data, "n", path, (ring.labels, irr_m, irr_m),
                                "keys are 'U,i' pairs", "unknown module label")

@@ -628,6 +628,42 @@ def test_fusion_trace_module_file(tmp_path, capsys):
     assert report_of(out)["results"]["status"] == "ok"
 
 
+def test_module_files_take_either_ring_form(tmp_path, capsys):
+    # a module whose "ring" is the qindex.ring/2 object of fusion generate
+    # -o gives the fusion trace and fusion descent reports of the same
+    # module with the qindex.ring/1 ring, the input digest aside
+    ring_path, module_path = tmp_path / "tlj6.json", tmp_path / "module.json"
+    run(capsys, "fusion", "generate", "tlj", "--n", "6", "-o", str(ring_path))
+    module = module_to_json(gen_regular_module(qio.ring_from_bytes(ring_path.read_bytes())))
+    ring2 = json.loads(ring_path.read_bytes())
+    assert ring2["schema"] == "qindex.ring/2" and "schema" not in module["ring"]
+    outputs = []
+    for ring in (module["ring"], ring2):
+        module_path.write_text(json.dumps({**module, "ring": ring}))
+        for command in (["trace"], ["descent", "--subring", "0,2,4"]):
+            code, out, err = run(capsys, "fusion", *command, "--ring", str(ring_path),
+                                 "--module", str(module_path))
+            report = report_of(out)
+            assert (code, err) == (0, "")
+            outputs.append({**report, "input_digest": None, "wall_ms": None})
+    assert outputs[:2] == outputs[2:]
+
+
+@pytest.mark.parametrize("name", ["mask-short", "zero-mult", "extra-key"])
+def test_module_files_reject_damaged_ring2_rings(tmp_path, capsys, name):
+    # the ring/2 checks of a --ring file hold for a module's ring, at its path
+    payload, message = ring2_damage()[name]
+    ring_path, module_path = tmp_path / "tlj6.json", tmp_path / "module.json"
+    ring = gen_tlj(6)[0]
+    ring_path.write_bytes(qio.ring_to_bytes(ring))
+    module = module_to_json(gen_regular_module(ring))
+    module_path.write_text(json.dumps({**module, "ring": payload}))
+    assert message.startswith("fusion_ring.N")
+    message = message.replace("fusion_ring", "fusion_module.ring", 1)
+    assert run(capsys, "fusion", "trace", "--ring", str(ring_path), "--module",
+               str(module_path)) == (2, "", f"error: {message}\n")
+
+
 def test_fusion_trace_validates_the_regular_module_as_its_ring(tmp_path, capsys, caplog):
     # the regular module's laws are the ring's axioms: one ring validation,
     # so the associativity products run once per label; a module file

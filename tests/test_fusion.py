@@ -903,61 +903,62 @@ def test_constructors_leave_caller_arrays_writeable():
 
 
 def test_constructors_keep_frozen_tensors():
+    # a read-only C-contiguous int64 array is kept, held as a view that
+    # cannot be made writeable: the library's own tensors, a caller's, and
+    # the tensors both decoders build
     ring, _ = gen_tlj(5)
-    # a read-only int64 view of an owner that the library froze itself, as
-    # its own tensors are, is kept as it is
-    assert gen_regular_module(ring).action is ring.tensor
-    assert FusionRing(ring.labels, ring.unit, ring.dual, ring.tensor).tensor is ring.tensor
-    assert FusionRing(ring.labels, ring.unit, ring.dual, ring.tensor[:]).tensor.base \
-        is ring.tensor.base
-    # an owned frozen array, a view of a frozen owner of the caller's, or a
-    # read-only array of another dtype, is copied
     owned = ring.tensor.copy()
-    for other in (owned, owned.view(), ring.tensor.astype(np.int32)):
-        other.flags.writeable = False
-        kept = FusionRing(ring.labels, ring.unit, ring.dual, other).tensor
-        assert kept is not other and kept.base is not other and kept.base is not owned
-        assert kept.dtype == np.int64 and not kept.flags.writeable
-        assert np.array_equal(kept, ring.tensor)
+    owned.flags.writeable = False
+    ring2 = json.loads(qio.ring_to_bytes(ring))
+    decoded = (qio._mask_tensor(ring2["N"], ring.rank, "fusion_ring.N"),
+               qio._sparse_from_json(json.loads(qio.ring_to_text(ring)), "N", "fusion_ring",
+                                     (ring.labels,) * 3, "keys", "target"))
+    assert np.shares_memory(gen_regular_module(ring).action, ring.tensor)
+    for array in (ring.tensor, owned, owned.view(), *decoded):
+        held = (FusionRing(ring.labels, ring.unit, ring.dual, array).tensor,
+                FusionModule(ring, ring.labels, array).action)
+        for kept in held:
+            assert np.shares_memory(kept, array) and not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept.flags.writeable = True
     dims = np.eye(3, dtype=np.int64)
     dims.flags.writeable = False
-    held = BigradedDims(dims).dims
-    assert held is not dims and held.base is not dims and np.array_equal(held, dims)
-    assert BigradedDims(held).dims is held
-    # both decoders build a frozen view of the library's own, for the ring
-    # to keep
-    text = qio.ring_to_text(ring)
-    for tensor in (qio.ring_from_bytes(text.encode()).tensor,
-                   qio._sparse_from_json(json.loads(text), "N", "fusion_ring",
-                                         (ring.labels,) * 3, "keys", "target")):
-        assert not tensor.flags.writeable and np.array_equal(tensor, ring.tensor)
-        assert FusionRing(ring.labels, ring.unit, ring.dual, tensor).tensor is tensor
+    assert np.shares_memory(BigradedDims(dims).dims, dims)
+    # a writeable array, another dtype or a non-contiguous array is copied
+    # into a read-only int64 array
+    transposed = ring.tensor.transpose(1, 0, 2)  # TLJ fusion is commutative
+    frozen32 = ring.tensor.astype(np.int32)
+    frozen32.flags.writeable = False
+    for other in (ring.tensor.copy(), ring.tensor.astype(np.int32), frozen32, transposed):
+        for kept in (FusionRing(ring.labels, ring.unit, ring.dual, other).tensor,
+                     FusionModule(ring, ring.labels, other).action):
+            assert not np.shares_memory(kept, other) and np.array_equal(kept, ring.tensor)
+            assert kept.dtype == np.int64 and kept.flags.c_contiguous
+            assert not kept.flags.writeable
+    for other in (np.eye(3, dtype=np.int64), np.eye(3), np.eye(3, dtype=np.int64)[:, ::-1]):
+        kept = BigradedDims(other).dims
+        assert not np.shares_memory(kept, other) and np.array_equal(kept, other)
+        assert kept.dtype == np.int64 and kept.flags.c_contiguous and not kept.flags.writeable
 
 
-def test_a_caller_cannot_change_a_ring_through_its_own_array():
-    base = gen_tlj(4)[0]
-    tensor = base.tensor.copy()
-    tensor.flags.writeable = False
-    ring = FusionRing(base.labels, base.unit, base.dual, tensor)
-    module = FusionModule(ring, ring.labels, tensor)
-    tensor.flags.writeable = True
-    tensor[0, 0, 0] = -5
-    assert ring.tensor[0, 0, 0] == 1 and module.action[0, 0, 0] == 1
-    with pytest.raises(ValueError):
-        ring.tensor.flags.writeable = True
-
-
-def test_a_caller_cannot_change_a_ring_through_a_view_of_its_own_array():
-    # a frozen owner of the caller's is copied, even behind a view: the
-    # caller can unfreeze it
-    base = gen_tlj(4)[0]
-    owner = base.tensor.copy()
-    owner.flags.writeable = False
-    ring = FusionRing(base.labels, base.unit, base.dual, owner.view())
-    module = FusionModule(ring, ring.labels, owner.view())
-    owner.flags.writeable = True
-    owner[0, 0, 0] = -5
-    assert ring.tensor[0, 0, 0] == 1 and module.action[0, 0, 0] == 1
+def test_a_read_ring_and_its_regular_module_share_one_tensor():
+    # ring_from_bytes keeps the tensor it scatters, and the regular module
+    # keeps the ring's: a copy of the 59^3 int64 tensor of TLJ 60 would
+    # raise either peak by its size
+    raw = qio.ring_to_bytes(gen_tlj(60)[0])
+    size = 59 ** 3 * 8
+    tracemalloc.start()
+    try:
+        ring = qio.ring_from_bytes(raw)
+        held, read_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        module = gen_regular_module(ring)
+        module_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read_peak < 1.5 * size
+    assert module_peak - held < size / 4
+    assert np.shares_memory(module.action, ring.tensor)
 
 
 @pytest.mark.parametrize("n", range(3, 13))

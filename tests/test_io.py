@@ -4,6 +4,7 @@ import io
 import json
 import logging
 import re
+import tracemalloc
 from operator import attrgetter
 
 import numpy as np
@@ -254,6 +255,24 @@ def test_ring2_files_take_every_width():
         assert np.array_equal(qio.ring_from_bytes(raw).tensor, tensor)
         widths[mult] = len(base64.b64decode(json.loads(raw)["N"]["mult"]))
     assert widths == {1: 1, 255: 1, 256: 2, 65535: 2, 65536: 4, 2 ** 32: 8, 2 ** 63 - 1: 8}
+
+
+def test_a_mask_of_the_wrong_length_fails_before_its_bits_are_unpacked():
+    # 300 labels and a 1-byte mask: the length is checked first, so the
+    # 300^3 flags are never built
+    labels = [str(i) for i in range(300)]
+    raw = qio.canonical_text({"N": {"mask": "AA==", "mult": ""}, "dual": dict(zip(labels, labels)),
+                              "irr": labels, "schema": "qindex.ring/2", "unit": "0"}).encode()
+    tracemalloc.start()
+    try:
+        with pytest.raises(qio.SchemaError) as err:
+            qio.ring_from_bytes(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == ("fusion_ring.N.mask: mask has 3375000 bytes, one bit per entry, "
+                              "and zero pad bits")
+    assert peak < 2 ** 20
 
 
 def test_schema_errors_carry_paths():

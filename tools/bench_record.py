@@ -12,12 +12,14 @@ workload and each seed of ``SEEDS``, ``perfbench/run.py --workload W
 --seed S --trace 0`` runs once on each tree, in a fresh process, with
 ``__pycache__`` removed first; the order is base, head for even pair
 numbers and head, base for odd ones (ABBA).  Then each tree generates
-the TLJ 40 and TLJ 60 ring files with ``fusion generate -o``, and ``python -m qindex.cli fusion trace
---ring FILE --module regular`` on its own files is timed from start to
-exit in fresh interpreters, the trees alternating, ``COLD`` times each,
-after one untimed run, which writes the bytecode unless
-``PYTHONDONTWRITEBYTECODE`` is set.  The seeds and counts are fixed, so
-that records of different changes compare.
+the TLJ 40 and TLJ 60 ring files with ``fusion generate -o``, and these
+``python -m qindex.cli`` commands are timed from start to exit in fresh
+interpreters, the trees alternating, ``COLD`` times each, after one
+untimed run, which writes the bytecode unless ``PYTHONDONTWRITEBYTECODE``
+is set: ``fusion trace --ring FILE --module regular`` on each tree's own
+ring files, ``classify --lie-type A23``, and ``index compute --spec`` on
+the ``many`` spec ``SPEC``, written by ``perfbench/inputs.build``.  The
+seeds and counts are fixed, so that records of different changes compare.
 
 The JSON written to ``--out`` holds the host (``nproc``, the BLAS thread
 count of the harness, the Python and numpy versions), each source tree's
@@ -46,7 +48,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("large", "many")
 TLJ = (40, 60)
 SEEDS = range(1, 13)  # one ABBA pair per seed and workload
-COLD = 10  # timed fresh fusion trace processes per tree and ring
+COLD = 10  # timed fresh processes per tree and command
+SPEC = "cyclic24_12.json"  # the C[Z_12] in C[Z_24] spec of the many workload
 
 
 def tree_digest(src: str) -> str:
@@ -104,11 +107,10 @@ def cli_env(root: str) -> dict:
     return env
 
 
-def cold_trace(root: str, ring: str) -> float:
-    """Seconds from start to exit of one ``fusion trace`` process."""
+def cold_wall(root: str, argv: list[str]) -> float:
+    """Seconds from start to exit of one ``python -m qindex.cli`` process."""
     start = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "qindex.cli", "fusion", "trace", "--ring", ring,
-                    "--module", "regular"], cwd=root, env=cli_env(root),
+    subprocess.run([sys.executable, "-m", "qindex.cli", *argv], cwd=root, env=cli_env(root),
                    stdout=subprocess.DEVNULL, check=True)
     return time.perf_counter() - start
 
@@ -180,17 +182,29 @@ def main() -> int:
                                 "--n", str(n), "-o", path], cwd=root, env=cli_env(root),
                                stdout=subprocess.DEVNULL, check=True)
                 rings[side, n] = path
-        for n in TLJ:
+        specs = os.path.join(tmp, "many")
+        os.mkdir(specs)
+        sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+        import inputs
+        inputs.build("many", SEEDS[0], specs)
+        # name -> tree -> argv
+        commands = {f"fusion trace tlj{n}": {side: ["fusion", "trace", "--ring", rings[side, n],
+                                                    "--module", "regular"] for side in sides}
+                    for n in TLJ}
+        commands["classify A23"] = dict.fromkeys(sides, ["classify", "--lie-type", "A23"])
+        commands[f"index compute {SPEC}"] = dict.fromkeys(
+            sides, ["index", "compute", "--spec", os.path.join(specs, SPEC)])
+        for name, argv in commands.items():
             walls = {side: [] for side in sides}
             for side in sides:  # untimed
-                cold_trace(roots[side], rings[side, n])
+                cold_wall(roots[side], argv[side])
             for k in range(COLD):
                 for side in (sides if k % 2 == 0 else sides[::-1]):
-                    walls[side].append(cold_trace(roots[side], rings[side, n]))
-            record["cold"][f"fusion trace tlj{n}"] = {
-                **{f"{side}_s": walls[side] for side in sides},
-                **{f"{side}_bytes": os.path.getsize(rings[side, n]) for side in sides},
-                **summary(walls["base"], walls["head"])}
+                    walls[side].append(cold_wall(roots[side], argv[side]))
+            record["cold"][name] = {**{f"{side}_s": walls[side] for side in sides},
+                                    **summary(walls["base"], walls["head"])}
+        for (side, n), path in rings.items():
+            record["cold"][f"fusion trace tlj{n}"][f"{side}_bytes"] = os.path.getsize(path)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -198,7 +212,7 @@ def main() -> int:
         for name, s in table.items():
             cells = "  ".join(f"{side} {s[side]['median']:.4g} (IQR "
                               f"{100 * s[side]['iqr_frac']:.0f}%)" for side in ("base", "head"))
-            print(f"{group:<6} {name:<22} {cells}  change {100 * s['median_change']:+.1f}%  "
+            print(f"{group:<6} {name:<30} {cells}  change {100 * s['median_change']:+.1f}%  "
                   f"head better in {s['head_wins']}/{s['pairs']}")
     return 0
 

@@ -3,12 +3,13 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/report_diff.py BASE_SRC HEAD_SRC [--seeds 1-5] [--rtol R]
+    python3 tools/report_diff.py BASE_SRC HEAD_SRC [--rtol R]
 
 BASE_SRC and HEAD_SRC are the ``src`` directories of the two trees.  For
-every benchmark workload and seed, the commands of one benchmark pass are built
-with ``perfbench/inputs.build`` of this checkout, and ``-o FILE`` is
-appended to every command that accepts it and has none.  Four fixed
+every benchmark workload and each seed of ``SEEDS`` (1 to 5), the commands
+of one benchmark pass are built with ``perfbench/inputs.build`` of this
+checkout, and ``-o FILE`` is appended to every command that accepts it
+and has none.  Four fixed
 sets of commands that the benchmark never runs come last.  The fusion set is
 ``fusion generate`` of pointed and TLJ rings with and without ``-o``, and
 ``fusion trace`` and ``fusion descent`` with module files, a
@@ -60,15 +61,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WALL_MS = re.compile(r'"wall_ms":-?[0-9.eE+-]+')
-
-
-def parse_seeds(text: str) -> list[int]:
-    """'1-5' or '1,3,7' (or a mix) as a list of ints."""
-    seeds = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    return seeds
+SEEDS = range(1, 6)  # fixed, as in bench_record.py, so that records compare
 
 
 # -- one tree, in its own interpreter -------------------------------------------
@@ -591,7 +584,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base_src")
     parser.add_argument("head_src")
-    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-5"))
     parser.add_argument("--rtol", type=float, default=0.0,
                         help="relative difference allowed in a float field (default 0)")
     args = parser.parse_args()
@@ -603,7 +595,7 @@ def main() -> int:
                         for cmd in inputs.build(workload, seed, ".")]
 
     cases = [(f"{workload} seed {seed}", benchmark_pass(workload, seed))
-             for workload in inputs.WORKLOADS for seed in args.seeds]
+             for workload in inputs.WORKLOADS for seed in SEEDS]
     cases += [("fixed fusion set", fixed_fusion_set), ("fixed index set", fixed_index_set),
               ("fixed spec set", fixed_spec_set), ("fixed ring set", fixed_ring_set)]
     total = failed = allowed_count = rings_count = 0
