@@ -27,9 +27,9 @@ __all__ = [
 
 log = logging.getLogger("qindex.fusion")
 
-#: bound on the character-equation residual and dual drift of pf_dimensions
+#: bound on the relative character residual and dual drift of pf_dimensions
 CHARACTER_TOL = 1e-10
-#: relative singular-value threshold of the null space of a module trace
+#: relative eigenvalue window and singular-value threshold of a module trace
 NULLITY_RTOL = 1e-10
 #: prime modulus of the generation certificate, the largest below 2^25
 _CERTIFICATE_PRIME = 33554393
@@ -365,7 +365,8 @@ class FusionModule:
         a = _held(self.action)
         if a.shape != (r, m, m):
             raise ValueError(f"action tensor must be {r}x{m}x{m}")
-        if np.any(a < 0):
+        # the ring checked its own tensor, which the regular module holds
+        if a.__array_interface__ != self.ring.tensor.__array_interface__ and np.any(a < 0):
             raise ValueError("action multiplicities must be nonnegative")
         object.__setattr__(self, "action", a)
 
@@ -444,22 +445,28 @@ class DimensionVector:
         return dict(self.values)
 
 
+def _symmetric_eigh(total: np.ndarray, law: str) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of the integer matrix ``total``, which ``law`` makes symmetric."""
+    if not np.array_equal(total, total.T):
+        raise ValueError(f"summed multiplicity matrix is not symmetric; {law} fails")
+    return np.linalg.eigh(total.astype(float))
+
+
 def pf_dimensions(ring: FusionRing) -> DimensionVector:
     """The positive character of the ring from its Perron-Frobenius data.
 
-    The vector of dimensions is the PF eigenvector of sum_u N_u (which has
-    strictly positive entries for any valid fusion ring), normalized by
-    d(unit) = 1.  The result is verified against the character equation
-    sum_w N_{uv}^w d(w) = d(u) d(v); failure raises with the worst
+    The dimensions are the top eigenvector of sum_u N_u by ``eigh``, O(r^3):
+    Frobenius reciprocity, N_ubar = N_u^T, makes the sum symmetric (checked
+    exactly).  Normalized by d(unit) = 1, they are verified against
+    sum_w N_{uv}^w d(w) = d(u) d(v) and dual invariance, relative to
+    max(d)^2 and max(d), both at least 1; failure raises with the worst
     violation since it means the ring has no positive character to
     CHARACTER_TOL.
     """
     start = time.perf_counter()
     r = ring.rank
-    total = np.sum(ring.tensor, axis=0).astype(float)
-    evals, evecs = np.linalg.eig(total)
-    lead = int(np.argmax(evals.real))
-    v = evecs[:, lead].real
+    _, evecs = _symmetric_eigh(np.sum(ring.tensor, axis=0), "Frobenius reciprocity")
+    v = evecs[:, -1]
     if v[ring.index(ring.unit)] < 0:
         v = -v
     if np.any(v <= 0):
@@ -469,12 +476,12 @@ def pf_dimensions(ring: FusionRing) -> DimensionVector:
 
     # resid[u, x] = sum_w N_{ux}^w d(w) - d(u) d(x), as one (r^2 x r) product
     resid = (ring.tensor.reshape(r * r, r).astype(float) @ v).reshape(r, r) - np.outer(v, v)
-    worst = float(np.max(np.abs(resid)))
+    worst = float(np.max(np.abs(resid)) / v.max() ** 2)
     if worst > CHARACTER_TOL:
         raise ValueError(f"character equation fails by {worst:.3e}; "
                          "no positive character at this accuracy")
     dual_drift = max(abs(v[ring.index(ring.dual_label(lab))] - v[i])
-                     for i, lab in enumerate(ring.labels))
+                     for i, lab in enumerate(ring.labels)) / v.max()
     if dual_drift > CHARACTER_TOL:
         raise ValueError(f"dimension function not dual-invariant ({dual_drift:.3e})")
     log.info("pf_dimensions: rank %d, character residual %.3e, %.3f s",
@@ -523,13 +530,16 @@ class TraceSolveResult:
 
 
 def module_trace_solve(module: FusionModule, ring_dims: DimensionVector) -> TraceSolveResult:
-    """Solve the simultaneous eigenvector equations for a module trace.
+    """Solve the simultaneous eigenvector equations A_u m = d(u) m.
 
-    Stacks (A_u - d(u) I) over all ring labels and inspects the null
-    space, to NULLITY_RTOL: a unique (up to scale) strictly positive
-    solution gives the module trace; zero, indefinite, or multidimensional
-    solution spaces are reported as distinct failures.  A solution space of dimension
-    greater than one means the module is decomposable.
+    The conjugate transpose law, A_ubar = A_u^T, makes S = sum_u A_u
+    symmetric (checked exactly), and each solution is an eigenvector of S
+    at sum_u d(u).  Every label's equations are stacked on the k, usually
+    1, eigenvectors of ``eigh(S)`` there, and the SVD of that (r m) x k
+    stack gives the solutions, both to NULLITY_RTOL: O(m^3 + r m^2 k) for a
+    module of size m.  A unique (up to scale) strictly positive solution
+    gives the module trace; none, an indefinite one, or several (the
+    module is decomposable) are reported as distinct failures.
     """
     start = time.perf_counter()
     result = _trace_solve(module, ring_dims)
@@ -539,34 +549,24 @@ def module_trace_solve(module: FusionModule, ring_dims: DimensionVector) -> Trac
     return result
 
 
-def _stack_svd(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and right singular vectors of a tall stack, from the
-    SVD of its square R factor: the stack is Q R with Q's columns
-    orthonormal, so R has the same singular values and right singular
-    vectors, and Q (as large as the stack) is never formed."""
-    _, svals, vh = np.linalg.svd(np.linalg.qr(stacked, mode="r"))
-    return svals, vh
-
-
 def _trace_solve(module: FusionModule, ring_dims: DimensionVector) -> TraceSolveResult:
-    r, m = module.ring.rank, module.size
     d = np.array([ring_dims[lab] for lab in module.ring.labels])
-    svals, vh = _stack_svd((module.action - d[:, None, None] * np.eye(m)).reshape(r * m, m))
-    smax = float(svals[0]) if svals.size else 0.0
-    nullity = int(np.sum(svals <= NULLITY_RTOL * max(smax, 1.0)))
-    if nullity == 0:
-        return TraceSolveResult("no_solution", None, 0)
-    if nullity > 1:
-        return TraceSolveResult("decomposable", None, nullity)
-    v = vh[-1].real
-    pivot = v[int(np.argmax(np.abs(v)))]
-    v = v / pivot
+    evals, evecs = _symmetric_eigh(np.sum(module.action, axis=0), "conjugate transpose law")
+    target = float(d.sum())
+    scale = max(1.0, target, float(np.abs(evals).max(initial=0.0)))
+    span = evecs[:, np.abs(evals - target) <= NULLITY_RTOL * scale]
+    stacked = (module.action @ span - d[:, None, None] * span).reshape(d.size * module.size, -1)
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+    nullity = int(np.sum(svals <= NULLITY_RTOL * scale))
+    if nullity != 1:
+        return TraceSolveResult("no_solution" if nullity == 0 else "decomposable",
+                                None, nullity)
+    v = span @ vh[-1]
+    v = v / v[int(np.argmax(np.abs(v)))]
     if np.any(v <= NULLITY_RTOL):
         return TraceSolveResult("no_positive_solution", None, 1)
-    base = module.labels[0]
-    v = v / v[0]
     trace = ModuleTrace(module, ring_dims,
-                        tuple(zip(module.labels, map(float, v))), base)
+                        tuple(zip(module.labels, map(float, v / v[0]))), module.labels[0])
     return TraceSolveResult("ok", trace, 1)
 
 

@@ -10,6 +10,7 @@ from qindex import io as qio
 from qindex.algebra import (MultiMatrixAlgebra, StarHomomorphism, TraceWeights,
                             identity_homomorphism)
 from qindex.expectation import canonical_expectation
+from qindex.fusion import FusionRing
 
 from oracles import module_to_text
 
@@ -22,6 +23,14 @@ def ring_to_json(ring):
 def module_to_json(module):
     """The payload of a module file: the module's canonical text, parsed."""
     return json.loads(module_to_text(module))
+
+
+def golden_ring(k):
+    """The rank-2 fusion ring x x = 1 + k x, with d(x) = (k + sqrt(k^2 + 4)) / 2."""
+    tensor = np.zeros((2, 2, 2), dtype=np.int64)
+    tensor[0] = tensor[:, 0] = np.eye(2, dtype=np.int64)
+    tensor[1, 1] = [1, k]
+    return FusionRing(("1", "x"), "1", (("1", "1"), ("x", "x")), tensor)
 
 
 def ring_from_bytes_spied(raw):

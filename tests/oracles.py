@@ -38,7 +38,7 @@ the CLI writes none.  ``ring2_reference`` builds the payload of a
 qindex.ring/2 file one bit and one multiplicity at a time, the reference
 for ``qindex.io.ring_to_bytes``.  ``trace_solve_reference`` solves for a
 module trace by the thin SVD of the whole stacked system, the reference
-for the SVD of its R factor.  ``equivalence_classes_reference`` joins
+for the stack restricted to an eigenspace of the summed action.  ``equivalence_classes_reference`` joins
 linked module labels by union-find, the reference for the label
 propagation of ``equivalence_classes``.
 ``smith_normal_form_reference`` scans the whole trailing block for every
@@ -880,12 +880,6 @@ def words_rank(tensor: np.ndarray, unit: int, gens) -> int:
     return len(basis)
 
 
-def stacked_svd(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and right singular vectors of a stack, by its thin SVD."""
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-    return svals, vh
-
-
 def trace_solve_reference(module: FusionModule,
                           ring_dims: DimensionVector) -> TraceSolveResult:
     """``module_trace_solve`` by the thin SVD of the stack of
@@ -893,7 +887,7 @@ def trace_solve_reference(module: FusionModule,
     m = module.size
     stacked = np.concatenate([module.action[u].astype(float) - ring_dims[lab] * np.eye(m)
                               for u, lab in enumerate(module.ring.labels)])
-    svals, vh = stacked_svd(stacked)
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     smax = float(svals[0]) if svals.size else 0.0
     nullity = int(np.sum(svals <= NULLITY_RTOL * max(smax, 1.0)))
     if nullity != 1:

@@ -20,7 +20,7 @@ from qindex.generators import gen_pointed, gen_regular_module, gen_tlj
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 from report_diff import WALL_MS, ring_corpus, ring_corpus_argvs, spec_corpus  # noqa: E402
 
-from conftest import module_to_json, ring_from_bytes_spied, ring_to_json
+from conftest import golden_ring, module_to_json, ring_from_bytes_spied, ring_to_json
 from oracles import module_to_text, ring2_reference
 
 
@@ -615,6 +615,29 @@ def test_fusion_trace_regular(tmp_path, capsys):
     assert abs(trace["2"] - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("k", [10 ** 4, 10 ** 6])
+def test_fusion_trace_of_a_ring_with_large_multiplicities(tmp_path, capsys, k):
+    # x x = 1 + k x, whose character equation is checked relative to d(x)^2
+    ring_path = tmp_path / "ring.json"
+    ring_path.write_bytes(qio.ring_to_bytes(golden_ring(k)))
+    code, out, _ = run(capsys, "fusion", "trace", "--ring", str(ring_path),
+                       "--module", "regular")
+    assert code == 0
+    assert report_of(out)["results"]["trace"]["x"] == \
+        pytest.approx((k + np.sqrt(k * k + 4)) / 2, rel=1e-12)
+
+
+def test_fusion_trace_of_tlj150(tmp_path, capsys):
+    ring_path = tmp_path / "tlj150.json"
+    run(capsys, "fusion", "generate", "tlj", "--n", "150", "-o", str(ring_path))
+    code, out, _ = run(capsys, "fusion", "trace", "--ring", str(ring_path),
+                       "--module", "regular")
+    assert code == 0
+    trace = report_of(out)["results"]["trace"]
+    assert trace["148"] == pytest.approx(1.0, rel=1e-12)
+    assert trace["74"] == pytest.approx(1 / np.sin(np.pi / 150), rel=1e-12)
+
+
 def test_fusion_trace_module_file(tmp_path, capsys):
     ring_path = tmp_path / "z4.json"
     run(capsys, "fusion", "generate", "pointed", "--factors", "4",
@@ -849,7 +872,9 @@ def test_tlj40_fusion_outputs_are_pinned(tmp_path, monkeypatch, capsys):
     # arrays, read from the ring/1 file that fusion generate -o once wrote;
     # then of the qindex.ring/2 file it writes now and of the reports read
     # from it, which differ from the others only in their input digest.
-    # The relative ring path keeps the command echo fixed
+    # The trace and descent digests are of the symmetric eigensolves of
+    # pf_dimensions and module_trace_solve.  The relative ring path keeps
+    # the command echo fixed
     evens = ",".join(str(a) for a in range(0, 39, 2))
     digests = {}
     for name in ("ring1", "ring2"):
@@ -876,12 +901,12 @@ def test_tlj40_fusion_outputs_are_pinned(tmp_path, monkeypatch, capsys):
     assert digests.pop("ring1 reports") == digests.pop("ring2 reports")
     assert digests == {
         "ring1": "b9fb3cc542231bc0ad98743fe988d3d2becf07994da5714151a840b389e7d656",
-        "ring1 trace": "715a26b93c447a9fbb3526fbed8aa3139ae428e8a5b5004460ffe85fdb9c679c",
-        "ring1 descent": "e8c622dae0af02a95dc9c9fe5bb4b46d33033baab3326fd34c38734a836c9b72",
+        "ring1 trace": "8a15a7ab39207cb39f2324dde90367a3984373f83eff9b1be3643067039a66d0",
+        "ring1 descent": "51cda1c47b8b2d95a7176695afafac65da3655990d36cedfa4dd5d174069882f",
         "generate": "400f99d6bc808e5ff9148224b8c66b2a30fa38d4ec54dc4b09284b5d9f995d16",
         "ring2": "4b4844b26a8d735aa275823463a47131e21c818435cab15e04e12d0b974209f9",
-        "ring2 trace": "4543fabe2e5162c6b299906a28c95348a6f3b435c117c8f7a78b49a827cd8738",
-        "ring2 descent": "2c4c5c53c1b1776a615a6847a44e3a00c08cdf4206dcd093e13848a1fe80d0a2",
+        "ring2 trace": "0da66e9f1a29fbde669bbb74527bb26b6034fd35f24ffa333c8c3347b3d249c7",
+        "ring2 descent": "37d13d497c08146b5b96918064c2c0bd66a6167b4599e1d33160231113972d48",
     }
 
 

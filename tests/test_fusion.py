@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qindex.fusion import (NULLITY_RTOL, BigradedDims, FusionModule, FusionRing,
-                           MultiplicityFunctor, _associativity_violations, _stack_svd,
+from qindex.fusion import (BigradedDims, FusionModule, FusionRing,
+                           MultiplicityFunctor, _associativity_violations,
                            action_functor,
                            check_locally_constant, d_function,
                            equivalence_classes, functor_dims, functor_trace,
@@ -22,7 +22,8 @@ from qindex import io as qio
 from qindex.generators import (gen_pointed, gen_quotient_module, gen_regular_module,
                                gen_tlj, pointed_elements, pointed_label)
 
-from oracles import (equivalence_classes_reference, stacked_svd, trace_solve_reference,
+from conftest import golden_ring
+from oracles import (equivalence_classes_reference, trace_solve_reference,
                      validate_fusion_every_label, words_rank)
 
 
@@ -566,21 +567,43 @@ def test_module_trace_no_positive_solution():
     assert (result.status, result.solution_dim) == ("no_positive_solution", 1)
 
 
+def direct_sum(*modules):
+    """The direct sum of modules of one ring, labels prefixed a, b, ..."""
+    ring = modules[0].ring
+    m = sum(module.size for module in modules)
+    action = np.zeros((ring.rank, m, m), dtype=np.int64)
+    start = 0
+    for module in modules:
+        action[:, start:start + module.size, start:start + module.size] = module.action
+        start += module.size
+    return FusionModule(ring, [f"{chr(97 + k)}{x}" for k, module in enumerate(modules)
+                               for x in module.labels], action)
+
+
 def trace_solve_cases():
     """Modules of every module_trace_solve status."""
-    cases = [gen_regular_module(gen_tlj(n)[0]) for n in range(3, 26)]
+    cases = [gen_regular_module(gen_tlj(n)[0]) for n in range(3, 61)]
     cases += [gen_regular_module(gen_pointed(f)) for f in ([2], [5], [2, 4], [3, 3])]
-    cases += [gen_quotient_module(gen_pointed([2, 4]), [2, 4], [(0, 0), (0, 2)]),
-              gen_regular_module(rep_a4())]
+    z2x4 = gen_pointed([2, 4])
+    cases += [gen_quotient_module(z2x4, [2, 4], [(0, 0), (0, 2)]),
+              gen_regular_module(rep_a4()),
+              direct_sum(gen_quotient_module(z2x4, [2, 4], [(0, 0), (0, 2)]),
+                         gen_quotient_module(z2x4, [2, 4], [(0, 0), (1, 0)]))]
     z2 = gen_pointed([2])
     for bottom in ([[1, 0], [0, 0]], [[2, 0], [0, 2]], [[0, 1], [1, 0]]):
         action = np.zeros((2, 2, 2), dtype=np.int64)
         action[0], action[1] = np.eye(2, dtype=np.int64), bottom
         cases.append(FusionModule(z2, ("x", "y"), action))
-    ring = gen_tlj(6)[0]
-    double = np.zeros((ring.rank, 2 * ring.rank, 2 * ring.rank), dtype=np.int64)
-    double[:, :ring.rank, :ring.rank] = double[:, ring.rank:, ring.rank:] = ring.tensor
-    cases.append(FusionModule(ring, [f"{x}{y}" for x in "ab" for y in ring.labels], double))
+    # fakes whose summed action [[1,1,0],[1,1,0],[0,0,2]] is symmetric with
+    # the eigenspace span{(1,1,0), (0,0,1)} at d(0) + d(1) = 2: in the first
+    # (1,1,0) alone solves both labels, in the second nothing does
+    for top in ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[1, 1, 0], [0, 0, 0], [0, 0, 0]]):
+        action = np.zeros((2, 3, 3), dtype=np.int64)
+        action[0] = top
+        action[1] = [[1, 1, 0], [1, 1, 0], [0, 0, 2]] - action[0]
+        cases.append(FusionModule(z2, ("x", "y", "z"), action))
+    regular = gen_regular_module(gen_tlj(6)[0])
+    cases.append(direct_sum(regular, regular))
     return cases
 
 
@@ -596,26 +619,56 @@ def test_module_trace_solve_matches_the_stacked_svd():
     assert statuses == {"ok", "no_solution", "no_positive_solution", "decomposable"}
 
 
-def test_r_factor_svd_matches_the_stacked_svd(rng):
-    # random tall stacks with null spaces of dimension 0, 1 and 2, and
-    # singular values from 1e-3 to 1e3
-    for _ in range(200):
-        m = int(rng.integers(1, 12))
-        r = int(rng.integers(1, 8))
-        stacked = rng.standard_normal((r * m, m)) * 10.0 ** rng.uniform(-3, 3, size=m)
-        nullity = min(int(rng.integers(0, 3)), m)
-        if nullity:
-            stacked[:, m - nullity:] = stacked[:, :m - nullity] @ rng.standard_normal(
-                (m - nullity, nullity)) if m > nullity else 0.0
-        svals, vh = _stack_svd(stacked)
-        ref_svals, ref_vh = stacked_svd(stacked)
-        scale = max(float(ref_svals[0]), 1.0)
-        assert np.allclose(svals, ref_svals, rtol=0, atol=1e-12 * scale)
-        zero = NULLITY_RTOL * scale
-        assert np.sum(svals <= zero) == np.sum(ref_svals <= zero) >= nullity
-        if np.sum(ref_svals <= zero) == 1:  # a null vector, up to sign
-            assert min(np.abs(vh[-1] - ref_vh[-1]).max(),
-                       np.abs(vh[-1] + ref_vh[-1]).max()) <= 1e-10
+def test_an_eigenspace_of_the_summed_action_is_cut_down_by_every_label():
+    # the fakes of trace_solve_cases: the summed action has a plane at
+    # eigenvalue 2, in which one line or none solves both labels
+    *_, one, none, _ = trace_solve_cases()
+    total = np.sum(one.action, axis=0)
+    assert np.array_equal(total, np.sum(none.action, axis=0))
+    assert np.sum(np.isclose(np.linalg.eigvalsh(total), 2.0)) == 2
+    dims = pf_dimensions(one.ring)
+    assert [(g.status, g.solution_dim) for g in (module_trace_solve(one, dims),
+                                                 module_trace_solve(none, dims))] == \
+        [("no_positive_solution", 1), ("no_solution", 0)]
+
+
+@pytest.mark.parametrize("n", [106, 128, 150])
+def test_large_tlj_dimensions_and_regular_trace_match_the_closed_form(n):
+    ring, _ = gen_tlj(n)
+    want = np.sin(np.arange(1, n) * np.pi / n) / np.sin(np.pi / n)
+    dims = pf_dimensions(ring)
+    result = module_trace_solve(gen_regular_module(ring), dims)
+    assert result.status == "ok"
+    assert np.abs(np.array([dims[lab] for lab in ring.labels]) - want).max() <= 1e-12
+    assert np.abs(result.trace.vector() - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k", [10 ** 4, 10 ** 6])
+def test_pf_dimensions_are_relative_to_the_scale_of_the_ring(k):
+    ring = golden_ring(k)
+    assert validate_fusion(ring) == []
+    assert pf_dimensions(ring)["x"] == pytest.approx((k + np.sqrt(k * k + 4)) / 2, rel=1e-12)
+    # N[1,x]^x = 2 moves only the diagonal of the summed matrix, which stays
+    # symmetric; the character equation fails at (1, x) by d(x), 1 / d(x)
+    # of its scale
+    broken = ring.tensor.copy()
+    broken[0, 1, 1] = 2
+    with pytest.raises(ValueError, match="character equation fails"):
+        pf_dimensions(FusionRing(ring.labels, ring.unit, ring.dual, broken))
+
+
+def test_summed_matrices_that_are_not_symmetric_are_rejected():
+    ring = gen_tlj(5)[0]
+    broken = ring.tensor.copy()
+    broken[1, 2, 3] += 1
+    with pytest.raises(ValueError, match="not symmetric; Frobenius reciprocity fails"):
+        pf_dimensions(FusionRing(ring.labels, ring.unit, ring.dual, broken))
+    action = ring.tensor.copy()
+    action[1, 0, 3] += 1
+    module = FusionModule(ring, ring.labels, action)
+    assert validate_module(module)
+    with pytest.raises(ValueError, match="not symmetric; conjugate transpose law fails"):
+        module_trace_solve(module, pf_dimensions(ring))
 
 
 # -- Plancherel weight -------------------------------------------------------
@@ -959,6 +1012,27 @@ def test_a_read_ring_and_its_regular_module_share_one_tensor():
     assert read_peak < 1.5 * size
     assert module_peak - held < size / 4
     assert np.shares_memory(module.action, ring.tensor)
+
+
+def test_the_regular_module_does_not_recheck_its_rings_tensor():
+    # the ring checked its tensor; an r^3 bool array of TLJ 60 is 205 KB
+    ring = gen_tlj(60)[0]
+    tracemalloc.start()
+    try:
+        gen_regular_module(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    # a copy with a negative entry is checked, whether it is copied again
+    # or kept, read-only
+    negative = ring.tensor.copy()
+    negative[3, 2, 1] = -1
+    kept = negative.copy()
+    kept.flags.writeable = False
+    for action in (negative, kept):
+        with pytest.raises(ValueError, match="action multiplicities must be nonnegative"):
+            FusionModule(ring, ring.labels, action)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
