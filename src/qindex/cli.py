@@ -1,13 +1,17 @@
 """Command-line surface: file-driven index computation, fixture generation,
 fusion analysis, and lattice classification.
 
-Each ``cmd_*`` computes and returns ``(results, input_digest, tolerances,
-exit_code, artifact)``; the artifact is None when the command writes no
-``-o`` file, the object whose canonical JSON text the file holds, or the
-pair of a text that the report holds in its place and the file's bytes,
-None without ``-o`` (``fusion generate``).  ``main`` alone owns the output
-contract: it times the command, writes the artifact, prints one RunReport
-as canonical JSON on stdout, and maps failures to exit codes.  Exit codes:
+Each ``cmd_*`` computes and returns ``(results, params, exit_code,
+artifact)``.  ``results`` is a dict, or its canonical JSON text when the
+command has made that text (``fusion generate``).  ``params`` is the
+object whose digest stands for the input of a command that reads no file,
+else None.  The artifact is None when the command writes no ``-o`` file,
+``results`` itself when the file holds the results text, or the bytes of
+the file (``fusion generate -o``).  ``main`` alone decides the report: it
+times the command, writes the artifact, and prints one RunReport as
+canonical JSON on stdout.  Its ``input_digest`` hashes the files that
+``_load_json`` read, or ``params``; its ``tolerances`` are ``{"tol": ...}``
+for exactly the commands that accept --tol.  Exit codes:
 0 success, 1 unreadable input (CliFailure), 2 validation failure (any
 ValueError), 3 infinite or unsolvable result.  An exit code a command
 returns, 0 or 3, comes with the report and the artifact.  A raised failure
@@ -77,9 +81,9 @@ class CliFailure(Exception):
         super().__init__(message)
 
 
-def _load_json(path: str, inputs: list[tuple[str, bytes]], decode):
+def _load_json(args, path: str, decode):
     """The file at ``path`` decoded from its bytes by ``decode``.  The file
-    is read once: its bytes are appended to ``inputs`` for ``_digest_files``.
+    is read once: ``main`` digests the bytes recorded in ``args.read``.
     A path that cannot be opened or read (missing, a directory, not
     readable) and malformed JSON are a CliFailure; invalid UTF-8 raises
     UnicodeDecodeError, a ValueError."""
@@ -88,31 +92,13 @@ def _load_json(path: str, inputs: list[tuple[str, bytes]], decode):
             raw = fh.read()
     except OSError:
         raise CliFailure(EXIT_PARSE, f"cannot open {path}")
-    inputs.append((path, raw))
+    args.read.append((path, raw))
     try:
         return decode(raw)
     except json.JSONDecodeError as err:
         raise CliFailure(EXIT_PARSE,
                          f"{path}: malformed JSON at line {err.lineno} "
                          f"column {err.colno}: {err.msg}")
-
-
-def _canonical_with(payload, part, text: str) -> str:
-    """``qio.canonical_text(payload)``, reusing ``text``, the canonical
-    text of the object ``part``, wherever ``payload`` holds that object
-    itself.  An artifact given as its text is both ``part`` and ``text``:
-    a str in the report that stands for the object it encodes."""
-    if payload is part:
-        return text
-    if _holds(payload, part):
-        return qio.canonical_object({key: _canonical_with(value, part, text)
-                                     for key, value in payload.items()})
-    return qio.canonical_text(payload)
-
-
-def _holds(value, part) -> bool:
-    return value is part or (isinstance(value, dict)
-                             and any(_holds(v, part) for v in value.values()))
 
 
 def _digest(payload) -> str:
@@ -132,8 +118,7 @@ def _digest_files(inputs: list[tuple[str, bytes]]) -> str:
 # -- index -------------------------------------------------------------------
 
 def cmd_index_compute(args):
-    inputs = []
-    inclusion, mat, tau = qio.expectation_spec_from_json(_load_json(args.spec, inputs, qio.loads))
+    inclusion, mat, tau = qio.expectation_spec_from_json(_load_json(args, args.spec, qio.loads))
     if mat is None:
         expectation = canonical_expectation(inclusion, tau)
     else:
@@ -157,7 +142,7 @@ def cmd_index_compute(args):
     if math.isinf(index.scalar_index):
         log.warning("infinite scalar index")
         code = EXIT_INFINITE
-    return results, _digest_files(inputs), {"tol": args.tol}, code, results
+    return results, None, code, results
 
 
 # -- fusion ------------------------------------------------------------------
@@ -165,25 +150,21 @@ def cmd_index_compute(args):
 def cmd_fusion_generate(args):
     if args.kind == "tlj":
         ring, dims = gen_tlj(args.n)
-        results = {"dims": dims.as_dict()}
+        texts = {"dims": qio.canonical_text(dims.as_dict())}
         params = {"kind": "tlj", "n": args.n}
     else:
         factors = _parse_int_list(args.factors, "factors")
         ring = gen_pointed(factors)
-        results = {}
+        texts = {}
         params = {"kind": "pointed", "factors": factors}
     # the report holds the ring/1 text, the -o file is qindex.ring/2
-    results["ring"] = text = qio.ring_to_text(ring)
+    texts["ring"] = qio.ring_to_text(ring)
     data = qio.ring_to_bytes(ring) if args.output is not None else None
-    return results, _digest(params), {}, EXIT_OK, (text, data)
+    return qio.canonical_object(texts), params, EXIT_OK, data
 
 
 def cmd_fusion_trace(args):
-    inputs = []
-    ring = _load_json(args.ring, inputs, qio.ring_from_bytes)
-    module = _module_from_arg(args.module, ring, inputs)
-    dims = pf_dimensions(ring)
-    result = module_trace_solve(module, dims)
+    _, dims, result = _solved_module(args)
     results = {
         "status": result.status,
         "solution_dim": result.solution_dim,
@@ -191,29 +172,24 @@ def cmd_fusion_trace(args):
         "trace": result.trace.as_dict() if result.trace else None,
     }
     code = EXIT_OK if result.status == "ok" else EXIT_INFINITE
-    return results, _digest_files(inputs), {}, code, results
+    return results, None, code, results
 
 
 def cmd_fusion_jones(args):
     member, witness = jones_membership(args.value, args.tol)
     results = {"value": args.value, "member": member, "witness": witness}
-    return results, _digest({"value": args.value}), {"tol": args.tol}, EXIT_OK, None
+    return results, {"value": args.value}, EXIT_OK, None
 
 
 def cmd_fusion_descent(args):
-    inputs = []
-    ring = _load_json(args.ring, inputs, qio.ring_from_bytes)
-    module = _module_from_arg(args.module, ring, inputs)
-    subring = [x for x in args.subring.split(",") if x]
-    dims = pf_dimensions(ring)
-    solved = module_trace_solve(module, dims)
+    module, _, solved = _solved_module(args)
     if solved.trace is None:
         raise CliFailure(EXIT_INFINITE, f"no module trace: {solved.status}")
-    classes = equivalence_classes(module, subring)
-    action_labels = ([args.action_by] if args.action_by else list(ring.labels))
+    classes = equivalence_classes(module, [x for x in args.subring.split(",") if x])
+    labels = module.ring.labels
     functors = {}
-    for u in action_labels:
-        if u not in ring.labels:
+    for u in [args.action_by] if args.action_by else labels:
+        if u not in labels:
             raise ValueError(f"unknown ring label {u!r}")
         functor = MultiplicityFunctor(module, functor_dims(module, u))
         d_f = d_function(functor, solved.trace)
@@ -223,7 +199,7 @@ def cmd_fusion_descent(args):
     results = {"classes": [list(c) for c in classes],
                "trace": solved.trace.as_dict(),
                "functors": functors}
-    return results, _digest_files(inputs), {"tol": args.tol}, EXIT_OK, None
+    return results, None, EXIT_OK, None
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -233,22 +209,24 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise CliFailure(EXIT_PARSE, f"cannot parse {what} {text!r}")
 
 
-def _module_from_arg(arg: str, ring, inputs: list[tuple[str, bytes]]):
-    """The validated module of --module; a module file read is appended to
-    ``inputs``.  The regular module's laws are its ring's axioms, so it is
-    validated as its ring."""
-    if arg == "regular":
+def _solved_module(args):
+    """The validated module of --module over the ring of --ring, the ring's
+    PF dimensions, and the module trace solved with them.  The regular
+    module's laws are its ring's axioms, so it is validated as its ring."""
+    ring = _load_json(args, args.ring, qio.ring_from_bytes)
+    if args.module == "regular":
         module = gen_regular_module(ring)
         problems = [f"ring: {v}" for v in validate_fusion(ring)]
     else:
-        module = qio.module_from_json(_load_json(arg, inputs, qio.text_loads))
+        module = qio.module_from_json(_load_json(args, args.module, qio.text_loads))
         if module.ring.labels != ring.labels or \
                 not np.array_equal(module.ring.tensor, ring.tensor):
             raise ValueError("module file carries a different ring than --ring")
         problems = validate_module(module)
     if problems:
         raise ValueError("; ".join(problems))
-    return module
+    dims = pf_dimensions(ring)
+    return module, dims, module_trace_solve(module, dims)
 
 
 # -- classify ----------------------------------------------------------------
@@ -263,7 +241,7 @@ def cmd_classify_table(args):
         "index": spec.index_in_p,
     } for spec in specs]
     results = {"lie_type": cartan.lie_type, "entries": rows}
-    return results, _digest({"lie_type": cartan.lie_type}), {}, EXIT_OK, results
+    return results, {"lie_type": cartan.lie_type}, EXIT_OK, results
 
 
 def cmd_classify_irrep(args):
@@ -277,8 +255,8 @@ def cmd_classify_irrep(args):
     results = {"lie_type": cartan.lie_type, "weight": list(weight),
                "subgroup": args.subgroup, "index": spec.index_in_p,
                "member": member}
-    return (results, _digest({"lie_type": cartan.lie_type, "weight": list(weight),
-                              "subgroup": args.subgroup}), {}, EXIT_OK, None)
+    params = {key: results[key] for key in ("lie_type", "weight", "subgroup")}
+    return results, params, EXIT_OK, None
 
 
 def _select_subgroup(specs, name: str):
@@ -408,27 +386,26 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "func", None) is cmd_classify_table and args.lie_type is None:
         parser.error("classify requires --lie-type")
+    args.read = []
     t0 = time.perf_counter()
     try:
-        results, input_digest, tolerances, code, artifact = args.func(args)
-        part, data = artifact if isinstance(artifact, tuple) else (artifact, None)
-        text = qio.canonical_text(part) if isinstance(part, dict) else part
+        results, params, code, artifact = args.func(args)
+        text = results if isinstance(results, str) else qio.canonical_text(results)
         # classify -o F irrep parses -o but has no artifact
-        if part is not None and getattr(args, "output", None) is not None:
+        if artifact is not None and getattr(args, "output", None) is not None:
             with open(args.output, "wb") as fh:
-                fh.write((data or text.encode()) + b"\n")
+                fh.write((artifact if isinstance(artifact, bytes) else text.encode()) + b"\n")
         report = {
             "schema": SCHEMA,
             "command": argv,
-            "input_digest": input_digest,
-            "tolerances": tolerances,
+            "input_digest": _digest_files(args.read) if params is None else _digest(params),
+            "tolerances": {"tol": args.tol} if "tol" in args else {},
             "seed": args.seed,
             "wall_ms": round(1000.0 * (time.perf_counter() - t0), 3),
-            "results": results,
         }
-        # the report holds the artifact, whose text is made once
-        print(qio.canonical_text(report) if text is None
-              else _canonical_with(report, part, text))
+        # the results text is made once, and spliced into the report
+        print(qio.canonical_object({**{key: qio.canonical_text(value)
+                                       for key, value in report.items()}, "results": text}))
         return code
     except (CliFailure, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -699,17 +699,18 @@ class StandardSolution:
     r_vectors: tuple[tuple[int, int, np.ndarray], ...]
     rbar_vectors: tuple[tuple[int, int, np.ndarray], ...]
 
+    @functools.cached_property
+    def _lookup(self) -> tuple[dict, dict]:
+        """(j, i) -> vector of ``r_vectors`` and of ``rbar_vectors``, the
+        first of each key, built once."""
+        return tuple({(j, i): v for j, i, v in reversed(vectors)}
+                     for vectors in (self.r_vectors, self.rbar_vectors))
+
     def r_vector(self, j: int, i: int) -> np.ndarray:
-        for jj, ii, v in self.r_vectors:
-            if (jj, ii) == (j, i):
-                return v
-        return np.zeros(0, dtype=complex)
+        return self._lookup[0].get((j, i), np.zeros(0, dtype=complex))
 
     def rbar_vector(self, j: int, i: int) -> np.ndarray:
-        for jj, ii, v in self.rbar_vectors:
-            if (jj, ii) == (j, i):
-                return v
-        return np.zeros(0, dtype=complex)
+        return self._lookup[1].get((j, i), np.zeros(0, dtype=complex))
 
 
 def standard_solution_components(module: FusionModule, trace: ModuleTrace,

@@ -13,7 +13,7 @@ import pytest
 
 import qindex.cli
 from qindex import io as qio
-from qindex.cli import _canonical_with, main
+from qindex.cli import main
 from qindex.fusion import FusionModule, validate_fusion
 from qindex.generators import gen_pointed, gen_regular_module, gen_tlj
 
@@ -146,15 +146,16 @@ def test_canonical_index_is_finite_at_any_weight_ratio(tmp_path, capsys, w):
     assert results["index_in_subalgebra"] is False
 
 
-def test_report_splices_the_artifact_text_it_holds():
-    # the same bytes as encoding the whole report, "inf" included
-    artifact = {"b": [1.5, float("inf")], "a": (1, 2)}
-    text = qio.canonical_text(artifact)
-    for report in ({"results": artifact, "seed": 0},
-                   {"results": {"ring": artifact, "dims": {"0": 1.0}}, "command": ["x"]},
-                   {"results": {"ring": artifact}, "wall_ms": float("inf")},
-                   {"results": {"ring": dict(artifact)}}):
-        assert _canonical_with(report, artifact, text) == qio.canonical_text(report)
+def test_a_report_is_the_object_of_its_key_texts():
+    # main prints the canonical texts of the report's keys joined as one
+    # object: the same bytes as encoding the whole report, "inf" included
+    results = {"b": [1.5, float("inf")], "a": (1, 2), "\u00e9": {"0": -float("inf")}}
+    for report in ({"results": results, "seed": 0},
+                   {"results": {"ring": results, "dims": {"0": 1.0}}, "command": ["x", "\u00e9"]},
+                   {"results": {"ring": results}, "wall_ms": float("inf")},
+                   {"results": {}, "tolerances": {"tol": 1e-9}, "input_digest": "ab"}):
+        texts = {key: qio.canonical_text(value) for key, value in report.items()}
+        assert qio.canonical_object(texts) == qio.canonical_text(report)
 
 
 def test_fusion_generate_encodes_the_ring_once(tmp_path, capsys, monkeypatch):
@@ -208,7 +209,8 @@ def test_fusion_generate_output_is_the_same_with_and_without_o(tmp_path, capsys,
 
 def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch):
     # the digest hashes the bytes that were parsed, in the order of the
-    # paths: sha256 of the files as before
+    # paths: sha256 of the files as before; a command that reads no file
+    # hashes the JSON of its parameters
     ring = gen_tlj(7)[0]
     ring_path, module_path = tmp_path / "ring.json", tmp_path / "module.json"
     ring_path.write_text(qio.ring_to_text(ring))
@@ -219,13 +221,25 @@ def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch):
         reads.append(str(path)) if "r" in mode else None) or open(path, mode, **kw),
         raising=False)
     both = hashlib.sha256(module_path.read_bytes() + ring_path.read_bytes()).hexdigest()
+
+    def params(**kw):
+        return hashlib.sha256(json.dumps(kw, sort_keys=True, separators=(",", ":"))
+                              .encode()).hexdigest()
+
     for argv, paths, digest in (
             (["index", "compute", "--spec", spec_path], [spec_path],
              hashlib.sha256(open(spec_path, "rb").read()).hexdigest()),
             (["fusion", "trace", "--ring", str(ring_path), "--module", str(module_path)],
              [str(ring_path), str(module_path)], both),
             (["fusion", "descent", "--ring", str(ring_path), "--module", str(module_path),
-              "--subring", "0,2,4"], [str(ring_path), str(module_path)], both)):
+              "--subring", "0,2,4"], [str(ring_path), str(module_path)], both),
+            (["fusion", "generate", "tlj", "--n", "5"], [], params(kind="tlj", n=5)),
+            (["fusion", "generate", "pointed", "--factors", "2,,3"], [],
+             params(kind="pointed", factors=[2, 3])),
+            (["fusion", "jones", "--value", "inf"], [], params(value=float("inf"))),
+            (["classify", "--lie-type", "a2"], [], params(lie_type="A2")),
+            (["classify", "irrep", "--lie-type", "a2", "--weight", "1,0", "--subgroup", "q"],
+             [], params(lie_type="A2", weight=[1, 0], subgroup="q"))):
         reads.clear()
         code, out, _ = run(capsys, *argv)
         assert code == 0
@@ -539,13 +553,31 @@ def test_a_valid_tolerance_reaches_the_validation(tmp_path, capsys):
     ["classify", "--lie-type", "A1"],
     ["classify", "irrep", "--lie-type", "A1", "--weight", "1", "--subgroup", "Q"],
 ])
-def test_commands_without_a_tolerance_reject_tol(capsys, argv):
+def test_commands_without_a_tolerance_reject_tol(tmp_path, capsys, monkeypatch, argv):
     # these commands test against no tolerance; their reports say
     # "tolerances": {}
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--tol=1e-9"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol=1e-9" in capsys.readouterr().err
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ring.json").write_bytes(qio.ring_to_bytes(gen_tlj(4)[0]))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert report_of(out)["tolerances"] == {}
+
+
+def test_commands_with_a_tolerance_report_it(tmp_path, capsys):
+    # fusion jones and fusion descent accept --tol; their reports record it
+    ring_path = tmp_path / "ring.json"
+    ring_path.write_bytes(qio.ring_to_bytes(gen_tlj(5)[0]))
+    for argv in (["fusion", "jones", "--value", "3"],
+                 ["fusion", "descent", "--ring", str(ring_path), "--module", "regular",
+                  "--subring", "0,2"]):
+        for tol, want in (([], {"tol": 1e-9}), (["--tol", "1e-6"], {"tol": 1e-6})):
+            code, out, _ = run(capsys, *argv, *tol)
+            assert code == 0
+            assert report_of(out)["tolerances"] == want
 
 
 def test_malformed_json_exits_1(tmp_path, capsys):

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Record the benchmark of two qindex source trees, alternated ABBA.
+"""Record the benchmark of two qindex source trees, alternated ABBA, or of
+several git revisions in one session.
 
 Usage, from the root of a checkout:
 
@@ -27,6 +28,25 @@ digest, git commit and whether it differs from that commit, every run's
 result line, and per workload and metric the median
 and quartiles of each tree, the change of the medians and the number of
 pairs in which the head was better.  A table of the same goes to stdout.
+The record also holds tower timings: ``index compute`` on the Jones
+tower T(N) (``report_diff.jones_tower``, written by
+``perfbench/inputs._index_spec`` with identity unitaries), canonical for N
+in ``TOWER_CANONICAL`` and with the explicit ``map`` for N in
+``TOWER_MAP``, run through ``qindex.cli.main`` in one interpreter per
+tree, ``TOWER_RUNS`` times each.  For each spec it keeps the minimum
+total, the minimum time inside ``qindex.io.loads`` and
+``qindex.io.expectation_spec_from_json`` (spec parsing), the minimum
+remainder (index work), and the relative error of ``scalar_index``
+against ``qindex.fusion.jones_value(N)`` of the same tree.
+
+    python3 tools/bench_record.py --trajectory REV [REV ...] --out TRAJ.json
+
+measures the ``src`` of each git revision of this checkout (extracted
+with ``git archive``) in one session: for each workload and each seed of
+``TRAJECTORY_SEEDS``, one run per tree, the order of the trees reversed
+on every other seed.  Its record says that it was measured after the
+fact, on one host, and gives per tree and metric the median and quartiles
+of its runs.
 """
 
 from __future__ import annotations
@@ -50,6 +70,10 @@ TLJ = (40, 60)
 SEEDS = range(1, 13)  # one ABBA pair per seed and workload
 COLD = 10  # timed fresh processes per tree and command
 SPEC = "cyclic24_12.json"  # the C[Z_12] in C[Z_24] spec of the many workload
+TOWER_CANONICAL = range(4, 11)
+TOWER_MAP = range(4, 10)  # T(10)'s map has 1430^2 complex entries
+TOWER_RUNS = 5
+TRAJECTORY_SEEDS = range(1, 4)
 
 
 def tree_digest(src: str) -> str:
@@ -84,7 +108,7 @@ def clear_bytecode(root: str) -> None:
 
 def run_bench(root: str, workload: str, seed: int) -> dict:
     """One run of the harness: its result line, its BLAS thread count and
-    its wall time."""
+    its wall time, or its error when it exits nonzero."""
     clear_bytecode(root)
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
@@ -93,7 +117,7 @@ def run_bench(root: str, workload: str, seed: int) -> dict:
                           check=False)
     wall = time.perf_counter() - start
     if proc.returncode != 0:
-        raise RuntimeError(f"perfbench/run.py exited {proc.returncode}: {proc.stderr[-2000:]}")
+        return {"error": f"perfbench/run.py exited {proc.returncode}: {proc.stderr[-2000:]}"}
     lines = proc.stdout.strip().splitlines()
     threads = re.search(r"BLAS threads (\d+)", proc.stdout)
     return {"result": json.loads(lines[-1]), "blas_threads": int(threads.group(1)),
@@ -115,65 +139,143 @@ def cold_wall(root: str, argv: list[str]) -> float:
     return time.perf_counter() - start
 
 
+def quartiles(xs: list[float]) -> dict:
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3, "iqr_frac": (q3 - q1) / q2 if q2 else 0.0}
+
+
 def summary(base: list[float], head: list[float]) -> dict:
     """Median and quartiles of each side, the relative change of the
     medians, and the pairs in which the head was lower (better)."""
-    def quartiles(xs):
-        q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-        return {"median": q2, "q1": q1, "q3": q3, "iqr_frac": (q3 - q1) / q2 if q2 else 0.0}
     b, h = quartiles(base), quartiles(head)
     return {"base": b, "head": h,
             "median_change": h["median"] / b["median"] - 1.0 if b["median"] else 0.0,
             "head_wins": sum(y < x for x, y in zip(base, head)), "pairs": len(base)}
 
 
+def git(cwd: str, *args) -> str | None:
+    proc = subprocess.run(["git", *args], cwd=cwd, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True, check=False)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def tree_state(src: str) -> dict:
     """The digest of ``src``, and the git commit of the checkout that holds
     it and whether ``src`` differs from that commit (None outside git)."""
-    def git(*args):
-        proc = subprocess.run(["git", *args], cwd=src, stdout=subprocess.PIPE,
-                              stderr=subprocess.DEVNULL, text=True, check=False)
-        return proc.stdout.strip() if proc.returncode == 0 else None
-    status = git("status", "--porcelain", ".")
-    return {"digest": tree_digest(src), "commit": git("rev-parse", "HEAD"),
+    status = git(src, "status", "--porcelain", ".")
+    return {"digest": tree_digest(src), "commit": git(src, "rev-parse", "HEAD"),
             "changed": None if status is None else bool(status)}
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("base_src")
-    parser.add_argument("head_src")
-    parser.add_argument("--out", required=True, help="the JSON file to write")
-    args = parser.parse_args()
-    sides = ("base", "head")
-    record = {"host": {"nproc": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)),
-                       "machine": platform.machine(), "python": platform.python_version(),
-                       "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
-              "trees": {side: tree_state(src)
-                        for side, src in zip(sides, (args.base_src, args.head_src))},
-              "seeds": list(SEEDS), "runs": [], "workloads": {}, "cold": {}}
+def host_info() -> dict:
     import numpy
-    record["host"]["numpy"] = numpy.__version__
+    return {"nproc": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)),
+            "machine": platform.machine(), "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
+
+
+# -- tower timings ---------------------------------------------------------------
+
+def write_towers(workdir: str) -> str:
+    """Write the spec of T(N) for every tower timing into ``workdir`` and
+    the list of jobs next to them; return the path of that list."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import inputs
+    from report_diff import jones_tower
+
+    jobs = []
+    for explicit, ns in ((False, TOWER_CANONICAL), (True, TOWER_MAP)):
+        for n in ns:
+            a_blocks, k, weights = jones_tower(n)
+            path = os.path.join(workdir, f"tower{n}{'_map' if explicit else ''}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(inputs._index_spec(a_blocks, k, weights, None, explicit), fh)
+            jobs.append({"n": n, "map": explicit, "spec": path})
+    jobs_path = os.path.join(workdir, "jobs.json")
+    with open(jobs_path, "w", encoding="utf-8") as fh:
+        json.dump(jobs, fh)
+    return jobs_path
+
+
+def tower_worker(jobs_path: str) -> int:
+    """Time ``index compute`` on each job's spec through ``qindex.cli.main``
+    in this interpreter, the time inside the spec readers counted apart,
+    and print the timings as one JSON line."""
+    import contextlib
+    import io
+
+    import qindex.cli
+    from qindex import io as qio
+    from qindex.fusion import jones_value
+
+    parsing = {"depth": 0, "s": 0.0}
+
+    def timed(fn):
+        def wrapper(*args, **kwargs):
+            parsing["depth"] += 1
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                parsing["depth"] -= 1
+                if parsing["depth"] == 0:
+                    parsing["s"] += time.perf_counter() - start
+        return wrapper
+
+    qio.loads = timed(qio.loads)
+    qio.expectation_spec_from_json = timed(qio.expectation_spec_from_json)
+    with open(jobs_path, encoding="utf-8") as fh:
+        jobs = json.load(fh)
+    out = []
+    for job in jobs:
+        totals, parses = [], []
+        for _ in range(TOWER_RUNS):
+            parsing["s"] = 0.0
+            stdout = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(stdout):
+                code = qindex.cli.main(["index", "compute", "--spec", job["spec"]])
+            totals.append(time.perf_counter() - start)
+            parses.append(parsing["s"])
+        scalar = float(json.loads(stdout.getvalue())["results"]["scalar_index"])
+        beta = jones_value(job["n"])
+        out.append({"n": job["n"], "map": job["map"], "exit": code,
+                    "total_s": min(totals), "parse_s": min(parses),
+                    "index_s": min(t - p for t, p in zip(totals, parses)),
+                    "scalar_index": scalar, "jones_value": beta,
+                    "rel_error": abs(scalar - beta) / beta})
+    print(json.dumps(out))
+    return 0
+
+
+def tower_times(root: str, jobs_path: str) -> list[dict]:
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--tower-worker",
+                           jobs_path], cwd=root, env=cli_env(root), stdout=subprocess.PIPE,
+                          check=True, text=True)
+    return json.loads(proc.stdout)
+
+
+# -- records ---------------------------------------------------------------------
+
+def record_pairs(base_src: str, head_src: str) -> dict:
+    """The ABBA record of two source trees: benchmark runs, cold walls and
+    tower timings."""
+    sides = ("base", "head")
+    record = {"host": host_info(),
+              "trees": {side: tree_state(src) for side, src in zip(sides, (base_src, head_src))},
+              "seeds": list(SEEDS), "runs": [], "workloads": {}, "cold": {}, "tower": {}}
     with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
         roots = {side: make_root(src, os.path.join(tmp, side))
-                 for side, src in zip(sides, (args.base_src, args.head_src))}
-        for workload in WORKLOADS:
-            values = {side: {} for side in sides}
-            for pair, seed in enumerate(SEEDS):
-                order = sides if pair % 2 == 0 else sides[::-1]
-                for side in order:
-                    run = run_bench(roots[side], workload, seed)
-                    record["runs"].append({"workload": workload, "seed": seed, "pair": pair,
-                                           "tree": side, **run})
-                    record["host"]["blas_threads"] = run["blas_threads"]
-                    for name, metric in run["result"]["metrics"].items():
-                        values[side].setdefault(name, []).append(metric["value"])
-                    print(f"{workload} seed {seed} {side}: " + " ".join(
-                        f"{k}={v['value']:.4g}" for k, v in run["result"]["metrics"].items())
-                        + f" failed={run['result']['failed']}", flush=True)
-            record["workloads"][workload] = {name: summary(values["base"][name],
-                                                           values["head"][name])
-                                             for name in values["base"]}
+                 for side, src in zip(sides, (base_src, head_src))}
+        values = run_interleaved(roots, SEEDS, record)
+        failed = [run for run in record["runs"] if "error" in run]
+        if failed:
+            raise RuntimeError(failed[0]["error"])
+        for workload, trees in values.items():
+            record["workloads"][workload] = {name: summary(trees["base"][name],
+                                                           trees["head"][name])
+                                             for name in trees["base"]}
         rings = {}
         for side, root in roots.items():
             for n in TLJ:
@@ -205,15 +307,105 @@ def main() -> int:
                                     **summary(walls["base"], walls["head"])}
         for (side, n), path in rings.items():
             record["cold"][f"fusion trace tlj{n}"][f"{side}_bytes"] = os.path.getsize(path)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        towers = os.path.join(tmp, "tower")
+        os.mkdir(towers)
+        jobs_path = write_towers(towers)
+        for side in sides:
+            record["tower"][side] = tower_times(roots[side], jobs_path)
     for group, table in (*record["workloads"].items(), ("cold", record["cold"])):
         for name, s in table.items():
             cells = "  ".join(f"{side} {s[side]['median']:.4g} (IQR "
-                              f"{100 * s[side]['iqr_frac']:.0f}%)" for side in ("base", "head"))
+                              f"{100 * s[side]['iqr_frac']:.0f}%)" for side in sides)
             print(f"{group:<6} {name:<30} {cells}  change {100 * s['median_change']:+.1f}%  "
                   f"head better in {s['head_wins']}/{s['pairs']}")
+    for base, head in zip(*(record["tower"][side] for side in sides)):
+        name = f"T({base['n']}){' map' if base['map'] else ''}"
+        cells = "  ".join(f"{side} parse {t['parse_s']:.4g} s index {t['index_s']:.4g} s"
+                          for side, t in zip(sides, (base, head)))
+        print(f"tower  {name:<30} {cells}  rel error {head['rel_error']:.1e}")
+    return record
+
+
+def record_trajectory(revs: list[str]) -> dict:
+    """One session's runs of the ``src`` of each git revision, interleaved."""
+    record = {"measured_after_the_fact": True,
+              "note": "every tree was measured in this one session on this host, "
+                      "not when its commit was made",
+              "host": host_info(), "seeds": list(TRAJECTORY_SEEDS), "trees": {},
+              "runs": [], "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench_trajectory_") as tmp:
+        roots = {}
+        for rev in revs:
+            commit = git(ROOT, "rev-parse", "--verify", rev + "^{commit}")
+            if commit is None:
+                raise SystemExit(f"not a commit: {rev}")
+            staging = os.path.join(tmp, "archive", commit)
+            os.makedirs(staging)
+            archive = subprocess.run(["git", "archive", commit, "src"], cwd=ROOT,
+                                     stdout=subprocess.PIPE, check=True)
+            subprocess.run(["tar", "-x", "-C", staging], input=archive.stdout, check=True)
+            src = os.path.join(staging, "src")
+            roots[rev] = make_root(src, os.path.join(tmp, commit))
+            record["trees"][rev] = {"commit": commit, "digest": tree_digest(src)}
+        for workload, values in run_interleaved(roots, TRAJECTORY_SEEDS, record).items():
+            record["workloads"][workload] = {
+                rev: {name: quartiles(xs) for name, xs in tree.items() if len(xs) > 1}
+                for rev, tree in values.items()}
+    for workload, trees in record["workloads"].items():
+        for rev, table in trees.items():
+            print(f"{workload:<6} {rev:<12} " + "  ".join(
+                f"{name} {s['median']:.4g}" for name, s in sorted(table.items())))
+    return record
+
+
+def run_interleaved(roots: dict[str, str], seeds, record: dict) -> dict:
+    """For each workload and seed, one benchmark run on each tree of
+    ``roots``, in their order on even seed positions and reversed on odd
+    ones (ABBA for two trees).  Every run is appended to
+    ``record["runs"]``; returns workload -> tree -> metric -> values."""
+    values = {}
+    for workload in WORKLOADS:
+        values[workload] = {name: {} for name in roots}
+        for pair, seed in enumerate(seeds):
+            for name in list(roots)[::1 if pair % 2 == 0 else -1]:
+                run = run_bench(roots[name], workload, seed)
+                record["runs"].append({"workload": workload, "seed": seed, "pair": pair,
+                                       "tree": name, **run})
+                if "error" in run:
+                    print(f"{workload} seed {seed} {name}: {run['error'][-200:]}", flush=True)
+                    continue
+                record["host"]["blas_threads"] = run["blas_threads"]
+                for metric, value in run["result"]["metrics"].items():
+                    values[workload][name].setdefault(metric, []).append(value["value"])
+                print(f"{workload} seed {seed} {name}: {metrics_line(run)}", flush=True)
+    return values
+
+
+def metrics_line(run: dict) -> str:
+    result = run["result"]
+    return (" ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
+            + f" failed={result['failed']}/{result['attempted']}")
+
+
+def main() -> int:
+    if sys.argv[1:2] == ["--tower-worker"]:
+        return tower_worker(sys.argv[2])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs="+",
+                        help="BASE_SRC HEAD_SRC, or with --trajectory git revisions")
+    parser.add_argument("--trajectory", action="store_true",
+                        help="measure the src of each revision in one session")
+    parser.add_argument("--out", required=True, help="the JSON file to write")
+    args = parser.parse_args()
+    if args.trajectory:
+        record = record_trajectory(args.trees)
+    elif len(args.trees) == 2:
+        record = record_pairs(*args.trees)
+    else:
+        parser.error("give BASE_SRC and HEAD_SRC, or --trajectory and revisions")
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
     return 0
 
 
