@@ -5,10 +5,12 @@ index computations in this package.  Elements carry one complex matrix per
 block; the coefficient vector of an element is the concatenation of the
 row-major flattened blocks, which fixes the matrix convention for every
 linear map (homomorphisms, expectations) in the package.  A subalgebra is
-always given by its inclusion, a :class:`StarHomomorphism`, and
-:attr:`StarHomomorphism.normal_form` decides whether that is a unital
-injective *-homomorphism.  Its pseudo-inverse is a closed form in its
-matrix, :meth:`StarHomomorphism.preimage`.
+always given by its inclusion, a :class:`StarHomomorphism`, given by its
+matrix, when :attr:`StarHomomorphism.normal_form` decides whether that is
+a unital injective *-homomorphism, or by its multiplicities
+(:meth:`StarHomomorphism.from_multiplicities`), when the normal form is
+given and the matrix is built on first read.  Its pseudo-inverse is a
+closed form in its matrix, :meth:`StarHomomorphism.preimage`.
 """
 
 from __future__ import annotations
@@ -158,25 +160,72 @@ class AlgebraElement:
             raise ValueError("elements live in different algebras")
 
 
-@dataclass(frozen=True)
 class StarHomomorphism:
-    """A unital *-homomorphism between multimatrix algebras.
+    """A unital *-homomorphism between multimatrix algebras, given by its
+    matrix or by its multiplicities.
 
     ``matrix`` acts on coefficient vectors, shape (target.total_dim,
-    source.total_dim).  Validity (unital, injective, multiplicative,
-    star-preserving) is decided by :attr:`normal_form`.
+    source.total_dim).  A homomorphism given by its matrix has its
+    validity (unital, injective, multiplicative, star-preserving) decided
+    by :attr:`normal_form`; one given by its multiplicities
+    (:meth:`from_multiplicities`) holds its normal form, and its matrix is
+    built on first read and then cached.
     """
 
-    source: MultiMatrixAlgebra
-    target: MultiMatrixAlgebra
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _freeze(self.matrix)
-        if mat.shape != (self.target.total_dim, self.source.total_dim):
+    def __init__(self, source: MultiMatrixAlgebra, target: MultiMatrixAlgebra,
+                 matrix: np.ndarray):
+        mat = _freeze(matrix)
+        if mat.shape != (target.total_dim, source.total_dim):
             raise ValueError(f"homomorphism matrix has shape {mat.shape}, "
-                             f"expected {(self.target.total_dim, self.source.total_dim)}")
-        object.__setattr__(self, "matrix", mat)
+                             f"expected {(target.total_dim, source.total_dim)}")
+        self.source = source
+        self.target = target
+        self.__dict__["matrix"] = mat
+
+    @classmethod
+    def from_multiplicities(cls, a_blocks: Sequence[int], k) -> StarHomomorphism:
+        """The inclusion of A = sum_p M_{a_p} with B block t holding k[t, p]
+        copies of A block p, phi(x)_t = sum_p x_p (x) 1_{k_tp}: its normal
+        form with every U_t = 1.  B's block sizes are K a.  Raises
+        ValueError unless k is a matrix of nonnegative integers with one
+        column per A block and no zero row or column.
+        """
+        source = MultiMatrixAlgebra(tuple(a_blocks))
+        k = np.asarray(k)
+        if k.ndim != 2 or k.shape[1] != len(source.blocks):
+            raise ValueError(f"multiplicities must be a matrix with "
+                             f"{len(source.blocks)} columns, got shape {k.shape}")
+        mult = k.astype(np.int64)
+        if not np.array_equal(mult, k) or np.any(mult < 0):
+            raise ValueError("multiplicities must be nonnegative integers")
+        _check_injective(mult)
+        target = MultiMatrixAlgebra(tuple((mult @ source.blocks).tolist()))
+        unitary = np.concatenate([np.eye(m, dtype=complex).ravel() for m in target.blocks])
+        mult.flags.writeable = False
+        unitary.flags.writeable = False
+        hom = cls.__new__(cls)
+        hom.source, hom.target = source, target
+        hom.__dict__["normal_form"] = InclusionNormalForm(source, target, unitary, mult)
+        return hom
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The matrix, read only: as given, or built on first read for a
+        homomorphism given by its multiplicities, whose image of e^p_ij in
+        B block t is e_ij (x) 1_{k_tp} on corner p, in the normal form's
+        (p, i, alpha) column order."""
+        pairs = self.normal_form.pairs
+        mat = np.zeros((self.target.total_dim, self.source.total_dim), dtype=complex)
+        for g in group_indices(pairs.a, pairs.k):
+            a, k = int(pairs.a[g[0]]), int(pairs.k[g[0]])
+            i, j, alpha = np.ix_(range(a), range(a), range(k))
+            col, m, b_ofs, a_ofs = (v[g, None, None, None] for v in
+                                    (pairs.col, pairs.m, pairs.b_ofs, pairs.a_ofs))
+            # entry (r, c) of B block t, in row i and column j of copy alpha
+            r, c = col + i * k + alpha, col + j * k + alpha
+            mat[b_ofs + r * m + c, a_ofs + i * a + j] = 1.0
+        mat.flags.writeable = False
+        return mat
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         if x.parent.blocks != self.source.blocks:
@@ -258,10 +307,7 @@ class StarHomomorphism:
                 failures.append((ts[j], _normal_form_failure(ts[j], m, span[j], gaps[:, j])))
         if failures:
             raise ValueError(min(failures)[1])
-        missing = np.flatnonzero(mult.sum(axis=0) == 0)
-        if missing.size:
-            raise ValueError(f"inclusion is not injective: A block {missing[0]} "
-                             "has multiplicity 0 in every block of B")
+        _check_injective(mult)
         mult.flags.writeable = False
         unitary.flags.writeable = False
         return InclusionNormalForm(src, tgt, unitary, mult)
@@ -275,6 +321,14 @@ def submatrices(mat: np.ndarray, row0: np.ndarray, col0: np.ndarray,
         return mat[row0[0]:row0[0] + rows, col0[0]:col0[0] + cols][None]
     return mat[row0[:, None, None] + np.arange(rows)[:, None],
                col0[:, None, None] + np.arange(cols)]
+
+
+def _check_injective(mult: np.ndarray) -> None:
+    """Raise ValueError when an A block has no copy in B."""
+    missing = np.flatnonzero(mult.sum(axis=0) == 0)
+    if missing.size:
+        raise ValueError(f"inclusion is not injective: A block {missing[0]} "
+                         "has multiplicity 0 in every block of B")
 
 
 def _normal_form_failure(t: int, m: int, span: int, gaps: np.ndarray) -> str:
@@ -365,7 +419,8 @@ def group_indices(*keys: np.ndarray) -> list[np.ndarray]:
 
 
 def identity_homomorphism(algebra: MultiMatrixAlgebra) -> StarHomomorphism:
-    return StarHomomorphism(algebra, algebra, np.eye(algebra.total_dim))
+    return StarHomomorphism.from_multiplicities(algebra.blocks,
+                                                np.eye(len(algebra.blocks), dtype=np.int64))
 
 
 def column_norms(algebra: MultiMatrixAlgebra, cols: np.ndarray) -> np.ndarray:
@@ -407,21 +462,6 @@ class TraceWeights:
         return TraceWeights(algebra, tuple(1.0 / n for _ in algebra.blocks))
 
 
-def is_positive(x: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
-    """True iff x = x* and every block's minimum eigenvalue is >= -tol.
-
-    Raises ValueError on non-self-adjoint input: positivity of a
-    non-Hermitian element is a caller bug, not a falsy answer.
-    """
-    if not x.is_hermitian(tol):
-        raise ValueError("is_positive called on a non-self-adjoint element")
-    for m in x.data:
-        h = (m + m.conj().T) / 2
-        if float(np.linalg.eigvalsh(h)[0]) < -tol:
-            return False
-    return True
-
-
 def group_algebra_inclusion(n: int, d: int) -> tuple[StarHomomorphism, TraceWeights]:
     """Group algebra of the order-d subgroup of Z/n inside C*(Z/n).
 
@@ -435,13 +475,9 @@ def group_algebra_inclusion(n: int, d: int) -> tuple[StarHomomorphism, TraceWeig
     """
     if n < 1 or d < 1 or n % d != 0:
         raise ValueError(f"d must divide n, got n={n}, d={d}")
-    sub = MultiMatrixAlgebra((1,) * d)
-    big = MultiMatrixAlgebra((1,) * n)
-    mat = np.zeros((n, d))
-    for k in range(n):
-        mat[k, k % d] = 1.0
-    tau = TraceWeights(big, (1.0 / n,) * n)
-    return StarHomomorphism(sub, big, mat), tau
+    inclusion = StarHomomorphism.from_multiplicities(
+        (1,) * d, np.arange(n)[:, None] % d == np.arange(d))
+    return inclusion, TraceWeights(inclusion.target, (1.0 / n,) * n)
 
 
 def _in_image(hom: StarHomomorphism, vecs: np.ndarray, tol: float) -> bool:

@@ -19,8 +19,8 @@ __all__ = [
     "FusionRing", "FusionModule", "DimensionVector", "ModuleTrace",
     "TraceSolveResult", "BigradedDims", "MultiplicityFunctor", "StandardSolution",
     "validate_fusion", "validate_module", "pf_dimensions", "module_trace_solve",
-    "plancherel_weight", "equivalence_classes", "functor_dims", "d_function",
-    "check_locally_constant", "standard_solution_components", "functor_trace",
+    "equivalence_classes", "functor_dims", "d_function",
+    "check_locally_constant", "standard_solution_components",
     "functor_trace_components", "jones_membership",
     "qsystem_degree", "action_functor", "jones_value",
 ]
@@ -570,12 +570,6 @@ def _trace_solve(module: FusionModule, ring_dims: DimensionVector) -> TraceSolve
     return TraceSolveResult("ok", trace, 1)
 
 
-def plancherel_weight(trace: ModuleTrace, a: Mapping[str, complex]) -> complex:
-    """sum_i m(i)^2 a_i over the irreducibles of the module."""
-    return complex(sum((trace[i] ** 2) * complex(a.get(i, 0.0))
-                       for i in trace.module.labels))
-
-
 def equivalence_classes(module: FusionModule,
                         subring: Iterable[str]) -> list[tuple[str, ...]]:
     """Partition of the module labels under linking by the subring.
@@ -784,23 +778,6 @@ def functor_trace_components(functor: MultiplicityFunctor, trace: ModuleTrace,
         right += mvals[j] ** 2 * float(np.real(
             np.sum(rbar.conj() * (block @ rbar))))
     return left, right, closed
-
-
-def functor_trace(functor: MultiplicityFunctor, trace: ModuleTrace,
-                  eta: Mapping[tuple[int, int], np.ndarray],
-                  tol: float = 1e-9) -> float:
-    """Closed-form functor trace, cross-checked against both insertions.
-
-    A disagreement beyond tol means the attached vectors are not standard
-    and is raised as an error.
-    """
-    left, right, closed = functor_trace_components(functor, trace, eta)
-    scale = max(1.0, abs(closed))
-    if abs(left - closed) > tol * scale or abs(right - closed) > tol * scale:
-        raise ValueError(
-            f"insertions disagree with closed form: left={left!r}, "
-            f"right={right!r}, closed={closed!r}")
-    return closed
 
 
 def jones_value(n: int) -> float:

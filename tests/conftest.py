@@ -81,21 +81,12 @@ def ad_homomorphism(u, algebra, block=0):
 
 def diagonal_inclusion(n=2):
     """diag_n inside M_n."""
-    sub = MultiMatrixAlgebra((1,) * n)
-    big = MultiMatrixAlgebra((n,))
-    cols = []
-    for i in range(n):
-        m = np.zeros((n, n))
-        m[i, i] = 1.0
-        cols.append(big.element([m]).to_vector())
-    return StarHomomorphism(sub, big, np.stack(cols, axis=1))
+    return StarHomomorphism.from_multiplicities((1,) * n, [[1] * n])
 
 
 def scalars_inclusion(n=2):
     """C inside M_n."""
-    sub = MultiMatrixAlgebra((1,))
-    big = MultiMatrixAlgebra((n,))
-    return StarHomomorphism(sub, big, big.identity().to_vector().reshape(-1, 1))
+    return StarHomomorphism.from_multiplicities((1,), [[n]])
 
 
 def pinching_expectation(n=2):
@@ -117,30 +108,22 @@ def identity_expectation(n=2):
 
 
 def inclusion_from_multiplicities(a_blocks, k, rng):
-    """Unital inclusion determined by an inclusion matrix k[t, p].
+    """Unital inclusion determined by an inclusion matrix k[t, p], given by
+    its matrix.
 
     B block t carries k[t, p] copies of A block p, conjugated by a random
     unitary; every row and column of k must be nonzero so the embedding is
     unital and injective.
     """
-    sub = MultiMatrixAlgebra(tuple(a_blocks))
-    b_blocks = tuple(int(sum(k[t, p] * a_blocks[p] for p in range(len(a_blocks))))
-                     for t in range(k.shape[0]))
-    big = MultiMatrixAlgebra(b_blocks)
-    unitaries = [random_unitary(m, rng) for m in b_blocks]
-    cols = []
-    for e in sub.basis():
-        mats = []
-        for t, m in enumerate(b_blocks):
-            block = np.zeros((m, m), dtype=complex)
-            ofs = 0
-            for p, a_size in enumerate(a_blocks):
-                for _ in range(int(k[t, p])):
-                    block[ofs:ofs + a_size, ofs:ofs + a_size] = e.data[p]
-                    ofs += a_size
-            mats.append(unitaries[t] @ block @ unitaries[t].conj().T)
-        cols.append(big.element(mats).to_vector())
-    return StarHomomorphism(sub, big, np.stack(cols, axis=1))
+    given = StarHomomorphism.from_multiplicities(a_blocks, k)
+    unitaries = [random_unitary(m, rng) for m in given.target.blocks]
+    mat = np.array(given.matrix)
+    ofs = 0
+    for u in unitaries:
+        # the coefficient vector of U x U* is (U (x) conj(U)) times that of x
+        mat[ofs:ofs + u.size] = np.kron(u, u.conj()) @ mat[ofs:ofs + u.size]
+        ofs += u.size
+    return StarHomomorphism(given.source, given.target, mat)
 
 
 def _random_multiplicities(rng, max_a_blocks, max_a_size, max_b_blocks, max_mult):

@@ -52,6 +52,11 @@ the reference for the generation certificate of ``qindex.fusion``, and
 associativity of every label, the baseline of its cost.
 ``matrix_unit`` and ``embed_block_diagonal`` build matrix units and the
 block-diagonal representation of an element.
+``is_positive``, ``plancherel_weight`` and ``functor_trace`` are checks
+that no command calls: positivity of an element by its block spectra,
+the Plancherel weight of a module trace, and the closed-form functor
+trace cross-checked against both insertions of
+``qindex.fusion.functor_trace_components``.
 """
 
 from __future__ import annotations
@@ -70,8 +75,9 @@ from qindex.algebra import (DEFAULT_TOL, INCLUSION_TOL, RANK_RTOL, AlgebraElemen
 from qindex.expectation import (ConditionalExpectation, QuasiBasis, _defect,
                                 _frame_map)
 from qindex.fusion import (NULLITY_RTOL, DimensionVector, FusionModule, FusionRing,
-                           ModuleTrace, TraceSolveResult, _associativity_violations,
-                           _conjugation_mismatch)
+                           ModuleTrace, MultiplicityFunctor, TraceSolveResult,
+                           _associativity_violations, _conjugation_mismatch,
+                           functor_trace_components)
 from qindex.io import (SchemaError, _expect, _matrix_from_json, _sparse_text, canonical_object,
                        canonical_text, ring_to_text)
 from qindex.lattice import (CartanData, CenterData, FiniteAbelianGroup, SublatticeSpec,
@@ -489,6 +495,21 @@ def ascent_probabilistic_bounds(expectation: ConditionalExpectation,
     return (lower if math.isinf(upper) else min(lower, upper)), upper
 
 
+def is_positive(x: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
+    """True iff x = x* and every block's minimum eigenvalue is >= -tol.
+
+    Raises ValueError on non-self-adjoint input: positivity of a
+    non-Hermitian element is a caller bug, not a falsy answer.
+    """
+    if not x.is_hermitian(tol):
+        raise ValueError("is_positive called on a non-self-adjoint element")
+    for m in x.data:
+        h = (m + m.conj().T) / 2
+        if float(np.linalg.eigvalsh(h)[0]) < -tol:
+            return False
+    return True
+
+
 # -- explicit maps from densities --------------------------------------------------
 
 def expectation_from_densities(a_blocks, k, unitaries, densities
@@ -878,6 +899,29 @@ def words_rank(tensor: np.ndarray, unit: int, gens) -> int:
             if y is not None:
                 queue.append(y)
     return len(basis)
+
+
+def plancherel_weight(trace: ModuleTrace, a: Mapping[str, complex]) -> complex:
+    """sum_i m(i)^2 a_i over the irreducibles of the module."""
+    return complex(sum((trace[i] ** 2) * complex(a.get(i, 0.0))
+                       for i in trace.module.labels))
+
+
+def functor_trace(functor: MultiplicityFunctor, trace: ModuleTrace,
+                  eta: Mapping[tuple[int, int], np.ndarray],
+                  tol: float = 1e-9) -> float:
+    """Closed-form functor trace, cross-checked against both insertions.
+
+    A disagreement beyond tol means the attached vectors are not standard
+    and is raised as an error.
+    """
+    left, right, closed = functor_trace_components(functor, trace, eta)
+    scale = max(1.0, abs(closed))
+    if abs(left - closed) > tol * scale or abs(right - closed) > tol * scale:
+        raise ValueError(
+            f"insertions disagree with closed form: left={left!r}, "
+            f"right={right!r}, closed={closed!r}")
+    return closed
 
 
 def trace_solve_reference(module: FusionModule,

@@ -6,12 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qindex.algebra import (MultiMatrixAlgebra, StarHomomorphism, TraceWeights,
-                            column_norms, group_algebra_inclusion, is_positive)
+                            column_norms, group_algebra_inclusion)
 from qindex.expectation import canonical_expectation, compute_index_report
 
-from conftest import (compose, diagonal_inclusion, inclusion_from_multiplicities,
-                      random_element)
-from oracles import (choi_blocks, choi_is_psd, left_mult_matrix, matrix_unit,
+from conftest import (_random_multiplicities, compose, diagonal_inclusion,
+                      inclusion_from_multiplicities, random_element)
+from oracles import (choi_blocks, choi_is_psd, is_positive, left_mult_matrix, matrix_unit,
                      multiply_columns, normal_form_reference, right_mult_matrix)
 
 
@@ -271,13 +271,59 @@ def test_normal_form_recovers_multiplicities_and_unitaries(rng):
         for t, u in enumerate(form.unitaries):
             assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= 1e-12
             # U_t* phi(x)_t U_t = sum_p x_p (x) 1_{k_tp}
-            want = np.zeros(u.shape, dtype=complex)
-            ofs = 0
-            for xp, kp in zip(x.data, k[t]):
-                size = xp.shape[0] * kp
-                want[ofs:ofs + size, ofs:ofs + size] = np.kron(xp, np.eye(kp))
-                ofs += size
+            want = copies(x, k[t])
             assert np.abs(u.conj().T @ image.data[t] @ u - want).max() <= 1e-12
+
+
+def copies(x, row):
+    """sum_p x_p (x) 1_{row[p]}, block diagonal in p."""
+    size = sum(xp.shape[0] * kp for xp, kp in zip(x.data, row))
+    out = np.zeros((size, size), dtype=complex)
+    ofs = 0
+    for xp, kp in zip(x.data, row):
+        n = xp.shape[0] * kp
+        out[ofs:ofs + n, ofs:ofs + n] = np.kron(xp, np.eye(kp))
+        ofs += n
+    return out
+
+
+def test_multiplicity_form_builds_the_direct_sum_of_copies(rng):
+    # the matrix built on first read is phi(x)_t = sum_p x_p (x) 1_{k_tp}
+    # exactly, read only; read off again it gives K, and the matrix-given
+    # copy has the same canonical report
+    for _ in range(200):
+        a_blocks, k = _random_multiplicities(rng, 3, 3, 3, 3)
+        inclusion = StarHomomorphism.from_multiplicities(a_blocks, k)
+        x = random_element(inclusion.source, rng)
+        image = inclusion(x)
+        for t, block in enumerate(image.data):
+            assert np.array_equal(block, copies(x, k[t]))
+        given = StarHomomorphism(inclusion.source, inclusion.target, inclusion.matrix)
+        assert np.array_equal(given.normal_form.multiplicities, k)
+        tau = TraceWeights(inclusion.target,
+                           tuple(rng.uniform(0.2, 2.0, len(inclusion.target.blocks))))
+        want, got = (compute_index_report(canonical_expectation(h, tau))
+                     for h in (inclusion, given))
+        np.testing.assert_allclose(got.block_values, want.block_values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose([got.scalar_index, got.prob_lower],
+                                   [want.scalar_index, want.prob_lower], rtol=1e-12, atol=0)
+        assert got.index_in_subalgebra == want.index_in_subalgebra
+        with pytest.raises(ValueError, match="read-only"):
+            inclusion.matrix[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("k, message", [
+    (np.ones(2, dtype=np.int64), "multiplicities must be a matrix with 2 columns"),
+    (np.ones((2, 3), dtype=np.int64), "multiplicities must be a matrix with 2 columns"),
+    ([[1, -1]], "multiplicities must be nonnegative integers"),
+    ([[1, 1.5]], "multiplicities must be nonnegative integers"),
+    ([[1, 0], [2, 0]], "inclusion is not injective: A block 1 has multiplicity 0 "
+                       "in every block of B"),
+    ([[1, 1], [0, 0]], "block sizes must be >= 1"),
+], ids=["not-2d", "columns", "negative", "not-integer", "zero-column", "zero-row"])
+def test_from_multiplicities_rejects_invalid_multiplicities(k, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        StarHomomorphism.from_multiplicities((1, 2), k)
 
 
 def test_normal_form_rejects_non_homomorphisms():
@@ -361,9 +407,10 @@ def test_normal_form_matches_the_per_pair_oracle(data):
 
 
 def test_normal_form_cost_is_independent_of_block_count(monkeypatch):
-    # one batched eigh per size class of B blocks in the normal form, and
-    # none after it, since the canonical densities are scalars: C[Z_24] in
-    # C[Z_24] costs what C[Z_4] in C[Z_4] does
+    # read off a matrix: one batched eigh per size class of B blocks in the
+    # normal form, and none after it, since the canonical densities are
+    # scalars: C[Z_24] in C[Z_24] costs what C[Z_4] in C[Z_4] does; given
+    # by its multiplicities, the normal form costs none
     calls = []
     real = np.linalg.eigh
 
@@ -372,15 +419,17 @@ def test_normal_form_cost_is_independent_of_block_count(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    counts = []
+    counts = {"matrix": [], "multiplicities": []}
     for n in (4, 24):
-        calls.clear()
-        inclusion, tau = group_algebra_inclusion(n, n)
-        inclusion.normal_form
-        in_normal_form = len(calls)
-        compute_index_report(canonical_expectation(inclusion, tau))
-        counts.append((in_normal_form, len(calls)))
-    assert counts == [(1, 1), (1, 1)]
+        given, tau = group_algebra_inclusion(n, n)
+        read = StarHomomorphism(given.source, given.target, given.matrix)
+        for form, inclusion in (("multiplicities", given), ("matrix", read)):
+            calls.clear()
+            inclusion.normal_form
+            in_normal_form = len(calls)
+            compute_index_report(canonical_expectation(inclusion, tau))
+            counts[form].append((in_normal_form, len(calls)))
+    assert counts == {"matrix": [(1, 1), (1, 1)], "multiplicities": [(0, 0), (0, 0)]}
 
 
 def test_constructors_leave_caller_arrays_writeable():

@@ -5,7 +5,6 @@ import io
 import json
 import logging
 import re
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +16,7 @@ from qindex.cli import main
 from qindex.fusion import FusionModule, validate_fusion
 from qindex.generators import gen_pointed, gen_regular_module, gen_tlj
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from report_diff import WALL_MS, ring_corpus, ring_corpus_argvs, spec_corpus  # noqa: E402
+from report_diff import WALL_MS, ring_corpus, ring_corpus_argvs, spec_corpus
 
 from conftest import golden_ring, module_to_json, ring_from_bytes_spied, ring_to_json
 from oracles import module_to_text, ring2_reference

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,8 @@ from qindex.expectation import (ConditionalExpectation, QuasiBasis,
                                 quasi_basis_report, restrict_to_intermediate,
                                 scalar_index, validate_expectation,
                                 watatani_index)
+from qindex.fusion import jones_value
+from report_diff import jones_tower
 
 from conftest import (ad_homomorphism, compose, diagonal_inclusion,
                       identity_expectation, inclusion_from_multiplicities,
@@ -737,6 +740,31 @@ def test_tower_multiplicativity():
     n3 = watatani_index(e_comp, quasi_basis_report(e_comp, tau).basis).norm()
     assert abs(n1 * n2 - n3) <= 1e-9
     assert abs(n3 - 4.0) <= 1e-9
+
+
+@pytest.mark.parametrize("n", range(4, 15))
+def test_jones_towers_give_the_discrete_series_from_their_multiplicities(n):
+    # T(n) given by (a, K) reaches 4 cos^2(pi/n) from its normal form alone:
+    # no matrix is built, so T(12) (a 16796 x 4862 matrix) peaks under 5 MB
+    a, k, w = jones_tower(n)
+    tracemalloc.start()
+    try:
+        inclusion = StarHomomorphism.from_multiplicities(a, k)
+        report = compute_index_report(canonical_expectation(
+            inclusion, TraceWeights(inclusion.target, w)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    beta = jones_value(n)
+    assert abs(report.scalar_index - beta) <= 1e-14 * beta
+    assert report.index_in_subalgebra is True
+    assert "matrix" not in inclusion.__dict__
+    if n == 12:
+        assert peak < 5 * 2**20
+    if n <= 9:
+        given = StarHomomorphism(inclusion.source, inclusion.target, inclusion.matrix)
+        read = compute_index_report(canonical_expectation(given, TraceWeights(given.target, w)))
+        assert abs(read.scalar_index - report.scalar_index) <= 1e-12 * report.scalar_index
 
 
 def test_group_algebra_integer_index():

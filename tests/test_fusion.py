@@ -11,10 +11,10 @@ from qindex.fusion import (BigradedDims, FusionModule, FusionRing,
                            MultiplicityFunctor, _associativity_violations,
                            action_functor,
                            check_locally_constant, d_function,
-                           equivalence_classes, functor_dims, functor_trace,
+                           equivalence_classes, functor_dims,
                            functor_trace_components, jones_membership,
                            jones_value, module_trace_solve, pf_dimensions,
-                           plancherel_weight, qsystem_degree,
+                           qsystem_degree,
                            standard_solution_components, validate_fusion,
                            validate_module)
 from qindex import fusion
@@ -23,8 +23,8 @@ from qindex.generators import (gen_pointed, gen_quotient_module, gen_regular_mod
                                gen_tlj, pointed_elements, pointed_label)
 
 from conftest import golden_ring
-from oracles import (equivalence_classes_reference, trace_solve_reference,
-                     validate_fusion_every_label, words_rank)
+from oracles import (equivalence_classes_reference, functor_trace, plancherel_weight,
+                     trace_solve_reference, validate_fusion_every_label, words_rank)
 
 
 def regular_with_trace(n):
