@@ -52,6 +52,8 @@ class MultiMatrixAlgebra:
             raise ValueError("multimatrix algebra needs at least one block")
         if any(m < 1 for m in self.blocks):
             raise ValueError(f"block sizes must be >= 1, got {self.blocks}")
+        if any(m % 1 != 0 for m in self.blocks):  # NaN and inf too
+            raise ValueError(f"block sizes must be integers, got {self.blocks}")
         object.__setattr__(self, "blocks", tuple(int(m) for m in self.blocks))
 
     @cached_property

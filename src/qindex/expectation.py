@@ -11,14 +11,15 @@ with one density h_tp >= 0 per pair of blocks and sum_t Tr h_tp = 1.
 Validation, the trace-preserving expectation, the Pimsner-Popa
 quasi-basis, the Watatani index element (sum_p Tr h_tp^{-1} on B block t),
 the scalar index (its largest block value) and the exact probabilistic
-index are all read off h, batched over the block pairs with k_tp > 0
-by density size.  The trace-preserving expectation is held by its
-scalar densities h_tp = w_t / (K^T w)_p, so its indices are read off K
-and w with no eigendecomposition, and its matrix is built only when
-read.  The defect of a quasi-basis, the index element
-sum u_i u_i* of any family and finite-group averaging work on any
-expectation matrix.  Restriction to an intermediate subalgebra
-A <= C <= B takes C by its inclusion into B, as A is taken everywhere.
+index are all read off h and its spectra, batched over the block pairs
+with k_tp > 0 by density size; the spectra are held once per size.  The
+trace-preserving expectation is held by its scalar densities
+h_tp = w_t / (K^T w)_p, each its own spectrum, so none of its densities
+is eigendecomposed, and its matrix is built only when read.  The
+defect of a quasi-basis, the index element sum u_i u_i* of any family
+and finite-group averaging work on any expectation matrix.  Restriction
+to an intermediate subalgebra A <= C <= B takes C by its inclusion into
+B, as A is taken everywhere.
 Images of inclusions are inverted in closed form, by
 :meth:`StarHomomorphism.preimage`; no inclusion matrix is factored.
 """
@@ -154,26 +155,18 @@ class ConditionalExpectation:
     @cached_property
     def spectra(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """(idx, ascending eigenvalues, eigenvectors) of the Hermitian part
-        of the densities, one batched eigh per density size, in the order of
-        :attr:`densities`.  Positivity and the quasi-basis read them from
-        here."""
-        return tuple((idx, *np.linalg.eigh((h + h.conj().swapaxes(1, 2)) / 2))
-                     for idx, h in self.densities)
-
-    @cached_property
-    def _eigenvalues(self) -> np.ndarray:
-        """The density eigenvalues pair by pair, one row per pair of
-        ``inclusion.normal_form.pairs``: those of h_tp ascending in its
-        first k_tp entries, then its largest again to the common width.
-        Scalar densities are repeated, with no eigendecomposition."""
+        of the densities, in the order of :attr:`densities`, the only
+        density eigenvalues held: one batched eigh per density size of a
+        map, while a scalar density s 1 is its own spectrum, s repeated
+        with identity eigenvectors.  Positivity, the quasi-basis and the
+        closed-form indices read them from here."""
+        if self._scalars is None:
+            return tuple((idx, *np.linalg.eigh((h + h.conj().swapaxes(1, 2)) / 2))
+                         for idx, h in self.densities)
         k = self.inclusion.normal_form.pairs.k
-        if self._scalars is not None:
-            return np.broadcast_to(self._scalars[:, None], (k.size, k.max()))
-        vals = np.empty((k.size, k.max()))
-        for idx, v, _ in self.spectra:
-            vals[idx] = v[:, -1:]
-            vals[idx, :v.shape[1]] = v
-        return vals
+        return tuple((idx, self._scalars[idx, None].repeat(k[idx[0]], axis=1),
+                      np.eye(k[idx[0]])[None].repeat(idx.size, axis=0))
+                     for idx in group_indices(k))
 
     @cached_property
     def _eigenvalue_range(self) -> tuple[float, float, float]:
@@ -184,10 +177,11 @@ class ConditionalExpectation:
         underflows to 0 fails it.  A density read off an explicit map
         carries its rounding, and its threshold is RANK_RTOL times the
         largest."""
-        vals = self._eigenvalues
-        hi = float(vals.max())
-        threshold = 0.0 if self._scalars is not None else RANK_RTOL * max(hi, 0.0)
-        return float(vals.min()), hi, threshold
+        if self._scalars is not None:
+            return float(self._scalars.min()), float(self._scalars.max()), 0.0
+        lo = min(float(vals.min()) for _, vals, _ in self.spectra)
+        hi = max(float(vals.max()) for _, vals, _ in self.spectra)
+        return lo, hi, RANK_RTOL * max(hi, 0.0)
 
 
 def _rebuild(inclusion: StarHomomorphism,
@@ -484,40 +478,29 @@ def _closed_form_indices(expectation: ConditionalExpectation
     positive} is max_t sum_p (sum of the min(a_p, k_tp) largest eigenvalues
     of h_tp^{-1}), and it is attained.
 
-    Every pair is one row of inverse eigenvalues, descending: its
-    min(a_p, k_tp) first entries, and its others moved to the front of a
-    second row, are summed as np.sum sums a slice (:func:`_row_sums`).
+    The inverse eigenvalues of each pair, descending, come from
+    :attr:`ConditionalExpectation.spectra`: its min(a_p, k_tp) first
+    entries and its others are two slices at their own lengths, each
+    summed as np.sum sums it.
     """
     lo, _, threshold = expectation._eigenvalue_range
     n_blocks = len(expectation.algebra.blocks)
     if not lo > threshold:
         return math.inf, (math.inf,) * n_blocks
     pairs = expectation.inclusion.normal_form.pairs
+    top, rest = np.empty(pairs.k.size), np.empty(pairs.k.size)
     with np.errstate(over="ignore"):  # past the float range: an infinite index
-        inv = 1.0 / expectation._eigenvalues
-    cols = np.arange(inv.shape[1])
-    top_len = np.minimum(pairs.a, pairs.k)
-    top = _row_sums(inv, top_len)
-    # the inverses of each pair from entry a_p on, moved to the front of a row
-    rest = inv[np.arange(len(inv))[:, None], np.minimum(cols + pairs.a[:, None], cols[-1])]
-    rest = _row_sums(rest, pairs.k - top_len)
+        for idx, vals, _ in expectation.spectra:
+            inv = 1.0 / vals
+            top_len = np.minimum(pairs.a[idx], vals.shape[1])
+            for sub in group_indices(top_len):
+                n = top_len[sub[0]]
+                top[idx[sub]] = inv[sub, :n].sum(axis=1)
+                rest[idx[sub]] = inv[sub, n:].sum(axis=1)
     # per-block sums in the order of the pairs, p ascending; top plus the
     # rest, so that prob_t <= scalar_t after rounding
     prob = float(np.bincount(pairs.t, top, n_blocks).max())
     return prob, tuple(np.bincount(pairs.t, top + rest, n_blocks).tolist())
-
-
-def _row_sums(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """np.sum(x[n, :lengths[n]]) for every row n of x, bit for bit.
-
-    Each length is summed at its own width, one pass per distinct length:
-    numpy groups the additions of a sum by its length, so zeros past a
-    row's end could change the last bits of its sum.
-    """
-    out = np.empty(len(x))
-    for rows in group_indices(lengths):
-        out[rows] = x[rows, :lengths[rows[0]]].sum(axis=1)
-    return out
 
 
 def scalar_index(expectation: ConditionalExpectation) -> float:

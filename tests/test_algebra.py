@@ -326,6 +326,21 @@ def test_from_multiplicities_rejects_invalid_multiplicities(k, message):
         StarHomomorphism.from_multiplicities((1, 2), k)
 
 
+@pytest.mark.parametrize("m", [1.5, 2.5, 0.5])
+def test_block_sizes_must_be_integers(m):
+    # a block size is never truncated to an integer, in an algebra or in the
+    # source of an inclusion given by its multiplicities
+    message = re.escape(f"got ({m},)")
+    with pytest.raises(ValueError, match=f"block sizes must be .*{message}"):
+        MultiMatrixAlgebra((m,))
+    with pytest.raises(ValueError, match=f"block sizes must be .*{message}"):
+        StarHomomorphism.from_multiplicities((m,), [[2]])
+    for size in (np.int64(2), 2.0):
+        assert MultiMatrixAlgebra((size,)).blocks == (2,)
+        assert StarHomomorphism.from_multiplicities((1,), [[size]]).target.blocks == (2,)
+        assert StarHomomorphism.from_multiplicities((size,), [[1]]).target.blocks == (2,)
+
+
 def test_normal_form_rejects_non_homomorphisms():
     sub, big = MultiMatrixAlgebra((1, 1)), MultiMatrixAlgebra((2,))
     good = diagonal_inclusion(2).matrix

@@ -17,18 +17,17 @@ from qindex.algebra import (MultiMatrixAlgebra, StarHomomorphism, TraceWeights,
 from qindex.cli import main
 from qindex.expectation import (ConditionalExpectation, QuasiBasis,
                                 _central_in_image, _closed_form_indices,
-                                _frame_map, _rebuild, _row_sums,
-                                canonical_expectation, compute_index_report,
-                                equivariantize, index_in_subalgebra,
-                                probabilistic_index_bounds,
+                                _frame_map, _rebuild, canonical_expectation,
+                                compute_index_report, equivariantize,
+                                index_in_subalgebra, probabilistic_index_bounds,
                                 quasi_basis_report, restrict_to_intermediate,
                                 scalar_index, validate_expectation,
                                 watatani_index)
 from qindex.fusion import jones_value
 from report_diff import jones_tower
 
-from conftest import (ad_homomorphism, compose, diagonal_inclusion,
-                      identity_expectation, inclusion_from_multiplicities,
+from conftest import (_random_multiplicities, ad_homomorphism, compose,
+                      diagonal_inclusion, identity_expectation, inclusion_from_multiplicities,
                       index_element, pinching_expectation,
                       random_connected_inclusion, random_element,
                       random_multimatrix_inclusion, random_unitary, scalars_inclusion,
@@ -119,8 +118,9 @@ def test_validate_rejects_non_positive_density():
 def test_each_density_is_eigendecomposed_once(rng, monkeypatch):
     # validation, faithfulness, the quasi-basis, the closed-form indices and
     # the log line all read one cached batched eigh per density size of an
-    # explicit map; the scalar densities of the canonical expectation need
-    # none, and the index element is tested without any eigendecomposition
+    # explicit map; the scalar densities of the canonical expectation are
+    # their own spectra and need none, and the index element is tested
+    # without any eigendecomposition
     inclusion = inclusion_from_multiplicities((1, 2), np.array([[1, 0], [2, 1]]), rng)
     tau = TraceWeights(inclusion.target, (0.3, 0.7))
     inclusion.normal_form  # the inclusion's own eigh calls, cached before counting
@@ -136,10 +136,17 @@ def test_each_density_is_eigendecomposed_once(rng, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     canonical = canonical_expectation(inclusion, tau)
     compute_index_report(canonical)
+    assert validate_expectation(canonical).ok
+    assert quasi_basis_report(canonical, tau).basis is not None
     assert calls == []
     # three densities, of sizes 1, 2 and 1
     sizes = sorted(h.shape[1] for _, h in canonical.densities)
     assert sizes == [1, 2]
+    for (idx, h), (at, vals, vecs) in zip(canonical.densities, canonical.spectra):
+        k = h.shape[1]
+        assert np.array_equal(at, idx)
+        assert np.array_equal(vals, np.repeat(canonical._scalars[idx, None], k, axis=1))
+        assert np.array_equal(vecs, np.broadcast_to(np.eye(k), (idx.size, k, k)))
 
     calls.clear()
     explicit = ConditionalExpectation(inclusion, canonical.matrix)
@@ -628,17 +635,6 @@ def test_expectation_is_given_by_its_matrix_or_its_scalar_densities():
     for kwargs in ({}, {"matrix": expectation.matrix, "scalars": [0.5, 0.5]}):
         with pytest.raises(ValueError, match="by its matrix or by its scalar densities"):
             ConditionalExpectation(expectation.inclusion, **kwargs)
-
-
-def test_row_sums_add_as_np_sum_adds_a_slice():
-    # every row at its own length, from empty to 300 entries, as the
-    # reference closed forms sum their slices
-    rng = np.random.default_rng(5)
-    x = 10.0 ** rng.uniform(-4, 4, size=(400, 300))
-    lengths = rng.integers(0, 301, size=400)
-    lengths[:40] = np.arange(40)
-    got = _row_sums(x, lengths)
-    assert got.tolist() == [float(np.sum(row[:n])) for row, n in zip(x, lengths)]
 
 
 def _z2_action(inclusion: StarHomomorphism) -> list[StarHomomorphism]:
@@ -1159,6 +1155,26 @@ def test_closed_forms_match_dense_oracles(data):
     assert report.index_in_subalgebra == index_in_subalgebra(expectation, index, 1e-8)
     ascent, _ = ascent_probabilistic_bounds(expectation, budget=20)
     assert ascent <= lower * (1 + max(1e-9, slack))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_canonical_closed_forms_match_the_reference_bit_for_bit(data):
+    # scalar densities w_t / (K^T w)_p, k_tp up to 12 and mixed a_p, so the
+    # sums of the min(a_p, k_tp) largest inverse eigenvalues and of the
+    # rest run from empty to 12 entries: each is np.sum of the same slice
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    while True:
+        a_blocks, k = _random_multiplicities(rng, 3, 3, 3, 12)
+        if int(np.sum((k @ np.array(a_blocks)) ** 2)) <= 900:
+            break
+    inclusion = inclusion_from_multiplicities(a_blocks, k, rng)
+    w = 10.0 ** rng.uniform(-4.0, 4.0, size=len(k))
+    expectation = canonical_expectation(inclusion,
+                                        TraceWeights(inclusion.target, tuple(map(float, w))))
+    prob, sums = _closed_form_indices(expectation)
+    assert (prob, list(sums)) == closed_form_indices_reference(
+        a_blocks, nested_densities(expectation))
 
 
 def test_closed_forms_match_the_reference_on_long_eigenvalue_sums():

@@ -32,10 +32,12 @@ The record also holds tower timings: ``index compute`` on the Jones
 tower T(N) (``report_diff.jones_tower``, written by
 ``perfbench/inputs._index_spec`` with identity unitaries), canonical for N
 in ``TOWER_CANONICAL`` and with the explicit ``map`` for N in
-``TOWER_MAP``, run through ``qindex.cli.main`` in one interpreter per
-tree, ``TOWER_RUNS`` times each.  For each spec it keeps the minimum
-total, the minimum time inside ``qindex.io.loads`` and
-``qindex.io.expectation_spec_from_json`` (spec parsing), the minimum
+``TOWER_MAP``, run through ``qindex.cli.main``, ``TOWER_RUNS`` times each,
+in ``TOWER_LAUNCHES`` interpreters per tree, launched with the trees
+alternating (ABBA) as the cold walls are.  Every launch is recorded; for
+each spec the record keeps the minimum across launches of the total, of
+the time inside ``qindex.io.loads`` and
+``qindex.io.expectation_spec_from_json`` (spec parsing) and of the
 remainder (index work), and the relative error of ``scalar_index``
 against ``qindex.fusion.jones_value(N)`` of the same tree.
 
@@ -73,6 +75,7 @@ SPEC = "cyclic24_12.json"  # the C[Z_12] in C[Z_24] spec of the many workload
 TOWER_CANONICAL = range(4, 11)
 TOWER_MAP = range(4, 10)  # T(10)'s map has 1430^2 complex entries
 TOWER_RUNS = 5
+TOWER_LAUNCHES = 4  # interpreters per tree, alternated ABBA
 TRAJECTORY_SEEDS = range(1, 4)
 
 
@@ -256,6 +259,14 @@ def tower_times(root: str, jobs_path: str) -> list[dict]:
     return json.loads(proc.stdout)
 
 
+def tower_minima(launches: list[list[dict]]) -> list[dict]:
+    """Per job, its entry of the first launch with each time the minimum
+    across the launches."""
+    return [{**jobs[0], **{key: min(job[key] for job in jobs)
+                           for key in ("total_s", "parse_s", "index_s")}}
+            for jobs in zip(*launches)]
+
+
 # -- records ---------------------------------------------------------------------
 
 def record_pairs(base_src: str, head_src: str) -> dict:
@@ -264,7 +275,8 @@ def record_pairs(base_src: str, head_src: str) -> dict:
     sides = ("base", "head")
     record = {"host": host_info(),
               "trees": {side: tree_state(src) for side, src in zip(sides, (base_src, head_src))},
-              "seeds": list(SEEDS), "runs": [], "workloads": {}, "cold": {}, "tower": {}}
+              "seeds": list(SEEDS), "runs": [], "workloads": {}, "cold": {}, "tower": {},
+              "tower_launches": {side: [] for side in sides}}
     with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
         roots = {side: make_root(src, os.path.join(tmp, side))
                  for side, src in zip(sides, (base_src, head_src))}
@@ -310,8 +322,11 @@ def record_pairs(base_src: str, head_src: str) -> dict:
         towers = os.path.join(tmp, "tower")
         os.mkdir(towers)
         jobs_path = write_towers(towers)
-        for side in sides:
-            record["tower"][side] = tower_times(roots[side], jobs_path)
+        for k in range(TOWER_LAUNCHES):
+            for side in (sides if k % 2 == 0 else sides[::-1]):
+                record["tower_launches"][side].append(tower_times(roots[side], jobs_path))
+        for side, launches in record["tower_launches"].items():
+            record["tower"][side] = tower_minima(launches)
     for group, table in (*record["workloads"].items(), ("cold", record["cold"])):
         for name, s in table.items():
             cells = "  ".join(f"{side} {s[side]['median']:.4g} (IQR "
