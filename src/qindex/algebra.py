@@ -482,10 +482,14 @@ def group_algebra_inclusion(n: int, d: int) -> tuple[StarHomomorphism, TraceWeig
     return inclusion, TraceWeights(inclusion.target, (1.0 / n,) * n)
 
 
-def _in_image(hom: StarHomomorphism, vecs: np.ndarray, tol: float) -> bool:
-    """Whether ``vecs`` (a coefficient vector of the target, or a matrix of
-    columns tested together in the Frobenius norm) lies in the image of
-    ``hom``, to ``tol`` relative to its norm.  hom.matrix @ hom.preimage is
-    the orthogonal projection onto the image."""
-    resid = vecs - hom.matrix @ hom.preimage(vecs)
-    return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(vecs)))
+def _image_preimage(hom: StarHomomorphism, vecs: np.ndarray, tol: float) -> np.ndarray | None:
+    """``hom.preimage(vecs)`` when ``vecs`` (a coefficient vector of the
+    target, or a matrix of columns tested together in the Frobenius norm)
+    lies in the image of ``hom``, to ``tol`` relative to its norm, and None
+    otherwise.  hom.matrix @ hom.preimage is the orthogonal projection onto
+    the image."""
+    pre = hom.preimage(vecs)
+    resid = vecs - hom.matrix @ pre
+    if float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(vecs))):
+        return pre
+    return None

@@ -45,7 +45,7 @@ from .algebra import (
     MultiMatrixAlgebra,
     StarHomomorphism,
     TraceWeights,
-    _in_image,
+    _image_preimage,
     column_norms,
     group_indices,
     submatrices,
@@ -549,7 +549,7 @@ def equivariantize(expectation: ConditionalExpectation,
             g.normal_form
         except ValueError as err:
             raise ValueError(f"action element is not a *-automorphism: {err}") from None
-        if not _in_image(expectation.inclusion, g.matrix @ a_mat, INCLUSION_TOL):
+        if _image_preimage(expectation.inclusion, g.matrix @ a_mat, INCLUSION_TOL) is None:
             raise ValueError("action does not preserve the subalgebra setwise")
 
     avg = sum(g.matrix.conj().T @ expectation.matrix @ g.matrix for g in action)
@@ -574,12 +574,11 @@ def restrict_to_intermediate(expectation: ConditionalExpectation,
         intermediate.normal_form
     except ValueError as err:
         raise ValueError(f"intermediate algebra: {err}") from None
-    a_mat = expectation.inclusion.matrix
-    if not _in_image(intermediate, a_mat, INCLUSION_TOL):
+    a_pre = _image_preimage(intermediate, expectation.inclusion.matrix, INCLUSION_TOL)
+    if a_pre is None:
         raise ValueError("intermediate algebra does not contain the image of A")
 
-    incl = StarHomomorphism(expectation.subalgebra, intermediate.source,
-                            intermediate.preimage(a_mat))
+    incl = StarHomomorphism(expectation.subalgebra, intermediate.source, a_pre)
     restricted = ConditionalExpectation(
         incl, intermediate.preimage(expectation.matrix @ intermediate.matrix))
 
@@ -594,7 +593,7 @@ def index_in_subalgebra(expectation: ConditionalExpectation,
                         element: AlgebraElement,
                         tol: float = DEFAULT_TOL) -> bool:
     """Whether an element lies in the image of A inside B."""
-    return _in_image(expectation.inclusion, element.to_vector(), tol)
+    return _image_preimage(expectation.inclusion, element.to_vector(), tol) is not None
 
 
 def compute_index_report(expectation: ConditionalExpectation,

@@ -281,7 +281,8 @@ def _expectation_spec_from_json(data: Any, path: str
     if weights is None:
         tau = TraceWeights.normalized(big)
     else:
-        _expect(isinstance(weights, list) and len(weights) == len(big.blocks),
+        # an array of pairs read from text is an ndarray; its len is its rows
+        _expect(isinstance(weights, (list, np.ndarray)) and len(weights) == len(big.blocks),
                 f"{path}.trace_weights", "one positive weight per target block")
         _expect(all(_is_number(w) and 0 < w <= sys.float_info.max for w in weights),
                 f"{path}.trace_weights", "one finite positive weight per target block")

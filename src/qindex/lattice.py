@@ -1,21 +1,23 @@
 """Finite-index sublattices between root and weight lattices.
 
 Everything is exact integer arithmetic in the fundamental-weight basis:
-P = Z^r and Q is the column lattice of the Cartan matrix.  The quotient
-P/Q is computed by Smith normal form, its subgroups H are listed directly
-as Hermite normal forms, and each is pulled back along the class map
-P -> P/Q to a sublattice Q <= Lambda <= P.  The Hermite basis of Lambda
-is read off the finite quotient P/Lambda = (P/Q)/H, so only matrices
-with as many rows as P/Q has invariant factors are reduced.  The
-resulting lattice indices are cross-checked against the Watatani index
-of the matching cyclic group-algebra inclusion.
+P = Z^r and Q is the column lattice of the Cartan matrix.  A Cartan datum
+is given by its Lie type alone, and P/Q by its invariant factors and its
+class map, both read off the Smith normal form of the Cartan matrix.  The
+subgroups H of P/Q are listed directly as Hermite normal forms, and each
+is pulled back along the class map P -> P/Q to a sublattice
+Q <= Lambda <= P.  The Hermite basis of Lambda is read off the finite
+quotient P/Lambda = (P/Q)/H, so only matrices with as many rows as P/Q
+has invariant factors are reduced.  The resulting lattice indices are
+cross-checked against the Watatani index of the matching cyclic
+group-algebra inclusion.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import prod
 from typing import Sequence
@@ -97,23 +99,21 @@ def standard_cartan_matrix(family: str, rank: int) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class CartanData:
+    """A simple Lie type, such as "A2" or "e_8"; the name is normalised and
+    ``cartan`` is its standard Cartan matrix."""
+
     lie_type: str
-    cartan: tuple[tuple[int, ...], ...]
+    cartan: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
         family, rank = _parse_type(self.lie_type)
-        want = standard_cartan_matrix(family, rank)
-        got = [list(row) for row in self.cartan]
-        if got != want:
-            raise ValueError(f"matrix does not match the standard Cartan "
-                             f"matrix of {self.lie_type}")
+        object.__setattr__(self, "lie_type", f"{family}{rank}")
+        object.__setattr__(self, "cartan", tuple(
+            tuple(row) for row in standard_cartan_matrix(family, rank)))
 
     @property
     def rank(self) -> int:
         return len(self.cartan)
-
-    def matrix(self) -> list[list[int]]:
-        return [list(row) for row in self.cartan]
 
 
 def _parse_type(lie_type: str) -> tuple[str, int]:
@@ -123,10 +123,7 @@ def _parse_type(lie_type: str) -> tuple[str, int]:
     return s[0], int(s[1:])
 
 
-def cartan_data(lie_type: str) -> CartanData:
-    family, rank = _parse_type(lie_type)
-    m = standard_cartan_matrix(family, rank)
-    return CartanData(f"{family}{rank}", tuple(tuple(row) for row in m))
+cartan_data = CartanData
 
 
 @dataclass(frozen=True)
@@ -151,17 +148,15 @@ class FiniteAbelianGroup:
 
 @dataclass(frozen=True)
 class CenterData:
-    """P/Q with the row transform of the Smith decomposition.
+    """P/Q and its class map.
 
-    ``u @ cartan @ v = diag(divisors)`` for unimodular u and v; the class
-    of a weight x in P/Q is (u @ x) mod divisors, and only the coordinates
-    with divisor > 1 carry information (they are listed in ``nontrivial``).
+    ``u`` holds the rows of the Smith row transform that belong to the
+    invariant factors of ``group``: the class of a weight x in P/Q is
+    (u @ x) mod ``group.invariant_factors``.
     """
 
     group: FiniteAbelianGroup
-    divisors: tuple[int, ...]
     u: tuple[tuple[int, ...], ...]
-    nontrivial: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -169,13 +164,17 @@ class SublatticeSpec:
     """A sublattice Q <= Lambda <= P in fundamental-weight coordinates.
 
     ``generators`` is the column Hermite normal form basis of Lambda;
-    ``index_in_p`` = [P : Lambda]; ``subgroup`` lists the corresponding
-    subgroup of P/Q by its elements in invariant-factor coordinates.
+    ``subgroup`` lists the corresponding subgroup of P/Q by its elements
+    in invariant-factor coordinates.
     """
 
     generators: tuple[tuple[int, ...], ...]
-    index_in_p: int
     subgroup: tuple[tuple[int, ...], ...]
+
+    @property
+    def index_in_p(self) -> int:
+        """[P : Lambda], the product of the Hermite diagonal."""
+        return prod(row[i] for i, row in enumerate(self.generators))
 
     @property
     def subgroup_order(self) -> int:
@@ -347,12 +346,10 @@ def _identity(n: int) -> list[list[int]]:
 
 def center_group(cartan: CartanData) -> CenterData:
     """P/Q from the Smith normal form of the Cartan matrix."""
-    u, d = smith_normal_form(cartan.matrix())
-    divisors = tuple(d[i][i] for i in range(cartan.rank))
-    nontrivial = tuple(i for i, x in enumerate(divisors) if x > 1)
-    factors = tuple(divisors[i] for i in nontrivial)
-    return CenterData(FiniteAbelianGroup(factors), divisors,
-                      tuple(tuple(r) for r in u), nontrivial)
+    u, d = smith_normal_form(cartan.cartan)
+    kept = [i for i in range(cartan.rank) if d[i][i] > 1]
+    return CenterData(FiniteAbelianGroup(tuple(d[i][i] for i in kept)),
+                      tuple(tuple(u[i]) for i in kept))
 
 
 def enumerate_subgroups(group: FiniteAbelianGroup) -> list[tuple[tuple[int, ...], ...]]:
@@ -388,7 +385,7 @@ def _subgroup_hnfs(group: FiniteAbelianGroup) -> list[tuple[tuple[int, ...], ...
     for diag in product(*([x for x in range(1, f + 1) if f % x == 0] for f in d)):
         for rows in product(*(product(range(diag[i]), repeat=i) for i in range(k))):
             h = tuple(rows[i] + (diag[i],) + (0,) * (k - 1 - i) for i in range(k))
-            if all(_in_lattice(h, col) for col in d_cols):
+            if not any(any(_coset_rep(col, h)) for col in d_cols):
                 found.append(h)
     return sorted(found, key=lambda h: (prod(h[i][i] for i in range(k)), h))
 
@@ -409,22 +406,6 @@ def _hnf_elements(h, d: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(
         tuple(sum(h[i][j] * y[j] for j in range(i + 1)) % d[i] for i in range(k))
         for y in product(*(range(d[j] // h[j][j]) for j in range(k)))))
-
-
-def _in_lattice(h: Sequence[Sequence[int]], w: Sequence[int]) -> bool:
-    """Whether w lies in the column lattice of h, which must be lower
-    triangular with a positive diagonal (a Hermite normal form of a
-    full-rank lattice).
-
-    Exact forward substitution over the integers.
-    """
-    y: list[int] = []
-    for i, row in enumerate(h):
-        acc = int(w[i]) - sum(row[j] * y[j] for j in range(i))
-        if acc % row[i]:
-            return False
-        y.append(acc // row[i])
-    return True
 
 
 def classify_subgroups(cartan: CartanData) -> list[SublatticeSpec]:
@@ -449,16 +430,11 @@ def classify_subgroups(cartan: CartanData) -> list[SublatticeSpec]:
 def _classify(cartan: CartanData) -> list[SublatticeSpec]:
     center = center_group(cartan)
     d = center.group.invariant_factors
-    # the class of e_i in P/Q: column i of u on the nontrivial coordinates
-    classes = [tuple(center.u[p][i] % center.divisors[p] for p in center.nontrivial)
-               for i in range(cartan.rank)]
-    specs = []
-    for h in _subgroup_hnfs(center.group):
-        basis = _preimage_hnf(h, classes)
-        specs.append(SublatticeSpec(basis, prod(basis[i][i] for i in range(len(basis))),
-                                    _hnf_elements(h, d)))
-    specs.sort(key=lambda s: (s.index_in_p, s.generators))
-    return specs
+    # the class of e_i in P/Q: column i of u
+    classes = [tuple(row[i] % f for row, f in zip(center.u, d)) for i in range(cartan.rank)]
+    specs = (SublatticeSpec(_preimage_hnf(h, classes), _hnf_elements(h, d))
+             for h in _subgroup_hnfs(center.group))
+    return sorted(specs, key=lambda s: (s.index_in_p, s.generators))
 
 
 def _preimage_hnf(h, classes: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -484,7 +460,7 @@ def _preimage_hnf(h, classes: list[tuple[int, ...]]) -> tuple[tuple[int, ...], .
     for i in reversed(range(r)):
         if det == 1:
             break
-        if _in_lattice(lattice, classes[i]):
+        if not any(_coset_rep(classes[i], lattice)):
             continue
         wider = hermite_normal_form([row + [classes[i][a]] for a, row in enumerate(lattice)])
         wider_det = prod(wider[a][a] for a in range(k))
@@ -509,7 +485,8 @@ def _preimage_hnf(h, classes: list[tuple[int, ...]]) -> tuple[tuple[int, ...], .
 
 def _coset_rep(x: Sequence[int], h: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """The representative of x + L with 0 <= x_a < h_aa, for the column
-    Hermite form h of a full-rank lattice L."""
+    Hermite form h of a full-rank lattice L; it is zero exactly when x
+    lies in L."""
     x = list(x)
     for a, row in enumerate(h):
         q = x[a] // row[a]
@@ -524,9 +501,9 @@ def irrep_membership(label: IrrepLabel, spec: SublatticeSpec) -> bool:
 
     Every weight of the irrep is congruent to the highest weight modulo Q,
     so membership of the class of the highest weight in Lambda/Q decides
-    the question; computed by exact triangular solve against the Hermite
-    basis of Lambda, which must be square and lower triangular with a
-    positive diagonal.
+    the question; it is decided by reducing the highest weight against the
+    Hermite basis of Lambda, which must be square and lower triangular
+    with a positive diagonal.
     """
     start = time.perf_counter()
     h = spec.generators
@@ -536,7 +513,7 @@ def irrep_membership(label: IrrepLabel, spec: SublatticeSpec) -> bool:
                          "with a positive diagonal")
     if len(label.weight) != r:
         raise ValueError("weight has wrong rank")
-    member = _in_lattice(h, label.weight)
+    member = not any(_coset_rep(label.weight, h))
     log.info("irrep_membership: rank %d, %s, %.3f s", r,
              "member" if member else "not a member", time.perf_counter() - start)
     return member

@@ -973,9 +973,9 @@ def equivalence_classes_reference(module: FusionModule,
 
 def weight_class(center: CenterData, weight) -> tuple[int, ...]:
     """Image of a weight in the invariant-factor coordinates of P/Q:
-    (u @ weight) mod divisors on the nontrivial coordinates."""
-    x = [sum(u_ij * int(w) for u_ij, w in zip(row, weight)) for row in center.u]
-    return tuple(x[i] % center.divisors[i] for i in center.nontrivial)
+    (u @ weight) mod the invariant factors."""
+    return tuple(sum(u_ij * int(w) for u_ij, w in zip(row, weight)) % f
+                 for row, f in zip(center.u, center.group.invariant_factors))
 
 
 def smith_normal_form_reference(mat) -> tuple[list[list[int]], list[list[int]],
@@ -1037,7 +1037,7 @@ def classify_reference(cartan: CartanData, limit: int = 10_000) -> list[Sublatti
     """The sublattice table by elimination: for each subgroup of P/Q, its
     generators lifted to weights through u^-1 = C v D^-1, joined with the
     Cartan columns and put in column Hermite normal form (r x (r + k))."""
-    c = cartan.matrix()
+    c = cartan.cartan
     r = cartan.rank
     u, snf, v = smith_normal_form_reference(c)
     divisors = [snf[i][i] for i in range(r)]
@@ -1057,7 +1057,6 @@ def classify_reference(cartan: CartanData, limit: int = 10_000) -> list[Sublatti
                          for i in range(r)] for g in _hnf_generators(h, d)]
         basis = hermite_normal_form([[col[i] for col in cols] for i in range(r)])
         specs.append(SublatticeSpec(tuple(tuple(row) for row in basis),
-                                    math.prod(basis[i][i] for i in range(r)),
                                     _hnf_elements(h, d)))
     specs.sort(key=lambda s: (s.index_in_p, s.generators))
     return specs

@@ -282,6 +282,35 @@ def test_spec_corpus_reads_as_json_reads_it(tmp_path, capsys, monkeypatch, name)
     assert outputs() == fast
 
 
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("with_map", [False, True])
+def test_trace_weights_of_pairs_fail_alike_on_either_path(tmp_path, capsys, blocks, rows,
+                                                          with_map):
+    # "trace_weights" given as an array of pairs is an ndarray on the text
+    # path and nested lists after an escaped string; both exit alike
+    pair = [[1, 0]]
+    spec = {"inclusion": {"source": {"blocks": [1]}, "target": {"blocks": [1] * blocks},
+                          "matrix": [pair] * blocks},
+            "trace_weights": [pair] * rows}
+    if with_map:
+        spec["map"] = [[[int(i == j), 0] for j in range(blocks)] for i in range(blocks)]
+    text = json.dumps(spec)
+    outputs = []
+    for raw in (text, text[:-1] + ', "x": "\\u0041"}'):
+        got = qio.loads(raw.encode())["trace_weights"]
+        assert isinstance(got, np.ndarray) == ("\\" not in raw)
+        path = tmp_path / "spec.json"
+        path.write_text(raw)
+        code, _, err = run(capsys, "index", "compute", "--spec", str(path))
+        outputs.append((code, err))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 2
+    message = ("one finite positive weight per target block" if rows == blocks
+               else "one positive weight per target block")
+    assert f"expectation.trace_weights: {message}" in outputs[0][1]
+
+
 def test_spec_corpus_takes_the_text_path_on_valid_specs():
     corpus = spec_corpus()
     for name in ("valid", "map-exponents", "map-2^53+1", "map-spaces", "compact",

@@ -157,15 +157,18 @@ def test_center_groups():
     for lie_type, factors in EXPECTED_CENTERS.items():
         center = center_group(cartan_data(lie_type))
         assert center.group.invariant_factors == factors, lie_type
-        assert center.group.order == _det(cartan_data(lie_type).matrix())
+        assert center.group.order == _det(cartan_data(lie_type).cartan)
 
 
-def test_cartan_data_rejects_tampering():
-    good = cartan_data("A2")
-    rows = [list(r) for r in good.cartan]
-    rows[0][1] = -2
-    with pytest.raises(ValueError):
-        CartanData("A2", tuple(tuple(r) for r in rows))
+def test_cartan_data_is_its_type():
+    assert CartanData(" a_2") == cartan_data("A2")
+    assert cartan_data("A2").lie_type == "A2"
+    for lie_type in ("A2", "B3", "C3", "D5", "E8", "F4", "G2"):
+        cartan = cartan_data(lie_type)
+        want = standard_cartan_matrix(lie_type[0], int(lie_type[1:]))
+        assert cartan.cartan == tuple(map(tuple, want)), lie_type
+    with pytest.raises(TypeError):
+        CartanData("A2", ((2, -2), (-1, 2)))
     with pytest.raises(ValueError):
         cartan_data("H4")
 
@@ -291,7 +294,7 @@ def test_classification_contains_q_and_p():
         for spec in specs:
             assert spec.index_in_p * spec.subgroup_order == order
             # Q <= Lambda: every Cartan column solves integrally
-            for col in zip(*cartan.matrix()):
+            for col in zip(*cartan.cartan):
                 assert _lattice_contains(spec.generators, col)
 
 
@@ -372,7 +375,7 @@ def test_irrep_membership_rejects_malformed_generators():
                        ((1, 1), (0, 1)),      # not lower triangular
                        ((1, 0), (0,)),        # ragged
                        ((1, 0, 0), (0, 1, 0))):  # not square
-        spec = SublatticeSpec(generators, 1, ((0,),))
+        spec = SublatticeSpec(generators, ((0,),))
         with pytest.raises(ValueError, match="lower triangular with a positive diagonal"):
             irrep_membership(label, spec)
 

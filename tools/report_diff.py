@@ -34,12 +34,8 @@ Every difference in exit code, stderr, stdout (with the ``wall_ms``
 value masked) or artifact is printed, one line each.  With ``--rtol``, a
 float in a JSON report or artifact may differ by that much relative to
 the larger of the two values; such a difference is printed as
-``allowed`` and does not fail the comparison.  Two ``fusion generate``
-artifacts whose texts differ are both decoded by
-``qindex.io.ring_from_bytes`` of HEAD_SRC, in its own interpreter; when
-they hold the same ring, the difference is printed as ``same ring`` and
-does not fail the comparison.  The exit code is 0 when every other
-output is identical, 1 otherwise.
+``allowed`` and does not fail the comparison.  The exit code is 0 when
+every other output is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -109,46 +105,18 @@ def _accepts_output(parser: argparse.ArgumentParser, argv: list[str]) -> bool:
     return True
 
 
-def decode_rings(texts: list[str]) -> list[str]:
-    """The qindex.ring/1 text of the ring that ``qindex.io.ring_from_bytes``
-    reads from each ring file text, or its error."""
-    from qindex import io as qio
-
-    out = []
-    for text in texts:
-        try:
-            out.append(qio.ring_to_text(qio.ring_from_bytes(text.encode())))
-        except ValueError as err:
-            out.append(f"error: {err}")
-    return out
-
-
-def run_tree(src: str, workdir: str, jobs: list, mode: str = "--worker") -> list:
-    """The result of ``run_commands`` (``decode_rings`` with ``--rings``)
-    on ``jobs`` in a new interpreter that imports qindex from ``src``."""
+def run_tree(src: str, workdir: str, jobs: list) -> list:
+    """The result of ``run_commands`` on ``jobs`` in a new interpreter that
+    imports qindex from ``src``."""
     job, result = os.path.join(workdir, "job.json"), os.path.join(workdir, "result.json")
     with open(job, "w", encoding="utf-8") as fh:
         json.dump(jobs, fh)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     env.pop("QINDEX_LOG", None)
-    subprocess.run([sys.executable, os.path.abspath(__file__), mode, job, result],
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", job, result],
                    cwd=workdir, env=env, check=True)
     with open(result, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def same_rings(src: str, workdir: str, base: list[dict], head: list[dict]) -> set[int]:
-    """The numbers of the ``fusion generate`` commands whose artifacts
-    differ in text but decode, by ``ring_from_bytes`` of the tree ``src``,
-    to the same ring."""
-    pairs = {n: (b["artifact"], h["artifact"]) for n, (b, h) in enumerate(zip(base, head))
-             if b["argv"][:2] == ["fusion", "generate"] and b["argv"] == h["argv"]
-             and None not in (b["artifact"], h["artifact"]) and b["artifact"] != h["artifact"]}
-    if not pairs:
-        return set()
-    rings = run_tree(src, workdir, [text for pair in pairs.values() for text in pair], "--rings")
-    return {n for n, b, h in zip(pairs, rings[0::2], rings[1::2])
-            if b == h and not b.startswith("error")}
 
 
 # -- the fixed fusion set ------------------------------------------------------------
@@ -550,10 +518,9 @@ def text_differences(field: str, base: str | None, head: str | None, rtol: float
         yield f"{field} {path}".rstrip(), b, h, allowed
 
 
-def compare(base: list[dict], head: list[dict], rtol: float, rings: set[int]):
+def compare(base: list[dict], head: list[dict], rtol: float):
     """(command number, argv, field, base, head, verdict) per difference:
-    "DIFF", "allowed" within ``rtol``, or "same ring" for the artifacts of
-    the commands in ``rings``."""
+    "DIFF", or "allowed" within ``rtol``."""
     for n, (b, h) in enumerate(zip(base, head)):
         if b["argv"] != h["argv"]:
             yield n, b["argv"], "argv", b["argv"], h["argv"], "DIFF"
@@ -565,20 +532,16 @@ def compare(base: list[dict], head: list[dict], rtol: float, rings: set[int]):
             bt, ht = b[field], h[field]
             if mask:
                 bt, ht = WALL_MS.sub('"wall_ms":0', bt), WALL_MS.sub('"wall_ms":0', ht)
-            if field == "artifact" and n in rings:
-                yield n, b["argv"], field, len(bt), len(ht), "same ring"
-                continue
             for where, bv, hv, allowed in text_differences(field, bt, ht, rtol):
                 yield n, b["argv"], where, bv, hv, "allowed" if allowed else "DIFF"
 
 
 def main() -> int:
-    if len(sys.argv) == 4 and sys.argv[1] in ("--worker", "--rings"):
+    if len(sys.argv) == 4 and sys.argv[1] == "--worker":
         with open(sys.argv[2], encoding="utf-8") as fh:
             jobs = json.load(fh)
-        work = run_commands if sys.argv[1] == "--worker" else decode_rings
         with open(sys.argv[3], "w", encoding="utf-8") as fh:
-            json.dump(work(jobs), fh)
+            json.dump(run_commands(jobs), fh)
         return 0
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -598,7 +561,7 @@ def main() -> int:
              for workload in inputs.WORKLOADS for seed in SEEDS]
     cases += [("fixed fusion set", fixed_fusion_set), ("fixed index set", fixed_index_set),
               ("fixed spec set", fixed_spec_set), ("fixed ring set", fixed_ring_set)]
-    total = failed = allowed_count = rings_count = 0
+    total = failed = allowed_count = 0
     with tempfile.TemporaryDirectory(prefix="report_diff_") as tmp:
         for k, (name, build) in enumerate(cases):
             case = os.path.join(tmp, str(k))
@@ -614,18 +577,12 @@ def main() -> int:
                 shutil.copytree(os.path.join(case, "inputs"), os.path.join(case, side))
                 runs.append(run_tree(src, os.path.join(case, side), jobs))
             total += len(jobs)
-            rings = same_rings(args.head_src, os.path.join(case, "head"), *runs)
-            for n, argv, field, b, h, verdict in compare(*runs, args.rtol, rings):
+            for n, argv, field, b, h, verdict in compare(*runs, args.rtol):
                 allowed_count += verdict == "allowed"
-                rings_count += verdict == "same ring"
                 failed += verdict == "DIFF"
-                if verdict == "same ring":
-                    print(f"same ring {name} #{n} {' '.join(argv)}: {field} of "
-                          f"{b} and {h} characters")
-                else:
-                    print(f"{verdict} {name} #{n} {' '.join(argv)}: {field}: {b!r} != {h!r}")
+                print(f"{verdict} {name} #{n} {' '.join(argv)}: {field}: {b!r} != {h!r}")
     print(f"{total} commands: {failed} differences, {allowed_count} allowed "
-          f"within rtol {args.rtol:g}, {rings_count} artifacts the same ring")
+          f"within rtol {args.rtol:g}")
     return 1 if failed else 0
 
 
