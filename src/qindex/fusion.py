@@ -16,8 +16,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 __all__ = [
-    "FusionRing", "FusionModule", "DimensionVector", "ModuleTrace",
-    "TraceSolveResult", "BigradedDims", "MultiplicityFunctor", "StandardSolution",
+    "FusionRing", "FusionModule", "DimensionVector", "TraceSolveResult",
+    "BigradedDims", "MultiplicityFunctor", "StandardSolution",
     "validate_fusion", "validate_module", "pf_dimensions", "module_trace_solve",
     "equivalence_classes", "functor_dims", "d_function",
     "check_locally_constant", "standard_solution_components",
@@ -83,11 +83,14 @@ class FusionRing:
         return self.labels.index(label)
 
     def dual_label(self, label: str) -> str:
-        return self._dual_of[label]
+        return self.labels[self._dual_index[self.index(label)]]
 
     @functools.cached_property
-    def _dual_of(self) -> dict[str, str]:
-        return dict(self.dual)
+    def _dual_index(self) -> np.ndarray:
+        """The index of the dual of each label, in label order."""
+        position = dict(zip(self.labels, range(self.rank)))
+        dual = dict(self.dual)
+        return np.array([position[dual[lab]] for lab in self.labels], dtype=np.intp)
 
     def n(self, u: str, v: str, w: str) -> int:
         return int(self.tensor[self.index(u), self.index(v), self.index(w)])
@@ -255,7 +258,7 @@ def _associativity_violations(what: str, t: np.ndarray, a: np.ndarray,
     return [found], len(set(generators).union(range(u + 1)))
 
 
-def _conjugation_mismatch(a: np.ndarray, dual_idx: list[int]) -> tuple | None:
+def _conjugation_mismatch(a: np.ndarray, dual_idx: np.ndarray) -> tuple | None:
     """The first (u, i, j) where a_{ubar,j}^i != a_{u,i}^j, or None: the
     conjugate transpose law of a module, and Frobenius reciprocity of the
     ring for a = N.  ``dual_idx[u]`` is the index of ubar."""
@@ -336,7 +339,7 @@ def _fusion_violations(ring: FusionRing) -> tuple[list[str], int]:
     # At w = 1 it is duality, N_{uv}^1 = N_{ubar 1}^v = delta_{v, ubar} by
     # the unit laws, so duality is searched only when reciprocity fails,
     # and its first failure in (u, v) order is named before reciprocity's
-    dual_idx = [ring.index(dual_map[lab]) for lab in labels]
+    dual_idx = ring._dual_index
     bad = _conjugation_mismatch(t, dual_idx)
     if bad is None:
         return [], checked
@@ -421,8 +424,7 @@ def _module_violations(module: FusionModule) -> tuple[list[str], int]:
         ring._generators)
     if mismatch:
         return mismatch, checked
-    bad = _conjugation_mismatch(
-        a, [ring.index(ring.dual_label(lab)) for lab in ring.labels])
+    bad = _conjugation_mismatch(a, ring._dual_index)
     if bad is not None:
         return [f"conjugate transpose law fails at {ring.labels[bad[0]]}"], checked
     return [], checked
@@ -440,6 +442,9 @@ class DimensionVector:
 
     def __getitem__(self, label: str) -> float:
         return self._by_label[label]
+
+    def vector(self) -> np.ndarray:
+        return np.array([v for _, v in self.values])
 
     def as_dict(self) -> dict[str, float]:
         return dict(self.values)
@@ -480,8 +485,7 @@ def pf_dimensions(ring: FusionRing) -> DimensionVector:
     if worst > CHARACTER_TOL:
         raise ValueError(f"character equation fails by {worst:.3e}; "
                          "no positive character at this accuracy")
-    dual_drift = max(abs(v[ring.index(ring.dual_label(lab))] - v[i])
-                     for i, lab in enumerate(ring.labels)) / v.max()
+    dual_drift = np.abs(v[ring._dual_index] - v).max() / v.max()
     if dual_drift > CHARACTER_TOL:
         raise ValueError(f"dimension function not dual-invariant ({dual_drift:.3e})")
     log.info("pf_dimensions: rank %d, character residual %.3e, %.3f s",
@@ -490,42 +494,18 @@ def pf_dimensions(ring: FusionRing) -> DimensionVector:
 
 
 @dataclass(frozen=True)
-class ModuleTrace:
-    """Positive simultaneous eigenvector of the action matrices.
-
-    Satisfies sum_j n_{u,i}^j m(j) = d(u) m(i), normalized to m = 1 at
-    ``base_label``.
-    """
-
-    module: FusionModule
-    ring_dims: DimensionVector
-    values: tuple[tuple[str, float], ...]
-    base_label: str
-
-    @functools.cached_property
-    def _by_label(self) -> dict[str, float]:
-        return dict(self.values)
-
-    def __getitem__(self, label: str) -> float:
-        return self._by_label[label]
-
-    def vector(self) -> np.ndarray:
-        return np.array([v for _, v in self.values])
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.values)
-
-
-@dataclass(frozen=True)
 class TraceSolveResult:
     """Outcome of module_trace_solve.
 
     status is one of "ok", "no_solution", "no_positive_solution",
-    "decomposable" (solution space dimension > 1).
+    "decomposable" (solution space dimension > 1).  When it is "ok",
+    ``trace`` is the module trace m: a dimension function on the module's
+    labels with sum_j n_{u,i}^j m(j) = d(u) m(i), and m = 1 at the first
+    label.
     """
 
     status: str
-    trace: ModuleTrace | None
+    trace: DimensionVector | None
     solution_dim: int
 
 
@@ -565,8 +545,7 @@ def _trace_solve(module: FusionModule, ring_dims: DimensionVector) -> TraceSolve
     v = v / v[int(np.argmax(np.abs(v)))]
     if np.any(v <= NULLITY_RTOL):
         return TraceSolveResult("no_positive_solution", None, 1)
-    trace = ModuleTrace(module, ring_dims,
-                        tuple(zip(module.labels, map(float, v / v[0]))), module.labels[0])
+    trace = DimensionVector(tuple(zip(module.labels, map(float, v / v[0]))))
     return TraceSolveResult("ok", trace, 1)
 
 
@@ -643,16 +622,16 @@ class MultiplicityFunctor:
 
 def functor_dims(module: FusionModule, u: str) -> BigradedDims:
     """Bigraded dims of the action-by-u functor: dims[j, i] = n_{u,i}^j."""
-    return BigradedDims(module.action_matrix(u).T)
+    return BigradedDims(module.action[module.ring.index(u)].T)
 
 
-def action_functor(module: FusionModule, trace: ModuleTrace,
+def action_functor(module: FusionModule, trace: DimensionVector,
                    u: str) -> MultiplicityFunctor:
     return MultiplicityFunctor(module, functor_dims(module, u),
                                standard_solution_components(module, trace, u))
 
 
-def d_function(functor: MultiplicityFunctor, trace: ModuleTrace) -> dict[str, float]:
+def d_function(functor: MultiplicityFunctor, trace: DimensionVector) -> dict[str, float]:
     """d_F(i) = d(F(i)) / d(i) = sum_j dims[j, i] m(j) / m(i)."""
     m = trace.vector()
     dims = functor.dims.dims.astype(float)
@@ -683,43 +662,35 @@ class StandardSolution:
     The explicit vectors realize each component as a scaled maximally
     entangled vector over an orthonormal basis pair of the multiplicity
     spaces M(i, ubar j) and M(j, u i); R_ji lives in their tensor product
-    in that order, Rbar_ji in the opposite order.
+    in that order, Rbar_ji in the opposite order.  ``r_vectors`` and
+    ``rbar_vectors`` map each (j, i) with n_{u,i}^j != 0 to R_ji and Rbar_ji.
     """
 
-    ring_label: str
-    labels: tuple[str, ...]
     norms_r_sq: np.ndarray
     norms_rbar_sq: np.ndarray
-    r_vectors: tuple[tuple[int, int, np.ndarray], ...]
-    rbar_vectors: tuple[tuple[int, int, np.ndarray], ...]
-
-    @functools.cached_property
-    def _lookup(self) -> tuple[dict, dict]:
-        """(j, i) -> vector of ``r_vectors`` and of ``rbar_vectors``, the
-        first of each key, built once."""
-        return tuple({(j, i): v for j, i, v in reversed(vectors)}
-                     for vectors in (self.r_vectors, self.rbar_vectors))
+    r_vectors: Mapping[tuple[int, int], np.ndarray]
+    rbar_vectors: Mapping[tuple[int, int], np.ndarray]
 
     def r_vector(self, j: int, i: int) -> np.ndarray:
-        return self._lookup[0].get((j, i), np.zeros(0, dtype=complex))
+        return self.r_vectors.get((j, i), np.zeros(0, dtype=complex))
 
     def rbar_vector(self, j: int, i: int) -> np.ndarray:
-        return self._lookup[1].get((j, i), np.zeros(0, dtype=complex))
+        return self.rbar_vectors.get((j, i), np.zeros(0, dtype=complex))
 
 
-def standard_solution_components(module: FusionModule, trace: ModuleTrace,
+def standard_solution_components(module: FusionModule, trace: DimensionVector,
                                  u: str) -> StandardSolution:
     """Component norms and explicit vectors of the standard solution.
 
     The product norms_r_sq * norms_rbar_sq equals (n_{u,i}^j)^2 entrywise.
     """
     mvals = trace.vector()
-    action = module.action_matrix(u)
+    action = module.action[module.ring.index(u)]
     size = module.size
     nr = np.zeros((size, size))
     nrbar = np.zeros((size, size))
-    r_vecs = []
-    rbar_vecs = []
+    r_vecs = {}
+    rbar_vecs = {}
     for i in range(size):
         for j in range(size):
             mult = int(action[i, j])
@@ -729,13 +700,12 @@ def standard_solution_components(module: FusionModule, trace: ModuleTrace,
             nr[j, i] = ratio * mult
             nrbar[j, i] = mult / ratio
             ent = np.eye(mult, dtype=complex).ravel() / np.sqrt(mult)
-            r_vecs.append((j, i, np.sqrt(nr[j, i]) * ent))
-            rbar_vecs.append((j, i, np.sqrt(nrbar[j, i]) * ent))
-    return StandardSolution(u, module.labels, nr, nrbar,
-                            tuple(r_vecs), tuple(rbar_vecs))
+            r_vecs[j, i] = np.sqrt(nr[j, i]) * ent
+            rbar_vecs[j, i] = np.sqrt(nrbar[j, i]) * ent
+    return StandardSolution(nr, nrbar, r_vecs, rbar_vecs)
 
 
-def functor_trace_components(functor: MultiplicityFunctor, trace: ModuleTrace,
+def functor_trace_components(functor: MultiplicityFunctor, trace: DimensionVector,
                              eta: Mapping[tuple[int, int], np.ndarray],
                              ) -> tuple[float, float, float]:
     """Left insertion, right insertion, and closed-form functor trace.

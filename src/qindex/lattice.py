@@ -1,11 +1,12 @@
 """Finite-index sublattices between root and weight lattices.
 
 Everything is exact integer arithmetic in the fundamental-weight basis:
-P = Z^r and Q is the column lattice of the Cartan matrix.  A Cartan datum
-is given by its Lie type alone, and P/Q by its invariant factors and its
-class map, both read off the Smith normal form of the Cartan matrix.  The
-subgroups H of P/Q are listed directly as Hermite normal forms, and each
-is pulled back along the class map P -> P/Q to a sublattice
+P = Z^r and Q is the row lattice of the Cartan matrix, whose row i is the
+simple root alpha_i (a_ij = <alpha_i, alpha_j^vee>).  A Cartan datum is
+given by its Lie type alone, and P/Q by its invariant factors and its
+class map, both read off the Smith normal form of the transposed Cartan
+matrix.  The subgroups H of P/Q are listed directly as Hermite normal
+forms, and each is pulled back along the class map P -> P/Q to a sublattice
 Q <= Lambda <= P.  The Hermite basis of Lambda is read off the finite
 quotient P/Lambda = (P/Q)/H, so only matrices with as many rows as P/Q
 has invariant factors are reduced.  The resulting lattice indices are
@@ -345,8 +346,9 @@ def _identity(n: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 def center_group(cartan: CartanData) -> CenterData:
-    """P/Q from the Smith normal form of the Cartan matrix."""
-    u, d = smith_normal_form(cartan.cartan)
+    """P/Q from the Smith normal form of the transposed Cartan matrix,
+    whose columns are the simple roots."""
+    u, d = smith_normal_form([list(c) for c in zip(*cartan.cartan)])
     kept = [i for i in range(cartan.rank) if d[i][i] > 1]
     return CenterData(FiniteAbelianGroup(tuple(d[i][i] for i in kept)),
                       tuple(tuple(u[i]) for i in kept))

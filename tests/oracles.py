@@ -75,7 +75,7 @@ from qindex.algebra import (DEFAULT_TOL, INCLUSION_TOL, RANK_RTOL, AlgebraElemen
 from qindex.expectation import (ConditionalExpectation, QuasiBasis, _defect,
                                 _frame_map)
 from qindex.fusion import (NULLITY_RTOL, DimensionVector, FusionModule, FusionRing,
-                           ModuleTrace, MultiplicityFunctor, TraceSolveResult,
+                           MultiplicityFunctor, TraceSolveResult,
                            _associativity_violations, _conjugation_mismatch,
                            functor_trace_components)
 from qindex.io import (SchemaError, _expect, _matrix_from_json, _sparse_text, canonical_object,
@@ -901,13 +901,12 @@ def words_rank(tensor: np.ndarray, unit: int, gens) -> int:
     return len(basis)
 
 
-def plancherel_weight(trace: ModuleTrace, a: Mapping[str, complex]) -> complex:
+def plancherel_weight(trace: DimensionVector, a: Mapping[str, complex]) -> complex:
     """sum_i m(i)^2 a_i over the irreducibles of the module."""
-    return complex(sum((trace[i] ** 2) * complex(a.get(i, 0.0))
-                       for i in trace.module.labels))
+    return complex(sum((m ** 2) * complex(a.get(i, 0.0)) for i, m in trace.values))
 
 
-def functor_trace(functor: MultiplicityFunctor, trace: ModuleTrace,
+def functor_trace(functor: MultiplicityFunctor, trace: DimensionVector,
                   eta: Mapping[tuple[int, int], np.ndarray],
                   tol: float = 1e-9) -> float:
     """Closed-form functor trace, cross-checked against both insertions.
@@ -940,9 +939,8 @@ def trace_solve_reference(module: FusionModule,
     v = vh[-1] / vh[-1][int(np.argmax(np.abs(vh[-1])))]
     if np.any(v <= NULLITY_RTOL):
         return TraceSolveResult("no_positive_solution", None, 1)
-    return TraceSolveResult("ok", ModuleTrace(module, ring_dims,
-                                              tuple(zip(module.labels, map(float, v / v[0]))),
-                                              module.labels[0]), 1)
+    return TraceSolveResult(
+        "ok", DimensionVector(tuple(zip(module.labels, map(float, v / v[0])))), 1)
 
 
 def equivalence_classes_reference(module: FusionModule,
@@ -1035,9 +1033,10 @@ def smith_normal_form_reference(mat) -> tuple[list[list[int]], list[list[int]],
 
 def classify_reference(cartan: CartanData, limit: int = 10_000) -> list[SublatticeSpec]:
     """The sublattice table by elimination: for each subgroup of P/Q, its
-    generators lifted to weights through u^-1 = C v D^-1, joined with the
-    Cartan columns and put in column Hermite normal form (r x (r + k))."""
-    c = cartan.cartan
+    generators lifted to weights through u^-1 = C^T v D^-1, joined with the
+    simple roots, the Cartan rows, and put in column Hermite normal form
+    (r x (r + k))."""
+    c = [list(col) for col in zip(*cartan.cartan)]  # C^T: Q is its column lattice
     r = cartan.rank
     u, snf, v = smith_normal_form_reference(c)
     divisors = [snf[i][i] for i in range(r)]
@@ -1048,7 +1047,7 @@ def classify_reference(cartan: CartanData, limit: int = 10_000) -> list[Sublatti
         col = [sum(c[i][m] * v[m][p] for m in range(r)) for i in range(r)]
         assert all(x % divisors[p] == 0 for x in col)
         lifts.append([x // divisors[p] for x in col])
-    roots = [list(col) for col in zip(*c)]
+    roots = [list(row) for row in cartan.cartan]
     specs = []
     if math.prod(d) > limit:
         raise ValueError(f"group order {math.prod(d)} exceeds the limit {limit}")

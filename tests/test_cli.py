@@ -1058,6 +1058,16 @@ def test_classify_irrep(capsys):
     assert report_of(out)["results"]["member"] is True
 
 
+@pytest.mark.parametrize("lie_type, member", [("B3", True), ("C3", False)])
+def test_classify_irrep_reads_the_root_lattice_off_the_cartan_rows(capsys, lie_type, member):
+    # omega_1 of B3 is the vector representation of SO(7) = Spin(7)/Z, so it
+    # lies in Q; of C3 it is the defining one of Sp(6), on which -1 acts by -1
+    code, out, _ = run(capsys, "classify", "irrep", "--lie-type", lie_type,
+                       "--weight", "1,0,0", "--subgroup", "Q")
+    assert code == 0
+    assert report_of(out)["results"]["member"] is member
+
+
 def test_classify_irrep_selects_p_and_table_positions(capsys):
     # P is the whole weight lattice; D4 position 1 is the index-2 lattice
     # with HNF rows (1,0,0,0), (0,1,0,0), (0,0,1,0), (0,0,1,2)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qindex.fusion import (BigradedDims, FusionModule, FusionRing,
+from qindex.fusion import (BigradedDims, DimensionVector, FusionModule, FusionRing,
                            MultiplicityFunctor, _associativity_violations,
                            action_functor,
                            check_locally_constant, d_function,
@@ -671,11 +671,32 @@ def test_summed_matrices_that_are_not_symmetric_are_rejected():
         module_trace_solve(module, pf_dimensions(ring))
 
 
+def test_a_dual_that_moves_the_dimensions_is_rejected():
+    # TLJ 4 with the duals of 0 and 1 swapped keeps the character equation,
+    # and d(1) = sqrt 2 drifts from d(0) = 1 by (sqrt 2 - 1) / sqrt 2 of max(d)
+    r = gen_tlj(4)[0]
+    swapped = FusionRing(r.labels, "0", (("0", "1"), ("1", "0"), ("2", "2")), r.tensor)
+    with pytest.raises(ValueError,
+                       match=re.escape("dimension function not dual-invariant (2.929e-01)")):
+        pf_dimensions(swapped)
+
+
+def test_a_module_trace_is_a_dimension_vector_on_the_module_labels():
+    ring = gen_tlj(5)[0]
+    module = FusionModule(ring, ("a", "b", "c", "d"), ring.tensor)
+    dims = pf_dimensions(ring)
+    trace = module_trace_solve(module, dims).trace
+    assert isinstance(trace, DimensionVector)
+    assert [lab for lab, _ in trace.values] == ["a", "b", "c", "d"]
+    assert trace["a"] == 1.0
+    assert trace.vector() == pytest.approx(dims.vector(), rel=1e-12)
+
+
 # -- Plancherel weight -------------------------------------------------------
 
 def test_plancherel_global_dimension_tlj4():
-    _, _, _, trace = regular_with_trace(4)
-    total = plancherel_weight(trace, {lab: 1.0 for lab in trace.module.labels})
+    _, module, _, trace = regular_with_trace(4)
+    total = plancherel_weight(trace, {lab: 1.0 for lab in module.labels})
     assert abs(total - 4.0) <= 1e-9
 
 
@@ -890,7 +911,7 @@ def test_functor_trace_flags_nonstandard_vectors():
         standard_solution_components(module, trace, "1"))
     # tamper one vector: double it
     sol = bad.solution
-    doctored = tuple((j, i, 2.0 * v) for (j, i, v) in sol.r_vectors)
+    doctored = {key: 2.0 * v for key, v in sol.r_vectors.items()}
     from dataclasses import replace
     bad = MultiplicityFunctor(module, functor.dims, replace(sol, r_vectors=doctored))
     with pytest.raises(ValueError):

@@ -284,7 +284,7 @@ def test_classification_tables():
 
 
 def test_classification_contains_q_and_p():
-    for lie_type in ("A2", "B3", "D5", "E7"):
+    for lie_type in ("A2", "B3", "C3", "D5", "E7"):
         cartan = cartan_data(lie_type)
         specs = classify_subgroups(cartan)
         order = center_group(cartan).group.order
@@ -293,9 +293,21 @@ def test_classification_contains_q_and_p():
         assert max(indices) == order
         for spec in specs:
             assert spec.index_in_p * spec.subgroup_order == order
-            # Q <= Lambda: every Cartan column solves integrally
-            for col in zip(*cartan.cartan):
-                assert _lattice_contains(spec.generators, col)
+            # Q <= Lambda: every simple root, a Cartan row, solves integrally
+            for root in cartan.cartan:
+                assert _lattice_contains(spec.generators, root)
+
+
+@pytest.mark.parametrize("lie_type", [f"{f}{r}" for f in "BC" for r in range(2, 9)])
+def test_fundamental_weights_in_the_root_lattice_of_b_and_c(lie_type):
+    # Bourbaki's tables, independent of how the Cartan matrix is read:
+    # omega_i of B_r is in Q iff i < r (omega_r is the spin representation),
+    # and omega_i of C_r is in Q iff i is even (-1 in Sp(2r) acts by (-1)^i)
+    family, rank = lie_type[0], int(lie_type[1:])
+    q_spec = max(classify_subgroups(cartan_data(lie_type)), key=lambda s: s.index_in_p)
+    for i in range(1, rank + 1):
+        omega = IrrepLabel(tuple(int(k == i) for k in range(1, rank + 1)))
+        assert irrep_membership(omega, q_spec) == (i < rank if family == "B" else i % 2 == 0), i
 
 
 def test_subgroup_is_closure_of_lattice_generator_classes():

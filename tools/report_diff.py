@@ -9,7 +9,7 @@ BASE_SRC and HEAD_SRC are the ``src`` directories of the two trees.  For
 every benchmark workload and each seed of ``SEEDS`` (1 to 5), the commands
 of one benchmark pass are built with ``perfbench/inputs.build`` of this
 checkout, and ``-o FILE`` is appended to every command that accepts it
-and has none.  Four fixed
+and has none.  Five fixed
 sets of commands that the benchmark never runs come last.  The fusion set is
 ``fusion generate`` of pointed and TLJ rings with and without ``-o``, and
 ``fusion trace`` and ``fusion descent`` with module files, a
@@ -25,7 +25,10 @@ trees' exit codes and error messages on them are compared.  The ring
 set is ``fusion trace`` and ``fusion descent`` on every file of
 ``ring_corpus``: malformed and edge qindex.ring/1 and module files, whose
 sparse maps ``qindex.io`` walks entry by entry as ``json`` decodes them,
-with the valid spellings next to them.  Each tree runs the commands of
+with the valid spellings next to them.  The lattice set is ``classify
+--lie-type X`` and ``classify irrep --subgroup Q`` at each fundamental
+weight of X, for X in A1-A8, B2-B8, C2-C8, D3-D8, E6-E8, F4 and G2, so
+every family's Cartan matrix is read.  Each tree runs the commands of
 one workload and seed (or a fixed set) in its own interpreter, through
 ``qindex.cli.main(argv)``, in its own copy of the input directory, so
 the command lines are the same on both sides.
@@ -482,6 +485,28 @@ def fixed_ring_set() -> list[dict]:
     return jobs
 
 
+# -- the fixed lattice set -----------------------------------------------------------
+
+#: the Lie types of the lattice set: every family, non-simply-laced ones among them
+LATTICE_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
+                 + [f"C{r}" for r in range(2, 9)] + [f"D{r}" for r in range(3, 9)]
+                 + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def fixed_lattice_set() -> list[dict]:
+    """The ``classify`` table of each type of ``LATTICE_TYPES``, and the
+    membership of each of its fundamental weights in Q."""
+    jobs = []
+    for lie_type in LATTICE_TYPES:
+        rank = int(lie_type[1:])
+        jobs.append({"argv": ["classify", "--lie-type", lie_type], "output": True})
+        for i in range(rank):
+            weight = ",".join("1" if k == i else "0" for k in range(rank))
+            jobs.append({"argv": ["classify", "irrep", "--lie-type", lie_type,
+                                  "--weight", weight, "--subgroup", "Q"], "output": True})
+    return jobs
+
+
 # -- comparison ---------------------------------------------------------------------
 
 def json_differences(base, head, rtol: float, path: str = ""):
@@ -560,7 +585,8 @@ def main() -> int:
     cases = [(f"{workload} seed {seed}", benchmark_pass(workload, seed))
              for workload in inputs.WORKLOADS for seed in SEEDS]
     cases += [("fixed fusion set", fixed_fusion_set), ("fixed index set", fixed_index_set),
-              ("fixed spec set", fixed_spec_set), ("fixed ring set", fixed_ring_set)]
+              ("fixed spec set", fixed_spec_set), ("fixed ring set", fixed_ring_set),
+              ("fixed lattice set", fixed_lattice_set)]
     total = failed = allowed_count = 0
     with tempfile.TemporaryDirectory(prefix="report_diff_") as tmp:
         for k, (name, build) in enumerate(cases):
