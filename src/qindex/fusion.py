@@ -11,7 +11,7 @@ import functools
 import logging
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,8 +31,6 @@ log = logging.getLogger("qindex.fusion")
 CHARACTER_TOL = 1e-10
 #: relative eigenvalue window and singular-value threshold of a module trace
 NULLITY_RTOL = 1e-10
-#: prime modulus of the generation certificate, the largest below 2^25
-_CERTIFICATE_PRIME = 33554393
 #: entries of the largest product of an associativity check: labels are
 #: checked together up to it, so a small ring pays one pair of products
 _CHECK_ENTRIES = 2 ** 16
@@ -102,9 +100,11 @@ class FusionRing:
 
 
 def _labels(labels) -> tuple[str, ...]:
-    """Labels as strings.  The sparse JSON maps key entries by "U,V"
-    pairs, so a label must not contain a comma."""
+    """Labels as distinct strings.  The sparse JSON maps key entries by
+    "U,V" pairs, so a label must not contain a comma."""
     labels = tuple(str(x) for x in labels)
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels must be distinct")
     if any("," in x for x in labels):
         raise ValueError("labels must not contain commas")
     return labels
@@ -112,89 +112,49 @@ def _labels(labels) -> tuple[str, ...]:
 
 def _generating_set(tensor: np.ndarray, unit: int) -> tuple[int, ...]:
     """Indices of a set S of labels that generates the ring, picked
-    greedily in label order, and certified to generate it.
+    greedily in label order: a label joins S when the words of the labels
+    before it do not reach it.
 
-    A label joins S when its basis vector is not in the span V of the words
-    of the labels before it.  V is the smallest space that holds 1 and is
-    closed under left multiplication by S (x -> s x is x @ N[s]); it is
-    grown over Z/p by multiplying each vector added to it by every s in S,
-    in int64: every sum has at most r terms below p^2, exact while
-    r * p^2 < 2^63 (r < 2^13), and a larger ring returns every label.  Rank
-    mod p is at most rank over Q, so V = (Z/p)^r certifies that S
-    generates the ring.  The unit laws must hold: then u 1 = u, so the loop
-    ends with V everything.
+    The word s x of s in S and a label x holds the labels w with
+    N_{sx}^w > 0 (x -> s x is x @ N[s]).  The unit is reached, and a label
+    is reached when a word s x with x reached holds it and every other
+    label in it is reached; so s 1 = s reaches each s in S, as the unit
+    laws must hold.  Then a positive multiple of each reached label is an
+    integer combination of words of S, so S generates the ring once every
+    label is reached, with no arithmetic.  A word that holds two or more
+    unreached labels is read again each time a label is reached, so the
+    reached labels, and S, depend only on label order.
 
-    V is an echelon basis keyed by lead, the last nonzero entry.  A basis
-    vector that is the basis vector e_x of a label x is kept as x alone, in
-    a set of such labels that starts as {unit}: a vector is reduced by
-    dropping its entries at these labels, which needs no arithmetic, and
-    by the basis vector of its lead until it is zero (it is in V) or has a
-    lead no basis vector has.  A residue with one such entry left puts e_z
-    in V for that label z.  The words of TLJ's generator and of a pointed
-    ring all reduce this way, so V grows with no arithmetic on them.
-
-    Growing V costs O(|S| r^3) operations, and it spares a check of every
-    label it reaches.  Once it has reached fewer labels than it picked, as
-    on rings in which few labels generate more than themselves, every label
-    not yet in V joins S, which then generates the ring with no more words.
+    Reading the |S| r words costs O(|S| r^2), and spares a check of every
+    label they reach.  Once they have reached fewer labels than S holds,
+    as on rings in which few labels generate more than themselves, every
+    label not yet reached joins S, which then generates the ring with no
+    more words.
     """
-    r, p = tensor.shape[0], _CERTIFICATE_PRIME
-    if r * (p - 1) ** 2 >= 2 ** 63:
-        return tuple(range(r))
-    reached = {unit}  # the labels x with e_x in V
-    # the other leads -> (vector of V, 1 / its lead)
-    basis: dict[int, tuple[np.ndarray, int]] = {}
-    identity = np.eye(r, dtype=np.int64)
-
-    def residue(y: np.ndarray) -> tuple[list[int], np.ndarray]:
-        """The labels outside ``reached`` where y reduced modulo V is
-        nonzero, and that residue: none when y is in V, else the last is a
-        lead no basis vector has."""
-        while nonzero := [x for x in y.nonzero()[0].tolist() if x not in reached]:
-            lead = nonzero[-1]
-            if lead not in basis:
-                break
-            b, inverse = basis[lead]
-            y = (y - int(y[lead]) * inverse % p * b) % p
-        return nonzero, y
-
-    def insert(rows: np.ndarray) -> np.ndarray:
-        """Add to V the rows that are not in it; return them."""
-        added = []
-        for k, y in enumerate(rows):
-            nonzero, rest = residue(y)
-            if len(nonzero) == 1:
-                reached.add(nonzero[0])
-            elif nonzero:
-                basis[nonzero[-1]] = rest, pow(int(rest[nonzero[-1]]), -1, p)
-            if nonzero:
-                added.append(k)
-        return rows if len(added) == len(rows) else rows[added]
-
-    def outside(start: int) -> Iterator[int]:
-        """The labels from ``start`` on whose basis vectors are not in V:
-        e_x is its own residue unless x is in ``reached`` or is a lead."""
-        return (x for x in range(start, r) if x not in reached
-                and (x not in basis or residue(identity[x])[0]))
-
-    spans = [identity[unit:unit + 1]]  # the vectors added to V
+    r = tensor.shape[0]
+    reached = {unit}
     gens: list[int] = []
-    u = 0
-    while len(reached) + len(basis) < r:
-        u = next(outside(u))
-        if u - len(gens) < len(gens):  # of the labels before u, V reached fewer than S
-            return (*gens, *outside(u))
+    stuck: list[set[int]] = []  # the unreached labels of words holding two or more
+
+    def words(by: Iterable[int], xs: Iterable[int]) -> list[set[int]]:
+        """The labels of the words s x, s in ``by`` and x in ``xs``."""
+        return [set(np.flatnonzero(tensor[s, x]).tolist()) for s in by for x in xs]
+
+    for u in range(r):
+        if u in reached:
+            continue
+        if u - len(gens) < len(gens):  # of the labels before u, the words reached fewer than S
+            return (*gens, *(x for x in range(u, r) if x not in reached))
         gens.append(u)
-        by = tensor[u] % p
-        # [N[s] for s in S] mod p, side by side
-        words = by if len(gens) == 1 else np.concatenate((words, by), axis=1)
-        # V is closed under the earlier labels of S: apply u to all of it,
-        # then all of S to what that adds
-        new = insert(np.concatenate(spans) @ by % p)
-        while len(new) and len(reached) + len(basis) < r:
-            spans.append(new)
-            new = insert((new @ words).reshape(-1, r) % p)
-        u += 1
+        todo = words([u], reached)
+        while todo:
+            word = todo.pop() - reached
+            if len(word) > 1:
+                stuck.append(word)
+            elif word:
+                reached |= word
+                todo += stuck + words(gens, word)
+                stuck = []
     return tuple(gens)
 
 
@@ -270,15 +230,17 @@ def validate_fusion(ring: FusionRing) -> list[str]:
     """Exact check of the unit, associativity, and duality axioms.
 
     Associativity is checked on a set S of labels that generates the ring,
-    certified by an echelon basis mod p of the words in S (O(|S| r^3)
-    int64 operations): the labels that pass form a subring, so S passing
-    proves every label does.  Each label of S costs a pair of r x r by
-    r x r^2 floating-point products, so the check costs |S| r^4 in place of
-    r^5 (|S| = 1 for TLJ).  They are exact while r * max(N)^2 stays below
-    the bound: float32 below 2^24, float64 below 2^53, and above 2^53 an
-    ``exactness bound`` violation.  When a label of S fails, every label is
-    checked in order, so the first violation named is the first in label
-    order.  Memory is O(r^3).
+    certified by the labels its words reach (``_generating_set``, |S| r
+    words of r entries each): a positive multiple of each label is an
+    integer combination of words of S, and the labels that pass form a
+    subring of a torsion-free ring, so S passing proves every label does.
+    Each label of S costs a pair of r x r by r x r^2 floating-point
+    products, so the check costs |S| r^4 in place of r^5 (|S| = 1 for
+    TLJ).  They are exact while r * max(N)^2 stays below the bound: float32
+    below 2^24, float64 below 2^53, and above 2^53 an ``exactness bound``
+    violation.  When a label of S fails, every label is checked in order,
+    so the first violation named is the first in label order.  Memory is
+    O(r^3).
 
     Returns an empty list for a valid ring; otherwise the violations in the
     order they were found, each naming the identity and the indices.
@@ -296,7 +258,7 @@ def _labels_checked(ring: FusionRing, checked: int) -> str:
     """The log clause of how many labels ran the associativity products."""
     clause = f"{checked} of {ring.rank} labels checked"
     if checked:
-        clause += f" (generating set of {len(ring._generators)} certified mod p)"
+        clause += f" (generating set of {len(ring._generators)})"
     return clause
 
 
@@ -380,21 +342,19 @@ class FusionModule:
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
-    def action_matrix(self, u: str) -> np.ndarray:
-        """Matrix with n_{u,i}^j at (i, j)."""
-        return np.array(self.action[self.ring.index(u)])
-
 
 def validate_module(module: FusionModule) -> list[str]:
     """Exact check of the ring, unit action, mixed associativity, and
     conjugation.
 
     Mixed associativity is checked as the ring's associativity is, on the
-    ring's generating set S (|S| r m^2 (r + m) products): the labels that
-    pass form a subring once the ring is associative and its unit acts
-    trivially.  The bounds are on r * max(N) * max(n) and m * max(n)^2 (m
-    the module size): float32 products below 2^24, float64 below 2^53, and
-    an ``exactness bound`` violation above.  Memory is O(r^3 + r m^2).  Ring
+    ring's generating set S, certified by the labels its words reach
+    (|S| r m^2 (r + m) products): the labels that pass form a subring once
+    the ring is associative and its unit acts trivially, and a positive
+    multiple of each label is an integer combination of words of S.  The
+    bounds are on r * max(N) * max(n) and m * max(n)^2 (m the module
+    size): float32 products below 2^24, float64 below 2^53, and an
+    ``exactness bound`` violation above.  Memory is O(r^3 + r m^2).  Ring
     violations are returned prefixed with ``ring:``.
     """
     start = time.perf_counter()

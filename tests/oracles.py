@@ -49,7 +49,9 @@ the references for the pivot scan and the quotient construction of
 ``words_rank`` is the rank over Q of the words in a set of fusion labels,
 the reference for the generation certificate of ``qindex.fusion``, and
 ``validate_fusion_every_label`` is the ring validation that checks the
-associativity of every label, the baseline of its cost.
+associativity of every label, the baseline of its cost.  ``su3_ring``
+builds the Verlinde ring SU(3)_k, whose generator's words reach labels
+only in combination.
 ``matrix_unit`` and ``embed_block_diagonal`` build matrix units and the
 block-diagonal representation of an element.
 ``is_positive``, ``plancherel_weight`` and ``functor_trace`` are checks
@@ -899,6 +901,32 @@ def words_rank(tensor: np.ndarray, unit: int, gens) -> int:
             if y is not None:
                 queue.append(y)
     return len(basis)
+
+
+def su3_ring(k: int) -> FusionRing:
+    """The Verlinde ring SU(3)_k: labels ``a.b`` (Dynkin labels, a + b <= k)
+    with unit ``0.0`` and the dual of ``a.b`` being ``b.a``, and N from the
+    Verlinde formula on the Kac-Peterson S-matrix
+    S_{lm} ~ sum_{w in S3} sign(w) exp(-2 pi i (w(l + rho), m + rho) / (k + 3)),
+    where (w_i, w_j) = [[2/3, 1/3], [1/3, 2/3]].  The words of ``0.1`` reach
+    ``0.1 0.1 = 1.0 + 0.2`` only in combination."""
+    weights = [(a, b) for a in range(k + 1) for b in range(k + 1 - a)]
+    form = np.array([[2, 1], [1, 2]]) / 3
+    # the Weyl group on Dynkin labels, from s1 (a, b) = (-a, a + b) and
+    # s2 (a, b) = (a + b, -b), with the sign of each element
+    s1, s2 = np.array([[-1, 0], [1, 1]]), np.array([[1, 1], [0, -1]])
+    group = [(np.eye(2, dtype=int), 1), (s1, -1), (s2, -1), (s1 @ s2, 1), (s2 @ s1, 1),
+             (s1 @ s2 @ s1, -1)]
+    shifted = np.array(weights) + 1  # + rho
+    s = sum(sign * np.exp(-2j * np.pi * (shifted @ w.T) @ form @ shifted.T / (k + 3))
+            for w, sign in group)
+    s /= np.linalg.norm(s[0])
+    verlinde = np.einsum("us,vs,ws->uvw", s, s, s.conj() / s[0])
+    tensor = np.rint(verlinde.real).astype(np.int64)
+    assert np.abs(verlinde - tensor).max() < 1e-8
+    labels = tuple(f"{a}.{b}" for a, b in weights)
+    return FusionRing(labels, "0.0", tuple((f"{a}.{b}", f"{b}.{a}") for a, b in weights),
+                      tensor)
 
 
 def plancherel_weight(trace: DimensionVector, a: Mapping[str, complex]) -> complex:

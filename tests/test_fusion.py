@@ -24,7 +24,8 @@ from qindex.generators import (gen_pointed, gen_quotient_module, gen_regular_mod
 
 from conftest import golden_ring
 from oracles import (equivalence_classes_reference, functor_trace, plancherel_weight,
-                     trace_solve_reference, validate_fusion_every_label, words_rank)
+                     su3_ring, trace_solve_reference, validate_fusion_every_label,
+                     words_rank)
 
 
 def regular_with_trace(n):
@@ -62,9 +63,9 @@ def test_validate_pointed_rings_and_quotient_modules():
 
 def rep_a4():
     """The representation ring of A4: Z/3 = {1, w, w2}, and 3 with
-    3 w = 3 and 3 3 = 1 + w + w2 + 2 3.  The words of 3 leave the span of
-    basis vectors at once: 3 3 is nonzero at two labels it had not
-    reached."""
+    3 w = 3 and 3 3 = 1 + w + w2 + 2 3.  A word of 3 is stuck at once:
+    3 3 holds two labels, w and w2, that the words of 3 have not reached,
+    and it reaches w2 once w joins S."""
     labels = ("1", "3", "w", "w2")
     one, three, w, w2 = range(4)
     tensor = np.zeros((4, 4, 4), dtype=np.int64)
@@ -102,7 +103,7 @@ def test_generating_set_is_greedy_and_spans_the_ring():
 
 
 def test_validate_rep_a4_and_its_corruptions():
-    # words that leave the span of basis vectors: the echelon basis path
+    # a word that holds two unreached labels, read again when one is reached
     ring = rep_a4()
     assert validate_fusion(ring) == oracle_validate_fusion(ring) == []
     module = gen_regular_module(ring)
@@ -111,6 +112,29 @@ def test_validate_rep_a4_and_its_corruptions():
     for bad in single_entry_corruptions(ring.tensor):
         assert validate_fusion(with_tensor(ring, bad)) == \
             oracle_validate_fusion(with_tensor(ring, bad))
+
+
+def test_su3_words_reach_labels_only_in_combination():
+    # 0.1 0.1 = 1.0 + 0.2: over Q the words of 0.1 span SU(3)_k, but each
+    # of them holds two or more labels they have not reached, so 0.2 joins
+    # S, and its words reach the rest
+    rng = np.random.default_rng(7)
+    kinds = set()
+    for k in (2, 3, 4):
+        ring = su3_ring(k)
+        assert generating_labels(ring) == ("0.1", "0.2")
+        assert words_rank(ring.tensor, ring.index(ring.unit), ring._generators) == ring.rank
+        module = gen_regular_module(ring)
+        assert validate_fusion(ring) == oracle_validate_fusion(ring) == []
+        assert validate_module(module) == oracle_validate_module(module) == []
+        for bad in random_corruptions(ring.tensor, rng, 40):
+            for got, want in ((validate_fusion(with_tensor(ring, bad)),
+                               oracle_validate_fusion(with_tensor(ring, bad))),
+                              (validate_module(with_action(module, bad)),
+                               oracle_validate_module(with_action(module, bad)))):
+                assert got == want
+                kinds.update(v.split(":")[0] for v in want)
+    assert {"associativity", "mixed associativity"} <= kinds
 
 
 def test_validate_detects_corrupted_unit():
@@ -297,12 +321,11 @@ def test_validate_module_matches_oracle_on_corruptions():
 
 
 def test_first_violation_outside_the_generating_set_is_found_by_the_rescan(monkeypatch):
-    # The labels before the first failing one pass, and so do the words
-    # they span, so the first failing label is in the greedy S (unless its
-    # vector is a word mod p only).  Handed a generating set without it,
-    # the check still names it: a failing generator starts a rescan of
-    # every label in order, with labels checked in groups of 1, 3 or all 7
-    # a pair of products.
+    # The labels before the first failing one pass, and so does every
+    # label their words reach, so the first failing label is in the greedy
+    # S.  Handed a generating set without it, the check still names it: a
+    # failing generator starts a rescan of every label in order, with
+    # labels checked in groups of 1, 3 or all 7 a pair of products.
     ring = gen_tlj(7)[0]
     labels = ring.labels
     rescanned = 0
@@ -345,7 +368,7 @@ def test_every_label_a_generator(caplog):
     with caplog.at_level(logging.INFO, logger="qindex.fusion"):
         assert validate_fusion(ring) == oracle_validate_fusion(ring) == [
             "duality: N[1,1]^1 = 0"]
-    assert "11 of 12 labels checked (generating set of 11 certified mod p)" in \
+    assert "11 of 12 labels checked (generating set of 11)" in \
         caplog.records[-1].getMessage()
 
 
@@ -440,7 +463,7 @@ def test_validate_module_memory_is_cubic_in_rank(caplog):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
-    checked = "1 of 59 labels checked (generating set of 1 certified mod p)"
+    checked = "1 of 59 labels checked (generating set of 1)"
     assert [checked in rec.getMessage() for rec in caplog.records] == [True, True]
 
 
@@ -453,7 +476,7 @@ def test_fusion_stages_log_sizes_and_durations(caplog):
         assert module_trace_solve(module, dims).status == "ok"
     messages = [rec.getMessage() for rec in caplog.records
                 if rec.name == "qindex.fusion"]
-    checked = r"1 of 4 labels checked \(generating set of 1 certified mod p\)"
+    checked = r"1 of 4 labels checked \(generating set of 1\)"
     patterns = [rf"validate_fusion: rank 4, {checked}, 0 violations, \d+\.\d{{3}} s",
                 rf"validate_module: rank 4, module size 4, {checked}, 0 violations, "
                 r"\d+\.\d{3} s",
@@ -802,7 +825,7 @@ def test_standard_solution_norm_product_squares():
         _, module, _, trace = regular_with_trace(n)
         for u in module.ring.labels:
             sol = standard_solution_components(module, trace, u)
-            mult = module.action_matrix(u).T.astype(float)
+            mult = module.action[module.ring.index(u)].T.astype(float)
             prod = sol.norms_r_sq * sol.norms_rbar_sq
             assert np.max(np.abs(prod - mult ** 2)) <= 1e-12
 

@@ -117,9 +117,9 @@ def test_ring_to_json_matches_per_entry_reference(rng):
         want = {}
         for u in module.ring.labels:
             for i in module.labels:
-                row = {j: int(module.action_matrix(u)[module.index(i), module.index(j)])
-                       for j in module.labels
-                       if module.action_matrix(u)[module.index(i), module.index(j)]}
+                mat = module.action[module.ring.index(u)]
+                row = {j: int(mat[module.index(i), module.index(j)])
+                       for j in module.labels if mat[module.index(i), module.index(j)]}
                 if row:
                     want[f"{u},{i}"] = row
         got = module_to_json(module)["n"]
@@ -509,6 +509,16 @@ def test_labels_with_commas_fail_at_construction():
         FusionModule(ring, ("a,b", "c"), gen_regular_module(ring).action)
     with pytest.raises(ValueError, match="labels must not contain commas"):
         FusionRing(("0", "1,"), "0", (("0", "0"), ("1,", "1,")), ring.tensor)
+
+
+def test_repeated_labels_fail_at_construction():
+    # as in qindex.io: the ring could not tell a label's dual apart, and a
+    # module's d_function would merge the two labels
+    ring = gen_pointed([2])
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        FusionRing(("a", "a"), "a", (("a", "a"),), ring.tensor)
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        FusionModule(ring, ("x", "x"), gen_regular_module(ring).action)
 
 
 def test_module_rows_must_be_objects():

@@ -13,7 +13,9 @@ and has none.  Five fixed
 sets of commands that the benchmark never runs come last.  The fusion set is
 ``fusion generate`` of pointed and TLJ rings with and without ``-o``, and
 ``fusion trace`` and ``fusion descent`` with module files, a
-decomposable one and one of another ring among them.  The index set is
+decomposable one and one of another ring among them, and on the regular
+module of Rep(A4), the one ring whose generating set has a word that
+holds two labels its words have not reached.  The index set is
 ``index compute``, on the canonical expectation and on its explicit map,
 of the Jones towers T(4) to T(9) and of inclusions with multiplicities
 from 2 to 12 and A blocks of mixed sizes, where the sums of the
@@ -145,12 +147,27 @@ def _regular_module(ring: dict, copies: int) -> dict:
     return {"ring": ring, "irrM": [m for x in ring["irr"] for m in names[x]], "n": action}
 
 
+def _rep_a4_ring() -> dict:
+    """The fusion_ring file of Rep(A4): Z/3 = {1, w, w2}, and 3 with
+    3 w = 3 and 3 3 = 1 + w + w2 + 2 3.  The word 3 3 of its generator 3
+    holds two labels that the words of 3 have not reached."""
+    z3 = ["1", "w", "w2"]
+    rules = {f"{a},{b}": {z3[(i + j) % 3]: 1}
+             for i, a in enumerate(z3) for j, b in enumerate(z3)}
+    for a in z3:
+        rules[f"{a},3"] = rules[f"3,{a}"] = {"3": 1}
+    rules["3,3"] = {"1": 1, "w": 1, "w2": 1, "3": 2}
+    return {"irr": ["1", "3", "w", "w2"], "unit": "1",
+            "dual": {"1": "1", "3": "3", "w": "w2", "w2": "w"}, "N": rules}
+
+
 def fixed_fusion_set() -> list[dict]:
-    """Write the module files of the fixed set into the working directory
-    and return its jobs."""
+    """Write the ring and module files of the fixed set into the working
+    directory and return its jobs."""
     files = {"tlj9.json": _tlj_ring(9), "tlj9_module.json": _regular_module(_tlj_ring(9), 1),
              "tlj9_twice.json": _regular_module(_tlj_ring(9), 2),
-             "tlj7_module.json": _regular_module(_tlj_ring(7), 1)}
+             "tlj7_module.json": _regular_module(_tlj_ring(7), 1),
+             "rep_a4.json": _rep_a4_ring()}
     for name, payload in files.items():
         with open(name, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
@@ -164,6 +181,9 @@ def fixed_fusion_set() -> list[dict]:
         argvs += [(["fusion", "trace", "--ring", "tlj9.json", "--module", module], True),
                   (["fusion", "descent", "--ring", "tlj9.json", "--module", module] + evens,
                    False)]
+    argvs += [(["fusion", "trace", "--ring", "rep_a4.json", "--module", "regular"], True),
+              (["fusion", "descent", "--ring", "rep_a4.json", "--module", "regular",
+                "--subring", "1,w,w2"], False)]
     return [{"argv": argv, "output": output} for argv, output in argvs]
 
 
