@@ -5,12 +5,13 @@ index computations in this package.  Elements carry one complex matrix per
 block; the coefficient vector of an element is the concatenation of the
 row-major flattened blocks, which fixes the matrix convention for every
 linear map (homomorphisms, expectations) in the package.  A subalgebra is
-always given by its inclusion, a :class:`StarHomomorphism`, given by its
-matrix, when :attr:`StarHomomorphism.normal_form` decides whether that is
-a unital injective *-homomorphism, or by its multiplicities
-(:meth:`StarHomomorphism.from_multiplicities`), when the normal form is
-given and the matrix is built on first read.  Its pseudo-inverse is a
-closed form in its matrix, :meth:`StarHomomorphism.preimage`.
+always given by its inclusion, a :class:`StarHomomorphism`, which holds
+its normal form: given by its matrix, its constructor finds the normal
+form and rejects a map that is not a unital injective *-homomorphism;
+given by its multiplicities (:meth:`StarHomomorphism.from_multiplicities`),
+the normal form is given and the matrix is built on first read.  Its
+pseudo-inverse is a closed form in its matrix,
+:meth:`StarHomomorphism.preimage`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ RANK_RTOL = 1e-10
 #: default tolerance for Hermiticity and axiom checks
 DEFAULT_TOL = 1e-9
 
-#: tolerance of the checks of :attr:`StarHomomorphism.normal_form`.  The
+#: tolerance of the normal-form checks of :class:`StarHomomorphism`.  The
 #: images of matrix units are partial isometries, whose entries have modulus
 #: at most 1, so this absolute bound on them is a relative one
 INCLUSION_TOL = 1e-8
@@ -134,9 +135,6 @@ class AlgebraElement:
         return max(float(abs(m[0, 0])) if m.shape == (1, 1)
                    else float(np.linalg.norm(m, ord=2)) for m in self.data)
 
-    def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        return (self - self.adjoint()).norm() <= tol
-
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
         self._check_parent(other)
         return self.parent.element([a + b for a, b in zip(self.data, other.data)])
@@ -163,15 +161,20 @@ class AlgebraElement:
 
 
 class StarHomomorphism:
-    """A unital *-homomorphism between multimatrix algebras, given by its
-    matrix or by its multiplicities.
+    """A unital injective *-homomorphism phi: A -> B between multimatrix
+    algebras, held with its normal form: B block t is
+    sum_p C^{a_p} (x) C^{k_tp}, and phi(x)_t = U_t (sum_p x_p (x) 1) U_t*.
 
     ``matrix`` acts on coefficient vectors, shape (target.total_dim,
-    source.total_dim).  A homomorphism given by its matrix has its
-    validity (unital, injective, multiplicative, star-preserving) decided
-    by :attr:`normal_form`; one given by its multiplicities
-    (:meth:`from_multiplicities`) holds its normal form, and its matrix is
-    built on first read and then cached.
+    source.total_dim).  ``unitary`` is the coefficient vector of U = (U_t)
+    in B.  The columns of U_t run over (p, i, alpha): corner p is the
+    a_p k_tp columns from ``pairs.col`` on, and its column (i, alpha) spans
+    row i of copy alpha.  ``multiplicities`` is the inclusion matrix
+    K[t, p] = k_tp.  Given by its matrix, the constructor finds the normal
+    form (:func:`_normal_form`) and raises ValueError on a map that is not
+    a unital injective *-homomorphism.  Given by its multiplicities
+    (:meth:`from_multiplicities`), the normal form is given, and the
+    matrix is built on first read and then cached.
     """
 
     def __init__(self, source: MultiMatrixAlgebra, target: MultiMatrixAlgebra,
@@ -183,6 +186,7 @@ class StarHomomorphism:
         self.source = source
         self.target = target
         self.__dict__["matrix"] = mat
+        self.unitary, self.multiplicities = _normal_form(source, target, mat)
 
     @classmethod
     def from_multiplicities(cls, a_blocks: Sequence[int], k) -> StarHomomorphism:
@@ -207,7 +211,7 @@ class StarHomomorphism:
         unitary.flags.writeable = False
         hom = cls.__new__(cls)
         hom.source, hom.target = source, target
-        hom.__dict__["normal_form"] = InclusionNormalForm(source, target, unitary, mult)
+        hom.unitary, hom.multiplicities = unitary, mult
         return hom
 
     @cached_property
@@ -216,7 +220,7 @@ class StarHomomorphism:
         homomorphism given by its multiplicities, whose image of e^p_ij in
         B block t is e_ij (x) 1_{k_tp} on corner p, in the normal form's
         (p, i, alpha) column order."""
-        pairs = self.normal_form.pairs
+        pairs = self.pairs
         mat = np.zeros((self.target.total_dim, self.source.total_dim), dtype=complex)
         for g in group_indices(pairs.a, pairs.k):
             a, k = int(pairs.a[g[0]]), int(pairs.k[g[0]])
@@ -229,6 +233,25 @@ class StarHomomorphism:
         mat.flags.writeable = False
         return mat
 
+    @cached_property
+    def pairs(self) -> BlockPairs:
+        """The block pairs with k_tp > 0, the unit of the batched work."""
+        k = self.multiplicities
+        a, m = np.asarray(self.source.blocks), np.asarray(self.target.blocks)
+        widths = k * a
+        t, p = np.nonzero(k)
+        return BlockPairs(t, p, m[t], a[p], k[t, p],
+                          (np.cumsum(widths, axis=1) - widths)[t, p],
+                          (np.cumsum(m * m) - m * m)[t], (np.cumsum(a * a) - a * a)[p])
+
+    def corner_columns(self, idx: np.ndarray, width: int) -> np.ndarray:
+        """The first ``width`` columns of the corners of the pairs ``idx``,
+        which share one B block size m: shape (len(idx), m, width)."""
+        m = int(self.pairs.m[idx[0]])
+        start = self.pairs.b_ofs[idx] + self.pairs.col[idx]
+        return self.unitary[start[:, None, None] + m * np.arange(m)[:, None]
+                            + np.arange(width)]
+
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         if x.parent.blocks != self.source.blocks:
             raise ValueError("element is not in the source algebra")
@@ -240,79 +263,80 @@ class StarHomomorphism:
 
         The images of A's matrix units are pairwise orthogonal, with
         ||phi(e^p_ij)||^2 = Tr phi(e^p_jj) = sum_t k_tp = n_p, so Phi* Phi
-        is diag(n) and Phi* / n is the pseudo-inverse of Phi.  Raises the
-        ValueError of :attr:`normal_form` on an invalid map.
+        is diag(n) and Phi* / n is the pseudo-inverse of Phi.
         """
         a = np.asarray(self.source.blocks)
-        n = np.repeat(self.normal_form.multiplicities.sum(axis=0), a * a)
+        n = np.repeat(self.multiplicities.sum(axis=0), a * a)
         return (np.asarray(vecs).T @ self.matrix.conj() / n).T
 
-    @cached_property
-    def normal_form(self) -> InclusionNormalForm:
-        """Adapted unitaries and multiplicities of this inclusion.
 
-        The range of the image of e^p_11 in B block t is the multiplicity
-        space of A block p there, and the images of e^p_i1 carry it to row
-        i of the corner.  Raises ValueError when the map is not a unital,
-        injective *-homomorphism, tested as: every U_t is unitary and
-        phi(e^p_ij)_t is U_t (e_ij (x) 1) U_t*, read off the corner of p.
-        The first failing B block is named.
+def _normal_form(source: MultiMatrixAlgebra, target: MultiMatrixAlgebra,
+                 matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(unitary, multiplicities) of the map with this matrix, read only, as
+    :class:`StarHomomorphism` holds them.
 
-        The work is batched per size class of B blocks: one eigh of the
-        images of every e^p_11 in the class, then one product per shape
-        (a_p, k_tp) of the pairs.  A pair with k_tp = 0 has an empty
-        corner, so its images must vanish.  Each image is read once.
-        """
-        src, tgt = self.source, self.target
-        a, sizes = np.asarray(src.blocks), np.asarray(tgt.blocks)
-        first = np.cumsum(a * a) - a * a  # the column of e^p_11
-        mult = np.zeros((sizes.size, a.size), dtype=np.int64)
-        unitary = np.zeros(tgt.total_dim, dtype=complex)
-        failures = []
-        for m, rows in tgt.block_rows:
-            ts = np.flatnonzero(sizes == m)
-            e11 = self.matrix[rows[..., None], first].transpose(0, 3, 1, 2)  # (block, p, m, m)
-            vals, vecs = np.linalg.eigh((e11 + e11.conj().swapaxes(-1, -2)) / 2)
-            k = (vals > 0.5).sum(axis=2)
-            mult[ts] = k
-            span = k @ a
-            u = np.zeros((ts.size, m, m), dtype=complex)
-            gaps = np.zeros((2, ts.size))
-            # every pair of the blocks whose adapted basis spans, by shape
-            b, p = np.nonzero(np.repeat((span == m)[:, None], a.size, axis=1))
-            col = (np.cumsum(k * a, axis=1) - k * a)[b, p]
-            for g in group_indices(a[p], k[b, p]):
-                ag, kg, bg = a[p[g[0]]], k[b[g[0]], p[g[0]]], b[g]
-                # images[n, r, c, i, j] is entry (r, c) of phi(e^p_ij)_t
-                images = submatrices(self.matrix, rows[bg, 0, 0], first[p[g]],
-                                     m * m, ag * ag).reshape(-1, m, m, ag, ag)
-                if kg == 0:
-                    np.maximum.at(gaps[1], bg, np.abs(images).max(axis=(1, 2, 3, 4)))
-                    continue
-                # corner[:, (r, i), alpha] is phi(e^p_i1)_t times the
-                # eigenvector alpha of phi(e^p_11)_t with eigenvalue 1
-                corner = (images[..., 0].transpose(0, 1, 3, 2).reshape(-1, m * ag, m)
-                          @ vecs[bg, p[g], :, m - kg:])
-                u[bg[:, None, None], np.arange(m)[:, None],
-                  col[g, None, None] + np.arange(ag * kg)] = corner.reshape(-1, m, ag * kg)
-                # with U_t unitary, U_t* phi(e^p_ij) U_t = e_ij (x) 1 exactly
-                # when phi(e^p_ij)_t is the product of columns (p, i, .) and
-                # (p, j, .)*
-                own = (corner @ corner.conj().swapaxes(1, 2)).reshape(-1, m, ag, m, ag)
-                own -= images.transpose(0, 1, 3, 2, 4)
-                np.maximum.at(gaps[1], bg, np.abs(own).max(axis=(1, 2, 3, 4)))
-            gaps[0] = np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(m)).max(axis=(1, 2))
-            unitary[rows] = u
-            bad = np.flatnonzero((span != m) | (gaps > INCLUSION_TOL).any(axis=0))
-            if bad.size:
-                j = bad[0]
-                failures.append((ts[j], _normal_form_failure(ts[j], m, span[j], gaps[:, j])))
-        if failures:
-            raise ValueError(min(failures)[1])
-        _check_injective(mult)
-        mult.flags.writeable = False
-        unitary.flags.writeable = False
-        return InclusionNormalForm(src, tgt, unitary, mult)
+    The range of the image of e^p_11 in B block t is the multiplicity
+    space of A block p there, and the images of e^p_i1 carry it to row
+    i of the corner.  Raises ValueError when the map is not a unital,
+    injective *-homomorphism, tested as: every U_t is unitary and
+    phi(e^p_ij)_t is U_t (e_ij (x) 1) U_t*, read off the corner of p.
+    The first failing B block is named.
+
+    The work is batched per size class of B blocks: one eigh of the
+    images of every e^p_11 in the class, then one product per shape
+    (a_p, k_tp) of the pairs.  A pair with k_tp = 0 has an empty
+    corner, so its images must vanish.  Each image is read once.
+    """
+    a, sizes = np.asarray(source.blocks), np.asarray(target.blocks)
+    first = np.cumsum(a * a) - a * a  # the column of e^p_11
+    mult = np.zeros((sizes.size, a.size), dtype=np.int64)
+    unitary = np.zeros(target.total_dim, dtype=complex)
+    failures = []
+    for m, rows in target.block_rows:
+        ts = np.flatnonzero(sizes == m)
+        e11 = matrix[rows[..., None], first].transpose(0, 3, 1, 2)  # (block, p, m, m)
+        vals, vecs = np.linalg.eigh((e11 + e11.conj().swapaxes(-1, -2)) / 2)
+        k = (vals > 0.5).sum(axis=2)
+        mult[ts] = k
+        span = k @ a
+        u = np.zeros((ts.size, m, m), dtype=complex)
+        gaps = np.zeros((2, ts.size))
+        # every pair of the blocks whose adapted basis spans, by shape
+        b, p = np.nonzero(np.repeat((span == m)[:, None], a.size, axis=1))
+        col = (np.cumsum(k * a, axis=1) - k * a)[b, p]
+        for g in group_indices(a[p], k[b, p]):
+            ag, kg, bg = a[p[g[0]]], k[b[g[0]], p[g[0]]], b[g]
+            # images[n, r, c, i, j] is entry (r, c) of phi(e^p_ij)_t
+            images = submatrices(matrix, rows[bg, 0, 0], first[p[g]],
+                                 m * m, ag * ag).reshape(-1, m, m, ag, ag)
+            if kg == 0:
+                np.maximum.at(gaps[1], bg, np.abs(images).max(axis=(1, 2, 3, 4)))
+                continue
+            # corner[:, (r, i), alpha] is phi(e^p_i1)_t times the
+            # eigenvector alpha of phi(e^p_11)_t with eigenvalue 1
+            corner = (images[..., 0].transpose(0, 1, 3, 2).reshape(-1, m * ag, m)
+                      @ vecs[bg, p[g], :, m - kg:])
+            u[bg[:, None, None], np.arange(m)[:, None],
+              col[g, None, None] + np.arange(ag * kg)] = corner.reshape(-1, m, ag * kg)
+            # with U_t unitary, U_t* phi(e^p_ij) U_t = e_ij (x) 1 exactly
+            # when phi(e^p_ij)_t is the product of columns (p, i, .) and
+            # (p, j, .)*
+            own = (corner @ corner.conj().swapaxes(1, 2)).reshape(-1, m, ag, m, ag)
+            own -= images.transpose(0, 1, 3, 2, 4)
+            np.maximum.at(gaps[1], bg, np.abs(own).max(axis=(1, 2, 3, 4)))
+        gaps[0] = np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(m)).max(axis=(1, 2))
+        unitary[rows] = u
+        # a NaN gap fails too
+        bad = np.flatnonzero((span != m) | ~(gaps <= INCLUSION_TOL).all(axis=0))
+        if bad.size:
+            j = bad[0]
+            failures.append((ts[j], _normal_form_failure(ts[j], m, span[j], gaps[:, j])))
+    if failures:
+        raise ValueError(min(failures)[1])
+    _check_injective(mult)
+    mult.flags.writeable = False
+    unitary.flags.writeable = False
+    return unitary, mult
 
 
 def submatrices(mat: np.ndarray, row0: np.ndarray, col0: np.ndarray,
@@ -340,52 +364,11 @@ def _normal_form_failure(t: int, m: int, span: int, gaps: np.ndarray) -> str:
         return (f"inclusion is not a unital *-homomorphism: B block {t} "
                 f"has size {m}, the images of A's minimal projections "
                 f"span {span}")
-    if gaps[0] > INCLUSION_TOL:
+    if not gaps[0] <= INCLUSION_TOL:
         return ("inclusion is not a *-homomorphism: the adapted basis of "
                 f"B block {t} fails unitarity by {gaps[0]:.3e}")
     return ("inclusion is not a *-homomorphism: in B block "
             f"{t}, U* phi(e^p_ij) U differs from e_ij (x) 1 by {gaps[1]:.3e}")
-
-
-@dataclass(frozen=True)
-class InclusionNormalForm:
-    """A unital inclusion A -> B up to unitaries: B block t is
-    sum_p C^{a_p} (x) C^{k_tp}, with phi(x)_t = U_t (sum_p x_p (x) 1) U_t*.
-
-    ``unitary`` is the coefficient vector of U = (U_t) in B.  The columns
-    of U_t run over (p, i, alpha): corner p is the a_p k_tp columns from
-    ``pairs.col`` on, and its column (i, alpha) spans row i of copy alpha.
-    ``multiplicities`` is the inclusion matrix K[t, p] = k_tp.
-    """
-
-    source: MultiMatrixAlgebra
-    target: MultiMatrixAlgebra
-    unitary: np.ndarray
-    multiplicities: np.ndarray
-
-    @property
-    def unitaries(self) -> tuple[np.ndarray, ...]:
-        """U_t, one m_t x m_t matrix per B block."""
-        return self.target.from_vector(self.unitary).data
-
-    @cached_property
-    def pairs(self) -> BlockPairs:
-        """The block pairs with k_tp > 0, the unit of the batched work."""
-        k = self.multiplicities
-        a, m = np.asarray(self.source.blocks), np.asarray(self.target.blocks)
-        widths = k * a
-        t, p = np.nonzero(k)
-        return BlockPairs(t, p, m[t], a[p], k[t, p],
-                          (np.cumsum(widths, axis=1) - widths)[t, p],
-                          (np.cumsum(m * m) - m * m)[t], (np.cumsum(a * a) - a * a)[p])
-
-    def corner_columns(self, idx: np.ndarray, width: int) -> np.ndarray:
-        """The first ``width`` columns of the corners of the pairs ``idx``,
-        which share one B block size m: shape (len(idx), m, width)."""
-        m = int(self.pairs.m[idx[0]])
-        start = self.pairs.b_ofs[idx] + self.pairs.col[idx]
-        return self.unitary[start[:, None, None] + m * np.arange(m)[:, None]
-                            + np.arange(width)]
 
 
 @dataclass(frozen=True)

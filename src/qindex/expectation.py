@@ -2,7 +2,7 @@
 
 Every expectation E onto the image of A in B has a density normal form
 (Pimsner-Popa, Ann. Sci. ENS 19, 1986).  In the adapted bases of the
-inclusion (:attr:`StarHomomorphism.normal_form`), B block t is
+inclusion (held by its :class:`StarHomomorphism`), B block t is
 sum_p C^{a_p} (x) C^{k_tp}, and
 
     E(x)_p = sum_t (id (x) Tr)((1 (x) h_tp) x_t^{(p)})
@@ -41,7 +41,6 @@ from .algebra import (
     INCLUSION_TOL,
     RANK_RTOL,
     AlgebraElement,
-    InclusionNormalForm,
     MultiMatrixAlgebra,
     StarHomomorphism,
     TraceWeights,
@@ -67,7 +66,7 @@ class ConditionalExpectation:
 
     ``inclusion`` embeds A into B.  E is given by ``matrix``, acting on
     B's coefficient vectors, or by ``scalars``: one number per pair of
-    ``inclusion.normal_form.pairs``, E's density h_tp = scalars[n] 1 on
+    ``inclusion.pairs``, E's density h_tp = scalars[n] 1 on
     pair n, the form of the trace-preserving expectation.  The matrix
     of E given by its densities is built on first read and then cached;
     the index report reads only the densities.  Nothing is checked at
@@ -114,7 +113,7 @@ class ConditionalExpectation:
     def densities(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The densities of E, batched by size: one pair (idx, h) per
         distinct multiplicity k, with h[n] the k x k density h_tp of the
-        pair idx[n] of ``inclusion.normal_form.pairs``.
+        pair idx[n] of ``inclusion.pairs``.
 
         Scalar densities are as given.  Otherwise entry (alpha, gamma) of
         h_tp is read off E on the element of B block t that is
@@ -124,8 +123,7 @@ class ConditionalExpectation:
         blocks.  The matrices are as read, not symmetrised, so that
         :func:`validate_expectation` can test them.
         """
-        form = self.inclusion.normal_form
-        pairs = form.pairs
+        pairs = self.inclusion.pairs
         if self._scalars is not None:
             return tuple((idx, self._scalars[idx, None, None] * np.eye(pairs.k[idx[0]]))
                          for idx in group_indices(pairs.k))
@@ -136,7 +134,7 @@ class ConditionalExpectation:
             for sub in group_indices(pairs.m[idx]):
                 at = idx[sub]
                 m = int(pairs.m[at[0]])
-                first = form.corner_columns(at, k)
+                first = self.inclusion.corner_columns(at, k)
                 # E's diagonal block on each B block of these pairs, read
                 # once; the pairs of one block are slots against it
                 offsets, block = np.unique(pairs.b_ofs[at], return_inverse=True)
@@ -163,7 +161,7 @@ class ConditionalExpectation:
         if self._scalars is None:
             return tuple((idx, *np.linalg.eigh((h + h.conj().swapaxes(1, 2)) / 2))
                          for idx, h in self.densities)
-        k = self.inclusion.normal_form.pairs.k
+        k = self.inclusion.pairs.k
         return tuple((idx, self._scalars[idx, None].repeat(k[idx[0]], axis=1),
                       np.eye(k[idx[0]])[None].repeat(idx.size, axis=0))
                      for idx in group_indices(k))
@@ -189,8 +187,7 @@ def _rebuild(inclusion: StarHomomorphism,
     """The matrix of the expectation with densities h, batched as
     :attr:`ConditionalExpectation.densities`: phi composed with x -> z,
     z_p = sum_t (id (x) Tr)((1 (x) h_tp) (U_t* x_t U_t) on corner p)."""
-    form = inclusion.normal_form
-    pairs = form.pairs
+    pairs = inclusion.pairs
     reduce = np.zeros((inclusion.source.total_dim, inclusion.target.total_dim),
                       dtype=complex)
     for idx, h in densities:
@@ -198,7 +195,7 @@ def _rebuild(inclusion: StarHomomorphism,
         for sub in group_indices(pairs.m[idx], pairs.a[idx]):
             at = idx[sub]
             m, a = int(pairs.m[at[0]]), int(pairs.a[at[0]])
-            corner = form.corner_columns(at, a * k).reshape(-1, m, a, k)
+            corner = inclusion.corner_columns(at, a * k).reshape(-1, m, a, k)
             # z[i, j] = sum_{r c alpha gamma} conj(W[r,i,gamma]) h[alpha,gamma]
             #           W[c,j,alpha] x[r, c]
             left = (corner.conj() @ h[sub, None].swapaxes(-1, -2)).reshape(-1, m * a, k)
@@ -217,7 +214,7 @@ def _log_normal_form(expectation: ConditionalExpectation, start: float,
     lo, hi, threshold = expectation._eigenvalue_range
     log.info("normal form: K=%s, h eigenvalues in [%.3e, %.3e] (faithful "
              "above %.1e), rebuild residual %s, %.3f s",
-             expectation.inclusion.normal_form.multiplicities.tolist(), lo, hi,
+             expectation.inclusion.multiplicities.tolist(), lo, hi,
              threshold, "0 by construction" if residual is None
              else f"{residual:.3e} (tolerance {tol:.1e})",
              time.perf_counter() - start)
@@ -324,19 +321,18 @@ def canonical_expectation(inclusion: StarHomomorphism,
 
     Its densities are h_tp = w_t / (K^T w)_p times the identity: for x in
     corner p of block t, tau(E(x)) = tau(x) fixes h_tp, and
-    sum_t Tr h_tp = 1 follows.  Raises ValueError when the inclusion is
-    not a unital injective *-homomorphism.
+    sum_t Tr h_tp = 1 follows.
     """
     start = time.perf_counter()
     big = inclusion.target
     if tau.algebra.blocks != big.blocks:
         raise ValueError("trace weights are not on the big algebra")
-    k = inclusion.normal_form.multiplicities
+    k = inclusion.multiplicities
     # h does not change when w is scaled; an exact power of two keeps K^T w
     # finite for weights near the float range's end
     w = np.asarray(tau.weights)
     w = np.ldexp(w, -np.frexp(w.max())[1])
-    pairs = inclusion.normal_form.pairs
+    pairs = inclusion.pairs
     expectation = ConditionalExpectation(inclusion,
                                          scalars=w[pairs.t] / (k.T @ w)[pairs.p])
     _log_normal_form(expectation, start)
@@ -365,7 +361,7 @@ def quasi_basis_report(expectation: ConditionalExpectation,
     """
     start = time.perf_counter()
     big = expectation.algebra
-    form = expectation.inclusion.normal_form
+    inclusion = expectation.inclusion
     lo, hi, threshold = expectation._eigenvalue_range
     if not lo > threshold:
         log.info("quasi-basis: none, density eigenvalue %.3e is below the "
@@ -373,8 +369,8 @@ def quasi_basis_report(expectation: ConditionalExpectation,
                  time.perf_counter() - start)
         return QuasiBasisResult(None, lo, hi)
 
-    pairs = form.pairs
-    k = form.multiplicities
+    pairs = inclusion.pairs
+    k = inclusion.multiplicities
     sizes = np.asarray(big.blocks)
     copies = k.sum(axis=1)
     # block t holds m_t sum_p k_tp elements (rho, copy), from column
@@ -388,7 +384,7 @@ def quasi_basis_report(expectation: ConditionalExpectation,
             m, width = int(pairs.m[at[0]]), vals.shape[1]
             # c_alpha = U_t (e_1 (x) h^{-1/2} e_alpha) on corner p, so the
             # elements of block t are the rows e_rho (x) conj(c_alpha)
-            c = form.corner_columns(at, width) @ (
+            c = inclusion.corner_columns(at, width) @ (
                 (vecs[sub] / np.sqrt(vals[sub])[:, None, :]) @ vecs[sub].conj().swapaxes(1, 2))
             rho = np.arange(m)[:, None, None]
             rows = pairs.b_ofs[at, None, None, None] + rho * m + np.arange(m)[:, None]
@@ -487,7 +483,7 @@ def _closed_form_indices(expectation: ConditionalExpectation
     n_blocks = len(expectation.algebra.blocks)
     if not lo > threshold:
         return math.inf, (math.inf,) * n_blocks
-    pairs = expectation.inclusion.normal_form.pairs
+    pairs = expectation.inclusion.pairs
     top, rest = np.empty(pairs.k.size), np.empty(pairs.k.size)
     with np.errstate(over="ignore"):  # past the float range: an infinite index
         for idx, vals, _ in expectation.spectra:
@@ -531,10 +527,9 @@ def equivariantize(expectation: ConditionalExpectation,
     """Average E over a finite group acting by *-automorphisms of B.
 
     ``action`` lists every group element as an automorphism of B mapping
-    the image of A onto itself, to INCLUSION_TOL.  Each element is
-    validated by its :attr:`StarHomomorphism.normal_form`: a unital
-    injective *-endomorphism of B is an automorphism, and its matrix is
-    unitary, so g^{-1} is g*.  Returns the averaged expectation
+    the image of A onto itself, to INCLUSION_TOL.  Each element, a
+    :class:`StarHomomorphism`, is a unital injective *-endomorphism of B,
+    so an automorphism whose matrix is unitary, and g^{-1} is g*.  Returns the averaged expectation
     x -> |G|^{-1} sum_g g^{-1}(E(g(x))), which is G-equivariant and
     satisfies scalar_index(avg) <= scalar_index(E).
     """
@@ -545,10 +540,6 @@ def equivariantize(expectation: ConditionalExpectation,
     for g in action:
         if g.source.blocks != big.blocks or g.target.blocks != big.blocks:
             raise ValueError("action must consist of endomorphisms of B")
-        try:
-            g.normal_form
-        except ValueError as err:
-            raise ValueError(f"action element is not a *-automorphism: {err}") from None
         if _image_preimage(expectation.inclusion, g.matrix @ a_mat, INCLUSION_TOL) is None:
             raise ValueError("action does not preserve the subalgebra setwise")
 
@@ -560,9 +551,8 @@ def restrict_to_intermediate(expectation: ConditionalExpectation,
                              intermediate: StarHomomorphism) -> ConditionalExpectation:
     """Restriction E|_C to an intermediate subalgebra A <= C <= B.
 
-    ``intermediate`` is the inclusion C -> B, validated by its
-    :attr:`StarHomomorphism.normal_form`; its image must contain the image
-    of A, to INCLUSION_TOL.  The result, the preimage of E on C, is an
+    ``intermediate`` is the inclusion C -> B; its image must contain the
+    image of A, to INCLUSION_TOL.  The result, the preimage of E on C, is an
     expectation of C onto the image of A, validated to INCLUSION_TOL, on which
     quasi-basis and index computations run unchanged.
     """
@@ -570,10 +560,6 @@ def restrict_to_intermediate(expectation: ConditionalExpectation,
         raise ValueError("intermediate algebra is included in blocks "
                          f"{intermediate.target.blocks}, not in B's "
                          f"{expectation.algebra.blocks}")
-    try:
-        intermediate.normal_form
-    except ValueError as err:
-        raise ValueError(f"intermediate algebra: {err}") from None
     a_pre = _image_preimage(intermediate, expectation.inclusion.matrix, INCLUSION_TOL)
     if a_pre is None:
         raise ValueError("intermediate algebra does not contain the image of A")
@@ -617,13 +603,13 @@ def compute_index_report(expectation: ConditionalExpectation,
     big = expectation.algebra
     if math.isinf(scalar):
         return IndexReport(big, None, math.inf, scalar, lower, scalar, 0)
-    form = expectation.inclusion.normal_form
+    inclusion = expectation.inclusion
     return IndexReport(big, sums, scalar, scalar, lower, scalar,
-                       int(form.pairs.m @ form.pairs.k),
-                       _central_in_image(form, np.asarray(sums), max(tol, 1e-8)))
+                       int(inclusion.pairs.m @ inclusion.pairs.k),
+                       _central_in_image(inclusion, np.asarray(sums), max(tol, 1e-8)))
 
 
-def _central_in_image(form: InclusionNormalForm, c: np.ndarray, tol: float) -> bool:
+def _central_in_image(inclusion: StarHomomorphism, c: np.ndarray, tol: float) -> bool:
     """Whether the central element c_t 1 of B lies in the image of A, to
     ``tol`` relative to its norm as :func:`index_in_subalgebra` decides.
 
@@ -631,7 +617,7 @@ def _central_in_image(form: InclusionNormalForm, c: np.ndarray, tol: float) -> b
     corner p, so its distance is sqrt(sum_tp a_p k_tp (c_t - z_p)^2) with
     z_p the a_p k_tp-weighted mean of c_t over the blocks t.
     """
-    pairs = form.pairs
+    pairs = inclusion.pairs
     weight = pairs.a * pairs.k
     # c scaled by a power of two near 1/max c, so that no square overflows
     # for an index up to the float range; while no value leaves the normal
@@ -641,5 +627,5 @@ def _central_in_image(form: InclusionNormalForm, c: np.ndarray, tol: float) -> b
     ct = c[pairs.t]
     z = np.bincount(pairs.p, weight * ct) / np.bincount(pairs.p, weight)
     residual = math.sqrt(float(np.sum(weight * (ct - z[pairs.p]) ** 2)))
-    norm = math.sqrt(float(np.asarray(form.target.blocks) @ (c * c)))
+    norm = math.sqrt(float(np.asarray(inclusion.target.blocks) @ (c * c)))
     return residual <= tol * max(math.ldexp(1.0, -exponent), norm)

@@ -235,13 +235,20 @@ def algebra_from_json(data: Any, path: str = "algebra") -> MultiMatrixAlgebra:
 
 
 def homomorphism_from_json(data: Any, path: str = "homomorphism") -> StarHomomorphism:
+    return StarHomomorphism(*_homomorphism_parts(data, path))
+
+
+def _homomorphism_parts(data: Any, path: str
+                        ) -> tuple[MultiMatrixAlgebra, MultiMatrixAlgebra, np.ndarray]:
+    """The source, target and matrix of a homomorphism, checked against the
+    schema only."""
     _expect(isinstance(data, Mapping), path, "homomorphism is an object")
     source = algebra_from_json(data.get("source"), f"{path}.source")
     target = algebra_from_json(data.get("target"), f"{path}.target")
     matrix = _matrix_from_json(data.get("matrix"), f"{path}.matrix")
     _expect(matrix.shape == (target.total_dim, source.total_dim), f"{path}.matrix",
             f"matrix must be {target.total_dim}x{source.total_dim}, got {matrix.shape}")
-    return StarHomomorphism(source, target, matrix)
+    return source, target, matrix
 
 
 # -- expectations ------------------------------------------------------------
@@ -252,7 +259,9 @@ def expectation_spec_from_json(data: Any, path: str = "expectation"
 
     When "map" is omitted the caller should build the canonical
     trace-preserving expectation; when "trace_weights" is omitted the
-    normalized trace is used.
+    normalized trace is used.  The inclusion is built, and so checked to
+    be a unital injective *-homomorphism, once the whole spec has been
+    read: an error of the schema comes first.
     """
     start = time.perf_counter()
     inclusion, mat, _ = spec = _expectation_spec_from_json(data, path)
@@ -270,8 +279,7 @@ def expectation_spec_from_json(data: Any, path: str = "expectation"
 def _expectation_spec_from_json(data: Any, path: str
                                 ) -> tuple[StarHomomorphism, np.ndarray | None, TraceWeights]:
     _expect(isinstance(data, Mapping), path, "expectation is an object")
-    inclusion = homomorphism_from_json(data.get("inclusion"), f"{path}.inclusion")
-    big = inclusion.target
+    source, big, matrix = _homomorphism_parts(data.get("inclusion"), f"{path}.inclusion")
     mat = None
     if data.get("map") is not None:
         mat = _matrix_from_json(data["map"], f"{path}.map")
@@ -287,7 +295,7 @@ def _expectation_spec_from_json(data: Any, path: str
         _expect(all(_is_number(w) and 0 < w <= sys.float_info.max for w in weights),
                 f"{path}.trace_weights", "one finite positive weight per target block")
         tau = TraceWeights(big, tuple(float(w) for w in weights))
-    return inclusion, mat, tau
+    return StarHomomorphism(source, big, matrix), mat, tau
 
 
 # -- fusion data -------------------------------------------------------------

@@ -503,7 +503,7 @@ def is_positive(x: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
     Raises ValueError on non-self-adjoint input: positivity of a
     non-Hermitian element is a caller bug, not a falsy answer.
     """
-    if not x.is_hermitian(tol):
+    if (x - x.adjoint()).norm() > tol:
         raise ValueError("is_positive called on a non-self-adjoint element")
     for m in x.data:
         h = (m + m.conj().T) / 2
@@ -566,19 +566,20 @@ def expectation_from_densities(a_blocks, k, unitaries, densities
 
 # -- the index layer one block pair at a time -------------------------------------
 
-def normal_form_reference(hom: StarHomomorphism
+def normal_form_reference(src: MultiMatrixAlgebra, tgt: MultiMatrixAlgebra,
+                          matrix: np.ndarray
                           ) -> tuple[list[list[np.ndarray]], np.ndarray]:
-    """(corners, K) of ``hom``, found one pair (B block t, A block p) at a
-    time: corners[t][p] is the (m_t, a_p, k_tp) corner of U_t, as in
-    ``InclusionNormalForm``.  Raises the ValueError of the first failing B
-    block, with the messages of ``StarHomomorphism.normal_form``."""
-    src, tgt = hom.source, hom.target
+    """(corners, K) of the map src -> tgt with this matrix, found one pair
+    (B block t, A block p) at a time: corners[t][p] is the (m_t, a_p, k_tp)
+    corner of U_t, as ``StarHomomorphism`` holds it.  Raises the ValueError
+    of the first failing B block, with the messages of the
+    ``StarHomomorphism`` constructor."""
     cols = np.cumsum((0,) + tuple(a * a for a in src.blocks))
     mult = np.zeros((len(tgt.blocks), len(src.blocks)), dtype=np.int64)
     corners = []
     row = 0
     for t, m in enumerate(tgt.blocks):
-        images = hom.matrix[row:row + m * m].T.reshape(-1, m, m)
+        images = matrix[row:row + m * m].T.reshape(-1, m, m)
         row += m * m
         block = []
         for p, a in enumerate(src.blocks):
@@ -684,8 +685,8 @@ def closed_form_indices_reference(a_blocks, densities: list[list[np.ndarray]]
 
 def nested_densities(expectation: ConditionalExpectation) -> list[list[np.ndarray]]:
     """The batched densities of the library as h[t][p], 0 x 0 where k_tp = 0."""
-    k = expectation.inclusion.normal_form.multiplicities
-    pairs = expectation.inclusion.normal_form.pairs
+    k = expectation.inclusion.multiplicities
+    pairs = expectation.inclusion.pairs
     out = [[np.zeros((0, 0), dtype=complex) for _ in row] for row in k]
     for idx, h in expectation.densities:
         for n, d in zip(idx, h):

@@ -183,7 +183,7 @@ def test_group_algebra_inclusion_shapes():
     assert incl.source.blocks == (1, 1)
     assert incl.target.blocks == (1,) * 4
     # character k of Z/4 restricts to character k mod 2 of the subgroup
-    assert incl.normal_form.multiplicities.tolist() == [[1, 0], [0, 1], [1, 0], [0, 1]]
+    assert incl.multiplicities.tolist() == [[1, 0], [0, 1], [1, 0], [0, 1]]
     # each subalgebra character appears n/d = 2 times
     counts = np.asarray(np.real(incl.matrix)).sum(axis=0)
     assert list(counts) == [2.0, 2.0]
@@ -264,11 +264,10 @@ def test_normal_form_recovers_multiplicities_and_unitaries(rng):
         if not (k.sum(axis=1).all() and k.sum(axis=0).all()):
             continue
         inclusion = inclusion_from_multiplicities(a_blocks, k, rng)
-        form = inclusion.normal_form
-        assert np.array_equal(form.multiplicities, k)
+        assert np.array_equal(inclusion.multiplicities, k)
         x = random_element(inclusion.source, rng)
         image = inclusion(x)
-        for t, u in enumerate(form.unitaries):
+        for t, u in enumerate(inclusion.target.from_vector(inclusion.unitary).data):
             assert np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= 1e-12
             # U_t* phi(x)_t U_t = sum_p x_p (x) 1_{k_tp}
             want = copies(x, k[t])
@@ -299,7 +298,7 @@ def test_multiplicity_form_builds_the_direct_sum_of_copies(rng):
         for t, block in enumerate(image.data):
             assert np.array_equal(block, copies(x, k[t]))
         given = StarHomomorphism(inclusion.source, inclusion.target, inclusion.matrix)
-        assert np.array_equal(given.normal_form.multiplicities, k)
+        assert np.array_equal(given.multiplicities, k)
         tau = TraceWeights(inclusion.target,
                            tuple(rng.uniform(0.2, 2.0, len(inclusion.target.blocks))))
         want, got = (compute_index_report(canonical_expectation(h, tau))
@@ -342,26 +341,41 @@ def test_block_sizes_must_be_integers(m):
 
 
 def test_normal_form_rejects_non_homomorphisms():
+    # each map fails at construction, with the per-pair oracle's error
     sub, big = MultiMatrixAlgebra((1, 1)), MultiMatrixAlgebra((2,))
     good = diagonal_inclusion(2).matrix
     cases = [
         # e_1 -> e_11 + e_12 is not a projection, so not multiplicative
-        (good + np.outer(np.eye(4)[1], np.eye(2)[0]), "not a *-homomorphism"),
+        (sub, big, good + np.outer(np.eye(4)[1], np.eye(2)[0]), "not a *-homomorphism"),
         # e_2 -> 0: not unital
-        (good * np.array([1.0, 0.0]), "not a unital *-homomorphism"),
+        (sub, big, good * np.array([1.0, 0.0]), "not a unital *-homomorphism"),
+        # M_2 -> M_2 doubling e_12: the adapted basis is unitary, but
+        # phi(e_12) phi(e_21) = 2 e_11 is not phi(e_11)
+        (big, big, np.diag([1.0, 2.0, 1.0, 1.0]), "differs from e_ij (x) 1 by 1.000e+00"),
+        # C + C -> C by (a, b) -> a: unital in the target, but block 2 of A is lost
+        (sub, MultiMatrixAlgebra((1,)), np.array([[1.0, 0.0]]), "not injective"),
     ]
-    for mat, message in cases:
-        with pytest.raises(ValueError, match=re.escape(message)):
-            StarHomomorphism(sub, big, mat).normal_form
-    # M_2 -> M_2 doubling e_12: the adapted basis is unitary, but
-    # phi(e_12) phi(e_21) = 2 e_11 is not phi(e_11)
-    doubled = StarHomomorphism(big, big, np.diag([1.0, 2.0, 1.0, 1.0]))
-    with pytest.raises(ValueError, match=re.escape("differs from e_ij (x) 1 by 1.000e+00")):
-        doubled.normal_form
-    # C + C -> C by (a, b) -> a: unital in the target, but block 2 of A is lost
-    lost = StarHomomorphism(sub, MultiMatrixAlgebra((1,)), np.array([[1.0, 0.0]]))
-    with pytest.raises(ValueError, match="not injective"):
-        lost.normal_form
+    for source, target, mat, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)) as want:
+            normal_form_reference(source, target, mat)
+        with pytest.raises(ValueError) as got:
+            StarHomomorphism(source, target, mat)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, complex(0, np.nan), np.inf])
+@pytest.mark.parametrize("at", [(0, 0), (0, 1), (3, 1)])
+def test_non_finite_matrix_fails_at_construction(bad, at):
+    # a NaN gap fails the normal form's tests as a large one does
+    mat = np.array(diagonal_inclusion(2).matrix)
+    mat[at] = bad
+    with pytest.raises(ValueError, match=re.escape("inclusion is not a")):
+        StarHomomorphism(MultiMatrixAlgebra((1, 1)), MultiMatrixAlgebra((2,)), mat)
+    mat = np.eye(4, dtype=complex)
+    mat[1, 2] = bad
+    with pytest.raises(ValueError, match=re.escape("inclusion is not a")):
+        StarHomomorphism(MultiMatrixAlgebra((2,)), MultiMatrixAlgebra((2,)), mat)
 
 
 CORRUPTIONS = (None, "scaled unit", "dropped projection", "lost A block", "stray image")
@@ -400,32 +414,32 @@ def test_normal_form_matches_the_per_pair_oracle(data):
     elif corruption == "stray image":
         # e^p_aa gets an image in block t, too small to add a multiplicity
         mat[rows.start, first + a_blocks[p] ** 2 - 1] = 0.25
-    hom = StarHomomorphism(sub, big, mat)
     try:
-        corners, want = normal_form_reference(hom)
+        corners, want = normal_form_reference(sub, big, mat)
     except ValueError as err:
         assert corruption is not None
         with pytest.raises(ValueError) as got:
-            hom.normal_form
+            StarHomomorphism(sub, big, mat)
         assert str(got.value) == str(err)
         return
     assert corruption is None
-    form = hom.normal_form
-    assert np.array_equal(form.multiplicities, want)
-    for u, block in zip(form.unitaries, corners):
+    hom = StarHomomorphism(sub, big, mat)
+    assert np.array_equal(hom.multiplicities, want)
+    for u, block in zip(big.from_vector(hom.unitary).data, corners):
         ref = np.concatenate([c.reshape(c.shape[0], -1) for c in block], axis=1)
         assert np.abs(u - ref).max() <= 1e-12
-    for n in range(form.pairs.t.size):
-        t, p, m, a, kk = (int(getattr(form.pairs, f)[n]) for f in "tpmak")
-        corner = form.corner_columns(np.array([n]), a * kk).reshape(m, a, kk)
+    for n in range(hom.pairs.t.size):
+        t, p, m, a, kk = (int(getattr(hom.pairs, f)[n]) for f in "tpmak")
+        corner = hom.corner_columns(np.array([n]), a * kk).reshape(m, a, kk)
         assert np.abs(corner - corners[t][p]).max() <= 1e-12
 
 
 def test_normal_form_cost_is_independent_of_block_count(monkeypatch):
     # read off a matrix: one batched eigh per size class of B blocks in the
-    # normal form, and none after it, since the canonical densities are
-    # scalars: C[Z_24] in C[Z_24] costs what C[Z_4] in C[Z_4] does; given
-    # by its multiplicities, the normal form costs none
+    # constructor, and none after it, since the canonical densities are
+    # scalars: C[Z_24] in C[Z_24] costs what C[Z_4] in C[Z_4] does, and B
+    # blocks of sizes 1, 2, 4, 2 cost three; given by its multiplicities,
+    # the normal form costs none
     calls = []
     real = np.linalg.eigh
 
@@ -435,16 +449,20 @@ def test_normal_form_cost_is_independent_of_block_count(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     counts = {"matrix": [], "multiplicities": []}
-    for n in (4, 24):
-        given, tau = group_algebra_inclusion(n, n)
-        read = StarHomomorphism(given.source, given.target, given.matrix)
-        for form, inclusion in (("multiplicities", given), ("matrix", read)):
+    for a_blocks, k in (((1,) * 4, np.eye(4, dtype=int)), ((1,) * 24, np.eye(24, dtype=int)),
+                        ((1, 2), [[1, 0], [0, 1], [2, 1], [0, 1]])):
+        for form in counts:
             calls.clear()
-            inclusion.normal_form
-            in_normal_form = len(calls)
-            compute_index_report(canonical_expectation(inclusion, tau))
-            counts[form].append((in_normal_form, len(calls)))
-    assert counts == {"matrix": [(1, 1), (1, 1)], "multiplicities": [(0, 0), (0, 0)]}
+            inclusion = StarHomomorphism.from_multiplicities(a_blocks, k)
+            if form == "matrix":
+                inclusion = StarHomomorphism(inclusion.source, inclusion.target,
+                                             inclusion.matrix)
+            constructed = len(calls)
+            compute_index_report(canonical_expectation(
+                inclusion, TraceWeights.normalized(inclusion.target)))
+            counts[form].append((constructed, len(calls) - constructed))
+    assert counts == {"matrix": [(1, 0), (1, 0), (3, 0)],
+                      "multiplicities": [(0, 0), (0, 0), (0, 0)]}
 
 
 def test_constructors_leave_caller_arrays_writeable():

@@ -535,6 +535,34 @@ def test_index_compute_rejects_non_multiplicative_inclusion(tmp_path, capsys):
         assert "inclusion is not a *-homomorphism" in err
 
 
+@pytest.mark.parametrize("broken, message", [
+    (("map", 0, 0, 0), "expectation.map[0][0]: complex entries are [re, im] pairs of numbers"),
+    (("trace_weights", 0), "expectation.trace_weights: one finite positive weight per "
+     "target block"),
+    (None, "inclusion is not a unital *-homomorphism: B block 0 has size 2, the images "
+     "of A's minimal projections span 1"),
+], ids=["map", "trace-weights", "none"])
+def test_index_compute_reports_schema_errors_before_the_inclusion(tmp_path, capsys, broken,
+                                                                  message):
+    # the inclusion drops the image of the second unit, so it is not
+    # unital; a schema error in the map or the trace weights, read after
+    # the inclusion, is still the one reported
+    with open(pinching_spec(tmp_path), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    spec["inclusion"]["matrix"][3][1] = [0, 0]
+    spec["map"] = [[[float(i == j and i in (0, 3)), 0] for j in range(4)] for i in range(4)]
+    spec["trace_weights"] = [1]
+    if broken is not None:
+        *keys, last = broken
+        target = spec
+        for key in keys:
+            target = target[key]
+        target[last] = True
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(spec))
+    assert run(capsys, "index", "compute", "--spec", str(path)) == (2, "", f"error: {message}\n")
+
+
 def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys):
     # a map that fails unitality and bimodularity at the default tol; a NaN
     # tol made every "> tol" comparison False, so it passed validation

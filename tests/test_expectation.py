@@ -123,7 +123,6 @@ def test_each_density_is_eigendecomposed_once(rng, monkeypatch):
     # without any eigendecomposition
     inclusion = inclusion_from_multiplicities((1, 2), np.array([[1, 0], [2, 1]]), rng)
     tau = TraceWeights(inclusion.target, (0.3, 0.7))
-    inclusion.normal_form  # the inclusion's own eigh calls, cached before counting
     calls = []
 
     def counted(real):
@@ -830,7 +829,7 @@ def test_closed_form_membership_matches_the_svd_oracle(data):
     residual = np.linalg.norm(vec - onb @ (onb.conj().T @ vec))
     # clear of the threshold by more than the rounding of either test
     assume(abs(residual - tol * max(1.0, np.linalg.norm(vec))) > 1e-6 * tol * np.linalg.norm(vec))
-    assert _central_in_image(inclusion.normal_form, c, tol) == in_span(vec, onb, tol)
+    assert _central_in_image(inclusion, c, tol) == in_span(vec, onb, tol)
 
 
 # -- equivariantization ------------------------------------------------------
@@ -862,18 +861,20 @@ def test_equivariantize_fixes_equivariant_input():
 
 
 def test_equivariantize_rejects_bad_action():
-    expectation, _ = pinching_expectation(2)
-    big = expectation.algebra
+    # an action element that is not a *-automorphism fails when it is
+    # constructed, before it can reach equivariantize
+    big = MultiMatrixAlgebra((2,))
     # kills e_12 and e_21: neither injective nor multiplicative
-    not_auto = StarHomomorphism(big, big, np.diag([1.0, 0.0, 0.0, 1.0]))
+    not_auto = np.diag([1.0, 0.0, 0.0, 1.0])
     # Ad(s) for an invertible, non-unitary s is an algebra automorphism that
     # preserves the diagonal, but not a *-map
     s = np.diag([1.0, 2.0])
-    cols = [(s @ e.data[0] @ np.linalg.inv(s)).ravel() for e in big.basis()]
-    not_star = StarHomomorphism(big, big, np.stack(cols, axis=1))
+    not_star = np.stack([(s @ e.data[0] @ np.linalg.inv(s)).ravel() for e in big.basis()],
+                        axis=1)
     for g in (not_auto, not_star):
-        with pytest.raises(ValueError, match="not a \\*-automorphism"):
-            equivariantize(expectation, [identity_homomorphism(big), g])
+        with pytest.raises(ValueError, match="inclusion is not a \\*-homomorphism: the "
+                                             "adapted basis of B block 0 fails unitarity"):
+            StarHomomorphism(big, big, g)
 
 
 def test_equivariantize_rejects_actions_off_b_or_off_the_image_of_a():
@@ -934,13 +935,11 @@ def test_restrict_to_subalgebra_itself():
 
 def test_restrict_rejects_non_subalgebra():
     # twice the diagonal inclusion is linear and contains the scalars, but
-    # is not multiplicative
-    expectation, _ = trace_expectation(2)
-    doubled = StarHomomorphism(MultiMatrixAlgebra((1, 1)), expectation.algebra,
-                               2 * diagonal_inclusion(2).matrix)
-    with pytest.raises(ValueError, match=r"intermediate algebra: inclusion is "
-                                         r"not a \*-homomorphism"):
-        restrict_to_intermediate(expectation, doubled)
+    # is not multiplicative, so it fails when it is constructed, before it
+    # can reach restrict_to_intermediate
+    with pytest.raises(ValueError, match=r"inclusion is not a \*-homomorphism"):
+        StarHomomorphism(MultiMatrixAlgebra((1, 1)), MultiMatrixAlgebra((2,)),
+                         2 * diagonal_inclusion(2).matrix)
 
 
 def test_restrict_rejects_algebra_without_the_image_of_a():
@@ -1103,7 +1102,7 @@ def test_closed_forms_match_dense_oracles(data):
     assert validate_expectation(expectation).ok
     assert four_axiom_failures(expectation) == ()
     # the densities are read back up to a unitary of each multiplicity space
-    pairs = expectation.inclusion.normal_form.pairs
+    pairs = expectation.inclusion.pairs
     assert np.array_equal(np.sort(np.concatenate([idx for idx, _ in expectation.densities])),
                           np.arange(np.count_nonzero(k)))
     for idx, got in expectation.densities:
@@ -1112,7 +1111,8 @@ def test_closed_forms_match_dense_oracles(data):
             assert np.abs(np.linalg.eigvalsh(g) - np.linalg.eigvalsh(d)).max() <= 1e-12
     # the batched density reading, rebuilt map and closed forms against
     # their per-pair references: the same densities give the same indices
-    corners, _ = normal_form_reference(expectation.inclusion)
+    inclusion = expectation.inclusion
+    corners, _ = normal_form_reference(inclusion.source, inclusion.target, inclusion.matrix)
     batched = nested_densities(expectation)
     for got, want in zip(batched, densities_reference(expectation, corners)):
         for g, d in zip(got, want):

@@ -37,7 +37,8 @@ in ``TOWER_LAUNCHES`` interpreters per tree, launched with the trees
 alternating (ABBA) as the cold walls are.  Every launch is recorded; for
 each spec the record keeps the minimum across launches of the total, of
 the time inside ``qindex.io.loads`` and
-``qindex.io.expectation_spec_from_json`` (spec parsing) and of the
+``qindex.io.expectation_spec_from_json`` (spec parsing, with the
+inclusion's normal form, which its constructor finds) and of the
 remainder (index work), and the relative error of ``scalar_index``
 against ``qindex.fusion.jones_value(N)`` of the same tree.
 

@@ -22,7 +22,8 @@ from 2 to 12 and A blocks of mixed sizes, where the sums of the
 closed-form indices run over rows of different lengths.  The spec set is
 ``index compute`` on every file of ``spec_corpus``: malformed and edge
 specs that reach each way ``qindex.io.loads`` leaves its text path for
-``json`` (see there), with the valid spellings next to them, so both
+``json`` (see there), with the valid spellings next to them, and
+inclusions that are not unital injective *-homomorphisms, so both
 trees' exit codes and error messages on them are compared.  The ring
 set is ``fusion trace`` and ``fusion descent`` on every file of
 ``ring_corpus``: malformed and edge qindex.ring/1 and module files, whose
@@ -255,6 +256,23 @@ _ZERO_ROW = "[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]"
 _MAP = (f"[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], {_ZERO_ROW}, {_ZERO_ROW}, "
         "[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]")
 
+#: inclusion matrices, with A's block sizes, that are not unital injective
+#: *-homomorphisms into M_2: M_2 -> M_2 with e_12 doubled (not
+#: multiplicative), C + C -> M_2 with the image of the second unit dropped
+#: (not unital), and C + C -> M_2 sending the first unit onto 1 (A block 1
+#: lost, so not injective)
+_NOT_UNITAL = ("[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], "
+               "[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]")
+_INVALID_INCLUSIONS = {
+    "not-multiplicative": ("[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "
+                           "[[0.0, 0.0], [2.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "
+                           "[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], "
+                           "[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]", "[2]"),
+    "not-unital": (_NOT_UNITAL, "[1, 1]"),
+    "not-injective": ("[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], "
+                      "[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]", "[1, 1]"),
+}
+
 #: replacements of the first map entry [1.0, 0.0]: each malformed, past
 #: the float range, or a valid spelling of a number
 _ENTRIES = {
@@ -289,7 +307,9 @@ def spec_corpus() -> dict[str, bytes]:
     leaves its text path, and the valid spellings next to them: malformed
     numbers, pairs and rows, JSON true and non-finite numbers, arrays that
     are not values of a key, strings that hold brackets, escapes, CRLF, a
-    byte order mark and non-ASCII bytes."""
+    byte order mark and non-ASCII bytes.  Inclusions that are not unital
+    injective *-homomorphisms come with and without a map, and once with
+    a schema error in the trace weights too, which is reported first."""
     base = _spec()
     texts = {"valid": base, "valid-no-map": _spec(spec_map=None),
              "canonical-map-last": _spec(spec_map=None, extra=', "map": ' + _MAP)}
@@ -328,8 +348,12 @@ def spec_corpus() -> dict[str, bytes]:
         "tabs-and-newlines": base.replace(", ", ",\n\t").replace("]", " \n]"),
         "compact": base.replace(", ", ",").replace(": ", ":"),
         "non-ascii-key": _spec(extra=', "é": 1'),
+        "weights-true-not-unital": _spec(matrix=_NOT_UNITAL, weights="[true]"),
         "empty": "", "null": "null", "empty-object": "{}", "empty-list": "[]",
     })
+    for name, (matrix, blocks) in _INVALID_INCLUSIONS.items():
+        texts[name] = _spec(matrix=matrix, blocks=blocks)
+        texts[f"{name}-no-map"] = _spec(matrix=matrix, spec_map=None, blocks=blocks)
     out = {name: text.encode() for name, text in texts.items()}
     out["bom"] = b"\xef\xbb\xbf" + base.encode()
     out["invalid-utf8"] = base.encode() + b"\xff"
