@@ -71,11 +71,12 @@ class MultiMatrixAlgebra:
     def block_rows(self) -> tuple[tuple[int, np.ndarray], ...]:
         """Coefficient rows of the blocks, grouped by size: pairs (m, rows)
         with rows[b, i, j] the row of entry (i, j) of the b-th block of size m."""
-        offsets = np.cumsum((0,) + tuple(m * m for m in self.blocks))[:-1]
+        sizes = np.array(self.blocks)
+        squares = sizes * sizes
+        offsets = squares.cumsum() - squares
         groups = []
         for m in sorted(set(self.blocks)):
-            starts = np.array([o for o, size in zip(offsets, self.blocks) if size == m])
-            rows = starts[:, None, None] + np.arange(m * m).reshape(m, m)
+            rows = offsets[sizes == m, None, None] + np.arange(m * m).reshape(m, m)
             rows.flags.writeable = False
             groups.append((m, rows))
         return tuple(groups)
@@ -237,12 +238,11 @@ class StarHomomorphism:
     def pairs(self) -> BlockPairs:
         """The block pairs with k_tp > 0, the unit of the batched work."""
         k = self.multiplicities
-        a, m = np.asarray(self.source.blocks), np.asarray(self.target.blocks)
-        widths = k * a
+        a, m = np.array(self.source.blocks), np.array(self.target.blocks)
         t, p = np.nonzero(k)
-        return BlockPairs(t, p, m[t], a[p], k[t, p],
-                          (np.cumsum(widths, axis=1) - widths)[t, p],
-                          (np.cumsum(m * m) - m * m)[t], (np.cumsum(a * a) - a * a)[p])
+        widths, a_sq, m_sq = k * a, a * a, m * m
+        return BlockPairs(t, p, m[t], a[p], k[t, p], (widths.cumsum(axis=1) - widths)[t, p],
+                          (m_sq.cumsum() - m_sq)[t], (a_sq.cumsum() - a_sq)[p])
 
     def corner_columns(self, idx: np.ndarray, width: int) -> np.ndarray:
         """The first ``width`` columns of the corners of the pairs ``idx``,
@@ -282,10 +282,10 @@ def _normal_form(source: MultiMatrixAlgebra, target: MultiMatrixAlgebra,
     phi(e^p_ij)_t is U_t (e_ij (x) 1) U_t*, read off the corner of p.
     The first failing B block is named.
 
-    The work is batched per size class of B blocks: one eigh of the
-    images of every e^p_11 in the class, then one product per shape
-    (a_p, k_tp) of the pairs.  A pair with k_tp = 0 has an empty
-    corner, so its images must vanish.  Each image is read once.
+    The work is batched per size class of B blocks, by
+    :func:`_scalar_class` for blocks of size 1 and by :func:`_matrix_class`
+    for the others.  A pair with k_tp = 0 has an empty corner, so its
+    images must vanish.  Each image is read once.
     """
     a, sizes = np.asarray(source.blocks), np.asarray(target.blocks)
     first = np.cumsum(a * a) - a * a  # the column of e^p_11
@@ -294,37 +294,12 @@ def _normal_form(source: MultiMatrixAlgebra, target: MultiMatrixAlgebra,
     failures = []
     for m, rows in target.block_rows:
         ts = np.flatnonzero(sizes == m)
-        e11 = matrix[rows[..., None], first].transpose(0, 3, 1, 2)  # (block, p, m, m)
-        vals, vecs = np.linalg.eigh((e11 + e11.conj().swapaxes(-1, -2)) / 2)
-        k = (vals > 0.5).sum(axis=2)
+        if m == 1:
+            k, u, gaps = _scalar_class(matrix[rows[:, 0, 0]], first)
+        else:
+            k, u, gaps = _matrix_class(matrix, rows, first, a)
         mult[ts] = k
         span = k @ a
-        u = np.zeros((ts.size, m, m), dtype=complex)
-        gaps = np.zeros((2, ts.size))
-        # every pair of the blocks whose adapted basis spans, by shape
-        b, p = np.nonzero(np.repeat((span == m)[:, None], a.size, axis=1))
-        col = (np.cumsum(k * a, axis=1) - k * a)[b, p]
-        for g in group_indices(a[p], k[b, p]):
-            ag, kg, bg = a[p[g[0]]], k[b[g[0]], p[g[0]]], b[g]
-            # images[n, r, c, i, j] is entry (r, c) of phi(e^p_ij)_t
-            images = submatrices(matrix, rows[bg, 0, 0], first[p[g]],
-                                 m * m, ag * ag).reshape(-1, m, m, ag, ag)
-            if kg == 0:
-                np.maximum.at(gaps[1], bg, np.abs(images).max(axis=(1, 2, 3, 4)))
-                continue
-            # corner[:, (r, i), alpha] is phi(e^p_i1)_t times the
-            # eigenvector alpha of phi(e^p_11)_t with eigenvalue 1
-            corner = (images[..., 0].transpose(0, 1, 3, 2).reshape(-1, m * ag, m)
-                      @ vecs[bg, p[g], :, m - kg:])
-            u[bg[:, None, None], np.arange(m)[:, None],
-              col[g, None, None] + np.arange(ag * kg)] = corner.reshape(-1, m, ag * kg)
-            # with U_t unitary, U_t* phi(e^p_ij) U_t = e_ij (x) 1 exactly
-            # when phi(e^p_ij)_t is the product of columns (p, i, .) and
-            # (p, j, .)*
-            own = (corner @ corner.conj().swapaxes(1, 2)).reshape(-1, m, ag, m, ag)
-            own -= images.transpose(0, 1, 3, 2, 4)
-            np.maximum.at(gaps[1], bg, np.abs(own).max(axis=(1, 2, 3, 4)))
-        gaps[0] = np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(m)).max(axis=(1, 2))
         unitary[rows] = u
         # a NaN gap fails too
         bad = np.flatnonzero((span != m) | ~(gaps <= INCLUSION_TOL).all(axis=0))
@@ -337,6 +312,68 @@ def _normal_form(source: MultiMatrixAlgebra, target: MultiMatrixAlgebra,
     mult.flags.writeable = False
     unitary.flags.writeable = False
     return unitary, mult
+
+
+def _scalar_class(images: np.ndarray, first: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, U, gaps) of the B blocks of size 1, from images[b, c], the image
+    of A's c-th matrix unit in the b-th of them: no eigendecomposition.
+
+    Each image is a scalar, so k_tp is [Re phi(e^p_11)_t > 0.5], the one
+    eigenvalue of its Hermitian part.  Where the images span the block,
+    one A block p has k_tp = 1 and U_t is its image of e^p_11.  The
+    unitarity gap is | |U_t|^2 - 1 |, and the e_ij (x) 1 gap the largest
+    |image - U_t (e_ij (x) 1) U_t*| over the block's row: |U_t|^2 for
+    e^p_11 and 0 for every other matrix unit.  U_t and the gaps of a block
+    that the images do not span are not used.
+    """
+    k = (images[:, first].real > 0.5).astype(np.int64)
+    blocks = np.arange(len(images))
+    own = first[k.argmax(axis=1)]
+    u = images[blocks, own]
+    square = u * u.conj()
+    deviation = np.abs(images)
+    deviation[blocks, own] = np.abs(u - square)
+    return k, u[:, None, None], np.array((np.abs(square - 1), deviation.max(axis=1)))
+
+
+def _matrix_class(matrix: np.ndarray, rows: np.ndarray, first: np.ndarray,
+                  a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, U, gaps) of the B blocks of one size m > 1, whose coefficient rows
+    are ``rows``: one eigh of the images of every e^p_11 in them, then one
+    product per shape (a_p, k_tp) of the pairs of the blocks that the
+    images span."""
+    n_blocks, m = rows.shape[:2]
+    e11 = matrix[rows[..., None], first].transpose(0, 3, 1, 2)  # (block, p, m, m)
+    vals, vecs = np.linalg.eigh((e11 + e11.conj().swapaxes(-1, -2)) / 2)
+    k = (vals > 0.5).sum(axis=2)
+    u = np.zeros((n_blocks, m, m), dtype=complex)
+    gaps = np.zeros((2, n_blocks))
+    # every pair of the blocks whose adapted basis spans, by shape
+    b, p = np.nonzero(np.repeat((k @ a == m)[:, None], a.size, axis=1))
+    col = (np.cumsum(k * a, axis=1) - k * a)[b, p]
+    for g in group_indices(a[p], k[b, p]):
+        ag, kg, bg = a[p[g[0]]], k[b[g[0]], p[g[0]]], b[g]
+        # images[n, r, c, i, j] is entry (r, c) of phi(e^p_ij)_t
+        images = submatrices(matrix, rows[bg, 0, 0], first[p[g]],
+                             m * m, ag * ag).reshape(-1, m, m, ag, ag)
+        if kg == 0:
+            np.maximum.at(gaps[1], bg, np.abs(images).max(axis=(1, 2, 3, 4)))
+            continue
+        # corner[:, (r, i), alpha] is phi(e^p_i1)_t times the
+        # eigenvector alpha of phi(e^p_11)_t with eigenvalue 1
+        corner = (images[..., 0].transpose(0, 1, 3, 2).reshape(-1, m * ag, m)
+                  @ vecs[bg, p[g], :, m - kg:])
+        u[bg[:, None, None], np.arange(m)[:, None],
+          col[g, None, None] + np.arange(ag * kg)] = corner.reshape(-1, m, ag * kg)
+        # with U_t unitary, U_t* phi(e^p_ij) U_t = e_ij (x) 1 exactly
+        # when phi(e^p_ij)_t is the product of columns (p, i, .) and
+        # (p, j, .)*
+        own = (corner @ corner.conj().swapaxes(1, 2)).reshape(-1, m, ag, m, ag)
+        own -= images.transpose(0, 1, 3, 2, 4)
+        np.maximum.at(gaps[1], bg, np.abs(own).max(axis=(1, 2, 3, 4)))
+    gaps[0] = np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(m)).max(axis=(1, 2))
+    return k, u, gaps
 
 
 def submatrices(mat: np.ndarray, row0: np.ndarray, col0: np.ndarray,

@@ -18,6 +18,14 @@ returns, 0 or 3, comes with the report and the artifact.  A raised failure
 (exit 1, exit 2, or the CliFailure of ``fusion descent``'s exit 3) prints
 ``error: <message>`` on stderr, nothing on stdout, and writes no file.
 Reports are deterministic for a fixed seed except for the wall_ms field.
+
+``main`` parses argv with the parser of the command that its leading
+words name (``index compute``, ``fusion trace``, ``classify irrep``, ...),
+which holds the parsers of its subcommands and is built on first use.
+The full parser tree is built only where argparse reports at its top:
+for ``qindex -h``, a word that names no command, an argument that the
+command does not know, and ``classify`` without --lie-type.  Help, usage
+and error text are those of the full tree either way.
 """
 
 from __future__ import annotations
@@ -293,88 +301,146 @@ def _tolerance(text: str) -> float:
     return float(text)
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built once per process.  Only the
-    commands that test against a tolerance accept --tol."""
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0,
+def _seeded(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=0,
                         help="seed recorded in the report (default 0)")
-    common = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    common.add_argument("--tol", type=_tolerance, default=1e-9,
+
+
+def _with_tolerance(parser: argparse.ArgumentParser) -> None:
+    _seeded(parser)
+    parser.add_argument("--tol", type=_tolerance, default=1e-9,
                         help="numerical tolerance (default 1e-9)")
 
-    parser = argparse.ArgumentParser(
+
+def _index_compute(p: argparse.ArgumentParser) -> None:
+    _with_tolerance(p)
+    p.add_argument("--spec", required=True, help="expectation spec file")
+    p.add_argument("-o", "--output", default=None)
+    p.set_defaults(func=cmd_index_compute)
+
+
+def _fusion_generate_tlj(p: argparse.ArgumentParser) -> None:
+    _seeded(p)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("-o", "--output", default=None)
+    p.set_defaults(func=cmd_fusion_generate, kind="tlj")
+
+
+def _fusion_generate_pointed(p: argparse.ArgumentParser) -> None:
+    _seeded(p)
+    p.add_argument("--factors", required=True,
+                   help="comma-separated invariant factors, e.g. 2,2")
+    p.add_argument("-o", "--output", default=None)
+    p.set_defaults(func=cmd_fusion_generate, kind="pointed")
+
+
+def _fusion_trace(p: argparse.ArgumentParser) -> None:
+    _seeded(p)
+    p.add_argument("--ring", required=True)
+    p.add_argument("--module", required=True, help="module file, or 'regular'")
+    p.add_argument("-o", "--output", default=None)
+    p.set_defaults(func=cmd_fusion_trace)
+
+
+def _fusion_jones(p: argparse.ArgumentParser) -> None:
+    _with_tolerance(p)
+    p.add_argument("--value", type=_number, required=True)
+    p.set_defaults(func=cmd_fusion_jones)
+
+
+def _fusion_descent(p: argparse.ArgumentParser) -> None:
+    _with_tolerance(p)
+    p.add_argument("--ring", required=True)
+    p.add_argument("--module", required=True)
+    p.add_argument("--subring", required=True, help="comma-separated ring labels")
+    p.add_argument("--action-by", default=None, help="single ring label (default: all)")
+    p.set_defaults(func=cmd_fusion_descent)
+
+
+def _classify(p: argparse.ArgumentParser) -> None:
+    _seeded(p)
+    p.add_argument("--lie-type", default=None)
+    p.add_argument("-o", "--output", default=None)
+    p.set_defaults(func=cmd_classify_table)
+
+
+def _classify_irrep(p: argparse.ArgumentParser) -> None:
+    _seeded(p)
+    p.add_argument("--lie-type", required=True)
+    p.add_argument("--weight", required=True, help="comma-separated dominant weight")
+    p.add_argument("--subgroup", required=True,
+                   help="P, Q, or a position in the classification table")
+    p.set_defaults(func=cmd_classify_irrep)
+
+
+#: every command by the words that name it: its line in its parent's help,
+#: the function that adds its own arguments, and the dest of its
+#: subcommand, which it requires unless it also runs on its own.  Only the
+#: commands that test against a tolerance accept --tol.
+_COMMANDS = {
+    (): (None, None, "cmd"),
+    ("index",): ("conditional-expectation indices", None, "index_cmd"),
+    ("index", "compute"): ("index report from a JSON spec", _index_compute, None),
+    ("fusion",): ("fusion rings and module traces", None, "fusion_cmd"),
+    ("fusion", "generate"): ("write fixture rings", None, "kind"),
+    ("fusion", "generate", "tlj"): ("Temperley-Lieb-Jones ring", _fusion_generate_tlj, None),
+    ("fusion", "generate", "pointed"): ("group ring of an abelian group",
+                                        _fusion_generate_pointed, None),
+    ("fusion", "trace"): ("solve for the module trace", _fusion_trace, None),
+    ("fusion", "jones"): ("Jones spectrum membership", _fusion_jones, None),
+    ("fusion", "descent"): ("equivalence classes and d_F constancy in one pass",
+                            _fusion_descent, None),
+    ("classify",): ("finite-index subgroup tables", _classify, "classify_cmd"),
+    ("classify", "irrep"): ("irrep membership in a subgroup", _classify_irrep, None),
+}
+
+
+def _configure(parser: argparse.ArgumentParser,
+               words: tuple[str, ...]) -> argparse.ArgumentParser:
+    """``parser`` with the arguments of the command named by ``words`` and
+    the parsers of its subcommands."""
+    _, arguments, dest = _COMMANDS[words]
+    if arguments is not None:
+        arguments(parser)
+    if dest is not None:
+        sub = parser.add_subparsers(dest=dest, required=arguments is None)
+        for child in _COMMANDS:
+            if child and child[:-1] == words:
+                _configure(sub.add_parser(child[-1], help=_COMMANDS[child][0]), child)
+    return parser
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: for
+    ``qindex -h`` and for the errors that argparse reports at the top."""
+    return _configure(argparse.ArgumentParser(
         prog="qindex",
         description="Index theory of conditional expectations, fusion-module "
-                    "traces, and root/weight lattice classification.")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+                    "traces, and root/weight lattice classification."), ())
 
-    p_index = sub.add_parser("index", help="conditional-expectation indices")
-    index_sub = p_index.add_subparsers(dest="index_cmd", required=True)
-    p_compute = index_sub.add_parser("compute", parents=[common],
-                                     help="index report from a JSON spec")
-    p_compute.add_argument("--spec", required=True, help="expectation spec file")
-    p_compute.add_argument("-o", "--output", default=None)
-    p_compute.set_defaults(func=cmd_index_compute)
 
-    p_fusion = sub.add_parser("fusion", help="fusion rings and module traces")
-    fusion_sub = p_fusion.add_subparsers(dest="fusion_cmd", required=True)
+@functools.cache
+def _command_parser(words: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The parser of the command named by ``words`` alone, with its
+    subcommands, as the full parser holds it; built on first use."""
+    if not words:
+        return build_parser()
+    return _configure(argparse.ArgumentParser(prog=" ".join(("qindex",) + words)), words)
 
-    p_gen = fusion_sub.add_parser("generate", help="write fixture rings")
-    gen_sub = p_gen.add_subparsers(dest="kind", required=True)
-    p_tlj = gen_sub.add_parser("tlj", parents=[seeded],
-                               help="Temperley-Lieb-Jones ring")
-    p_tlj.add_argument("--n", type=int, required=True)
-    p_tlj.add_argument("-o", "--output", default=None)
-    p_tlj.set_defaults(func=cmd_fusion_generate, kind="tlj")
-    p_pointed = gen_sub.add_parser("pointed", parents=[seeded],
-                                   help="group ring of an abelian group")
-    p_pointed.add_argument("--factors", required=True,
-                           help="comma-separated invariant factors, e.g. 2,2")
-    p_pointed.add_argument("-o", "--output", default=None)
-    p_pointed.set_defaults(func=cmd_fusion_generate, kind="pointed")
 
-    p_trace = fusion_sub.add_parser("trace", parents=[seeded],
-                                    help="solve for the module trace")
-    p_trace.add_argument("--ring", required=True)
-    p_trace.add_argument("--module", required=True,
-                         help="module file, or 'regular'")
-    p_trace.add_argument("-o", "--output", default=None)
-    p_trace.set_defaults(func=cmd_fusion_trace)
-
-    p_jones = fusion_sub.add_parser("jones", parents=[common],
-                                    help="Jones spectrum membership")
-    p_jones.add_argument("--value", type=_number, required=True)
-    p_jones.set_defaults(func=cmd_fusion_jones)
-
-    p_descent = fusion_sub.add_parser(
-        "descent", parents=[common],
-        help="equivalence classes and d_F constancy in one pass")
-    p_descent.add_argument("--ring", required=True)
-    p_descent.add_argument("--module", required=True)
-    p_descent.add_argument("--subring", required=True,
-                           help="comma-separated ring labels")
-    p_descent.add_argument("--action-by", default=None,
-                           help="single ring label (default: all)")
-    p_descent.set_defaults(func=cmd_fusion_descent)
-
-    p_classify = sub.add_parser("classify", parents=[seeded],
-                                help="finite-index subgroup tables")
-    p_classify.add_argument("--lie-type", default=None)
-    p_classify.add_argument("-o", "--output", default=None)
-    p_classify.set_defaults(func=cmd_classify_table)
-    classify_sub = p_classify.add_subparsers(dest="classify_cmd")
-    p_irrep = classify_sub.add_parser("irrep", parents=[seeded],
-                                      help="irrep membership in a subgroup")
-    p_irrep.add_argument("--lie-type", required=True)
-    p_irrep.add_argument("--weight", required=True,
-                         help="comma-separated dominant weight")
-    p_irrep.add_argument("--subgroup", required=True,
-                         help="P, Q, or a position in the classification table")
-    p_irrep.set_defaults(func=cmd_classify_irrep)
-
-    return parser
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by the parser of the command its leading words name.
+    Help and its errors are those of that parser in the full tree; an
+    argument it does not know is reported by the full parser, as argparse
+    reports it there."""
+    words = ()
+    while len(words) < len(argv) and words + (argv[len(words)],) in _COMMANDS:
+        words += (argv[len(words)],)
+    args, unknown = _command_parser(words).parse_known_args(argv[len(words):])
+    if unknown:
+        return build_parser().parse_args(argv)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -382,10 +448,9 @@ def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("QINDEX_LOG", "warning").upper()
     log.setLevel(getattr(logging, level, logging.WARNING))
     log.addHandler(_HANDLER)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     if getattr(args, "func", None) is cmd_classify_table and args.lie_type is None:
-        parser.error("classify requires --lie-type")
+        build_parser().error("classify requires --lie-type")
     args.read = []
     t0 = time.perf_counter()
     try:

@@ -156,8 +156,9 @@ class ConditionalExpectation:
         of the densities, in the order of :attr:`densities`, the only
         density eigenvalues held: one batched eigh per density size of a
         map, while a scalar density s 1 is its own spectrum, s repeated
-        with identity eigenvectors.  Positivity, the quasi-basis and the
-        closed-form indices read them from here."""
+        with identity eigenvectors.  Positivity and the quasi-basis read
+        them from here, and so do the closed-form indices of a map; those of
+        scalar densities read the scalars."""
         if self._scalars is None:
             return tuple((idx, *np.linalg.eigh((h + h.conj().swapaxes(1, 2)) / 2))
                          for idx, h in self.densities)
@@ -330,8 +331,7 @@ def canonical_expectation(inclusion: StarHomomorphism,
     k = inclusion.multiplicities
     # h does not change when w is scaled; an exact power of two keeps K^T w
     # finite for weights near the float range's end
-    w = np.asarray(tau.weights)
-    w = np.ldexp(w, -np.frexp(w.max())[1])
+    w = np.ldexp(tau.weights, -math.frexp(max(tau.weights))[1])
     pairs = inclusion.pairs
     expectation = ConditionalExpectation(inclusion,
                                          scalars=w[pairs.t] / (k.T @ w)[pairs.p])
@@ -474,7 +474,8 @@ def _closed_form_indices(expectation: ConditionalExpectation
     positive} is max_t sum_p (sum of the min(a_p, k_tp) largest eigenvalues
     of h_tp^{-1}), and it is attained.
 
-    The inverse eigenvalues of each pair, descending, come from
+    The inverse eigenvalues of each pair, descending, are its scalar
+    density's inverse repeated k_tp times, or come from
     :attr:`ConditionalExpectation.spectra`: its min(a_p, k_tp) first
     entries and its others are two slices at their own lengths, each
     summed as np.sum sums it.
@@ -484,15 +485,22 @@ def _closed_form_indices(expectation: ConditionalExpectation
     if not lo > threshold:
         return math.inf, (math.inf,) * n_blocks
     pairs = expectation.inclusion.pairs
+    top_len = np.minimum(pairs.a, pairs.k)
     top, rest = np.empty(pairs.k.size), np.empty(pairs.k.size)
     with np.errstate(over="ignore"):  # past the float range: an infinite index
-        for idx, vals, _ in expectation.spectra:
-            inv = 1.0 / vals
-            top_len = np.minimum(pairs.a[idx], vals.shape[1])
-            for sub in group_indices(top_len):
-                n = top_len[sub[0]]
-                top[idx[sub]] = inv[sub, :n].sum(axis=1)
-                rest[idx[sub]] = inv[sub, n:].sum(axis=1)
+        if expectation._scalars is not None:
+            inv = 1.0 / expectation._scalars
+            for g in group_indices(pairs.k, top_len):
+                k, n = pairs.k[g[0]], top_len[g[0]]
+                top[g] = np.repeat(inv[g], n).reshape(g.size, n).sum(axis=1)
+                rest[g] = np.repeat(inv[g], k - n).reshape(g.size, k - n).sum(axis=1)
+        else:
+            for idx, vals, _ in expectation.spectra:
+                inv = 1.0 / vals
+                for sub in group_indices(top_len[idx]):
+                    n = top_len[idx[sub[0]]]
+                    top[idx[sub]] = inv[sub, :n].sum(axis=1)
+                    rest[idx[sub]] = inv[sub, n:].sum(axis=1)
     # per-block sums in the order of the pairs, p ascending; top plus the
     # rest, so that prob_t <= scalar_t after rounding
     prob = float(np.bincount(pairs.t, top, n_blocks).max())
@@ -626,6 +634,6 @@ def _central_in_image(inclusion: StarHomomorphism, c: np.ndarray, tol: float) ->
     c = np.ldexp(c, -exponent)
     ct = c[pairs.t]
     z = np.bincount(pairs.p, weight * ct) / np.bincount(pairs.p, weight)
-    residual = math.sqrt(float(np.sum(weight * (ct - z[pairs.p]) ** 2)))
+    residual = math.sqrt(float((weight * (ct - z[pairs.p]) ** 2).sum()))
     norm = math.sqrt(float(np.asarray(inclusion.target.blocks) @ (c * c)))
     return residual <= tol * max(math.ldexp(1.0, -exponent), norm)

@@ -27,7 +27,7 @@ from .fusion import FusionModule, FusionRing
 
 __all__ = [
     "SchemaError", "loads", "text_loads", "canonical_text", "canonical_object",
-    "algebra_from_json", "homomorphism_from_json", "expectation_spec_from_json",
+    "algebra_from_json", "expectation_spec_from_json",
     "ring_to_text", "ring_to_bytes", "ring_from_bytes", "ring_from_json",
     "module_from_json",
 ]
@@ -234,10 +234,6 @@ def algebra_from_json(data: Any, path: str = "algebra") -> MultiMatrixAlgebra:
     return MultiMatrixAlgebra(tuple(blocks))
 
 
-def homomorphism_from_json(data: Any, path: str = "homomorphism") -> StarHomomorphism:
-    return StarHomomorphism(*_homomorphism_parts(data, path))
-
-
 def _homomorphism_parts(data: Any, path: str
                         ) -> tuple[MultiMatrixAlgebra, MultiMatrixAlgebra, np.ndarray]:
     """The source, target and matrix of a homomorphism, checked against the
@@ -303,15 +299,18 @@ def _expectation_spec_from_json(data: Any, path: str
 RING2 = "qindex.ring/2"
 
 
+#: the encoder of ``canonical_text``, made once: ``json.dumps`` makes one
+#: per call when given arguments
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_text(value) -> str:
     """The canonical JSON text of reports and artifacts: keys sorted, no
     spaces, and an infinite float written as the string "inf"."""
     try:
-        return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                          allow_nan=False)
+        return _CANONICAL.encode(value)
     except ValueError:  # an infinite index, or fusion jones --value inf
-        return json.dumps(_inf_as_string(value), sort_keys=True,
-                          separators=(",", ":"), allow_nan=False)
+        return _CANONICAL.encode(_inf_as_string(value))
 
 
 def _inf_as_string(value):

@@ -381,16 +381,25 @@ def test_non_finite_matrix_fails_at_construction(bad, at):
 CORRUPTIONS = (None, "scaled unit", "dropped projection", "lost A block", "stray image")
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(derandomize=True, deadline=None, max_examples=150)
 @given(st.data())
 def test_normal_form_matches_the_per_pair_oracle(data):
     # up to 8 B blocks, whose sizes repeat, with zero multiplicities and
-    # Haar conjugations; a corrupted map raises the oracle's ValueError
-    a_blocks = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
-    nb = data.draw(st.integers(1, 8))
-    k = np.array(data.draw(st.lists(
-        st.lists(st.integers(0, 2), min_size=len(a_blocks), max_size=len(a_blocks)),
-        min_size=nb, max_size=nb)))
+    # Haar conjugations; a corrupted map raises the oracle's ValueError.
+    # In the commutative draws, about half, every A block has size 1 and
+    # every B block holds one copy of one of them, so every B block has
+    # size 1
+    if data.draw(st.booleans()):
+        a_blocks = (1,) * data.draw(st.integers(1, 3))
+        nb = data.draw(st.integers(1, 8))
+        k = np.eye(len(a_blocks), dtype=int)[data.draw(st.lists(
+            st.integers(0, len(a_blocks) - 1), min_size=nb, max_size=nb))]
+    else:
+        a_blocks = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        nb = data.draw(st.integers(1, 8))
+        k = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 2), min_size=len(a_blocks), max_size=len(a_blocks)),
+            min_size=nb, max_size=nb)))
     assume(k.sum(axis=1).all() and k.sum(axis=0).all())
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     inclusion = inclusion_from_multiplicities(a_blocks, k, rng)
@@ -435,11 +444,12 @@ def test_normal_form_matches_the_per_pair_oracle(data):
 
 
 def test_normal_form_cost_is_independent_of_block_count(monkeypatch):
-    # read off a matrix: one batched eigh per size class of B blocks in the
-    # constructor, and none after it, since the canonical densities are
-    # scalars: C[Z_24] in C[Z_24] costs what C[Z_4] in C[Z_4] does, and B
-    # blocks of sizes 1, 2, 4, 2 cost three; given by its multiplicities,
-    # the normal form costs none
+    # read off a matrix: one batched eigh per size class of B blocks of
+    # size > 1 in the constructor, none for the class of size 1, and none
+    # after it, since the canonical densities are scalars: C[Z_24] in
+    # C[Z_24] costs what C[Z_4] in C[Z_4] does, none, and B blocks of
+    # sizes 1, 2, 4, 2 cost two; given by its multiplicities, the normal
+    # form costs none
     calls = []
     real = np.linalg.eigh
 
@@ -461,7 +471,7 @@ def test_normal_form_cost_is_independent_of_block_count(monkeypatch):
             compute_index_report(canonical_expectation(
                 inclusion, TraceWeights.normalized(inclusion.target)))
             counts[form].append((constructed, len(calls) - constructed))
-    assert counts == {"matrix": [(1, 0), (1, 0), (3, 0)],
+    assert counts == {"matrix": [(0, 0), (0, 0), (2, 0)],
                       "multiplicities": [(0, 0), (0, 0), (0, 0)]}
 
 

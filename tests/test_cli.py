@@ -1,3 +1,4 @@
+import argparse
 import base64
 import contextlib
 import hashlib
@@ -12,14 +13,16 @@ import pytest
 
 import qindex.cli
 from qindex import io as qio
+from qindex.algebra import group_algebra_inclusion
 from qindex.cli import main
 from qindex.fusion import FusionModule, validate_fusion
 from qindex.generators import gen_pointed, gen_regular_module, gen_tlj
 
-from report_diff import WALL_MS, ring_corpus, ring_corpus_argvs, spec_corpus
+from report_diff import (CLI_ARGVS, WALL_MS, ring_corpus, ring_corpus_argvs,
+                         spec_corpus)
 
 from conftest import golden_ring, module_to_json, ring_from_bytes_spied, ring_to_json
-from oracles import module_to_text, ring2_reference
+from oracles import homomorphism_to_json, module_to_text, ring2_reference
 
 
 def run(capsys, *argv):
@@ -633,6 +636,145 @@ def test_commands_with_a_tolerance_report_it(tmp_path, capsys):
             code, out, _ = run(capsys, *argv, *tol)
             assert code == 0
             assert report_of(out)["tolerances"] == want
+
+
+#: exit code, stdout and stderr of each command line of ``CLI_ARGVS`` at
+#: COLUMNS=80: usage errors at each level of the parser tree and help text
+CLI_SURFACE = {
+    "": (2, "", (
+        "usage: qindex [-h] {index,fusion,classify} ...\n"
+        "qindex: error: the following arguments are required: cmd\n")),
+    "index": (2, "", (
+        "usage: qindex index [-h] {compute} ...\n"
+        "qindex index: error: the following arguments are required: index_cmd\n")),
+    "index compute": (2, "", (
+        "usage: qindex index compute [-h] [--seed SEED] [--tol TOL] --spec SPEC\n"
+        "                            [-o OUTPUT]\n"
+        "qindex index compute: error: the following arguments are required: --spec\n")),
+    "index compute --spec F --tol abc": (2, "", (
+        "usage: qindex index compute [-h] [--seed SEED] [--tol TOL] --spec SPEC\n"
+        "                            [-o OUTPUT]\n"
+        "qindex index compute: error: argument --tol: not a number: 'abc'\n")),
+    "bogus": (2, "", (
+        "usage: qindex [-h] {index,fusion,classify} ...\n"
+        "qindex: error: argument cmd: invalid choice: 'bogus' (choose from 'index', "
+        "'fusion', 'classify')\n")),
+    "fusion generate": (2, "", (
+        "usage: qindex fusion generate [-h] {tlj,pointed} ...\n"
+        "qindex fusion generate: error: the following arguments are required: kind\n")),
+    "classify": (2, "", (
+        "usage: qindex [-h] {index,fusion,classify} ...\n"
+        "qindex: error: classify requires --lie-type\n")),
+    "classify irrep --lie-type A2": (2, "", (
+        "usage: qindex classify irrep [-h] [--seed SEED] --lie-type LIE_TYPE --weight\n"
+        "                             WEIGHT --subgroup SUBGROUP\n"
+        "qindex classify irrep: error: the following arguments are required: "
+        "--weight, --subgroup\n")),
+    "-h": (0, (
+        "usage: qindex [-h] {index,fusion,classify} ...\n"
+        "\n"
+        "Index theory of conditional expectations, fusion-module traces, and\n"
+        "root/weight lattice classification.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {index,fusion,classify}\n"
+        "    index               conditional-expectation indices\n"
+        "    fusion              fusion rings and module traces\n"
+        "    classify            finite-index subgroup tables\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"), ""),
+    "index -h": (0, (
+        "usage: qindex index [-h] {compute} ...\n"
+        "\n"
+        "positional arguments:\n"
+        "  {compute}\n"
+        "    compute   index report from a JSON spec\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"), ""),
+    "index compute -h": (0, (
+        "usage: qindex index compute [-h] [--seed SEED] [--tol TOL] --spec SPEC\n"
+        "                            [-o OUTPUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --seed SEED           seed recorded in the report (default 0)\n"
+        "  --tol TOL             numerical tolerance (default 1e-9)\n"
+        "  --spec SPEC           expectation spec file\n"
+        "  -o OUTPUT, --output OUTPUT\n"), ""),
+    "classify -h": (0, (
+        "usage: qindex classify [-h] [--seed SEED] [--lie-type LIE_TYPE] [-o OUTPUT]\n"
+        "                       {irrep} ...\n"
+        "\n"
+        "positional arguments:\n"
+        "  {irrep}\n"
+        "    irrep               irrep membership in a subgroup\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --seed SEED           seed recorded in the report (default 0)\n"
+        "  --lie-type LIE_TYPE\n"
+        "  -o OUTPUT, --output OUTPUT\n"), ""),
+    "classify irrep -h": (0, (
+        "usage: qindex classify irrep [-h] [--seed SEED] --lie-type LIE_TYPE --weight\n"
+        "                             WEIGHT --subgroup SUBGROUP\n"
+        "\n"
+        "options:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --seed SEED          seed recorded in the report (default 0)\n"
+        "  --lie-type LIE_TYPE\n"
+        "  --weight WEIGHT      comma-separated dominant weight\n"
+        "  --subgroup SUBGROUP  P, Q, or a position in the classification table\n"), ""),
+}
+
+
+@pytest.mark.parametrize("argv", CLI_ARGVS, ids=" ".join)
+def test_usage_errors_and_help_are_pinned(capsys, monkeypatch, argv):
+    # each parser prints its own help and errors, whether it is built alone
+    # or in the full tree; report_diff's cli set runs the same command lines
+    assert set(CLI_SURFACE) == {" ".join(a) for a in CLI_ARGVS}
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out, out.err) == CLI_SURFACE[" ".join(argv)]
+
+
+def test_cyclic_index_compute_builds_one_parser_and_no_eigh(tmp_path, capsys, monkeypatch):
+    # C[Z_12] in C[Z_24] read off its matrix: every B block has size 1, so
+    # the normal form needs no eigendecomposition, the canonical densities
+    # are scalars, and only the parser of index compute is built
+    inclusion, _ = group_algebra_inclusion(24, 12)
+    path = tmp_path / "cyclic24_12.json"
+    path.write_text(json.dumps({"inclusion": homomorphism_to_json(inclusion)}))
+    eigh, built = [], []
+    real_eigh, real_init = np.linalg.eigh, argparse.ArgumentParser.__init__
+
+    def counted_eigh(*args, **kwargs):
+        eigh.append(args[0].shape)
+        return real_eigh(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    # the CLI's cached parsers are emptied, so the command builds the
+    # parsers it uses
+    caches = [f for f in vars(qindex.cli).values() if hasattr(f, "cache_clear")]
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        code, out, _ = run(capsys, "index", "compute", "--spec", str(path))
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert code == 0
+    assert report_of(out)["results"]["scalar_index"] == 2.0
+    assert eigh == []
+    assert built == ["qindex index compute"]
 
 
 def test_malformed_json_exits_1(tmp_path, capsys):

@@ -44,7 +44,7 @@ def test_element_round_trip(rng):
 
 def test_homomorphism_round_trip(rng):
     incl, _ = random_multimatrix_inclusion(rng)
-    back = qio.homomorphism_from_json(homomorphism_to_json(incl))
+    back, _, _ = qio.expectation_spec_from_json({"inclusion": homomorphism_to_json(incl)})
     assert back.source.blocks == incl.source.blocks
     assert back.target.blocks == incl.target.blocks
     assert np.allclose(back.matrix, incl.matrix)

@@ -9,7 +9,7 @@ BASE_SRC and HEAD_SRC are the ``src`` directories of the two trees.  For
 every benchmark workload and each seed of ``SEEDS`` (1 to 5), the commands
 of one benchmark pass are built with ``perfbench/inputs.build`` of this
 checkout, and ``-o FILE`` is appended to every command that accepts it
-and has none.  Five fixed
+and has none.  Six fixed
 sets of commands that the benchmark never runs come last.  The fusion set is
 ``fusion generate`` of pointed and TLJ rings with and without ``-o``, and
 ``fusion trace`` and ``fusion descent`` with module files, a
@@ -31,7 +31,9 @@ sparse maps ``qindex.io`` walks entry by entry as ``json`` decodes them,
 with the valid spellings next to them.  The lattice set is ``classify
 --lie-type X`` and ``classify irrep --subgroup Q`` at each fundamental
 weight of X, for X in A1-A8, B2-B8, C2-C8, D3-D8, E6-E8, F4 and G2, so
-every family's Cartan matrix is read.  Each tree runs the commands of
+every family's Cartan matrix is read.  The cli set is ``CLI_ARGVS``:
+usage errors at each level of the parser tree and help text, which both
+trees wrap at the same ``COLUMNS``.  Each tree runs the commands of
 one workload and seed (or a fixed set) in its own interpreter, through
 ``qindex.cli.main(argv)``, in its own copy of the input directory, so
 the command lines are the same on both sides.
@@ -373,6 +375,22 @@ def fixed_spec_set() -> list[dict]:
     return jobs
 
 
+# -- the fixed cli set ---------------------------------------------------------------
+
+#: usage errors at each level of the parser tree, the error that ``main``
+#: raises itself, and help text; pinned in ``tests/test_cli.py``
+CLI_ARGVS = (
+    [], ["index"], ["index", "compute"], ["index", "compute", "--spec", "F", "--tol", "abc"],
+    ["bogus"], ["fusion", "generate"], ["classify"], ["classify", "irrep", "--lie-type", "A2"],
+    ["-h"], ["index", "-h"], ["index", "compute", "-h"], ["classify", "-h"],
+    ["classify", "irrep", "-h"],
+)
+
+
+def fixed_cli_set() -> list[dict]:
+    return [{"argv": argv, "output": False} for argv in CLI_ARGVS]
+
+
 # -- the fixed ring corpus ----------------------------------------------------------
 
 def _canonical(payload) -> str:
@@ -630,7 +648,7 @@ def main() -> int:
              for workload in inputs.WORKLOADS for seed in SEEDS]
     cases += [("fixed fusion set", fixed_fusion_set), ("fixed index set", fixed_index_set),
               ("fixed spec set", fixed_spec_set), ("fixed ring set", fixed_ring_set),
-              ("fixed lattice set", fixed_lattice_set)]
+              ("fixed lattice set", fixed_lattice_set), ("fixed cli set", fixed_cli_set)]
     total = failed = allowed_count = 0
     with tempfile.TemporaryDirectory(prefix="report_diff_") as tmp:
         for k, (name, build) in enumerate(cases):
