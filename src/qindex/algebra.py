@@ -9,9 +9,11 @@ always given by its inclusion, a :class:`StarHomomorphism`, which holds
 its normal form: given by its matrix, its constructor finds the normal
 form and rejects a map that is not a unital injective *-homomorphism;
 given by its multiplicities (:meth:`StarHomomorphism.from_multiplicities`),
-the normal form is given and the matrix is built on first read.  Its
-pseudo-inverse is a closed form in its matrix,
-:meth:`StarHomomorphism.preimage`.
+the normal form is given at any block size, and U = 1 and the matrix are
+built on first read.  The coefficient layout has one owner,
+:attr:`MultiMatrixAlgebra.offsets`, read only by the dense paths, which
+raise ValueError on an algebra too large to index.  Its pseudo-inverse is
+a closed form in its matrix, :meth:`StarHomomorphism.preimage`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ DEFAULT_TOL = 1e-9
 #: images of matrix units are partial isometries, whose entries have modulus
 #: at most 1, so this absolute bound on them is a relative one
 INCLUSION_TOL = 1e-8
+
+#: the largest index of a dense array: an algebra of a larger dimension has
+#: no dense path, and its block sizes are held as Python ints
+_INDEX_MAX = int(np.iinfo(np.intp).max)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -68,15 +74,37 @@ class MultiMatrixAlgebra:
         return int(sum(self.blocks))
 
     @cached_property
+    def sizes(self) -> np.ndarray:
+        """The block sizes as an array, read only: np.intp (int64) while
+        ``total_dim`` fits, so that no integer bounded by it (a square, an
+        offset, sum_t m_t k_tp) wraps, and Python ints (dtype object)
+        past it."""
+        fits = self.total_dim <= _INDEX_MAX
+        sizes = np.array(self.blocks, dtype=np.intp if fits else object)
+        sizes.flags.writeable = False
+        return sizes
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """The first coefficient row of each block, read only: the layout
+        every dense path reads.  Raises ValueError when ``total_dim`` is
+        past np.intp, so that no row index wraps."""
+        if self.total_dim > _INDEX_MAX:
+            raise ValueError(f"an algebra of dimension {self.total_dim} is "
+                             "too large for a dense path")
+        squares = self.sizes * self.sizes
+        offsets = squares.cumsum() - squares
+        offsets.flags.writeable = False
+        return offsets
+
+    @cached_property
     def block_rows(self) -> tuple[tuple[int, np.ndarray], ...]:
         """Coefficient rows of the blocks, grouped by size: pairs (m, rows)
         with rows[b, i, j] the row of entry (i, j) of the b-th block of size m."""
-        sizes = np.array(self.blocks)
-        squares = sizes * sizes
-        offsets = squares.cumsum() - squares
+        offsets = self.offsets
         groups = []
         for m in sorted(set(self.blocks)):
-            rows = offsets[sizes == m, None, None] + np.arange(m * m).reshape(m, m)
+            rows = offsets[self.sizes == m, None, None] + np.arange(m * m).reshape(m, m)
             rows.flags.writeable = False
             groups.append((m, rows))
         return tuple(groups)
@@ -100,11 +128,8 @@ class MultiMatrixAlgebra:
         vec = np.asarray(vec, dtype=complex).ravel()
         if vec.size != self.total_dim:
             raise ValueError("coefficient vector has wrong length")
-        mats, ofs = [], 0
-        for m in self.blocks:
-            mats.append(vec[ofs:ofs + m * m].reshape(m, m))
-            ofs += m * m
-        return self.element(mats)
+        return self.element([vec[o:o + m * m].reshape(m, m)
+                             for m, o in zip(self.blocks, self.offsets)])
 
     def basis(self) -> list[AlgebraElement]:
         """Matrix units e^t_{ij}, ordered block by block, row-major."""
@@ -174,8 +199,9 @@ class StarHomomorphism:
     K[t, p] = k_tp.  Given by its matrix, the constructor finds the normal
     form (:func:`_normal_form`) and raises ValueError on a map that is not
     a unital injective *-homomorphism.  Given by its multiplicities
-    (:meth:`from_multiplicities`), the normal form is given, and the
-    matrix is built on first read and then cached.
+    (:meth:`from_multiplicities`), it holds A, B and K at any block size:
+    U = 1 and the matrix are built on first read and then cached, and
+    raise ValueError when B is too large for a dense path.
     """
 
     def __init__(self, source: MultiMatrixAlgebra, target: MultiMatrixAlgebra,
@@ -193,9 +219,9 @@ class StarHomomorphism:
     def from_multiplicities(cls, a_blocks: Sequence[int], k) -> StarHomomorphism:
         """The inclusion of A = sum_p M_{a_p} with B block t holding k[t, p]
         copies of A block p, phi(x)_t = sum_p x_p (x) 1_{k_tp}: its normal
-        form with every U_t = 1.  B's block sizes are K a.  Raises
-        ValueError unless k is a matrix of nonnegative integers with one
-        column per A block and no zero row or column.
+        form with every U_t = 1.  B's block sizes are K a, in Python ints.
+        Raises ValueError unless k is a matrix of nonnegative integers with
+        one column per A block and no zero row or column.
         """
         source = MultiMatrixAlgebra(tuple(a_blocks))
         k = np.asarray(k)
@@ -206,14 +232,24 @@ class StarHomomorphism:
         if not np.array_equal(mult, k) or np.any(mult < 0):
             raise ValueError("multiplicities must be nonnegative integers")
         _check_injective(mult)
-        target = MultiMatrixAlgebra(tuple((mult @ source.blocks).tolist()))
-        unitary = np.concatenate([np.eye(m, dtype=complex).ravel() for m in target.blocks])
+        sizes = mult @ np.array(source.blocks, dtype=object)
+        target = MultiMatrixAlgebra(tuple(sizes.tolist()))
         mult.flags.writeable = False
-        unitary.flags.writeable = False
         hom = cls.__new__(cls)
-        hom.source, hom.target = source, target
-        hom.unitary, hom.multiplicities = unitary, mult
+        hom.source, hom.target, hom.multiplicities = source, target, mult
         return hom
+
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        """The coefficient vector of U, read only: as the normal form found
+        it, or U = 1, built on first read for a homomorphism given by its
+        multiplicities."""
+        groups = self.target.block_rows  # raises the named error before any allocation
+        unitary = np.zeros(self.target.total_dim, dtype=complex)
+        for _, rows in groups:
+            unitary[rows.diagonal(axis1=1, axis2=2)] = 1.0
+        unitary.flags.writeable = False
+        return unitary
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -222,15 +258,16 @@ class StarHomomorphism:
         B block t is e_ij (x) 1_{k_tp} on corner p, in the normal form's
         (p, i, alpha) column order."""
         pairs = self.pairs
+        b_ofs, a_ofs = self.target.offsets[pairs.t], self.source.offsets[pairs.p]
         mat = np.zeros((self.target.total_dim, self.source.total_dim), dtype=complex)
         for g in group_indices(pairs.a, pairs.k):
             a, k = int(pairs.a[g[0]]), int(pairs.k[g[0]])
             i, j, alpha = np.ix_(range(a), range(a), range(k))
-            col, m, b_ofs, a_ofs = (v[g, None, None, None] for v in
-                                    (pairs.col, pairs.m, pairs.b_ofs, pairs.a_ofs))
+            col, m, b0, a0 = (v[g, None, None, None] for v in
+                              (pairs.col, pairs.m, b_ofs, a_ofs))
             # entry (r, c) of B block t, in row i and column j of copy alpha
             r, c = col + i * k + alpha, col + j * k + alpha
-            mat[b_ofs + r * m + c, a_ofs + i * a + j] = 1.0
+            mat[b0 + r * m + c, a0 + i * a + j] = 1.0
         mat.flags.writeable = False
         return mat
 
@@ -238,17 +275,17 @@ class StarHomomorphism:
     def pairs(self) -> BlockPairs:
         """The block pairs with k_tp > 0, the unit of the batched work."""
         k = self.multiplicities
-        a, m = np.array(self.source.blocks), np.array(self.target.blocks)
+        a, m = self.source.sizes, self.target.sizes
         t, p = np.nonzero(k)
-        widths, a_sq, m_sq = k * a, a * a, m * m
-        return BlockPairs(t, p, m[t], a[p], k[t, p], (widths.cumsum(axis=1) - widths)[t, p],
-                          (m_sq.cumsum() - m_sq)[t], (a_sq.cumsum() - a_sq)[p])
+        # k_tp a_p <= m_t, so no width or column wraps in m's dtype
+        widths = k.astype(m.dtype, copy=False) * a
+        return BlockPairs(t, p, m[t], a[p], k[t, p], (widths.cumsum(axis=1) - widths)[t, p])
 
     def corner_columns(self, idx: np.ndarray, width: int) -> np.ndarray:
         """The first ``width`` columns of the corners of the pairs ``idx``,
         which share one B block size m: shape (len(idx), m, width)."""
         m = int(self.pairs.m[idx[0]])
-        start = self.pairs.b_ofs[idx] + self.pairs.col[idx]
+        start = self.target.offsets[self.pairs.t[idx]] + self.pairs.col[idx]
         return self.unitary[start[:, None, None] + m * np.arange(m)[:, None]
                             + np.arange(width)]
 
@@ -265,7 +302,7 @@ class StarHomomorphism:
         ||phi(e^p_ij)||^2 = Tr phi(e^p_jj) = sum_t k_tp = n_p, so Phi* Phi
         is diag(n) and Phi* / n is the pseudo-inverse of Phi.
         """
-        a = np.asarray(self.source.blocks)
+        a = self.source.sizes
         n = np.repeat(self.multiplicities.sum(axis=0), a * a)
         return (np.asarray(vecs).T @ self.matrix.conj() / n).T
 
@@ -287,8 +324,8 @@ def _normal_form(source: MultiMatrixAlgebra, target: MultiMatrixAlgebra,
     for the others.  A pair with k_tp = 0 has an empty corner, so its
     images must vanish.  Each image is read once.
     """
-    a, sizes = np.asarray(source.blocks), np.asarray(target.blocks)
-    first = np.cumsum(a * a) - a * a  # the column of e^p_11
+    a, sizes = source.sizes, target.sizes
+    first = source.offsets  # the column of e^p_11
     mult = np.zeros((sizes.size, a.size), dtype=np.int64)
     unitary = np.zeros(target.total_dim, dtype=complex)
     failures = []
@@ -411,9 +448,10 @@ def _normal_form_failure(t: int, m: int, span: int, gaps: np.ndarray) -> str:
 @dataclass(frozen=True)
 class BlockPairs:
     """The pairs (B block t, A block p) with k_tp > 0, in row-major order
-    of K, as parallel arrays: the blocks t and p, their sizes m and a, the
-    multiplicity k, the first column ``col`` of corner p in U_t, and the
-    offsets of block t in B's and of block p in A's coefficient vectors."""
+    of K, as parallel arrays: the blocks t and p, their sizes m and a (in
+    the dtypes of :attr:`MultiMatrixAlgebra.sizes`), the multiplicity k and
+    the first column ``col`` of corner p in U_t.  The coefficient rows of
+    the blocks are ``target.offsets[t]`` and ``source.offsets[p]``."""
 
     t: np.ndarray
     p: np.ndarray
@@ -421,8 +459,6 @@ class BlockPairs:
     a: np.ndarray
     k: np.ndarray
     col: np.ndarray
-    b_ofs: np.ndarray
-    a_ofs: np.ndarray
 
 
 def group_indices(*keys: np.ndarray) -> list[np.ndarray]:

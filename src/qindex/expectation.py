@@ -137,7 +137,8 @@ class ConditionalExpectation:
                 first = self.inclusion.corner_columns(at, k)
                 # E's diagonal block on each B block of these pairs, read
                 # once; the pairs of one block are slots against it
-                offsets, block = np.unique(pairs.b_ofs[at], return_inverse=True)
+                offsets, block = np.unique(self.algebra.offsets[pairs.t[at]],
+                                           return_inverse=True)
                 slot = np.arange(at.size) - np.searchsorted(block, block)
                 # the (1,1) entry of A block p, read in copy 0 of block t
                 probes = np.zeros((offsets.size, slot.max() + 1, 1, m * m), dtype=complex)
@@ -201,8 +202,8 @@ def _rebuild(inclusion: StarHomomorphism,
             #           W[c,j,alpha] x[r, c]
             left = (corner.conj() @ h[sub, None].swapaxes(-1, -2)).reshape(-1, m * a, k)
             part = (left @ corner.reshape(-1, m * a, k).swapaxes(1, 2)).reshape(-1, m, a, m, a)
-            rows = pairs.a_ofs[at, None, None] + np.arange(a * a)[:, None]
-            cols = pairs.b_ofs[at, None, None] + np.arange(m * m)
+            rows = inclusion.source.offsets[pairs.p[at], None, None] + np.arange(a * a)[:, None]
+            cols = inclusion.target.offsets[pairs.t[at], None, None] + np.arange(m * m)
             reduce[rows, cols] = part.transpose(0, 2, 4, 1, 3).reshape(-1, a * a, m * m)
     return inclusion.matrix @ reduce
 
@@ -371,7 +372,7 @@ def quasi_basis_report(expectation: ConditionalExpectation,
 
     pairs = inclusion.pairs
     k = inclusion.multiplicities
-    sizes = np.asarray(big.blocks)
+    sizes, offsets = big.sizes, big.offsets
     copies = k.sum(axis=1)
     # block t holds m_t sum_p k_tp elements (rho, copy), from column
     # first_col[t] on; the copies of pair (t, p) start at copy_ofs
@@ -387,7 +388,7 @@ def quasi_basis_report(expectation: ConditionalExpectation,
             c = inclusion.corner_columns(at, width) @ (
                 (vecs[sub] / np.sqrt(vals[sub])[:, None, :]) @ vecs[sub].conj().swapaxes(1, 2))
             rho = np.arange(m)[:, None, None]
-            rows = pairs.b_ofs[at, None, None, None] + rho * m + np.arange(m)[:, None]
+            rows = offsets[t, None, None, None] + rho * m + np.arange(m)[:, None]
             where = ((first_col[t] + copy_ofs[at])[:, None, None, None]
                      + rho * copies[t, None, None, None] + np.arange(width))
             cols[rows, where] = c.conj()[:, None]
@@ -626,7 +627,7 @@ def _central_in_image(inclusion: StarHomomorphism, c: np.ndarray, tol: float) ->
     z_p the a_p k_tp-weighted mean of c_t over the blocks t.
     """
     pairs = inclusion.pairs
-    weight = pairs.a * pairs.k
+    weight = (pairs.a * pairs.k).astype(float)
     # c scaled by a power of two near 1/max c, so that no square overflows
     # for an index up to the float range; while no value leaves the normal
     # range, the test gives what it gives on c itself, bit for bit
@@ -635,5 +636,5 @@ def _central_in_image(inclusion: StarHomomorphism, c: np.ndarray, tol: float) ->
     ct = c[pairs.t]
     z = np.bincount(pairs.p, weight * ct) / np.bincount(pairs.p, weight)
     residual = math.sqrt(float((weight * (ct - z[pairs.p]) ** 2).sum()))
-    norm = math.sqrt(float(np.asarray(inclusion.target.blocks) @ (c * c)))
+    norm = math.sqrt(float(inclusion.target.sizes @ (c * c)))
     return residual <= tol * max(math.ldexp(1.0, -exponent), norm)

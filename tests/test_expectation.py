@@ -3,9 +3,13 @@ import io
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -737,10 +741,11 @@ def test_tower_multiplicativity():
     assert abs(n3 - 4.0) <= 1e-9
 
 
-@pytest.mark.parametrize("n", range(4, 15))
+@pytest.mark.parametrize("n", [*range(4, 61), 100, 150, 200])
 def test_jones_towers_give_the_discrete_series_from_their_multiplicities(n):
     # T(n) given by (a, K) reaches 4 cos^2(pi/n) from its normal form alone:
-    # no matrix is built, so T(12) (a 16796 x 4862 matrix) peaks under 5 MB
+    # neither U nor the matrix is built, so every report peaks under 1 MB,
+    # T(16) (D = 2 674 440) and T(200) (block sizes past 2^190) alike
     a, k, w = jones_tower(n)
     tracemalloc.start()
     try:
@@ -751,15 +756,69 @@ def test_jones_towers_give_the_discrete_series_from_their_multiplicities(n):
     finally:
         tracemalloc.stop()
     beta = jones_value(n)
+    sizes = [sum(k_tp * a_p for k_tp, a_p in zip(row, a)) for row in k.tolist()]
     assert abs(report.scalar_index - beta) <= 1e-14 * beta
+    assert inclusion.target.blocks == tuple(sizes)
+    assert report.quasi_basis_size == sum(m * k_tp for m, row in zip(sizes, k.tolist())
+                                          for k_tp in row)
     assert report.index_in_subalgebra is True
-    assert "matrix" not in inclusion.__dict__
-    if n == 12:
-        assert peak < 5 * 2**20
+    assert "matrix" not in inclusion.__dict__ and "unitary" not in inclusion.__dict__
+    assert peak < 2**20
     if n <= 9:
         given = StarHomomorphism(inclusion.source, inclusion.target, inclusion.matrix)
         read = compute_index_report(canonical_expectation(given, TraceWeights(given.target, w)))
         assert abs(read.scalar_index - report.scalar_index) <= 1e-12 * report.scalar_index
+
+
+PAST_INT64 = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+sys.path[:0] = sys.argv[1:]
+from qindex.algebra import StarHomomorphism, TraceWeights
+from qindex.expectation import canonical_expectation, compute_index_report
+from report_diff import jones_tower
+
+def report(inclusion, weights):
+    tau = TraceWeights(inclusion.target, weights)
+    return compute_index_report(canonical_expectation(inclusion, tau))
+
+out = {}
+for n in (38, 39, 60):
+    a, k, w = jones_tower(n)
+    out[n] = report(StarHomomorphism.from_multiplicities(a, k), w).scalar_index
+one = report(StarHomomorphism.from_multiplicities((2**31,), [[1]]), (1.0,))
+out["one"] = [one.scalar_index, one.quasi_basis_size]
+big = StarHomomorphism.from_multiplicities((2**62, 2**62), [[1, 1]])
+out["blocks"] = big.target.blocks
+for name, read in (("matrix", lambda: big.matrix), ("unitary", lambda: big.unitary),
+                   ("block_rows", lambda: big.target.block_rows)):
+    try:
+        read()
+    except ValueError as error:
+        out[name] = str(error)
+print(json.dumps(out))
+"""
+
+
+def test_a_dense_read_past_int64_raises_and_never_wraps():
+    # in a child capped at 512 MB of address space: towers whose D passes
+    # 2^63 (T(38)), whose largest block squared does (T(39)) and T(60)
+    # report from (a, K); so does D = 2^62, whose U would take 64 EiB;
+    # past np.intp every dense read raises the one named error
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", PAST_INT64,
+                           str(root / "src"), str(root / "tools")],
+                          capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    for n in (38, 39, 60):
+        assert abs(out[str(n)] - jones_value(n)) <= 1e-14 * jones_value(n)
+    assert out["one"] == [1.0, 2**31]
+    assert out["blocks"] == [2**63]
+    for name in ("matrix", "unitary", "block_rows"):
+        assert out[name] == (f"an algebra of dimension {2**126} is too large "
+                             "for a dense path")
 
 
 def test_group_algebra_integer_index():

@@ -39,8 +39,9 @@ print(json.dumps({{"qindex": sorted(m for m in sys.modules
 
 @pytest.mark.parametrize("layer", sorted(LOADS))
 def test_each_layer_loads_only_the_layers_it_uses(layer):
-    # -I: no PYTHONPATH, user site or working directory on sys.path
-    out = subprocess.run([sys.executable, "-I", "-c", PROBE.format(layer=layer), SRC],
+    # -I: no PYTHONPATH, user site or working directory on sys.path; -B:
+    # no bytecode written into src, which -I would not stop
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", PROBE.format(layer=layer), SRC],
                          capture_output=True, text=True, check=True).stdout
     loaded = json.loads(out)
     assert loaded["qindex"] == sorted({"qindex"} | {f"qindex.{m}" for m in LOADS[layer]})

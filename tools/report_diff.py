@@ -200,19 +200,19 @@ def jones_tower(n: int) -> tuple[list[int], np.ndarray, list[float]]:
     of paths from vertex 0, K is the adjacency between the two levels, and
     the weight of B vertex j is d_j beta^{-(n-2)/2}, with
     d_j = sin((j+1) pi/n) / sin(pi/n) and beta = 4 cos^2(pi/n), the index.
+    The paths are counted in Python ints, which pass 2^63 from T(73) on.
     """
-    paths = [np.eye(n - 1, dtype=np.int64)[0]]
+    paths = [[1] + [0] * (n - 2)]
     for _ in range(n - 2):
-        step = np.zeros(n - 1, dtype=np.int64)
-        step[1:] += paths[-1][:-1]
-        step[:-1] += paths[-1][1:]
-        paths.append(step)
-    a_vertices, b_vertices = np.flatnonzero(paths[n - 3]), np.flatnonzero(paths[n - 2])
-    k = (np.abs(b_vertices[:, None] - a_vertices[None, :]) == 1).astype(np.int64)
+        last = [0, *paths[-1], 0]
+        paths.append([left + right for left, right in zip(last, last[2:])])
+    a_vertices = [j for j, count in enumerate(paths[n - 3]) if count]
+    b_vertices = [j for j, count in enumerate(paths[n - 2]) if count]
+    k = (np.abs(np.subtract.outer(b_vertices, a_vertices)) == 1).astype(np.int64)
     beta = 4.0 * math.cos(math.pi / n) ** 2
     weights = [math.sin((j + 1) * math.pi / n) / math.sin(math.pi / n)
                * beta ** (-(n - 2) / 2) for j in b_vertices]
-    return paths[n - 3][a_vertices].tolist(), k, weights
+    return [paths[n - 3][j] for j in a_vertices], k, weights
 
 
 #: (A blocks, K) of the inclusions with mixed multiplicities
