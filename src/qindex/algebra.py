@@ -220,17 +220,25 @@ class StarHomomorphism:
         """The inclusion of A = sum_p M_{a_p} with B block t holding k[t, p]
         copies of A block p, phi(x)_t = sum_p x_p (x) 1_{k_tp}: its normal
         form with every U_t = 1.  B's block sizes are K a, in Python ints.
-        Raises ValueError unless k is a matrix of nonnegative integers with
-        one column per A block and no zero row or column.
+        Raises ValueError unless k is a matrix of nonnegative integers below
+        2^63 with one column per A block and no zero row or column.
         """
         source = MultiMatrixAlgebra(tuple(a_blocks))
         k = np.asarray(k)
         if k.ndim != 2 or k.shape[1] != len(source.blocks):
             raise ValueError(f"multiplicities must be a matrix with "
                              f"{len(source.blocks)} columns, got shape {k.shape}")
-        mult = k.astype(np.int64)
-        if not np.array_equal(mult, k) or np.any(mult < 0):
-            raise ValueError("multiplicities must be nonnegative integers")
+        # floats and objects are range-checked before the int64 cast, which
+        # past 2^63 warns or raises; an int past it wraps, and the compare
+        # with k finds it
+        try:
+            fits = k.dtype.kind in "biu" or (
+                k.dtype.kind in "fO" and bool(np.all((k >= 0) & (k < 2 ** 63))))
+        except TypeError:  # an object that is not a number
+            fits = False
+        mult = k.astype(np.int64) if fits else None
+        if mult is None or not np.array_equal(mult, k) or np.any(mult < 0):
+            raise ValueError("multiplicities must be nonnegative integers below 2^63")
         _check_injective(mult)
         sizes = mult @ np.array(source.blocks, dtype=object)
         target = MultiMatrixAlgebra(tuple(sizes.tolist()))

@@ -44,6 +44,7 @@ from .algebra import (
     MultiMatrixAlgebra,
     StarHomomorphism,
     TraceWeights,
+    _freeze,
     _image_preimage,
     column_norms,
     group_indices,
@@ -81,11 +82,10 @@ class ConditionalExpectation:
         self.inclusion = inclusion
         self._scalars = None if scalars is None else np.asarray(scalars, dtype=float)
         if matrix is not None:
-            mat = np.array(matrix, dtype=complex, order="C")
+            mat = _freeze(matrix)
             d = self.algebra.total_dim
             if mat.shape != (d, d):
                 raise ValueError(f"expectation matrix must be {d}x{d}, got {mat.shape}")
-            mat.flags.writeable = False
             self.__dict__["matrix"] = mat
 
     @property

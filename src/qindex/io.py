@@ -221,7 +221,7 @@ def _swap_placeholders(data: dict) -> int:
     return swapped
 
 
-# -- algebras and homomorphisms ----------------------------------------------
+# -- algebras ----------------------------------------------------------------
 
 def algebra_from_json(data: Any, path: str = "algebra") -> MultiMatrixAlgebra:
     _expect(isinstance(data, Mapping), path, "algebra is an object")
@@ -232,19 +232,6 @@ def algebra_from_json(data: Any, path: str = "algebra") -> MultiMatrixAlgebra:
             f"{path}.blocks",
             "blocks is a nonempty list of positive integers")
     return MultiMatrixAlgebra(tuple(blocks))
-
-
-def _homomorphism_parts(data: Any, path: str
-                        ) -> tuple[MultiMatrixAlgebra, MultiMatrixAlgebra, np.ndarray]:
-    """The source, target and matrix of a homomorphism, checked against the
-    schema only."""
-    _expect(isinstance(data, Mapping), path, "homomorphism is an object")
-    source = algebra_from_json(data.get("source"), f"{path}.source")
-    target = algebra_from_json(data.get("target"), f"{path}.target")
-    matrix = _matrix_from_json(data.get("matrix"), f"{path}.matrix")
-    _expect(matrix.shape == (target.total_dim, source.total_dim), f"{path}.matrix",
-            f"matrix must be {target.total_dim}x{source.total_dim}, got {matrix.shape}")
-    return source, target, matrix
 
 
 # -- expectations ------------------------------------------------------------
@@ -260,24 +247,19 @@ def expectation_spec_from_json(data: Any, path: str = "expectation"
     read: an error of the schema comes first.
     """
     start = time.perf_counter()
-    inclusion, mat, _ = spec = _expectation_spec_from_json(data, path)
-    if log.isEnabledFor(logging.INFO):
-        held = [data["inclusion"]["matrix"]] + ([data["map"]] if mat is not None else [])
-        from_text = sum(isinstance(m, np.ndarray) for m in held)
-        log.info("expectation_spec_from_json: D %d, dim A %d, %s, "
-                 "matrices %d from text, %d through json, %.3f s",
-                 inclusion.target.total_dim, inclusion.source.total_dim,
-                 "explicit map" if mat is not None else "no map", from_text,
-                 len(held) - from_text, time.perf_counter() - start)
-    return spec
-
-
-def _expectation_spec_from_json(data: Any, path: str
-                                ) -> tuple[StarHomomorphism, np.ndarray | None, TraceWeights]:
     _expect(isinstance(data, Mapping), path, "expectation is an object")
-    source, big, matrix = _homomorphism_parts(data.get("inclusion"), f"{path}.inclusion")
+    inc, inc_path = data.get("inclusion"), f"{path}.inclusion"
+    _expect(isinstance(inc, Mapping), inc_path, "homomorphism is an object")
+    source = algebra_from_json(inc.get("source"), f"{inc_path}.source")
+    big = algebra_from_json(inc.get("target"), f"{inc_path}.target")
+    # as read: an ndarray is a matrix that ``loads`` read from its bytes
+    held = [inc.get("matrix")]
+    matrix = _matrix_from_json(held[0], f"{inc_path}.matrix")
+    _expect(matrix.shape == (big.total_dim, source.total_dim), f"{inc_path}.matrix",
+            f"matrix must be {big.total_dim}x{source.total_dim}, got {matrix.shape}")
     mat = None
     if data.get("map") is not None:
+        held.append(data["map"])
         mat = _matrix_from_json(data["map"], f"{path}.map")
         d = big.total_dim
         _expect(mat.shape == (d, d), f"{path}.map", f"map must be {d}x{d}")
@@ -290,8 +272,16 @@ def _expectation_spec_from_json(data: Any, path: str
                 f"{path}.trace_weights", "one positive weight per target block")
         _expect(all(_is_number(w) and 0 < w <= sys.float_info.max for w in weights),
                 f"{path}.trace_weights", "one finite positive weight per target block")
-        tau = TraceWeights(big, tuple(float(w) for w in weights))
-    return StarHomomorphism(source, big, matrix), mat, tau
+        tau = TraceWeights(big, tuple(weights))
+    inclusion = StarHomomorphism(source, big, matrix)
+    if log.isEnabledFor(logging.INFO):
+        from_text = sum(isinstance(m, np.ndarray) for m in held)
+        log.info("expectation_spec_from_json: D %d, dim A %d, %s, "
+                 "matrices %d from text, %d through json, %.3f s",
+                 big.total_dim, source.total_dim,
+                 "explicit map" if mat is not None else "no map", from_text,
+                 len(held) - from_text, time.perf_counter() - start)
+    return inclusion, mat, tau
 
 
 # -- fusion data -------------------------------------------------------------

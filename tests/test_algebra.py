@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +324,42 @@ def test_multiplicity_form_builds_the_direct_sum_of_copies(rng):
 def test_from_multiplicities_rejects_invalid_multiplicities(k, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         StarHomomorphism.from_multiplicities((1, 2), k)
+
+
+@pytest.mark.parametrize("k", [[[2 ** 64]], [[float("nan")]], [[1, 2 ** 63]], [[2 ** 63]]],
+                         ids=["2^64", "nan", "1-and-2^63", "2^63"])
+def test_multiplicities_past_int64_raise_one_value_error(k):
+    # an object, float or uint64 array, each past int64: no cast warns,
+    # overflows or wraps before the check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            StarHomomorphism.from_multiplicities((1,) * len(k[0]), k)
+        assert str(err.value) == "multiplicities must be nonnegative integers below 2^63"
+        top = StarHomomorphism.from_multiplicities((1,), [[2 ** 63 - 1]])
+    assert top.target.blocks == (2 ** 63 - 1,)
+
+
+M2, M12 = MultiMatrixAlgebra((2,)), MultiMatrixAlgebra((1, 2))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: M12.element([np.eye(1)]), "wrong number of blocks"),
+    (lambda: M12.element([np.eye(2), np.eye(2)]), "block shape (2, 2) does not match size 1"),
+    (lambda: M12.from_vector(np.zeros(4)), "coefficient vector has wrong length"),
+    (lambda: M2.identity() + M12.identity(), "elements live in different algebras"),
+    (lambda: StarHomomorphism(MultiMatrixAlgebra((1, 1)), M2, np.zeros((4, 3))),
+     "homomorphism matrix has shape (4, 3), expected (4, 2)"),
+    (lambda: diagonal_inclusion(2)(M2.identity()), "element is not in the source algebra"),
+    (lambda: TraceWeights(M2, (0.5, 0.5)), "one weight per block required"),
+    (lambda: MultiMatrixAlgebra((2 ** 32,)).offsets,
+     f"an algebra of dimension {2 ** 64} is too large for a dense path"),
+], ids=["blocks", "block-shape", "vector-length", "parents", "matrix-shape", "source",
+        "weights", "past-intp"])
+def test_misshapen_arguments_are_named(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("m", [1.5, 2.5, 0.5])

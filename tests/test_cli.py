@@ -18,8 +18,9 @@ from qindex.cli import main
 from qindex.fusion import FusionModule, validate_fusion
 from qindex.generators import gen_pointed, gen_regular_module, gen_tlj
 
-from report_diff import (CLI_ARGVS, WALL_MS, ring_corpus, ring_corpus_argvs,
-                         spec_corpus)
+from report_diff import (CLI_ARGVS, FUSION_ERROR_ARGVS, LATTICE_ERROR_ARGVS, WALL_MS,
+                         fusion_error_files, ring_corpus, ring_corpus_argvs, spec_corpus,
+                         write_files)
 
 from conftest import golden_ring, module_to_json, ring_from_bytes_spied, ring_to_json
 from oracles import homomorphism_to_json, module_to_text, ring2_reference
@@ -639,7 +640,8 @@ def test_commands_with_a_tolerance_report_it(tmp_path, capsys):
 
 
 #: exit code, stdout and stderr of each command line of ``CLI_ARGVS`` at
-#: COLUMNS=80: usage errors at each level of the parser tree and help text
+#: COLUMNS=80: usage errors at each level of the parser tree, a --subgroup
+#: that names no row, and help text
 CLI_SURFACE = {
     "": (2, "", (
         "usage: qindex [-h] {index,fusion,classify} ...\n"
@@ -670,6 +672,8 @@ CLI_SURFACE = {
         "                             WEIGHT --subgroup SUBGROUP\n"
         "qindex classify irrep: error: the following arguments are required: "
         "--weight, --subgroup\n")),
+    "classify irrep --lie-type A2 --weight 1,0 --subgroup x": (2, "", (
+        "error: --subgroup must be P, Q, or a table position, got 'x'\n")),
     "-h": (0, (
         "usage: qindex [-h] {index,fusion,classify} ...\n"
         "\n"
@@ -735,10 +739,46 @@ def test_usage_errors_and_help_are_pinned(capsys, monkeypatch, argv):
     # or in the full tree; report_diff's cli set runs the same command lines
     assert set(CLI_SURFACE) == {" ".join(a) for a in CLI_ARGVS}
     monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
+    # argparse exits; an error past the parser is returned
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
-    assert (exc.value.code, out.out, out.err) == CLI_SURFACE[" ".join(argv)]
+    assert (code, out.out, out.err) == CLI_SURFACE[" ".join(argv)]
+
+
+#: the error of each command of ``FUSION_ERROR_ARGVS`` and
+#: ``LATTICE_ERROR_ARGVS``, all of which exit 2
+FIXED_SET_ERRORS = {
+    "fusion descent --ring z3.json --module regular --subring 0,1":
+        "subring not closed under duals at '1'",
+    "fusion trace --ring z3_dual_not_bijective.json --module regular":
+        "ring: dual involution is not a bijection on the labels",
+    "fusion trace --ring z3_dual_3_cycle.json --module regular":
+        "ring: dual is not an involution at '0'",
+    "fusion trace --ring z2_no_unit.json --module z2_no_unit_module.json":
+        "ring: unit: N[1,1]^1 = 0",
+    "fusion trace --ring rep_s3.json --module rep_s3_module.json":
+        "conjugate transpose law fails at r",
+    "classify --lie-type A0": "A_r needs r >= 1",
+    "classify --lie-type B1": "B_r needs r >= 2",
+    "classify --lie-type C1": "C_r needs r >= 2",
+    "classify --lie-type D2": "D_r needs r >= 3",
+    "classify --lie-type E5": "E supports ranks 6, 7, 8",
+    "classify --lie-type F3": "F supports rank 4",
+    "classify --lie-type G3": "G supports rank 2",
+}
+
+
+@pytest.mark.parametrize("argv", FUSION_ERROR_ARGVS + LATTICE_ERROR_ARGVS, ids=" ".join)
+def test_errors_of_the_fixed_sets_are_pinned(tmp_path, monkeypatch, capsys, argv):
+    # report_diff's fusion and lattice sets run the same command lines
+    assert set(FIXED_SET_ERRORS) == {" ".join(a)
+                                     for a in FUSION_ERROR_ARGVS + LATTICE_ERROR_ARGVS}
+    monkeypatch.chdir(tmp_path)
+    write_files(fusion_error_files())
+    assert run(capsys, *argv) == (2, "", f"error: {FIXED_SET_ERRORS[' '.join(argv)]}\n")
 
 
 def test_cyclic_index_compute_builds_one_parser_and_no_eigh(tmp_path, capsys, monkeypatch):

@@ -165,6 +165,17 @@ def test_expectation_leaves_caller_array_writeable():
     mat[0, 0] = 2.0
 
 
+def test_a_matrix_or_weights_off_b_are_named():
+    expectation, _ = pinching_expectation(2)
+    with pytest.raises(ValueError) as err:
+        ConditionalExpectation(expectation.inclusion, np.eye(3))
+    assert str(err.value) == "expectation matrix must be 4x4, got (3, 3)"
+    with pytest.raises(ValueError) as err:
+        canonical_expectation(expectation.inclusion,
+                              TraceWeights(MultiMatrixAlgebra((1, 2)), (0.5, 0.5)))
+    assert str(err.value) == "trace weights are not on the big algebra"
+
+
 # -- canonical construction ---------------------------------------------------
 
 def test_canonical_trace_onto_scalars():
@@ -230,6 +241,17 @@ def test_quasi_basis_none_for_non_faithful():
     result = quasi_basis_report(expectation, tau)
     assert result.basis is None
     assert result.min_eigenvalue < 1e-10
+
+
+def test_quasi_basis_none_when_its_defect_fails_the_bound(rng):
+    # noise on the pinching's matrix leaves its densities faithful, but the
+    # basis built from them does not reproduce the matrix
+    expectation, _ = pinching_expectation(2)
+    noisy = ConditionalExpectation(expectation.inclusion,
+                                   expectation.matrix + 1e-3 * rng.standard_normal((4, 4)))
+    result = quasi_basis_report(noisy)
+    assert result.min_eigenvalue > 0.1
+    assert result.basis is None and result.defect > 1e-6
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -1011,6 +1033,16 @@ def test_restrict_rejects_inclusion_into_another_algebra():
     expectation, _ = trace_expectation(2)
     with pytest.raises(ValueError, match=r"included in blocks \(3,\), not in B's \(2,\)"):
         restrict_to_intermediate(expectation, scalars_inclusion(3))
+
+
+def test_restrict_rejects_a_map_that_is_not_an_expectation():
+    # E is not validated on entry: twice the pinching is not unital, and
+    # neither is its restriction to B itself
+    expectation, _ = pinching_expectation(2)
+    doubled = ConditionalExpectation(expectation.inclusion, 2 * expectation.matrix)
+    with pytest.raises(ValueError) as err:
+        restrict_to_intermediate(doubled, identity_homomorphism(expectation.algebra))
+    assert str(err.value) == "restriction is not a conditional expectation (failed: unitality)"
 
 
 def test_restrict_preserves_quasi_basis_existence(rng):

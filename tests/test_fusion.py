@@ -146,6 +146,50 @@ def test_validate_detects_corrupted_unit():
     assert problems and "unit" in problems[0]
 
 
+Z2 = gen_pointed([2])
+
+
+def _no_positive_character():
+    # the summed matrix diag(2, 1) is symmetric, and its top eigenvector
+    # is zero at the second label
+    tensor = np.zeros((2, 2, 2), dtype=np.int64)
+    tensor[0] = np.eye(2, dtype=np.int64)
+    tensor[1, 0, 0] = 1
+    return pf_dimensions(FusionRing(Z2.labels, Z2.unit, Z2.dual, tensor))
+
+
+def _functor_trace(eta, solved=True):
+    _, module, _, trace = regular_with_trace(4)
+    functor = (action_functor(module, trace, "0") if solved
+               else MultiplicityFunctor(module, functor_dims(module, "0")))
+    return functor_trace_components(functor, trace, eta)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FusionRing(Z2.labels, Z2.unit, Z2.dual, np.zeros((2, 2, 1))),
+     "tensor must be 2x2x2"),
+    (lambda: FusionRing(Z2.labels, Z2.unit, Z2.dual, -Z2.tensor),
+     "multiplicities must be nonnegative"),
+    (lambda: FusionModule(Z2, ("a",), Z2.tensor), "action tensor must be 2x1x1"),
+    (_no_positive_character,
+     "leading eigenvector is not strictly positive; ring admits no positive character"),
+    (lambda: BigradedDims(np.zeros((2, 3))), "dims must be a square integer matrix"),
+    (lambda: BigradedDims(-np.eye(2)), "dims must be nonnegative"),
+    (lambda: _functor_trace({}, solved=False), "functor carries no standard-solution vectors"),
+    (lambda: _functor_trace({(0, 0): np.eye(2)}), "eta block at (0, 0) must be 1x1"),
+], ids=["tensor-shape", "negative", "action-shape", "no-positive-character", "dims-shape",
+        "negative-dims", "no-solution", "eta-shape"])
+def test_malformed_fusion_data_is_named(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_a_unit_outside_the_labels_is_a_violation():
+    assert validate_fusion(FusionRing(Z2.labels, "x", Z2.dual, Z2.tensor)) == [
+        "unit label 'x' is not in the label set"]
+
+
 def test_validate_pointed_z3():
     assert validate_fusion(gen_pointed([3])) == []
 

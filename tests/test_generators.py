@@ -106,6 +106,16 @@ def test_quotient_module_rejects_non_subgroup():
         gen_quotient_module(z4, [4], [(1,), (3,)])
 
 
+@pytest.mark.parametrize("ring_factors, subgroup, message", [
+    ([2], [(0,)], "ring is not the pointed ring of the given factors"),
+    ([4], [(0,), (1,), (3,)], "subgroup not closed under addition"),
+], ids=["other-ring", "not-closed-under-addition"])
+def test_quotient_module_names_what_is_wrong(ring_factors, subgroup, message):
+    with pytest.raises(ValueError) as err:
+        gen_quotient_module(gen_pointed(ring_factors), [4], subgroup)
+    assert str(err.value) == message
+
+
 def test_pointed_rejects_bad_factors():
     with pytest.raises(ValueError):
         gen_pointed([])

@@ -171,6 +171,18 @@ def test_cartan_data_is_its_type():
         CartanData("A2", ((2, -2), (-1, 2)))
     with pytest.raises(ValueError):
         cartan_data("H4")
+    with pytest.raises(ValueError) as err:
+        standard_cartan_matrix("H", 3)
+    assert str(err.value) == "unknown family 'H'"
+
+
+@pytest.mark.parametrize("factors, message", [
+    ((1,), "invariant factors must be > 1"), ((2, 3), "divisibility chain violated"),
+])
+def test_invariant_factors_must_form_a_divisibility_chain(factors, message):
+    with pytest.raises(ValueError) as err:
+        FiniteAbelianGroup(factors)
+    assert str(err.value) == message
 
 
 # -- subgroup enumeration ----------------------------------------------------
@@ -390,6 +402,9 @@ def test_irrep_membership_rejects_malformed_generators():
         spec = SublatticeSpec(generators, ((0,),))
         with pytest.raises(ValueError, match="lower triangular with a positive diagonal"):
             irrep_membership(label, spec)
+    with pytest.raises(ValueError) as err:
+        irrep_membership(IrrepLabel((1,)), SublatticeSpec(((1, 0), (0, 1)), ((0,),)))
+    assert str(err.value) == "weight has wrong rank"
 
 
 def test_irrep_label_rejects_negative():

@@ -13,9 +13,13 @@ and has none.  Six fixed
 sets of commands that the benchmark never runs come last.  The fusion set is
 ``fusion generate`` of pointed and TLJ rings with and without ``-o``, and
 ``fusion trace`` and ``fusion descent`` with module files, a
-decomposable one and one of another ring among them, and on the regular
+decomposable one and one of another ring among them, on the regular
 module of Rep(A4), the one ring whose generating set has a word that
-holds two labels its words have not reached.  The index set is
+holds two labels its words have not reached, and ``FUSION_ERROR_ARGVS``:
+a subring not closed under duals, ring files whose dual is not a
+bijection or not an involution, a module file whose ring breaks a unit
+law, and a module of Rep(S3) that breaks only the conjugate transpose
+law.  The index set is
 ``index compute``, on the canonical expectation and on its explicit map,
 of the Jones towers T(4) to T(9) and of inclusions with multiplicities
 from 2 to 12 and A blocks of mixed sizes, where the sums of the
@@ -31,9 +35,11 @@ sparse maps ``qindex.io`` walks entry by entry as ``json`` decodes them,
 with the valid spellings next to them.  The lattice set is ``classify
 --lie-type X`` and ``classify irrep --subgroup Q`` at each fundamental
 weight of X, for X in A1-A8, B2-B8, C2-C8, D3-D8, E6-E8, F4 and G2, so
-every family's Cartan matrix is read.  The cli set is ``CLI_ARGVS``:
-usage errors at each level of the parser tree and help text, which both
-trees wrap at the same ``COLUMNS``.  Each tree runs the commands of
+every family's Cartan matrix is read, and ``classify --lie-type X`` for
+X in A0, B1, C1, D2, E5, F3 and G3, a rank out of range in each family.
+The cli set is ``CLI_ARGVS``: usage errors at each level of the parser
+tree, a --subgroup that names no row, and help text, which both trees
+wrap at the same ``COLUMNS``.  Each tree runs the commands of
 one workload and seed (or a fixed set) in its own interpreter, through
 ``qindex.cli.main(argv)``, in its own copy of the input directory, so
 the command lines are the same on both sides.
@@ -164,16 +170,67 @@ def _rep_a4_ring() -> dict:
             "dual": {"1": "1", "3": "3", "w": "w2", "w2": "w"}, "N": rules}
 
 
-def fixed_fusion_set() -> list[dict]:
-    """Write the ring and module files of the fixed set into the working
-    directory and return its jobs."""
-    files = {"tlj9.json": _tlj_ring(9), "tlj9_module.json": _regular_module(_tlj_ring(9), 1),
-             "tlj9_twice.json": _regular_module(_tlj_ring(9), 2),
-             "tlj7_module.json": _regular_module(_tlj_ring(7), 1),
-             "rep_a4.json": _rep_a4_ring()}
+def _cyclic_ring(n: int) -> dict:
+    """The fusion_ring file of Z/n, the pointed ring of one factor n."""
+    rules = {f"{a},{b}": {str((a + b) % n): 1} for a in range(n) for b in range(n)}
+    return {"irr": [str(a) for a in range(n)], "unit": "0",
+            "dual": {str(a): str(-a % n) for a in range(n)}, "N": rules}
+
+
+def _rep_s3_ring() -> dict:
+    """The fusion_ring file of Rep(S3): the sign s and the 2-dimensional r,
+    with s s = 1, s r = r s = r and r r = 1 + s + r."""
+    rules = {f"1,{x}": {x: 1} for x in "1sr"}
+    rules.update({"s,1": {"s": 1}, "r,1": {"r": 1}, "s,s": {"1": 1}, "s,r": {"r": 1},
+                  "r,s": {"r": 1}, "r,r": {"1": 1, "s": 1, "r": 1}})
+    return {"irr": ["1", "s", "r"], "unit": "1", "dual": {x: x for x in "1sr"}, "N": rules}
+
+
+def fusion_error_files() -> dict[str, dict]:
+    """Ring and module files, by name, each of which breaks one law that
+    ``FUSION_ERROR_ARGVS`` reach: Z/3 with a dual that is not a bijection
+    and with one that is a 3-cycle, Z/2 without the entry 0 1 = 1 and its
+    regular module, and the module of Rep(S3) on two labels a, b that
+    both 1 and s fix, with r a = b and r b = 2a + b.  It holds every
+    associativity law, but r is self-dual and its action matrix is not
+    symmetric, so it breaks the conjugate transpose law."""
+    z3, z2 = _cyclic_ring(3), _cyclic_ring(2)
+    del z2["N"]["0,1"]
+    action = {f"{u},{i}": {i: 1} for u in "1s" for i in "ab"}
+    action.update({"r,a": {"b": 1}, "r,b": {"a": 2, "b": 1}})
+    return {"z3.json": z3,
+            "z3_dual_not_bijective.json": {**z3, "dual": {"0": "0", "1": "1", "2": "1"}},
+            "z3_dual_3_cycle.json": {**z3, "dual": {"0": "1", "1": "2", "2": "0"}},
+            "z2_no_unit.json": z2, "z2_no_unit_module.json": _regular_module(z2, 1),
+            "rep_s3.json": _rep_s3_ring(),
+            "rep_s3_module.json": {"ring": _rep_s3_ring(), "irrM": ["a", "b"], "n": action}}
+
+
+#: commands on ``fusion_error_files`` that exit 2, each at the first law
+#: its input breaks; pinned in ``tests/test_cli.py``
+FUSION_ERROR_ARGVS = (
+    ["fusion", "descent", "--ring", "z3.json", "--module", "regular", "--subring", "0,1"],
+    ["fusion", "trace", "--ring", "z3_dual_not_bijective.json", "--module", "regular"],
+    ["fusion", "trace", "--ring", "z3_dual_3_cycle.json", "--module", "regular"],
+    ["fusion", "trace", "--ring", "z2_no_unit.json", "--module", "z2_no_unit_module.json"],
+    ["fusion", "trace", "--ring", "rep_s3.json", "--module", "rep_s3_module.json"],
+)
+
+
+def write_files(files: dict[str, dict]) -> None:
+    """Write each payload as JSON into the working directory."""
     for name, payload in files.items():
         with open(name, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
+
+
+def fixed_fusion_set() -> list[dict]:
+    """Write the ring and module files of the fixed set into the working
+    directory and return its jobs."""
+    write_files({"tlj9.json": _tlj_ring(9), "tlj9_module.json": _regular_module(_tlj_ring(9), 1),
+                 "tlj9_twice.json": _regular_module(_tlj_ring(9), 2),
+                 "tlj7_module.json": _regular_module(_tlj_ring(7), 1),
+                 "rep_a4.json": _rep_a4_ring(), **fusion_error_files()})
     evens = ["--subring", "0,2,4,6"]
     argvs = [(["fusion", "generate", "pointed", "--factors", "2,4"], True),
              (["fusion", "generate", "pointed", "--factors", "3,2,2"], False),
@@ -187,6 +244,7 @@ def fixed_fusion_set() -> list[dict]:
     argvs += [(["fusion", "trace", "--ring", "rep_a4.json", "--module", "regular"], True),
               (["fusion", "descent", "--ring", "rep_a4.json", "--module", "regular",
                 "--subring", "1,w,w2"], False)]
+    argvs += [(argv, True) for argv in FUSION_ERROR_ARGVS]
     return [{"argv": argv, "output": output} for argv, output in argvs]
 
 
@@ -378,10 +436,12 @@ def fixed_spec_set() -> list[dict]:
 # -- the fixed cli set ---------------------------------------------------------------
 
 #: usage errors at each level of the parser tree, the error that ``main``
-#: raises itself, and help text; pinned in ``tests/test_cli.py``
+#: raises itself, a --subgroup that names no row, and help text; pinned in
+#: ``tests/test_cli.py``
 CLI_ARGVS = (
     [], ["index"], ["index", "compute"], ["index", "compute", "--spec", "F", "--tol", "abc"],
     ["bogus"], ["fusion", "generate"], ["classify"], ["classify", "irrep", "--lie-type", "A2"],
+    ["classify", "irrep", "--lie-type", "A2", "--weight", "1,0", "--subgroup", "x"],
     ["-h"], ["index", "-h"], ["index", "compute", "-h"], ["classify", "-h"],
     ["classify", "irrep", "-h"],
 )
@@ -554,10 +614,16 @@ LATTICE_TYPES = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
                  + [f"C{r}" for r in range(2, 9)] + [f"D{r}" for r in range(3, 9)]
                  + ["E6", "E7", "E8", "F4", "G2"])
 
+#: a rank out of range in each family, which ``classify`` rejects with
+#: exit 2; pinned in ``tests/test_cli.py``
+LATTICE_ERROR_ARGVS = tuple(["classify", "--lie-type", lie_type]
+                            for lie_type in ("A0", "B1", "C1", "D2", "E5", "F3", "G3"))
+
 
 def fixed_lattice_set() -> list[dict]:
-    """The ``classify`` table of each type of ``LATTICE_TYPES``, and the
-    membership of each of its fundamental weights in Q."""
+    """The ``classify`` table of each type of ``LATTICE_TYPES``, the
+    membership of each of its fundamental weights in Q, and the commands
+    of ``LATTICE_ERROR_ARGVS``."""
     jobs = []
     for lie_type in LATTICE_TYPES:
         rank = int(lie_type[1:])
@@ -566,7 +632,7 @@ def fixed_lattice_set() -> list[dict]:
             weight = ",".join("1" if k == i else "0" for k in range(rank))
             jobs.append({"argv": ["classify", "irrep", "--lie-type", lie_type,
                                   "--weight", weight, "--subgroup", "Q"], "output": True})
-    return jobs
+    return jobs + [{"argv": argv, "output": True} for argv in LATTICE_ERROR_ARGVS]
 
 
 # -- comparison ---------------------------------------------------------------------
