@@ -22,7 +22,7 @@ __all__ = [
     "equivalence_classes", "functor_dims", "d_function",
     "check_locally_constant", "standard_solution_components",
     "functor_trace_components", "jones_membership",
-    "qsystem_degree", "action_functor", "jones_value",
+    "qsystem_degree", "action_functor", "jones_value", "dense_shape",
 ]
 
 log = logging.getLogger("qindex.fusion")
@@ -31,9 +31,15 @@ log = logging.getLogger("qindex.fusion")
 CHARACTER_TOL = 1e-10
 #: relative eigenvalue window and singular-value threshold of a module trace
 NULLITY_RTOL = 1e-10
-#: entries of the largest product of an associativity check: labels are
-#: checked together up to it, so a small ring pays one pair of products
-_CHECK_ENTRIES = 2 ** 16
+
+
+def dense_shape(r: int, m: int, n: int) -> tuple[int, int, int]:
+    """(r, m, n), or a ValueError past 2^24 entries (128 MiB of int64): the bound on
+    a multiplicity tensor built dense, r^3 for a ring of rank r, r m^2 for a module."""
+    if r * m * n > 2 ** 24:
+        raise ValueError(f"a {r} x {m} x {n} multiplicity tensor has {r * m * n} entries, "
+                         "more than the 2^24 held dense")
+    return r, m, n
 
 
 def _held(array) -> np.ndarray:
@@ -176,14 +182,12 @@ def _associativity_violations(what: str, t: np.ndarray, a: np.ndarray,
     violation is the same as when all are.
 
     Each label u is one pair of products of floating-point copies, as
-    (v, (i, j)) and ((v, i), j) matrices; labels are checked in groups of
-    one pair of products each, as large as ``_CHECK_ENTRIES`` allows, so a
-    small ring pays for one pair, and so does its rescan.  The sums have r
-    terms up to max(N) * max(a) and m terms up to max(a)^2.  Below 2^24
-    every partial sum is an integer that float32 holds exactly, in any
-    order, so the copies are float32; below 2^53 they are float64, which
-    holds them exactly; above it the violation is ``exactness bound``.
-    The first mismatch is named by ``where(u, v, i, j)``.
+    (v, (i, j)) and ((v, i), j) matrices.  The sums have r terms up to
+    max(N) * max(a) and m terms up to max(a)^2.  Below 2^24 every partial
+    sum is an integer that float32 holds exactly, in any order, so the
+    copies are float32; below 2^53 they are float64, which holds them
+    exactly; above it the violation is ``exactness bound``.  The first
+    mismatch is named by ``where(u, v, i, j)``.
     """
     r, m = a.shape[:2]
     big_t = int(t.max())
@@ -197,24 +201,19 @@ def _associativity_violations(what: str, t: np.ndarray, a: np.ndarray,
     tf = t.astype(np.float32 if exact32 else np.float64)
     af = tf if a is t else a.astype(tf.dtype)
 
-    def mismatch(us: Sequence[int]) -> tuple[int, str] | None:
-        """The first label of ``us`` that fails, in order, and its first
-        violation; both sides of the group are in (u, v, i, j) order."""
-        lhs = (tf[us] @ af.reshape(r, m * m)).reshape(-1, r, m, m)
-        rhs = (af.reshape(r * m, m) @ af[us]).reshape(-1, r, m, m)
+    def mismatch(u: int) -> str | None:
+        """The first violation of label u, in (v, i, j) order, or None."""
+        lhs = (tf[u] @ af.reshape(r, m * m)).reshape(r, m, m)
+        rhs = (af.reshape(r * m, m) @ af[u]).reshape(r, m, m)
         wrong = lhs != rhs
         if not wrong.any():
             return None
-        k, v, i, j = np.argwhere(wrong)[0]
-        return us[k], (f"{what}: {where(us[k], v, i, j)}: "
-                       f"{int(lhs[k, v, i, j])} != {int(rhs[k, v, i, j])}")
+        v, i, j = np.argwhere(wrong)[0]
+        return f"{what}: {where(u, v, i, j)}: {int(lhs[v, i, j])} != {int(rhs[v, i, j])}"
 
-    size = max(1, _CHECK_ENTRIES // (r * m * m))
-    gens = list(generators)
-    if not any(mismatch(gens[k:k + size]) for k in range(0, len(gens), size)):
-        return [], len(gens)
-    u, found = next(bad for k in range(0, r, size)
-                    if (bad := mismatch(range(r)[k:k + size])))
+    if not any(map(mismatch, generators)):
+        return [], len(generators)
+    u, found = next((u, bad) for u in range(r) if (bad := mismatch(u)))
     return [found], len(set(generators).union(range(u + 1)))
 
 

@@ -6,12 +6,13 @@ finite abelian groups, regular modules, and coset quotient modules.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fusion import DimensionVector, FusionModule, FusionRing
+from .fusion import DimensionVector, FusionModule, FusionRing, dense_shape
 
 __all__ = [
     "gen_tlj", "gen_pointed", "gen_regular_module", "gen_quotient_module",
@@ -32,6 +33,7 @@ def gen_tlj(n: int) -> tuple[FusionRing, DimensionVector]:
     k = n - 2
     labels = tuple(str(a) for a in range(k + 1))
     r = k + 1
+    dense_shape(r, r, r)  # raises before the r^3 tensor is built
     a, b, c = np.ogrid[:r, :r, :r]
     # (a + b) % 2 == c % 2 is the parity rule without an r^3 int array
     tensor = (((a + b) % 2 == c % 2) & (abs(a - b) <= c)
@@ -61,11 +63,11 @@ def gen_pointed(factors: Sequence[int]) -> FusionRing:
     factors = [int(f) for f in factors]
     if not factors or any(f < 1 for f in factors):
         raise ValueError("factors must be positive integers")
+    r = math.prod(factors)
+    tensor = np.zeros(dense_shape(r, r, r), dtype=np.int64)
     elements = pointed_elements(factors)
     labels = tuple(pointed_label(e) for e in elements)
     index = {e: i for i, e in enumerate(elements)}
-    r = len(elements)
-    tensor = np.zeros((r, r, r), dtype=np.int64)
     for i, g in enumerate(elements):
         for j, h in enumerate(elements):
             s = tuple((a + b) % f for a, b, f in zip(g, h, factors))

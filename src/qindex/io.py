@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from .algebra import MultiMatrixAlgebra, StarHomomorphism, TraceWeights
-from .fusion import FusionModule, FusionRing
+from .fusion import FusionModule, FusionRing, dense_shape
 
 __all__ = [
     "SchemaError", "loads", "text_loads", "canonical_text", "canonical_object",
@@ -90,6 +90,15 @@ def _pairs_from_lists(data: Any, path: str) -> np.ndarray:
                         "number is too large for a float")
         pairs = np.array(data, dtype=np.float64)
     return pairs
+
+
+def _zeros(shape: tuple[int, int, int], path: str) -> np.ndarray:
+    """The int64 zero tensor of ``shape``, refused by ``dense_shape``
+    before it is allocated."""
+    try:
+        return np.zeros(dense_shape(*shape), dtype=np.int64)
+    except ValueError as err:
+        raise SchemaError(path, str(err)) from None
 
 
 def _is_number(x, kinds=(int, float)) -> bool:
@@ -367,7 +376,7 @@ def _sparse_from_json(data: Mapping, name: str, path: str,
     path = f"{path}.{name}"
     _expect(isinstance(entries, Mapping), path, f"{name} is an object")
     first, second, third = ({lab: i for i, lab in enumerate(axis)} for axis in labels)
-    tensor = np.zeros((len(first), len(second), len(third)), dtype=np.int64)
+    tensor = _zeros((len(first), len(second), len(third)), path)
     for key, row in entries.items():
         parts = key.split(",")
         if not (len(parts) == 2 and parts[0] in first and parts[1] in second):
@@ -471,6 +480,7 @@ def _mask_tensor(data: Any, r: int, path: str) -> np.ndarray:
     size = (r ** 3 + 7) // 8
     _expect(len(mask) == size and not mask[-1] & (1 << -r ** 3 % 8) - 1, f"{path}.mask",
             f"mask has {size} bytes, one bit per entry, and zero pad bits")
+    tensor = _zeros((r, r, r), path)
     nonzero = np.unpackbits(np.frombuffer(mask, np.uint8), count=r ** 3).view(bool)
     count = np.count_nonzero(nonzero)
     width = len(mult) // count if count else 1
@@ -482,7 +492,6 @@ def _mask_tensor(data: Any, r: int, path: str) -> np.ndarray:
     _expect(top < 2 ** 63, f"{path}.mult", "multiplicities are below 2^63")
     _expect(width == 1 or top >= 1 << 4 * width, f"{path}.mult",
             "multiplicities have the narrowest width that holds the largest")
-    tensor = np.zeros((r, r, r), dtype=np.int64)
     tensor.reshape(-1)[nonzero] = mults
     tensor.flags.writeable = False
     return tensor

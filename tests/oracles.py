@@ -24,10 +24,12 @@ chosen densities without the library's normal form.
 normal form, the density reading, the rebuilt map and the closed-form
 indices one block pair at a time, the references for the batched ones
 of the library.
-``matrix_to_json``, ``algebra_to_json``, ``element_to_json``,
-``element_from_json``, ``homomorphism_to_json`` and
-``expectation_to_json`` write (and read) algebra data in the formats of
+``matrix_to_json``, ``algebra_to_json``, ``homomorphism_to_json`` and
+``expectation_to_json`` write algebra data in the formats of
 ``docs/formats.md``, to build the files that ``qindex.io`` reads.
+``element_to_json`` and ``element_from_json`` write and read an element
+as ``{"blocks": [...]}``, one matrix per block, a format of the tests
+alone that puts each matrix through the reader of ``qindex.io``.
 ``sparse_from_json_reference`` decodes the sparse fusion multiplicity
 map one entry at a time, the reference for the whole-array decoder of
 ``qindex.io``, and ``ring_to_json_reference`` and

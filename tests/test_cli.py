@@ -5,7 +5,10 @@ import hashlib
 import io
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ import qindex.cli
 from qindex import io as qio
 from qindex.algebra import group_algebra_inclusion
 from qindex.cli import main
-from qindex.fusion import FusionModule, validate_fusion
+from qindex.fusion import FusionModule, dense_shape, validate_fusion
 from qindex.generators import gen_pointed, gen_regular_module, gen_tlj
 
 from report_diff import (CLI_ARGVS, FUSION_ERROR_ARGVS, LATTICE_ERROR_ARGVS, WALL_MS,
@@ -905,6 +908,60 @@ def test_fusion_trace_of_tlj150(tmp_path, capsys):
     trace = report_of(out)["results"]["trace"]
     assert trace["148"] == pytest.approx(1.0, rel=1e-12)
     assert trace["74"] == pytest.approx(1 / np.sin(np.pi / 150), rel=1e-12)
+
+
+OVERSIZED = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+sys.path[:0] = sys.argv[1:2]
+from qindex.cli import main
+out = []
+for argv in json.loads(sys.argv[2]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        out.append([main(argv), err.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_a_tensor_too_large_to_hold_dense_is_refused_before_it_is_built(tmp_path):
+    # each of these would ask numpy for 129 MiB to 7 PiB; in a child capped
+    # at 1 GiB of address space every one exits 2 with one error line.  The
+    # ring/2 file of rank 257 has a mask of the right length, all zero,
+    # refused before its bits are unpacked
+    labels = [str(i) for i in range(3000)]
+    (tmp_path / "wide.json").write_text(json.dumps(
+        {"irr": labels, "unit": "0", "dual": dict(zip(labels, labels))}))
+    mask = base64.b64encode(bytes((257 ** 3 + 7) // 8)).decode()
+    (tmp_path / "wide2.json").write_text(json.dumps(
+        {"schema": "qindex.ring/2", "irr": labels[:257], "unit": "0",
+         "dual": dict(zip(labels[:257], labels[:257])), "N": {"mask": mask, "mult": ""}}))
+    z2 = ring_to_json(gen_pointed([2]))
+    (tmp_path / "z2.json").write_text(json.dumps(z2))
+    (tmp_path / "module.json").write_text(json.dumps(
+        {"ring": z2, "irrM": [str(i) for i in range(20000)]}))
+    cases = [
+        (["fusion", "trace", "--ring", str(tmp_path / "wide.json"), "--module", "regular"],
+         "fusion_ring.N: a 3000 x 3000 x 3000 multiplicity tensor has 27000000000 entries"),
+        (["fusion", "trace", "--ring", str(tmp_path / "wide2.json"), "--module", "regular"],
+         "fusion_ring.N: a 257 x 257 x 257 multiplicity tensor has 16974593 entries"),
+        (["fusion", "generate", "tlj", "--n", "3000"],
+         "a 2999 x 2999 x 2999 multiplicity tensor has 26973008999 entries"),
+        (["fusion", "generate", "pointed", "--factors", "100000"],
+         "a 100000 x 100000 x 100000 multiplicity tensor has 1000000000000000 entries"),
+        (["fusion", "trace", "--ring", str(tmp_path / "z2.json"),
+          "--module", str(tmp_path / "module.json")],
+         "fusion_module.n: a 2 x 20000 x 20000 multiplicity tensor has 800000000 entries"),
+    ]
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", OVERSIZED, str(root / "src"),
+                           json.dumps([argv for argv, _ in cases])],
+                          capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert done.returncode == 0, done.stderr
+    for (_, message), got in zip(cases, json.loads(done.stdout)):
+        assert got == [2, f"error: {message}, more than the 2^24 held dense\n"]
+    assert dense_shape(256, 256, 256) == (256, 256, 256)  # rank 256 is held
 
 
 def test_fusion_trace_module_file(tmp_path, capsys):

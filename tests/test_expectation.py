@@ -587,6 +587,46 @@ def test_index_report_ordering_chain(rng):
         assert abs(report.scalar_index - report.index_norm) <= 1e-7
 
 
+def _report_of_weights(inclusion, w):
+    return compute_index_report(canonical_expectation(
+        inclusion, TraceWeights(inclusion.target, tuple(map(float, w)))))
+
+
+def _report_floats(report):
+    return [report.index_norm, report.scalar_index, report.prob_lower, report.prob_upper,
+            *report.block_values]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_index_report_does_not_depend_on_the_scale_of_the_weights(data):
+    # trace weights 10^U(-150, 150), ratios up to 1e300: the report is
+    # finite, the same bit for bit under w -> 2^j w while every weight stays
+    # normal (canonical_expectation rescales by an exact power of two), and
+    # within a few ulp under w -> 10^k w, which rounds each weight
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a_blocks, k = _random_multiplicities(rng, 3, 3, 3, 3)
+    inclusion = inclusion_from_multiplicities(a_blocks, k, rng)
+    w = 10.0 ** rng.uniform(-150.0, 150.0, size=len(k))
+    report = _report_of_weights(inclusion, w)
+    want = _report_floats(report)
+    assert all(map(math.isfinite, want))
+
+    exponents = [math.frexp(x)[1] for x in w]  # x = f 2^e with 1/2 <= f < 1
+    lowest, highest = -1021 - min(exponents), 1024 - max(exponents)
+    for j in (lowest, highest, data.draw(st.integers(lowest, highest))):
+        scaled = _report_of_weights(inclusion, np.ldexp(w, j))
+        assert [x.hex() for x in _report_floats(scaled)] == [x.hex() for x in want]
+        assert (scaled.quasi_basis_size, scaled.index_in_subalgebra) == \
+            (report.quasi_basis_size, report.index_in_subalgebra)
+
+    scaled = _report_of_weights(inclusion, w * 10.0 ** data.draw(st.integers(-150, 150)))
+    for got, value in zip(_report_floats(scaled), want):
+        assert abs(got - value) <= 8 * math.ulp(value)
+    assert (scaled.quasi_basis_size, scaled.index_in_subalgebra) == \
+        (report.quasi_basis_size, report.index_in_subalgebra)
+
+
 def test_index_report_reads_the_density_spectra_only(rng, monkeypatch):
     # no quasi-basis, defect or sum u u* on the report path: the index
     # element (K K^T w)_t / w_t 1 is read off the densities, of the canonical
@@ -1159,6 +1199,13 @@ def _random_density(k, rng, singular):
     return (u * vals) @ u.conj().T
 
 
+def _densities_of(raw, w):
+    """h_tp = w_t R_tp / N_p for R_tp = raw[t][p], N_p making sum_t Tr h_tp = 1."""
+    norm = [sum(w[t] * np.trace(row[p]).real for t, row in enumerate(raw))
+            for p in range(len(raw[0]))]
+    return [[w[t] * r / n for r, n in zip(row, norm)] for t, row in enumerate(raw)]
+
+
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(st.data())
 def test_closed_forms_match_dense_oracles(data):
@@ -1182,9 +1229,7 @@ def test_closed_forms_match_dense_oracles(data):
         assume(len(spare))
         t, p = map(int, spare[int(rng.integers(len(spare)))])
         raw[t][p] = _random_density(k[t, p], rng, True)
-    norm = [sum(w[t] * np.trace(raw[t][p]).real for t in range(nb))
-            for p in range(len(a_blocks))]
-    h = [[w[t] * raw[t][p] / norm[p] for p in range(len(a_blocks))] for t in range(nb)]
+    h = _densities_of(raw, w)
     b_blocks = k @ np.array(a_blocks)
     unitaries = [random_unitary(int(m), rng) for m in b_blocks]
     expectation = expectation_from_densities(a_blocks, k, unitaries, h)
@@ -1246,6 +1291,34 @@ def test_closed_forms_match_dense_oracles(data):
     assert report.index_in_subalgebra == index_in_subalgebra(expectation, index, 1e-8)
     ascent, _ = ascent_probabilistic_bounds(expectation, budget=20)
     assert ascent <= lower * (1 + max(1e-9, slack))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.data())
+def test_indices_do_not_depend_on_a_unitary_conjugation_of_the_map(data):
+    # the same densities h_tp = w_t R_tp / N_p put into an explicit map once
+    # with identity unitaries and once with Haar random ones; weights
+    # 10^U(-2, 2), since a conjugated map mixes the densities of a block,
+    # which come back to about eps times their spread
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a_blocks, k = _random_multiplicities(rng, 2, 2, 2, 3)
+    nb, na = k.shape
+    w = 10.0 ** rng.uniform(-2.0, 2.0, size=nb)
+    raw = [[_random_density(k[t, p], rng, False) for p in range(na)] for t in range(nb)]
+    h = _densities_of(raw, w)
+    b_blocks = [int(m) for m in k @ np.array(a_blocks)]
+    indices = []
+    for unitaries in ([np.eye(m) for m in b_blocks],
+                      [random_unitary(m, rng) for m in b_blocks]):
+        expectation = expectation_from_densities(a_blocks, k, unitaries, h)
+        assert validate_expectation(expectation).ok
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            index = watatani_index(expectation, quasi_basis_report(expectation).basis)
+        indices.append(np.array([scalar_index(expectation),
+                                 probabilistic_index_bounds(expectation)[0], index.norm()]))
+    plain, conjugated = indices
+    assert np.all(np.abs(conjugated - plain) <= 1e-12 * plain)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
